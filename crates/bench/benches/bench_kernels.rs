@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_nn::{LstmCell, LstmState, LstmStateMatrix};
+use rm_nn::{Adam, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_tensor::{Matrix, Var};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -37,6 +37,42 @@ fn bench_matmul(c: &mut Criterion) {
     });
     c.bench_function("matrix_matmul_at_b_64x128_64", |bencher| {
         bencher.iter(|| std::hint::black_box(a.matmul_at_b(&grad)))
+    });
+}
+
+/// The batch-1 training product: one LSTM gate block (`4·hidden` = 32 rows)
+/// times the concatenated `[x; h]` column (138 = the KaideLike-scale AP
+/// count plus hidden units), the shape every BiSIM forward step runs.
+fn bench_matvec(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let w: Matrix = Matrix::random_uniform(32, 138, 1.0, &mut rng);
+    let x: Matrix = Matrix::random_uniform(138, 1, 1.0, &mut rng);
+    let mut out = Matrix::zeros(32, 1);
+    c.bench_function("matvec_f64_32x138", |bencher| {
+        bencher.iter(|| {
+            w.matmul_into(&x, &mut out);
+            std::hint::black_box(out.get(0, 0))
+        })
+    });
+}
+
+/// One Adam update over 80 000 parameters (four 100×200 tensors with a
+/// fixed gradient), the optimizer half of every training step.
+fn bench_adam_step(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let params: Vec<Var> = (0..4)
+        .map(|_| {
+            let p = Var::parameter(Matrix::random_uniform(100, 200, 1.0, &mut rng));
+            p.add_grad(&Matrix::random_uniform(100, 200, 1.0, &mut rng));
+            p
+        })
+        .collect();
+    let mut adam = Adam::new(params.clone(), 1e-3).with_clip(5.0);
+    c.bench_function("adam_step_f64_80k", |bencher| {
+        bencher.iter(|| {
+            adam.step();
+            std::hint::black_box(params[0].value_ref().get(0, 0))
+        })
     });
 }
 
@@ -112,6 +148,8 @@ fn bench_backward(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_matmul,
+    bench_matvec,
+    bench_adam_step,
     bench_matmul_f32,
     bench_lstm_snapshot_step,
     bench_lstm_step,

@@ -160,36 +160,49 @@ impl Bisim {
     }
 }
 
-/// Differentiates the Section IV-D loss of one `(sequence, reversed)` pair
-/// and returns the per-parameter gradients in optimizer order
-/// (forward-direction parameters, then backward-direction). The models'
-/// gradient buffers must be zero on entry: freshly rebuilt replicas
+/// Differentiates the Section IV-D loss of one `(sequence, reversed)` pair,
+/// accumulating into the models' parameter gradients, then returns the
+/// pair's graph to the per-worker node arena. The gradient buffers must be
+/// zero on entry: freshly rebuilt replicas
 /// ([`BisimDirectionWeights::to_model`]) start zeroed, and the live-graph
-/// fast path zeroes explicitly.
+/// path of `train_in_batches` zeroes through its optimizer.
+fn pair_backward(
+    forward: &BisimDirection,
+    backward: &BisimDirection,
+    seq: &PathSequence,
+    rev: &PathSequence,
+) {
+    let fwd = forward.run(seq);
+    let bwd = backward.run(rev);
+    let loss = Bisim::sequence_loss(seq, rev, &fwd, &bwd);
+    loss.backward();
+    // Return the pair's graph — both passes, the loss chain and every
+    // intermediate — to the per-worker node arena so the next pair rebuilds
+    // on recycled storage. The parameter leaves, and the gradients they
+    // hold, stay with the models and are skipped by the recycler.
+    Var::recycle_all(
+        fwd.into_vars()
+            .chain(bwd.into_vars())
+            .chain(std::iter::once(loss)),
+    );
+}
+
+/// [`pair_backward`], then the per-parameter gradients read out in optimizer
+/// order (forward-direction parameters, then backward-direction) — one
+/// pair's share of a multi-sequence batch.
 fn pair_gradients(
     forward: &BisimDirection,
     backward: &BisimDirection,
     seq: &PathSequence,
     rev: &PathSequence,
 ) -> Vec<Matrix<f64>> {
-    let fwd = forward.run(seq);
-    let bwd = backward.run(rev);
-    let loss = Bisim::sequence_loss(seq, rev, &fwd, &bwd);
-    loss.backward();
-    let mut params = forward.parameters();
-    params.extend(backward.parameters());
-    let grads = params.iter().map(|p| p.grad()).collect();
-    // The gradients are out; return the pair's graph — both passes, the
-    // loss chain and every intermediate — to the per-worker node arena so
-    // the next pair rebuilds on recycled storage. The parameter leaves are
-    // still held by the models and are skipped by the recycler.
-    drop(params);
-    Var::recycle_all(
-        fwd.into_vars()
-            .chain(bwd.into_vars())
-            .chain(std::iter::once(loss)),
-    );
-    grads
+    pair_backward(forward, backward, seq, rev);
+    forward
+        .parameters()
+        .iter()
+        .chain(&backward.parameters())
+        .map(|p| p.grad())
+        .collect()
 }
 
 /// The per-record updates one `(sequence, reversed)` pair contributes to the
@@ -343,28 +356,13 @@ impl Bisim {
             epochs,
             sequences.len(),
             self.config.batch_size,
+            |i| pair_backward(forward_model, backward_model, &sequences[i], &reversed[i]),
             |chunk| {
-                if let [i] = *chunk {
-                    for p in forward_model
-                        .parameters()
-                        .iter()
-                        .chain(&backward_model.parameters())
-                    {
-                        p.zero_grad();
-                    }
-                    vec![pair_gradients(
-                        forward_model,
-                        backward_model,
-                        &sequences[i],
-                        &reversed[i],
-                    )]
-                } else {
-                    let fw = forward_model.snapshot();
-                    let bw = backward_model.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
-                        pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
-                    })
-                }
+                let fw = forward_model.snapshot();
+                let bw = backward_model.snapshot();
+                rm_runtime::par_map(threads, chunk, |_, &i| {
+                    pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
+                })
             },
         );
     }

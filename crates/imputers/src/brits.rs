@@ -392,18 +392,19 @@ pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, us
 
 /// Differentiates the combined BRITS loss of one `(sequence, reversed)` pair
 /// — forward/backward reconstruction plus the cross-direction consistency
-/// term — and returns the per-parameter gradients in optimizer order
-/// (forward-direction parameters, then backward-direction).
+/// term — accumulating into the models' parameter gradients, then returns
+/// the pair's graph to the per-worker node arena.
 ///
 /// The caller must ensure the models' gradient buffers are zero on entry:
 /// freshly rebuilt replicas ([`RecurrentImputerWeights::to_model`]) start
-/// zeroed, and the live-graph fast path zeroes through its optimizer.
-fn pair_gradients(
+/// zeroed, and the live-graph path of [`train_in_batches`] zeroes through
+/// its optimizer.
+fn pair_backward(
     forward: &RecurrentImputer,
     backward: &RecurrentImputer,
     seq: &PathSequence,
     rev: &PathSequence,
-) -> Vec<Matrix<f64>> {
+) {
     let fwd = forward.run(seq);
     let bwd = backward.run(rev);
     let mut total = Var::scalar(0.0);
@@ -422,14 +423,10 @@ fn pair_gradients(
     }
     let loss = total.scale(1.0 / seq.len() as f64);
     loss.backward();
-    let mut params = forward.parameters();
-    params.extend(backward.parameters());
-    let grads = params.iter().map(|p| p.grad()).collect();
-    // The gradients are out; return the step's graph — both passes, the
-    // loss chain and every intermediate — to the per-worker node arena so
-    // the next sequence rebuilds on recycled storage. The parameter leaves
-    // are still held by the models and are skipped by the recycler.
-    drop(params);
+    // Return the step's graph — both passes, the loss chain and every
+    // intermediate — to the per-worker node arena so the next sequence
+    // rebuilds on recycled storage. The parameter leaves, and the gradients
+    // they hold, stay with the models and are skipped by the recycler.
     Var::recycle_all(
         fwd.estimates
             .into_iter()
@@ -438,7 +435,24 @@ fn pair_gradients(
             .chain(bwd.complements)
             .chain([total, loss]),
     );
-    grads
+}
+
+/// [`pair_backward`], then the per-parameter gradients read out in optimizer
+/// order (forward-direction parameters, then backward-direction) — one
+/// sequence's share of a multi-sequence batch.
+fn pair_gradients(
+    forward: &RecurrentImputer,
+    backward: &RecurrentImputer,
+    seq: &PathSequence,
+    rev: &PathSequence,
+) -> Vec<Matrix<f64>> {
+    pair_backward(forward, backward, seq, rev);
+    forward
+        .parameters()
+        .iter()
+        .chain(&backward.parameters())
+        .map(|p| p.grad())
+        .collect()
 }
 
 /// Runs the deterministic mini-batch training loop shared by the batched
@@ -447,6 +461,14 @@ fn pair_gradients(
 /// produced by `grads` (fanned out by the caller where profitable), summed
 /// in sequence-index order into a [`GradientBatch`], and applied as one
 /// optimizer step.
+///
+/// A single-sequence chunk — every step at the `batch_size = 1` default —
+/// takes the direct path instead: the optimizer's gradients are zeroed,
+/// `live(i)` back-propagates sequence `i` through the live graph into them,
+/// and the optimizer steps. That is bitwise the batch route: a gradient
+/// buffer never holds `-0.0` (it starts at `+0.0` and only has values added
+/// to it), so summing one gradient into a zeroed batch and loading it into
+/// zeroed parameter gradients would reproduce it exactly.
 ///
 /// `grads(chunk)` must return one gradient list per index in `chunk`, in
 /// chunk order — [`rm_runtime::par_map`] over the chunk satisfies this by
@@ -458,15 +480,23 @@ pub fn train_in_batches<T: Scalar>(
     epochs: usize,
     num_sequences: usize,
     batch_size: usize,
+    mut live: impl FnMut(usize),
     mut grads: impl FnMut(&[usize]) -> Vec<Vec<Matrix<T>>>,
 ) {
     let batch_size = batch_size.max(1);
     let indices: Vec<usize> = (0..num_sequences).collect();
+    let mut batch = GradientBatch::zeros_like(optimizer.parameters());
     for _ in 0..epochs {
         for chunk in indices.chunks(batch_size) {
+            if let [i] = *chunk {
+                optimizer.zero_grad();
+                live(i);
+                optimizer.step();
+                continue;
+            }
             let per_sequence = grads(chunk);
             debug_assert_eq!(per_sequence.len(), chunk.len());
-            let mut batch = GradientBatch::zeros_like(optimizer.parameters());
+            batch.clear();
             for sequence_grads in &per_sequence {
                 batch.accumulate(sequence_grads);
             }
@@ -709,24 +739,13 @@ impl Brits {
             epochs,
             sequences.len(),
             self.config.batch_size,
+            |i| pair_backward(forward, backward, &sequences[i], &reversed[i]),
             |chunk| {
-                if let [i] = *chunk {
-                    for p in forward.parameters().iter().chain(&backward.parameters()) {
-                        p.zero_grad();
-                    }
-                    vec![pair_gradients(
-                        forward,
-                        backward,
-                        &sequences[i],
-                        &reversed[i],
-                    )]
-                } else {
-                    let fw = forward.snapshot();
-                    let bw = backward.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
-                        pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
-                    })
-                }
+                let fw = forward.snapshot();
+                let bw = backward.snapshot();
+                rm_runtime::par_map(threads, chunk, |_, &i| {
+                    pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
+                })
             },
         );
     }

@@ -92,6 +92,16 @@ impl<T: Scalar> GradientBatch<T> {
         self.examples += 1;
     }
 
+    /// Zeroes the running sums in place and resets the example count, so one
+    /// batch serves every step of a training loop without reallocating.
+    /// Bitwise the same as a fresh [`GradientBatch::zeros_like`].
+    pub fn clear(&mut self) {
+        for sum in &mut self.grads {
+            sum.data_mut().fill(T::ZERO);
+        }
+        self.examples = 0;
+    }
+
     /// Number of examples accumulated so far.
     pub fn examples(&self) -> usize {
         self.examples
@@ -232,34 +242,32 @@ impl<T: Scalar> Adam<T> {
 }
 
 impl<T: Scalar> Optimizer<T> for Adam<T> {
+    /// One pass over each parameter's slices. Per element this is the
+    /// textbook update with the same operations in the same order —
+    /// `m = β₁m + (1−β₁)g`, `v = β₂v + ((1−β₂)g)g`,
+    /// `w −= (lr·m̂) / (√v̂ + ε)` with `m̂ = m/b₁`, `v̂ = v/b₂` — so it is
+    /// bit-identical to an indexed loop; zipped slices leave nothing in the
+    /// body that stops it vectorising. Without a clip the gradient is clamped
+    /// to `[−∞, ∞]`, which returns every value (`-0.0` and NaN included)
+    /// unchanged.
     fn step(&mut self) {
         self.step_count += 1;
         let t = T::from_f64(self.step_count as f64);
         let bias1 = T::ONE - self.beta1.powf(t);
         let bias2 = T::ONE - self.beta2.powf(t);
-        for (i, p) in self.params.iter().enumerate() {
-            let m = &mut self.first_moment[i];
-            let v = &mut self.second_moment[i];
-            let (beta1, beta2, eps, lr, clip) = (
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                self.learning_rate,
-                self.clip,
-            );
+        let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.epsilon, self.learning_rate);
+        let (decay1, decay2) = (T::ONE - beta1, T::ONE - beta2);
+        let clip = self.clip.unwrap_or(T::from_f64(f64::INFINITY));
+        let moments = self.first_moment.iter_mut().zip(&mut self.second_moment);
+        for (p, (m, v)) in self.params.iter().zip(moments) {
             p.update_value(|value, grad| {
-                for idx in 0..value.data().len() {
-                    let mut g = grad.data()[idx];
-                    if let Some(c) = clip {
-                        g = g.clamp(-c, c);
-                    }
-                    let m_i = beta1 * m.data()[idx] + (T::ONE - beta1) * g;
-                    let v_i = beta2 * v.data()[idx] + (T::ONE - beta2) * g * g;
-                    m.data_mut()[idx] = m_i;
-                    v.data_mut()[idx] = v_i;
-                    let m_hat = m_i / bias1;
-                    let v_hat = v_i / bias2;
-                    value.data_mut()[idx] -= lr * m_hat / (v_hat.sqrt() + eps);
+                let params = value.data_mut().iter_mut().zip(grad.data());
+                let moments = m.data_mut().iter_mut().zip(v.data_mut());
+                for ((w, &g), (m, v)) in params.zip(moments) {
+                    let g = g.clamp(-clip, clip);
+                    *m = beta1 * *m + decay1 * g;
+                    *v = beta2 * *v + decay2 * g * g;
+                    *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
                 }
             });
         }
@@ -398,6 +406,109 @@ mod tests {
         let w = Var::parameter(Matrix::from_vec(1, 1, vec![0.0]));
         let mut batch = GradientBatch::zeros_like(&[w]);
         batch.accumulate(&[]);
+    }
+
+    /// The update `Adam::step` replaced: an indexed loop over the flat
+    /// slices, clip applied per element when set. Kept here as the oracle
+    /// of the slice pass.
+    #[allow(clippy::too_many_arguments)]
+    fn indexed_adam_reference<T: Scalar>(
+        value: &mut [T],
+        grad: &[T],
+        m: &mut [T],
+        v: &mut [T],
+        step: u64,
+        lr: T,
+        clip: Option<T>,
+    ) {
+        let (beta1, beta2, eps) = (T::from_f64(0.9), T::from_f64(0.999), T::from_f64(1e-8));
+        let t = T::from_f64(step as f64);
+        let bias1 = T::ONE - beta1.powf(t);
+        let bias2 = T::ONE - beta2.powf(t);
+        for idx in 0..value.len() {
+            let mut g = grad[idx];
+            if let Some(c) = clip {
+                g = g.clamp(-c, c);
+            }
+            let m_i = beta1 * m[idx] + (T::ONE - beta1) * g;
+            let v_i = beta2 * v[idx] + (T::ONE - beta2) * g * g;
+            m[idx] = m_i;
+            v[idx] = v_i;
+            let m_hat = m_i / bias1;
+            let v_hat = v_i / bias2;
+            value[idx] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// Adam's slice pass ≡ the indexed loop, bit for bit, at both
+    /// precisions, with and without clipping, over tensors whose lengths
+    /// are not multiples of the vector width and gradients holding exact
+    /// `+0.0`, `-0.0` and clipped entries.
+    fn adam_matches_indexed_reference<T: Scalar>(clip: Option<f64>) {
+        let shapes = [(3, 5), (1, 1), (7, 3), (0, 4)];
+        let entry = |i: usize, scale: f64| -> T {
+            match i % 7 {
+                0 => T::from_f64(0.0),
+                1 => T::from_f64(-0.0),
+                r => T::from_f64(scale * (r as f64 - 3.7) * (1.0 + i as f64 * 0.013)),
+            }
+        };
+        let params: Vec<Var<T>> = shapes
+            .iter()
+            .map(|&(r, c)| Var::parameter(Matrix::from_fn(r, c, |i, j| entry(i * c + j + 2, 0.4))))
+            .collect();
+        let lr = T::from_f64(0.05);
+        let mut adam = Adam::new(params.clone(), lr);
+        if let Some(c) = clip {
+            adam = adam.with_clip(T::from_f64(c));
+        }
+        let mut reference: Vec<(Vec<T>, Vec<T>, Vec<T>)> = params
+            .iter()
+            .map(|p| {
+                let n = p.value_ref().len();
+                (
+                    p.value().data().to_vec(),
+                    vec![T::ZERO; n],
+                    vec![T::ZERO; n],
+                )
+            })
+            .collect();
+        for step in 1..=6u64 {
+            adam.zero_grad();
+            for (k, p) in params.iter().enumerate() {
+                let (r, c) = p.shape();
+                let g = Matrix::from_fn(r, c, |i, j| entry(i * c + j + k + step as usize, 3.0));
+                p.add_grad(&g);
+                let (w, m, v) = &mut reference[k];
+                indexed_adam_reference(w, g.data(), m, v, step, lr, clip.map(T::from_f64));
+            }
+            adam.step();
+            for (p, (w, _, _)) in params.iter().zip(&reference) {
+                let got: Vec<u64> = p.value().data().iter().map(|x| x.to_bits_u64()).collect();
+                let want: Vec<u64> = w.iter().map(|x| x.to_bits_u64()).collect();
+                assert_eq!(got, want, "{} Adam drifted at step {step}", T::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn adam_slice_pass_is_bit_identical_to_the_indexed_loop() {
+        for clip in [None, Some(5.0), Some(0.5)] {
+            adam_matches_indexed_reference::<f64>(clip);
+            adam_matches_indexed_reference::<f32>(clip);
+        }
+    }
+
+    /// A cleared batch is bitwise a fresh one, so a training loop can keep
+    /// one batch for every step.
+    #[test]
+    fn cleared_batch_equals_a_fresh_batch() {
+        let w = Var::parameter(Matrix::from_vec(1, 2, vec![0.0, 0.0]));
+        let mut batch = GradientBatch::zeros_like(std::slice::from_ref(&w));
+        batch.accumulate(&[Matrix::from_vec(1, 2, vec![1.5, -2.0])]);
+        batch.clear();
+        assert_eq!(batch.examples(), 0);
+        assert!(batch.sums()[0].bits_eq(&GradientBatch::zeros_like(&[w]).sums()[0]));
     }
 
     #[test]

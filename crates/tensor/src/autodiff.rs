@@ -564,20 +564,32 @@ impl<T: Scalar> Var<T> {
                 parents[1].accumulate(&db);
             }
             Op::MatMul => {
-                // dA = dC · Bᵀ goes through the blocked kernel into a pooled
-                // buffer (a one-off transpose is cheaper than losing the
-                // vectorised inner loop); dB = Aᵀ · dC uses the transposed
-                // kernel, which is axpy-shaped like the blocked one and
-                // skips the transpose.
-                let da = {
-                    let bt = parents[1].value_ref().transpose();
-                    let mut da = Matrix::zeros(grad.rows(), bt.cols());
-                    grad.matmul_into(&bt, &mut da);
-                    da
-                };
-                let db = parents[0].value_ref().matmul_at_b(grad);
-                parents[0].accumulate(&da);
-                parents[1].accumulate(&db);
+                let (a, b) = (&parents[0], &parents[1]);
+                if a.needs_grad() {
+                    if b.shape().1 == 1 && !Rc::ptr_eq(&a.node, &b.node) {
+                        // dA = dC · Bᵀ is rank-1 against a column B: add it
+                        // straight into A's gradient buffer (bitwise the
+                        // same as accumulating the product; see
+                        // `Matrix::add_outer`).
+                        let x = b.value_ref();
+                        a.node.borrow_mut().grad.add_outer(grad.data(), x.data());
+                    } else {
+                        // The blocked kernel into a pooled buffer: a one-off
+                        // transpose is cheaper than losing the vectorised
+                        // inner loop.
+                        let bt = b.value_ref().transpose();
+                        let mut da = Matrix::zeros(grad.rows(), bt.cols());
+                        grad.matmul_into(&bt, &mut da);
+                        a.accumulate(&da);
+                    }
+                }
+                if b.needs_grad() {
+                    // dB = Aᵀ · dC through the transposed kernel, which is
+                    // axpy-shaped like the blocked one and skips the
+                    // transpose.
+                    let db = a.value_ref().matmul_at_b(grad);
+                    b.accumulate(&db);
+                }
             }
             Op::ScaleConst(s) => parents[0].accumulate(&grad.scale(*s)),
             Op::AddConst => parents[0].accumulate(grad),
@@ -644,13 +656,19 @@ impl<T: Scalar> Var<T> {
         }
     }
 
+    /// Whether gradients reaching this node are kept: everything except a
+    /// pure constant (a leaf without `requires_grad`), whose gradient nothing
+    /// reads, so backward skips computing it.
+    fn needs_grad(&self) -> bool {
+        let n = self.node.borrow();
+        n.requires_grad || !n.parents.is_empty()
+    }
+
     fn accumulate(&self, delta: &Matrix<T>) {
-        let mut n = self.node.borrow_mut();
-        if !n.requires_grad && n.parents.is_empty() {
-            // Pure constants never need gradients; skip the work.
+        if !self.needs_grad() {
             return;
         }
-        n.grad.axpy(T::ONE, delta);
+        self.node.borrow_mut().grad.axpy(T::ONE, delta);
     }
 
     // ------------------------------------------------------------------
@@ -725,6 +743,53 @@ impl<T: Scalar> Var<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The backward pass of `W · x` against a column writes `dW += g·xᵀ` in
+    /// place; it must equal the route it replaced — the product
+    /// materialised from `+0.0` and accumulated — bit for bit, including
+    /// over repeated uses of `W` (an unrolled recurrence) and `±0.0` in the
+    /// column. A constant column's gradient is never computed.
+    #[test]
+    fn matmul_backward_against_a_column_matches_the_materialised_route() {
+        let w0 = Matrix::from_fn(5, 19, |r, c| ((r * 19 + c) as f64 * 0.37).sin());
+        let xs: Vec<Matrix> = (0..3)
+            .map(|t| {
+                Matrix::from_fn(19, 1, |r, _| match (r + t) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    k => (k as f64 - 2.5) * 0.3,
+                })
+            })
+            .collect();
+        let w = Var::parameter(w0.clone());
+        let consts: Vec<Var> = xs.iter().map(|x| Var::constant(x.clone())).collect();
+        let mut total = Var::scalar(0.0);
+        for x in &consts {
+            // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
+            total = total.add(&w.matmul(x).tanh().sum());
+        }
+        total.backward();
+
+        let mut want = Matrix::zeros(5, 19);
+        for x in &xs {
+            let g = w0.matmul_naive(x).map(|y| {
+                let t = y.tanh();
+                1.0 - t * t
+            });
+            want = &want + &g.matmul_naive(&x.transpose());
+        }
+        if crate::simd::fma_enabled() {
+            assert!(w.grad().approx_eq(&want, 1e-12));
+        } else {
+            assert!(
+                w.grad().bits_eq(&want),
+                "in-place dW drifted from the old route"
+            );
+        }
+        for x in &consts {
+            assert!(x.grad().bits_eq(&Matrix::zeros(19, 1)));
+        }
+    }
 
     /// Numerically checks `d loss / d param[idx]` against autodiff.
     fn numeric_grad(param: &Var, idx: (usize, usize), loss_fn: impl Fn() -> Var, eps: f64) -> f64 {

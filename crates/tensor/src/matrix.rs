@@ -24,8 +24,8 @@ use crate::Scalar;
 pub const MATMUL_BLOCK: usize = 64;
 
 /// The scalar reference formulation of the `y[j] += a * x[j]` row kernel
-/// shared by [`Matrix::matmul_into`], [`Matrix::matmul_at_b`] and
-/// [`Matrix::axpy`].
+/// shared by [`Matrix::matmul_into`], [`Matrix::matmul_at_b`],
+/// [`Matrix::add_outer`] and [`Matrix::axpy`].
 ///
 /// Those consumers resolve [`crate::simd::kernel`] **once per call** and run
 /// their whole loop either against this reference or inside a
@@ -63,6 +63,57 @@ pub(crate) fn axpy_row_scalar<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     {
         *o += a * b;
     }
+}
+
+/// `out = W · x` for a row-major `W` with `x.len()` columns and `out.len()`
+/// rows: the column-vector kernel of [`Matrix::matmul_into`]. Rows go
+/// through [`matvec_rows`] in blocks of 16, then 4, then 1, so up to 16
+/// independent dot-product chains are in flight: consecutive multiply-adds
+/// of one row no longer wait on each other's latency, and each `x[k]` load
+/// is shared by the whole block. Blocking changes which rows run together,
+/// never the arithmetic of a row.
+#[inline]
+fn matvec_into<T: Scalar>(w: &[T], x: &[T], out: &mut [T]) {
+    debug_assert_eq!(w.len(), out.len() * x.len());
+    let done = matvec_blocks::<T, 16>(w, x, out, 0);
+    let done = matvec_blocks::<T, 4>(w, x, out, done);
+    matvec_blocks::<T, 1>(w, x, out, done);
+}
+
+/// Computes as many whole blocks of `R` output rows as fit from row `start`
+/// on; returns the first row left over.
+#[inline(always)]
+fn matvec_blocks<T: Scalar, const R: usize>(
+    w: &[T],
+    x: &[T],
+    out: &mut [T],
+    start: usize,
+) -> usize {
+    let k = x.len();
+    let end = start + (out.len() - start) / R * R;
+    for (b, o) in out[start..end].chunks_exact_mut(R).enumerate() {
+        let first = start + b * R;
+        o.copy_from_slice(&matvec_rows::<T, R>(&w[first * k..(first + R) * k], x));
+    }
+    end
+}
+
+/// The dot products of `R` consecutive rows (`rows` holds `R · x.len()`
+/// entries) with `x`. Each accumulator starts at `+0.0` and adds
+/// `row[k] * x[k]` — one multiply, one add — in increasing `k`, the order of
+/// [`Matrix::matmul_naive`]; the `R` chains are independent, so the block
+/// changes throughput, not arithmetic.
+#[inline(always)]
+fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], x: &[T]) -> [T; R] {
+    let k = x.len();
+    let rows: [&[T]; R] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+    let mut acc = [T::ZERO; R];
+    for (j, &xj) in x.iter().enumerate() {
+        for r in 0..R {
+            acc[r] += rows[r][j] * xj;
+        }
+    }
+    acc
 }
 
 /// A dense row-major matrix of [`Scalar`] values (`f64` by default).
@@ -344,20 +395,32 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Matrix product `self * rhs` written into an existing output buffer
-    /// (which is zeroed first), using a cache-blocked i-k-j kernel.
+    /// (every entry is overwritten), using a kernel shaped for the operands.
     ///
-    /// The reduction dimension is processed in panels of [`MATMUL_BLOCK`]
-    /// rows of `rhs`, so each panel stays cache-hot while the kernel streams
-    /// over the rows of `self` and `out`; the inner loop is the
-    /// [`crate::simd`]-dispatched row kernel (scalar reference under
-    /// `RM_SIMD=0`), contiguous over both `rhs` and `out`. For every output
-    /// entry the contributions are accumulated in increasing `k` order —
-    /// exactly the order of the naive kernel — so for **finite inputs** the
-    /// result is bit-identical to [`Matrix::matmul_naive`] at either
-    /// precision. (The kernel skips exact-zero multiplicands; if `rhs`
-    /// contains NaN or ±∞ against a zero in `self`, the naive kernel
-    /// propagates the NaN while this one does not. The opt-in `RM_FMA=1`
-    /// kernels degrade bit-identity to epsilon-closeness.)
+    /// * **Column vector** (`rhs.cols == 1`, every batch-1 layer of the
+    ///   recurrent imputers): row-blocked dot products, up to sixteen
+    ///   independent accumulators at a time, each summing its row's terms
+    ///   in increasing `k`.
+    /// * **Otherwise**: a cache-blocked i-k-j kernel. The reduction dimension
+    ///   is processed in panels of [`MATMUL_BLOCK`] rows of `rhs`, so each
+    ///   panel stays cache-hot while the kernel streams over the rows of
+    ///   `self` and `out`; the inner loop is the [`crate::simd`]-dispatched
+    ///   row kernel (scalar reference under `RM_SIMD=0`, and for rows
+    ///   narrower than [`crate::simd::SIMD_MIN_COLS`]), contiguous over both
+    ///   `rhs` and `out`.
+    ///
+    /// Either way every output entry starts at `+0.0` and accumulates one
+    /// multiply and one add per term in increasing `k` order — exactly the
+    /// order of the naive kernel — so for **finite inputs** the result is
+    /// bit-identical to [`Matrix::matmul_naive`] at either precision. The
+    /// blocked kernel skips exact-zero multiplicands of `self`; the dot
+    /// kernel does not, and on finite inputs the two agree because a skipped
+    /// term is a `±0.0` product and an accumulator that starts at `+0.0` is
+    /// never `-0.0` (round-to-nearest turns an exact-zero sum into `+0.0`),
+    /// so adding `±0.0` leaves it unchanged. (With NaN or ±∞ in `rhs` against
+    /// a zero in `self`, the naive and dot kernels propagate the NaN while
+    /// the blocked one does not. The opt-in `RM_FMA=1` kernels degrade
+    /// bit-identity to epsilon-closeness on the blocked path only.)
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match or `out` has the wrong
@@ -376,11 +439,13 @@ impl<T: Scalar> Matrix<T> {
             out.shape(),
             (self.rows, rhs.cols)
         );
+        if rhs.cols == 1 {
+            return matvec_into(&self.data, &rhs.data, &mut out.data);
+        }
         out.data.iter_mut().for_each(|v| *v = T::ZERO);
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
-            // Narrow products (column vectors in particular) have no vector
-            // body to amortise the arch-kernel dispatch; the bit-identical
-            // scalar reference inlines here and is strictly faster.
+            // Narrow panels have no vector body to amortise the arch-kernel
+            // dispatch; the bit-identical scalar reference inlines here.
             return self.matmul_into_body(rhs, out, axpy_row_scalar::<T>);
         }
         match crate::simd::kernel() {
@@ -542,10 +607,20 @@ impl<T: Scalar> Matrix<T> {
     /// the inner loop the [`crate::simd`]-dispatched row kernel. This is the
     /// gradient kernel for the right operand of a matmul (`dB = Aᵀ · dC`);
     /// the left-operand gradient (`dA = dC · Bᵀ`) stays on the blocked kernel
-    /// with an explicit transpose, which benchmarks faster than a dot-product
-    /// kernel because the axpy inner loop vectorises. Like
-    /// [`Matrix::matmul_into`] this kernel skips exact-zero multiplicands, so
-    /// NaN/±∞ in `rhs` do not propagate through zeros of `self`.
+    /// with an explicit transpose, or is the in-place [`Matrix::add_outer`]
+    /// when `B` is a column.
+    ///
+    /// For a column `rhs` (`Wᵀ · g` in batch-1 training) each row `k` of
+    /// `self` is one dispatched axpy `out += rhs[k] · self[k, :]` over the
+    /// whole output; wider `rhs` scatters `self[k][i] · rhs[k, :]` into
+    /// output row `i`. Both accumulate every output entry from `+0.0` in
+    /// increasing `k` with one multiply and one add per term, so they are
+    /// bit-identical to `selfᵀ` through [`Matrix::matmul_naive`] on finite
+    /// inputs. The column path skips rows whose `rhs[k]` is an exact zero and
+    /// the wide path skips exact-zero entries of `self`; either way a skipped
+    /// term is a `±0.0` product, which leaves an accumulator that started at
+    /// `+0.0` unchanged (see [`Matrix::matmul_into`]), so NaN/±∞ are the only
+    /// inputs where the skip shows.
     ///
     /// # Panics
     /// Panics if the row counts differ.
@@ -557,8 +632,11 @@ impl<T: Scalar> Matrix<T> {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        if rhs.cols < crate::simd::SIMD_MIN_COLS {
-            // Same narrow-product reasoning as `matmul_into`.
+        // The column case runs its axpys over rows of `self`, so its vector
+        // width is `self.cols`, not `rhs.cols`.
+        let width = if rhs.cols == 1 { self.cols } else { rhs.cols };
+        if width < crate::simd::SIMD_MIN_COLS {
+            // Narrow rows have no vector body to amortise the dispatch.
             self.matmul_at_b_body(rhs, &mut out, axpy_row_scalar::<T>);
             return out;
         }
@@ -576,9 +654,8 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// The rank-1-update loop of [`Matrix::matmul_at_b`], generic over the
-    /// row kernel (same single-definition reasoning as
-    /// [`Matrix::matmul_into_body`]).
+    /// The loop of [`Matrix::matmul_at_b`], generic over the row kernel
+    /// (same single-definition reasoning as [`Matrix::matmul_into_body`]).
     #[inline(always)]
     fn matmul_at_b_body(
         &self,
@@ -587,6 +664,15 @@ impl<T: Scalar> Matrix<T> {
         axpy: impl Fn(T, &[T], &mut [T]),
     ) {
         let n = rhs.cols;
+        if n == 1 {
+            let c = self.cols;
+            for (k, &g) in rhs.data.iter().enumerate() {
+                if g != T::ZERO {
+                    axpy(g, &self.data[k * c..(k + 1) * c], &mut out.data);
+                }
+            }
+            return;
+        }
         for k in 0..self.rows {
             let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
             let rhs_row = &rhs.data[k * n..(k + 1) * n];
@@ -623,6 +709,89 @@ impl<T: Scalar> Matrix<T> {
     unsafe fn matmul_at_b_fma(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
         self.matmul_at_b_body(rhs, out, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
+    }
+
+    /// In-place rank-1 update `self += u · vᵀ` (`u.len() == rows`,
+    /// `v.len() == cols`): row `i` gets one [`crate::simd`]-dispatched axpy
+    /// `self[i, :] += u[i] · v`, skipped when `u[i]` is an exact zero. This is
+    /// the left-operand gradient `dW += g · xᵀ` of a matmul against a column
+    /// `x`, written straight into the gradient buffer.
+    ///
+    /// It is bit-identical, on finite inputs, to building the outer product
+    /// with [`Matrix::matmul_into`] (`g` as an `m × 1` matrix times `xᵀ`)
+    /// and adding it through [`Matrix::axpy`] with `alpha = 1`, provided no
+    /// entry of `self` is `-0.0` — which holds for gradient buffers, since
+    /// they start at `+0.0` and only ever have values added to them. Each
+    /// product entry is a single term, so the temporary held `+0.0 + u[i]·v[j]`,
+    /// which differs from `u[i]·v[j]` only when the product is `-0.0`; and
+    /// adding `±0.0` to an entry that is not `-0.0` leaves it unchanged
+    /// either way. A skipped row is the same `±0.0` argument. (The opt-in
+    /// `RM_FMA=1` kernels fuse the update, epsilon contract.)
+    ///
+    /// # Panics
+    /// Panics if the lengths do not match the shape.
+    #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
+    pub fn add_outer(&mut self, u: &[T], v: &[T]) {
+        assert_eq!(
+            (u.len(), v.len()),
+            self.shape(),
+            "add_outer shape mismatch: {}x{} += ({}x1)·(1x{})",
+            self.rows,
+            self.cols,
+            u.len(),
+            v.len()
+        );
+        if self.cols < crate::simd::SIMD_MIN_COLS {
+            // Same narrow-row reasoning as `matmul_into`.
+            return self.add_outer_body(u, v, axpy_row_scalar::<T>);
+        }
+        match crate::simd::kernel() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
+            // detection succeeded on this CPU.
+            crate::simd::Kernel::Avx2 => unsafe { self.add_outer_avx2(u, v) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
+            // detection succeeded on this CPU.
+            crate::simd::Kernel::Fma => unsafe { self.add_outer_fma(u, v) },
+            _ => self.add_outer_body(u, v, axpy_row_scalar::<T>),
+        }
+    }
+
+    /// The row loop of [`Matrix::add_outer`], generic over the row kernel.
+    #[inline(always)]
+    fn add_outer_body(&mut self, u: &[T], v: &[T], axpy: impl Fn(T, &[T], &mut [T])) {
+        let n = self.cols;
+        for (i, &ui) in u.iter().enumerate() {
+            if ui != T::ZERO {
+                axpy(ui, v, &mut self.data[i * n..(i + 1) * n]);
+            }
+        }
+    }
+
+    /// [`Matrix::add_outer_body`] compiled in an AVX2 context.
+    // SAFETY: `unsafe fn` contract is runtime AVX2 availability, upheld by
+    // the `Kernel::Avx2` dispatch arm; the row kernel stays within the
+    // equal-length row slices it is handed.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn add_outer_avx2(&mut self, u: &[T], v: &[T]) {
+        // SAFETY: forwards this fn's own AVX2 contract to the row kernel.
+        self.add_outer_body(u, v, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
+    }
+
+    /// [`Matrix::add_outer_body`] compiled in an AVX2+FMA context
+    /// (`RM_FMA=1` opt-in; epsilon contract).
+    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
+    // by the `Kernel::Fma` dispatch arm; the row kernel stays within the
+    // equal-length row slices it is handed.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(unsafe_code)]
+    unsafe fn add_outer_fma(&mut self, u: &[T], v: &[T]) {
+        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
+        self.add_outer_body(u, v, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
     }
 
     /// Adds the column vector `col` (shape `(rows, 1)`) to every column of
@@ -1192,6 +1361,56 @@ mod tests {
         assert_kernel_parity(&acc, &rolled, fma_tol);
     }
 
+    /// Entries uniform in `[-1, 1]` with exact `+0.0` and `-0.0` mixed in
+    /// (a sixth each), so the zero-skip and signed-zero arguments of the
+    /// narrow kernels are exercised, not just their arithmetic.
+    fn signed_zero_matrix<T: Scalar>(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix<T> {
+        use rand::Rng;
+        Matrix::<f64>::from_fn(rows, cols, |_, _| match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..=1.0),
+        })
+        .cast()
+    }
+
+    /// The batch-1 training kernels against formulations that never touch
+    /// them: `W·x` and `Wᵀ·g` against `matmul_naive` (on an explicit
+    /// transpose), and the in-place `dW += g·xᵀ` against the route it
+    /// replaced — the outer product materialised from `+0.0` and added with
+    /// a rolled loop. The gradient buffer gets `+0.0` but never `-0.0`
+    /// entries, the invariant `add_outer` documents.
+    fn narrow_kernels_match_reference<T: Scalar>(m: usize, k: usize, seed: u64, fma_tol: f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = signed_zero_matrix::<T>(m, k, &mut rng);
+        let x = signed_zero_matrix::<T>(k, 1, &mut rng);
+        let g = signed_zero_matrix::<T>(m, 1, &mut rng);
+
+        // The dot kernel never fuses, so it is bitwise even under RM_FMA=1.
+        let mut out = Matrix::<T>::filled(m, 1, T::from_f64(f64::NAN));
+        w.matmul_into(&x, &mut out);
+        assert!(out.bits_eq(&w.matmul_naive(&x)), "W·x not bit-identical");
+
+        assert_kernel_parity(&w.matmul_at_b(&g), &w.transpose().matmul_naive(&g), fma_tol);
+
+        let grad = signed_zero_matrix::<T>(m, k, &mut rng).map(|v| v + T::ZERO);
+        let outer = g.matmul_naive(&x.transpose());
+        let old_route = &grad + &outer;
+        let mut in_place = grad;
+        in_place.add_outer(g.data(), x.data());
+        assert_kernel_parity(&in_place, &old_route, fma_tol);
+    }
+
+    #[test]
+    fn narrow_kernels_cover_empty_and_unit_inner_dimensions() {
+        for m in [0, 1, 3, 7, 8, 9, 17] {
+            for k in [0, 1, 2, 16, 17] {
+                narrow_kernels_match_reference::<f64>(m, k, (m * 31 + k) as u64, 1e-10);
+                narrow_kernels_match_reference::<f32>(m, k, (m * 37 + k) as u64, 1e-4);
+            }
+        }
+    }
+
     mod simd_parity {
         use super::*;
         use proptest::prelude::*;
@@ -1211,6 +1430,19 @@ mod tests {
             ) {
                 axpy_consumers_match_reference::<f64>(m, k, n, seed, 1e-10);
                 axpy_consumers_match_reference::<f32>(m, k, n, seed, 1e-4);
+            }
+
+            /// The column-vector kernels ≡ their references, bit for bit, at
+            /// random heights straddling the eight-row block and inner
+            /// dimensions straddling the vector width, with `±0.0` entries.
+            #[test]
+            fn narrow_kernels_are_bit_identical_to_references(
+                m in 0usize..40,
+                k in 0usize..150,
+                seed in any::<u64>(),
+            ) {
+                narrow_kernels_match_reference::<f64>(m, k, seed, 1e-10);
+                narrow_kernels_match_reference::<f32>(m, k, seed, 1e-4);
             }
         }
     }

@@ -13,10 +13,20 @@
 //! (`matmul_into`/`matmul_at_b`/`axpy`) reads the process-wide [`kernel()`]
 //! choice **once per call** and then runs its entire blocked loop inside a
 //! `#[target_feature]` context, so the row kernel inlines and no per-row
-//! call or detection cost remains. Products narrower than
-//! [`SIMD_MIN_COLS`] (an LSTM column vector is `n = 1`) keep the inlined
-//! scalar reference outright — bit-identical anyway, and faster when there
-//! is no vector body to amortise the dispatch.
+//! call or detection cost remains. Rows narrower than [`SIMD_MIN_COLS`]
+//! keep the inlined scalar reference outright — bit-identical anyway, and
+//! faster when there is no vector body to amortise the dispatch.
+//!
+//! Column-vector products (`n = 1`: every batch-1 layer of the recurrent
+//! imputers, in training and in snapshot inference) are shaped for their
+//! operands instead of running a length-1 row kernel per reduction step:
+//! `matmul_into` computes row-blocked dot products (eight independent
+//! accumulators, each in increasing `k`; scalar, no dispatch), `matmul_at_b`
+//! runs one dispatched axpy per row of the left operand over the whole
+//! output, and the autodiff rank-1 gradient `dW += g·xᵀ`
+//! (`Matrix::add_outer`) one dispatched axpy per gradient row. All three
+//! keep one multiply and one add per term in the reference order, so the
+//! contracts below cover them unchanged.
 //!
 //! Two contracts, one per kernel family:
 //!
@@ -90,11 +100,12 @@ fn fma_available() -> bool {
 }
 
 /// Minimum row length for which the consumers dispatch to the arch kernels.
-/// Below this there is no vector body to amortise the dispatch (a column
-/// vector is a single scalar multiply-add per row), and the 4-wide unrolled
-/// scalar reference — which the AVX2 kernels are bit-identical to anyway —
-/// inlines into the consumer loop and wins outright. The choice depends only
-/// on the operand shape, so it is deterministic.
+/// Below this there is no vector body to amortise the dispatch, and the
+/// 4-wide unrolled scalar reference — which the AVX2 kernels are
+/// bit-identical to anyway — inlines into the consumer loop and wins
+/// outright. The row length is that of the axpy actually run (for the
+/// column-vector `matmul_at_b`, the left operand's width). The choice
+/// depends only on the operand shape, so it is deterministic.
 pub(crate) const SIMD_MIN_COLS: usize = 16;
 
 /// The row-kernel family the process resolved to, read once per consumer

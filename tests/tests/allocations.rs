@@ -2,8 +2,9 @@
 //!
 //! This binary installs a counting `#[global_allocator]` and drives the two
 //! hot loops the arena layer exists for — a recurrent training step
-//! (graph build → backward → gradient extraction → recycle) and a
-//! graph-free snapshot-inference sweep — asserting that, once warm, they
+//! (graph build → backward → gradient extraction → Adam batch step →
+//! recycle) and a graph-free snapshot-inference sweep — asserting that,
+//! once warm, they
 //! allocate (near-)nothing: matrix buffers cycle through the per-worker
 //! buffer pool, autodiff nodes through the node arena, and snapshot scratch
 //! through a caller-owned [`Workspace`].
@@ -20,7 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_nn::{Linear, LstmCell, LstmState, LstmStateMatrix};
+use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_runtime::alloc_counter::CountingAlloc;
 use rm_tensor::{arena_enabled, Matrix, Var, Workspace};
 
@@ -44,13 +45,26 @@ fn inputs() -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The optimizer half of a training step, held across steps the way
+/// `rm_imputers::brits::train_in_batches` holds it: one Adam and one
+/// [`GradientBatch`] for the whole run, plus the reused list the step's
+/// extracted gradients go into.
+struct Trainer {
+    params: Vec<Var>,
+    adam: Adam,
+    batch: GradientBatch,
+    grads: Vec<Matrix>,
+}
+
 /// One training step over the live graph, shaped like the recurrent
 /// imputers' inner loop: unroll an LSTM, read the states out, differentiate
-/// a scalar loss, pull the gradients, and recycle the step's graph.
+/// a scalar loss, pull the gradients, apply them as one Adam batch step
+/// (the multi-sequence branch of `train_in_batches`: clear the batch,
+/// accumulate, `apply_batch`), and recycle the step's graph.
 fn training_step(
     cell: &LstmCell,
     readout: &Linear,
-    params: &[Var],
+    trainer: &mut Trainer,
     xs: &[Vec<f64>],
     grad_sink: &mut f64,
 ) -> f64 {
@@ -65,10 +79,15 @@ fn training_step(
     let loss = total.scale(1.0 / xs.len() as f64);
     loss.backward();
     let value = loss.scalar_value();
-    for p in params {
-        *grad_sink += p.grad().get(0, 0);
-        p.zero_grad();
-    }
+    trainer.grads.clear();
+    trainer
+        .grads
+        .extend(trainer.params.iter().map(|p| p.grad()));
+    *grad_sink += trainer.grads.iter().map(|g| g.get(0, 0)).sum::<f64>();
+    trainer.batch.clear();
+    trainer.batch.accumulate(&trainer.grads);
+    trainer.adam.apply_batch(&trainer.batch);
+    trainer.adam.zero_grad();
     let LstmState { h, c } = state;
     Var::recycle_all([loss, total, h, c]);
     value
@@ -114,18 +133,24 @@ fn steady_state_hot_loops_allocate_near_zero() {
     let readout = Linear::new(HIDDEN, FEATURES, &mut rng);
     let mut params = cell.parameters();
     params.extend(readout.parameters());
+    let mut trainer = Trainer {
+        adam: Adam::new(params.clone(), 1e-3).with_clip(5.0),
+        batch: GradientBatch::zeros_like(&params),
+        grads: Vec::with_capacity(params.len()),
+        params,
+    };
     let xs = inputs();
 
     // ---- Training loop ----
     let mut grad_sink = 0.0;
     let mut loss_sink = 0.0;
     for _ in 0..WARMUP {
-        loss_sink += training_step(&cell, &readout, &params, &xs, &mut grad_sink);
+        loss_sink += training_step(&cell, &readout, &mut trainer, &xs, &mut grad_sink);
     }
     let before = ALLOC.allocations();
     let bytes_before = ALLOC.allocated_bytes();
     for _ in 0..MEASURED {
-        loss_sink += training_step(&cell, &readout, &params, &xs, &mut grad_sink);
+        loss_sink += training_step(&cell, &readout, &mut trainer, &xs, &mut grad_sink);
     }
     let train_allocs = ALLOC.allocations() - before;
     let train_bytes = ALLOC.allocated_bytes() - bytes_before;

@@ -605,3 +605,87 @@ fn derived_seeds_are_scheduling_independent() {
     let parallel = rm_runtime::par_map(4, &indices, |_, &i| rm_runtime::derive_seed(base, i));
     assert_eq!(serial, parallel);
 }
+
+/// FNV-1a 64 over the bits of one exported snapshot: every named tensor
+/// (name, shape, element bits at its storage dtype) and the imputed dense
+/// map (each fingerprint entry and location coordinate).
+fn snapshot_bits_hash(snapshot: &VenueSnapshot) -> u64 {
+    use rm_tensor::TensorPayload;
+
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
+    for tensor in &snapshot.tensors {
+        for b in tensor.name.bytes() {
+            word(u64::from(b));
+        }
+        let payload = &tensor.payload;
+        word(payload.rows() as u64);
+        word(payload.cols() as u64);
+        match payload {
+            TensorPayload::F64(m) => m.data().iter().for_each(|v| word(v.to_bits())),
+            TensorPayload::F32(m) => m.data().iter().for_each(|v| word(u64::from(v.to_bits()))),
+            TensorPayload::Bf16(m) => m.bits().iter().for_each(|&v| word(u64::from(v))),
+        }
+    }
+    for row in snapshot.map.fingerprints() {
+        row.iter().for_each(|v| word(v.to_bits()));
+    }
+    for p in snapshot.map.locations() {
+        word(p.x.to_bits());
+        word(p.y.to_bits());
+    }
+    rm_serve::artifact::fnv1a64(&bytes)
+}
+
+/// Golden bits for the neural imputers: a small fixed BiSIM, BRITS and SSGAN
+/// train-and-export (f64, five survey paths, two epochs) at batch size 1 —
+/// the live-graph serial trajectory — and 4 — detached replicas plus the
+/// single-sequence tail chunk — pinned to FNV-1a hashes of the exported
+/// tensors and the imputed map. The thread-count cases above only prove
+/// self-consistency; these hashes pin the trajectory itself, so a kernel
+/// rewrite (matmul, autodiff, optimizer) that is meant to be bitwise
+/// invisible is checked, not asserted. Precision, storage dtype and batch
+/// size are pinned so the env-knob CI legs (`RM_PRECISION`, `RM_BATCH`,
+/// `RM_SNAPSHOT_DTYPE`, `RM_SHARDS`) leave the hashes unchanged, while the
+/// `RM_SIMD=0`, `RM_ARENA=0` and `RM_THREADS` legs must reproduce them
+/// exactly.
+#[test]
+fn neural_imputer_snapshots_match_golden_bits() {
+    if rm_tensor::fma_enabled() {
+        // RM_FMA=1 opts the training kernels into fused rounding: the
+        // documented epsilon contract, so there are no bits to pin.
+        return;
+    }
+    let map = multi_path_map(5, 8, 8);
+    let topology = MultiPolygon::empty();
+    let mut hashes = Vec::new();
+    for imputer in [ImputerKind::Bisim, ImputerKind::Brits, ImputerKind::Ssgan] {
+        for batch_size in [1, 4] {
+            let snapshot = ImputationPipeline::new(PipelineConfig {
+                differentiator: DifferentiatorKind::MarOnly,
+                imputer,
+                epochs: Some(2),
+                batch_size: Some(batch_size),
+                precision: Precision::F64,
+                snapshot_dtype: SnapshotDtype::Native,
+                ..PipelineConfig::default()
+            })
+            .export_snapshot("golden", &map, &topology);
+            assert!(
+                !snapshot.tensors.is_empty(),
+                "{} exported no tensors",
+                imputer.name()
+            );
+            hashes.push((imputer.name(), batch_size, snapshot_bits_hash(&snapshot)));
+        }
+    }
+    let golden: Vec<(&str, usize, u64)> = vec![
+        ("BiSIM", 1, 14116171749431466583),
+        ("BiSIM", 4, 59013450081596456),
+        ("BRITS", 1, 2728199384458798016),
+        ("BRITS", 4, 17232699824342850479),
+        ("SSGAN", 1, 5063492521175578383),
+        ("SSGAN", 4, 17742609525868573118),
+    ];
+    assert_eq!(hashes, golden, "a neural imputer's trained bits drifted");
+}
