@@ -1,7 +1,7 @@
 //! Sharding harness: wall-clock cost of the sharded "live venue" pipeline
 //! against its whole-venue equivalents.
 //!
-//! Three measurements on a 16-path synthetic venue (one spatial shard per
+//! Four measurements on a 16-path synthetic venue (one spatial shard per
 //! path):
 //!
 //! 1. **Sharded vs unsharded imputation** — `export_sharded_snapshot` at 16
@@ -15,21 +15,28 @@
 //!    cheaper (it recomputes 1/16 of the venue).
 //! 3. **Per-shard vs whole-venue publish** — `ModelRegistry::publish_shard`
 //!    (one estimator rebuild + Arc compose) vs `publish_sharded` (all 16).
+//! 4. **Sharded query** — µs per query through `ShardedQueryEngine`, and
+//!    the mean number of shards the best-first search scans per query,
+//!    which must stay below the shard count.
 //!
 //! Determinism note: every measured path is pinned bit-identical across
 //! thread counts by the determinism suite; these legs change wall-clock
 //! only.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use radiomap_core::prelude::*;
 use radiomap_core::{LiveVenue, PipelineConfig};
 use rm_bench::ReportTable;
-use rm_serve::ModelRegistry;
+use rm_radiomap::MNAR_FILL_VALUE;
+use rm_serve::{ModelRegistry, ShardedQueryEngine};
 
 const NUM_PATHS: usize = 16;
 const RECORDS_PER_PATH: usize = 24;
 const NUM_APS: usize = 32;
+/// Passes over the query log in the sharded-query measurement.
+const QUERY_PASSES: usize = 20;
 
 /// A venue surveyed along `NUM_PATHS` spatially separated paths; path `p`
 /// hears a sliding window of APs around `2p`, with a deterministic missing
@@ -199,7 +206,38 @@ fn main() {
         format!("{:.2}x", publish_one_ms / publish_all_ms),
     ]);
 
+    // 4. Sharded query: the survey's own fingerprints (missing APs at the
+    // floor) as the query log.
+    let queries: Vec<Vec<f64>> = map
+        .records()
+        .iter()
+        .map(|r| r.fingerprint.to_dense(MNAR_FILL_VALUE))
+        .collect();
+    let model = registry.sharded_model("bench").expect("published above");
+    let scanned: usize = queries.iter().map(|q| model.query(q).shards_scanned).sum();
+    let mean_scanned = scanned as f64 / queries.len() as f64;
+    let (_, query_ms) = time(|| {
+        for _ in 0..QUERY_PASSES {
+            black_box(ShardedQueryEngine::new(&registry, "bench", 1).run_log(black_box(&queries)));
+        }
+    });
+    let query_us = query_ms * 1e3 / (QUERY_PASSES * queries.len()) as f64;
+    table.add_row(vec![
+        "sharded query (us/query)".into(),
+        format!("{query_us:.2}"),
+        String::new(),
+    ]);
+    table.add_row(vec![
+        "shards scanned per query (mean)".into(),
+        format!("{mean_scanned:.2}"),
+        format!("{:.2}x of {NUM_PATHS}", mean_scanned / NUM_PATHS as f64),
+    ]);
+
     table.print();
+    assert!(
+        mean_scanned < NUM_PATHS as f64,
+        "the best-first search must skip shards (scanned {mean_scanned:.2} of {NUM_PATHS})"
+    );
     assert!(
         speedup >= 5.0,
         "incremental ingest must be >=5x cheaper than a full recompute \

@@ -9,16 +9,67 @@ use crate::registry::ModelRegistry;
 /// how fast requests arrive.
 pub const MAX_MICRO_BATCH: usize = 64;
 
+/// Why a query was rejected at the engine boundary instead of answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryError {
+    /// The fingerprint's length differs from the venue's AP count.
+    Arity {
+        /// The venue's AP count.
+        expected: usize,
+        /// The fingerprint's length.
+        got: usize,
+    },
+    /// The fingerprint holds a NaN or infinite RSSI.
+    NonFinite,
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::Arity { expected, got } => {
+                write!(
+                    f,
+                    "query has {got} RSSI values, the venue has {expected} APs"
+                )
+            }
+            QueryError::NonFinite => write!(f, "query holds a non-finite RSSI value"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+/// Checks one query against a venue with `num_aps` APs: the right arity and
+/// finite values only. Both engines run it before estimating, so a
+/// malformed query is rejected on its own and the rest of its micro-batch
+/// is still answered.
+fn check_query(fingerprint: &[f64], num_aps: usize) -> Result<(), QueryError> {
+    if fingerprint.len() != num_aps {
+        return Err(QueryError::Arity {
+            expected: num_aps,
+            got: fingerprint.len(),
+        });
+    }
+    if fingerprint.iter().any(|v| !v.is_finite()) {
+        return Err(QueryError::NonFinite);
+    }
+    Ok(())
+}
+
 /// One answered query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// Position of the query in this engine's submission order (0-based).
     pub index: u64,
-    /// The estimated location, or `None` when the model declined the query.
+    /// The estimated location, or `None` when the model declined the query
+    /// or the engine rejected it.
     pub position: Option<Point>,
     /// The registry generation of the model that answered — every response
     /// is attributable to exactly one published model.
     pub generation: u64,
+    /// Why the query was rejected (`position` is then `None`), or `None`
+    /// when it was answered.
+    pub error: Option<QueryError>,
 }
 
 /// A batching query engine for one venue.
@@ -112,18 +163,19 @@ impl<'a> QueryEngine<'a> {
         // computed by — and attributed to — this one immutable model, no
         // matter what the registry publishes meanwhile.
         let generation = model.generation();
-        let positions = rm_runtime::par_map(self.threads, &batch, |_, (_, fingerprint)| {
-            model.estimate(fingerprint)
+        let answers = rm_runtime::par_map(self.threads, &batch, |_, (_, fingerprint)| {
+            check_query(fingerprint, model.num_aps()).map(|()| model.estimate(fingerprint))
         });
         self.answered
             .extend(
                 batch
                     .iter()
-                    .zip(positions)
-                    .map(|(&(index, _), position)| QueryResponse {
+                    .zip(answers)
+                    .map(|(&(index, _), answer)| QueryResponse {
                         index,
-                        position,
+                        position: answer.ok().flatten(),
                         generation,
+                        error: answer.err(),
                     }),
             );
     }
@@ -150,16 +202,20 @@ impl<'a> QueryEngine<'a> {
 pub struct ShardedQueryResponse {
     /// Position of the query in this engine's submission order (0-based).
     pub index: u64,
-    /// The estimated location (cross-shard re-rank; see
-    /// [`ShardedVenueModel`](crate::model::ShardedVenueModel)).
+    /// The estimated location (best-first cross-shard search; see
+    /// [`ShardedVenueModel`](crate::model::ShardedVenueModel)), or `None`
+    /// when the engine rejected the query.
     pub position: Option<Point>,
     /// The primary shard the query routed to (AP overlap, ties by nearest
-    /// signal centroid).
+    /// signal centroid); 0 for a rejected query.
     pub shard: usize,
     /// The generation of the primary shard's model — after an incremental
     /// republish, queries routing to clean shards keep reporting those
-    /// shards' old generations.
+    /// shards' old generations. A rejected query reports the venue's
+    /// newest generation.
     pub generation: u64,
+    /// Why the query was rejected, or `None` when it was answered.
+    pub error: Option<QueryError>,
 }
 
 /// The sharded counterpart of [`QueryEngine`]: batching, flush rules, and
@@ -235,17 +291,27 @@ impl<'a> ShardedQueryEngine<'a> {
             .unwrap_or_else(|| panic!("no sharded model published for venue `{}`", self.venue));
         let batch = std::mem::take(&mut self.pending);
         let answers = rm_runtime::par_map(self.threads, &batch, |_, (_, fingerprint)| {
-            (model.route(fingerprint), model.estimate(fingerprint))
+            check_query(fingerprint, model.num_aps()).map(|()| model.query(fingerprint))
         });
         self.answered.extend(
             batch
                 .iter()
                 .zip(answers)
-                .map(|(&(index, _), (shard, position))| ShardedQueryResponse {
-                    index,
-                    position,
-                    shard,
-                    generation: model.models()[shard].generation(),
+                .map(|(&(index, _), answer)| match answer {
+                    Ok(answer) => ShardedQueryResponse {
+                        index,
+                        position: answer.position,
+                        shard: answer.shard,
+                        generation: model.models()[answer.shard].generation(),
+                        error: None,
+                    },
+                    Err(error) => ShardedQueryResponse {
+                        index,
+                        position: None,
+                        shard: 0,
+                        generation: model.generation(),
+                        error: Some(error),
+                    },
                 }),
         );
     }

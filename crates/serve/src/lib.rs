@@ -25,8 +25,12 @@
 //! container of per-shard artifacts, [`ShardedVenueModel`] composes one
 //! [`ShardModel`] per shard (each independently republishable via
 //! [`ModelRegistry::publish_shard`] without rebuilding clean shards), and
-//! [`ShardedQueryEngine`] routes queries by AP overlap with exact
-//! cross-shard KNN re-ranking, so answers match whole-venue serving.
+//! [`ShardedQueryEngine`] routes queries by AP overlap and answers KNN
+//! queries with an exact best-first search over per-shard bounding boxes,
+//! so answers match whole-venue serving while most shards go unscanned.
+//!
+//! Both engines reject a malformed query (wrong arity, NaN or ±∞) with a
+//! typed [`QueryError`] on its response and answer the rest of its batch.
 //!
 //! ```no_run
 //! use radiomap_core::prelude::*;
@@ -49,9 +53,10 @@ pub use artifact::{
     decode, decode_sharded, encode, encode_sharded, ArtifactError, FORMAT_VERSION, SHARDED_MAGIC,
 };
 pub use engine::{
-    QueryEngine, QueryResponse, ShardedQueryEngine, ShardedQueryResponse, MAX_MICRO_BATCH,
+    QueryEngine, QueryError, QueryResponse, ShardedQueryEngine, ShardedQueryResponse,
+    MAX_MICRO_BATCH,
 };
-pub use model::{ShardModel, ShardedVenueModel, VenueModel};
+pub use model::{ShardModel, ShardedAnswer, ShardedVenueModel, VenueModel};
 pub use registry::ModelRegistry;
 
 use std::path::Path;

@@ -1,7 +1,8 @@
 //! A loaded, immutable venue model: the unit the registry swaps and the
 //! query engine estimates against. Sharded venues load one [`ShardModel`]
 //! per spatial shard and compose them into a [`ShardedVenueModel`] whose
-//! answers match whole-venue serving via a cross-shard candidate re-rank.
+//! answers match whole-venue serving via an exact best-first search over
+//! the shards.
 
 use std::sync::Arc;
 
@@ -62,6 +63,11 @@ impl VenueModel {
         &self.snapshot
     }
 
+    /// Number of APs a query fingerprint must report.
+    pub fn num_aps(&self) -> usize {
+        self.snapshot.map.num_aps()
+    }
+
     /// Estimates the location of a device reporting `fingerprint` — exactly
     /// [`LocationEstimator::estimate`] on the model's estimator.
     pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
@@ -83,6 +89,18 @@ enum ShardEstimator {
     Other(Box<dyn LocationEstimator>),
 }
 
+/// What one per-shard pass over a query learns: the routing key and the
+/// lower bound on the distance to any of the shard's records.
+struct ShardProbe {
+    /// APs the query and the shard both cover.
+    overlap: usize,
+    /// Squared distance to the shard's signal centroid.
+    centroid_sq: f64,
+    /// Euclidean distance from the query to the shard's signal-space
+    /// bounding box; `+∞` for an empty shard.
+    bound: f64,
+}
+
 /// An immutable serving model for one spatial shard — the per-shard publish
 /// unit. Like [`VenueModel`] it is never mutated after construction; an
 /// incremental republish swaps a single shard's `Arc` and leaves the clean
@@ -100,6 +118,10 @@ pub struct ShardModel {
     /// centroid); routing tie-break for queries overlapping several shards
     /// equally.
     signal_centroid: Vec<f64>,
+    /// Per-AP `(min, max)` over the shard's fingerprints: the signal-space
+    /// bounding box the best-first search bounds distances with. An empty
+    /// shard keeps `(+∞, −∞)`, which puts every query infinitely far away.
+    signal_box: Vec<(f64, f64)>,
     generation: u64,
 }
 
@@ -135,12 +157,16 @@ impl ShardModel {
         let num_aps = snapshot.map.num_aps();
         let mut ap_coverage = vec![false; num_aps];
         let mut signal_centroid = vec![0.0; num_aps];
+        let mut signal_box = vec![(f64::INFINITY, f64::NEG_INFINITY); num_aps];
         for fingerprint in snapshot.map.fingerprints() {
             for (ap, &v) in fingerprint.iter().enumerate() {
                 if v > MNAR_FILL_VALUE {
                     ap_coverage[ap] = true;
                 }
                 signal_centroid[ap] += v;
+                let (lo, hi) = &mut signal_box[ap];
+                *lo = lo.min(v);
+                *hi = hi.max(v);
             }
         }
         if !snapshot.map.is_empty() {
@@ -155,6 +181,7 @@ impl ShardModel {
             global_indices,
             ap_coverage,
             signal_centroid,
+            signal_box,
             generation,
         }
     }
@@ -179,10 +206,21 @@ impl ShardModel {
         }
     }
 
+    /// The neighbour count this shard ranks with, or `None` when the
+    /// estimator has no KNN ranking core.
+    fn ranking_k(&self) -> Option<usize> {
+        match &self.estimator {
+            ShardEstimator::Knn(knn) | ShardEstimator::Wknn(knn) => Some(knn.k()),
+            ShardEstimator::Other(_) => None,
+        }
+    }
+
     /// This shard's top-`k` candidates with indices rewritten into the
     /// global record space, or `None` when the estimator has no KNN ranking
-    /// core to merge.
-    fn global_candidates(&self, fingerprint: &[f64]) -> Option<Vec<KnnCandidate>> {
+    /// core to merge. Merging every shard's list with
+    /// [`merge_candidates`] is the exhaustive search that
+    /// [`ShardedVenueModel::estimate`] prunes.
+    pub fn global_candidates(&self, fingerprint: &[f64]) -> Option<Vec<KnnCandidate>> {
         let knn = match &self.estimator {
             ShardEstimator::Knn(knn) | ShardEstimator::Wknn(knn) => knn,
             ShardEstimator::Other(_) => return None,
@@ -198,25 +236,53 @@ impl ShardModel {
         )
     }
 
-    /// How many APs this query and shard both cover (query above the −100
-    /// floor on an AP some shard record hears).
-    fn ap_overlap(&self, fingerprint: &[f64]) -> usize {
-        fingerprint
+    /// One pass over the query's APs: AP overlap with the shard's coverage,
+    /// squared distance to its signal centroid, and the lower bound
+    /// `sqrt(Σ gap²)`, where `gap` is the query's distance outside the
+    /// shard's `[min, max]` on each AP. The bound is summed in AP order
+    /// with the `(x − y)·(x − y)` terms of the exact distance (a left fold
+    /// from `+0.0`, which equals `.sum()` over non-negative terms), so
+    /// rounding never lifts it above the distance the shard reports for any
+    /// of its records (see [`ShardedVenueModel`]).
+    fn probe(&self, fingerprint: &[f64]) -> ShardProbe {
+        let mut overlap = 0;
+        let mut centroid_sq = 0.0;
+        let mut bound_sq = 0.0;
+        for (((&v, &covered), &c), &(lo, hi)) in fingerprint
             .iter()
             .zip(&self.ap_coverage)
-            .filter(|&(&v, &covered)| covered && v > MNAR_FILL_VALUE)
-            .count()
-    }
-
-    /// Squared distance between the query and the shard's signal centroid
-    /// (routing tie-break).
-    fn signal_distance_sq(&self, fingerprint: &[f64]) -> f64 {
-        fingerprint
-            .iter()
             .zip(&self.signal_centroid)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
+            .zip(&self.signal_box)
+        {
+            if covered && v > MNAR_FILL_VALUE {
+                overlap += 1;
+            }
+            centroid_sq += (v - c) * (v - c);
+            // `clamp` by hand: an empty shard's box has `lo > hi`, which
+            // makes the gap infinite instead of panicking.
+            let nearest = v.max(lo).min(hi);
+            bound_sq += (v - nearest) * (v - nearest);
+        }
+        ShardProbe {
+            overlap,
+            centroid_sq,
+            bound: bound_sq.sqrt(),
+        }
     }
+}
+
+/// One query answered by a [`ShardedVenueModel`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardedAnswer {
+    /// The estimated location (see [`ShardedVenueModel::estimate`]).
+    pub position: Option<Point>,
+    /// The primary shard the query routed to (see
+    /// [`ShardedVenueModel::route`]).
+    pub shard: usize,
+    /// How many shards the search scanned: between 1 and the shard count
+    /// for the KNN family (empty shards count when visited), 1 for an
+    /// estimator answered by the primary shard alone.
+    pub shards_scanned: usize,
 }
 
 /// A composed serving model for a sharded venue: one immutable
@@ -225,19 +291,40 @@ impl ShardModel {
 /// Queries are **routed** to a primary shard by AP overlap (the shard
 /// hearing the most of the query's APs, ties broken by nearest signal
 /// centroid, then lowest shard id) — that shard's generation stamps the
-/// response. For the KNN-family estimators the **answer** is computed by
-/// cross-shard re-rank: every shard contributes its top-`k` candidates with
-/// global record indices, the union is merged exactly like the whole-venue
-/// scan (ascending exact distance, ties by global index) and folded with the
-/// same arithmetic — so a sharded model answers bit-identically to the
-/// whole-venue model over the merged map whenever the per-shard quantized
-/// windows capture their true top-`k` (the same standing assumption the
-/// whole-venue scan makes). Non-ranking estimators (the forest) answer from
+/// response.
+///
+/// For the KNN-family estimators the **answer** comes from a best-first
+/// search over the shards (filter-and-refine with a lower-bounding
+/// distance, as in GEMINI, Faloutsos et al., SIGMOD '94, visited by MINDIST
+/// to a bounding box, as in Roussopoulos et al., SIGMOD '95). Every shard
+/// keeps the per-AP `[min, max]` box of its fingerprints, and the query's
+/// Euclidean distance to that box bounds its distance to every record in
+/// the shard from below. Shards are visited in ascending `(bound, shard
+/// id)` order; each visited shard's top-`k` candidates, with global record
+/// indices, are merged into a running top-`k` (ascending exact distance,
+/// ties by global index). The search stops once `k` candidates are held and
+/// the next bound is **strictly greater** than the k-th exact distance.
+///
+/// The bound holds in floating point too, not only over the reals: for a
+/// record value `x` inside `[lo, hi]`, `|x − q| ≥ |gap|`, and rounding is
+/// monotone, so `fl(x − q)` is at least as far from zero as `fl(gap)`; the
+/// squares, the in-order sum and the square root are monotone as well. So a
+/// pruned shard's candidates all lie strictly beyond the final k-th
+/// distance, and since tied bounds are still visited the index tie-break
+/// is kept. The answer is therefore bit-identical to merging every shard's
+/// candidates, without conditions. That merge in turn equals the
+/// whole-venue model over the merged map whenever each shard's quantized
+/// window captures its true top-`k` (the standing assumption of the int8
+/// scan inside a shard). Non-ranking estimators (the forest) answer from
 /// the primary shard alone.
 pub struct ShardedVenueModel {
     venue: String,
     shards: VenueShards,
     models: Vec<Arc<ShardModel>>,
+    /// Neighbour count of the cross-shard merge (the largest shard `k`), or
+    /// `None` when some shard's estimator has no KNN ranking core.
+    merge_k: Option<usize>,
+    num_aps: usize,
 }
 
 impl ShardedVenueModel {
@@ -272,10 +359,20 @@ impl ShardedVenueModel {
                 ))
             })
             .collect();
+        Self::compose(venue, shards, models)
+    }
+
+    fn compose(venue: String, shards: VenueShards, models: Vec<Arc<ShardModel>>) -> Self {
+        let merge_k = models.iter().try_fold(1, |k, model| {
+            model.ranking_k().map(|shard_k| k.max(shard_k))
+        });
+        let num_aps = models.first().map_or(0, |m| m.snapshot().map.num_aps());
         Self {
             venue,
             shards,
             models,
+            merge_k,
+            num_aps,
         }
     }
 
@@ -290,11 +387,7 @@ impl ShardedVenueModel {
     ) -> Self {
         let mut models = self.models.clone();
         models[shard] = model;
-        Self {
-            venue: self.venue.clone(),
-            shards,
-            models,
-        }
+        Self::compose(self.venue.clone(), shards, models)
     }
 
     /// The venue this model serves.
@@ -305,6 +398,11 @@ impl ShardedVenueModel {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.models.len()
+    }
+
+    /// Number of APs a query fingerprint must report.
+    pub fn num_aps(&self) -> usize {
+        self.num_aps
     }
 
     /// The partition this model serves under.
@@ -335,41 +433,83 @@ impl ShardedVenueModel {
     /// The primary shard for `fingerprint`: most APs in common, ties broken
     /// by nearest signal centroid, then lowest shard id.
     pub fn route(&self, fingerprint: &[f64]) -> usize {
-        let mut best = 0usize;
-        let mut best_overlap = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (shard, model) in self.models.iter().enumerate() {
-            let overlap = model.ap_overlap(fingerprint);
-            let dist = model.signal_distance_sq(fingerprint);
-            if overlap > best_overlap || (overlap == best_overlap && dist < best_dist) {
-                best = shard;
-                best_overlap = overlap;
-                best_dist = dist;
-            }
-        }
-        best
+        self.probe_all(fingerprint).0
     }
 
-    /// Estimates the query's location (see the type docs for the cross-shard
-    /// re-rank contract).
+    /// Estimates the query's location (see the type docs for the best-first
+    /// search and why it equals the exhaustive cross-shard merge).
+    ///
+    /// # Panics
+    /// If `fingerprint.len() != self.num_aps()`; the query engines reject
+    /// such queries before they get here.
     pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
-        let mut pooled: Vec<KnnCandidate> = Vec::new();
-        let mut k = 0usize;
-        for model in &self.models {
-            match model.global_candidates(fingerprint) {
-                Some(candidates) => {
-                    k = k.max(model.snapshot().knn_k.max(1));
-                    pooled.extend(candidates);
-                }
-                // A non-ranking estimator: answer from the primary shard.
-                None => return self.models[self.route(fingerprint)].estimate(fingerprint),
+        self.query(fingerprint).position
+    }
+
+    /// Routes and estimates in one pass over the shards, and reports how
+    /// many shards the search scanned.
+    ///
+    /// # Panics
+    /// As [`ShardedVenueModel::estimate`].
+    pub fn query(&self, fingerprint: &[f64]) -> ShardedAnswer {
+        let (primary, mut order) = self.probe_all(fingerprint);
+        let Some(k) = self.merge_k else {
+            // A non-ranking estimator: answer from the primary shard.
+            return ShardedAnswer {
+                position: self.models[primary].estimate(fingerprint),
+                shard: primary,
+                shards_scanned: 1,
+            };
+        };
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut held: Vec<KnnCandidate> = Vec::with_capacity(2 * k);
+        let mut shards_scanned = 0;
+        for &(bound, shard) in &order {
+            if held.len() >= k && bound > held[k - 1].distance {
+                break;
+            }
+            shards_scanned += 1;
+            if let Some(candidates) = self.models[shard].global_candidates(fingerprint) {
+                held.extend(candidates);
+                held = merge_candidates(k, held);
             }
         }
-        let merged = merge_candidates(k, pooled);
-        match self.models.first().map(|m| m.snapshot().estimator) {
-            Some(EstimatorKind::Wknn) => wknn_estimate(&merged),
-            _ => knn_estimate(&merged),
+        let position = match self.models.first().map(|m| m.snapshot().estimator) {
+            Some(EstimatorKind::Wknn) => wknn_estimate(&held),
+            _ => knn_estimate(&held),
+        };
+        ShardedAnswer {
+            position,
+            shard: primary,
+            shards_scanned,
         }
+    }
+
+    /// Probes every shard: returns the primary shard and each shard's
+    /// `(bound, shard id)`, in shard-id order.
+    fn probe_all(&self, fingerprint: &[f64]) -> (usize, Vec<(f64, usize)>) {
+        assert_eq!(
+            fingerprint.len(),
+            self.num_aps,
+            "query arity mismatch: the venue has {} APs",
+            self.num_aps
+        );
+        let mut primary = 0usize;
+        let mut best_overlap = 0usize;
+        let mut best_dist = f64::INFINITY;
+        let mut bounds = Vec::with_capacity(self.models.len());
+        for (shard, model) in self.models.iter().enumerate() {
+            let probe = model.probe(fingerprint);
+            if probe.overlap > best_overlap
+                || (probe.overlap == best_overlap && probe.centroid_sq < best_dist)
+            {
+                primary = shard;
+                best_overlap = probe.overlap;
+                best_dist = probe.centroid_sq;
+            }
+            bounds.push((probe.bound, shard));
+        }
+        (primary, bounds)
     }
 }
 

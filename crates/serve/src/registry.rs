@@ -165,10 +165,27 @@ impl ModelRegistry {
         self.generations.load(Ordering::Relaxed)
     }
 
-    /// Venue names currently served, in sorted order.
+    /// Venue names currently served, whole-venue and sharded alike, in
+    /// sorted order without duplicates (a name published both ways is
+    /// listed once).
     pub fn venues(&self) -> Vec<String> {
-        let slots = self.models.read().expect("registry lock poisoned");
-        slots.iter().map(|(name, _)| name.clone()).collect()
+        let mut names: Vec<String> = self
+            .models
+            .read()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(name, _)| name.clone())
+            .collect();
+        names.extend(
+            self.sharded
+                .read()
+                .expect("registry lock poisoned")
+                .iter()
+                .map(|(name, _)| name.clone()),
+        );
+        names.sort_unstable();
+        names.dedup();
+        names
     }
 }
 
@@ -205,6 +222,31 @@ mod tests {
         assert_eq!(registry.model("a").unwrap().generation(), 2);
         assert_eq!(registry.model("b").unwrap().generation(), 1);
         assert_eq!(registry.generation(), 2);
+    }
+
+    fn sharded(venue: &str) -> ShardedVenueSnapshot {
+        let single = snapshot(venue, 0.0);
+        let shards = VenueShards::from_parts(vec![0], vec![Point::origin()], Vec::new())
+            .expect("one record in one shard");
+        ShardedVenueSnapshot {
+            venue: venue.into(),
+            snapshots: vec![single],
+            shards,
+        }
+    }
+
+    #[test]
+    fn venues_lists_whole_and_sharded_venues_once_each() {
+        let registry = ModelRegistry::new();
+        assert!(registry.venues().is_empty());
+        registry.publish_sharded(sharded("c"), 1);
+        assert_eq!(registry.venues(), ["c"]);
+        registry.publish(snapshot("b", 1.0), 1);
+        registry.publish_sharded(sharded("a"), 1);
+        // Published both ways: listed once.
+        registry.publish(snapshot("c", 1.0), 1);
+        registry.publish_sharded(sharded("b"), 1);
+        assert_eq!(registry.venues(), ["a", "b", "c"]);
     }
 
     #[test]

@@ -12,16 +12,25 @@
 //!    recompute bitwise.
 //! 3. **Determinism** — a fixed query log through the sharded engine is
 //!    bit-identical at any thread count.
+//! 4. **Exact pruning** — the best-first search over shard bounding boxes
+//!    answers bit-identically to merging every shard's candidates, and
+//!    scans fewer shards than the venue has.
+//! 5. **Query boundary** — malformed queries (wrong arity, NaN, ±∞) are
+//!    rejected one by one with typed errors; the rest of their micro-batch
+//!    is answered exactly as in a clean run.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use radiomap_core::prelude::*;
-use radiomap_core::{LiveVenue, PipelineConfig};
-use rm_radiomap::MNAR_FILL_VALUE;
+use radiomap_core::{LiveVenue, PipelineConfig, ShardedVenueSnapshot, VenueSnapshot};
+use rm_positioning::{knn_estimate, merge_candidates, wknn_estimate};
+use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards, MNAR_FILL_VALUE};
 use rm_serve::{
     decode_sharded, encode, encode_sharded, load_sharded_artifact, save_sharded_artifact,
-    ModelRegistry, QueryEngine, ShardedQueryEngine,
+    ModelRegistry, QueryEngine, QueryError, ShardedQueryEngine, ShardedVenueModel,
 };
+use rm_tensor::{Precision, SnapshotDtype};
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -347,6 +356,360 @@ fn a_sharded_query_log_is_bit_identical_at_any_thread_count() {
                 "query {} differs between threads=1 and threads={threads}",
                 a.index
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Exact pruning
+// ---------------------------------------------------------------------------
+
+/// The search the best-first one prunes: every shard's global candidates,
+/// merged and folded exactly as the whole-venue scan would.
+fn exhaustive_estimate(model: &ShardedVenueModel, fingerprint: &[f64]) -> Option<Point> {
+    let k = model
+        .models()
+        .iter()
+        .map(|m| m.snapshot().knn_k.max(1))
+        .max()
+        .unwrap_or(1);
+    let mut pooled = Vec::new();
+    for shard in model.models() {
+        pooled.extend(
+            shard
+                .global_candidates(fingerprint)
+                .expect("KNN-family shards rank"),
+        );
+    }
+    let merged = merge_candidates(k, pooled);
+    match model.models()[0].snapshot().estimator {
+        EstimatorKind::Wknn => wknn_estimate(&merged),
+        _ => knn_estimate(&merged),
+    }
+}
+
+fn position_bits(p: Option<Point>) -> Option<(u64, u64)> {
+    p.map(|p| (p.x.to_bits(), p.y.to_bits()))
+}
+
+/// A sharded snapshot built by hand: record `i` of `fingerprints` goes to
+/// shard `assignments[i]` (so global indices interleave across shards),
+/// and a shard with no records stays empty.
+fn hand_sharded(
+    num_aps: usize,
+    fingerprints: &[Vec<f64>],
+    locations: &[Point],
+    assignments: Vec<usize>,
+    num_shards: usize,
+    estimator: EstimatorKind,
+    knn_k: usize,
+) -> ShardedVenueSnapshot {
+    let shards =
+        VenueShards::from_parts(assignments, vec![Point::origin(); num_shards], Vec::new())
+            .expect("assignments reference existing shards");
+    let snapshots = (0..num_shards)
+        .map(|shard| {
+            let members = shards.members_of(shard);
+            VenueSnapshot {
+                venue: "hand".into(),
+                map: DenseRadioMap::new(
+                    members.iter().map(|&i| fingerprints[i].clone()).collect(),
+                    members.iter().map(|&i| locations[i]).collect(),
+                    num_aps,
+                ),
+                mask: MaskMatrix::all_observed(members.len(), num_aps),
+                estimator,
+                knn_k,
+                seed: 0,
+                precision: Precision::F64,
+                snapshot_dtype: SnapshotDtype::Native,
+                tensors: Vec::new(),
+            }
+        })
+        .collect();
+    ShardedVenueSnapshot {
+        venue: "hand".into(),
+        snapshots,
+        shards,
+    }
+}
+
+/// One random pruning case: a sharded venue on a coarse RSSI grid (so
+/// distances and bounds tie often), with empty shards, fingerprints
+/// duplicated across shards, and `k` from 1 to beyond the shard size; plus
+/// queries on the grid, exactly on records, on box faces and outside every
+/// box.
+fn pruning_case(seed: u64) -> (ShardedVenueSnapshot, Vec<Vec<f64>>) {
+    let mut counter = 0u64;
+    let mut draw = move || {
+        counter += 1;
+        rm_runtime::derive_seed(seed, counter)
+    };
+    let num_aps = 1 + (draw() % 5) as usize;
+    let num_shards = 2 + (draw() % 5) as usize;
+    let num_records = (draw() % 40) as usize;
+    // Some shards never receive a record.
+    let live_shards = 1 + (draw() % num_shards as u64) as usize;
+    let grid = |v: u64| -100.0 + 5.0 * (v % 13) as f64;
+    let mut fingerprints: Vec<Vec<f64>> = Vec::with_capacity(num_records);
+    for _ in 0..num_records {
+        let duplicate = !fingerprints.is_empty() && draw().is_multiple_of(4);
+        let fingerprint = if duplicate {
+            fingerprints[(draw() % fingerprints.len() as u64) as usize].clone()
+        } else {
+            (0..num_aps).map(|_| grid(draw())).collect()
+        };
+        fingerprints.push(fingerprint);
+    }
+    let locations: Vec<Point> = (0..num_records)
+        .map(|_| Point::new((draw() % 1000) as f64 * 0.37, (draw() % 1000) as f64 * 0.53))
+        .collect();
+    let assignments: Vec<usize> = (0..num_records)
+        .map(|_| (draw() % live_shards as u64) as usize)
+        .collect();
+    let largest = (0..num_shards)
+        .map(|s| assignments.iter().filter(|&&a| a == s).count())
+        .max()
+        .unwrap_or(0);
+    let knn_k = 1 + (draw() % (largest as u64 + 4)) as usize;
+    let estimator = if draw().is_multiple_of(2) {
+        EstimatorKind::Knn
+    } else {
+        EstimatorKind::Wknn
+    };
+
+    let mut queries: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..24 {
+        let query = match draw() % 4 {
+            // Anywhere on the grid.
+            0 => (0..num_aps).map(|_| grid(draw())).collect(),
+            // Exactly a record.
+            1 if !fingerprints.is_empty() => {
+                fingerprints[(draw() % fingerprints.len() as u64) as usize].clone()
+            }
+            // Outside every box: beyond the grid on every AP.
+            2 => (0..num_aps)
+                .map(|_| {
+                    if draw().is_multiple_of(2) {
+                        -130.0 - (draw() % 7) as f64
+                    } else {
+                        -30.0 + (draw() % 7) as f64
+                    }
+                })
+                .collect(),
+            // Half-way between grid levels: bounds and distances tie on
+            // box faces (e.g. ±2.5 dB from two records in two shards).
+            _ => (0..num_aps).map(|_| grid(draw()) + 2.5).collect(),
+        };
+        queries.push(query);
+    }
+    let snapshot = hand_sharded(
+        num_aps,
+        &fingerprints,
+        &locations,
+        assignments,
+        num_shards,
+        estimator,
+        knn_k,
+    );
+    (snapshot, queries)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The pruned best-first search is bit-identical to the exhaustive
+    /// merge over every shard on random multi-shard venues, at KNN and
+    /// WKNN, and never scans more shards than the venue has.
+    #[test]
+    fn pruned_search_matches_the_exhaustive_merge_bitwise(seed in any::<u64>()) {
+        let (snapshot, queries) = pruning_case(seed);
+        let num_shards = snapshot.num_shards();
+        let registry = ModelRegistry::new();
+        registry.publish_sharded(snapshot, 1);
+        let model = registry.sharded_model("hand").expect("published");
+        for query in &queries {
+            let answer = model.query(query);
+            let exhaustive = exhaustive_estimate(&model, query);
+            prop_assert!(
+                position_bits(answer.position) == position_bits(exhaustive),
+                "query {:?}: pruned {:?}, exhaustive {:?}",
+                query,
+                answer.position,
+                exhaustive
+            );
+            prop_assert_eq!(answer.shard, model.route(query));
+            prop_assert!(answer.shards_scanned <= num_shards);
+        }
+    }
+}
+
+/// A bound equal to the k-th distance must not prune: the shard may hold a
+/// record at that very distance with a lower global index. Here shard 0's
+/// record (global 1) and shard 1's record (global 0) are both 5 dB from
+/// the query; the tie goes to global index 0, in the shard visited second.
+#[test]
+fn a_bound_equal_to_the_kth_distance_is_still_scanned() {
+    let fingerprints = vec![vec![-50.0], vec![-60.0]];
+    let locations = vec![Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
+    for estimator in [EstimatorKind::Knn, EstimatorKind::Wknn] {
+        let registry = ModelRegistry::new();
+        registry.publish_sharded(
+            hand_sharded(1, &fingerprints, &locations, vec![1, 0], 2, estimator, 1),
+            1,
+        );
+        let model = registry.sharded_model("hand").expect("published");
+        let answer = model.query(&[-55.0]);
+        assert_eq!(answer.shards_scanned, 2, "the tied shard must be visited");
+        assert_eq!(
+            position_bits(answer.position),
+            position_bits(Some(locations[0])),
+            "ties break by global record index"
+        );
+    }
+}
+
+/// Shards scanned per query: on well-separated shards (the multi-path
+/// venue queried at its own records, `k` no larger than a shard) the
+/// search reads exactly the query's own shard; with `k` larger than a
+/// shard it still skips shards on average.
+#[test]
+fn best_first_search_scans_fewer_shards_than_the_venue_has() {
+    let map = multi_path_map();
+    let topology = MultiPolygon::empty();
+    let separated = PipelineConfig {
+        knn_k: RECORDS_PER_PATH,
+        ..seedfree_config(EstimatorKind::Wknn, NUM_PATHS)
+    };
+    let registry = ModelRegistry::new();
+    registry.publish_sharded(
+        ImputationPipeline::new(separated).export_sharded_snapshot("separated", &map, &topology),
+        1,
+    );
+    registry.publish_sharded(
+        ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, NUM_PATHS))
+            .export_sharded_snapshot("multi", &map, &topology),
+        1,
+    );
+
+    let separated = registry.sharded_model("separated").expect("published");
+    for record in map.records() {
+        let query = record.fingerprint.to_dense(MNAR_FILL_VALUE);
+        assert_eq!(separated.query(&query).shards_scanned, 1);
+    }
+
+    let multi = registry.sharded_model("multi").expect("published");
+    let log = query_log(&map);
+    let scanned: usize = log.iter().map(|q| multi.query(q).shards_scanned).sum();
+    let mean = scanned as f64 / log.len() as f64;
+    assert!(
+        mean < NUM_PATHS as f64,
+        "mean shards scanned {mean} must stay below the shard count {NUM_PATHS}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 5. Query boundary
+// ---------------------------------------------------------------------------
+
+/// A malformed query built from one seed, with the error it must draw.
+fn malformed_query(draw: &mut impl FnMut() -> u64) -> (Vec<f64>, QueryError) {
+    let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let len = (draw() % (2 * NUM_APS as u64 + 1)) as usize;
+    let mut query: Vec<f64> = (0..len).map(|_| -90.0 + (draw() % 50) as f64).collect();
+    if len != NUM_APS {
+        if len > 0 && draw().is_multiple_of(2) {
+            query[(draw() % len as u64) as usize] = poison[(draw() % 3) as usize];
+        }
+        return (
+            query,
+            QueryError::Arity {
+                expected: NUM_APS,
+                got: len,
+            },
+        );
+    }
+    for _ in 0..1 + draw() % 3 {
+        query[(draw() % len as u64) as usize] = poison[(draw() % 3) as usize];
+    }
+    (query, QueryError::NonFinite)
+}
+
+/// Malformed queries — every length from 0 to twice the AP count, NaN and
+/// ±∞ at random positions — mixed into valid micro-batches never panic a
+/// batch: each draws its typed error with no position, and every valid
+/// query in the same batches gets bit-identically the clean run's answer,
+/// through both engines, at any batch capacity and thread count.
+#[test]
+fn malformed_queries_are_rejected_without_disturbing_their_batch() {
+    let map = multi_path_map();
+    let topology = MultiPolygon::empty();
+    let registry = ModelRegistry::new();
+    registry.publish(
+        ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, 1))
+            .export_snapshot("venue", &map, &topology),
+        1,
+    );
+    registry.publish_sharded(
+        ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, NUM_PATHS))
+            .export_sharded_snapshot("venue", &map, &topology),
+        1,
+    );
+    let clean = query_log(&map);
+    let whole_clean = QueryEngine::new(&registry, "venue", 1).run_log(&clean);
+    let sharded_clean = ShardedQueryEngine::new(&registry, "venue", 1).run_log(&clean);
+
+    for seed in 0..8u64 {
+        let mut counter = 0u64;
+        let mut draw = move || {
+            counter += 1;
+            rm_runtime::derive_seed(seed, counter)
+        };
+        // Entry per submitted query: `Ok(clean index)` or the expected error.
+        let mut log = Vec::new();
+        let mut expected = Vec::new();
+        for (i, query) in clean.iter().enumerate() {
+            while draw().is_multiple_of(3) {
+                let (bad, error) = malformed_query(&mut draw);
+                log.push(bad);
+                expected.push(Err(error));
+            }
+            log.push(query.clone());
+            expected.push(Ok(i));
+        }
+        let capacity = 1 + (seed as usize * 9) % rm_serve::MAX_MICRO_BATCH;
+        let threads = [1, 2, 8, 0][seed as usize % 4];
+
+        let whole =
+            QueryEngine::with_max_batch(&registry, "venue", threads, capacity).run_log(&log);
+        let sharded =
+            ShardedQueryEngine::with_max_batch(&registry, "venue", threads, capacity).run_log(&log);
+        assert_eq!(whole.len(), log.len());
+        assert_eq!(sharded.len(), log.len());
+        for (j, want) in expected.iter().enumerate() {
+            match *want {
+                Ok(i) => {
+                    assert_eq!(whole[j].error, None);
+                    assert_eq!(sharded[j].error, None);
+                    assert_eq!(
+                        position_bits(whole[j].position),
+                        position_bits(whole_clean[i].position)
+                    );
+                    assert_eq!(whole[j].generation, whole_clean[i].generation);
+                    assert_eq!(
+                        position_bits(sharded[j].position),
+                        position_bits(sharded_clean[i].position)
+                    );
+                    assert_eq!(sharded[j].shard, sharded_clean[i].shard);
+                    assert_eq!(sharded[j].generation, sharded_clean[i].generation);
+                }
+                Err(error) => {
+                    assert_eq!(whole[j].error, Some(error), "query {:?}", log[j]);
+                    assert_eq!(whole[j].position, None);
+                    assert_eq!(sharded[j].error, Some(error), "query {:?}", log[j]);
+                    assert_eq!(sharded[j].position, None);
+                }
+            }
         }
     }
 }
