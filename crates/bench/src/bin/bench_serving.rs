@@ -3,11 +3,12 @@
 //!
 //! The measured path is the real serving loop — registry lookup, micro-batch
 //! assembly, `par_map` fan-out over the persistent pool — against a
-//! 500×60 dense map (the `bench_positioning` estimator scale). Per-batch
-//! wall time is divided by the batch size to report per-query latency, and
-//! the percentile spread comes from the distribution of full-batch flushes,
-//! so queue time inside a batch is included (a query's latency is the time
-//! until its whole batch returns, which is what a caller observes).
+//! 500×60 dense map (the `bench_positioning` estimator scale) published as a
+//! venue with one shard. Per-batch wall time is divided by the batch size to
+//! report per-query latency, and the percentile spread comes from the
+//! distribution of full-batch flushes, so queue time inside a batch is
+//! included (a query's latency is the time until its whole batch returns,
+//! which is what a caller observes).
 //!
 //! Determinism note: the thread axis changes wall-clock only — the suite
 //! pins bit-identical responses at every width, so these legs all compute
@@ -15,13 +16,14 @@
 
 use std::time::Instant;
 
+use radiomap_core::ShardedVenueSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rm_bench::ReportTable;
 use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, MaskMatrix};
-use rm_serve::{ModelRegistry, QueryEngine, MAX_MICRO_BATCH};
+use rm_serve::{ModelRegistry, ShardedQueryEngine, MAX_MICRO_BATCH};
 use rm_tensor::{Precision, SnapshotDtype};
 
 const MAP_RECORDS: usize = 500;
@@ -64,7 +66,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let registry = ModelRegistry::new();
-    registry.publish(synthetic_snapshot(), 0);
+    registry.publish_sharded(ShardedVenueSnapshot::from(synthetic_snapshot()), 0);
     let log = query_log(WARMUP_BATCHES + MEASURED_BATCHES);
 
     let mut table = ReportTable::new(
@@ -75,7 +77,7 @@ fn main() {
         &["threads", "p50 us/query", "p99 us/query", "queries/sec"],
     );
     for threads in [1usize, 4, 8] {
-        let mut engine = QueryEngine::new(&registry, "bench", threads);
+        let mut engine = ShardedQueryEngine::new(&registry, "bench", threads);
         let mut batch_seconds = Vec::with_capacity(MEASURED_BATCHES);
         let mut measured_span = 0.0f64;
         for (batch_index, batch) in log.chunks(MAX_MICRO_BATCH).enumerate() {

@@ -463,6 +463,32 @@ impl ShardedVenueSnapshot {
     }
 }
 
+/// A bare venue is a venue with one shard: every record in shard 0, whose
+/// centroid is the mean of the map's locations (the origin for an empty
+/// map), with no path routing pairs. This is how a whole-venue artifact is
+/// published for serving.
+impl From<VenueSnapshot> for ShardedVenueSnapshot {
+    fn from(snapshot: VenueSnapshot) -> Self {
+        let locations = snapshot.map.locations();
+        let centroid = if locations.is_empty() {
+            Point::origin()
+        } else {
+            let n = locations.len() as f64;
+            let (sx, sy) = locations
+                .iter()
+                .fold((0.0, 0.0), |(ax, ay), p| (ax + p.x, ay + p.y));
+            Point::new(sx / n, sy / n)
+        };
+        let shards = VenueShards::from_parts(vec![0; locations.len()], vec![centroid], Vec::new())
+            .expect("one shard holds every record");
+        Self {
+            venue: snapshot.venue.clone(),
+            snapshots: vec![snapshot],
+            shards,
+        }
+    }
+}
+
 /// The result of one end-to-end evaluation run.
 #[derive(Debug, Clone)]
 pub struct EvaluationResult {
@@ -943,6 +969,41 @@ mod tests {
             ImputationPipeline::new(config).impute(&dataset.radio_map, &dataset.venue.walls);
         assert_eq!(imputed.len(), dataset.radio_map.len());
         assert_eq!(mask.rows(), dataset.radio_map.len());
+    }
+
+    #[test]
+    fn a_bare_snapshot_converts_to_one_shard_holding_every_record() {
+        let snapshot = VenueSnapshot {
+            venue: "bare".into(),
+            map: DenseRadioMap::new(
+                vec![vec![-50.0], vec![-60.0], vec![-70.0]],
+                vec![
+                    Point::new(0.0, 0.0),
+                    Point::new(3.0, 3.0),
+                    Point::new(6.0, 0.0),
+                ],
+                1,
+            ),
+            mask: MaskMatrix::all_observed(3, 1),
+            estimator: EstimatorKind::Knn,
+            knn_k: 1,
+            seed: 5,
+            precision: Precision::F64,
+            snapshot_dtype: SnapshotDtype::Native,
+            tensors: Vec::new(),
+        };
+        let sharded = ShardedVenueSnapshot::from(snapshot.clone());
+        assert_eq!(sharded.venue, "bare");
+        assert_eq!(sharded.num_shards(), 1);
+        assert_eq!(sharded.shards.num_shards(), 1);
+        assert_eq!(sharded.shards.members_of(0), [0, 1, 2]);
+        assert_eq!(sharded.shards.assignments(), [0, 0, 0]);
+        assert_eq!(sharded.shards.centroids(), [Point::new(3.0, 1.0)]);
+        assert!(sharded.shards.path_shards().is_empty());
+        assert_eq!(
+            sharded.snapshots[0].map.fingerprints(),
+            snapshot.map.fingerprints()
+        );
     }
 
     #[test]

@@ -849,6 +849,19 @@ mod tests {
         assert_eq!(bytes, encode_sharded(&decoded));
     }
 
+    /// A bare venue converted to one shard is a valid container: it
+    /// round-trips, and its one shard holds every record.
+    #[test]
+    fn a_bare_snapshot_as_one_shard_round_trips_bitwise() {
+        let snapshot = ShardedVenueSnapshot::from(tiny_snapshot());
+        let bytes = encode_sharded(&snapshot);
+        let decoded = decode_sharded(&bytes).expect("decode sharded");
+        assert_eq!(decoded.num_shards(), 1);
+        assert_eq!(decoded.shards.members_of(0), [0, 1]);
+        assert_snapshots_bits_eq(&decoded.snapshots[0], &tiny_snapshot());
+        assert_eq!(bytes, encode_sharded(&decoded));
+    }
+
     #[test]
     fn sharded_magic_is_distinct_and_checked_both_ways() {
         let sharded = encode_sharded(&tiny_sharded_snapshot());

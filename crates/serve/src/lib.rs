@@ -1,45 +1,43 @@
 //! # rm-serve — versioned venue-model artifacts and snapshot-swap serving
 //!
 //! The online half of the pipeline: the offline side trains imputers and
-//! exports a [`VenueSnapshot`](radiomap_core::VenueSnapshot); this crate
-//! persists it, loads it, and answers location queries against it.
+//! exports a [`VenueSnapshot`] (or a [`ShardedVenueSnapshot`] with one
+//! snapshot per spatial shard); this crate persists it, loads it, and
+//! answers location queries against it. A bare venue is served as a venue
+//! with one shard (`ShardedVenueSnapshot::from`), so there is one serving
+//! path.
 //!
 //! * [`artifact`] — a stable, checksummed, dependency-free on-disk format
-//!   for `VenueSnapshot`s with a bitwise round-trip guarantee. Snapshots
-//!   exported at `SnapshotDtype::Bf16` serialize their tensors at 2 bytes
-//!   per element, so bf16 artifacts are 4× smaller than f64 ones.
-//! * [`model`] — [`VenueModel`]: an immutable snapshot + estimator pair,
-//!   tagged with the generation that published it.
-//! * [`registry`] — [`ModelRegistry`]: an atomically hot-swappable
-//!   `Arc<VenueModel>` per venue with monotonic generation counters; no
-//!   query ever observes a torn model.
-//! * [`engine`] — [`QueryEngine`]: a request-batching front end that fans
-//!   micro-batches of at most [`MAX_MICRO_BATCH`] queries over the
+//!   for `VenueSnapshot`s ([`encode`] / [`decode`]) and for sharded
+//!   containers of them ([`encode_sharded`] / [`decode_sharded`]), with a
+//!   bitwise round-trip guarantee. Snapshots exported at
+//!   `SnapshotDtype::Bf16` serialize their tensors at 2 bytes per element,
+//!   so bf16 artifacts are 4× smaller than f64 ones.
+//! * [`model`] — [`ShardedVenueModel`]: one immutable [`ShardModel`] per
+//!   shard, each tagged with the generation that published it. KNN queries
+//!   are answered by an exact best-first search over per-shard bounding
+//!   boxes, so answers equal the whole-venue estimator's while most shards
+//!   go unscanned.
+//! * [`registry`] — [`ModelRegistry`]: one atomically hot-swappable
+//!   `Arc<ShardedVenueModel>` per venue with monotonic generation counters;
+//!   no query ever observes a torn model, and
+//!   [`ModelRegistry::publish_shard`] republishes one shard without
+//!   rebuilding the clean ones.
+//! * [`engine`] — [`ShardedQueryEngine`]: a request-batching front end that
+//!   fans micro-batches of at most [`MAX_MICRO_BATCH`] queries over the
 //!   deterministic worker pool. A fixed query log yields bit-identical
-//!   responses at any thread count, and each response equals the offline
-//!   `evaluate_estimator` path's estimate on the same model.
-//!
-//! Sharded venues get a parallel set of types: [`encode_sharded`] /
-//! [`decode_sharded`] persist a
-//! [`ShardedVenueSnapshot`](radiomap_core::ShardedVenueSnapshot) as a
-//! container of per-shard artifacts, [`ShardedVenueModel`] composes one
-//! [`ShardModel`] per shard (each independently republishable via
-//! [`ModelRegistry::publish_shard`] without rebuilding clean shards), and
-//! [`ShardedQueryEngine`] routes queries by AP overlap and answers KNN
-//! queries with an exact best-first search over per-shard bounding boxes,
-//! so answers match whole-venue serving while most shards go unscanned.
-//!
-//! Both engines reject a malformed query (wrong arity, NaN or ±∞) with a
-//! typed [`QueryError`] on its response and answer the rest of its batch.
+//!   responses at any thread count. A malformed query (wrong arity, NaN or
+//!   ±∞) or a query for an unpublished venue is rejected with a typed
+//!   [`QueryError`] on its response, and the rest of its batch is answered.
 //!
 //! ```no_run
-//! use radiomap_core::prelude::*;
-//! use rm_serve::{load_artifact, ModelRegistry, QueryEngine};
+//! use radiomap_core::ShardedVenueSnapshot;
+//! use rm_serve::{load_artifact, ModelRegistry, ShardedQueryEngine};
 //!
 //! let snapshot = load_artifact("venue.rmvm").unwrap();
 //! let registry = ModelRegistry::new();
-//! registry.publish(snapshot, 0);
-//! let mut engine = QueryEngine::new(&registry, "venue", 0);
+//! registry.publish_sharded(ShardedVenueSnapshot::from(snapshot), 0);
+//! let mut engine = ShardedQueryEngine::new(&registry, "venue", 0);
 //! let responses = engine.run_log(&[vec![-52.0, -71.0]]);
 //! # let _ = responses;
 //! ```
@@ -52,11 +50,8 @@ pub mod registry;
 pub use artifact::{
     decode, decode_sharded, encode, encode_sharded, ArtifactError, FORMAT_VERSION, SHARDED_MAGIC,
 };
-pub use engine::{
-    QueryEngine, QueryError, QueryResponse, ShardedQueryEngine, ShardedQueryResponse,
-    MAX_MICRO_BATCH,
-};
-pub use model::{ShardModel, ShardedAnswer, ShardedVenueModel, VenueModel};
+pub use engine::{QueryError, ShardedQueryEngine, ShardedQueryResponse, MAX_MICRO_BATCH};
+pub use model::{ShardModel, ShardedAnswer, ShardedVenueModel};
 pub use registry::ModelRegistry;
 
 use std::path::Path;

@@ -1,8 +1,8 @@
 //! A loaded, immutable venue model: the unit the registry swaps and the
-//! query engine estimates against. Sharded venues load one [`ShardModel`]
-//! per spatial shard and compose them into a [`ShardedVenueModel`] whose
-//! answers match whole-venue serving via an exact best-first search over
-//! the shards.
+//! query engine estimates against. A venue loads one [`ShardModel`] per
+//! spatial shard (a bare venue is one shard) and composes them into a
+//! [`ShardedVenueModel`] whose answers match whole-venue estimation via an
+//! exact best-first search over the shards.
 
 use std::sync::Arc;
 
@@ -13,72 +13,6 @@ use rm_positioning::{
     LocationEstimator,
 };
 use rm_radiomap::{VenueShards, MNAR_FILL_VALUE};
-
-/// An immutable serving model for one venue: the decoded [`VenueSnapshot`]
-/// plus the location estimator built from it, tagged with the registry
-/// generation that published it.
-///
-/// Loading is deterministic — the estimator is built from the snapshot's
-/// radio map with the snapshot's configuration, the same construction the
-/// offline pipeline uses — so a model loaded from a persisted artifact
-/// answers every query bit-identically to the offline
-/// `evaluate_estimator` path over the same snapshot. Models are never
-/// mutated after construction; the registry retires whole models by
-/// swapping `Arc`s.
-pub struct VenueModel {
-    snapshot: VenueSnapshot,
-    estimator: Box<dyn LocationEstimator>,
-    generation: u64,
-}
-
-impl VenueModel {
-    /// Builds the serving model for `snapshot` under registry `generation`.
-    /// `threads` bounds the estimator's training-time fan-out (`0` = auto;
-    /// only the random forest trains) — the built model is bit-identical at
-    /// any value.
-    pub fn load(snapshot: VenueSnapshot, generation: u64, threads: usize) -> Self {
-        let estimator =
-            snapshot
-                .estimator
-                .build_threads(snapshot.map.clone(), snapshot.knn_k, threads);
-        Self {
-            snapshot,
-            estimator,
-            generation,
-        }
-    }
-
-    /// The venue this model serves.
-    pub fn venue(&self) -> &str {
-        &self.snapshot.venue
-    }
-
-    /// The registry generation that published this model.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The snapshot this model was loaded from.
-    pub fn snapshot(&self) -> &VenueSnapshot {
-        &self.snapshot
-    }
-
-    /// Number of APs a query fingerprint must report.
-    pub fn num_aps(&self) -> usize {
-        self.snapshot.map.num_aps()
-    }
-
-    /// Estimates the location of a device reporting `fingerprint` — exactly
-    /// [`LocationEstimator::estimate`] on the model's estimator.
-    pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
-        self.estimator.estimate(fingerprint)
-    }
-
-    /// The estimator's display name (for reports).
-    pub fn estimator_name(&self) -> &'static str {
-        self.estimator.name()
-    }
-}
 
 /// The ranking core of one shard: KNN-family estimators keep the concrete
 /// [`Knn`] so the venue model can merge their per-shard candidates exactly;
@@ -102,9 +36,9 @@ struct ShardProbe {
 }
 
 /// An immutable serving model for one spatial shard — the per-shard publish
-/// unit. Like [`VenueModel`] it is never mutated after construction; an
-/// incremental republish swaps a single shard's `Arc` and leaves the clean
-/// shards' models (and generations) untouched.
+/// unit. It is never mutated after construction: an incremental republish
+/// swaps a single shard's `Arc` and leaves the clean shards' models (and
+/// generations) untouched.
 pub struct ShardModel {
     snapshot: VenueSnapshot,
     estimator: ShardEstimator,
@@ -128,8 +62,9 @@ pub struct ShardModel {
 impl ShardModel {
     /// Builds the serving model for one shard under registry `generation`.
     /// `global_indices` is the shard's member list (shard-local row →
-    /// global record index); `threads` bounds estimator training as in
-    /// [`VenueModel::load`].
+    /// global record index); `threads` bounds the estimator's training-time
+    /// fan-out (`0` = auto; only the random forest trains), and the built
+    /// model is bit-identical at any value.
     pub fn load(
         snapshot: VenueSnapshot,
         global_indices: Vec<usize>,
@@ -313,7 +248,7 @@ pub struct ShardedAnswer {
 /// distance, and since tied bounds are still visited the index tie-break
 /// is kept. The answer is therefore bit-identical to merging every shard's
 /// candidates, without conditions. That merge in turn equals the
-/// whole-venue model over the merged map whenever each shard's quantized
+/// whole-venue estimator over the merged map whenever each shard's quantized
 /// window captures its true top-`k` (the standing assumption of the int8
 /// scan inside a shard). Non-ranking estimators (the forest) answer from
 /// the primary shard alone.
@@ -440,7 +375,7 @@ impl ShardedVenueModel {
     /// search and why it equals the exhaustive cross-shard merge).
     ///
     /// # Panics
-    /// If `fingerprint.len() != self.num_aps()`; the query engines reject
+    /// If `fingerprint.len() != self.num_aps()`; the query engine rejects
     /// such queries before they get here.
     pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
         self.query(fingerprint).position
@@ -540,11 +475,12 @@ mod tests {
 
     #[test]
     fn load_builds_the_configured_estimator() {
-        let model = VenueModel::load(snapshot(), 3, 1);
+        let model = ShardedVenueModel::load(ShardedVenueSnapshot::from(snapshot()), &[3], 1);
         assert_eq!(model.venue(), "t");
         assert_eq!(model.generation(), 3);
-        assert_eq!(model.estimator_name(), "KNN");
-        assert_eq!(model.snapshot().knn_k, 1);
+        assert_eq!(model.num_shards(), 1);
+        assert_eq!(model.num_aps(), 2);
+        assert_eq!(model.models()[0].snapshot().knn_k, 1);
         // 1-NN on an exact fingerprint returns its reference point.
         let p = model.estimate(&[-50.0, -90.0]).unwrap();
         assert_eq!((p.x, p.y), (0.0, 0.0));
@@ -552,8 +488,8 @@ mod tests {
 
     /// The registry shares models across threads; the compiler must agree.
     #[test]
-    fn venue_model_is_send_and_sync() {
+    fn sharded_venue_model_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<VenueModel>();
+        assert_send_sync::<ShardedVenueModel>();
     }
 }

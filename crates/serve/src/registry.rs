@@ -7,39 +7,38 @@ use std::sync::{Arc, RwLock};
 use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
 use rm_radiomap::VenueShards;
 
-use crate::model::{ShardModel, ShardedVenueModel, VenueModel};
+use crate::model::{ShardModel, ShardedVenueModel};
 
-/// A registry of live [`VenueModel`]s, one slot per venue, with
+/// A registry of live [`ShardedVenueModel`]s, one slot per venue, with
 /// atomic-swap semantics:
 ///
 /// * **No torn models.** A reader clones the venue's current
-///   `Arc<VenueModel>` under a read lock and works against that immutable
-///   model from then on; [`ModelRegistry::publish`] builds the replacement
-///   *outside* the lock and swaps the `Arc` in one write-locked assignment.
-///   Every query therefore observes exactly one complete model — there is
-///   no intermediate state to observe.
-/// * **Monotonic generations.** Each publish stamps its model from a
+///   `Arc<ShardedVenueModel>` under a read lock and works against that
+///   immutable model from then on; [`ModelRegistry::publish_sharded`] and
+///   [`ModelRegistry::publish_shard`] build the replacement *outside* the
+///   lock and swap the `Arc` in one write-locked assignment. Every query
+///   therefore observes exactly one complete model — there is no
+///   intermediate state to observe.
+/// * **Monotonic generations.** Each shard model is stamped from a
 ///   process-wide counter, so any response can be attributed to exactly one
 ///   generation and swaps are totally ordered.
 /// * **Prompt retirement.** The swapped-out `Arc` is returned to the
 ///   publisher; once the last in-flight batch drops its clone, the retired
-///   model (radio map, tensors, estimator) is freed — pinned by the
+///   model (radio maps, tensors, estimators) is freed — pinned by the
 ///   hot-reload stress test via a `Weak` upgrade.
 ///
-/// Venue slots are kept sorted by name (binary-searched, no unordered
-/// containers in the serving path).
+/// A bare venue is published as a venue with one shard
+/// (`ShardedVenueSnapshot::from`). Venue slots are kept sorted by name
+/// (binary-searched, no unordered containers in the serving path).
 #[derive(Default)]
 pub struct ModelRegistry {
-    /// Sorted by venue name; the `Arc` per slot is the swap unit.
-    models: RwLock<Vec<(String, Arc<VenueModel>)>>,
-    /// Sharded venues, sorted by name. The swap unit is the composed venue
-    /// `Arc`, but an incremental publish rebuilds only the dirty shard's
+    /// Sorted by venue name. The swap unit is the composed venue `Arc`, but
+    /// an incremental publish rebuilds only the dirty shard's
     /// [`ShardModel`] — the clean shards' `Arc`s (and generations) are
     /// carried over unchanged.
-    sharded: RwLock<Vec<(String, Arc<ShardedVenueModel>)>>,
-    /// Monotonic generation source; the first publish is generation 1.
-    /// Shared between whole-venue and per-shard publishes, so every swap in
-    /// the process is totally ordered.
+    models: RwLock<Vec<(String, Arc<ShardedVenueModel>)>>,
+    /// Monotonic generation source; the first shard published is
+    /// generation 1.
     generations: AtomicU64,
 }
 
@@ -49,35 +48,16 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Builds a model from `snapshot` and publishes it under the snapshot's
-    /// venue name, replacing any current model for that venue. Returns the
-    /// retired model (`None` on first publish), whose memory is freed once
-    /// the last in-flight reader drops its `Arc`.
+    /// Builds one [`ShardModel`] per shard of `snapshot` and publishes the
+    /// composed [`ShardedVenueModel`] under the snapshot's venue name,
+    /// replacing any current model for that venue. Every shard gets its own
+    /// generation stamp (in shard-id order). Returns the retired venue model
+    /// (`None` on first publish), whose memory is freed once the last
+    /// in-flight reader drops its `Arc`.
     ///
     /// The expensive part — estimator construction — happens before the
     /// write lock is taken, so concurrent readers are only blocked for the
     /// duration of one pointer swap.
-    pub fn publish(&self, snapshot: VenueSnapshot, threads: usize) -> Option<Arc<VenueModel>> {
-        let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
-        let model = Arc::new(VenueModel::load(snapshot, generation, threads));
-        let venue = model.venue().to_string();
-        let mut slots = self.models.write().expect("registry lock poisoned");
-        match slots.binary_search_by(|(name, _)| name.as_str().cmp(&venue)) {
-            Ok(i) => Some(std::mem::replace(&mut slots[i].1, model)),
-            Err(i) => {
-                slots.insert(i, (venue, model));
-                None
-            }
-        }
-    }
-
-    /// Builds one [`ShardModel`] per shard of `snapshot` and publishes the
-    /// composed [`ShardedVenueModel`] under the snapshot's venue name. Every
-    /// shard gets its own generation stamp (in shard-id order). Returns the
-    /// retired venue model, as [`ModelRegistry::publish`] does.
-    ///
-    /// Like the unsharded path, all estimator construction happens outside
-    /// the write lock; readers only ever see a torn-free pointer swap.
     pub fn publish_sharded(
         &self,
         snapshot: ShardedVenueSnapshot,
@@ -88,7 +68,7 @@ impl ModelRegistry {
             .collect();
         let model = Arc::new(ShardedVenueModel::load(snapshot, &generations, threads));
         let venue = model.venue().to_string();
-        let mut slots = self.sharded.write().expect("registry lock poisoned");
+        let mut slots = self.models.write().expect("registry lock poisoned");
         match slots.binary_search_by(|(name, _)| name.as_str().cmp(&venue)) {
             Ok(i) => Some(std::mem::replace(&mut slots[i].1, model)),
             Err(i) => {
@@ -107,7 +87,7 @@ impl ModelRegistry {
     /// ride along with the republish. Returns the retired shard model.
     ///
     /// # Panics
-    /// Panics when the venue was never sharded-published or `shard` is out
+    /// Panics when the venue was never published or `shard` is out
     /// of range — republishing into the void is a deployment error.
     pub fn publish_shard(
         &self,
@@ -128,7 +108,7 @@ impl ModelRegistry {
             generation,
             threads,
         ));
-        let mut slots = self.sharded.write().expect("registry lock poisoned");
+        let mut slots = self.models.write().expect("registry lock poisoned");
         match slots.binary_search_by(|(name, _)| name.as_str().cmp(venue)) {
             Ok(i) => {
                 let composed = Arc::new(slots[i].1.with_shard(shard, replacement, shards.clone()));
@@ -139,20 +119,10 @@ impl ModelRegistry {
         }
     }
 
-    /// The current sharded model for `venue`, or `None` if nothing sharded
-    /// was published under that name.
+    /// The current model for `venue`, or `None` if nothing was published
+    /// under that name. The returned `Arc` stays valid (and immutable) across
+    /// any number of concurrent publishes — it just stops being current.
     pub fn sharded_model(&self, venue: &str) -> Option<Arc<ShardedVenueModel>> {
-        let slots = self.sharded.read().expect("registry lock poisoned");
-        slots
-            .binary_search_by(|(name, _)| name.as_str().cmp(venue))
-            .ok()
-            .map(|i| Arc::clone(&slots[i].1))
-    }
-
-    /// The current model for `venue`, or `None` if nothing was published.
-    /// The returned `Arc` stays valid (and immutable) across any number of
-    /// concurrent publishes — it just stops being current.
-    pub fn model(&self, venue: &str) -> Option<Arc<VenueModel>> {
         let slots = self.models.read().expect("registry lock poisoned");
         slots
             .binary_search_by(|(name, _)| name.as_str().cmp(venue))
@@ -165,27 +135,14 @@ impl ModelRegistry {
         self.generations.load(Ordering::Relaxed)
     }
 
-    /// Venue names currently served, whole-venue and sharded alike, in
-    /// sorted order without duplicates (a name published both ways is
-    /// listed once).
+    /// Venue names currently served, in sorted order.
     pub fn venues(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .models
+        self.models
             .read()
             .expect("registry lock poisoned")
             .iter()
             .map(|(name, _)| name.clone())
-            .collect();
-        names.extend(
-            self.sharded
-                .read()
-                .expect("registry lock poisoned")
-                .iter()
-                .map(|(name, _)| name.clone()),
-        );
-        names.sort_unstable();
-        names.dedup();
-        names
+            .collect()
     }
 }
 
@@ -211,56 +168,52 @@ mod tests {
         }
     }
 
+    fn publish_venue(
+        registry: &ModelRegistry,
+        venue: &str,
+        x: f64,
+    ) -> Option<Arc<ShardedVenueModel>> {
+        registry.publish_sharded(snapshot(venue, x).into(), 1)
+    }
+
     #[test]
     fn publish_and_lookup_by_venue() {
         let registry = ModelRegistry::new();
         assert_eq!(registry.generation(), 0);
-        assert!(registry.model("a").is_none());
-        assert!(registry.publish(snapshot("b", 1.0), 1).is_none());
-        assert!(registry.publish(snapshot("a", 2.0), 1).is_none());
+        assert!(registry.sharded_model("a").is_none());
+        assert!(publish_venue(&registry, "b", 1.0).is_none());
+        assert!(publish_venue(&registry, "a", 2.0).is_none());
         assert_eq!(registry.venues(), ["a", "b"]);
-        assert_eq!(registry.model("a").unwrap().generation(), 2);
-        assert_eq!(registry.model("b").unwrap().generation(), 1);
+        assert_eq!(registry.sharded_model("a").unwrap().generation(), 2);
+        assert_eq!(registry.sharded_model("b").unwrap().generation(), 1);
         assert_eq!(registry.generation(), 2);
     }
 
-    fn sharded(venue: &str) -> ShardedVenueSnapshot {
-        let single = snapshot(venue, 0.0);
-        let shards = VenueShards::from_parts(vec![0], vec![Point::origin()], Vec::new())
-            .expect("one record in one shard");
-        ShardedVenueSnapshot {
-            venue: venue.into(),
-            snapshots: vec![single],
-            shards,
-        }
-    }
-
     #[test]
-    fn venues_lists_whole_and_sharded_venues_once_each() {
+    fn venues_lists_each_published_venue_once() {
         let registry = ModelRegistry::new();
         assert!(registry.venues().is_empty());
-        registry.publish_sharded(sharded("c"), 1);
+        publish_venue(&registry, "c", 1.0);
         assert_eq!(registry.venues(), ["c"]);
-        registry.publish(snapshot("b", 1.0), 1);
-        registry.publish_sharded(sharded("a"), 1);
-        // Published both ways: listed once.
-        registry.publish(snapshot("c", 1.0), 1);
-        registry.publish_sharded(sharded("b"), 1);
+        publish_venue(&registry, "b", 1.0);
+        publish_venue(&registry, "a", 1.0);
+        // Republished: still listed once.
+        publish_venue(&registry, "c", 2.0);
         assert_eq!(registry.venues(), ["a", "b", "c"]);
     }
 
     #[test]
     fn republish_swaps_and_returns_the_retired_model() {
         let registry = ModelRegistry::new();
-        registry.publish(snapshot("v", 1.0), 1);
-        let held = registry.model("v").unwrap();
-        let retired = registry.publish(snapshot("v", 9.0), 1).unwrap();
+        publish_venue(&registry, "v", 1.0);
+        let held = registry.sharded_model("v").unwrap();
+        let retired = publish_venue(&registry, "v", 9.0).unwrap();
         assert_eq!(retired.generation(), 1);
         // The held Arc still answers from generation 1 — immutable, not torn.
         assert_eq!(held.generation(), 1);
         assert_eq!(held.estimate(&[-50.0]).unwrap().x, 1.0);
         // The current model is the new generation.
-        let current = registry.model("v").unwrap();
+        let current = registry.sharded_model("v").unwrap();
         assert_eq!(current.generation(), 2);
         assert_eq!(current.estimate(&[-50.0]).unwrap().x, 9.0);
     }
@@ -268,10 +221,10 @@ mod tests {
     #[test]
     fn retired_models_are_freed_when_the_last_reader_drops() {
         let registry = ModelRegistry::new();
-        registry.publish(snapshot("v", 1.0), 1);
-        let weak = Arc::downgrade(&registry.model("v").unwrap());
+        publish_venue(&registry, "v", 1.0);
+        let weak = Arc::downgrade(&registry.sharded_model("v").unwrap());
         assert!(weak.upgrade().is_some());
-        let retired = registry.publish(snapshot("v", 2.0), 1).unwrap();
+        let retired = publish_venue(&registry, "v", 2.0).unwrap();
         assert!(weak.upgrade().is_some(), "retired model still held");
         drop(retired);
         assert!(

@@ -5,8 +5,8 @@
 //!    exports at every precision × snapshot-dtype combination, round-trips
 //!    through the on-disk format bitwise (property-tested over arbitrary
 //!    bit patterns: NaNs, −0.0, infinities).
-//! 2. **Serving ≡ offline** — a model loaded from a persisted artifact
-//!    answers every query bit-identically to the offline
+//! 2. **Serving ≡ offline** — a persisted artifact published as a 1-shard
+//!    venue answers every query bit-identically to the offline
 //!    `evaluate_estimator` path, and a fixed query log is bit-identical at
 //!    any thread count.
 //! 3. **Hot reload under load** — concurrent publishes never tear a model:
@@ -15,9 +15,12 @@
 
 use proptest::prelude::*;
 use radiomap_core::prelude::*;
-use radiomap_core::{PipelineConfig, VenueSnapshot};
+use radiomap_core::{PipelineConfig, ShardedVenueSnapshot, VenueSnapshot};
 use rm_positioning::{average_positioning_error, evaluate_estimator_threads};
-use rm_serve::{decode, encode, ModelRegistry, QueryEngine, VenueModel, MAX_MICRO_BATCH};
+use rm_serve::{
+    decode, encode, ModelRegistry, ShardedQueryEngine, ShardedQueryResponse, ShardedVenueModel,
+    MAX_MICRO_BATCH,
+};
 use rm_tensor::{Bf16Matrix, Matrix, NamedTensor};
 use std::sync::{Arc, Weak};
 
@@ -312,9 +315,10 @@ fn query_log(snapshot: &VenueSnapshot) -> Vec<TestQuery> {
     queries
 }
 
-/// A model loaded from persisted bytes answers every query bit-identically
-/// to the offline `evaluate_estimator` path over the same snapshot — both
-/// per query and in the aggregated APE metric.
+/// A model loaded from persisted bytes and published as a 1-shard venue
+/// answers every query bit-identically to the offline `evaluate_estimator`
+/// path over the same snapshot — both per query and in the aggregated APE
+/// metric.
 #[test]
 fn serving_matches_the_offline_estimator_query_for_query() {
     let map = survey_map(24, 6);
@@ -342,8 +346,8 @@ fn serving_matches_the_offline_estimator_query_for_query() {
         // Serving path: artifact bytes → registry → batched engine.
         let reloaded = decode(&encode(&snapshot)).expect("artifact decodes");
         let registry = ModelRegistry::new();
-        registry.publish(reloaded, 1);
-        let mut engine = QueryEngine::new(&registry, "offline-parity", 1);
+        registry.publish_sharded(ShardedVenueSnapshot::from(reloaded), 1);
+        let mut engine = ShardedQueryEngine::new(&registry, "offline-parity", 1);
         let log: Vec<Vec<f64>> = queries.iter().map(|q| q.fingerprint.clone()).collect();
         let responses = engine.run_log(&log);
 
@@ -394,10 +398,10 @@ fn a_fixed_query_log_is_bit_identical_at_any_thread_count() {
     assert!(log.len() > MAX_MICRO_BATCH, "log must span several batches");
 
     let registry = ModelRegistry::new();
-    registry.publish(snapshot, 1);
-    let reference = QueryEngine::new(&registry, "det", 1).run_log(&log);
+    registry.publish_sharded(snapshot.into(), 1);
+    let reference = ShardedQueryEngine::new(&registry, "det", 1).run_log(&log);
     for threads in [2, 8, rm_runtime::default_threads(), 0] {
-        let responses = QueryEngine::new(&registry, "det", threads).run_log(&log);
+        let responses = ShardedQueryEngine::new(&registry, "det", threads).run_log(&log);
         assert_eq!(responses.len(), reference.len());
         for (a, b) in reference.iter().zip(&responses) {
             assert_eq!(a.index, b.index);
@@ -451,11 +455,11 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
     const QUERIES_PER_CLIENT: usize = 512;
 
     let registry = ModelRegistry::new();
-    registry.publish(generation_snapshot(1), 1);
+    registry.publish_sharded(generation_snapshot(1).into(), 1);
 
     enum ClientResult {
-        Publisher(Vec<Weak<VenueModel>>),
-        Queries(Vec<rm_serve::QueryResponse>),
+        Publisher(Vec<Weak<ShardedVenueModel>>),
+        Queries(Vec<ShardedQueryResponse>),
     }
 
     let clients: Vec<usize> = (0..=QUERY_CLIENTS).collect();
@@ -466,7 +470,7 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
             let mut retired_weaks = Vec::new();
             for g in 2..=(SWAPS + 1) {
                 let retired = registry
-                    .publish(generation_snapshot(g), 1)
+                    .publish_sharded(generation_snapshot(g).into(), 1)
                     .expect("every publish after the first retires a model");
                 retired_weaks.push(Arc::downgrade(&retired));
                 drop(retired);
@@ -475,8 +479,12 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
         } else {
             // A query client: replay a fixed log in micro-batches while the
             // publisher races. Small batches maximise generation churn.
-            let mut engine =
-                QueryEngine::with_max_batch(&registry, "hot", 1, 1 + client % MAX_MICRO_BATCH);
+            let mut engine = ShardedQueryEngine::with_max_batch(
+                &registry,
+                "hot",
+                1,
+                1 + client % MAX_MICRO_BATCH,
+            );
             let mut responses = Vec::with_capacity(QUERIES_PER_CLIENT);
             for i in 0..QUERIES_PER_CLIENT {
                 engine.submit(vec![-50.0]);
@@ -542,5 +550,8 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
             i + 1
         );
     }
-    assert_eq!(registry.model("hot").unwrap().generation(), SWAPS + 1);
+    assert_eq!(
+        registry.sharded_model("hot").unwrap().generation(),
+        SWAPS + 1
+    );
 }

@@ -2,9 +2,9 @@
 //! registry → routed query engine, proving the per-shard serving contracts.
 //!
 //! 1. **Sharded ≡ whole-venue** — for the KNN-family estimators, a sharded
-//!    model answers every query bit-identically to the whole-venue model
-//!    over the same records (cross-shard re-rank), and a shard count of 1
-//!    reproduces the unsharded artifact byte for byte.
+//!    model answers every query bit-identically to the offline whole-venue
+//!    estimator over the same records (cross-shard re-rank), and a shard
+//!    count of 1 reproduces the unsharded artifact byte for byte.
 //! 2. **Incremental republish** — ingesting a survey log dirties exactly
 //!    the shards it touches; republishing them swaps only those shards'
 //!    `Arc`s and generations while the clean shards are carried over
@@ -17,7 +17,7 @@
 //!    scans fewer shards than the venue has.
 //! 5. **Query boundary** — malformed queries (wrong arity, NaN, ±∞) are
 //!    rejected one by one with typed errors; the rest of their micro-batch
-//!    is answered exactly as in a clean run.
+//!    is answered exactly as the offline whole-venue estimator answers.
 
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ use rm_positioning::{knn_estimate, merge_candidates, wknn_estimate};
 use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards, MNAR_FILL_VALUE};
 use rm_serve::{
     decode_sharded, encode, encode_sharded, load_sharded_artifact, save_sharded_artifact,
-    ModelRegistry, QueryEngine, QueryError, ShardedQueryEngine, ShardedVenueModel,
+    ModelRegistry, QueryError, ShardedQueryEngine, ShardedVenueModel,
 };
 use rm_tensor::{Precision, SnapshotDtype};
 
@@ -114,7 +114,7 @@ fn query_log(map: &RadioMap) -> Vec<Vec<f64>> {
 
 /// For both KNN-family estimators, the sharded engine (serving a container
 /// that went through the sharded codec) answers every query bit-identically
-/// to the whole-venue engine over the same records.
+/// to the offline estimator built over the whole venue's records.
 #[test]
 fn sharded_serving_answers_match_whole_venue_serving_bitwise() {
     let map = multi_path_map();
@@ -136,24 +136,22 @@ fn sharded_serving_answers_match_whole_venue_serving_bitwise() {
         // container codec, so the on-disk format is on the serving path.
         let reloaded = decode_sharded(&encode_sharded(&sharded)).expect("container decodes");
         let registry = ModelRegistry::new();
-        registry.publish(whole, 1);
         registry.publish_sharded(reloaded, 1);
+        let offline = whole.estimator.build_threads(whole.map, whole.knn_k, 1);
 
         let log = query_log(&map);
-        let whole_responses = QueryEngine::new(&registry, "venue", 1).run_log(&log);
         let sharded_responses = ShardedQueryEngine::new(&registry, "venue", 1).run_log(&log);
-        assert_eq!(whole_responses.len(), sharded_responses.len());
-        for (whole_response, sharded_response) in whole_responses.iter().zip(&sharded_responses) {
-            assert_eq!(whole_response.index, sharded_response.index);
+        assert_eq!(log.len(), sharded_responses.len());
+        for (query, sharded_response) in log.iter().zip(&sharded_responses) {
             assert!(sharded_response.shard < NUM_PATHS);
-            let a = whole_response.position.expect("dense maps answer");
+            let a = offline.estimate(query).expect("dense maps answer");
             let b = sharded_response.position.expect("dense maps answer");
             assert_eq!(
                 (a.x.to_bits(), a.y.to_bits()),
                 (b.x.to_bits(), b.y.to_bits()),
-                "{} query {} diverged between sharded and whole-venue serving",
+                "{} query {} diverged between sharded serving and the whole venue",
                 estimator.name(),
-                whole_response.index
+                sharded_response.index
             );
         }
     }
@@ -638,25 +636,23 @@ fn malformed_query(draw: &mut impl FnMut() -> u64) -> (Vec<f64>, QueryError) {
 /// Malformed queries — every length from 0 to twice the AP count, NaN and
 /// ±∞ at random positions — mixed into valid micro-batches never panic a
 /// batch: each draws its typed error with no position, and every valid
-/// query in the same batches gets bit-identically the clean run's answer,
-/// through both engines, at any batch capacity and thread count.
+/// query in the same batches gets bit-identically the offline whole-venue
+/// estimator's answer and the clean run's shard and generation, at any
+/// batch capacity and thread count.
 #[test]
 fn malformed_queries_are_rejected_without_disturbing_their_batch() {
     let map = multi_path_map();
     let topology = MultiPolygon::empty();
+    let whole = ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, 1))
+        .export_snapshot("venue", &map, &topology);
+    let offline = whole.estimator.build_threads(whole.map, whole.knn_k, 1);
     let registry = ModelRegistry::new();
-    registry.publish(
-        ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, 1))
-            .export_snapshot("venue", &map, &topology),
-        1,
-    );
     registry.publish_sharded(
         ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, NUM_PATHS))
             .export_sharded_snapshot("venue", &map, &topology),
         1,
     );
     let clean = query_log(&map);
-    let whole_clean = QueryEngine::new(&registry, "venue", 1).run_log(&clean);
     let sharded_clean = ShardedQueryEngine::new(&registry, "venue", 1).run_log(&clean);
 
     for seed in 0..8u64 {
@@ -680,32 +676,21 @@ fn malformed_queries_are_rejected_without_disturbing_their_batch() {
         let capacity = 1 + (seed as usize * 9) % rm_serve::MAX_MICRO_BATCH;
         let threads = [1, 2, 8, 0][seed as usize % 4];
 
-        let whole =
-            QueryEngine::with_max_batch(&registry, "venue", threads, capacity).run_log(&log);
         let sharded =
             ShardedQueryEngine::with_max_batch(&registry, "venue", threads, capacity).run_log(&log);
-        assert_eq!(whole.len(), log.len());
         assert_eq!(sharded.len(), log.len());
         for (j, want) in expected.iter().enumerate() {
             match *want {
                 Ok(i) => {
-                    assert_eq!(whole[j].error, None);
                     assert_eq!(sharded[j].error, None);
                     assert_eq!(
-                        position_bits(whole[j].position),
-                        position_bits(whole_clean[i].position)
-                    );
-                    assert_eq!(whole[j].generation, whole_clean[i].generation);
-                    assert_eq!(
                         position_bits(sharded[j].position),
-                        position_bits(sharded_clean[i].position)
+                        position_bits(offline.estimate(&clean[i]))
                     );
                     assert_eq!(sharded[j].shard, sharded_clean[i].shard);
                     assert_eq!(sharded[j].generation, sharded_clean[i].generation);
                 }
                 Err(error) => {
-                    assert_eq!(whole[j].error, Some(error), "query {:?}", log[j]);
-                    assert_eq!(whole[j].position, None);
                     assert_eq!(sharded[j].error, Some(error), "query {:?}", log[j]);
                     assert_eq!(sharded[j].position, None);
                 }

@@ -403,15 +403,16 @@ fn random_forest_evaluation_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Batched query serving joins the contract (PR 9): a fixed query log
-/// replayed through the `rm-serve` micro-batching engine is bit-identical at
-/// `threads = 1 / 2 / available_parallelism`, and every served position
-/// equals the offline `evaluate_estimator` path's estimate on the same
-/// model — serving a persisted artifact is the same pure function as
-/// evaluating in-process, batched or not.
+/// Batched query serving joins the contract: a persisted artifact published
+/// as a 1-shard venue and replayed through the `rm-serve` micro-batching
+/// engine is bit-identical at `threads = 1 / 2 / available_parallelism`, and
+/// every served position equals the offline `evaluate_estimator` path's
+/// estimate on the same model — serving a persisted artifact is the same
+/// pure function as evaluating in-process, batched or not.
 #[test]
 fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
-    use rm_serve::{decode, encode, ModelRegistry, QueryEngine};
+    use radiomap_core::ShardedVenueSnapshot;
+    use rm_serve::{decode, encode, ModelRegistry, ShardedQueryEngine};
 
     let map = straight_path_map(24, 6);
     let topology = MultiPolygon::empty();
@@ -427,7 +428,8 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
 
     // The serving model comes from persisted bytes, not the live snapshot.
     let registry = ModelRegistry::new();
-    registry.publish(decode(&encode(&snapshot)).expect("artifact decodes"), 1);
+    let decoded = decode(&encode(&snapshot)).expect("artifact decodes");
+    registry.publish_sharded(ShardedVenueSnapshot::from(decoded), 1);
 
     // A log long enough to span several 64-query micro-batches.
     let log: Vec<Vec<f64>> = (0..150)
@@ -440,7 +442,7 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
     let offline = snapshot
         .estimator
         .build_threads(snapshot.map.clone(), snapshot.knn_k, 1);
-    let reference = QueryEngine::new(&registry, "det", 1).run_log(&log);
+    let reference = ShardedQueryEngine::new(&registry, "det", 1).run_log(&log);
     assert_eq!(reference.len(), log.len());
     for (response, fingerprint) in reference.iter().zip(&log) {
         let served = response.position.expect("dense map answers");
@@ -453,7 +455,7 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
     }
 
     for threads in [2, rm_runtime::default_threads(), 0] {
-        let responses = QueryEngine::new(&registry, "det", threads).run_log(&log);
+        let responses = ShardedQueryEngine::new(&registry, "det", threads).run_log(&log);
         for (a, b) in reference.iter().zip(&responses) {
             let (pa, pb) = (a.position.unwrap(), b.position.unwrap());
             assert_eq!(a.index, b.index);
