@@ -407,14 +407,16 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Everything a serving process needs to answer positioning queries for one
-/// venue, produced by [`ImputationPipeline::export_snapshot`]: the imputed
-/// dense radio map, the differentiator's mask, the estimator configuration,
-/// and the trained imputer snapshot as named tensors at the dtype the
-/// inference path keeps resident ([`SnapshotDtype::Bf16`] exports are ¼ the
-/// payload bytes of f64 exports of the same weights). This is the in-memory
-/// form of the `rm-serve` artifact; the on-disk codec lives in that crate so
-/// the pipeline stays serialization-free.
+/// One venue's pipeline output, produced by
+/// [`ImputationPipeline::export_snapshot`]: the imputed dense radio map, the
+/// differentiator's mask and the estimator configuration — everything a
+/// serving process needs to answer positioning queries — plus the trained
+/// imputer snapshot as named tensors at the dtype the inference path keeps
+/// resident ([`SnapshotDtype::Bf16`] weights hold ¼ the resident payload
+/// bytes of f64 weights of the same shapes). The tensors are in-memory only,
+/// for warm start: the `rm-serve` artifact codec never serializes them and
+/// its serving models drop them. The codec lives in that crate so the
+/// pipeline stays serialization-free.
 #[derive(Debug, Clone)]
 pub struct VenueSnapshot {
     /// Stable venue identifier (artifact registry key).
@@ -435,7 +437,8 @@ pub struct VenueSnapshot {
     /// Resident storage dtype the tensors were exported at.
     pub snapshot_dtype: SnapshotDtype,
     /// The trained imputer snapshot, one named tensor per parameter (empty
-    /// for imputers without a trained model).
+    /// for imputers without a trained model). In-memory only, for warm
+    /// start; never serialized.
     pub tensors: Vec<NamedTensor>,
 }
 

@@ -192,6 +192,8 @@ impl Ssgan {
         let threads = self.config.threads;
         let adversarial_weight = self.config.adversarial_weight;
         let indices: Vec<usize> = (0..sequences.len()).collect();
+        let mut disc_batch = GradientBatch::zeros_like(disc_opt.parameters());
+        let mut gen_batch = GradientBatch::zeros_like(gen_opt.parameters());
         for _ in 0..epochs {
             for chunk in indices.chunks(batch_size) {
                 // ---- Discriminator phase: predict the observation mask. ----
@@ -218,11 +220,11 @@ impl Ssgan {
                         disc_gradients(&disc_weights.to_mlp(), &sequences[i], &complements)
                     })
                 };
-                let mut batch = GradientBatch::zeros_like(disc_opt.parameters());
+                disc_batch.clear();
                 for g in &disc_grads {
-                    batch.accumulate(g);
+                    disc_batch.accumulate(g);
                 }
-                disc_opt.apply_batch(&batch);
+                disc_opt.apply_batch(&disc_batch);
 
                 // ---- Generator phase: reconstruction + fooling the updated
                 // discriminator. ----
@@ -250,11 +252,11 @@ impl Ssgan {
                         )
                     })
                 };
-                let mut batch = GradientBatch::zeros_like(gen_opt.parameters());
+                gen_batch.clear();
                 for g in &gen_grads {
-                    batch.accumulate(g);
+                    gen_batch.accumulate(g);
                 }
-                gen_opt.apply_batch(&batch);
+                gen_opt.apply_batch(&gen_batch);
             }
         }
     }

@@ -152,7 +152,7 @@ pub struct MlpWeights<T: Scalar = f64> {
 
 impl<T: Scalar> MlpWeights<T> {
     /// Assembles a snapshot from per-layer weights — the import constructor
-    /// for weights decoded from a persisted artifact (the inverse of
+    /// for weights rebuilt from exported tensors (the inverse of
     /// [`MlpWeights::layers`], as [`LinearWeights::from_parts`]
     /// (crate::LinearWeights::from_parts) is for one layer).
     ///

@@ -1,11 +1,11 @@
 //! The on-disk venue-model artifact: a stable, checksummed, dependency-free
-//! binary encoding of a [`VenueSnapshot`].
+//! binary encoding of what a server reads from a [`VenueSnapshot`].
 //!
-//! # Format (version 1, all integers little-endian)
+//! # Format (version 2, all integers little-endian)
 //!
 //! ```text
 //! header   magic        4 B   b"RMVM"
-//!          version      u32   1
+//!          version      u32   2
 //!          payload_len  u64   bytes of payload that follow the header
 //!          checksum     u64   FNV-1a 64 over the payload bytes
 //! payload  venue        string (u32 length + UTF-8 bytes)
@@ -19,19 +19,22 @@
 //!                       row-major); n × 2 f64 bit patterns (locations x, y)
 //!          mask         rows: u32; cols: u32; rows × cols i8 entries
 //!                       (1 observed, 0 MAR, −1 MNAR; anything else rejects)
-//!          tensors      count: u32; per tensor: name string, dtype u8
-//!                       (0 = f64, 1 = f32, 2 = bf16), rows u32, cols u32,
-//!                       rows × cols raw bit patterns (u64 / u32 / u16)
 //! ```
 //!
+//! The snapshot's imputer weights (`tensors`) are not part of the format:
+//! serving ranks from the imputed map alone, and warm start reads the
+//! weights from the live venue's in-memory snapshots. [`decode`] therefore
+//! returns an empty `tensors`. Version 1, which carried them, is rejected
+//! with [`ArtifactError::UnsupportedVersion`].
+//!
 //! Floats are serialized as their IEEE-754 bit patterns (`to_bits`), never
-//! re-parsed through text, so encode → decode is the identity on every value
-//! including NaNs and signed zeros — the bitwise round-trip guarantee the
-//! serving tests pin. Decoding is fully validated: malformed, truncated or
-//! corrupted input of any kind returns a typed [`ArtifactError`], never
-//! panics, and no length field is trusted before checking it against the
-//! bytes actually present (a forged multi-terabyte count fails fast instead
-//! of allocating).
+//! re-parsed through text, so encode → decode is the identity on every
+//! serialized value including NaNs and signed zeros — the bitwise
+//! round-trip guarantee the serving tests pin. Decoding is fully validated:
+//! malformed, truncated or corrupted input of any kind returns a typed
+//! [`ArtifactError`], never panics, and no length field is trusted before
+//! checking it against the bytes actually present (a forged multi-terabyte
+//! count fails fast instead of allocating).
 
 use std::fmt;
 
@@ -39,7 +42,7 @@ use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
 use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, EntryKind, MaskMatrix, VenueShards};
-use rm_tensor::{Bf16Matrix, Matrix, NamedTensor, Precision, SnapshotDtype, TensorPayload};
+use rm_tensor::{Precision, SnapshotDtype};
 
 /// The artifact magic: "RMVM" (Radio-Map Venue Model).
 pub const MAGIC: [u8; 4] = *b"RMVM";
@@ -52,7 +55,7 @@ pub const MAGIC: [u8; 4] = *b"RMVM";
 pub const SHARDED_MAGIC: [u8; 4] = *b"RMVS";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes of the fixed-size artifact header (magic + version + payload length
 /// + checksum).
@@ -192,7 +195,8 @@ fn dtype_tag(dtype: SnapshotDtype) -> u8 {
     }
 }
 
-/// Serializes a snapshot into a self-contained artifact byte buffer.
+/// Serializes a snapshot into a self-contained artifact byte buffer. The
+/// snapshot's `tensors` are not written (see the module docs).
 pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
     let mut payload = Vec::new();
     write_string(&mut payload, &snapshot.venue);
@@ -221,32 +225,6 @@ pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
     for r in 0..snapshot.mask.rows() {
         for c in 0..snapshot.mask.cols() {
             payload.push(snapshot.mask.get(r, c).as_i8() as u8);
-        }
-    }
-
-    // Tensor section.
-    payload.extend_from_slice(&(snapshot.tensors.len() as u32).to_le_bytes());
-    for tensor in &snapshot.tensors {
-        write_string(&mut payload, &tensor.name);
-        match &tensor.payload {
-            TensorPayload::F64(m) => {
-                write_tensor_header(&mut payload, 0, m.rows(), m.cols());
-                for &v in m.data() {
-                    payload.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            TensorPayload::F32(m) => {
-                write_tensor_header(&mut payload, 1, m.rows(), m.cols());
-                for &v in m.data() {
-                    payload.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            TensorPayload::Bf16(m) => {
-                write_tensor_header(&mut payload, 2, m.rows(), m.cols());
-                for &bits in m.bits() {
-                    payload.extend_from_slice(&bits.to_le_bytes());
-                }
-            }
         }
     }
 
@@ -351,15 +329,9 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn write_tensor_header(out: &mut Vec<u8>, dtype: u8, rows: usize, cols: usize) {
-    out.push(dtype);
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    out.extend_from_slice(&(cols as u32).to_le_bytes());
-}
-
 /// Deserializes an artifact produced by [`encode`]. Returns the snapshot with
-/// every float bit-identical to the encoded one, or a typed error for any
-/// malformed input.
+/// every serialized float bit-identical to the encoded one and empty
+/// `tensors`, or a typed error for any malformed input.
 pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
     let payload = validated_payload(bytes, MAGIC)?;
     let mut r = Reader::new(payload);
@@ -440,46 +412,6 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
         }
     }
 
-    let tensor_count = r.u32("tensors.len")? as usize;
-    let mut tensors = Vec::with_capacity(r.bounded_count("tensors", tensor_count, 9)?);
-    for _ in 0..tensor_count {
-        let name = r.string("tensor.name")?;
-        let dtype = r.u8("tensor.dtype")?;
-        let rows = r.u32("tensor.rows")? as usize;
-        let cols = r.u32("tensor.cols")? as usize;
-        let elements = rows.saturating_mul(cols);
-        let payload = match dtype {
-            0 => {
-                r.bounded_count("tensor.payload", elements, 8)?;
-                let data: Vec<f64> = (0..elements)
-                    .map(|_| r.u64("tensor.payload").map(f64::from_bits))
-                    .collect::<Result<_, _>>()?;
-                TensorPayload::F64(Matrix::from_vec(rows, cols, data))
-            }
-            1 => {
-                r.bounded_count("tensor.payload", elements, 4)?;
-                let data: Vec<f32> = (0..elements)
-                    .map(|_| r.u32("tensor.payload").map(f32::from_bits))
-                    .collect::<Result<_, _>>()?;
-                TensorPayload::F32(Matrix::from_vec(rows, cols, data))
-            }
-            2 => {
-                r.bounded_count("tensor.payload", elements, 2)?;
-                let bits: Vec<u16> = (0..elements)
-                    .map(|_| r.u16("tensor.payload"))
-                    .collect::<Result<_, _>>()?;
-                TensorPayload::Bf16(Bf16Matrix::from_bits(rows, cols, bits))
-            }
-            value => {
-                return Err(ArtifactError::InvalidTag {
-                    field: "tensor.dtype",
-                    value: i64::from(value),
-                })
-            }
-        };
-        tensors.push(NamedTensor { name, payload });
-    }
-
     if r.remaining() > 0 {
         return Err(ArtifactError::TrailingBytes {
             extra: r.remaining(),
@@ -495,7 +427,7 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
         seed,
         precision,
         snapshot_dtype,
-        tensors,
+        tensors: Vec::new(),
     })
 }
 
@@ -569,12 +501,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(field, 1)?[0])
     }
 
-    fn u16(&mut self, field: &'static str) -> Result<u16, ArtifactError> {
-        Ok(u16::from_le_bytes(
-            self.take(field, 2)?.try_into().expect("sliced 2 bytes"),
-        ))
-    }
-
     fn u32(&mut self, field: &'static str) -> Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(
             self.take(field, 4)?.try_into().expect("sliced 4 bytes"),
@@ -618,6 +544,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rm_tensor::{Bf16Matrix, Matrix, NamedTensor};
 
     fn tiny_snapshot() -> VenueSnapshot {
         let map = DenseRadioMap::new(
@@ -648,7 +575,10 @@ mod tests {
         }
     }
 
-    fn assert_snapshots_bits_eq(a: &VenueSnapshot, b: &VenueSnapshot) {
+    /// Every serialized field of `decoded` is bitwise `original`'s; the
+    /// weights are not serialized, so `decoded` holds none.
+    fn assert_snapshots_bits_eq(original: &VenueSnapshot, decoded: &VenueSnapshot) {
+        let (a, b) = (original, decoded);
         assert_eq!(a.venue, b.venue);
         assert_eq!(a.estimator, b.estimator);
         assert_eq!(a.knn_k, b.knn_k);
@@ -667,10 +597,7 @@ mod tests {
             assert_eq!(pa.y.to_bits(), pb.y.to_bits());
         }
         assert_eq!(a.mask, b.mask);
-        assert_eq!(a.tensors.len(), b.tensors.len());
-        for (ta, tb) in a.tensors.iter().zip(&b.tensors) {
-            assert!(ta.bits_eq(tb), "tensor {} drifted", ta.name);
-        }
+        assert!(decoded.tensors.is_empty(), "weights were deserialized");
     }
 
     #[test]
@@ -679,7 +606,8 @@ mod tests {
         let bytes = encode(&snapshot);
         let decoded = decode(&bytes).expect("decode");
         assert_snapshots_bits_eq(&snapshot, &decoded);
-        // Re-encoding the decoded snapshot reproduces the byte stream.
+        // Re-encoding the decoded, weightless snapshot reproduces the byte
+        // stream: the weights never reach the bytes.
         assert_eq!(bytes, encode(&decoded));
     }
 
@@ -777,25 +705,39 @@ mod tests {
 
     #[test]
     fn forged_giant_counts_fail_fast_without_allocating() {
-        // Forge the tensor count to u32::MAX with a valid checksum: the
-        // bounded-count guard must reject it instead of reserving gigabytes.
-        let snapshot = VenueSnapshot {
-            tensors: Vec::new(),
-            ..tiny_snapshot()
-        };
+        // Forge the mask's rows and cols to u32::MAX with a valid checksum:
+        // the bounded-count guard must reject the u64::MAX-entry mask
+        // instead of reserving it.
+        let snapshot = tiny_snapshot();
         let bytes = encode(&snapshot);
+        let mask_bytes = 8 + snapshot.mask.rows() * snapshot.mask.cols();
+        let dims_off = bytes.len() - mask_bytes; // the mask is the last field
         let mut forged = bytes.clone();
-        let count_off = bytes.len() - 4; // tensor count is the last field
-        forged[count_off..].copy_from_slice(&u32::MAX.to_le_bytes());
+        forged[dims_off..dims_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        forged[dims_off + 4..dims_off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         let payload = forged[HEADER_LEN..].to_vec();
         forged[16..24].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
         assert!(matches!(
             decode(&forged),
             Err(ArtifactError::Truncated {
-                field: "tensors",
+                field: "mask.entries",
                 ..
             })
         ));
+    }
+
+    /// Version 1 carried the imputer weights; this build rejects it through
+    /// both entry points with the typed error.
+    #[test]
+    fn version_1_artifacts_are_unsupported() {
+        let mut plain = encode(&tiny_snapshot());
+        let mut sharded = encode_sharded(&tiny_sharded_snapshot());
+        for bytes in [&mut plain, &mut sharded] {
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        }
+        let unsupported = Some(ArtifactError::UnsupportedVersion(1));
+        assert_eq!(decode(&plain).err(), unsupported);
+        assert_eq!(decode_sharded(&sharded).err(), unsupported);
     }
 
     fn tiny_sharded_snapshot() -> ShardedVenueSnapshot {
@@ -842,8 +784,8 @@ mod tests {
         }
         assert_eq!(decoded.shards.path_shards(), snapshot.shards.path_shards());
         assert_eq!(decoded.snapshots.len(), snapshot.snapshots.len());
-        for (a, b) in decoded.snapshots.iter().zip(&snapshot.snapshots) {
-            assert_snapshots_bits_eq(a, b);
+        for (original, decoded) in snapshot.snapshots.iter().zip(&decoded.snapshots) {
+            assert_snapshots_bits_eq(original, decoded);
         }
         // Re-encoding the decoded container reproduces the byte stream.
         assert_eq!(bytes, encode_sharded(&decoded));
@@ -858,7 +800,7 @@ mod tests {
         let decoded = decode_sharded(&bytes).expect("decode sharded");
         assert_eq!(decoded.num_shards(), 1);
         assert_eq!(decoded.shards.members_of(0), [0, 1]);
-        assert_snapshots_bits_eq(&decoded.snapshots[0], &tiny_snapshot());
+        assert_snapshots_bits_eq(&tiny_snapshot(), &decoded.snapshots[0]);
         assert_eq!(bytes, encode_sharded(&decoded));
     }
 

@@ -10,9 +10,8 @@
 //! * [`artifact`] — a stable, checksummed, dependency-free on-disk format
 //!   for `VenueSnapshot`s ([`encode`] / [`decode`]) and for sharded
 //!   containers of them ([`encode_sharded`] / [`decode_sharded`]), with a
-//!   bitwise round-trip guarantee. Snapshots exported at
-//!   `SnapshotDtype::Bf16` serialize their tensors at 2 bytes per element,
-//!   so bf16 artifacts are 4× smaller than f64 ones.
+//!   bitwise round-trip guarantee. Only what serving reads is written: the
+//!   imputer weights stay in memory, for warm start.
 //! * [`model`] — [`ShardedVenueModel`]: one immutable [`ShardModel`] per
 //!   shard, each tagged with the generation that published it. KNN queries
 //!   are answered by an exact best-first search over per-shard bounding

@@ -64,9 +64,10 @@ impl ShardModel {
     /// `global_indices` is the shard's member list (shard-local row →
     /// global record index); `threads` bounds the estimator's training-time
     /// fan-out (`0` = auto; only the random forest trains), and the built
-    /// model is bit-identical at any value.
+    /// model is bit-identical at any value. The snapshot's imputer weights
+    /// are dropped: serving ranks from the map alone.
     pub fn load(
-        snapshot: VenueSnapshot,
+        mut snapshot: VenueSnapshot,
         global_indices: Vec<usize>,
         generation: u64,
         threads: usize,
@@ -76,6 +77,7 @@ impl ShardModel {
             global_indices.len(),
             "shard member list does not match its snapshot"
         );
+        snapshot.tensors = Vec::new();
         let estimator = match snapshot.estimator {
             EstimatorKind::Knn => {
                 ShardEstimator::Knn(Knn::new(snapshot.map.clone(), snapshot.knn_k))
@@ -126,7 +128,7 @@ impl ShardModel {
         self.generation
     }
 
-    /// The shard's snapshot.
+    /// The shard's snapshot, without its imputer weights.
     pub fn snapshot(&self) -> &VenueSnapshot {
         &self.snapshot
     }

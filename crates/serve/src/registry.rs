@@ -24,7 +24,7 @@ use crate::model::{ShardModel, ShardedVenueModel};
 ///   generation and swaps are totally ordered.
 /// * **Prompt retirement.** The swapped-out `Arc` is returned to the
 ///   publisher; once the last in-flight batch drops its clone, the retired
-///   model (radio maps, tensors, estimators) is freed — pinned by the
+///   model (radio maps, estimators) is freed — pinned by the
 ///   hot-reload stress test via a `Weak` upgrade.
 ///
 /// A bare venue is published as a venue with one shard

@@ -18,6 +18,9 @@
 //! 5. **Query boundary** — malformed queries (wrong arity, NaN, ±∞) are
 //!    rejected one by one with typed errors; the rest of their micro-batch
 //!    is answered exactly as the offline whole-venue estimator answers.
+//! 6. **Serving state only** — a sharded container carries no imputer
+//!    weights, and a published shard keeps none resident, however it was
+//!    published.
 
 use std::sync::Arc;
 
@@ -696,5 +699,58 @@ fn malformed_queries_are_rejected_without_disturbing_their_batch() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Serving state only
+// ---------------------------------------------------------------------------
+
+/// A two-shard BiSIM export of the multi-path venue: every shard snapshot
+/// carries trained weights.
+fn bisim_sharded_export() -> ShardedVenueSnapshot {
+    let sharded = ImputationPipeline::new(PipelineConfig {
+        imputer: ImputerKind::Bisim,
+        epochs: Some(1),
+        ..seedfree_config(EstimatorKind::Wknn, 2)
+    })
+    .export_sharded_snapshot("bisim", &multi_path_map(), &MultiPolygon::empty());
+    assert_eq!(sharded.num_shards(), 2);
+    for snapshot in &sharded.snapshots {
+        assert!(!snapshot.tensors.is_empty(), "BiSIM shards export weights");
+    }
+    sharded
+}
+
+/// The container encodes exactly as its weightless copy.
+#[test]
+fn sharded_exports_encode_without_their_weights() {
+    let sharded = bisim_sharded_export();
+    let weightless = ShardedVenueSnapshot {
+        snapshots: sharded
+            .snapshots
+            .iter()
+            .map(|s| VenueSnapshot {
+                tensors: Vec::new(),
+                ..s.clone()
+            })
+            .collect(),
+        ..sharded.clone()
+    };
+    assert_eq!(encode_sharded(&sharded), encode_sharded(&weightless));
+}
+
+/// An in-memory publish — no codec in between — still leaves no weights
+/// resident, whether the whole venue or one shard is published.
+#[test]
+fn published_shards_hold_no_weights() {
+    let sharded = bisim_sharded_export();
+    let registry = ModelRegistry::new();
+    registry.publish_sharded(sharded.clone(), 1);
+    registry.publish_shard("bisim", 1, sharded.snapshots[1].clone(), &sharded.shards, 1);
+    let model = registry.sharded_model("bisim").expect("published");
+    assert_eq!(model.models().len(), 2);
+    for shard in model.models() {
+        assert!(shard.snapshot().tensors.is_empty());
     }
 }

@@ -1,14 +1,14 @@
 //! Named-tensor export: the plain-data interchange form of trained weight
 //! snapshots.
 //!
-//! The serving artifact (`rm-serve`) persists trained models as a flat list
-//! of [`NamedTensor`]s — one dense matrix per parameter, tagged with a name
-//! and a storage dtype — so the on-disk format never has to know the shape
-//! of any particular model. The dtype axis mirrors the resident snapshot
-//! axis ([`SnapshotDtype`] × [`Precision`](crate::Precision)): a snapshot
-//! trained at f64, rounded to f32, or truncated to bfloat16 exports exactly
-//! the bits it keeps resident, so a decoded artifact reproduces the serving
-//! model bit for bit.
+//! Imputers export trained models as a flat list of [`NamedTensor`]s — one
+//! dense matrix per parameter, tagged with a name and a storage dtype — so
+//! the pipeline's snapshots never have to know the shape of any particular
+//! model, and warm start rebuilds a model from them. The dtype axis mirrors
+//! the resident snapshot axis ([`SnapshotDtype`] × [`Precision`](crate::Precision)):
+//! a snapshot trained at f64, rounded to f32, or truncated to bfloat16
+//! exports exactly the bits it keeps resident, so an imported model
+//! reproduces the exported one bit for bit.
 
 use crate::half::Bf16Matrix;
 use crate::matrix::Matrix;
@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(t64.payload.dtype_name(), "f64");
         assert_eq!(t32.payload.dtype_name(), "f32");
         assert_eq!(tbf.payload.dtype_name(), "bf16");
-        // The 4× axis the artifact inherits: 8 → 4 → 2 bytes per element.
+        // The 4× resident-bytes axis: 8 → 4 → 2 bytes per element.
         assert_eq!(t64.payload.payload_bytes(), 48);
         assert_eq!(t32.payload.payload_bytes(), 24);
         assert_eq!(tbf.payload.payload_bytes(), 12);

@@ -123,9 +123,9 @@ impl Bf16Matrix {
         self.data.len() * std::mem::size_of::<u16>()
     }
 
-    /// The raw truncated-bfloat16 bits, row-major — the exact payload the
-    /// serving artifact serializes, so a persisted bf16 tensor round-trips
-    /// bit for bit.
+    /// The raw truncated-bfloat16 bits, row-major — the exact resident
+    /// payload, so a tensor rebuilt with [`Bf16Matrix::from_bits`]
+    /// round-trips bit for bit.
     pub fn bits(&self) -> &[u16] {
         &self.data
     }

@@ -473,8 +473,6 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
 /// shard fan-out, like every other fan-out, is a pure wall-clock knob.
 #[test]
 fn sharded_exports_are_bit_identical_across_thread_counts() {
-    use rm_serve::encode_sharded;
-
     let map = multi_path_map(4, 6, 8);
     let topology = MultiPolygon::empty();
     let export = |threads: usize| {
@@ -488,10 +486,10 @@ fn sharded_exports_are_bit_identical_across_thread_counts() {
         })
         .export_sharded_snapshot("det", &map, &topology)
     };
-    let reference = encode_sharded(&export(1));
+    let reference = sharded_bits(&export(1));
     for threads in [2, rm_runtime::default_threads()] {
         assert_eq!(
-            encode_sharded(&export(threads)),
+            sharded_bits(&export(threads)),
             reference,
             "sharded export differs between threads=1 and threads={threads}"
         );
@@ -503,8 +501,6 @@ fn sharded_exports_are_bit_identical_across_thread_counts() {
 /// the imputation itself.
 #[test]
 fn a_shard_count_of_one_reproduces_the_unsharded_pipeline_bitwise() {
-    use rm_serve::encode;
-
     let map = multi_path_map(3, 6, 6);
     let topology = MultiPolygon::empty();
     let config = || PipelineConfig {
@@ -518,7 +514,7 @@ fn a_shard_count_of_one_reproduces_the_unsharded_pipeline_bitwise() {
     let whole = ImputationPipeline::new(config()).export_snapshot("det", &map, &topology);
     let sharded = ImputationPipeline::new(config()).export_sharded_snapshot("det", &map, &topology);
     assert_eq!(sharded.num_shards(), 1);
-    assert_eq!(encode(&sharded.snapshots[0]), encode(&whole));
+    assert_eq!(snapshot_bits(&sharded.snapshots[0]), snapshot_bits(&whole));
 }
 
 /// A fixed ingest log replayed through `LiveVenue` is bit-identical at any
@@ -527,8 +523,6 @@ fn a_shard_count_of_one_reproduces_the_unsharded_pipeline_bitwise() {
 /// final map bitwise (clean shards are untouched by construction).
 #[test]
 fn a_fixed_ingest_log_is_bit_identical_across_thread_counts() {
-    use rm_serve::{encode, encode_sharded};
-
     let ingest_log = |path: usize, base_x: f64| -> Vec<RadioMapRecord> {
         (0..3)
             .map(|i| {
@@ -579,10 +573,10 @@ fn a_fixed_ingest_log_is_bit_identical_across_thread_counts() {
     // Incremental ≡ full: recomputing every shard of the final map with the
     // build-time seeds reproduces the incrementally maintained snapshots.
     for (incremental, full) in live_1.snapshots().iter().zip(live_1.recompute_all()) {
-        assert_eq!(encode(incremental), encode(&full));
+        assert_eq!(snapshot_bits(incremental), snapshot_bits(&full));
     }
 
-    let reference = encode_sharded(&live_1.sharded_snapshot());
+    let reference = sharded_bits(&live_1.sharded_snapshot());
     for threads in [2, rm_runtime::default_threads()] {
         let (first, second, live) = run(threads);
         assert_eq!(first, first_1);
@@ -590,7 +584,7 @@ fn a_fixed_ingest_log_is_bit_identical_across_thread_counts() {
         assert_eq!(live.generation(), live_1.generation());
         assert_eq!(live.shard_generations(), live_1.shard_generations());
         assert_eq!(
-            encode_sharded(&live.sharded_snapshot()),
+            sharded_bits(&live.sharded_snapshot()),
             reference,
             "ingest log differs between threads=1 and threads={threads}"
         );
@@ -606,6 +600,20 @@ fn derived_seeds_are_scheduling_independent() {
     let indices: Vec<u64> = (0..64).collect();
     let parallel = rm_runtime::par_map(4, &indices, |_, &i| rm_runtime::derive_seed(base, i));
     assert_eq!(serial, parallel);
+}
+
+/// Every bit of a snapshot: its artifact bytes, plus the hash of its
+/// weights, which the artifact does not carry.
+fn snapshot_bits(snapshot: &VenueSnapshot) -> (Vec<u8>, u64) {
+    (rm_serve::encode(snapshot), snapshot_bits_hash(snapshot))
+}
+
+/// Every bit of a sharded snapshot, as [`snapshot_bits`].
+fn sharded_bits(snapshot: &radiomap_core::ShardedVenueSnapshot) -> (Vec<u8>, Vec<u64>) {
+    (
+        rm_serve::encode_sharded(snapshot),
+        snapshot.snapshots.iter().map(snapshot_bits_hash).collect(),
+    )
 }
 
 /// FNV-1a 64 over the bits of one exported snapshot: every named tensor
