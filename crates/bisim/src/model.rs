@@ -250,7 +250,7 @@ impl BisimDirection {
         // Eq. 12: weighted sum of the transformed latents.
         let mut context = Var::constant(Matrix::zeros(self.num_aps, 1));
         for (i, h) in transformed.iter().enumerate() {
-            let weight = weights.mask(&one_hot(transformed.len(), i)).sum();
+            let weight = weights.select(i);
             context = context.add(&h.mul_scalar_var(&weight));
         }
         context
@@ -680,9 +680,9 @@ impl<T: Scalar> BisimDirectionWeights<T> {
     /// energies, the same stabilised softmax (max-shift, exp, normalise) and
     /// the same index-order accumulation as [`BisimDirection::context_vector`],
     /// so the result is bit-identical at the same precision. (The graph
-    /// version extracts each weight as `mask(one_hot).sum()`, which is
-    /// exactly `weights[i]`: every other term of the sum is `±0.0` and the
-    /// softmax weights are non-negative.)
+    /// version reads each weight as `Var::select(i)`, which is
+    /// `+0.0 + weights[i]`, exactly `weights[i]` because softmax weights are
+    /// never `-0.0`.)
     fn context_vector_matrix(
         &self,
         decoder_hidden: &Matrix<T>,
@@ -783,11 +783,6 @@ impl BisimDirectionWeightsBf16 {
             + self.attention_transform.resident_bytes()
             + self.attention_align.resident_bytes()
     }
-}
-
-/// A column one-hot mask selecting entry `index` out of `len`.
-fn one_hot(len: usize, index: usize) -> Matrix {
-    Matrix::from_fn(len, 1, |r, _| if r == index { 1.0 } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -995,12 +990,5 @@ mod tests {
             assert!(a.approx_eq(b, 0.2), "bf16 BiSIM pass drifted");
         }
         decoded.recycle(&mut ws);
-    }
-
-    #[test]
-    fn one_hot_mask_selects_single_entry() {
-        let m = one_hot(4, 2);
-        assert_eq!(m.get(2, 0), 1.0);
-        assert_eq!(m.sum(), 1.0);
     }
 }

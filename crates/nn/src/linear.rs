@@ -69,10 +69,11 @@ impl<T: Scalar> Linear<T> {
             x.shape().0,
             self.in_features
         );
-        // `Var::matmul` computes the product through the blocked kernel into
-        // a pooled buffer, so the graph forward is allocation-free in steady
-        // state (see `rm_tensor::workspace`).
-        Var::matmul(&self.weight, x).add_broadcast_col(&self.bias)
+        // One graph node for `W·x + b`, bitwise the same as `matmul` then
+        // `add_broadcast_col`, computed into a pooled buffer, so the graph
+        // forward is allocation-free in steady state (see
+        // `rm_tensor::workspace`).
+        self.weight.affine(x, &self.bias)
     }
 
     /// The trainable parameters of this layer.

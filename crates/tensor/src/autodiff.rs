@@ -10,9 +10,36 @@
 //! operation set monomorphises for single precision too.
 //!
 //! The operation set is the minimum needed by the sequence models in this
-//! workspace (BiSIM, BRITS, SSGAN): matrix products, element-wise arithmetic,
+//! workspace (BiSIM, BRITS, SSGAN): matrix products (and the fused affine
+//! map `W·x + b` of every linear layer), element-wise arithmetic,
 //! sigmoid/tanh/ReLU/exp activations, masking by constant matrices, column
-//! softmax, row concatenation and scalar reductions.
+//! softmax, row concatenation, entry selection and scalar reductions.
+//!
+//! Two rules keep the backward pass bitwise stable as it gets cheaper:
+//!
+//! * **In-place accumulation is exact.** Each op adds its per-element term
+//!   straight into the parent's gradient buffer instead of materialising the
+//!   term as a temporary matrix and adding that with `axpy(1, ·)`. The two
+//!   are the same bits: `axpy` with `α = 1` adds `1·t`, and `1·t = t`
+//!   exactly in IEEE arithmetic, so both compute `grad[j] + t[j]` with the
+//!   term `t[j]` evaluated by the same expression. Terms that are sums of
+//!   several products (the matrix-product gradients) are still summed from
+//!   `+0.0` into a temporary first, because adding them one by one into the
+//!   gradient would change the summation order. Parents that need no
+//!   gradient (constant leaves) are skipped.
+//! * **A fused node lists its parents in the replaced chain's push order.**
+//!   The topological sort is a DFS that pushes each node's parents in list
+//!   order, so the parent lists fix the order in which gradients reach every
+//!   node, and with it every gradient's summation order. `Affine` replaces
+//!   `matmul` then `add_broadcast_col`, whose parent lists are `[W, x]` and
+//!   `[product, b]`; with the product replaced by its own parents this is
+//!   `[W, x, b]`. (`Select` replaces `mask` then `sum`: `[v]`.) The DFS then
+//!   visits every other node in the old order, and the fused backward hands
+//!   out gradients in the order the chain's nodes did. The chain's interior
+//!   node started at `+0.0` and received the outer gradient once, so the
+//!   terms it passed on differ from the fused node's only in the sign of a
+//!   zero. No consumer sees that sign: a `±0.0` row is skipped, and a `±0.0`
+//!   term is added to an accumulator that is never `-0.0`.
 //!
 //! Graph storage is arena-backed: nodes come out of a per-thread [`NodePool`]
 //! and return to it through [`Var::recycle`], every matrix a node holds draws
@@ -28,10 +55,8 @@
 // `matmul_into` into pooled buffers.
 
 use std::cell::{Ref, RefCell};
-// rm-lint: allow(no-unordered-iteration): visited-set membership only — topological order comes from the DFS stack below
-use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::{Matrix, Scalar};
 
@@ -40,6 +65,11 @@ static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 fn fresh_id() -> usize {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
+
+/// Stamp source of the backward passes' visit marks: every pass takes a
+/// fresh, never-reused stamp, so a node's mark from an earlier pass can never
+/// read as "visited" in a later one and no mark ever needs clearing.
+static NEXT_PASS: AtomicU64 = AtomicU64::new(1);
 
 /// Nodes kept on a thread's free list; overflow drops to the allocator so a
 /// one-off huge graph cannot pin memory forever.
@@ -65,8 +95,6 @@ pub struct NodePool<T: Scalar> {
     free: Vec<Rc<RefCell<Node<T>>>>,
     // Traversal scratch for `backward`, parked here so steady-state training
     // steps reuse it instead of reallocating.
-    // rm-lint: allow(no-unordered-iteration): visited-set membership only; iteration order never observed
-    visited: HashSet<usize>,
     order: Vec<Var<T>>,
     frames: Vec<Frame<T>>,
     /// Worklist scratch for `recycle_all`.
@@ -79,8 +107,6 @@ impl<T: Scalar> Default for NodePool<T> {
     fn default() -> Self {
         Self {
             free: Vec::new(),
-            // rm-lint: allow(no-unordered-iteration): same membership-only visited set as above
-            visited: HashSet::new(),
             order: Vec::new(),
             frames: Vec::new(),
             recycle_stack: Vec::new(),
@@ -130,6 +156,11 @@ enum Op<T: Scalar> {
     SoftmaxCol,
     /// Element-wise product with a broadcast 1×1 variable (second parent).
     MulScalarVar,
+    /// `W·x + b` with parents `[W, x, b]`: [`Var::matmul`] then
+    /// [`Var::add_broadcast_col`] as one node.
+    Affine,
+    /// Entry `i` (row-major) of the parent as a 1×1 value.
+    Select(usize),
 }
 
 struct Node<T: Scalar> {
@@ -139,6 +170,17 @@ struct Node<T: Scalar> {
     parents: Vec<Var<T>>,
     op: Op<T>,
     requires_grad: bool,
+    /// Stamp of the last backward pass that visited this node.
+    visit: u64,
+}
+
+impl<T: Scalar> Node<T> {
+    /// Whether gradients reaching this node are kept: everything except a
+    /// pure constant (a leaf without `requires_grad`), whose gradient nothing
+    /// reads, so backward skips computing it.
+    fn keeps_grad(&self) -> bool {
+        self.requires_grad || !self.parents.is_empty()
+    }
 }
 
 /// A node in the autodiff graph holding a matrix value.
@@ -187,6 +229,7 @@ impl<T: Scalar> Var<T> {
                     n.parents.extend(parents.cloned());
                     n.op = op;
                     n.requires_grad = requires_grad;
+                    n.visit = 0;
                 }
                 return Var { node };
             }
@@ -199,6 +242,7 @@ impl<T: Scalar> Var<T> {
                 parents: parents.cloned().collect(),
                 op,
                 requires_grad,
+                visit: 0,
             })),
         }
     }
@@ -260,11 +304,9 @@ impl<T: Scalar> Var<T> {
         self.node.borrow().requires_grad
     }
 
-    /// Resets the accumulated gradient of this node to zero.
+    /// Resets the accumulated gradient of this node to zero, in place.
     pub fn zero_grad(&self) {
-        let mut n = self.node.borrow_mut();
-        let (r, c) = n.value.shape();
-        n.grad = Matrix::zeros(r, c);
+        self.node.borrow_mut().grad.data_mut().fill(T::ZERO);
     }
 
     /// Adds `delta` into this node's gradient buffer.
@@ -338,6 +380,38 @@ impl<T: Scalar> Var<T> {
         Var::from_node(v, &[self, rhs], Op::MatMul)
     }
 
+    /// The affine map `self · x + b` of a linear layer (`self` is the
+    /// weight, `b` a column bias broadcast across the columns of `x`) as one
+    /// graph node: bitwise the same value and gradients as
+    /// `self.matmul(x).add_broadcast_col(b)`, with one node, one value
+    /// buffer and one gradient buffer fewer.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions do not match or `b` is not a column
+    /// vector with `self`'s row count.
+    pub fn affine(&self, x: &Var<T>, b: &Var<T>) -> Var<T> {
+        let w = self.value_ref();
+        let mut v = Matrix::zeros(w.rows(), x.value_ref().cols());
+        w.matmul_into(&x.value_ref(), &mut v);
+        drop(w);
+        v.add_broadcast_col_assign(&b.value_ref());
+        Var::from_node(v, &[self, x, b], Op::Affine)
+    }
+
+    /// Entry `index` (row-major) of `self` as a 1×1 variable: bitwise the
+    /// same value and gradients as multiplying by a one-hot mask and summing
+    /// (`self.mask(&one_hot).sum()`) whenever every entry is finite. That
+    /// sum is `+0.0 + v[index]` plus `±0.0` terms, so the value is
+    /// `+0.0 + v[index]`, and the mask's backward adds `g·0 = ±0.0` to every
+    /// other gradient entry, which leaves it unchanged.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn select(&self, index: usize) -> Var<T> {
+        let v = Matrix::filled(1, 1, T::ZERO + self.value_ref().data()[index]);
+        Var::from_node(v, &[self], Op::Select(index))
+    }
+
     /// Multiplies every entry by the constant `s`.
     pub fn scale(&self, s: T) -> Var<T> {
         let v = self.value_ref().scale(s);
@@ -408,17 +482,20 @@ impl<T: Scalar> Var<T> {
     /// Panics on an empty input or mismatching column counts.
     pub fn concat_rows(vars: &[Var<T>]) -> Var<T> {
         assert!(!vars.is_empty(), "concat_rows needs at least one variable");
-        let mut value = vars[0].value();
+        let cols = vars[0].shape().1;
+        let rows: usize = vars.iter().map(|v| v.shape().0).sum();
         // The per-parent row counts live in the op for the backward split;
         // recycled nodes park their vector in the pool for reuse here.
         let mut counts = T::with_node_pool(|pool| pool.counts.pop()).unwrap_or_default();
         counts.reserve(vars.len());
-        counts.push(value.rows());
-        for v in &vars[1..] {
-            let m = v.value();
+        let mut data = crate::workspace::take_buffer(rows * cols);
+        for v in vars {
+            let m = v.value_ref();
+            assert_eq!(m.cols(), cols, "concat_rows column mismatch");
             counts.push(m.rows());
-            value = value.vstack(&m);
+            data.extend_from_slice(m.data());
         }
+        let value = Matrix::from_vec(rows, cols, data);
         Var::from_node_with(value, vars.iter(), Op::ConcatRows(counts))
     }
 
@@ -459,216 +536,189 @@ impl<T: Scalar> Var<T> {
     /// Panics if this variable is not 1×1.
     pub fn backward(&self) {
         assert_eq!(self.shape(), (1, 1), "backward() requires a scalar output");
-        {
-            let mut n = self.node.borrow_mut();
-            n.grad = Matrix::ones(1, 1);
-        }
+        self.node.borrow_mut().grad.data_mut().fill(T::ONE);
         // Park the traversal scratch in the thread's node pool between calls
         // so steady-state training steps reuse it instead of reallocating.
         let reuse_scratch = crate::workspace::arena_enabled();
-        let (mut visited, mut order, mut frames) = if reuse_scratch {
+        let (mut order, mut frames) = if reuse_scratch {
             T::with_node_pool(|pool| {
                 (
-                    std::mem::take(&mut pool.visited),
                     std::mem::take(&mut pool.order),
                     std::mem::take(&mut pool.frames),
                 )
             })
         } else {
-            // rm-lint: allow(no-unordered-iteration): membership test on node ids; iteration order never observed
-            (HashSet::new(), Vec::new(), Vec::new())
+            (Vec::new(), Vec::new())
         };
-        self.topological_order_into(&mut visited, &mut order, &mut frames);
+        self.topological_order_into(&mut order, &mut frames);
         for var in order.iter().rev() {
             var.propagate();
         }
         if reuse_scratch {
-            visited.clear();
             order.clear();
             frames.clear();
             T::with_node_pool(|pool| {
-                pool.visited = visited;
                 pool.order = order;
                 pool.frames = frames;
             });
         }
     }
 
-    /// Collects the nodes reachable from `self` in topological order
-    /// (parents before children) into `order`, using caller-owned scratch.
-    fn topological_order_into(
-        &self,
-        // rm-lint: allow(no-unordered-iteration): membership test on node ids; iteration order never observed
-        visited: &mut HashSet<usize>,
-        order: &mut Vec<Var<T>>,
-        frames: &mut Vec<Frame<T>>,
-    ) {
-        debug_assert!(visited.is_empty() && order.is_empty() && frames.is_empty());
+    /// Collects the non-leaf nodes reachable from `self` in topological
+    /// order (parents before children) into `order`, using caller-owned
+    /// scratch. Nodes are marked visited with this pass's fresh stamp.
+    /// Leaves are marked but not listed: their `propagate` is a no-op.
+    fn topological_order_into(&self, order: &mut Vec<Var<T>>, frames: &mut Vec<Frame<T>>) {
+        debug_assert!(order.is_empty() && frames.is_empty());
+        let pass = NEXT_PASS.fetch_add(1, Ordering::Relaxed);
         // Iterative DFS with an explicit stack to avoid recursion limits on
         // long unrolled sequences.
         frames.push(Frame::Enter(self.clone()));
         while let Some(frame) = frames.pop() {
             match frame {
                 Frame::Enter(v) => {
-                    let id = v.id();
-                    if !visited.insert(id) {
+                    let mut n = v.node.borrow_mut();
+                    if n.visit == pass {
+                        continue;
+                    }
+                    n.visit = pass;
+                    if n.parents.is_empty() {
                         continue;
                     }
                     frames.push(Frame::Exit(v.clone()));
-                    for p in v.node.borrow().parents.iter() {
-                        frames.push(Frame::Enter(p.clone()));
-                    }
+                    frames.extend(n.parents.iter().map(|p| Frame::Enter(p.clone())));
                 }
                 Frame::Exit(v) => order.push(v),
             }
         }
     }
 
-    /// Propagates this node's gradient to its parents.
+    /// Propagates this node's gradient to its parents, adding each term in
+    /// place (see the module doc for why that is exact).
     ///
     /// Holds a shared borrow of this node across the whole dispatch: a node
     /// is created strictly after its parents, so it can never be its own
-    /// parent and the `borrow_mut` inside `accumulate` cannot alias it.
-    /// Parent *values* are only borrowed in temporaries that end before the
-    /// matching `accumulate`, because the same parent may appear twice
-    /// (e.g. `x.hadamard(&x)`).
+    /// parent and the `borrow_mut` of a parent cannot alias it. A parent may
+    /// appear twice (e.g. `x.hadamard(&x)`), so terms that read a parent's
+    /// value go through [`Var::add_zip_value`], which splits the borrow when
+    /// the value and the gradient belong to the same node.
     fn propagate(&self) {
         let node = self.node.borrow();
-        if node.parents.is_empty() {
-            return;
-        }
-        let grad = &node.grad;
+        let g = node.grad.data();
         let parents = &node.parents;
         match &node.op {
             Op::Leaf => {}
-            Op::Add => {
-                parents[0].accumulate(grad);
-                parents[1].accumulate(grad);
+            Op::Add | Op::AddConst => {
+                for p in parents {
+                    p.add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                }
             }
             Op::AddBroadcastCol => {
-                parents[0].accumulate(grad);
-                // Gradient of the broadcast column vector: row sums.
-                let summed = Matrix::from_fn(grad.rows(), 1, |r, _| {
-                    grad.row(r).iter().fold(T::ZERO, |acc, &v| acc + v)
-                });
-                parents[1].accumulate(&summed);
+                parents[0].add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                parents[1].add_into(|d| add_row_sums(d, &node.grad));
             }
             Op::Sub => {
-                parents[0].accumulate(grad);
-                parents[1].accumulate(&grad.scale(-T::ONE));
+                parents[0].add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                parents[1].add_into(|d| add_map(d, g, |gi| gi * -T::ONE));
             }
             Op::Hadamard => {
-                let da = grad.hadamard(&parents[1].value_ref());
-                let db = grad.hadamard(&parents[0].value_ref());
-                parents[0].accumulate(&da);
-                parents[1].accumulate(&db);
+                parents[0].add_zip_value(&parents[1], g, |gi, b| gi * b);
+                parents[1].add_zip_value(&parents[0], g, |gi, a| gi * a);
             }
-            Op::MatMul => {
-                let (a, b) = (&parents[0], &parents[1]);
-                if a.needs_grad() {
-                    if b.shape().1 == 1 && !Rc::ptr_eq(&a.node, &b.node) {
-                        // dA = dC · Bᵀ is rank-1 against a column B: add it
-                        // straight into A's gradient buffer (bitwise the
-                        // same as accumulating the product; see
-                        // `Matrix::add_outer`).
-                        let x = b.value_ref();
-                        a.node.borrow_mut().grad.add_outer(grad.data(), x.data());
-                    } else {
-                        // The blocked kernel into a pooled buffer: a one-off
-                        // transpose is cheaper than losing the vectorised
-                        // inner loop.
-                        let bt = b.value_ref().transpose();
-                        let mut da = Matrix::zeros(grad.rows(), bt.cols());
-                        grad.matmul_into(&bt, &mut da);
-                        a.accumulate(&da);
-                    }
-                }
-                if b.needs_grad() {
-                    // dB = Aᵀ · dC through the transposed kernel, which is
-                    // axpy-shaped like the blocked one and skips the
-                    // transpose.
-                    let db = a.value_ref().matmul_at_b(grad);
-                    b.accumulate(&db);
-                }
+            Op::MatMul => matmul_backward(&parents[0], &parents[1], &node.grad),
+            Op::Affine => {
+                // The order of `add_broadcast_col` then `matmul` backward.
+                parents[2].add_into(|d| add_row_sums(d, &node.grad));
+                matmul_backward(&parents[0], &parents[1], &node.grad);
             }
-            Op::ScaleConst(s) => parents[0].accumulate(&grad.scale(*s)),
-            Op::AddConst => parents[0].accumulate(grad),
-            Op::HadamardConst(mask) => parents[0].accumulate(&grad.hadamard(mask)),
-            Op::Sigmoid => {
-                let d = node.value.map(|y| y * (T::ONE - y));
-                parents[0].accumulate(&grad.hadamard(&d));
+            Op::ScaleConst(s) => parents[0].add_into(|d| add_map(d, g, |gi| gi * *s)),
+            Op::HadamardConst(mask) => {
+                parents[0].add_into(|d| add_zip(d, g, mask.data(), |gi, m| gi * m));
             }
-            Op::Tanh => {
-                let d = node.value.map(|y| T::ONE - y * y);
-                parents[0].accumulate(&grad.hadamard(&d));
-            }
-            Op::Relu => {
-                let d = parents[0]
-                    .value_ref()
-                    .map(|v| if v > T::ZERO { T::ONE } else { T::ZERO });
-                parents[0].accumulate(&grad.hadamard(&d));
-            }
-            Op::Exp => parents[0].accumulate(&grad.hadamard(&node.value)),
+            Op::Sigmoid => parents[0].add_into(|d| {
+                add_zip(d, g, node.value.data(), |gi, y| gi * (y * (T::ONE - y)));
+            }),
+            Op::Tanh => parents[0].add_into(|d| {
+                add_zip(d, g, node.value.data(), |gi, y| gi * (T::ONE - y * y));
+            }),
+            Op::Relu => parents[0].add_zip_value(&parents[0], g, |gi, v| {
+                gi * if v > T::ZERO { T::ONE } else { T::ZERO }
+            }),
+            Op::Exp => parents[0].add_into(|d| add_zip(d, g, node.value.data(), |gi, y| gi * y)),
             Op::Square => {
-                let scaled = parents[0].value_ref().scale(T::from_f64(2.0));
-                parents[0].accumulate(&grad.hadamard(&scaled));
+                let two = T::from_f64(2.0);
+                parents[0].add_zip_value(&parents[0], g, |gi, v| gi * (v * two));
             }
-            Op::Sum => {
-                let g = grad.get(0, 0);
-                let (r, c) = parents[0].shape();
-                parents[0].accumulate(&Matrix::filled(r, c, g));
-            }
-            Op::Mean => {
-                let (r, c) = parents[0].shape();
-                let g = grad.get(0, 0) / T::from_f64((r * c) as f64);
-                parents[0].accumulate(&Matrix::filled(r, c, g));
-            }
+            Op::Sum => parents[0].add_into(|d| d.iter_mut().for_each(|e| *e += g[0])),
+            Op::Mean => parents[0].add_into(|d| {
+                let gi = g[0] / T::from_f64(d.len() as f64);
+                d.iter_mut().for_each(|e| *e += gi);
+            }),
+            Op::Select(i) => parents[0].add_into(|d| d[*i] += g[0]),
             Op::ConcatRows(counts) => {
+                let cols = node.grad.cols();
                 let mut start = 0;
                 for (parent, count) in parents.iter().zip(counts.iter()) {
-                    parent.accumulate(&grad.slice_rows(start, *count));
+                    let part = &g[start * cols..(start + count) * cols];
+                    parent.add_into(|d| crate::matrix::axpy_slice(T::ONE, part, d));
                     start += count;
                 }
             }
             Op::SoftmaxCol => {
                 // dX_i = y_i * (dY_i - sum_j dY_j y_j)
-                let y = &node.value;
+                let y = node.value.data();
                 let dot = y
-                    .data()
                     .iter()
-                    .zip(grad.data().iter())
+                    .zip(g.iter())
                     .fold(T::ZERO, |acc, (&yi, &gi)| acc + yi * gi);
-                let dx = Matrix::from_fn(y.rows(), 1, |r, _| y.get(r, 0) * (grad.get(r, 0) - dot));
-                parents[0].accumulate(&dx);
+                parents[0].add_into(|d| add_zip(d, y, g, |yi, gi| yi * (gi - dot)));
             }
             Op::MulScalarVar => {
                 let s = parents[1].value_ref().get(0, 0);
                 let ds = {
                     let a = parents[0].value_ref();
-                    grad.data()
-                        .iter()
+                    g.iter()
                         .zip(a.data().iter())
-                        .fold(T::ZERO, |acc, (&g, &av)| acc + g * av)
+                        .fold(T::ZERO, |acc, (&gi, &av)| acc + gi * av)
                 };
-                parents[0].accumulate(&grad.scale(s));
-                parents[1].accumulate(&Matrix::filled(1, 1, ds));
+                parents[0].add_into(|d| add_map(d, g, |gi| gi * s));
+                parents[1].add_into(|d| d[0] += ds);
             }
         }
     }
 
-    /// Whether gradients reaching this node are kept: everything except a
-    /// pure constant (a leaf without `requires_grad`), whose gradient nothing
-    /// reads, so backward skips computing it.
-    fn needs_grad(&self) -> bool {
-        let n = self.node.borrow();
-        n.requires_grad || !n.parents.is_empty()
+    /// Runs `add` on this node's gradient entries, unless it keeps none
+    /// (see [`Node::keeps_grad`]).
+    fn add_into(&self, add: impl FnOnce(&mut [T])) {
+        let mut n = self.node.borrow_mut();
+        if n.keeps_grad() {
+            add(n.grad.data_mut());
+        }
     }
 
-    fn accumulate(&self, delta: &Matrix<T>) {
-        if !self.needs_grad() {
-            return;
+    /// `grad[j] += term(g[j], src.value[j])` into this node's gradient,
+    /// where `src` may be this very node.
+    fn add_zip_value(&self, src: &Var<T>, g: &[T], term: impl Fn(T, T) -> T) {
+        if Rc::ptr_eq(&self.node, &src.node) {
+            let mut n = self.node.borrow_mut();
+            if n.keeps_grad() {
+                let n = &mut *n;
+                add_zip(n.grad.data_mut(), g, n.value.data(), term);
+            }
+        } else {
+            let value = src.value_ref();
+            self.add_into(|d| add_zip(d, g, value.data(), term));
         }
-        self.node.borrow_mut().grad.axpy(T::ONE, delta);
+    }
+
+    /// Whether gradients reaching this node are kept.
+    fn needs_grad(&self) -> bool {
+        self.node.borrow().keeps_grad()
+    }
+
+    /// Adds a materialised gradient term into this node's gradient.
+    fn accumulate(&self, delta: &Matrix<T>) {
+        self.add_into(|d| crate::matrix::axpy_slice(T::ONE, delta.data(), d));
     }
 
     // ------------------------------------------------------------------
@@ -740,6 +790,56 @@ impl<T: Scalar> Var<T> {
     }
 }
 
+/// `d[j] += term(a[j])`.
+#[inline(always)]
+fn add_map<T: Scalar>(d: &mut [T], a: &[T], term: impl Fn(T) -> T) {
+    for (e, &ai) in d.iter_mut().zip(a) {
+        *e += term(ai);
+    }
+}
+
+/// `d[j] += term(a[j], b[j])`.
+#[inline(always)]
+fn add_zip<T: Scalar>(d: &mut [T], a: &[T], b: &[T], term: impl Fn(T, T) -> T) {
+    for ((e, &ai), &bi) in d.iter_mut().zip(a).zip(b) {
+        *e += term(ai, bi);
+    }
+}
+
+/// `d[r] += Σ_c g[r, c]`, each row summed from `+0.0` in column order: the
+/// gradient of a broadcast column.
+fn add_row_sums<T: Scalar>(d: &mut [T], g: &Matrix<T>) {
+    for (r, e) in d.iter_mut().enumerate() {
+        *e += g.row(r).iter().fold(T::ZERO, |acc, &v| acc + v);
+    }
+}
+
+/// The backward pass of `C = A · B` for the output gradient `grad`.
+fn matmul_backward<T: Scalar>(a: &Var<T>, b: &Var<T>, grad: &Matrix<T>) {
+    if a.needs_grad() {
+        if b.shape().1 == 1 && !Rc::ptr_eq(&a.node, &b.node) {
+            // dA = dC · Bᵀ is rank-1 against a column B: add it straight
+            // into A's gradient buffer (bitwise the same as accumulating the
+            // product; see `Matrix::add_outer`).
+            let x = b.value_ref();
+            a.node.borrow_mut().grad.add_outer(grad.data(), x.data());
+        } else {
+            // The blocked kernel into a pooled buffer: a one-off transpose
+            // is cheaper than losing the vectorised inner loop.
+            let bt = b.value_ref().transpose();
+            let mut da = Matrix::zeros(grad.rows(), bt.cols());
+            grad.matmul_into(&bt, &mut da);
+            a.accumulate(&da);
+        }
+    }
+    if b.needs_grad() {
+        // dB = Aᵀ · dC through the transposed kernel, which is axpy-shaped
+        // like the blocked one and skips the transpose.
+        let db = a.value_ref().matmul_at_b(grad);
+        b.accumulate(&db);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,6 +889,139 @@ mod tests {
         for x in &consts {
             assert!(x.grad().bits_eq(&Matrix::zeros(19, 1)));
         }
+    }
+
+    /// Entries with exact `+0.0` and `-0.0` mixed into smooth values, so the
+    /// signed-zero side of the fused nodes' exactness arguments is hit.
+    fn signed_zero_fill(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * cols + c + salt) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            k => ((k * 31 + r * 7 + c * 3 + salt) as f64 * 0.61).sin(),
+        })
+    }
+
+    #[track_caller]
+    fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert!(got.bits_eq(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    /// `W.affine(x, b)` against `W.matmul(x).add_broadcast_col(b)`, bit for
+    /// bit on the value and on every gradient: for a column `x`, a
+    /// multi-column `x`, and an `x` that several consumers share (two affine
+    /// maps and an element-wise op). In the `derived` runs `W`, `x` and `b`
+    /// are computed from one scalar `s` that also scales the loss, so `s`
+    /// gets three or more gradient terms whose summation order is the DFS
+    /// order of the affine node's parents: a fused node that listed them in
+    /// another order would change `s`'s gradient bits.
+    #[test]
+    fn affine_matches_matmul_then_broadcast_add_bitwise() {
+        let shapes = [(5, 19, 1), (4, 6, 3), (17, 33, 1), (3, 2, 5)];
+        for ((rows, inner, cols), salt) in
+            shapes.into_iter().flat_map(|s| (0..4).map(move |k| (s, k)))
+        {
+            let w_val = [
+                signed_zero_fill(rows, inner, salt + 1),
+                signed_zero_fill(rows, inner, salt + 2),
+            ];
+            let b_val = [
+                signed_zero_fill(rows, 1, salt + 3),
+                signed_zero_fill(rows, 1, salt + 4),
+            ];
+            let x_val = signed_zero_fill(inner, cols, salt + 5);
+            let run = |fused: bool, derived: bool| {
+                let s = Var::parameter(Matrix::filled(1, 1, 0.7));
+                let leaf = |m: &Matrix| {
+                    let p = Var::parameter(m.clone());
+                    let v = if derived {
+                        p.mul_scalar_var(&s)
+                    } else {
+                        p.clone()
+                    };
+                    (p, v)
+                };
+                let (w, w_in): (Vec<Var>, Vec<Var>) = w_val.iter().map(leaf).unzip();
+                let (b, b_in): (Vec<Var>, Vec<Var>) = b_val.iter().map(leaf).unzip();
+                let (x, x_in) = leaf(&x_val);
+                let layer = |i: usize| {
+                    if fused {
+                        w_in[i].affine(&x_in, &b_in[i])
+                    } else {
+                        // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
+                        w_in[i].matmul(&x_in).add_broadcast_col(&b_in[i])
+                    }
+                };
+                let y0 = layer(0);
+                let y1 = layer(1);
+                let loss = y0
+                    .tanh()
+                    .hadamard(&y1.sigmoid())
+                    .sum()
+                    .add(&x.square().mean())
+                    .add(&y0.sum())
+                    .mul_scalar_var(&s);
+                loss.backward();
+                let mut out = vec![y0.value(), y1.value(), loss.value(), x.grad(), s.grad()];
+                out.extend(w.iter().chain(&b).map(Var::grad));
+                out
+            };
+            for derived in [false, true] {
+                let (got, want) = (run(true, derived), run(false, derived));
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    let what = format!("{rows}x{inner}x{cols}/{salt} derived={derived} output {i}");
+                    assert_bits(got, want, &what);
+                }
+            }
+        }
+    }
+
+    /// `v.select(i)` against the chain it replaces, a one-hot mask then a
+    /// sum (written out here as the oracle), bit for bit on the value and on
+    /// the gradient, including a selected `-0.0` and a negative upstream
+    /// gradient.
+    #[test]
+    fn select_matches_one_hot_mask_sum_bitwise() {
+        let (rows, cols) = (3, 4);
+        let v_val = signed_zero_fill(rows, cols, 0);
+        for i in 0..rows * cols {
+            let one_hot =
+                Matrix::from_fn(rows, cols, |r, c| if r * cols + c == i { 1.0 } else { 0.0 });
+            let run = |fused: bool| {
+                let v = Var::parameter(v_val.clone());
+                let picked = if fused {
+                    v.select(i)
+                } else {
+                    v.mask(&one_hot).sum()
+                };
+                let loss = picked
+                    .scale(-0.75)
+                    .add(&picked.square())
+                    .add(&v.tanh().sum());
+                loss.backward();
+                [picked.value(), loss.value(), v.grad()]
+            };
+            for (got, want) in run(true).iter().zip(&run(false)) {
+                assert_bits(got, want, &format!("select({i})"));
+            }
+        }
+    }
+
+    /// A parent listed twice gets both terms, in order, against gradients
+    /// computed by hand: `x ⊙ x` adds `g·x` twice, `x + x` adds `g` twice.
+    #[test]
+    fn a_parent_used_twice_gets_both_terms() {
+        let x_val = signed_zero_fill(3, 5, 2);
+        let g = 0.3;
+
+        let x = Var::parameter(x_val.clone());
+        x.hadamard(&x).scale(g).sum().backward();
+        let want = x_val.map(|v| (0.0 + g * v) + g * v);
+        assert_bits(&x.grad(), &want, "x.hadamard(&x)");
+
+        let x = Var::parameter(x_val.clone());
+        x.add(&x).scale(g).sum().backward();
+        let want = Matrix::filled(3, 5, (0.0 + g) + g);
+        assert_bits(&x.grad(), &want, "x.add(&x)");
     }
 
     /// Numerically checks `d loss / d param[idx]` against autodiff.

@@ -17,9 +17,9 @@
 //!   truncation of f32) for storing inference snapshots at half the f32
 //!   footprint, decoded back to f32 before any arithmetic,
 //! * [`Var`] — a node in a dynamically-built reverse-mode autodiff graph
-//!   (default `Var<f64>`), supporting matrix products, element-wise
-//!   arithmetic, activations, masking, concatenation, column softmax and
-//!   scalar reductions,
+//!   (default `Var<f64>`), supporting matrix products, the fused affine map
+//!   of a linear layer, element-wise arithmetic, activations, masking,
+//!   concatenation, column softmax, entry selection and scalar reductions,
 //! * [`Workspace`] and the per-thread buffer pools behind every [`Matrix`]
 //!   constructor — the arena layer ([`workspace`]) that keeps the hot loops
 //!   allocation-free; `RM_ARENA=0` restores the fresh-allocation reference

@@ -65,15 +65,38 @@ pub(crate) fn axpy_row_scalar<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     }
 }
 
+/// `y += alpha * x` over equal-length slices: the body of [`Matrix::axpy`],
+/// also the in-place gradient accumulation of the autodiff backward pass.
+#[allow(unsafe_code)] // audited dispatch into the detected arch kernels
+pub(crate) fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+    assert_eq!(x.len(), y.len(), "axpy length mismatch");
+    if y.len() < crate::simd::SIMD_MIN_COLS {
+        // Same narrow-operand reasoning as `matmul_into`.
+        return axpy_row_scalar(alpha, x, y);
+    }
+    match crate::simd::kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
+        // detection succeeded on this CPU.
+        crate::simd::Kernel::Avx2 => unsafe { T::axpy_row_avx2(alpha, x, y) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
+        // detection succeeded on this CPU.
+        crate::simd::Kernel::Fma => unsafe { T::axpy_row_fma(alpha, x, y) },
+        _ => axpy_row_scalar(alpha, x, y),
+    }
+}
+
 /// `out = W · x` for a row-major `W` with `x.len()` columns and `out.len()`
-/// rows: the column-vector kernel of [`Matrix::matmul_into`]. Rows go
+/// rows: the scalar column-vector kernel of [`Matrix::matmul_into`] (the
+/// `RM_SIMD=0` reference of the AVX2 `Scalar::matvec_avx2`). Rows go
 /// through [`matvec_rows`] in blocks of 16, then 4, then 1, so up to 16
 /// independent dot-product chains are in flight: consecutive multiply-adds
 /// of one row no longer wait on each other's latency, and each `x[k]` load
 /// is shared by the whole block. Blocking changes which rows run together,
 /// never the arithmetic of a row.
 #[inline]
-fn matvec_into<T: Scalar>(w: &[T], x: &[T], out: &mut [T]) {
+pub(crate) fn matvec_into<T: Scalar>(w: &[T], x: &[T], out: &mut [T]) {
     debug_assert_eq!(w.len(), out.len() * x.len());
     let done = matvec_blocks::<T, 16>(w, x, out, 0);
     let done = matvec_blocks::<T, 4>(w, x, out, done);
@@ -400,7 +423,8 @@ impl<T: Scalar> Matrix<T> {
     /// * **Column vector** (`rhs.cols == 1`, every batch-1 layer of the
     ///   recurrent imputers): row-blocked dot products, up to sixteen
     ///   independent accumulators at a time, each summing its row's terms
-    ///   in increasing `k`.
+    ///   in increasing `k` — on AVX2 hosts in vector lanes, one row per lane
+    ///   ([`crate::simd`]), bit-identical to the scalar blocks.
     /// * **Otherwise**: a cache-blocked i-k-j kernel. The reduction dimension
     ///   is processed in panels of [`MATMUL_BLOCK`] rows of `rhs`, so each
     ///   panel stays cache-hot while the kernel streams over the rows of
@@ -440,7 +464,17 @@ impl<T: Scalar> Matrix<T> {
             (self.rows, rhs.cols)
         );
         if rhs.cols == 1 {
-            return matvec_into(&self.data, &rhs.data, &mut out.data);
+            return match crate::simd::kernel() {
+                // The dot kernel never fuses, so the FMA arm runs it too.
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Kernel::Avx2`/`Kernel::Fma` are only resolved
+                // after runtime AVX2 detection succeeded on this CPU, and the
+                // shapes were checked above.
+                crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
+                    T::matvec_avx2(&self.data, &rhs.data, &mut out.data)
+                },
+                _ => matvec_into(&self.data, &rhs.data, &mut out.data),
+            };
         }
         out.data.iter_mut().for_each(|v| *v = T::ZERO);
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
@@ -800,9 +834,24 @@ impl<T: Scalar> Matrix<T> {
     /// # Panics
     /// Panics if `col` is not a column vector with matching row count.
     pub fn add_broadcast_col(&self, col: &Matrix<T>) -> Matrix<T> {
+        let mut out = self.clone();
+        out.add_broadcast_col_assign(col);
+        out
+    }
+
+    /// In-place [`Matrix::add_broadcast_col`]: `self[r, c] += col[r]`.
+    ///
+    /// # Panics
+    /// Panics if `col` is not a column vector with matching row count.
+    pub fn add_broadcast_col_assign(&mut self, col: &Matrix<T>) {
         assert_eq!(self.rows, col.rows, "broadcast add row mismatch");
         assert_eq!(col.cols, 1, "broadcast operand must be a column vector");
-        Matrix::from_fn(self.rows, self.cols, |r, c| self.get(r, c) + col.get(r, 0))
+        if self.cols == 0 {
+            return;
+        }
+        for (row, &b) in self.data.chunks_exact_mut(self.cols).zip(&col.data) {
+            row.iter_mut().for_each(|v| *v += b);
+        }
     }
 
     /// Element-wise (Hadamard) product.
@@ -850,28 +899,9 @@ impl<T: Scalar> Matrix<T> {
     /// In-place `self += alpha * rhs`, through the [`crate::simd`]-dispatched
     /// row kernel ([`axpy_row_scalar`] under `RM_SIMD=0`; bit-identical
     /// either way, except under the opt-in `RM_FMA=1`).
-    #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
     pub fn axpy(&mut self, alpha: T, rhs: &Matrix<T>) {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
-        if self.data.len() < crate::simd::SIMD_MIN_COLS {
-            // Same narrow-operand reasoning as `matmul_into`.
-            return axpy_row_scalar(alpha, &rhs.data, &mut self.data);
-        }
-        match crate::simd::kernel() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Avx2 => unsafe {
-                T::axpy_row_avx2(alpha, &rhs.data, &mut self.data)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Fma => unsafe {
-                T::axpy_row_fma(alpha, &rhs.data, &mut self.data)
-            },
-            _ => axpy_row_scalar(alpha, &rhs.data, &mut self.data),
-        }
+        axpy_slice(alpha, &rhs.data, &mut self.data);
     }
 
     /// Multiplies every entry by `s`.

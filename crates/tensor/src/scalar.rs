@@ -163,6 +163,18 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn axpy_row4_fma(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]);
 
+    /// Explicit-width AVX2 batch-1 product `out = W · x` (row-major `W` of
+    /// `out.len()` rows by `x.len()` columns) — the column-vector kernel of
+    /// `matmul_into`, bit-identical to the scalar dot products. It never
+    /// fuses, so the `RM_FMA=1` dispatch runs it too.
+    ///
+    /// # Safety
+    /// Same contract as [`Scalar::axpy_row_avx2`].
+    // SAFETY: declaration only — the contract above binds the implementors.
+    #[doc(hidden)]
+    #[allow(unsafe_code)]
+    unsafe fn matvec_avx2(w: &[Self], x: &[Self], out: &mut [Self]);
+
     /// Runs `f` with this thread's raw-buffer pool for `Self` elements.
     ///
     /// Internal plumbing of the arena layer (`crate::workspace`): the pools
@@ -181,7 +193,10 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:literal, $axpy_avx2:path, $axpy_fma:path, $axpy4_avx2:path, $axpy4_fma:path) => {
+    (
+        $t:ty, $name:literal, $axpy_avx2:path, $axpy_fma:path, $axpy4_avx2:path, $axpy4_fma:path,
+        $matvec_avx2:path
+    ) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -284,6 +299,16 @@ macro_rules! impl_scalar {
                 unsafe { $axpy4_fma(a, x, y) }
             }
 
+            // SAFETY: thin forwarder — the caller upholds the CPU-feature
+            // contract of the trait declaration; the arch kernel checks the
+            // slice lengths itself.
+            #[inline(always)]
+            #[allow(unsafe_code)]
+            unsafe fn matvec_avx2(w: &[Self], x: &[Self], out: &mut [Self]) {
+                // SAFETY: forwarded contract, argued at the declaration.
+                unsafe { $matvec_avx2(w, x, out) }
+            }
+
             fn with_buffer_pool<R, F: FnOnce(&mut crate::workspace::BufferPool<Self>) -> R>(
                 f: F,
             ) -> R {
@@ -311,7 +336,8 @@ impl_scalar!(
     crate::simd::axpy_row_f64_avx2,
     crate::simd::axpy_row_f64_fma,
     crate::simd::axpy_row4_f64_avx2,
-    crate::simd::axpy_row4_f64_fma
+    crate::simd::axpy_row4_f64_fma,
+    crate::simd::matvec_f64_avx2
 );
 impl_scalar!(
     f32,
@@ -319,7 +345,8 @@ impl_scalar!(
     crate::simd::axpy_row_f32_avx2,
     crate::simd::axpy_row_f32_fma,
     crate::simd::axpy_row4_f32_avx2,
-    crate::simd::axpy_row4_f32_fma
+    crate::simd::axpy_row4_f32_fma,
+    crate::simd::matvec_f32_avx2
 );
 
 /// The numeric precision a pipeline stage runs at — the user-facing knob

@@ -20,13 +20,22 @@
 //! Column-vector products (`n = 1`: every batch-1 layer of the recurrent
 //! imputers, in training and in snapshot inference) are shaped for their
 //! operands instead of running a length-1 row kernel per reduction step:
-//! `matmul_into` computes row-blocked dot products (eight independent
-//! accumulators, each in increasing `k`; scalar, no dispatch), `matmul_at_b`
-//! runs one dispatched axpy per row of the left operand over the whole
-//! output, and the autodiff rank-1 gradient `dW += g·xᵀ`
-//! (`Matrix::add_outer`) one dispatched axpy per gradient row. All three
-//! keep one multiply and one add per term in the reference order, so the
-//! contracts below cover them unchanged.
+//!
+//! * `matmul_into` computes `W·x` as row dot products. The AVX2 kernel
+//!   (`matvec_f64_avx2`/`matvec_f32_avx2`, dispatched through
+//!   `Scalar::matvec_avx2`) loads four rows' next four entries, transposes
+//!   them in registers (4×4) and runs one row per vector lane, each lane
+//!   from `+0.0` in increasing `k`; up to sixteen rows share each `x[k]`
+//!   broadcast. The scalar reference (`RM_SIMD=0`) runs the same dot
+//!   products in blocks of 16, 4 and 1 rows.
+//! * `matmul_at_b` runs one dispatched axpy per row of the left operand over
+//!   the whole output.
+//! * The autodiff rank-1 gradient `dW += g·xᵀ` (`Matrix::add_outer`) runs
+//!   one dispatched axpy per gradient row.
+//!
+//! All three keep one multiply and one add per term in the reference order,
+//! so the contracts below cover them unchanged; the dot kernel never fuses,
+//! so it is bit-identical even under `RM_FMA=1`.
 //!
 //! Two contracts, one per kernel family:
 //!
@@ -504,6 +513,193 @@ axpy_row4_kernels!(
     axpy_row4_f32_fma
 );
 
+/// Generates the AVX2 batch-1 product `out = W · x` for a row-major `W`
+/// (`out.len()` rows of `x.len()` entries): the column-vector kernel of
+/// `matmul_into`.
+///
+/// Rows run in groups of four, one row per vector lane: four rows' next
+/// four entries are loaded and transposed in registers (a 4×4 transpose),
+/// so lane `r` of the `k`-th transposed vector holds `W[r, k]`, and the
+/// group's accumulator gets `acc += col_k · x[k]` for `k` in increasing
+/// order. Each lane therefore runs exactly its row's scalar dot product —
+/// start at `+0.0`, one multiply and one add per term, increasing `k` — and
+/// the result is bit-identical to the scalar blocks of `matvec_into`. Up to
+/// four groups (16 rows) share each broadcast of `x[k]` and keep four
+/// independent add chains in flight; the last `< 4` rows run the scalar dot
+/// product, and the last `< 4` entries of each row a lane-gathered step.
+#[cfg(target_arch = "x86_64")]
+macro_rules! matvec_kernel {
+    (
+        $t:ty, $vec:ty, $name:ident, $group:ident,
+        $setzero:ident, $set1:ident, $set:ident, $loadu:ident, $storeu:ident,
+        $mul:ident, $add:ident, $transpose:path
+    ) => {
+        /// AVX2 `out = W · x`, bit-identical to the scalar reference (see the
+        /// macro doc).
+        // SAFETY: the `unsafe fn` contract is AVX2 availability (upheld by
+        // the `Kernel::Avx2`/`Kernel::Fma` dispatch); the length check below
+        // keeps every pointer offset inside `w`, `x` and `out`.
+        #[target_feature(enable = "avx2")]
+        #[allow(unsafe_code)]
+        pub(crate) unsafe fn $name(w: &[$t], x: &[$t], out: &mut [$t]) {
+            let (k, rows) = (x.len(), out.len());
+            assert_eq!(w.len(), rows * k, "matvec shape mismatch");
+            let (wp, xp, op) = (w.as_ptr(), x.as_ptr(), out.as_mut_ptr());
+            let mut r = 0;
+            // SAFETY: each call covers rows `r..r + 4·G ≤ rows` of `w` and
+            // `out`, every entry index stays below `k`, and AVX2 is the
+            // caller's contract.
+            unsafe {
+                while r + 16 <= rows {
+                    $group::<4>(wp.add(r * k), xp, k, op.add(r));
+                    r += 16;
+                }
+                if r + 8 <= rows {
+                    $group::<2>(wp.add(r * k), xp, k, op.add(r));
+                    r += 8;
+                }
+                if r + 4 <= rows {
+                    $group::<1>(wp.add(r * k), xp, k, op.add(r));
+                    r += 4;
+                }
+            }
+            for (i, o) in out.iter_mut().enumerate().skip(r) {
+                let row = &w[i * k..(i + 1) * k];
+                *o = row.iter().zip(x).fold(0.0, |acc, (&a, &b)| acc + a * b);
+            }
+        }
+
+        /// `G` groups of four rows starting at `w` (row stride `k`) into
+        /// `out[..4·G]`.
+        // SAFETY: the `unsafe fn` contract is AVX2 availability plus
+        // `w` holding `4·G` rows of `k` entries, `x` holding `k` entries and
+        // `out` holding `4·G` entries, all upheld by the caller above.
+        #[target_feature(enable = "avx2")]
+        #[allow(unsafe_code)]
+        #[inline]
+        unsafe fn $group<const G: usize>(w: *const $t, x: *const $t, k: usize, out: *mut $t) {
+            use std::arch::x86_64::{$add, $loadu, $mul, $set, $set1, $setzero, $storeu};
+            // SAFETY: every offset is `< 4·G·k` into `w`, `< k` into `x` and
+            // `< 4·G` into `out`, inside the caller's contract; unaligned
+            // loads and stores throughout.
+            unsafe {
+                let mut acc: [$vec; G] = [$setzero(); G];
+                let mut j = 0;
+                while j + 4 <= k {
+                    let xs = [
+                        $set1(*x.add(j)),
+                        $set1(*x.add(j + 1)),
+                        $set1(*x.add(j + 2)),
+                        $set1(*x.add(j + 3)),
+                    ];
+                    for (g, acc) in acc.iter_mut().enumerate() {
+                        let base = w.add(4 * g * k + j);
+                        let cols = $transpose([
+                            $loadu(base),
+                            $loadu(base.add(k)),
+                            $loadu(base.add(2 * k)),
+                            $loadu(base.add(3 * k)),
+                        ]);
+                        for (col, xv) in cols.iter().zip(&xs) {
+                            *acc = $add(*acc, $mul(*col, *xv));
+                        }
+                    }
+                    j += 4;
+                }
+                while j < k {
+                    let xv = $set1(*x.add(j));
+                    for (g, acc) in acc.iter_mut().enumerate() {
+                        let base = w.add(4 * g * k + j);
+                        let col = $set(*base.add(3 * k), *base.add(2 * k), *base.add(k), *base);
+                        *acc = $add(*acc, $mul(col, xv));
+                    }
+                    j += 1;
+                }
+                for (g, acc) in acc.iter().enumerate() {
+                    $storeu(out.add(4 * g), *acc);
+                }
+            }
+        }
+    };
+}
+
+/// In-register transpose of four rows of four `f64` (`__m256d` each):
+/// output `c` holds entry `c` of every row, row 0 in the lowest lane.
+// SAFETY: the `unsafe fn` contract is AVX2 availability; register-only
+// shuffles, no memory access.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn transpose4_f64(r: [std::arch::x86_64::__m256d; 4]) -> [std::arch::x86_64::__m256d; 4] {
+    use std::arch::x86_64::{_mm256_permute2f128_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd};
+    // [r0₀ r1₀ r0₂ r1₂], [r0₁ r1₁ r0₃ r1₃], and the same for rows 2 and 3.
+    let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+    let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+    let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+    let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+    [
+        _mm256_permute2f128_pd(t0, t2, 0x20),
+        _mm256_permute2f128_pd(t1, t3, 0x20),
+        _mm256_permute2f128_pd(t0, t2, 0x31),
+        _mm256_permute2f128_pd(t1, t3, 0x31),
+    ]
+}
+
+/// In-register transpose of four rows of four `f32` (`__m128` each), the
+/// `f32` counterpart of [`transpose4_f64`].
+// SAFETY: the `unsafe fn` contract is AVX2 availability; register-only
+// shuffles, no memory access.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn transpose4_f32(r: [std::arch::x86_64::__m128; 4]) -> [std::arch::x86_64::__m128; 4] {
+    use std::arch::x86_64::{_mm_movehl_ps, _mm_movelh_ps, _mm_unpackhi_ps, _mm_unpacklo_ps};
+    // [r0₀ r1₀ r0₁ r1₁], [r2₀ r3₀ r2₁ r3₁], [r0₂ r1₂ r0₃ r1₃], [r2₂ r3₂ r2₃ r3₃].
+    let t0 = _mm_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm_unpacklo_ps(r[2], r[3]);
+    let t2 = _mm_unpackhi_ps(r[0], r[1]);
+    let t3 = _mm_unpackhi_ps(r[2], r[3]);
+    [
+        _mm_movelh_ps(t0, t1),
+        _mm_movehl_ps(t1, t0),
+        _mm_movelh_ps(t2, t3),
+        _mm_movehl_ps(t3, t2),
+    ]
+}
+
+#[cfg(target_arch = "x86_64")]
+matvec_kernel!(
+    f64,
+    std::arch::x86_64::__m256d,
+    matvec_f64_avx2,
+    matvec_group_f64,
+    _mm256_setzero_pd,
+    _mm256_set1_pd,
+    _mm256_set_pd,
+    _mm256_loadu_pd,
+    _mm256_storeu_pd,
+    _mm256_mul_pd,
+    _mm256_add_pd,
+    transpose4_f64
+);
+#[cfg(target_arch = "x86_64")]
+matvec_kernel!(
+    f32,
+    std::arch::x86_64::__m128,
+    matvec_f32_avx2,
+    matvec_group_f32,
+    _mm_setzero_ps,
+    _mm_set1_ps,
+    _mm_set_ps,
+    _mm_loadu_ps,
+    _mm_storeu_ps,
+    _mm_mul_ps,
+    _mm_add_ps,
+    transpose4_f32
+);
+
 /// Non-x86_64 stand-ins for the arch kernels, so the [`Scalar`]
 /// (`crate::Scalar`) dispatch hooks link on every target. Off x86_64,
 /// [`kernel()`] never resolves past [`Kernel::Scalar`], so these are never
@@ -554,6 +750,25 @@ scalar_fallback4!(axpy_row4_f64_fma, f64);
 scalar_fallback4!(axpy_row4_f32_avx2, f32);
 #[cfg(not(target_arch = "x86_64"))]
 scalar_fallback4!(axpy_row4_f32_fma, f32);
+
+/// Batch-1 product counterpart of [`scalar_fallback!`]: the scalar
+/// `matvec_into` blocks the AVX2 kernel is bit-identical to.
+#[cfg(not(target_arch = "x86_64"))]
+macro_rules! scalar_fallback_matvec {
+    ($name:ident, $t:ty) => {
+        // SAFETY: trivially safe body (delegates to the safe scalar
+        // reference); `unsafe fn` only to match the x86_64 kernel signature.
+        #[allow(unsafe_code)]
+        pub(crate) unsafe fn $name(w: &[$t], x: &[$t], out: &mut [$t]) {
+            crate::matrix::matvec_into(w, x, out)
+        }
+    };
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+scalar_fallback_matvec!(matvec_f64_avx2, f64);
+#[cfg(not(target_arch = "x86_64"))]
+scalar_fallback_matvec!(matvec_f32_avx2, f32);
 
 #[cfg(test)]
 mod tests {
@@ -619,6 +834,83 @@ mod tests {
             axpy_row_scalar(a32, &x32, &mut scalar_y);
             for (s, r) in simd_y.iter().zip(&scalar_y) {
                 assert_eq!(s.to_bits(), r.to_bits(), "f32 mismatch at n={n}");
+            }
+        }
+    }
+
+    /// Entry `i` of a matvec operand: smooth values, with `±0.0`,
+    /// subnormals, `±∞` and NaN mixed in at a rate of about `7 / special`
+    /// (none for `special == 0`).
+    fn edge_value(i: u64, special: u64) -> f64 {
+        let h = val(i.wrapping_mul(7919) ^ special);
+        if special == 0 {
+            return h * 3.0;
+        }
+        match ((h + 1.0) * 1e6) as u64 % special {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 5e-324 * (h * 1e3).round(),
+            3 => -2.5e-310,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => f64::NAN,
+            _ => h * 3.0,
+        }
+    }
+
+    /// Bit-identical, except that NaN only has to meet NaN: IEEE-754 does
+    /// not fix which operand's payload a NaN result carries.
+    fn same_bits<T: crate::Scalar>(a: &[T], b: &[T]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(&x, &y)| {
+                x.to_bits_u64() == y.to_bits_u64() || (x.to_f64().is_nan() && y.to_f64().is_nan())
+            })
+    }
+
+    mod matvec_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The AVX2 `W·x` ≡ the scalar `matvec_into` reference at both
+            /// precisions, on ragged shapes (rows below 4 and off the 4- and
+            /// 16-row blocks, columns below 4 and off the 4-wide transpose)
+            /// and with `±0.0`, subnormal, `±∞` and NaN entries.
+            #[cfg(target_arch = "x86_64")]
+            #[test]
+            fn avx2_matvec_is_bit_identical_to_the_scalar_reference(
+                rows in 0usize..40,
+                cols in 0usize..40,
+                seed in any::<u64>(),
+                rate in 0usize..4,
+            ) {
+                if !avx2_available() {
+                    return Ok(());
+                }
+                let special = [0, 8, 16, 64][rate];
+                let w: Vec<f64> = (0..rows * cols)
+                    .map(|i| edge_value(seed ^ i as u64, special))
+                    .collect();
+                let x: Vec<f64> = (0..cols)
+                    .map(|i| edge_value(!seed ^ i as u64, special))
+                    .collect();
+                let mut simd = vec![f64::NAN; rows];
+                let mut scalar = vec![f64::NAN; rows];
+                // SAFETY: avx2_available() was checked above.
+                unsafe { matvec_f64_avx2(&w, &x, &mut simd) };
+                crate::matrix::matvec_into(&w, &x, &mut scalar);
+                prop_assert!(same_bits(&simd, &scalar), "f64 {rows}x{cols}");
+
+                let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
+                let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                let mut simd = vec![f32::NAN; rows];
+                let mut scalar = vec![f32::NAN; rows];
+                // SAFETY: avx2_available() was checked above.
+                unsafe { matvec_f32_avx2(&w32, &x32, &mut simd) };
+                crate::matrix::matvec_into(&w32, &x32, &mut scalar);
+                prop_assert!(same_bits(&simd, &scalar), "f32 {rows}x{cols}");
             }
         }
     }

@@ -7,7 +7,9 @@
 //! once warm, they
 //! allocate (near-)nothing: matrix buffers cycle through the per-worker
 //! buffer pool, autodiff nodes through the node arena, and snapshot scratch
-//! through a caller-owned [`Workspace`].
+//! through a caller-owned [`Workspace`]. Under the arena it also pins the
+//! exact number of pool checkouts one warm training step makes, which the
+//! allocator cannot see.
 //!
 //! With `RM_ARENA=0` the pools are disabled and every buffer and node is a
 //! fresh heap allocation; the harness then only reports the numbers (they
@@ -23,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_runtime::alloc_counter::CountingAlloc;
-use rm_tensor::{arena_enabled, Matrix, Var, Workspace};
+use rm_tensor::{arena_enabled, buffer_pool_stats, Matrix, Var, Workspace};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -33,6 +35,12 @@ const HIDDEN: usize = 16;
 const STEPS: usize = 6;
 const WARMUP: usize = 5;
 const MEASURED: usize = 50;
+/// Buffers one warm [`training_step`] checks out of the pool. Every node's
+/// value and gradient, every backward temporary and every optimizer scratch
+/// is one take, so this pins the graph's size and the backward pass's
+/// temporaries: a change that adds a node or a temporary per step shows
+/// here even when the arena hides it from the allocator.
+const TAKES_PER_TRAINING_STEP: u64 = 276;
 
 /// Deterministic per-step input vectors.
 fn inputs() -> Vec<Vec<f64>> {
@@ -154,6 +162,9 @@ fn steady_state_hot_loops_allocate_near_zero() {
     }
     let train_allocs = ALLOC.allocations() - before;
     let train_bytes = ALLOC.allocated_bytes() - bytes_before;
+    let takes_before = buffer_pool_stats::<f64>().takes;
+    loss_sink += training_step(&cell, &readout, &mut trainer, &xs, &mut grad_sink);
+    let step_takes = buffer_pool_stats::<f64>().takes - takes_before;
     assert!(loss_sink.is_finite() && grad_sink.is_finite());
 
     // ---- Snapshot-inference loop ----
@@ -175,13 +186,14 @@ fn steady_state_hot_loops_allocate_near_zero() {
 
     eprintln!(
         "[alloc-harness] arena={} training: {} allocs / {} bytes over {} steps \
-         ({:.1} allocs/step); inference: {} allocs / {} bytes over {} sweeps \
-         ({:.1} allocs/sweep)",
+         ({:.1} allocs/step, {} pool takes/step); inference: {} allocs / {} bytes \
+         over {} sweeps ({:.1} allocs/sweep)",
         if arena_enabled() { "on" } else { "off" },
         train_allocs,
         train_bytes,
         MEASURED,
         train_allocs as f64 / MEASURED as f64,
+        step_takes,
         infer_allocs,
         infer_bytes,
         MEASURED,
@@ -189,6 +201,10 @@ fn steady_state_hot_loops_allocate_near_zero() {
     );
 
     if arena_enabled() {
+        assert_eq!(
+            step_takes, TAKES_PER_TRAINING_STEP,
+            "a warm training step's pool traffic changed"
+        );
         // Near-zero, not zero: the libtest harness itself may allocate a
         // handful of times on other threads while the loops run.
         assert!(
