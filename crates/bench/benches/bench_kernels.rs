@@ -59,6 +59,8 @@ fn bench_matvec(c: &mut Criterion) {
 /// One Adam update over 80 000 parameters (four 100×200 tensors with a
 /// fixed gradient), the optimizer half of every training step.
 fn bench_adam_step(c: &mut Criterion) {
+    // Stamp recorded runs with the Adam leg (scalar / avx2+fma / avx512f).
+    eprintln!("adam kernel: {}", rm_tensor::adam_kernel_name());
     let mut rng = StdRng::seed_from_u64(5);
     let params: Vec<Var> = (0..4)
         .map(|_| {

@@ -485,7 +485,8 @@ pub fn train_in_batches<T: Scalar>(
 ) {
     let batch_size = batch_size.max(1);
     let indices: Vec<usize> = (0..num_sequences).collect();
-    let mut batch = GradientBatch::zeros_like(optimizer.parameters());
+    // Built at the first multi-sequence chunk: no single-sequence step reads it.
+    let mut batch: Option<GradientBatch<T>> = None;
     for _ in 0..epochs {
         for chunk in indices.chunks(batch_size) {
             if let [i] = *chunk {
@@ -496,11 +497,13 @@ pub fn train_in_batches<T: Scalar>(
             }
             let per_sequence = grads(chunk);
             debug_assert_eq!(per_sequence.len(), chunk.len());
+            let batch =
+                batch.get_or_insert_with(|| GradientBatch::zeros_like(optimizer.parameters()));
             batch.clear();
             for sequence_grads in &per_sequence {
                 batch.accumulate(sequence_grads);
             }
-            optimizer.apply_batch(&batch);
+            optimizer.apply_batch(batch);
         }
     }
 }

@@ -15,7 +15,7 @@
 //! into a zeroed buffer and re-depositing it into the (zeroed) parameter
 //! gradients is exactly the accumulation `backward` itself performs.
 
-use rm_tensor::{Matrix, Scalar, Var};
+use rm_tensor::{AdamStep, Matrix, Scalar, Var};
 
 /// A first-order optimizer over a fixed set of parameters.
 pub trait Optimizer<T: Scalar = f64> {
@@ -242,40 +242,42 @@ impl<T: Scalar> Adam<T> {
 }
 
 impl<T: Scalar> Optimizer<T> for Adam<T> {
-    /// One pass over each parameter's slices. Per element this is the
-    /// textbook update with the same operations in the same order —
+    /// One [`AdamStep::update`] per parameter tensor. Per element this is
+    /// the textbook update with the same operations in the same order —
     /// `m = β₁m + (1−β₁)g`, `v = β₂v + ((1−β₂)g)g`,
     /// `w −= (lr·m̂) / (√v̂ + ε)` with `m̂ = m/b₁`, `v̂ = v/b₂` — so it is
-    /// bit-identical to an indexed loop; zipped slices leave nothing in the
-    /// body that stops it vectorising. Without a clip the gradient is clamped
-    /// to `[−∞, ∞]`, which returns every value (`-0.0` and NaN included)
-    /// unchanged.
+    /// bit-identical to an indexed loop. Without a clip the gradient is
+    /// clamped to `[−∞, ∞]`, which returns every value (`-0.0` and NaN
+    /// included) unchanged.
     ///
-    /// The update is divider-bound: per element it runs three divisions and
-    /// a square root, and the bitwise contract rules out reciprocals. A
-    /// bitwise-equal 74 K-element step measured 258 / 247 / 247 µs at SSE2 /
-    /// AVX2 / AVX-512 (2-core Xeon with AVX-512). The divide/sqrt unit, not
-    /// the vector width, sets the pace, so there is no explicit AVX2 or
-    /// AVX-512 leg: it would add unsafe code for ~4%.
+    /// At `f64` the update runs an AVX-512F (8 lanes) or AVX2+FMA (4 lanes)
+    /// kernel when the host has one and `RM_SIMD` is not `0`; otherwise, and
+    /// at `f32`, it runs the zipped-slice reference loop. The kernel keeps
+    /// every operation and its rounding except the two bias-correction
+    /// quotients, which divide by per-step constants. It takes `y = 1/b` once per step and
+    /// per element corrects `q = a·y` twice by `q ← q + (a − b·q)·y` in
+    /// fused operations. By Markstein's theorem (IBM J. Res. Dev. 34(1),
+    /// 1990) the second correction yields exactly `a / b`, round to nearest,
+    /// so the kernel is bit-identical to the reference. The theorem's
+    /// conditions are checked, not assumed: a step whose `b₁` or `b₂` leaves
+    /// `[2⁻²⁰, 1]` runs the reference, a zero numerator is its own quotient,
+    /// and a vector holding a non-finite numerator or one of magnitude
+    /// outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` uses the hardware division. Only the square
+    /// root and the division by `√v̂ + ε` stay on the divider.
     fn step(&mut self) {
         self.step_count += 1;
-        let t = T::from_f64(self.step_count as f64);
-        let bias1 = T::ONE - self.beta1.powf(t);
-        let bias2 = T::ONE - self.beta2.powf(t);
-        let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.epsilon, self.learning_rate);
-        let (decay1, decay2) = (T::ONE - beta1, T::ONE - beta2);
-        let clip = self.clip.unwrap_or(T::from_f64(f64::INFINITY));
+        let step = AdamStep::new(
+            self.beta1,
+            self.beta2,
+            self.epsilon,
+            self.learning_rate,
+            self.clip,
+            self.step_count,
+        );
         let moments = self.first_moment.iter_mut().zip(&mut self.second_moment);
         for (p, (m, v)) in self.params.iter().zip(moments) {
             p.update_value(|value, grad| {
-                let params = value.data_mut().iter_mut().zip(grad.data());
-                let moments = m.data_mut().iter_mut().zip(v.data_mut());
-                for ((w, &g), (m, v)) in params.zip(moments) {
-                    let g = g.clamp(-clip, clip);
-                    *m = beta1 * *m + decay1 * g;
-                    *v = beta2 * *v + decay2 * g * g;
-                    *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
-                }
+                step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
             });
         }
     }

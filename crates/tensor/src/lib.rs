@@ -56,5 +56,5 @@ pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use half::{bf16_to_f32, f32_to_bf16, Bf16Matrix, SnapshotDtype};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use scalar::{Precision, Scalar};
-pub use simd::{fma_enabled, simd_enabled, simd_kernel_name};
+pub use simd::{adam_kernel_name, fma_enabled, simd_enabled, simd_kernel_name, AdamStep};
 pub use workspace::{arena_enabled, buffer_pool_stats, BufferPoolStats, Workspace};

@@ -175,6 +175,20 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn matvec_avx2(w: &[Self], x: &[Self], out: &mut [Self]);
 
+    /// One Adam update of a parameter tensor's flat slices — the dispatch
+    /// point of [`AdamStep::update`](crate::simd::AdamStep::update). `f64`
+    /// runs the explicit-width kernel the host supports (bit-identical to
+    /// the reference); `f32` runs the reference loop. Not part of the stable
+    /// API.
+    #[doc(hidden)]
+    fn adam_update(
+        step: &crate::simd::AdamStep<Self>,
+        w: &mut [Self],
+        g: &[Self],
+        m: &mut [Self],
+        v: &mut [Self],
+    );
+
     /// Runs `f` with this thread's raw-buffer pool for `Self` elements.
     ///
     /// Internal plumbing of the arena layer (`crate::workspace`): the pools
@@ -195,7 +209,7 @@ pub trait Scalar:
 macro_rules! impl_scalar {
     (
         $t:ty, $name:literal, $axpy_avx2:path, $axpy_fma:path, $axpy4_avx2:path, $axpy4_fma:path,
-        $matvec_avx2:path
+        $matvec_avx2:path, $adam_update:path
     ) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
@@ -309,6 +323,17 @@ macro_rules! impl_scalar {
                 unsafe { $matvec_avx2(w, x, out) }
             }
 
+            #[inline]
+            fn adam_update(
+                step: &crate::simd::AdamStep<Self>,
+                w: &mut [Self],
+                g: &[Self],
+                m: &mut [Self],
+                v: &mut [Self],
+            ) {
+                $adam_update(step, w, g, m, v)
+            }
+
             fn with_buffer_pool<R, F: FnOnce(&mut crate::workspace::BufferPool<Self>) -> R>(
                 f: F,
             ) -> R {
@@ -337,7 +362,8 @@ impl_scalar!(
     crate::simd::axpy_row_f64_fma,
     crate::simd::axpy_row4_f64_avx2,
     crate::simd::axpy_row4_f64_fma,
-    crate::simd::matvec_f64_avx2
+    crate::simd::matvec_f64_avx2,
+    crate::simd::adam_update_f64
 );
 impl_scalar!(
     f32,
@@ -346,7 +372,8 @@ impl_scalar!(
     crate::simd::axpy_row_f32_fma,
     crate::simd::axpy_row4_f32_avx2,
     crate::simd::axpy_row4_f32_fma,
-    crate::simd::matvec_f32_avx2
+    crate::simd::matvec_f32_avx2,
+    crate::simd::AdamStep::update_reference
 );
 
 /// The numeric precision a pipeline stage runs at — the user-facing knob

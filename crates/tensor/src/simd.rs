@@ -51,11 +51,24 @@
 //!   epsilon-close (proptest-bounded below). Never enable it where the
 //!   cross-PR bitwise contract matters.
 //!
+//! The `f64` Adam update (`adam_f64_avx512`, 8 lanes, or `adam_f64_avx2`, 4
+//! lanes with FMA; dispatched through `Scalar::adam_update` from
+//! [`AdamStep::update`]) is bit-identical to the reference loop
+//! (`AdamStep::update_reference`) although it fuses: its only fused
+//! operations compute the bias-correction quotients `m/b₁` and `v/b₂` from
+//! one reciprocal per call, and two FMA corrections make each quotient
+//! exactly `a / b` (Markstein's theorem; the argument and the fallback rule
+//! are at `corrected_f64x4`). So `RM_FMA` does not apply to it, and
+//! [`adam_kernel_name`] reports the leg: AVX-512F if the host has it, else
+//! AVX2+FMA, else (and under `RM_SIMD=0`, and at `f32`) the reference.
+//!
 //! `RM_SIMD` / `RM_FMA` are resolved once per process through cached
 //! accessors, the same pattern as `RM_POOL`/`RM_ARENA`.
 
 // rm-lint: hot-path
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
 static SIMD_ENABLED: OnceLock<bool> = OnceLock::new();
@@ -770,6 +783,386 @@ scalar_fallback_matvec!(matvec_f64_avx2, f64);
 #[cfg(not(target_arch = "x86_64"))]
 scalar_fallback_matvec!(matvec_f32_avx2, f32);
 
+/// The per-step constants of one Adam update (Kingma & Ba): what the
+/// reference loop and the explicit-width kernel both read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep<T> {
+    /// First-moment decay `β₁`.
+    pub(crate) beta1: T,
+    /// Second-moment decay `β₂`.
+    pub(crate) beta2: T,
+    /// `1 − β₁`.
+    pub(crate) decay1: T,
+    /// `1 − β₂`.
+    pub(crate) decay2: T,
+    /// First-moment bias correction `b₁ = 1 − β₁ᵗ`.
+    pub(crate) bias1: T,
+    /// Second-moment bias correction `b₂ = 1 − β₂ᵗ`.
+    pub(crate) bias2: T,
+    /// Learning rate.
+    pub(crate) lr: T,
+    /// Denominator guard `ε`.
+    pub(crate) eps: T,
+    /// Gradient clip bound; `+∞` without a clip.
+    pub(crate) clip: T,
+}
+
+impl<T: crate::Scalar> AdamStep<T> {
+    /// The constants of step `t` (1-based).
+    pub fn new(beta1: T, beta2: T, eps: T, lr: T, clip: Option<T>, t: u64) -> Self {
+        let t = T::from_f64(t as f64);
+        Self {
+            beta1,
+            beta2,
+            decay1: T::ONE - beta1,
+            decay2: T::ONE - beta2,
+            bias1: T::ONE - beta1.powf(t),
+            bias2: T::ONE - beta2.powf(t),
+            lr,
+            eps,
+            clip: clip.unwrap_or(T::from_f64(f64::INFINITY)),
+        }
+    }
+
+    /// Updates one parameter tensor's flat slices `w`, its gradient `g` and
+    /// its moments `m`, `v` in place: the explicit-width kernel the host
+    /// supports for `f64`, the reference loop otherwise. Bit-identical to
+    /// the reference loop either way.
+    ///
+    /// # Panics
+    /// Panics if the four slices differ in length.
+    pub fn update(&self, w: &mut [T], g: &[T], m: &mut [T], v: &mut [T]) {
+        T::adam_update(self, w, g, m, v);
+    }
+
+    /// The reference update, one pass over zipped slices. Per element this
+    /// is the textbook update, each operation rounded on its own —
+    /// `m = β₁m + (1−β₁)g`, `v = β₂v + ((1−β₂)g)g`,
+    /// `w −= (lr·m̂) / (√v̂ + ε)` with `m̂ = m/b₁`, `v̂ = v/b₂` — after the
+    /// gradient is clamped to `[−clip, clip]` (a clamp to `[−∞, ∞]` returns
+    /// every value, `-0.0` and NaN included, unchanged).
+    ///
+    /// # Panics
+    /// Panics if the four slices differ in length.
+    pub(crate) fn update_reference(&self, w: &mut [T], g: &[T], m: &mut [T], v: &mut [T]) {
+        check_adam_lengths(w.len(), g.len(), m.len(), v.len());
+        let Self {
+            beta1,
+            beta2,
+            decay1,
+            decay2,
+            bias1,
+            bias2,
+            lr,
+            eps,
+            clip,
+        } = *self;
+        let params = w.iter_mut().zip(g);
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((w, &g), (m, v)) in params.zip(moments) {
+            let g = g.clamp(-clip, clip);
+            *m = beta1 * *m + decay1 * g;
+            *v = beta2 * *v + decay2 * g * g;
+            *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
+        }
+    }
+}
+
+fn check_adam_lengths(w: usize, g: usize, m: usize, v: usize) {
+    assert!(
+        w == g && w == m && w == v,
+        "Adam slices differ in length: w {w}, g {g}, m {m}, v {v}"
+    );
+}
+
+/// The Adam update leg the process resolved to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AdamLeg {
+    /// The reference loop (`RM_SIMD=0`, no AVX2+FMA at runtime, non-x86_64).
+    Scalar,
+    /// 4 lanes of AVX2 with FMA.
+    Avx2Fma,
+    /// 8 lanes of AVX-512F.
+    Avx512,
+}
+
+impl AdamLeg {
+    /// Whether this host can run the leg.
+    fn available(self) -> bool {
+        match self {
+            AdamLeg::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            AdamLeg::Avx2Fma => avx2_available() && fma_available(),
+            #[cfg(target_arch = "x86_64")]
+            AdamLeg::Avx512 => avx512f_available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+/// Runtime AVX-512F support, detected once per process.
+#[cfg(target_arch = "x86_64")]
+fn avx512f_available() -> bool {
+    static AVX512F: OnceLock<bool> = OnceLock::new();
+    *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
+}
+
+/// The widest Adam leg the host runs, unless `RM_SIMD=0`. `RM_FMA` does not
+/// enter: the kernel's fused operations leave every result bit unchanged.
+pub(crate) fn adam_leg() -> AdamLeg {
+    static LEG: OnceLock<AdamLeg> = OnceLock::new();
+    *LEG.get_or_init(|| {
+        if !simd_enabled() {
+            return AdamLeg::Scalar;
+        }
+        [AdamLeg::Avx512, AdamLeg::Avx2Fma]
+            .into_iter()
+            .find(|leg| leg.available())
+            .unwrap_or(AdamLeg::Scalar)
+    })
+}
+
+/// Name of the Adam update leg the current process runs for `f64`:
+/// `"avx512f"`, `"avx2+fma"` or `"scalar"`. For bench labels and reports.
+pub fn adam_kernel_name() -> &'static str {
+    match adam_leg() {
+        AdamLeg::Avx512 => "avx512f",
+        AdamLeg::Avx2Fma => "avx2+fma",
+        AdamLeg::Scalar => "scalar",
+    }
+}
+
+/// Smallest divisor the corrected quotients accept, `2⁻²⁰`.
+const ADAM_MIN_BIAS: f64 = 1.0 / (1u64 << 20) as f64;
+/// Numerator magnitudes the corrected quotients accept (zero aside):
+/// `[2⁻⁹⁰⁰, 2⁹⁰⁰]`, far from underflow and overflow in every step.
+#[cfg(target_arch = "x86_64")]
+const ADAM_NUM_RANGE: (f64, f64) = (
+    f64::from_bits((1023 - 900) << 52),
+    f64::from_bits((1023 + 900) << 52),
+);
+
+/// The `f64` instance of the `Scalar::adam_update` hook.
+pub(crate) fn adam_update_f64(
+    step: &AdamStep<f64>,
+    w: &mut [f64],
+    g: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    adam_update_f64_on(adam_leg(), step, w, g, m, v);
+}
+
+/// One `f64` Adam update on `leg`. A step whose bias corrections leave
+/// `[2⁻²⁰, 1]`, or whose clip is no valid range, runs the reference.
+///
+/// # Panics
+/// Panics if the host cannot run `leg` or the slices differ in length.
+#[allow(unsafe_code)] // audited dispatch into the detected arch kernels
+fn adam_update_f64_on(
+    leg: AdamLeg,
+    step: &AdamStep<f64>,
+    w: &mut [f64],
+    g: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    assert!(
+        leg.available(),
+        "Adam leg {leg:?} is not available on this host"
+    );
+    check_adam_lengths(w.len(), g.len(), m.len(), v.len());
+    let divisors = ADAM_MIN_BIAS..=1.0;
+    // A clip below zero (or NaN) is no range: the reference's `clamp` panics.
+    let in_domain =
+        divisors.contains(&step.bias1) && divisors.contains(&step.bias2) && step.clip >= 0.0;
+    if !in_domain {
+        return step.update_reference(w, g, m, v);
+    }
+    match leg {
+        // SAFETY: `leg.available()` asserted the CPU features above, and the
+        // four slices have one length.
+        #[cfg(target_arch = "x86_64")]
+        AdamLeg::Avx512 => unsafe { adam_f64_avx512(step, w, g, m, v) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        AdamLeg::Avx2Fma => unsafe { adam_f64_avx2(step, w, g, m, v) },
+        _ => step.update_reference(w, g, m, v),
+    }
+}
+
+// The explicit-width legs of the `f64` Adam update.
+//
+// The update runs the reference's operations in its order, each rounded on
+// its own, except the bias-correction quotients `m/b₁` and `v/b₂`. Those use
+// one reciprocal `y = RN(1/b)` per call and, per element, `q = a·y` followed
+// by two corrections `q ← q + (a − b·q)·y`, each one fused `fnmadd`/`fmadd`
+// pair. After the first correction `q` is within one ulp of `a/b`, so the
+// second residual `a − b·q` is exact, and Markstein's theorem (P. Markstein,
+// "Computation of elementary functions on the IBM RISC System/6000
+// processor", IBM J. Res. Dev. 34(1), 1990) makes `RN(q + r·y)` equal
+// `RN(a/b)`: the bits of `a / b`. That needs `b` in `[2⁻²⁰, 1]` (checked per
+// call) and `a` far from underflow and overflow: a lane with `a = ±0` takes
+// `a`, which is exact, and a vector holding a non-finite lane or a lane with
+// `|a|` outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` is divided by the hardware instead. The
+// square root and `(lr·m̂)/(√v̂ + ε)` stay on the divider.
+
+/// `q = a·y`, then `q ← RN(q + (a − b·q)·y)` twice: the corrected quotient,
+/// 4 lanes.
+// SAFETY: the `unsafe fn` contract is AVX2+FMA availability; register
+// arithmetic only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn corrected_f64x4(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
+    let q = _mm256_mul_pd(a, y);
+    let q = _mm256_fmadd_pd(_mm256_fnmadd_pd(b, q, a), y, q);
+    _mm256_fmadd_pd(_mm256_fnmadd_pd(b, q, a), y, q)
+}
+
+/// `a / b`, bit for bit, 4 lanes: the corrected quotient, `a` in zero
+/// lanes, the hardware division if any other lane is out of range.
+// SAFETY: the `unsafe fn` contract is AVX2+FMA availability; register
+// arithmetic only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn quotient_f64x4(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
+    let (lo, hi) = ADAM_NUM_RANGE;
+    let zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(a, _mm256_setzero_pd());
+    let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+    let in_range = _mm256_and_pd(
+        _mm256_cmp_pd::<_CMP_GE_OQ>(abs, _mm256_set1_pd(lo)),
+        _mm256_cmp_pd::<_CMP_LE_OQ>(abs, _mm256_set1_pd(hi)),
+    );
+    if _mm256_movemask_pd(_mm256_or_pd(zero, in_range)) != 0b1111 {
+        return _mm256_div_pd(a, b);
+    }
+    // SAFETY: AVX2+FMA is this function's own contract.
+    _mm256_blendv_pd(unsafe { corrected_f64x4(a, b, y) }, a, zero)
+}
+
+/// [`corrected_f64x4`] at 8 lanes.
+// SAFETY: the `unsafe fn` contract is AVX-512F availability; register
+// arithmetic only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn corrected_f64x8(a: __m512d, b: __m512d, y: __m512d) -> __m512d {
+    let q = _mm512_mul_pd(a, y);
+    let q = _mm512_fmadd_pd(_mm512_fnmadd_pd(b, q, a), y, q);
+    _mm512_fmadd_pd(_mm512_fnmadd_pd(b, q, a), y, q)
+}
+
+/// [`quotient_f64x4`] at 8 lanes.
+// SAFETY: the `unsafe fn` contract is AVX-512F availability; register
+// arithmetic only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn quotient_f64x8(a: __m512d, b: __m512d, y: __m512d) -> __m512d {
+    let (lo, hi) = ADAM_NUM_RANGE;
+    let zero = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(a, _mm512_setzero_pd());
+    let abs = _mm512_abs_pd(a);
+    let in_range = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(abs, _mm512_set1_pd(lo))
+        & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(abs, _mm512_set1_pd(hi));
+    if zero | in_range != 0xff {
+        return _mm512_div_pd(a, b);
+    }
+    // SAFETY: AVX-512F is this function's own contract.
+    _mm512_mask_blend_pd(zero, unsafe { corrected_f64x8(a, b, y) }, a)
+}
+
+/// Generates one leg's `f64` Adam update loop over full vectors; the
+/// `< lanes` tail runs the reference.
+#[cfg(target_arch = "x86_64")]
+macro_rules! adam_kernel {
+    (
+        $features:literal, $lanes:expr, $name:ident, $quotient:ident,
+        $set1:ident, $loadu:ident, $storeu:ident, $add:ident, $sub:ident, $mul:ident,
+        $div:ident, $sqrt:ident, $min:ident, $max:ident
+    ) => {
+        /// One `f64` Adam update, bit-identical to the reference (see the
+        /// comment above [`corrected_f64x4`]).
+        // SAFETY: the `unsafe fn` contract is the target features and four
+        // slices of one length (asserted by `adam_update_f64_on`); every
+        // pointer offset stays below that length.
+        #[target_feature(enable = $features)]
+        #[allow(unsafe_code)]
+        unsafe fn $name(s: &AdamStep<f64>, w: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64]) {
+            let n = w.len();
+            let (wp, gp, mp, vp) = (w.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
+            let (beta1, beta2) = ($set1(s.beta1), $set1(s.beta2));
+            let (decay1, decay2) = ($set1(s.decay1), $set1(s.decay2));
+            let (bias1, bias2) = ($set1(s.bias1), $set1(s.bias2));
+            let (recip1, recip2) = ($set1(1.0 / s.bias1), $set1(1.0 / s.bias2));
+            let (lr, eps) = ($set1(s.lr), $set1(s.eps));
+            let (lo, hi) = ($set1(-s.clip), $set1(s.clip));
+            let mut i = 0;
+            // SAFETY: `i + $lanes ≤ n`, the length of all four slices;
+            // unaligned loads and stores throughout; the target features are
+            // this function's own contract.
+            unsafe {
+                while i + $lanes <= n {
+                    // `max(lo, x)` is `x < lo ? lo : x` and `min(hi, x)` is
+                    // `x > hi ? hi : x`, NaN kept: `f64::clamp`.
+                    let g = $min(hi, $max(lo, $loadu(gp.add(i))));
+                    let m = $add($mul(beta1, $loadu(mp.add(i))), $mul(decay1, g));
+                    let v = $add($mul(beta2, $loadu(vp.add(i))), $mul($mul(decay2, g), g));
+                    $storeu(mp.add(i), m);
+                    $storeu(vp.add(i), v);
+                    let m_hat = $quotient(m, bias1, recip1);
+                    let v_hat = $quotient(v, bias2, recip2);
+                    let delta = $div($mul(lr, m_hat), $add($sqrt(v_hat), eps));
+                    $storeu(wp.add(i), $sub($loadu(wp.add(i)), delta));
+                    i += $lanes;
+                }
+            }
+            s.update_reference(&mut w[i..], &g[i..], &mut m[i..], &mut v[i..]);
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+adam_kernel!(
+    "avx2,fma",
+    4,
+    adam_f64_avx2,
+    quotient_f64x4,
+    _mm256_set1_pd,
+    _mm256_loadu_pd,
+    _mm256_storeu_pd,
+    _mm256_add_pd,
+    _mm256_sub_pd,
+    _mm256_mul_pd,
+    _mm256_div_pd,
+    _mm256_sqrt_pd,
+    _mm256_min_pd,
+    _mm256_max_pd
+);
+#[cfg(target_arch = "x86_64")]
+adam_kernel!(
+    "avx512f",
+    8,
+    adam_f64_avx512,
+    quotient_f64x8,
+    _mm512_set1_pd,
+    _mm512_loadu_pd,
+    _mm512_storeu_pd,
+    _mm512_add_pd,
+    _mm512_sub_pd,
+    _mm512_mul_pd,
+    _mm512_div_pd,
+    _mm512_sqrt_pd,
+    _mm512_min_pd,
+    _mm512_max_pd
+);
+
 #[cfg(test)]
 mod tests {
     #![allow(unsafe_code)] // tests call the kernels directly, guarded by the same detection
@@ -799,6 +1192,12 @@ mod tests {
         }
         // fma_enabled is cached; calling it twice must agree.
         assert_eq!(fma_enabled(), fma_enabled());
+        let adam = adam_kernel_name();
+        if !simd_enabled() {
+            assert_eq!(adam, "scalar");
+        } else {
+            assert!(["scalar", "avx2+fma", "avx512f"].contains(&adam));
+        }
     }
 
     /// The AVX2 kernels are bit-identical to the scalar reference at every
@@ -911,6 +1310,210 @@ mod tests {
                 unsafe { matvec_f32_avx2(&w32, &x32, &mut simd) };
                 crate::matrix::matvec_into(&w32, &x32, &mut scalar);
                 prop_assert!(same_bits(&simd, &scalar), "f32 {rows}x{cols}");
+            }
+        }
+    }
+
+    /// The Adam legs this host runs, widest first.
+    fn host_adam_legs() -> Vec<AdamLeg> {
+        [AdamLeg::Avx512, AdamLeg::Avx2Fma]
+            .into_iter()
+            .filter(|leg| leg.available())
+            .collect()
+    }
+
+    /// `a[i] / b` through `leg`'s guarded quotient, or its bare corrected
+    /// quotient if `raw`, one full vector at a time (a ragged end is padded
+    /// with `1.0`).
+    #[cfg(target_arch = "x86_64")]
+    fn leg_quotients(leg: AdamLeg, a: &[f64], b: f64, raw: bool) -> Vec<f64> {
+        assert!(leg.available());
+        let lanes = if leg == AdamLeg::Avx512 { 8 } else { 4 };
+        let y = 1.0 / b;
+        let mut out = Vec::with_capacity(a.len());
+        for chunk in a.chunks(lanes) {
+            let mut lane = [1.0f64; 8];
+            lane[..chunk.len()].copy_from_slice(chunk);
+            let mut q = [0.0f64; 8];
+            // SAFETY: the leg's CPU features were checked above; both arrays
+            // hold 8 lanes.
+            unsafe {
+                if leg == AdamLeg::Avx512 {
+                    let (a, b, y) = (
+                        _mm512_loadu_pd(lane.as_ptr()),
+                        _mm512_set1_pd(b),
+                        _mm512_set1_pd(y),
+                    );
+                    let r = if raw {
+                        corrected_f64x8(a, b, y)
+                    } else {
+                        quotient_f64x8(a, b, y)
+                    };
+                    _mm512_storeu_pd(q.as_mut_ptr(), r);
+                } else {
+                    let (a, b, y) = (
+                        _mm256_loadu_pd(lane.as_ptr()),
+                        _mm256_set1_pd(b),
+                        _mm256_set1_pd(y),
+                    );
+                    let r = if raw {
+                        corrected_f64x4(a, b, y)
+                    } else {
+                        quotient_f64x4(a, b, y)
+                    };
+                    _mm256_storeu_pd(q.as_mut_ptr(), r);
+                }
+            }
+            out.extend_from_slice(&q[..chunk.len()]);
+        }
+        out
+    }
+
+    /// Checks `leg_quotients` against `a / b` for every divisor: the bare
+    /// corrected quotient on the numerators inside the kernel's range, the
+    /// guarded one on all of them.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_exact_quotients(leg: AdamLeg, numerators: &[f64], divisors: &[f64]) {
+        let (lo, hi) = ADAM_NUM_RANGE;
+        let in_range: Vec<f64> = numerators
+            .iter()
+            .copied()
+            .filter(|a| (lo..=hi).contains(&a.abs()))
+            .collect();
+        for &b in divisors {
+            for (set, raw) in [(&in_range[..], true), (numerators, false)] {
+                let want: Vec<f64> = set.iter().map(|&a| a / b).collect();
+                let got = leg_quotients(leg, set, b, raw);
+                for ((a, g), w) in set.iter().zip(&got).zip(&want) {
+                    assert!(
+                        same_bits(&[*g], &[*w]),
+                        "{leg:?} raw={raw}: {a:e} / {b:e} gave {g:e}, want {w:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `2^e`, and the largest value of that binade (mantissa all ones).
+    fn binade_ends(e: i32) -> [f64; 2] {
+        let bits = ((e + 1023) as u64) << 52;
+        [f64::from_bits(bits), f64::from_bits(bits | ((1 << 52) - 1))]
+    }
+
+    /// The corrected quotients equal `a / b` bit for bit on each leg the
+    /// host runs: every bias correction `Adam::step` divides by in its first
+    /// 20 000 steps, random divisors in `[2⁻²⁰, 1]`, numerators at both
+    /// ends of every binade, and zeros, subnormals, the range edges `2^±900`
+    /// one ulp either side, `±∞` and NaN (NaN only has to meet NaN).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn corrected_quotients_equal_the_hardware_division() {
+        let legs = host_adam_legs();
+        if legs.is_empty() {
+            return;
+        }
+        let mut step_divisors: Vec<f64> = (1..=20_000u64)
+            .flat_map(|t| {
+                let step = AdamStep::new(0.9, 0.999, 1e-8, 1e-3, None, t);
+                [step.bias1, step.bias2]
+            })
+            .collect();
+        step_divisors.sort_by(f64::total_cmp);
+        step_divisors.dedup();
+        assert!((ADAM_MIN_BIAS..=1.0).contains(&step_divisors[0]));
+        // Random divisors, one binade at a time, plus each binade's ends:
+        // `2^e` and the all-ones mantissa.
+        let mut divisors: Vec<f64> = (-20..0).flat_map(binade_ends).collect();
+        divisors.push(1.0);
+        divisors.extend((0..2_000u64).map(|i| {
+            let e = -20 + (i % 20) as i32;
+            let mantissa = (val(31 * i).to_bits() ^ val(i + 7).to_bits()) & ((1 << 52) - 1);
+            f64::from_bits(binade_ends(e)[0].to_bits() | mantissa)
+        }));
+        assert!(divisors.iter().all(|b| (ADAM_MIN_BIAS..=1.0).contains(b)));
+
+        // Moment-like numerators: values of magnitude 1e-12..1e2, both signs.
+        let moments: Vec<f64> = (0..32u64)
+            .map(|i| val(i + 40) * 10f64.powi(2 - (i % 15) as i32))
+            .collect();
+        let binades: Vec<f64> = (-1022..=1023)
+            .flat_map(binade_ends)
+            .flat_map(|a| [a, -a])
+            .collect();
+        let two = |e: i32| binade_ends(e)[0];
+        let mut specials = vec![0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310];
+        specials.push(f64::MIN_POSITIVE.next_down());
+        for edge in [two(900), two(-900)] {
+            specials.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        specials.extend([f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let negated: Vec<f64> = specials.iter().map(|a| -a).collect();
+        specials.extend(negated);
+        // Specials alone, and mixed into vectors of in-range values.
+        let mixed: Vec<f64> = specials
+            .iter()
+            .zip(&moments)
+            .flat_map(|(&s, &m)| [m, s, m])
+            .collect();
+
+        for leg in legs {
+            assert_exact_quotients(leg, &moments, &step_divisors);
+            assert_exact_quotients(leg, &moments, &divisors);
+            assert_exact_quotients(leg, &binades, &step_divisors[..40]);
+            assert_exact_quotients(leg, &binades, &divisors[..60]);
+            for set in [&specials, &mixed] {
+                assert_exact_quotients(leg, set, &step_divisors[..40]);
+                assert_exact_quotients(leg, set, &divisors);
+            }
+        }
+    }
+
+    mod adam_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Each Adam leg the host runs ≡ the reference loop, bit for bit
+            /// on `w`, `m` and `v`: every tail length, with and without a
+            /// clip, gradients holding `±0`, subnormals, `±∞` and NaN, and
+            /// step counts from the first to one where `b₁` and `b₂` are
+            /// exactly `1.0`.
+            #[test]
+            fn adam_legs_are_bit_identical_to_the_reference(
+                len in 0usize..=40,
+                seed in any::<u64>(),
+                rate in 0usize..4,
+                clip in any::<bool>(),
+                t in 0usize..6,
+            ) {
+                let t = [1, 2, 3, 10, 400, 100_000][t];
+                let step = AdamStep::new(0.9, 0.999, 1e-8, 1e-3, clip.then_some(5.0), t);
+                let special = [0, 8, 16, 64][rate];
+                let values = |salt: u64, special: u64, scale: f64| -> Vec<f64> {
+                    (0..len as u64)
+                        .map(|i| scale * edge_value(seed.rotate_left(salt as u32) ^ i, special))
+                        .collect()
+                };
+                let g = values(0, special, 3.0);
+                let w = values(17, 0, 1.0);
+                // Fresh moments at the first step, as `Adam` starts them.
+                let (m, v) = if t == 1 {
+                    (vec![0.0; len], vec![0.0; len])
+                } else {
+                    let v = values(43, special, 0.01).iter().map(|x| x.abs()).collect();
+                    (values(29, special, 0.1), v)
+                };
+                let (mut want_w, mut want_m, mut want_v) = (w.clone(), m.clone(), v.clone());
+                step.update_reference(&mut want_w, &g, &mut want_m, &mut want_v);
+                for leg in host_adam_legs() {
+                    let (mut got_w, mut got_m, mut got_v) = (w.clone(), m.clone(), v.clone());
+                    adam_update_f64_on(leg, &step, &mut got_w, &g, &mut got_m, &mut got_v);
+                    prop_assert!(same_bits(&got_w, &want_w), "{leg:?} w, len {len}, t {t}");
+                    prop_assert!(same_bits(&got_m, &want_m), "{leg:?} m, len {len}, t {t}");
+                    prop_assert!(same_bits(&got_v, &want_v), "{leg:?} v, len {len}, t {t}");
+                }
             }
         }
     }
