@@ -4,9 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rm_geometry::Point;
-use rm_positioning::{
-    ForestConfig, Knn, LocationEstimator, QuantizedFingerprints, RandomForest, Wknn,
-};
+use rm_positioning::{ForestConfig, Knn, LocationEstimator, RandomForest, Wknn};
 use rm_radiomap::DenseRadioMap;
 
 fn synthetic_dense_map(n: usize, d: usize) -> DenseRadioMap {
@@ -38,44 +36,6 @@ fn bench_estimators(c: &mut Criterion) {
     });
 }
 
-/// The candidate-ranking scan head-to-head: the exact f64 Euclidean scan
-/// the estimators used to run per query vs the int8-quantized i32 kernel
-/// that now ranks candidates (the estimator benches above already time the
-/// full two-phase query; this isolates the scan the quantization speeds up).
-fn bench_knn_ranking_scan(c: &mut Criterion) {
-    eprintln!(
-        "int8 ranking kernel: {}",
-        if rm_tensor::simd_enabled() {
-            "dispatched (avx2 where available)"
-        } else {
-            "scalar (RM_SIMD=0)"
-        }
-    );
-    let map = synthetic_dense_map(500, 60);
-    let query: Vec<f64> = (0..60).map(|i| -60.0 - i as f64 * 0.3).collect();
-    let quant = QuantizedFingerprints::from_map(&map);
-    let encoded = quant.encode_query(&query);
-    c.bench_function("knn_rank_scan_int8_500x60", |b| {
-        b.iter(|| std::hint::black_box(quant.squared_distances(&encoded)))
-    });
-    c.bench_function("knn_rank_scan_f64_500x60", |b| {
-        b.iter(|| {
-            let scores: Vec<f64> = map
-                .fingerprints()
-                .iter()
-                .map(|f| {
-                    query
-                        .iter()
-                        .zip(f.iter())
-                        .map(|(x, y)| (x - y) * (x - y))
-                        .sum::<f64>()
-                })
-                .collect();
-            std::hint::black_box(scores)
-        })
-    });
-}
-
 fn bench_forest_training(c: &mut Criterion) {
     let map = synthetic_dense_map(300, 40);
     c.bench_function("random_forest_train_300x40", |b| {
@@ -83,10 +43,5 @@ fn bench_forest_training(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    positioning,
-    bench_estimators,
-    bench_knn_ranking_scan,
-    bench_forest_training
-);
+criterion_group!(positioning, bench_estimators, bench_forest_training);
 criterion_main!(positioning);

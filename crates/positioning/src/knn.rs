@@ -1,10 +1,11 @@
 //! KNN and weighted-KNN location estimation.
 //!
-//! Candidate ranking runs on the int8-quantized fingerprints
-//! ([`QuantizedFingerprints`]) — an 8×-smaller scan with exact integer
-//! arithmetic — and the top `k + RERANK_MARGIN` candidates are re-ranked
-//! with the exact f64 Euclidean distance, so the neighbour distances the
-//! estimators consume carry no quantization error.
+//! Every query scores every record exactly: [`Knn`] stores its fingerprints
+//! AP-major, so one plain loop per AP adds `(q − x)²` into each record's
+//! running sum. Each record's sum still runs in AP order, so its distance is
+//! bitwise the row-wise Euclidean distance, and the top `k` are selected by
+//! `(distance, index)` — the same order [`merge_candidates`] uses across
+//! shards.
 
 // rm-lint: hot-path
 
@@ -13,7 +14,6 @@ use std::cmp::Ordering;
 use rm_geometry::Point;
 use rm_radiomap::DenseRadioMap;
 
-use crate::quant::{QuantizedFingerprints, RERANK_MARGIN};
 use crate::LocationEstimator;
 
 /// One ranked KNN candidate: the exact f64 fingerprint distance, the record's
@@ -38,14 +38,15 @@ pub struct KnnCandidate {
 /// cross-shard re-rank that makes sharded serving answer like whole-venue
 /// serving.
 pub fn merge_candidates(k: usize, mut candidates: Vec<KnnCandidate>) -> Vec<KnnCandidate> {
-    candidates.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .unwrap_or(Ordering::Equal)
-            .then(a.index.cmp(&b.index))
-    });
+    candidates.sort_by(|a, b| rank_order((a.distance, a.index), (b.distance, b.index)));
     candidates.truncate(k.max(1));
     candidates
+}
+
+/// The one ranking order, shared by the per-map scan and the cross-shard
+/// merge: ascending distance, ties broken by ascending record index.
+fn rank_order(a: (f64, u32), b: (f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 /// Folds ranked neighbours into the unweighted KNN estimate (mean of the
@@ -82,20 +83,31 @@ pub fn wknn_estimate(neighbours: &[KnnCandidate]) -> Option<Point> {
 /// Euclidean RSSI space) to the online fingerprint.
 #[derive(Debug, Clone)]
 pub struct Knn {
-    map: DenseRadioMap,
-    quantized: QuantizedFingerprints,
+    /// Fingerprints AP-major: `by_ap[ap * len + record]`.
+    by_ap: Vec<f64>,
+    locations: Vec<Point>,
     k: usize,
 }
 
 impl Knn {
-    /// Builds a KNN estimator over an imputed radio map, quantizing its
-    /// fingerprints once for the int8 ranking scan. The paper uses `k = 3`
+    /// Builds a KNN estimator over an imputed radio map, storing its
+    /// fingerprints AP-major for the ranking scan. The paper uses `k = 3`
     /// for both KNN and WKNN-style estimators.
+    ///
+    /// # Panics
+    /// If the map holds a non-finite fingerprint value.
     pub fn new(map: DenseRadioMap, k: usize) -> Self {
-        let quantized = QuantizedFingerprints::from_map(&map);
+        let len = map.len();
+        let mut by_ap = vec![0.0; len * map.num_aps()];
+        for (record, row) in map.fingerprints().iter().enumerate() {
+            for (ap, &v) in row.iter().enumerate() {
+                assert!(v.is_finite(), "non-finite RSSI {v} in the radio map");
+                by_ap[ap * len + record] = v;
+            }
+        }
         Self {
-            map,
-            quantized,
+            by_ap,
+            locations: map.locations().to_vec(),
             k: k.max(1),
         }
     }
@@ -106,54 +118,41 @@ impl Knn {
     }
 
     /// The `k` nearest entries as ranked [`KnnCandidate`]s, sorted by
-    /// increasing exact f64 distance (ties broken by record index, like the
-    /// full scan's stable sort).
+    /// increasing exact f64 distance, ties broken by record index.
     ///
-    /// Ranking is two-phase: the int8 kernel scores every record, the
-    /// `k + RERANK_MARGIN` best quantized candidates are selected, and those
-    /// are re-ranked exactly. Both phases break ties by record index and the
-    /// int8 kernel is bit-identical across its variants, so the result is a
-    /// pure function of `(map, fingerprint, k)`. Public so the sharded
-    /// serving layer can merge per-shard candidates into a venue-wide
-    /// top-`k` ([`merge_candidates`]).
+    /// Every record is scored, so the result is the exact top-`k`, a pure
+    /// function of `(map, fingerprint, k)`. Public so the sharded serving
+    /// layer can merge per-shard candidates into a venue-wide top-`k`
+    /// ([`merge_candidates`]).
     pub fn candidates(&self, fingerprint: &[f64]) -> Vec<KnnCandidate> {
-        let n = self.map.len();
-        if n == 0 {
+        let len = self.locations.len();
+        if len == 0 {
             return Vec::new();
         }
-        let window = (self.k + RERANK_MARGIN).min(n);
-        let query = self.quantized.encode_query(fingerprint);
-        let mut scored: Vec<(i32, u32)> = self
-            .quantized
-            .squared_distances(&query)
-            .into_iter()
-            .zip(0u32..)
-            .collect();
-        if window < n {
-            scored.select_nth_unstable(window - 1);
-            scored.truncate(window);
+        assert_eq!(
+            fingerprint.len() * len,
+            self.by_ap.len(),
+            "query arity mismatch"
+        );
+        let mut sq = vec![0.0f64; len];
+        for (&q, column) in fingerprint.iter().zip(self.by_ap.chunks_exact(len)) {
+            for (s, &x) in sq.iter_mut().zip(column) {
+                let d = q - x;
+                *s += d * d;
+            }
         }
-        let mut exact: Vec<(f64, u32)> = scored
+        let mut scored: Vec<(f64, u32)> = sq.into_iter().map(f64::sqrt).zip(0u32..).collect();
+        if self.k < len {
+            scored.select_nth_unstable_by(self.k - 1, |a, b| rank_order(*a, *b));
+            scored.truncate(self.k);
+        }
+        scored.sort_by(|a, b| rank_order(*a, *b));
+        scored
             .into_iter()
-            .map(|(_, i)| {
-                (
-                    euclidean(fingerprint, &self.map.fingerprints()[i as usize]),
-                    i,
-                )
-            })
-            .collect();
-        exact.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        exact.truncate(self.k);
-        exact
-            .into_iter()
-            .map(|(distance, i)| KnnCandidate {
+            .map(|(distance, index)| KnnCandidate {
                 distance,
-                index: i,
-                location: self.map.locations()[i as usize],
+                index,
+                location: self.locations[index as usize],
             })
             .collect()
     }
@@ -199,15 +198,6 @@ impl LocationEstimator for Wknn {
     fn name(&self) -> &'static str {
         "WKNN"
     }
-}
-
-fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -327,6 +317,30 @@ mod tests {
             (wr.x.to_bits(), wr.y.to_bits())
         );
         assert_eq!(wknn.inner().k(), 3);
+    }
+
+    /// Ten records within 0.1 dB of each other on one AP, and the query
+    /// itself stored as the last record: k = 1 must return that exact match,
+    /// not a near neighbour that merely ties it at a coarser resolution.
+    #[test]
+    fn a_near_tie_still_returns_the_exact_match() {
+        let mut fingerprints = vec![vec![-100.0, -100.0], vec![-40.0, -40.0]];
+        fingerprints.extend((0..10).map(|j| vec![-69.95 + 0.01 * j as f64, -70.0]));
+        fingerprints.push(vec![-69.855, -70.0]);
+        let locations = (0..fingerprints.len())
+            .map(|i| Point::new(i as f64, 0.0))
+            .collect();
+        let knn = Knn::new(DenseRadioMap::new(fingerprints, locations, 2), 1);
+        let best = knn.candidates(&[-69.855, -70.0]);
+        assert_eq!(best.len(), 1);
+        assert_eq!((best[0].index, best[0].distance), (12, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite RSSI")]
+    fn a_non_finite_map_is_rejected_at_build() {
+        let map = DenseRadioMap::new(vec![vec![-50.0, f64::NAN]], vec![Point::new(0.0, 0.0)], 2);
+        let _ = Knn::new(map, 3);
     }
 
     #[test]

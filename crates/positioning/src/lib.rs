@@ -15,7 +15,6 @@
 pub mod forest;
 pub mod knn;
 pub mod metrics;
-pub mod quant;
 
 pub use forest::{ForestConfig, RandomForest};
 pub use knn::{knn_estimate, merge_candidates, wknn_estimate, Knn, KnnCandidate, Wknn};
@@ -23,7 +22,6 @@ pub use metrics::{
     average_positioning_error, error_percentile, mean_absolute_error, mean_rp_distance,
     root_mean_square_error,
 };
-pub use quant::{QuantizedFingerprints, RERANK_MARGIN};
 
 use rm_geometry::Point;
 use rm_radiomap::DenseRadioMap;
@@ -221,6 +219,70 @@ mod tests {
             let parallel =
                 evaluate_estimator_threads(estimator.as_ref(), &queries, threads).unwrap();
             assert_eq!(serial.to_bits(), parallel.to_bits());
+        }
+    }
+}
+
+/// Edge cases first written for the int8 quantizer that once ranked KNN
+/// candidates: a constant map, the empty map and a query outside the map's
+/// value range. Nothing is quantized any more; these pin the same inputs on
+/// the exact scan of [`Knn::candidates`].
+#[cfg(test)]
+mod quant {
+    mod tests {
+        use crate::{Knn, LocationEstimator};
+        use rm_geometry::Point;
+        use rm_radiomap::DenseRadioMap;
+
+        fn map(rows: Vec<Vec<f64>>) -> DenseRadioMap {
+            let n = rows.first().map(Vec::len).unwrap_or(0);
+            let locations = (0..rows.len()).map(|i| Point::new(i as f64, 0.0)).collect();
+            DenseRadioMap::new(rows, locations, n)
+        }
+
+        fn ranked(knn: &Knn, query: &[f64]) -> Vec<(u64, u32)> {
+            knn.candidates(query)
+                .iter()
+                .map(|c| (c.distance.to_bits(), c.index))
+                .collect()
+        }
+
+        /// The int8 encoder clamped such a query to the map's range, which
+        /// would put record 1 at distance 0. The exact scan measures both
+        /// records at their true distance, so nothing saturates.
+        #[test]
+        fn query_values_outside_the_map_range_clamp() {
+            let knn = Knn::new(map(vec![vec![-50.0, -90.0], vec![-40.0, -100.0]]), 2);
+            assert_eq!(
+                ranked(&knn, &[-30.0, -120.0]),
+                vec![
+                    (500.0f64.sqrt().to_bits(), 1),
+                    (1300.0f64.sqrt().to_bits(), 0)
+                ]
+            );
+        }
+
+        /// A constant map is not degenerate: its own value scores every
+        /// record at exactly zero, and any other query at one positive
+        /// distance, with ties broken by index.
+        #[test]
+        fn constant_map_has_positive_scale_and_zero_distances() {
+            let knn = Knn::new(map(vec![vec![-70.0, -70.0], vec![-70.0, -70.0]]), 2);
+            assert_eq!(
+                ranked(&knn, &[-70.0, -70.0]),
+                vec![(0.0f64.to_bits(), 0), (0.0f64.to_bits(), 1)]
+            );
+            assert_eq!(
+                ranked(&knn, &[-73.0, -74.0]),
+                vec![(5.0f64.to_bits(), 0), (5.0f64.to_bits(), 1)]
+            );
+        }
+
+        #[test]
+        fn empty_map_scans_to_nothing() {
+            let knn = Knn::new(map(vec![]), 3);
+            assert!(knn.candidates(&[]).is_empty());
+            assert!(knn.estimate(&[]).is_none());
         }
     }
 }

@@ -250,10 +250,9 @@ pub struct ShardedAnswer {
 /// distance, and since tied bounds are still visited the index tie-break
 /// is kept. The answer is therefore bit-identical to merging every shard's
 /// candidates, without conditions. That merge in turn equals the
-/// whole-venue estimator over the merged map whenever each shard's quantized
-/// window captures its true top-`k` (the standing assumption of the int8
-/// scan inside a shard). Non-ranking estimators (the forest) answer from
-/// the primary shard alone.
+/// whole-venue estimator over the merged map, because every shard ranks its
+/// records exactly. Non-ranking estimators (the forest) answer from the
+/// primary shard alone.
 pub struct ShardedVenueModel {
     venue: String,
     shards: VenueShards,

@@ -75,16 +75,13 @@ fn multi_path_map() -> RadioMap {
     RadioMap::new(records, NUM_APS)
 }
 
-/// A seed-free pipeline (see [`multi_path_map`]) with `knn_k` large enough
-/// that every quantized scan window covers its entire map — the standing
-/// assumption under which the cross-shard re-rank is exact holds trivially,
-/// so every equality below is bitwise, not approximate.
+/// A seed-free pipeline (see [`multi_path_map`]) with the paper's `k = 3`.
 fn seedfree_config(estimator: EstimatorKind, shards: usize) -> PipelineConfig {
     PipelineConfig {
         differentiator: DifferentiatorKind::MarOnly,
         imputer: ImputerKind::LinearInterpolation,
         estimator,
-        knn_k: 12,
+        knn_k: 3,
         threads: 1,
         shards: Some(shards),
         ..PipelineConfig::default()
