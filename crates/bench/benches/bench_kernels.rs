@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{Adam, LstmCell, LstmState, LstmStateMatrix, Optimizer};
-use rm_tensor::{Matrix, Var};
+use rm_tensor::{InputPart, Matrix, Var};
 
 fn bench_matmul(c: &mut Criterion) {
     // Stamp recorded runs with the axpy_row kernel this process resolved to
@@ -129,7 +129,39 @@ fn bench_lstm_step(c: &mut Criterion) {
     let input = Var::constant(Matrix::random_uniform(96, 1, 1.0, &mut rng));
     let state = LstmState::zeros(64);
     c.bench_function("lstm_cell_step_96_to_64", |bencher| {
-        bencher.iter(|| std::hint::black_box(cell.step(&input, &state).h.value()))
+        bencher
+            .iter(|| std::hint::black_box(cell.step(&[InputPart::Node(&input)], &state).h.value()))
+    });
+}
+
+/// One BiSIM decoder step's attention at the `e2ebench` shape (`T = 5`
+/// keys of 53 APs, hidden size 32): the forward, the backward of a scalar
+/// loss over the context and the graph's recycling, as a training step
+/// runs them.
+fn bench_attention_step(c: &mut Criterion) {
+    let (t, hidden, aps) = (5, 32, 53);
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut param = |rows, cols| Var::parameter(Matrix::random_uniform(rows, cols, 0.3, &mut rng));
+    let align = [
+        param(hidden, hidden + aps),
+        param(hidden, 1),
+        param(1, hidden),
+        param(1, 1),
+    ];
+    let state = param(hidden, 1);
+    let keys: Vec<Var> = (0..t).map(|_| param(aps, 1)).collect();
+    let params: Vec<&Var> = align.iter().chain(&keys).chain([&state]).collect();
+    c.bench_function("bisim_attention_step_t5_h32_a53", |bencher| {
+        bencher.iter(|| {
+            params.iter().for_each(|p| p.zero_grad());
+            let loss = state
+                .attention(&keys, [&align[0], &align[1], &align[2], &align[3]])
+                .sum();
+            loss.backward();
+            let value = loss.scalar_value();
+            loss.recycle();
+            std::hint::black_box(value)
+        })
     });
 }
 
@@ -155,6 +187,7 @@ criterion_group!(
     bench_matmul_f32,
     bench_lstm_snapshot_step,
     bench_lstm_step,
+    bench_attention_step,
     bench_backward
 );
 criterion_main!(kernels);

@@ -686,6 +686,39 @@ mod tests {
         );
     }
 
+    /// The size of one sequence pair's training graph at the default
+    /// ablation and `T = 5` (the `e2ebench` sequence length), pinned so it
+    /// only goes down: every node reachable from the pair's loss, leaves
+    /// included (331 of them interior). Each encoder step is one
+    /// `lstm_cell` node and each decoder step one `attention` and one
+    /// `lstm_cell` node; with the chains they replaced written out, the same
+    /// pair had 1000 nodes (871 interior).
+    #[test]
+    fn one_pair_builds_a_pinned_number_of_graph_nodes() {
+        const NODES_PER_PAIR: usize = 438;
+        let (map, mask) = smooth_map();
+        let config = BisimConfig::default();
+        let norm = Normalization::from_map(&map);
+        let seq = build_sequences(&map, &mask, config.sequence_length, &norm).remove(0);
+        assert_eq!(seq.len(), 5);
+        let rev = seq.reversed(&norm);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut direction = || {
+            BisimDirection::new(
+                2,
+                config.hidden_size,
+                config.attention,
+                config.time_lag,
+                &mut rng,
+            )
+        };
+        let (forward_model, backward_model) = (direction(), direction());
+        let fwd = forward_model.run(&seq);
+        let bwd = backward_model.run(&rev);
+        let loss = Bisim::sequence_loss(&seq, &rev, &fwd, &bwd);
+        assert_eq!(loss.graph_size(), NODES_PER_PAIR);
+    }
+
     /// `batch_size = 1` (the default) reproduces the pre-batching serial
     /// trajectory bitwise: the reference below is the literal classic loop
     /// (`zero_grad → backward → step` per sequence pair on the live graph),

@@ -8,7 +8,8 @@ use rm_nn::{
     Activation, Linear, LinearWeights, LinearWeightsBf16, LstmCell, LstmCellWeights,
     LstmCellWeightsBf16, LstmState, LstmStateMatrix, Mlp, MlpWeights, MlpWeightsBf16,
 };
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::recurrent::attention_forward;
+use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
 
 /// Which attention mechanism the decoder uses (the Fig. 17 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,21 +145,18 @@ impl BisimDirection {
             // Eq. 3: complement observed values with the estimate.
             let complement = fingerprint.mask(&mask).add(&estimate.mask(&inverse_mask));
             // Eq. 4: temporal decay factor from the time-lag vector.
-            let decayed_h = if matches!(self.time_lag, TimeLagMode::Encoder | TimeLagMode::Both) {
+            let decayed = if matches!(self.time_lag, TimeLagMode::Encoder | TimeLagMode::Both) {
                 let lag = Var::constant(Matrix::column(&seq.time_lags[t]));
                 let gamma = self.encoder_decay.forward(&lag).relu().scale(-1.0).exp();
-                state.h.hadamard(&gamma)
+                state.with_hidden(state.h.hadamard(&gamma))
             } else {
-                state.h.clone()
+                state.clone()
             };
-            // Eq. 5: LSTM over the complemented fingerprint concatenated with the mask.
-            let input = Var::concat_rows(&[complement.clone(), Var::constant(mask.clone())]);
+            // Eq. 5: LSTM over the complemented fingerprint concatenated with
+            // the mask (a constant part: no node, no gradient).
             state = self.encoder_cell.step(
-                &input,
-                &LstmState {
-                    h: decayed_h,
-                    c: state.c.clone(),
-                },
+                &[InputPart::Node(&complement), InputPart::Const(&mask)],
+                &decayed,
             );
 
             fingerprint_estimates.push(estimate);
@@ -203,21 +201,17 @@ impl BisimDirection {
             // Attention (Eq. 10–12): context vector from the encoder latents.
             let context = self.context_vector(&decoder_state.h, &transformed);
             // Optional decoder-side time decay (ablation only).
-            let decoder_h = if matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both) {
+            let decayed = if matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both) {
                 let lag = Var::constant(Matrix::column(&rp_lags[j]));
                 let gamma = self.decoder_decay.forward(&lag).relu().scale(-1.0).exp();
-                decoder_state.h.hadamard(&gamma)
+                decoder_state.with_hidden(decoder_state.h.hadamard(&gamma))
             } else {
-                decoder_state.h.clone()
+                decoder_state.clone()
             };
             // Eq. 8: LSTM over the complemented RP concatenated with the context.
-            let input = Var::concat_rows(&[complement.clone(), context]);
             decoder_state = self.decoder_cell.step(
-                &input,
-                &LstmState {
-                    h: decoder_h,
-                    c: decoder_state.c.clone(),
-                },
+                &[InputPart::Node(&complement), InputPart::Node(&context)],
+                &decayed,
             );
 
             rp_estimates.push(estimate);
@@ -232,28 +226,25 @@ impl BisimDirection {
         }
     }
 
-    /// The attention context vector c_j for the current decoder latent vector.
+    /// The attention context vector c_j for the current decoder latent
+    /// vector (Eq. 10–12): one [`Var::attention`] node over the alignment
+    /// MLP's two layers.
     fn context_vector(&self, decoder_hidden: &Var, transformed: &[Var]) -> Var {
         if matches!(self.attention, AttentionMode::None) || transformed.is_empty() {
             return Var::constant(Matrix::zeros(self.num_aps, 1));
         }
-        // Eq. 10: energies from the alignment MLP.
-        let energies: Vec<Var> = transformed
-            .iter()
-            .map(|h| {
-                let joint = Var::concat_rows(&[decoder_hidden.clone(), h.clone()]);
-                self.attention_align.forward(&joint)
-            })
-            .collect();
-        // Eq. 11: softmax over the energies.
-        let weights = Var::concat_rows(&energies).softmax_col();
-        // Eq. 12: weighted sum of the transformed latents.
-        let mut context = Var::constant(Matrix::zeros(self.num_aps, 1));
-        for (i, h) in transformed.iter().enumerate() {
-            let weight = weights.select(i);
-            context = context.add(&h.mul_scalar_var(&weight));
-        }
-        context
+        let [hidden, energy] = self.attention_align.layers() else {
+            unreachable!("the alignment MLP has one hidden layer");
+        };
+        decoder_hidden.attention(
+            transformed,
+            [
+                hidden.weight(),
+                hidden.bias(),
+                energy.weight(),
+                energy.bias(),
+            ],
+        )
     }
 
     /// Copies the current parameters into a graph-free, `Send + Sync`
@@ -641,7 +632,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
                 .forward_into(&decoder_state.h, &mut estimate_pre);
             let complement = &rp.hadamard(&rp_mask) + &estimate_pre.hadamard(&inverse_mask);
             // Attention (Eq. 10–12).
-            let context = self.context_vector_matrix(&decoder_state.h, &transformed);
+            let context = self.context_vector_matrix(&decoder_state.h, &transformed, ws);
             // Optional decoder-side time decay (ablation only).
             let decoder_h = if matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both) {
                 let lag = Matrix::<T>::column_from_f64(&rp_lags[j]);
@@ -653,6 +644,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
             };
             // Eq. 8: LSTM over the complemented RP + context.
             let input = complement.vstack(&context);
+            ws.give(context);
             let decayed = LstmStateMatrix {
                 h: decoder_h,
                 c: decoder_state.c.clone(),
@@ -676,41 +668,41 @@ impl<T: Scalar> BisimDirectionWeights<T> {
         }
     }
 
-    /// The attention context vector c_j on plain matrices — the same
-    /// energies, the same stabilised softmax (max-shift, exp, normalise) and
-    /// the same index-order accumulation as [`BisimDirection::context_vector`],
-    /// so the result is bit-identical at the same precision. (The graph
-    /// version reads each weight as `Var::select(i)`, which is
-    /// `+0.0 + weights[i]`, exactly `weights[i]` because softmax weights are
-    /// never `-0.0`.)
+    /// The attention context vector c_j on plain matrices, drawn from `ws`:
+    /// [`rm_tensor::recurrent::attention_forward`], the forward of the
+    /// [`Var::attention`] node [`BisimDirection::context_vector`] builds, so
+    /// the result is bit-identical at the same precision by construction.
     fn context_vector_matrix(
         &self,
         decoder_hidden: &Matrix<T>,
         transformed: &[Matrix<T>],
+        ws: &mut Workspace<T>,
     ) -> Matrix<T> {
+        let mut context = ws.take(self.num_aps, 1);
         if matches!(self.attention, AttentionMode::None) || transformed.is_empty() {
-            return Matrix::zeros(self.num_aps, 1);
+            return context;
         }
-        // Eq. 10: energies from the alignment MLP.
-        let energies: Vec<T> = transformed
-            .iter()
-            .map(|h| {
-                let joint = decoder_hidden.vstack(h);
-                self.attention_align.forward(&joint).get(0, 0)
-            })
-            .collect();
-        // Eq. 11: softmax over the energies — the same stabilised forward as
-        // `Var::softmax_col`.
-        let energy_col = Matrix::from_fn(energies.len(), 1, |r, _| energies[r]);
-        let max = energy_col.max().unwrap_or(T::ZERO);
-        let exps = energy_col.map(|x| (x - max).exp());
-        let total = exps.sum();
-        let weights = exps.map(|e| e / total);
-        // Eq. 12: weighted sum of the transformed latents, in index order.
-        let mut context = Matrix::zeros(self.num_aps, 1);
-        for (i, h) in transformed.iter().enumerate() {
-            context = &context + &h.scale(weights.get(i, 0));
-        }
+        let [hidden, energy] = self.attention_align.layers() else {
+            unreachable!("the alignment MLP has one hidden layer");
+        };
+        let align = [
+            hidden.weight(),
+            hidden.bias(),
+            energy.weight(),
+            energy.bias(),
+        ];
+        let mut activations = ws.take(transformed.len(), self.hidden_size);
+        let mut weights = ws.take(transformed.len(), 1);
+        attention_forward(
+            &align,
+            decoder_hidden.data(),
+            |i| transformed[i].data(),
+            activations.data_mut(),
+            weights.data_mut(),
+            context.data_mut(),
+        );
+        ws.give(activations);
+        ws.give(weights);
         context
     }
 }

@@ -12,7 +12,7 @@ use rm_nn::{
     LstmCellWeightsBf16, LstmState, LstmStateMatrix, Optimizer,
 };
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
 
 use crate::sequence::{build_sequences, Normalization, PathSequence};
 use crate::{gates, snapshot, ImputedRadioMap, Imputer};
@@ -196,12 +196,10 @@ impl RecurrentImputer {
             let x_c = x.mask(&mask).add(&x_hat.mask(&inverse_mask));
             // Temporal decay of the hidden state.
             let gamma = self.decay.forward(&lag).relu().scale(-1.0).exp();
-            let decayed = LstmState {
-                h: state.h.hadamard(&gamma),
-                c: state.c.clone(),
-            };
-            let input = Var::concat_rows(&[x_c.clone(), Var::constant(mask.clone())]);
-            state = self.cell.step(&input, &decayed);
+            let decayed = state.with_hidden(state.h.hadamard(&gamma));
+            state = self
+                .cell
+                .step(&[InputPart::Node(&x_c), InputPart::Const(&mask)], &decayed);
 
             estimates.push(x_hat);
             complements.push(x_c);

@@ -1,31 +1,38 @@
 //! Recurrent cells: a full LSTM cell and a simple gated recurrent cell,
 //! generic over the [`Scalar`] precision.
 //!
-//! The gate activations — both in the autodiff graph ([`LstmCell::step`])
-//! and in the graph-free snapshot ([`LstmCellWeights::step`]) — are the
-//! *same* [`Scalar::sigmoid`] / [`Scalar::tanh`] definitions, so the two
-//! forward passes are bit-identical at the same precision by construction
-//! (there used to be a second, hand-inlined sigmoid here; see the parity
-//! tests below).
+//! One LSTM step is one graph node ([`Var::lstm_cell`]): the four gate
+//! affine maps, their activations and the state update run inside it, and
+//! its backward hands out bitwise the gradients of the 14-node chain it
+//! replaced. The cell state `c` lives inside the node, not in a node of its
+//! own: an [`LstmState`] carries the hidden vector and the previous step's
+//! node, which the next step reads `c` from and hands `∂c` back to.
+//!
+//! The graph node and the graph-free snapshot ([`LstmCellWeights::step_ws`])
+//! run the same forward, [`rm_tensor::recurrent::lstm_cell_forward`], so
+//! the two are bit-identical at the same precision by construction (see
+//! the parity tests below).
 
 // rm-lint: hot-path
-// The per-step recurrence of every imputer runs through this cell; products
-// reach `matmul_into` through the Linear layers, and `step_ws` keeps
-// snapshot inference allocation-free with a caller-owned workspace.
+// The per-step recurrence of every imputer runs through this cell; the gate
+// products go through `matvec_acc`, and `step_ws` keeps snapshot inference
+// allocation-free with a caller-owned workspace.
 
 use rand::Rng;
-use rm_tensor::{Matrix, Scalar, Var, Workspace};
+use rm_tensor::recurrent::{lstm_cell_forward, LstmGates};
+use rm_tensor::{InputPart, Matrix, Scalar, Var, Workspace};
 
 use crate::Linear;
 
-/// The hidden state carried between recurrent steps: the hidden vector `h`
-/// and the LSTM cell state `c`.
+/// The state carried between recurrent steps: the hidden vector `h` and
+/// the step node that carries the cell state `c`.
 #[derive(Clone)]
 pub struct LstmState<T: Scalar = f64> {
     /// Hidden vector, shape `(hidden_size, 1)`.
     pub h: Var<T>,
-    /// Cell state, shape `(hidden_size, 1)`.
-    pub c: Var<T>,
+    /// The step that produced `c` ([`Var::lstm_cell`]); `None` is a zero
+    /// cell state, which takes no node.
+    cell: Option<Var<T>>,
 }
 
 impl<T: Scalar> LstmState<T> {
@@ -33,17 +40,27 @@ impl<T: Scalar> LstmState<T> {
     pub fn zeros(hidden_size: usize) -> Self {
         Self {
             h: Var::constant(Matrix::zeros(hidden_size, 1)),
-            c: Var::constant(Matrix::zeros(hidden_size, 1)),
+            cell: None,
         }
     }
 
     /// A state with the given hidden vector and zero cell state.
     pub fn from_hidden(h: Var<T>) -> Self {
-        let (rows, _) = h.shape();
+        Self { h, cell: None }
+    }
+
+    /// The same cell state under another hidden vector — the time-decayed
+    /// `h` BRITS and BiSIM feed their next step.
+    pub fn with_hidden(&self, h: Var<T>) -> Self {
         Self {
             h,
-            c: Var::constant(Matrix::zeros(rows, 1)),
+            cell: self.cell.clone(),
         }
+    }
+
+    /// The state's graph handles, for [`Var::recycle_all`].
+    pub fn into_vars(self) -> impl Iterator<Item = Var<T>> {
+        std::iter::once(self.h).chain(self.cell)
     }
 }
 
@@ -88,20 +105,34 @@ impl<T: Scalar> LstmCell<T> {
         self.hidden_size
     }
 
-    /// Performs one recurrent step.
+    /// Performs one recurrent step as one graph node ([`Var::lstm_cell`]).
     ///
-    /// `input` has shape `(input_size, 1)`; the returned state carries the new
-    /// hidden and cell vectors.
-    pub fn step(&self, input: &Var<T>, state: &LstmState<T>) -> LstmState<T> {
-        debug_assert_eq!(input.shape().0, self.input_size, "LSTM input size mismatch");
-        let concat = Var::concat_rows(&[input.clone(), state.h.clone()]);
-        let i = self.input_gate.forward(&concat).sigmoid();
-        let f = self.forget_gate.forward(&concat).sigmoid();
-        let o = self.output_gate.forward(&concat).sigmoid();
-        let g = self.candidate.forward(&concat).tanh();
-        let c = f.hadamard(&state.c).add(&i.hadamard(&g));
-        let h = o.hadamard(&c.tanh());
-        LstmState { h, c }
+    /// `input` is the step's input column in parts (`input_size` rows in
+    /// all): graph nodes, and constants such as a mask, which get no node
+    /// and no gradient. The returned state carries the new hidden vector
+    /// and the node holding the new cell state.
+    pub fn step(&self, input: &[InputPart<'_, T>], state: &LstmState<T>) -> LstmState<T> {
+        debug_assert_eq!(
+            input.iter().map(InputPart::rows).sum::<usize>(),
+            self.input_size,
+            "LSTM input size mismatch"
+        );
+        let h = Var::lstm_cell(
+            input,
+            &state.h,
+            state.cell.as_ref(),
+            [
+                &self.input_gate,
+                &self.forget_gate,
+                &self.output_gate,
+                &self.candidate,
+            ]
+            .map(|layer| (layer.weight(), layer.bias())),
+        );
+        LstmState {
+            h: h.clone(),
+            cell: Some(h),
+        }
     }
 
     /// All trainable parameters of the cell.
@@ -149,11 +180,9 @@ impl<T: Scalar> LstmStateMatrix<T> {
 /// A graph-free snapshot of an [`LstmCell`]: plain matrices, so it is
 /// `Send + Sync` and shareable across the deterministic thread pool.
 ///
-/// [`LstmCellWeights::step`] mirrors [`LstmCell::step`] operation for
-/// operation (same concatenation, same gate order, same shared
-/// [`Scalar::sigmoid`]/[`Scalar::tanh`] activations), so inference through a
-/// snapshot is bit-identical to running the autodiff graph forward at the
-/// same precision.
+/// [`LstmCellWeights::step`] runs the forward of the node [`LstmCell::step`]
+/// builds, so inference through a snapshot is bit-identical to running the
+/// autodiff graph forward at the same precision.
 #[derive(Debug, Clone)]
 pub struct LstmCellWeights<T: Scalar = f64> {
     input_gate: crate::linear::LinearWeights<T>,
@@ -201,68 +230,53 @@ impl<T: Scalar> LstmCellWeights<T> {
         }
     }
 
-    /// Performs one recurrent step on plain matrices.
+    /// Performs one recurrent step on plain matrices:
+    /// [`LstmCellWeights::step_ws`] on a fresh workspace.
     pub fn step(&self, input: &Matrix<T>, state: &LstmStateMatrix<T>) -> LstmStateMatrix<T> {
-        debug_assert_eq!(input.rows(), self.input_size, "LSTM input size mismatch");
-        let concat = input.vstack(&state.h);
-        let i = self.input_gate.forward(&concat).map(Scalar::sigmoid);
-        let f = self.forget_gate.forward(&concat).map(Scalar::sigmoid);
-        let o = self.output_gate.forward(&concat).map(Scalar::sigmoid);
-        let g = self.candidate.forward(&concat).map(Scalar::tanh);
-        let c = &f.hadamard(&state.c) + &i.hadamard(&g);
-        let h = o.hadamard(&c.map(Scalar::tanh));
-        LstmStateMatrix { h, c }
+        self.step_ws(input, state, &mut Workspace::new())
     }
 
-    /// [`LstmCellWeights::step`] with every intermediate drawn from `ws` —
-    /// the workspace-backed variant for snapshot-inference loops. Bitwise
-    /// identical to `step`: the same scalar operations in the same order,
-    /// with capacity-only buffer reuse. The caller owns the returned state
-    /// and typically gives the previous step's state back to `ws`.
+    /// One recurrent step on a column `input` with every buffer drawn from
+    /// `ws`: [`rm_tensor::recurrent::lstm_cell_forward`], the forward of
+    /// the graph node [`LstmCell::step`] builds, so snapshot inference is
+    /// bit-identical to the graph forward. The caller owns the returned
+    /// state and typically gives the previous step's state back to `ws`.
+    ///
+    /// # Panics
+    /// Panics if `input` is not a column of `input_size` rows.
     pub fn step_ws(
         &self,
         input: &Matrix<T>,
         state: &LstmStateMatrix<T>,
         ws: &mut Workspace<T>,
     ) -> LstmStateMatrix<T> {
-        debug_assert_eq!(input.rows(), self.input_size, "LSTM input size mismatch");
-        let cols = input.cols();
-        // `input.vstack(&state.h)` written into workspace scratch.
-        let mut concat = ws.take(input.rows() + state.h.rows(), cols);
-        let split = input.data().len();
-        concat.data_mut()[..split].copy_from_slice(input.data());
-        concat.data_mut()[split..].copy_from_slice(state.h.data());
-        let mut i = self.input_gate.forward_ws(&concat, ws);
-        let mut f = self.forget_gate.forward_ws(&concat, ws);
-        let mut o = self.output_gate.forward_ws(&concat, ws);
-        let mut g = self.candidate.forward_ws(&concat, ws);
-        for v in i.data_mut() {
-            *v = v.sigmoid();
-        }
-        for v in f.data_mut() {
-            *v = v.sigmoid();
-        }
-        for v in o.data_mut() {
-            *v = v.sigmoid();
-        }
-        for v in g.data_mut() {
-            *v = v.tanh();
-        }
-        // c = f ∘ c_prev + i ∘ g, h = o ∘ tanh(c) — element-for-element the
-        // products and the sum of the hadamard/add/map chain in `step`.
-        let mut c = ws.take(state.c.rows(), cols);
-        for (j, cv) in c.data_mut().iter_mut().enumerate() {
-            *cv = f.data()[j] * state.c.data()[j] + i.data()[j] * g.data()[j];
-        }
-        let mut h = ws.take(state.c.rows(), cols);
-        for (j, hv) in h.data_mut().iter_mut().enumerate() {
-            *hv = o.data()[j] * c.data()[j].tanh();
-        }
-        ws.give(concat);
-        ws.give(i);
-        ws.give(f);
-        ws.give(o);
-        ws.give(g);
+        assert_eq!(
+            input.shape(),
+            (self.input_size, 1),
+            "LSTM input shape mismatch"
+        );
+        let hidden = self.hidden_size;
+        let mut x = ws.take(self.input_size + hidden, 1);
+        let (head, tail) = x.data_mut().split_at_mut(self.input_size);
+        head.copy_from_slice(input.data());
+        tail.copy_from_slice(state.h.data());
+        let mut gates = ws.take(4 * hidden, 1);
+        let mut tanh_c = ws.take(hidden, 1);
+        let mut c = ws.take(hidden, 1);
+        let mut h = ws.take(hidden, 1);
+        let weights: LstmGates<'_, T> = self.gates().map(|layer| (layer.weight(), layer.bias()));
+        lstm_cell_forward(
+            &weights,
+            x.data(),
+            state.c.data(),
+            gates.data_mut(),
+            c.data_mut(),
+            tanh_c.data_mut(),
+            h.data_mut(),
+        );
+        ws.give(x);
+        ws.give(gates);
+        ws.give(tanh_c);
         LstmStateMatrix { h, c }
     }
 
@@ -443,7 +457,7 @@ mod tests {
         let mut state = LstmState::zeros(8);
         for t in 0..10 {
             let input = Var::constant(Matrix::filled(4, 1, (t as f64).sin()));
-            state = cell.step(&input, &state);
+            state = cell.step(&[InputPart::Node(&input)], &state);
             let h = state.h.value();
             assert_eq!(h.shape(), (8, 1));
             assert!(
@@ -470,7 +484,7 @@ mod tests {
         let cell: LstmCell = LstmCell::new(2, 3, &mut rng);
         let state = LstmState::zeros(3);
         let input = Var::constant(Matrix::column(&[1.0, -1.0]));
-        let next = cell.step(&input, &state);
+        let next = cell.step(&[InputPart::Node(&input)], &state);
         let loss = next.h.square().sum();
         loss.backward();
         let with_grad = cell
@@ -490,8 +504,8 @@ mod tests {
     fn lstm_state_from_hidden_has_zero_cell() {
         let h = Var::constant(Matrix::column(&[0.1, 0.2]));
         let s = LstmState::from_hidden(h);
-        assert_eq!(s.c.value().sum(), 0.0);
-        assert_eq!(s.c.shape(), (2, 1));
+        assert!(s.cell.is_none(), "a zero cell state takes no node");
+        assert_eq!(s.h.shape(), (2, 1));
     }
 
     #[test]
@@ -546,7 +560,7 @@ mod tests {
         let mut matrix_state = LstmStateMatrix::zeros(5);
         for t in 0..6 {
             let x = Matrix::filled(3, 1, (t as f64 * 0.7).cos());
-            graph_state = cell.step(&Var::constant(x.clone()), &graph_state);
+            graph_state = cell.step(&[InputPart::Node(&Var::constant(x.clone()))], &graph_state);
             matrix_state = weights.step(&x, &matrix_state);
             assert!(graph_state.h.value().bits_eq(&matrix_state.h));
         }
@@ -571,7 +585,7 @@ mod tests {
         let mut matrix_state: LstmStateMatrix<f32> = LstmStateMatrix::zeros(5);
         for t in 0..6 {
             let x: Matrix<f32> = Matrix::filled(3, 1, ((t as f64 * 0.7).cos()) as f32);
-            graph_state = cell32.step(&Var::constant(x.clone()), &graph_state);
+            graph_state = cell32.step(&[InputPart::Node(&Var::constant(x.clone()))], &graph_state);
             matrix_state = weights32.step(&x, &matrix_state);
             assert!(graph_state.h.value().bits_eq(&matrix_state.h));
         }
@@ -605,8 +619,8 @@ mod tests {
         let cell: LstmCell = LstmCell::new(2, 4, &mut rng);
         let state = LstmState::zeros(4);
         let input = Var::constant(Matrix::column(&[0.3, -0.7]));
-        let a = cell.step(&input, &state).h.value();
-        let b = cell.step(&input, &state).h.value();
+        let a = cell.step(&[InputPart::Node(&input)], &state).h.value();
+        let b = cell.step(&[InputPart::Node(&input)], &state).h.value();
         assert!(a.approx_eq(&b, 0.0));
     }
 }

@@ -129,6 +129,11 @@ impl<T: Scalar> Mlp<T> {
         self.layers.iter().flat_map(Linear::parameters).collect()
     }
 
+    /// The layers, input to output.
+    pub fn layers(&self) -> &[Linear<T>] {
+        &self.layers
+    }
+
     /// Copies the current layer parameters into a graph-free [`MlpWeights`]
     /// snapshot (`Send + Sync`, for worker-side graph rebuilds).
     pub fn snapshot(&self) -> MlpWeights<T> {

@@ -13,7 +13,11 @@
 //! workspace (BiSIM, BRITS, SSGAN): matrix products (and the fused affine
 //! map `W·x + b` of every linear layer), element-wise arithmetic,
 //! sigmoid/tanh/ReLU/exp activations, masking by constant matrices, column
-//! softmax, row concatenation, entry selection and scalar reductions.
+//! softmax, row concatenation, entry selection, scalar reductions, and two
+//! fused recurrent layers: one LSTM step ([`Var::lstm_cell`]) and one
+//! decoder step of Bahdanau attention ([`Var::attention`]), whose forward
+//! math lives in [`crate::recurrent`] and is shared with the graph-free
+//! snapshot paths.
 //!
 //! Two rules keep the backward pass bitwise stable as it gets cheaper:
 //!
@@ -27,19 +31,48 @@
 //!   `+0.0` into a temporary first, because adding them one by one into the
 //!   gradient would change the summation order. Parents that need no
 //!   gradient (constant leaves) are skipped.
-//! * **A fused node lists its parents in the replaced chain's push order.**
-//!   The topological sort is a DFS that pushes each node's parents in list
-//!   order, so the parent lists fix the order in which gradients reach every
-//!   node, and with it every gradient's summation order. `Affine` replaces
-//!   `matmul` then `add_broadcast_col`, whose parent lists are `[W, x]` and
-//!   `[product, b]`; with the product replaced by its own parents this is
-//!   `[W, x, b]`. (`Select` replaces `mask` then `sum`: `[v]`.) The DFS then
-//!   visits every other node in the old order, and the fused backward hands
-//!   out gradients in the order the chain's nodes did. The chain's interior
-//!   node started at `+0.0` and received the outer gradient once, so the
-//!   terms it passed on differ from the fused node's only in the sign of a
-//!   zero. No consumer sees that sign: a `±0.0` row is skipped, and a `±0.0`
-//!   term is added to an accumulator that is never `-0.0`.
+//! * **A fused node reproduces the chain it replaces.** The topological
+//!   sort is a DFS that pushes each node's parents in list order and so
+//!   enters them last to first; the order in which it first enters each
+//!   node fixes the order in which gradients reach it, and with it every
+//!   gradient's summation order. A fused node therefore lists its parents
+//!   in the reverse of the order in which the chain's DFS first entered
+//!   them. `Affine` replaces `matmul` then `add_broadcast_col`, whose DFS
+//!   enters `b`, then `x`, then `W`: the list is `[W, x, b]`. (`Select`
+//!   replaces `mask` then `sum`: `[v]`.) The LSTM step's 14 nodes give
+//!   `[W_o, b_o, W_f, b_f, c_prev, W_i, b_i, W_g, parts…, h_prev, b_g]`, and
+//!   the attention step's `7T + 3` nodes `[h''_1, …, h''_{T−1}, W2, W1, s,
+//!   h''_T, b1, b2]`. The DFS then visits every other node in the old
+//!   order, and the fused backward hands each parent its terms in the order
+//!   the chain's nodes did, each intermediate gradient computed as the
+//!   chain's node held it: `+0.0` plus the terms it received. The only
+//!   difference is the sign of a zero where an interior node passed on
+//!   `+0.0 + t` and the fused node passes `t`; no consumer sees it: a
+//!   `±0.0` row is skipped, and a `±0.0` term is added to an accumulator
+//!   that is never `-0.0`.
+//!
+//!   For a chain of many nodes one more fact is needed: in the chain, each
+//!   parent received its terms as one contiguous run, so handing them all
+//!   out at once changes no sum. A node that runs between two interior
+//!   nodes of the chain was first entered through the chain, so it is an
+//!   ancestor of it, and it writes only into its own parents. The ancestors
+//!   that read a chain parent too — an earlier decoder step's attention
+//!   reads the same keys — are ancestors of the decoder state `s` as well:
+//!   they are explored with `s`'s subgraph and run after the whole chain.
+//!   (Those between interior nodes, such as a key's own mask and transform
+//!   at the first decoder step, write into nothing the chain writes into.)
+//!   The parallel readers of `s` (the decoder's estimate and decay) run
+//!   wholly before or wholly after it. An LSTM step's chain runs with no
+//!   other node in between at all. The bitwise oracle tests below build
+//!   both graphs from one scalar, so any other order shows in that
+//!   scalar's gradient.
+//!
+//!   The LSTM cell state `c` is carried inside the step node, not in a node
+//!   of its own. The next step lists the previous step's node as a parent
+//!   and adds its `∂c_prev` into that node's op-held `c` gradient when it
+//!   runs, which is before the previous node runs; the previous node then
+//!   adds its own `tanh(c)` term. That is the chain's order: the next
+//!   step's `f ⊙ c_prev` reached `c` before `tanh(c)` did.
 //!
 //! Graph storage is arena-backed: nodes come out of a per-thread [`NodePool`]
 //! and return to it through [`Var::recycle`], every matrix a node holds draws
@@ -55,6 +88,7 @@
 // `matmul_into` into pooled buffers.
 
 use std::cell::{Ref, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -74,6 +108,13 @@ static NEXT_PASS: AtomicU64 = AtomicU64::new(1);
 /// Nodes kept on a thread's free list; overflow drops to the allocator so a
 /// one-off huge graph cannot pin memory forever.
 const NODE_POOL_CAP: usize = 1 << 15;
+
+/// Parent capacity of every node parked in the [`NodePool`]. A recycled
+/// node keeps its parent vector and is reused for whatever op comes next,
+/// so parking it with room for a fused op's parents (an LSTM step lists up
+/// to 11, an attention step over `T` keys `T + 5`) keeps a warm training
+/// step free of reallocations.
+const MIN_PARENT_CAPACITY: usize = 16;
 
 /// An explicit DFS frame of the topological sort (module-scoped so the
 /// backward pass can park its stack in the [`NodePool`] between calls).
@@ -161,6 +202,56 @@ enum Op<T: Scalar> {
     Affine,
     /// Entry `i` (row-major) of the parent as a 1×1 value.
     Select(usize),
+    /// One LSTM step ([`Var::lstm_cell`]); the node's value is `h`.
+    LstmCell {
+        /// `[i f o g | c | tanh c | c_prev | dc | x]` for hidden size `H`:
+        /// the gate activations (`4·H`), the cell state, its `tanh`, the
+        /// carried state read at the forward, the gradient the next step
+        /// hands back into `c` (`H` each), and the concatenated input `x`.
+        cache: Matrix<T>,
+        /// `(row offset, row count)` within `x` of each node part, in
+        /// parent order.
+        spans: Vec<usize>,
+        /// Whether the carried-state node is listed (after `b_f`).
+        carried: bool,
+    },
+    /// One decoder step's attention context ([`Var::attention`]).
+    Attention {
+        /// The alignment MLP's hidden activations, one row per key.
+        hidden: Matrix<T>,
+        /// The softmax weights, one per key.
+        weights: Matrix<T>,
+    },
+}
+
+/// One part of an LSTM step's input column ([`Var::lstm_cell`]): a graph
+/// node, or a constant the step reads without one.
+#[derive(Clone, Copy)]
+pub enum InputPart<'a, T: Scalar> {
+    /// A node whose gradient the step feeds.
+    Node(&'a Var<T>),
+    /// A constant column: no node, and no gradient is computed for it.
+    Const(&'a Matrix<T>),
+}
+
+impl<T: Scalar> InputPart<'_, T> {
+    /// Number of rows this part adds to the input column.
+    pub fn rows(&self) -> usize {
+        match self {
+            InputPart::Node(v) => v.shape().0,
+            InputPart::Const(m) => m.rows(),
+        }
+    }
+}
+
+/// Parent index of key `i` of an attention node over `t` keys (see
+/// [`Var::attention`] for the list).
+fn attention_key(t: usize, i: usize) -> usize {
+    if i + 1 < t {
+        i
+    } else {
+        t + 2
+    }
 }
 
 struct Node<T: Scalar> {
@@ -522,6 +613,143 @@ impl<T: Scalar> Var<T> {
         Var::from_node(v, &[self, s], Op::MulScalarVar)
     }
 
+    /// One LSTM step as one graph node: bitwise the value `h` and every
+    /// gradient of the chain it replaces —
+    ///
+    /// ```text
+    /// x = concat_rows([concat_rows(parts), h_prev])
+    /// i = σ(W_i·x + b_i), f = σ(W_f·x + b_f), o = σ(W_o·x + b_o), g = tanh(W_g·x + b_g)
+    /// c = f ⊙ c_prev + i ⊙ g,  h = o ⊙ tanh(c)
+    /// ```
+    ///
+    /// with `gates = [(W_i, b_i), (W_f, b_f), (W_o, b_o), (W_g, b_g)]`. The
+    /// cell state `c` stays inside the node: `carried` is the previous
+    /// step's node (`None` for a zero state), whose `c` this step reads and
+    /// to whose `c` gradient it adds `∂c_prev` during backward, before that
+    /// node runs. Constant input parts get no node, and the columns of
+    /// `Wᵀδ` that would feed them are never computed.
+    ///
+    /// The parents are, in order, `[W_o, b_o, W_f, b_f, carried, W_i, b_i,
+    /// W_g, node parts…, h_prev, b_g]`: the reverse of the order in which
+    /// the chain's DFS first enters them (see the module doc).
+    ///
+    /// # Panics
+    /// Panics if `carried` is not an `lstm_cell` node or a shape disagrees.
+    pub fn lstm_cell(
+        parts: &[InputPart<'_, T>],
+        h_prev: &Var<T>,
+        carried: Option<&Var<T>>,
+        gates: [(&Var<T>, &Var<T>); 4],
+    ) -> Var<T> {
+        let hidden = h_prev.shape().0;
+        let n = parts.iter().map(InputPart::rows).sum::<usize>() + hidden;
+        let mut cache = Matrix::zeros(8 * hidden + n, 1);
+        let mut spans = T::with_node_pool(|pool| pool.counts.pop()).unwrap_or_default();
+        let mut h = Matrix::zeros(hidden, 1);
+        {
+            let (state, x) = cache.data_mut().split_at_mut(8 * hidden);
+            let mut offset = 0;
+            for part in parts {
+                let rows = part.rows();
+                match part {
+                    InputPart::Node(v) => {
+                        x[offset..offset + rows].copy_from_slice(v.value_ref().data());
+                        spans.extend([offset, rows]);
+                    }
+                    InputPart::Const(m) => x[offset..offset + rows].copy_from_slice(m.data()),
+                }
+                offset += rows;
+            }
+            x[offset..].copy_from_slice(h_prev.value_ref().data());
+            let (acts, state) = state.split_at_mut(4 * hidden);
+            let (c, state) = state.split_at_mut(hidden);
+            let (tanh_c, state) = state.split_at_mut(hidden);
+            let c_prev = &mut state[..hidden];
+            if let Some(prev) = carried {
+                c_prev.copy_from_slice(&prev.carried_state());
+            }
+            let values = gates.map(|(w, b)| (w.value_ref(), b.value_ref()));
+            let weights: crate::recurrent::LstmGates<'_, T> =
+                std::array::from_fn(|q| (&*values[q].0, &*values[q].1));
+            crate::recurrent::lstm_cell_forward(&weights, x, c_prev, acts, c, tanh_c, h.data_mut());
+        }
+        let [(wi, bi), (wf, bf), (wo, bo), (wg, bg)] = gates;
+        let nodes = parts.iter().filter_map(|part| match part {
+            InputPart::Node(v) => Some(*v),
+            InputPart::Const(_) => None,
+        });
+        let parents = [wo, bo, wf, bf]
+            .into_iter()
+            .chain(carried)
+            .chain([wi, bi, wg])
+            .chain(nodes)
+            .chain([h_prev, bg]);
+        let op = Op::LstmCell {
+            cache,
+            spans,
+            carried: carried.is_some(),
+        };
+        Var::from_node_with(h, parents, op)
+    }
+
+    /// Borrow of the cell state of an `lstm_cell` node.
+    fn carried_state(&self) -> Ref<'_, [T]> {
+        Ref::map(self.node.borrow(), |n| match &n.op {
+            Op::LstmCell { cache, .. } => {
+                let hidden = n.value.rows();
+                &cache.data()[4 * hidden..5 * hidden]
+            }
+            _ => panic!("the carried state must come from an lstm_cell node"),
+        })
+    }
+
+    /// One decoder step of Bahdanau attention as one graph node (BiSIM Eq.
+    /// 10–12): for the decoder state `self` and the keys `h''_1..h''_T`,
+    /// bitwise the context vector and every gradient of the chain it
+    /// replaces —
+    ///
+    /// ```text
+    /// e_i = W2·tanh(W1·concat_rows([s, h''_i]) + b1) + b2    (one affine, tanh, affine per key)
+    /// w   = softmax_col(concat_rows([e_1, …, e_T]))
+    /// ctx = ((0 + h''_1·select(w, 1)) + h''_2·select(w, 2)) + …  (mul_scalar_var, add)
+    /// ```
+    ///
+    /// with `align = [W1, b1, W2, b2]` (a one-row `W2`). The forward is
+    /// [`crate::recurrent::attention_forward`], which the graph-free snapshot
+    /// path calls too. The parents are, in order, `[h''_1, …, h''_{T−1}, W2,
+    /// W1, s, h''_T, b1, b2]`: the reverse of the order in which the chain's
+    /// DFS first enters them (see the module doc).
+    ///
+    /// # Panics
+    /// Panics if `keys` is empty or a shape disagrees.
+    pub fn attention(&self, keys: &[Var<T>], align: [&Var<T>; 4]) -> Var<T> {
+        let t = keys.len();
+        assert!(t > 0, "attention needs at least one key");
+        let hidden_size = self.shape().0;
+        let mut hidden = Matrix::zeros(t, hidden_size);
+        let mut weights = Matrix::zeros(t, 1);
+        let mut context = Matrix::zeros(keys[0].shape().0, 1);
+        {
+            let values = align.map(Var::value_ref);
+            let align_values: crate::recurrent::AlignWeights<'_, T> =
+                std::array::from_fn(|q| &*values[q]);
+            let key = |i: usize| Ref::map(keys[i].value_ref(), |m| m.data());
+            crate::recurrent::attention_forward(
+                &align_values,
+                self.value_ref().data(),
+                key,
+                hidden.data_mut(),
+                weights.data_mut(),
+                context.data_mut(),
+            );
+        }
+        let [w1, b1, w2, b2] = align;
+        let parents = keys[..t - 1]
+            .iter()
+            .chain([w2, w1, self, &keys[t - 1], b1, b2]);
+        Var::from_node_with(context, parents, Op::Attention { hidden, weights })
+    }
+
     // ------------------------------------------------------------------
     // Backward pass
     // ------------------------------------------------------------------
@@ -591,6 +819,25 @@ impl<T: Scalar> Var<T> {
                 Frame::Exit(v) => order.push(v),
             }
         }
+    }
+
+    /// Number of distinct nodes reachable from this one through parent
+    /// links — itself, every intermediate and every leaf: the size of the
+    /// graph a backward pass from here walks.
+    pub fn graph_size(&self) -> usize {
+        let pass = NEXT_PASS.fetch_add(1, Ordering::Relaxed);
+        let mut stack = vec![self.clone()];
+        let mut count = 0;
+        while let Some(v) = stack.pop() {
+            let mut n = v.node.borrow_mut();
+            if n.visit == pass {
+                continue;
+            }
+            n.visit = pass;
+            count += 1;
+            stack.extend(n.parents.iter().cloned());
+        }
+        count
     }
 
     /// Propagates this node's gradient to its parents, adding each term in
@@ -684,6 +931,12 @@ impl<T: Scalar> Var<T> {
                 parents[0].add_into(|d| add_map(d, g, |gi| gi * s));
                 parents[1].add_into(|d| d[0] += ds);
             }
+            Op::LstmCell {
+                cache,
+                spans,
+                carried,
+            } => lstm_cell_backward(parents, g, cache, spans, *carried),
+            Op::Attention { hidden, weights } => attention_backward(parents, g, hidden, weights),
         }
     }
 
@@ -760,6 +1013,7 @@ impl<T: Scalar> Var<T> {
                 while let Some(parent) = n.parents.pop() {
                     stack.push(parent);
                 }
+                n.parents.reserve(MIN_PARENT_CAPACITY);
                 // Strip the node: matrix buffers return to the buffer pool
                 // now; the parents Vec — and a ConcatRows op's row-count
                 // vector, parked below — keep their capacity for the next
@@ -768,7 +1022,10 @@ impl<T: Scalar> Var<T> {
                 n.grad = Matrix::zeros(0, 0);
                 n.requires_grad = false;
                 match std::mem::replace(&mut n.op, Op::Leaf) {
-                    Op::ConcatRows(mut counts) => {
+                    Op::ConcatRows(mut counts)
+                    | Op::LstmCell {
+                        spans: mut counts, ..
+                    } => {
                         counts.clear();
                         Some(counts)
                     }
@@ -837,6 +1094,214 @@ fn matmul_backward<T: Scalar>(a: &Var<T>, b: &Var<T>, grad: &Matrix<T>) {
         // like the blocked one and skips the transpose.
         let db = a.value_ref().matmul_at_b(grad);
         b.accumulate(&db);
+    }
+}
+
+/// `d[r] += +0.0 + g[r]`: the row sums of a single-column gradient, the
+/// bias term of an affine node.
+fn add_bias_column<T: Scalar>(d: &mut [T], g: &[T]) {
+    for (e, &gi) in d.iter_mut().zip(g) {
+        *e += T::ZERO + gi;
+    }
+}
+
+/// `dW += u·vᵀ` into `w`'s gradient through [`Matrix::add_outer`], unless it
+/// keeps none.
+fn add_outer_into<T: Scalar>(w: &Var<T>, u: &[T], v: &[T]) {
+    let mut n = w.node.borrow_mut();
+    if n.keeps_grad() {
+        n.grad.add_outer(u, v);
+    }
+}
+
+/// The backward pass of [`Var::lstm_cell`] for the output gradient `g`
+/// (`∂h`), in the order of the chain it replaces: `h = o ⊙ tanh(c)`, the
+/// output gate's affine map, `tanh(c)`, `c = f ⊙ c_prev + i ⊙ g`, then the
+/// forget, input and candidate gates' affine maps, and last the input
+/// column `x`, whose gradient is `+0 + t_o + t_f + t_i + t_g` (`t_q =
+/// W_qᵀδ_q`). Each intermediate gradient is the chain node's: `+0.0` plus
+/// the term it received.
+fn lstm_cell_backward<T: Scalar>(
+    parents: &[Var<T>],
+    g: &[T],
+    cache: &Matrix<T>,
+    spans: &[usize],
+    carried: bool,
+) {
+    let hidden = g.len();
+    let (acts, state) = cache.data().split_at(4 * hidden);
+    let (i, rest) = acts.split_at(hidden);
+    let (f, rest) = rest.split_at(hidden);
+    let (o, gc) = rest.split_at(hidden);
+    // Past the cell state itself, which only the forward needed.
+    let (tanh_c, state) = state[hidden..].split_at(hidden);
+    let (c_prev, state) = state.split_at(hidden);
+    let (dc, x) = state.split_at(hidden);
+    let n = x.len();
+    let one = T::ONE;
+
+    // Gate pre-activation gradients in the chain's order o, f, i, g, then
+    // the gradient of c, the input column's and one product scratch.
+    let mut scratch = Matrix::zeros(5 * hidden + 2 * n, 1);
+    let (deltas, rest) = scratch.data_mut().split_at_mut(4 * hidden);
+    let (dcell, rest) = rest.split_at_mut(hidden);
+    let (xg, product) = rest.split_at_mut(n);
+    {
+        let (d_o, rest) = deltas.split_at_mut(hidden);
+        let (d_f, rest) = rest.split_at_mut(hidden);
+        let (d_i, d_g) = rest.split_at_mut(hidden);
+        for j in 0..hidden {
+            let go = T::ZERO + g[j] * tanh_c[j];
+            let gtc = T::ZERO + g[j] * o[j];
+            d_o[j] = T::ZERO + go * (o[j] * (one - o[j]));
+            // The next step's `∂c` arrived first, then `tanh(c)`'s.
+            dcell[j] = dc[j] + gtc * (one - tanh_c[j] * tanh_c[j]);
+            let gfc = T::ZERO + dcell[j];
+            let gig = T::ZERO + dcell[j];
+            let gf = T::ZERO + gfc * c_prev[j];
+            d_f[j] = T::ZERO + gf * (f[j] * (one - f[j]));
+            let gi = T::ZERO + gig * gc[j];
+            let gg = T::ZERO + gig * i[j];
+            d_i[j] = T::ZERO + gi * (i[j] * (one - i[j]));
+            d_g[j] = T::ZERO + gg * (one - gc[j] * gc[j]);
+        }
+    }
+    let base = if carried { 5 } else { 4 };
+    if carried {
+        // `c_prev`'s term, before the previous step runs.
+        let mut prev = parents[4].node.borrow_mut();
+        let prev = &mut *prev;
+        let Op::LstmCell {
+            cache: prev_cache, ..
+        } = &mut prev.op
+        else {
+            unreachable!("the carried state comes from an lstm_cell node");
+        };
+        let prev_dc = &mut prev_cache.data_mut()[7 * hidden..8 * hidden];
+        for j in 0..hidden {
+            prev_dc[j] += (T::ZERO + dcell[j]) * f[j];
+        }
+    }
+    // (W, b) of each gate in the chain's order o, f, i, g.
+    let gate_parents = [
+        (&parents[0], &parents[1]),
+        (&parents[2], &parents[3]),
+        (&parents[base], &parents[base + 1]),
+        (&parents[base + 2], &parents[base + 4 + spans.len() / 2]),
+    ];
+    for ((w, b), delta) in gate_parents.iter().zip(deltas.chunks_exact(hidden)) {
+        b.add_into(|d| add_bias_column(d, delta));
+        add_outer_into(w, delta, x);
+    }
+    // `x`'s gradient, only over the columns whose parent keeps one, each
+    // run of adjacent columns through the four gates in order.
+    let part_parents = &parents[base + 3..base + 3 + spans.len() / 2];
+    let h_prev = &parents[base + 3 + spans.len() / 2];
+    let segments = spans
+        .chunks_exact(2)
+        .zip(part_parents)
+        .map(|(span, p)| (span[0]..span[0] + span[1], p))
+        .chain(std::iter::once((n - hidden..n, h_prev)))
+        .filter(|(_, p)| p.needs_grad())
+        .map(|(cols, _)| cols);
+    let mut flush = |cols: Range<usize>| {
+        for ((w, _), delta) in gate_parents.iter().zip(deltas.chunks_exact(hidden)) {
+            let t = &mut product[..cols.len()];
+            w.value_ref().matmul_at_b_col_into(delta, cols.clone(), t);
+            crate::matrix::axpy_slice(T::ONE, t, &mut xg[cols.clone()]);
+        }
+    };
+    let mut run: Option<Range<usize>> = None;
+    for cols in segments {
+        match &mut run {
+            Some(r) if r.end == cols.start => r.end = cols.end,
+            _ => {
+                if let Some(r) = run.replace(cols) {
+                    flush(r);
+                }
+            }
+        }
+    }
+    if let Some(r) = run {
+        flush(r);
+    }
+    // The concatenation's split: `h_prev`, then the node parts.
+    h_prev.add_into(|d| crate::matrix::axpy_slice(T::ONE, &xg[n - hidden..], d));
+    for (span, part) in spans.chunks_exact(2).zip(part_parents) {
+        let cols = span[0]..span[0] + span[1];
+        part.add_into(|d| crate::matrix::axpy_slice(T::ONE, &xg[cols], d));
+    }
+}
+
+/// The backward pass of [`Var::attention`] for the output gradient `g`
+/// (`∂ctx`), in the order of the chain it replaces:
+///
+/// 1. for each key `i`: `h''_i += g·w_i` and `∂w_i = Σ_j g_j·h''_i[j]`
+///    (the `mul_scalar_var` nodes; every product node's gradient is `g`);
+/// 2. the softmax backward into the energies;
+/// 3. for each key `i`: `b2`, `W2` and the hidden activation's gradient,
+///    `tanh`, then `b1`, `W1 += δ_i·[s; h''_i]ᵀ` and `W1ᵀδ_i` split between
+///    `s` and `h''_i`.
+fn attention_backward<T: Scalar>(
+    parents: &[Var<T>],
+    g: &[T],
+    hidden: &Matrix<T>,
+    weights: &Matrix<T>,
+) {
+    let (t, h) = hidden.shape();
+    let a_len = g.len();
+    let y = weights.data();
+    let [w2, w1, s, b1, b2] = [t - 1, t, t + 1, t + 3, t + 4].map(|i| &parents[i]);
+    let key = |i: usize| &parents[attention_key(t, i)];
+
+    let mut scratch = Matrix::zeros(2 * t + 2 * h + 2 * (h + a_len), 1);
+    let (gw, rest) = scratch.data_mut().split_at_mut(t);
+    let (ge, rest) = rest.split_at_mut(t);
+    let (ga, rest) = rest.split_at_mut(h);
+    let (delta, rest) = rest.split_at_mut(h);
+    let (joint, jt) = rest.split_at_mut(h + a_len);
+
+    // 1. The weighted sum.
+    for (i, gwi) in gw.iter_mut().enumerate() {
+        let k = key(i);
+        let wi = T::ZERO + y[i];
+        let ds = {
+            let kv = k.value_ref();
+            g.iter()
+                .zip(kv.data())
+                .fold(T::ZERO, |acc, (&gj, &kj)| acc + gj * kj)
+        };
+        k.add_into(|d| add_map(d, g, |gj| gj * wi));
+        *gwi = T::ZERO + (T::ZERO + ds);
+    }
+    // 2. The softmax: `∂e_i = y_i·(∂w_i − Σ_j y_j·∂w_j)`.
+    let dot = y
+        .iter()
+        .zip(gw.iter())
+        .fold(T::ZERO, |acc, (&yi, &gi)| acc + yi * gi);
+    for ((gei, &yi), &gi) in ge.iter_mut().zip(y).zip(gw.iter()) {
+        *gei = T::ZERO + yi * (gi - dot);
+    }
+    // 3. The alignment MLP, key by key.
+    joint[..h].copy_from_slice(s.value_ref().data());
+    let s_grad = s.needs_grad();
+    for (i, &gei) in ge.iter().enumerate() {
+        let a = hidden.row(i);
+        let k = key(i);
+        b2.add_into(|d| d[0] += T::ZERO + gei);
+        add_outer_into(w2, &[gei], a);
+        w2.value_ref().matmul_at_b_col_into(&[gei], 0..h, ga);
+        for ((dj, &gaj), &aj) in delta.iter_mut().zip(ga.iter()).zip(a) {
+            *dj = T::ZERO + (T::ZERO + gaj) * (T::ONE - aj * aj);
+        }
+        b1.add_into(|d| add_bias_column(d, delta));
+        joint[h..].copy_from_slice(k.value_ref().data());
+        add_outer_into(w1, delta, joint);
+        if s_grad || k.needs_grad() {
+            w1.value_ref().matmul_at_b_col_into(delta, 0..h + a_len, jt);
+            s.add_into(|d| crate::matrix::axpy_slice(T::ONE, &jt[..h], d));
+            k.add_into(|d| crate::matrix::axpy_slice(T::ONE, &jt[h..], d));
+        }
     }
 }
 
@@ -1002,6 +1467,260 @@ mod tests {
             };
             for (got, want) in run(true).iter().zip(&run(false)) {
                 assert_bits(got, want, &format!("select({i})"));
+            }
+        }
+    }
+
+    /// Bitwise equality, or (under the opt-in `RM_FMA=1`, whose fused
+    /// kernels may round a block of columns differently) closeness.
+    #[track_caller]
+    fn assert_bits_unless_fma(got: &Matrix, want: &Matrix, what: &str) {
+        if crate::simd::fma_enabled() {
+            assert!(got.approx_eq(want, 1e-9), "{what}: {got:?} vs {want:?}");
+        } else {
+            assert_bits(got, want, what);
+        }
+    }
+
+    /// The LSTM step [`Var::lstm_cell`] replaces, written out from public
+    /// ops: the input parts and `h_prev` concatenated, four affine gates,
+    /// `c = f ⊙ c_prev + i ⊙ g`, `h = o ⊙ tanh(c)`.
+    fn lstm_chain(parts: &[Var], h_prev: &Var, c_prev: &Var, gates: &[(Var, Var)]) -> (Var, Var) {
+        let input = match parts {
+            [single] => single.clone(),
+            _ => Var::concat_rows(parts),
+        };
+        let x = Var::concat_rows(&[input, h_prev.clone()]);
+        let i = gates[0].0.affine(&x, &gates[0].1).sigmoid();
+        let f = gates[1].0.affine(&x, &gates[1].1).sigmoid();
+        let o = gates[2].0.affine(&x, &gates[2].1).sigmoid();
+        let g = gates[3].0.affine(&x, &gates[3].1).tanh();
+        let c = f.hadamard(c_prev).add(&i.hadamard(&g));
+        let h = o.hadamard(&c.tanh());
+        (h, c)
+    }
+
+    /// `Var::lstm_cell` against the chain it replaces ([`lstm_chain`]), bit
+    /// for bit on every step's `h`, the loss and every gradient, over a
+    /// 6-step recurrence through the carried `c`: encoder-shaped input (a
+    /// node part and a constant mask part), decoder-shaped input (two node
+    /// parts) and a single node part, each with and without a decayed `h`
+    /// between steps. Every step's node parts are computed from the
+    /// previous `h`, as BiSIM's estimate is, so `h` has several readers. In
+    /// the `derived` runs every leaf is scaled by one scalar `s` that also
+    /// scales the loss, so a term handed out in another order changes `s`'s
+    /// gradient bits.
+    #[test]
+    fn lstm_cell_matches_the_primitive_chain_bitwise() {
+        const STEPS: usize = 6;
+        // (rows of each node part, rows of the constant part, hidden size)
+        let shapes: [(&[usize], usize, usize); 3] = [(&[5], 5, 8), (&[2, 5], 0, 6), (&[4], 0, 17)];
+        for (shape, decayed, derived) in shapes
+            .into_iter()
+            .flat_map(|sh| [false, true].map(move |d| (sh, d)))
+            .flat_map(|(sh, d)| [false, true].map(move |v| (sh, d, v)))
+        {
+            let (node_rows, const_rows, hidden) = shape;
+            let n = node_rows.iter().sum::<usize>() + const_rows + hidden;
+            let run = |fused: bool| {
+                let s = Var::parameter(Matrix::filled(1, 1, 0.7));
+                let mut leaves = Vec::new();
+                let mut leaf = |m: Matrix| {
+                    let p = Var::parameter(m);
+                    leaves.push(p.clone());
+                    if derived {
+                        p.mul_scalar_var(&s)
+                    } else {
+                        p
+                    }
+                };
+                let gates: Vec<(Var, Var)> = (0..4)
+                    .map(|q| {
+                        (
+                            leaf(signed_zero_fill(hidden, n, 10 + q)),
+                            leaf(signed_zero_fill(hidden, 1, 20 + q)),
+                        )
+                    })
+                    .collect();
+                // One map per node part from the previous `h`.
+                let reads: Vec<(Var, Var)> = node_rows
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &rows)| {
+                        (
+                            leaf(signed_zero_fill(rows, hidden, 30 + k)),
+                            leaf(signed_zero_fill(rows, 1, 40 + k)),
+                        )
+                    })
+                    .collect();
+                let gammas: Vec<Var> = (0..STEPS)
+                    .map(|t| leaf(signed_zero_fill(hidden, 1, 50 + t).map(|v| 0.5 + 0.4 * v)))
+                    .collect();
+                let mask =
+                    signed_zero_fill(const_rows, 1, 3).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                let mut h = Var::constant(Matrix::zeros(hidden, 1));
+                let mut c_chain = Var::constant(Matrix::zeros(hidden, 1));
+                let mut carried: Option<Var> = None;
+                let mut hs = Vec::new();
+                let mut loss = Var::scalar(0.0);
+                for gamma in &gammas {
+                    let parts: Vec<Var> =
+                        reads.iter().map(|(w, b)| w.affine(&h, b).tanh()).collect();
+                    let h_in = if decayed {
+                        h.hadamard(gamma)
+                    } else {
+                        h.clone()
+                    };
+                    h = if fused {
+                        let mut input: Vec<InputPart<'_, f64>> =
+                            parts.iter().map(InputPart::Node).collect();
+                        if const_rows > 0 {
+                            input.push(InputPart::Const(&mask));
+                        }
+                        let gate_refs: Vec<(&Var, &Var)> =
+                            gates.iter().map(|(w, b)| (w, b)).collect();
+                        let next = Var::lstm_cell(
+                            &input,
+                            &h_in,
+                            carried.as_ref(),
+                            [gate_refs[0], gate_refs[1], gate_refs[2], gate_refs[3]],
+                        );
+                        carried = Some(next.clone());
+                        next
+                    } else {
+                        let mut input = parts.clone();
+                        if const_rows > 0 {
+                            input.push(Var::constant(mask.clone()));
+                        }
+                        let (next, c) = lstm_chain(&input, &h_in, &c_chain, &gates);
+                        c_chain = c;
+                        next
+                    };
+                    loss = loss.add(&h.tanh().sum()).add(&parts[0].square().mean());
+                    hs.push(h.value());
+                }
+                let loss = loss.add(&h.square().sum()).mul_scalar_var(&s);
+                loss.backward();
+                let mut out = hs;
+                out.push(loss.value());
+                out.push(s.grad());
+                out.extend(leaves.iter().map(Var::grad));
+                out
+            };
+            let (got, want) = (run(true), run(false));
+            assert_eq!(got.len(), want.len());
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let what = format!("{shape:?} decayed={decayed} derived={derived} output {i}");
+                assert_bits_unless_fma(got, want, &what);
+            }
+        }
+    }
+
+    /// The attention step [`Var::attention`] replaces, written out from
+    /// public ops: per key a joint concat, the two-layer alignment MLP, then
+    /// the energies' softmax and the selected-weight sum from a zero
+    /// constant.
+    fn attention_chain(s: &Var, keys: &[Var], align: &[Var; 4]) -> Var {
+        let [w1, b1, w2, b2] = align;
+        let energies: Vec<Var> = keys
+            .iter()
+            .map(|k| {
+                let joint = Var::concat_rows(&[s.clone(), k.clone()]);
+                w2.affine(&w1.affine(&joint, b1).tanh(), b2)
+            })
+            .collect();
+        let weights = Var::concat_rows(&energies).softmax_col();
+        let mut context = Var::constant(Matrix::zeros(keys[0].shape().0, 1));
+        for (i, k) in keys.iter().enumerate() {
+            context = context.add(&k.mul_scalar_var(&weights.select(i)));
+        }
+        context
+    }
+
+    /// `Var::attention` against the chain it replaces ([`attention_chain`]),
+    /// bit for bit on both contexts, the loss and every gradient, for
+    /// `T ∈ {1, 2, 5}` keys and `H ∈ {8, 32}`, over two decoder-like steps:
+    /// the second step's state is computed from the first step's context,
+    /// and the keys (masked affine maps, as BiSIM's transformed latents are,
+    /// so some entries are `±0.0`) have other readers too. In the `derived`
+    /// runs every leaf is scaled by one scalar `s` that also scales the
+    /// loss, so summation order shows in `s`'s gradient.
+    #[test]
+    fn attention_matches_the_primitive_chain_bitwise() {
+        let aps = 7;
+        for (t, hidden, derived) in [1, 2, 5]
+            .into_iter()
+            .flat_map(|t| [8, 32].map(move |h| (t, h)))
+            .flat_map(|(t, h)| [false, true].map(move |d| (t, h, d)))
+        {
+            let run = |fused: bool| {
+                let s = Var::parameter(Matrix::filled(1, 1, 0.7));
+                let mut leaves = Vec::new();
+                let mut leaf = |m: Matrix| {
+                    let p = Var::parameter(m);
+                    leaves.push(p.clone());
+                    if derived {
+                        p.mul_scalar_var(&s)
+                    } else {
+                        p
+                    }
+                };
+                let align = [
+                    leaf(signed_zero_fill(hidden, hidden + aps, 1)),
+                    leaf(signed_zero_fill(hidden, 1, 2)),
+                    leaf(signed_zero_fill(1, hidden, 3)),
+                    leaf(signed_zero_fill(1, 1, 4)),
+                ];
+                let (wk, bk) = (
+                    leaf(signed_zero_fill(aps, hidden, 5)),
+                    leaf(signed_zero_fill(aps, 1, 6)),
+                );
+                let keys: Vec<Var> = (0..t)
+                    .map(|i| {
+                        let latent = leaf(signed_zero_fill(hidden, 1, 7 + i));
+                        let mask =
+                            signed_zero_fill(aps, 1, i).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                        wk.affine(&latent, &bk).mask(&mask)
+                    })
+                    .collect();
+                let (ws, bs) = (
+                    leaf(signed_zero_fill(hidden, aps + hidden, 20)),
+                    leaf(signed_zero_fill(hidden, 1, 21)),
+                );
+                let s0 = leaf(signed_zero_fill(hidden, 1, 22));
+                let attend = |state: &Var| {
+                    if fused {
+                        state.attention(&keys, [&align[0], &align[1], &align[2], &align[3]])
+                    } else {
+                        attention_chain(state, &keys, &align)
+                    }
+                };
+                let ctx1 = attend(&s0);
+                let s1 = ws
+                    .affine(&Var::concat_rows(&[ctx1.clone(), s0.clone()]), &bs)
+                    .tanh();
+                let ctx2 = attend(&s1);
+                // The loss's DFS enters the second attention node first, so
+                // the order of its parent list decides which of its inputs'
+                // subgraphs (`s1`, holding the first step, or the keys) is
+                // explored first.
+                let loss = keys[0]
+                    .square()
+                    .mean()
+                    .add(&s1.sum())
+                    .add(&ctx1.square().sum())
+                    .add(&ctx2.tanh().sum())
+                    .mul_scalar_var(&s);
+                loss.backward();
+                let mut out = vec![ctx1.value(), ctx2.value(), loss.value(), s.grad()];
+                out.extend(leaves.iter().map(Var::grad));
+                out
+            };
+            let (got, want) = (run(true), run(false));
+            assert_eq!(got.len(), want.len());
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let what = format!("T={t} H={hidden} derived={derived} output {i}");
+                assert_bits_unless_fma(got, want, &what);
             }
         }
     }

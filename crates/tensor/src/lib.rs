@@ -19,7 +19,9 @@
 //! * [`Var`] — a node in a dynamically-built reverse-mode autodiff graph
 //!   (default `Var<f64>`), supporting matrix products, the fused affine map
 //!   of a linear layer, element-wise arithmetic, activations, masking,
-//!   concatenation, column softmax, entry selection and scalar reductions,
+//!   concatenation, column softmax, entry selection, scalar reductions, and
+//!   one-node LSTM and attention steps whose forward ([`recurrent`]) the
+//!   graph-free snapshot paths share,
 //! * [`Workspace`] and the per-thread buffer pools behind every [`Matrix`]
 //!   constructor — the arena layer ([`workspace`]) that keeps the hot loops
 //!   allocation-free; `RM_ARENA=0` restores the fresh-allocation reference
@@ -47,11 +49,12 @@ pub mod autodiff;
 pub mod export;
 pub mod half;
 pub mod matrix;
+pub mod recurrent;
 pub mod scalar;
 pub mod simd;
 pub mod workspace;
 
-pub use autodiff::Var;
+pub use autodiff::{InputPart, Var};
 pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use half::{bf16_to_f32, f32_to_bf16, Bf16Matrix, SnapshotDtype};
 pub use matrix::{Matrix, MATMUL_BLOCK};

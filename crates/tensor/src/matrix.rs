@@ -9,7 +9,7 @@
 //! gets twice the SIMD lanes out of the 4-wide unrolled inner loops.
 
 use std::fmt;
-use std::ops::{Add, Mul, Neg, Sub};
+use std::ops::{Add, Mul, Neg, Range, Sub};
 
 use rand::Rng;
 
@@ -87,20 +87,25 @@ pub(crate) fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `out = W · x` for a row-major `W` with `x.len()` columns and `out.len()`
-/// rows: the scalar column-vector kernel of [`Matrix::matmul_into`] (the
-/// `RM_SIMD=0` reference of the AVX2 `Scalar::matvec_avx2`). Rows go
-/// through [`matvec_rows`] in blocks of 16, then 4, then 1, so up to 16
-/// independent dot-product chains are in flight: consecutive multiply-adds
-/// of one row no longer wait on each other's latency, and each `x[k]` load
-/// is shared by the whole block. Blocking changes which rows run together,
-/// never the arithmetic of a row.
+/// `out[r] += W[r, ..] · x` for a row-major `W` whose rows start `ld`
+/// entries apart and hold `x.len()` columns from the start of `w` on: the
+/// scalar column-vector kernel of [`Matrix::matmul_into`] and
+/// [`Matrix::matvec_acc`] (the `RM_SIMD=0` reference of the AVX2
+/// `Scalar::matvec_avx2`). Each row's accumulator starts at its `out[r]`
+/// and adds `W[r, k] · x[k]` — one multiply, one add — in increasing `k`,
+/// so a dot product split at any column and continued from the first
+/// part's sums is bitwise the unsplit one. Rows go through [`matvec_rows`]
+/// in blocks of 16, then 4, then 1, so up to 16 independent dot-product
+/// chains are in flight: consecutive multiply-adds of one row no longer
+/// wait on each other's latency, and each `x[k]` load is shared by the
+/// whole block. Blocking changes which rows run together, never the
+/// arithmetic of a row.
 #[inline]
-pub(crate) fn matvec_into<T: Scalar>(w: &[T], x: &[T], out: &mut [T]) {
-    debug_assert_eq!(w.len(), out.len() * x.len());
-    let done = matvec_blocks::<T, 16>(w, x, out, 0);
-    let done = matvec_blocks::<T, 4>(w, x, out, done);
-    matvec_blocks::<T, 1>(w, x, out, done);
+pub(crate) fn matvec_acc_into<T: Scalar>(w: &[T], ld: usize, x: &[T], out: &mut [T]) {
+    debug_assert!(out.is_empty() || w.len() >= (out.len() - 1) * ld + x.len());
+    let done = matvec_blocks::<T, 16>(w, ld, x, out, 0);
+    let done = matvec_blocks::<T, 4>(w, ld, x, out, done);
+    matvec_blocks::<T, 1>(w, ld, x, out, done);
 }
 
 /// Computes as many whole blocks of `R` output rows as fit from row `start`
@@ -108,35 +113,36 @@ pub(crate) fn matvec_into<T: Scalar>(w: &[T], x: &[T], out: &mut [T]) {
 #[inline(always)]
 fn matvec_blocks<T: Scalar, const R: usize>(
     w: &[T],
+    ld: usize,
     x: &[T],
     out: &mut [T],
     start: usize,
 ) -> usize {
-    let k = x.len();
     let end = start + (out.len() - start) / R * R;
     for (b, o) in out[start..end].chunks_exact_mut(R).enumerate() {
         let first = start + b * R;
-        o.copy_from_slice(&matvec_rows::<T, R>(&w[first * k..(first + R) * k], x));
+        let acc: &mut [T; R] = o.try_into().expect("block of R rows");
+        matvec_rows::<T, R>(&w[first * ld..], ld, x, acc);
     }
     end
 }
 
-/// The dot products of `R` consecutive rows (`rows` holds `R · x.len()`
-/// entries) with `x`. Each accumulator starts at `+0.0` and adds
+/// Continues the dot products of `R` rows (`ld` entries apart from the
+/// start of `rows`) with `x` from the accumulators in `acc`. Each adds
 /// `row[k] * x[k]` — one multiply, one add — in increasing `k`, the order of
 /// [`Matrix::matmul_naive`]; the `R` chains are independent, so the block
 /// changes throughput, not arithmetic.
 #[inline(always)]
-fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], x: &[T]) -> [T; R] {
+fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], ld: usize, x: &[T], acc: &mut [T; R]) {
     let k = x.len();
-    let rows: [&[T]; R] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
-    let mut acc = [T::ZERO; R];
+    let rows: [&[T]; R] = std::array::from_fn(|r| &rows[r * ld..r * ld + k]);
+    let mut a = *acc;
     for (j, &xj) in x.iter().enumerate() {
         for r in 0..R {
-            acc[r] += rows[r][j] * xj;
+            a[r] += rows[r][j] * xj;
         }
     }
-    acc
+    *acc = a;
 }
 
 /// A dense row-major matrix of [`Scalar`] values (`f64` by default).
@@ -464,17 +470,8 @@ impl<T: Scalar> Matrix<T> {
             (self.rows, rhs.cols)
         );
         if rhs.cols == 1 {
-            return match crate::simd::kernel() {
-                // The dot kernel never fuses, so the FMA arm runs it too.
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Kernel::Avx2`/`Kernel::Fma` are only resolved
-                // after runtime AVX2 detection succeeded on this CPU, and the
-                // shapes were checked above.
-                crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
-                    T::matvec_avx2(&self.data, &rhs.data, &mut out.data)
-                },
-                _ => matvec_into(&self.data, &rhs.data, &mut out.data),
-            };
+            out.data.fill(T::ZERO);
+            return self.matvec_acc(0, &rhs.data, &mut out.data);
         }
         out.data.iter_mut().for_each(|v| *v = T::ZERO);
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
@@ -613,6 +610,49 @@ impl<T: Scalar> Matrix<T> {
         );
     }
 
+    /// Continues each row's dot product with a column block of `self`:
+    /// `acc[r] += self[r, start + k] · x[k]`, one multiply and one add per
+    /// term, in increasing `k`, from the accumulator's current value. The
+    /// column-vector product of [`Matrix::matmul_into`] is this from `+0.0`
+    /// over every column, so a product split into column blocks and
+    /// continued block by block is bitwise the whole one — which lets a
+    /// caller compute a shared prefix (`W[:, ..h] · s`) once and continue
+    /// it against several suffixes. On AVX2 hosts the rows run one per
+    /// vector lane ([`crate::simd`]), bit-identical to the scalar blocks;
+    /// the kernel never fuses, so the `RM_FMA=1` dispatch runs it too.
+    ///
+    /// # Panics
+    /// Panics if `acc` does not have one entry per row or the block runs
+    /// past the last column.
+    #[allow(unsafe_code)] // audited dispatch into the detected arch kernel
+    pub fn matvec_acc(&self, start: usize, x: &[T], acc: &mut [T]) {
+        assert_eq!(
+            acc.len(),
+            self.rows,
+            "matvec_acc accumulator length mismatch"
+        );
+        assert!(
+            start + x.len() <= self.cols,
+            "matvec_acc columns {start}..{} out of {}",
+            start + x.len(),
+            self.cols
+        );
+        if self.rows == 0 {
+            return;
+        }
+        let w = &self.data[start..];
+        match crate::simd::kernel() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Avx2`/`Kernel::Fma` are only resolved after
+            // runtime AVX2 detection succeeded on this CPU, and the shapes
+            // were checked above.
+            crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
+                T::matvec_avx2(w, self.cols, x, acc)
+            },
+            _ => matvec_acc_into(w, self.cols, x, acc),
+        }
+    }
+
     /// Reference matrix product: the textbook triple loop, kept as the ground
     /// truth the blocked kernel is property-tested against.
     ///
@@ -666,10 +706,11 @@ impl<T: Scalar> Matrix<T> {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        // The column case runs its axpys over rows of `self`, so its vector
-        // width is `self.cols`, not `rhs.cols`.
-        let width = if rhs.cols == 1 { self.cols } else { rhs.cols };
-        if width < crate::simd::SIMD_MIN_COLS {
+        if rhs.cols == 1 {
+            self.matmul_at_b_col_into(&rhs.data, 0..self.cols, &mut out.data);
+            return out;
+        }
+        if rhs.cols < crate::simd::SIMD_MIN_COLS {
             // Narrow rows have no vector body to amortise the dispatch.
             self.matmul_at_b_body(rhs, &mut out, axpy_row_scalar::<T>);
             return out;
@@ -698,15 +739,6 @@ impl<T: Scalar> Matrix<T> {
         axpy: impl Fn(T, &[T], &mut [T]),
     ) {
         let n = rhs.cols;
-        if n == 1 {
-            let c = self.cols;
-            for (k, &g) in rhs.data.iter().enumerate() {
-                if g != T::ZERO {
-                    axpy(g, &self.data[k * c..(k + 1) * c], &mut out.data);
-                }
-            }
-            return;
-        }
         for k in 0..self.rows {
             let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
             let rhs_row = &rhs.data[k * n..(k + 1) * n];
@@ -718,6 +750,84 @@ impl<T: Scalar> Matrix<T> {
                 axpy(a, rhs_row, out_row);
             }
         }
+    }
+
+    /// The column case of [`Matrix::matmul_at_b`] over a block of `self`'s
+    /// columns: `out = self[:, cols]ᵀ · g` for a column `g` of `self.rows`
+    /// entries, each row `k` one dispatched axpy `out += g[k] · self[k, cols]`
+    /// (skipped when `g[k]` is an exact zero) from `+0.0`. Every output entry
+    /// is its own sum, so the block is bitwise the same entries of the whole
+    /// product: a fused backward computes only the columns whose parent
+    /// keeps a gradient.
+    #[allow(unsafe_code)] // audited dispatch into the target_feature loops below
+    pub(crate) fn matmul_at_b_col_into(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
+        assert_eq!(g.len(), self.rows, "matmul_at_b gradient length mismatch");
+        assert!(
+            cols.end <= self.cols,
+            "matmul_at_b column block out of range"
+        );
+        assert_eq!(out.len(), cols.len(), "matmul_at_b output length mismatch");
+        out.fill(T::ZERO);
+        // The axpys run over rows of `self`, so the vector width is the
+        // block's.
+        if cols.len() < crate::simd::SIMD_MIN_COLS {
+            // Narrow rows have no vector body to amortise the dispatch.
+            return self.at_col_body(g, cols, out, axpy_row_scalar::<T>);
+        }
+        match crate::simd::kernel() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
+            // detection succeeded on this CPU.
+            crate::simd::Kernel::Avx2 => unsafe { self.at_col_avx2(g, cols, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
+            // detection succeeded on this CPU.
+            crate::simd::Kernel::Fma => unsafe { self.at_col_fma(g, cols, out) },
+            _ => self.at_col_body(g, cols, out, axpy_row_scalar::<T>),
+        }
+    }
+
+    /// The row loop of [`Matrix::matmul_at_b_col_into`], generic over the
+    /// row kernel.
+    #[inline(always)]
+    fn at_col_body(
+        &self,
+        g: &[T],
+        cols: Range<usize>,
+        out: &mut [T],
+        axpy: impl Fn(T, &[T], &mut [T]),
+    ) {
+        let c = self.cols;
+        for (k, &gk) in g.iter().enumerate() {
+            if gk != T::ZERO {
+                axpy(gk, &self.data[k * c + cols.start..k * c + cols.end], out);
+            }
+        }
+    }
+
+    /// [`Matrix::at_col_body`] compiled in an AVX2 context.
+    // SAFETY: `unsafe fn` contract is runtime AVX2 availability, upheld by
+    // the `Kernel::Avx2` dispatch arm; the row kernel stays within the
+    // equal-length row slices it is handed.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn at_col_avx2(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
+        // SAFETY: forwards this fn's own AVX2 contract to the row kernel.
+        self.at_col_body(g, cols, out, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
+    }
+
+    /// [`Matrix::at_col_body`] compiled in an AVX2+FMA context (`RM_FMA=1`
+    /// opt-in; epsilon contract).
+    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
+    // by the `Kernel::Fma` dispatch arm; the row kernel stays within the
+    // equal-length row slices it is handed.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(unsafe_code)]
+    unsafe fn at_col_fma(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
+        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
+        self.at_col_body(g, cols, out, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
     }
 
     /// [`Matrix::matmul_at_b_body`] compiled in an AVX2 context.

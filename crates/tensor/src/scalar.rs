@@ -163,17 +163,19 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn axpy_row4_fma(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]);
 
-    /// Explicit-width AVX2 batch-1 product `out = W · x` (row-major `W` of
-    /// `out.len()` rows by `x.len()` columns) — the column-vector kernel of
-    /// `matmul_into`, bit-identical to the scalar dot products. It never
-    /// fuses, so the `RM_FMA=1` dispatch runs it too.
+    /// Explicit-width AVX2 batch-1 product `out += W · x` (row-major `W` of
+    /// `out.len()` rows `ld` entries apart, `x.len()` columns from the start
+    /// of `w`) — the column-vector kernel of `matmul_into` and
+    /// `Matrix::matvec_acc`, bit-identical to the scalar dot products
+    /// continued from `out`. It never fuses, so the `RM_FMA=1` dispatch runs
+    /// it too.
     ///
     /// # Safety
     /// Same contract as [`Scalar::axpy_row_avx2`].
     // SAFETY: declaration only — the contract above binds the implementors.
     #[doc(hidden)]
     #[allow(unsafe_code)]
-    unsafe fn matvec_avx2(w: &[Self], x: &[Self], out: &mut [Self]);
+    unsafe fn matvec_avx2(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]);
 
     /// One Adam update of a parameter tensor's flat slices — the dispatch
     /// point of [`AdamStep::update`](crate::simd::AdamStep::update). `f64`
@@ -318,9 +320,9 @@ macro_rules! impl_scalar {
             // slice lengths itself.
             #[inline(always)]
             #[allow(unsafe_code)]
-            unsafe fn matvec_avx2(w: &[Self], x: &[Self], out: &mut [Self]) {
+            unsafe fn matvec_avx2(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]) {
                 // SAFETY: forwarded contract, argued at the declaration.
-                unsafe { $matvec_avx2(w, x, out) }
+                unsafe { $matvec_avx2(w, ld, x, out) }
             }
 
             #[inline]

@@ -21,12 +21,14 @@
 //! imputers, in training and in snapshot inference) are shaped for their
 //! operands instead of running a length-1 row kernel per reduction step:
 //!
-//! * `matmul_into` computes `W·x` as row dot products. The AVX2 kernel
-//!   (`matvec_f64_avx2`/`matvec_f32_avx2`, dispatched through
-//!   `Scalar::matvec_avx2`) loads four rows' next four entries, transposes
-//!   them in registers (4×4) and runs one row per vector lane, each lane
-//!   from `+0.0` in increasing `k`; up to sixteen rows share each `x[k]`
-//!   broadcast. The scalar reference (`RM_SIMD=0`) runs the same dot
+//! * `matmul_into` computes `W·x` as row dot products, and
+//!   `Matrix::matvec_acc` continues them over a block of columns from
+//!   given accumulators. The AVX2 kernel (`matvec_f64_avx2`/
+//!   `matvec_f32_avx2`, dispatched through `Scalar::matvec_avx2`) loads
+//!   four rows' next four entries, transposes them in registers (4×4) and
+//!   runs one row per vector lane, each lane from its accumulator (`+0.0`
+//!   for `matmul_into`) in increasing `k`; up to sixteen rows share each
+//!   `x[k]` broadcast. The scalar reference (`RM_SIMD=0`) runs the same dot
 //!   products in blocks of 16, 4 and 1 rows.
 //! * `matmul_at_b` runs one dispatched axpy per row of the left operand over
 //!   the whole output.
@@ -526,20 +528,22 @@ axpy_row4_kernels!(
     axpy_row4_f32_fma
 );
 
-/// Generates the AVX2 batch-1 product `out = W · x` for a row-major `W`
-/// (`out.len()` rows of `x.len()` entries): the column-vector kernel of
-/// `matmul_into`.
+/// Generates the AVX2 batch-1 product `out[r] += W[r, ..] · x` for a
+/// row-major `W` whose rows start `ld` entries apart (`out.len()` rows of
+/// `x.len()` entries from the start of `w`): the column-vector kernel of
+/// `matmul_into` and `Matrix::matvec_acc`.
 ///
 /// Rows run in groups of four, one row per vector lane: four rows' next
 /// four entries are loaded and transposed in registers (a 4×4 transpose),
 /// so lane `r` of the `k`-th transposed vector holds `W[r, k]`, and the
-/// group's accumulator gets `acc += col_k · x[k]` for `k` in increasing
-/// order. Each lane therefore runs exactly its row's scalar dot product —
-/// start at `+0.0`, one multiply and one add per term, increasing `k` — and
-/// the result is bit-identical to the scalar blocks of `matvec_into`. Up to
-/// four groups (16 rows) share each broadcast of `x[k]` and keep four
-/// independent add chains in flight; the last `< 4` rows run the scalar dot
-/// product, and the last `< 4` entries of each row a lane-gathered step.
+/// group's accumulator — loaded from `out` — gets `acc += col_k · x[k]` for
+/// `k` in increasing order. Each lane therefore runs exactly its row's
+/// scalar dot product — start at `out[r]`, one multiply and one add per
+/// term, increasing `k` — and the result is bit-identical to the scalar
+/// blocks of `matvec_acc_into`. Up to four groups (16 rows) share each
+/// broadcast of `x[k]` and keep four independent add chains in flight; the
+/// last `< 4` rows run the scalar dot product, and the last `< 4` entries
+/// of each row a lane-gathered step.
 #[cfg(target_arch = "x86_64")]
 macro_rules! matvec_kernel {
     (
@@ -547,56 +551,69 @@ macro_rules! matvec_kernel {
         $setzero:ident, $set1:ident, $set:ident, $loadu:ident, $storeu:ident,
         $mul:ident, $add:ident, $transpose:path
     ) => {
-        /// AVX2 `out = W · x`, bit-identical to the scalar reference (see the
-        /// macro doc).
+        /// AVX2 `out += W · x`, bit-identical to the scalar reference (see
+        /// the macro doc).
         // SAFETY: the `unsafe fn` contract is AVX2 availability (upheld by
-        // the `Kernel::Avx2`/`Kernel::Fma` dispatch); the length check below
-        // keeps every pointer offset inside `w`, `x` and `out`.
+        // the `Kernel::Avx2`/`Kernel::Fma` dispatch); the length checks below
+        // keep every pointer offset inside `w`, `x` and `out`.
         #[target_feature(enable = "avx2")]
         #[allow(unsafe_code)]
-        pub(crate) unsafe fn $name(w: &[$t], x: &[$t], out: &mut [$t]) {
+        pub(crate) unsafe fn $name(w: &[$t], ld: usize, x: &[$t], out: &mut [$t]) {
             let (k, rows) = (x.len(), out.len());
-            assert_eq!(w.len(), rows * k, "matvec shape mismatch");
+            if rows == 0 {
+                return;
+            }
+            assert!(k <= ld, "matvec row wider than its stride");
+            assert!(w.len() >= (rows - 1) * ld + k, "matvec shape mismatch");
             let (wp, xp, op) = (w.as_ptr(), x.as_ptr(), out.as_mut_ptr());
             let mut r = 0;
             // SAFETY: each call covers rows `r..r + 4·G ≤ rows` of `w` and
-            // `out`, every entry index stays below `k`, and AVX2 is the
+            // `out`, every entry index stays below `k ≤ ld`, and AVX2 is the
             // caller's contract.
             unsafe {
                 while r + 16 <= rows {
-                    $group::<4>(wp.add(r * k), xp, k, op.add(r));
+                    $group::<4>(wp.add(r * ld), ld, xp, k, op.add(r));
                     r += 16;
                 }
                 if r + 8 <= rows {
-                    $group::<2>(wp.add(r * k), xp, k, op.add(r));
+                    $group::<2>(wp.add(r * ld), ld, xp, k, op.add(r));
                     r += 8;
                 }
                 if r + 4 <= rows {
-                    $group::<1>(wp.add(r * k), xp, k, op.add(r));
+                    $group::<1>(wp.add(r * ld), ld, xp, k, op.add(r));
                     r += 4;
                 }
             }
             for (i, o) in out.iter_mut().enumerate().skip(r) {
-                let row = &w[i * k..(i + 1) * k];
-                *o = row.iter().zip(x).fold(0.0, |acc, (&a, &b)| acc + a * b);
+                let row = &w[i * ld..i * ld + k];
+                *o = row.iter().zip(x).fold(*o, |acc, (&a, &b)| acc + a * b);
             }
         }
 
-        /// `G` groups of four rows starting at `w` (row stride `k`) into
-        /// `out[..4·G]`.
-        // SAFETY: the `unsafe fn` contract is AVX2 availability plus
-        // `w` holding `4·G` rows of `k` entries, `x` holding `k` entries and
-        // `out` holding `4·G` entries, all upheld by the caller above.
+        /// `G` groups of four rows starting at `w` (row stride `ld`, `k`
+        /// entries each) added into `out[..4·G]`.
+        // SAFETY: the contract is AVX2 plus `w` holding `4·G` rows of
+        // `k ≤ ld` entries `ld` apart, `x` `k` entries and `out` `4·G`,
+        // all upheld by the caller above.
         #[target_feature(enable = "avx2")]
         #[allow(unsafe_code)]
         #[inline]
-        unsafe fn $group<const G: usize>(w: *const $t, x: *const $t, k: usize, out: *mut $t) {
+        unsafe fn $group<const G: usize>(
+            w: *const $t,
+            ld: usize,
+            x: *const $t,
+            k: usize,
+            out: *mut $t,
+        ) {
             use std::arch::x86_64::{$add, $loadu, $mul, $set, $set1, $setzero, $storeu};
-            // SAFETY: every offset is `< 4·G·k` into `w`, `< k` into `x` and
-            // `< 4·G` into `out`, inside the caller's contract; unaligned
-            // loads and stores throughout.
+            // SAFETY: every offset is `< (4·G − 1)·ld + k` into `w`, `< k`
+            // into `x` and `< 4·G` into `out`, inside the caller's contract;
+            // unaligned loads and stores throughout.
             unsafe {
                 let mut acc: [$vec; G] = [$setzero(); G];
+                for (g, acc) in acc.iter_mut().enumerate() {
+                    *acc = $loadu(out.add(4 * g));
+                }
                 let mut j = 0;
                 while j + 4 <= k {
                     let xs = [
@@ -606,12 +623,12 @@ macro_rules! matvec_kernel {
                         $set1(*x.add(j + 3)),
                     ];
                     for (g, acc) in acc.iter_mut().enumerate() {
-                        let base = w.add(4 * g * k + j);
+                        let base = w.add(4 * g * ld + j);
                         let cols = $transpose([
                             $loadu(base),
-                            $loadu(base.add(k)),
-                            $loadu(base.add(2 * k)),
-                            $loadu(base.add(3 * k)),
+                            $loadu(base.add(ld)),
+                            $loadu(base.add(2 * ld)),
+                            $loadu(base.add(3 * ld)),
                         ]);
                         for (col, xv) in cols.iter().zip(&xs) {
                             *acc = $add(*acc, $mul(*col, *xv));
@@ -622,8 +639,8 @@ macro_rules! matvec_kernel {
                 while j < k {
                     let xv = $set1(*x.add(j));
                     for (g, acc) in acc.iter_mut().enumerate() {
-                        let base = w.add(4 * g * k + j);
-                        let col = $set(*base.add(3 * k), *base.add(2 * k), *base.add(k), *base);
+                        let base = w.add(4 * g * ld + j);
+                        let col = $set(*base.add(3 * ld), *base.add(2 * ld), *base.add(ld), *base);
                         *acc = $add(*acc, $mul(col, xv));
                     }
                     j += 1;
@@ -765,15 +782,15 @@ scalar_fallback4!(axpy_row4_f32_avx2, f32);
 scalar_fallback4!(axpy_row4_f32_fma, f32);
 
 /// Batch-1 product counterpart of [`scalar_fallback!`]: the scalar
-/// `matvec_into` blocks the AVX2 kernel is bit-identical to.
+/// `matvec_acc_into` blocks the AVX2 kernel is bit-identical to.
 #[cfg(not(target_arch = "x86_64"))]
 macro_rules! scalar_fallback_matvec {
     ($name:ident, $t:ty) => {
         // SAFETY: trivially safe body (delegates to the safe scalar
         // reference); `unsafe fn` only to match the x86_64 kernel signature.
         #[allow(unsafe_code)]
-        pub(crate) unsafe fn $name(w: &[$t], x: &[$t], out: &mut [$t]) {
-            crate::matrix::matvec_into(w, x, out)
+        pub(crate) unsafe fn $name(w: &[$t], ld: usize, x: &[$t], out: &mut [$t]) {
+            crate::matrix::matvec_acc_into(w, ld, x, out)
         }
     };
 }
@@ -1273,7 +1290,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The AVX2 `W·x` ≡ the scalar `matvec_into` reference at both
+            /// The AVX2 `W·x` ≡ the scalar `matvec_acc_into` reference at both
             /// precisions, on ragged shapes (rows below 4 and off the 4- and
             /// 16-row blocks, columns below 4 and off the 4-wide transpose)
             /// and with `±0.0`, subnormal, `±∞` and NaN entries.
@@ -1295,21 +1312,28 @@ mod tests {
                 let x: Vec<f64> = (0..cols)
                     .map(|i| edge_value(!seed ^ i as u64, special))
                     .collect();
-                let mut simd = vec![f64::NAN; rows];
-                let mut scalar = vec![f64::NAN; rows];
+                // Continue from signed-zero or smooth accumulators over a
+                // column block `start..start + k` of the rows.
+                let start = if rows == 0 { 0 } else { cols.min(seed as usize % 3) };
+                let k = cols - start;
+                let acc: Vec<f64> = (0..rows)
+                    .map(|i| edge_value(seed.rotate_left(7) ^ i as u64, special.min(4)))
+                    .collect();
+                let mut simd = acc.clone();
+                let mut scalar = acc.clone();
                 // SAFETY: avx2_available() was checked above.
-                unsafe { matvec_f64_avx2(&w, &x, &mut simd) };
-                crate::matrix::matvec_into(&w, &x, &mut scalar);
-                prop_assert!(same_bits(&simd, &scalar), "f64 {rows}x{cols}");
+                unsafe { matvec_f64_avx2(&w[start..], cols, &x[..k], &mut simd) };
+                crate::matrix::matvec_acc_into(&w[start..], cols, &x[..k], &mut scalar);
+                prop_assert!(same_bits(&simd, &scalar), "f64 {rows}x{cols} from {start}");
 
                 let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
                 let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let mut simd = vec![f32::NAN; rows];
-                let mut scalar = vec![f32::NAN; rows];
+                let mut simd: Vec<f32> = acc.iter().map(|&v| v as f32).collect();
+                let mut scalar = simd.clone();
                 // SAFETY: avx2_available() was checked above.
-                unsafe { matvec_f32_avx2(&w32, &x32, &mut simd) };
-                crate::matrix::matvec_into(&w32, &x32, &mut scalar);
-                prop_assert!(same_bits(&simd, &scalar), "f32 {rows}x{cols}");
+                unsafe { matvec_f32_avx2(&w32[start..], cols, &x32[..k], &mut simd) };
+                crate::matrix::matvec_acc_into(&w32[start..], cols, &x32[..k], &mut scalar);
+                prop_assert!(same_bits(&simd, &scalar), "f32 {rows}x{cols} from {start}");
             }
         }
     }

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_runtime::alloc_counter::CountingAlloc;
-use rm_tensor::{arena_enabled, buffer_pool_stats, Matrix, Var, Workspace};
+use rm_tensor::{arena_enabled, buffer_pool_stats, InputPart, Matrix, Var, Workspace};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -40,7 +40,7 @@ const MEASURED: usize = 50;
 /// is one take, so this pins the graph's size and the backward pass's
 /// temporaries: a change that adds a node or a temporary per step shows
 /// here even when the arena hides it from the allocator.
-const TAKES_PER_TRAINING_STEP: u64 = 276;
+const TAKES_PER_TRAINING_STEP: u64 = 106;
 
 /// Deterministic per-step input vectors.
 fn inputs() -> Vec<Vec<f64>> {
@@ -80,7 +80,7 @@ fn training_step(
     let mut total = Var::scalar(0.0);
     for raw in xs {
         let x = Var::constant(Matrix::column(raw));
-        state = cell.step(&x, &state);
+        state = cell.step(&[InputPart::Node(&x)], &state);
         let est = readout.forward(&state.h);
         total = total.add(&est.square().sum());
     }
@@ -96,8 +96,7 @@ fn training_step(
     trainer.batch.accumulate(&trainer.grads);
     trainer.adam.apply_batch(&trainer.batch);
     trainer.adam.zero_grad();
-    let LstmState { h, c } = state;
-    Var::recycle_all([loss, total, h, c]);
+    Var::recycle_all([loss, total].into_iter().chain(state.into_vars()));
     value
 }
 
