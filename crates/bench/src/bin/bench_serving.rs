@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use radiomap_core::ShardedVenueSnapshot;
+use radiomap_core::{Precision, SnapshotDtype};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rm_bench::ReportTable;
@@ -24,7 +25,6 @@ use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, MaskMatrix};
 use rm_serve::{ModelRegistry, ShardedQueryEngine, MAX_MICRO_BATCH};
-use rm_tensor::{Precision, SnapshotDtype};
 
 const MAP_RECORDS: usize = 500;
 const NUM_APS: usize = 60;

@@ -1,10 +1,10 @@
 //! Snapshot-storage report: resident bytes of the recurrent imputers'
-//! inference snapshots at each storage dtype, and the per-venue accuracy
-//! cost of running f32 inference from bf16-resident snapshots.
+//! inference snapshots at each precision, and the per-venue accuracy cost of
+//! running f32 inference from the rounded snapshots.
 //!
-//! This is the measurement half of the sub-f32 storage contract: bf16 must
-//! cut resident snapshot bytes ≥2× against f32 (4× against f64), and the
-//! accuracy delta it buys that with has to be on the table, not assumed.
+//! This is the measurement half of the f32 storage contract: f32 must cut
+//! resident snapshot bytes 2× against f64, and the accuracy delta it buys
+//! that with has to be on the table, not assumed.
 
 use radiomap_core::prelude::*;
 use radiomap_core::{rssi_imputation_mae, DifferentiatorKind, ImputerKind, PipelineConfig};
@@ -16,17 +16,16 @@ fn main() {
     // ---- Resident bytes of a BRITS-shaped inference snapshot. ----
     let mut bytes_table = ReportTable::new(
         "Snapshot resident bytes (one BRITS direction)",
-        &["APs", "hidden", "f64", "f32", "bf16", "f64/bf16"],
+        &["APs", "hidden", "f64", "f32", "f64/f32"],
     );
     for (aps, hidden) in [(24usize, 32usize), (60, 64), (120, 64)] {
-        let (b64, b32, b16) = rm_imputers::snapshot_resident_bytes(aps, hidden);
+        let (b64, b32) = rm_imputers::snapshot_resident_bytes(aps, hidden);
         bytes_table.add_row(vec![
             aps.to_string(),
             hidden.to_string(),
             b64.to_string(),
             b32.to_string(),
-            b16.to_string(),
-            format!("{:.2}x", b64 as f64 / b16 as f64),
+            format!("{:.2}x", b64 as f64 / b32 as f64),
         ]);
     }
     bytes_table.print();
@@ -36,12 +35,11 @@ fn main() {
         let dataset = experiment_dataset(preset);
         let mut rng = StdRng::seed_from_u64(experiment_seed() ^ 0x51a9);
         let (perturbed, removed) = remove_random_rssis(&dataset.radio_map, 0.2, &mut rng);
-        let mae = |precision, snapshot_dtype| {
+        let mae = |precision| {
             let config = PipelineConfig {
                 differentiator: DifferentiatorKind::TopoAc,
                 imputer: ImputerKind::Brits,
                 precision,
-                snapshot_dtype,
                 seed: experiment_seed(),
                 ..PipelineConfig::default()
             };
@@ -50,19 +48,17 @@ fn main() {
                 .0;
             rssi_imputation_mae(&imputed, &removed).unwrap_or(f64::NAN)
         };
-        let base = mae(Precision::F64, SnapshotDtype::Native);
+        let base = mae(Precision::F64);
+        let f32_mae = mae(Precision::F32);
         let mut table = ReportTable::new(
-            &format!("Snapshot dtype vs BRITS RSSI MAE (dBm), {}", preset.name()),
-            &["precision/dtype", "MAE", "delta vs f64"],
+            &format!(
+                "Snapshot precision vs BRITS RSSI MAE (dBm), {}",
+                preset.name()
+            ),
+            &["precision", "MAE", "delta vs f64"],
         );
-        table.add_row(vec!["f64/native".into(), fmt(base), fmt(0.0)]);
-        for (label, precision, dtype) in [
-            ("f32/native", Precision::F32, SnapshotDtype::Native),
-            ("f32/bf16", Precision::F32, SnapshotDtype::Bf16),
-        ] {
-            let v = mae(precision, dtype);
-            table.add_row(vec![label.into(), fmt(v), fmt(v - base)]);
-        }
+        table.add_row(vec!["f64".into(), fmt(base), fmt(0.0)]);
+        table.add_row(vec!["f32".into(), fmt(f32_mae), fmt(f32_mae - base)]);
         table.print();
     }
 }

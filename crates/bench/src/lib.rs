@@ -20,11 +20,7 @@
 //! * `RM_SEED`   — base RNG seed (default 2023),
 //! * `RM_PRECISION` — inference precision of the neural imputers: `f64`
 //!   (default) or `f32` (single-precision SIMD kernels; see
-//!   [`radiomap_core::Precision`]),
-//! * `RM_SNAPSHOT_DTYPE` — resident storage format of the neural imputers'
-//!   trained inference snapshots: `native` (default) or `bf16` (half the
-//!   resident bytes, decoded per inference task; only meaningful with
-//!   `RM_PRECISION=f32` — see [`radiomap_core::SnapshotDtype`]).
+//!   [`radiomap_core::Precision`]).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -66,22 +62,6 @@ pub fn experiment_precision() -> Precision {
             .ok()
             .and_then(|v| Precision::parse(&v))
             .unwrap_or(Precision::F64)
-    })
-}
-
-/// The resident snapshot storage format used by the experiment harness:
-/// `RM_SNAPSHOT_DTYPE` (`native`/`bf16`, case-insensitive) if set and valid,
-/// else the `native` default. This is how CI runs the whole grid from
-/// half-size bf16 snapshots without a second binary. Resolved once per
-/// process and cached, like [`experiment_seed`].
-pub fn experiment_snapshot_dtype() -> SnapshotDtype {
-    static DTYPE: OnceLock<SnapshotDtype> = OnceLock::new();
-    *DTYPE.get_or_init(|| {
-        // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_SNAPSHOT_DTYPE
-        std::env::var("RM_SNAPSHOT_DTYPE")
-            .ok()
-            .and_then(|v| SnapshotDtype::parse(&v))
-            .unwrap_or(SnapshotDtype::Native)
     })
 }
 
@@ -221,7 +201,6 @@ pub fn run_cell_with_threads(
         seed,
         threads,
         precision: experiment_precision(),
-        snapshot_dtype: experiment_snapshot_dtype(),
         ..PipelineConfig::default()
     };
     let pipeline = radiomap_core::ImputationPipeline::new(config);

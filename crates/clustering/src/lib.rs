@@ -1,8 +1,8 @@
 //! Clustering algorithms used by the missing-RSSI differentiator.
 //!
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding, plus the elbow
+//! * [`kmeans`](mod@kmeans) — Lloyd's algorithm with k-means++ seeding, plus the elbow
 //!   method for selecting `K` (the `ElbowKM` baseline of the paper),
-//! * [`agglomerative`] — centroid-linkage agglomerative clustering with a
+//! * [`agglomerative`](mod@agglomerative) — centroid-linkage agglomerative clustering with a
 //!   pluggable [`MergeConstraint`], the substrate for `TopoAC`,
 //! * [`Clustering`] — a shared result type (assignments + centroids).
 

@@ -60,18 +60,10 @@ impl LiveVenue {
         let pipeline = ImputationPipeline::new(config);
         let shards = pipeline.shard(&map);
         let n = shards.num_shards();
-        let seeds: Vec<u64> = (0..n)
-            .map(|s| {
-                if n <= 1 {
-                    pipeline.config.seed
-                } else {
-                    rm_runtime::derive_seed(pipeline.config.seed, s as u64)
-                }
-            })
-            .collect();
+        let seeds: Vec<u64> = (0..n).map(|s| pipeline.shard_seed(n, s)).collect();
         let shard_ids: Vec<usize> = (0..n).collect();
         let snapshots = rm_runtime::par_map(pipeline.config.threads, &shard_ids, |_, &s| {
-            pipeline.compute_shard(&venue, &shards.submap(&map, s), &topology, seeds[s])
+            pipeline.compute_shard(&venue, &shards.submap(&map, s), &topology, seeds[s], None)
         });
         Self {
             pipeline,
@@ -91,24 +83,7 @@ impl LiveVenue {
     /// deterministic pool), and bumps the venue generation once. Returns the
     /// sorted dirty-shard set. An empty log is a no-op returning `[]`.
     pub fn ingest(&mut self, log: &[RadioMapRecord]) -> Vec<usize> {
-        let dirty = self.route_and_append(log);
-        if dirty.is_empty() {
-            return dirty;
-        }
-        let fresh = rm_runtime::par_map(self.pipeline.config.threads, &dirty, |_, &shard| {
-            self.pipeline.compute_shard(
-                &self.venue,
-                &self.shards.submap(&self.map, shard),
-                &self.topology,
-                self.seeds[shard],
-            )
-        });
-        self.generation += 1;
-        for (&shard, snapshot) in dirty.iter().zip(fresh) {
-            self.snapshots[shard] = snapshot;
-            self.shard_generations[shard] = self.generation;
-        }
-        dirty
+        self.recompute_dirty(log, None)
     }
 
     /// [`LiveVenue::ingest`] with warm-started re-imputation: dirty shards
@@ -120,43 +95,32 @@ impl LiveVenue {
     /// is a different training trajectory); imputers without warm-start
     /// support fall back to the cold path.
     pub fn ingest_warm(&mut self, log: &[RadioMapRecord], fine_tune_epochs: usize) -> Vec<usize> {
+        self.recompute_dirty(log, Some(fine_tune_epochs))
+    }
+
+    /// The body of both ingest paths: routes the log, recomputes the dirty
+    /// shards (warm from their current tensors when `fine_tune_epochs` is
+    /// set), bumps the venue generation once and swaps the fresh snapshots
+    /// in.
+    fn recompute_dirty(
+        &mut self,
+        log: &[RadioMapRecord],
+        fine_tune_epochs: Option<usize>,
+    ) -> Vec<usize> {
         let dirty = self.route_and_append(log);
         if dirty.is_empty() {
             return dirty;
         }
-        let previous: Vec<&VenueSnapshot> = dirty.iter().map(|&s| &self.snapshots[s]).collect();
-        let fresh = rm_runtime::par_map(
-            self.pipeline.config.threads,
-            &dirty,
-            |slot, &shard| -> VenueSnapshot {
-                let part = self.shards.submap(&self.map, shard);
-                let seed = self.seeds[shard];
-                let mask = self
-                    .pipeline
-                    .config
-                    .differentiator
-                    .build(&self.topology, self.pipeline.config.eta, seed)
-                    .differentiate(&part);
-                let imputer = self
-                    .pipeline
-                    .config
-                    .imputer
-                    .build_with(&self.pipeline.build_options(seed));
-                let (imputed, tensors) =
-                    imputer.impute_warm(&part, &mask, &previous[slot].tensors, fine_tune_epochs);
-                VenueSnapshot {
-                    venue: self.venue.clone(),
-                    map: imputed.to_dense(part.num_aps()),
-                    mask,
-                    estimator: self.pipeline.config.estimator,
-                    knn_k: self.pipeline.config.knn_k,
-                    seed,
-                    precision: self.pipeline.config.precision,
-                    snapshot_dtype: self.pipeline.config.snapshot_dtype,
-                    tensors,
-                }
-            },
-        );
+        let fresh = rm_runtime::par_map(self.pipeline.config.threads, &dirty, |_, &shard| {
+            let warm = fine_tune_epochs.map(|epochs| (&self.snapshots[shard].tensors[..], epochs));
+            self.pipeline.compute_shard(
+                &self.venue,
+                &self.shards.submap(&self.map, shard),
+                &self.topology,
+                self.seeds[shard],
+                warm,
+            )
+        });
         self.generation += 1;
         for (&shard, snapshot) in dirty.iter().zip(fresh) {
             self.snapshots[shard] = snapshot;
@@ -206,6 +170,7 @@ impl LiveVenue {
                 &self.shards.submap(&self.map, s),
                 &self.topology,
                 self.seeds[s],
+                None,
             )
         })
     }

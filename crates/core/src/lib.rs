@@ -42,9 +42,9 @@ pub use ingest::LiveVenue;
 pub use pipeline::{
     default_shards, rp_imputation_error, rssi_imputation_mae, BuildOptions, DifferentiatorKind,
     EvaluationResult, ImputationPipeline, ImputerKind, PipelineConfig, ShardedVenueSnapshot,
-    VenueSnapshot,
+    SnapshotDtype, VenueSnapshot,
 };
-pub use rm_tensor::{Precision, SnapshotDtype};
+pub use rm_tensor::Precision;
 
 // Re-export the component crates under stable names so downstream users can
 // depend on `radiomap-core` alone.
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         rp_imputation_error, rssi_imputation_mae, BuildOptions, DifferentiatorKind,
         EvaluationResult, ImputationPipeline, ImputerKind, PipelineConfig, ShardedVenueSnapshot,
-        VenueSnapshot,
+        SnapshotDtype, VenueSnapshot,
     };
     pub use rm_bisim::{AttentionMode, Bisim, BisimConfig, TimeLagMode};
     pub use rm_differentiator::{Differentiator, MarOnly, MnarOnly};
@@ -76,7 +76,7 @@ pub mod prelude {
         remove_random_rps, remove_random_rssis, DenseRadioMap, EntryKind, Fingerprint, MaskMatrix,
         RadioMap, RadioMapRecord, RadioMapStats, VenueShards, WalkingSurveyTable,
     };
-    pub use rm_tensor::{Precision, SnapshotDtype};
+    pub use rm_tensor::Precision;
     pub use rm_venue_sim::{Dataset, DatasetSpec, PropagationModel, VenuePreset};
 }
 

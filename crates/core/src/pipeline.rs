@@ -30,7 +30,7 @@ use rm_imputers::{
 };
 use rm_positioning::{evaluate_estimator_threads, EstimatorKind, TestQuery};
 use rm_radiomap::{DenseRadioMap, MaskMatrix, RadioMap, RemovedRp, RemovedRssi, VenueShards};
-use rm_tensor::{NamedTensor, Precision, SnapshotDtype};
+use rm_tensor::{NamedTensor, Precision};
 
 /// Default shard count for the sharded pipeline mode: the `RM_SHARDS`
 /// environment variable if set to a positive integer, else `1` (unsharded).
@@ -145,8 +145,7 @@ impl ImputerKind {
         }
     }
 
-    /// Builds the imputer from a [`BuildOptions`] bundle — the successor of
-    /// the eight-positional-parameter [`ImputerKind::build`].
+    /// Builds the imputer from a [`BuildOptions`] bundle.
     ///
     /// The BiSIM ablation settings are ignored by the other imputers.
     /// `epochs` overrides the training epoch count of the neural imputers;
@@ -162,10 +161,7 @@ impl ImputerKind {
     /// `precision` selects the inference precision of the neural imputers:
     /// training always runs at `f64`, and [`Precision::F32`] rounds the
     /// trained weights once and runs inference through the f32 SIMD kernels.
-    /// `snapshot_dtype` selects the resident storage format of those
-    /// inference snapshots ([`SnapshotDtype::Bf16`] halves the bytes; only
-    /// meaningful with [`Precision::F32`]). The deterministic (non-neural)
-    /// imputers ignore both.
+    /// The deterministic (non-neural) imputers ignore it.
     pub fn build_with(self, options: &BuildOptions) -> Box<dyn Imputer> {
         let &BuildOptions {
             seed,
@@ -175,7 +171,6 @@ impl ImputerKind {
             threads,
             batch_size,
             precision,
-            snapshot_dtype,
         } = options;
         match self {
             ImputerKind::Bisim => {
@@ -185,7 +180,6 @@ impl ImputerKind {
                     time_lag,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..BisimConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -214,7 +208,6 @@ impl ImputerKind {
                     seed,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..BritsConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -230,7 +223,6 @@ impl ImputerKind {
                     seed,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..SsganConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -242,36 +234,6 @@ impl ImputerKind {
                 Box::new(Ssgan::new(config))
             }
         }
-    }
-
-    /// Positional-parameter shim over [`ImputerKind::build_with`], kept one
-    /// release for out-of-tree callers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `build_with(&BuildOptions { .. })` — the positional list grew a parameter per release"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        self,
-        seed: u64,
-        attention: AttentionMode,
-        time_lag: TimeLagMode,
-        epochs: Option<usize>,
-        threads: usize,
-        batch_size: Option<usize>,
-        precision: Precision,
-        snapshot_dtype: SnapshotDtype,
-    ) -> Box<dyn Imputer> {
-        self.build_with(&BuildOptions {
-            seed,
-            attention,
-            time_lag,
-            epochs,
-            threads,
-            batch_size,
-            precision,
-            snapshot_dtype,
-        })
     }
 }
 
@@ -294,8 +256,6 @@ pub struct BuildOptions {
     pub batch_size: Option<usize>,
     /// Inference precision of the neural imputers.
     pub precision: Precision,
-    /// Resident storage dtype of trained inference snapshots.
-    pub snapshot_dtype: SnapshotDtype,
 }
 
 impl Default for BuildOptions {
@@ -308,7 +268,6 @@ impl Default for BuildOptions {
             threads: 0,
             batch_size: None,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 }
@@ -361,12 +320,9 @@ pub struct PipelineConfig {
     /// just rounded differently from f64. Unlike `threads`, this knob *does*
     /// change output values.
     pub precision: Precision,
-    /// Resident storage format of the neural imputers' trained inference
-    /// snapshots. The default [`SnapshotDtype::Native`] stores them at the
-    /// inference precision; [`SnapshotDtype::Bf16`] truncates f32 snapshots
-    /// to bfloat16 (half the resident bytes) and decodes per inference task —
-    /// epsilon-bounded against the f32 path and still bit-identical across
-    /// thread counts. Only meaningful with [`Precision::F32`].
+    /// Resident storage format of the trained inference snapshots. It has
+    /// one value, [`SnapshotDtype::Native`]: snapshots are kept at
+    /// [`PipelineConfig::precision`].
     pub snapshot_dtype: SnapshotDtype,
     /// Spatial shard count for the sharded pipeline mode ([`VenueShards`]).
     /// `None` means auto: the `RM_SHARDS` environment variable if set, else
@@ -407,13 +363,24 @@ impl Default for PipelineConfig {
     }
 }
 
+/// The resident storage format of trained inference snapshots. Its one
+/// value, [`SnapshotDtype::Native`], keeps a snapshot at the inference
+/// [`Precision`]. The type exists only because the survey-to-answer
+/// benchmark (`e2ebench/`) sets [`PipelineConfig::snapshot_dtype`] and
+/// [`VenueSnapshot::snapshot_dtype`]; it goes, with both fields, in the
+/// next change that may edit that benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotDtype {
+    /// Snapshots at the inference precision.
+    Native,
+}
+
 /// One venue's pipeline output, produced by
 /// [`ImputationPipeline::export_snapshot`]: the imputed dense radio map, the
 /// differentiator's mask and the estimator configuration — everything a
 /// serving process needs to answer positioning queries — plus the trained
-/// imputer snapshot as named tensors at the dtype the inference path keeps
-/// resident ([`SnapshotDtype::Bf16`] weights hold ¼ the resident payload
-/// bytes of f64 weights of the same shapes). The tensors are in-memory only,
+/// imputer snapshot as named tensors at the precision the inference path
+/// keeps resident. The tensors are in-memory only,
 /// for warm start: the `rm-serve` artifact codec never serializes them and
 /// its serving models drop them. The codec lives in that crate so the
 /// pipeline stays serialization-free.
@@ -434,7 +401,8 @@ pub struct VenueSnapshot {
     pub seed: u64,
     /// Inference precision the tensors were exported at.
     pub precision: Precision,
-    /// Resident storage dtype the tensors were exported at.
+    /// Resident storage dtype the tensors were exported at (always
+    /// [`SnapshotDtype::Native`]).
     pub snapshot_dtype: SnapshotDtype,
     /// The trained imputer snapshot, one named tensor per parameter (empty
     /// for imputers without a trained model). In-memory only, for warm
@@ -532,7 +500,6 @@ impl ImputationPipeline {
             threads: self.config.threads,
             batch_size: self.config.batch_size,
             precision: self.config.precision,
-            snapshot_dtype: self.config.snapshot_dtype,
         }
     }
 
@@ -545,7 +512,7 @@ impl ImputationPipeline {
     /// The seed a shard's differentiation and imputation run with. With one
     /// shard this is the venue seed itself — the sharded path reproduces the
     /// unsharded pipeline bitwise — otherwise a per-shard derived stream.
-    fn shard_seed(&self, num_shards: usize, shard: usize) -> u64 {
+    pub(crate) fn shard_seed(&self, num_shards: usize, shard: usize) -> u64 {
         if num_shards <= 1 {
             self.config.seed
         } else {
@@ -634,16 +601,24 @@ impl ImputationPipeline {
     /// Differentiates and imputes one shard's sub-map with an explicit seed
     /// and packages it as that shard's [`VenueSnapshot`] — the unit the
     /// incremental ingest path recomputes and the per-shard registry swaps.
+    /// With `warm = Some((tensors, epochs))` the imputer resumes from a
+    /// previous snapshot's tensors through
+    /// [`Imputer::impute_warm`](rm_imputers::Imputer::impute_warm) with
+    /// `epochs` of fine-tuning; with `None` it trains from scratch.
     pub(crate) fn compute_shard(
         &self,
         venue: &str,
         part: &RadioMap,
         topology: &MultiPolygon,
         seed: u64,
+        warm: Option<(&[NamedTensor], usize)>,
     ) -> VenueSnapshot {
         let mask = self.differentiate_with_seed(part, topology, seed);
         let imputer = self.config.imputer.build_with(&self.build_options(seed));
-        let (imputed, tensors) = imputer.impute_with_snapshot(part, &mask);
+        let (imputed, tensors) = match warm {
+            None => imputer.impute_with_snapshot(part, &mask),
+            Some((previous, epochs)) => imputer.impute_warm(part, &mask, previous, epochs),
+        };
         VenueSnapshot {
             venue: venue.to_string(),
             map: imputed.to_dense(part.num_aps()),
@@ -664,7 +639,7 @@ impl ImputationPipeline {
     /// a serving model is built from the *whole* survey, and every imputed
     /// record with a location enters the radio map. The trained imputer
     /// weights ride along as named tensors (via
-    /// [`Imputer::impute_with_snapshot`](rm_imputers::Imputer::impute_with_snapshot)),
+    /// [`Imputer::impute_with_snapshot`]),
     /// exported at exactly the bits the inference path keeps resident, so
     /// persisting and reloading the snapshot reproduces the serving model
     /// bit for bit.
@@ -674,7 +649,7 @@ impl ImputationPipeline {
         map: &RadioMap,
         topology: &MultiPolygon,
     ) -> VenueSnapshot {
-        self.compute_shard(&venue.into(), map, topology, self.config.seed)
+        self.compute_shard(&venue.into(), map, topology, self.config.seed, None)
     }
 
     /// Runs the sharded pipeline end to end and packages the result as a
@@ -701,6 +676,7 @@ impl ImputationPipeline {
                 &parts[shard],
                 topology,
                 self.shard_seed(shards.num_shards(), shard),
+                None,
             )
         });
         ShardedVenueSnapshot {

@@ -44,8 +44,8 @@ pub mod ssgan;
 /// reference by the once-per-process measured dispatch cost
 /// ([`rm_runtime::measured_dispatch_micros`]), so a machine with a slower
 /// pool keeps the same work-per-dispatch safety margin instead of forking
-/// too eagerly. Serial processes (`RM_THREADS=1`) and `RM_GATE_PROBE=0`
-/// skip the probe and use the reference constants verbatim.
+/// too eagerly. Serial processes (`RM_THREADS=1`) skip the probe and use
+/// the reference constants verbatim.
 pub mod gates {
     /// [`Mice`](crate::Mice) predictor selection fans the per-candidate
     /// correlation scans out only when `candidate_columns × observed_rows`
@@ -81,7 +81,7 @@ pub mod gates {
 
     /// Scales a reference gate by a measured dispatch cost: the gate grows
     /// (or shrinks) linearly with the measured/reference ratio, clamped to
-    /// [`DISPATCH_RATIO_CLAMP`], with a floor of 1. Pure — the probe side
+    /// `DISPATCH_RATIO_CLAMP`, with a floor of 1. Pure — the probe side
     /// effects live in [`rm_runtime::measured_dispatch_micros`] — so the
     /// scaling law is unit-testable without touching the environment.
     pub fn scaled_threshold(base: usize, measured_micros: f64) -> usize {
@@ -96,8 +96,8 @@ pub mod gates {
 
     /// Resolves a gate against the once-per-process dispatch probe: the
     /// reference constant scaled by the measured cost, or the constant
-    /// verbatim when the probe is off (`RM_GATE_PROBE=0`) or the process is
-    /// serial (`RM_THREADS=1` — pinned to the pre-probe behaviour exactly).
+    /// verbatim when the process is serial (`RM_THREADS=1` — pinned to the
+    /// pre-probe behaviour exactly).
     fn probed(base: usize) -> usize {
         match rm_runtime::measured_dispatch_micros() {
             Some(measured) => scaled_threshold(base, measured),
@@ -191,8 +191,8 @@ pub trait Imputer {
     /// serving artifact persists alongside the imputed map. Imputers without
     /// a trained snapshot (the traditional baselines) return an empty list;
     /// model-based imputers export exactly the bits their inference path
-    /// keeps resident (at the configured precision / snapshot dtype), so a
-    /// decoded artifact reproduces the serving model bit for bit.
+    /// keeps resident (at the configured precision), so a decoded artifact
+    /// reproduces the serving model bit for bit.
     fn impute_with_snapshot(
         &self,
         map: &RadioMap,

@@ -9,43 +9,30 @@
 //! attempt.
 
 use rm_nn::{Activation, LinearWeights, LstmCellWeights, MlpWeights};
-use rm_tensor::{Bf16Matrix, Matrix, NamedTensor, Precision, SnapshotDtype};
+use rm_tensor::{Matrix, NamedTensor, Precision};
 
-/// Exports one linear layer as `{name}.weight` / `{name}.bias` at the dtype
-/// the inference path keeps resident: `(F64, _)` exports the f64 training
-/// snapshot, `(F32, Native)` the one-time f32 rounding, `(F32, Bf16)` the
-/// bfloat16 truncation of that rounding. The truncation is the same
-/// `Bf16Matrix::from_matrix` the resident bf16 snapshots apply, so the
-/// exported bits equal the serving bits in every mode.
+/// Exports one linear layer as `{name}.weight` / `{name}.bias` at the
+/// precision the inference path keeps resident: `F64` exports the f64
+/// training snapshot, `F32` its one-time f32 rounding — the same
+/// `LinearWeights::cast` the resident f32 snapshots apply, so the exported
+/// bits equal the serving bits at either precision.
 pub fn export_linear(
     name: &str,
     lin: &LinearWeights<f64>,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
     tensors: &mut Vec<NamedTensor>,
 ) {
     let wname = format!("{name}.weight");
     let bname = format!("{name}.bias");
-    match (precision, snapshot_dtype) {
-        (Precision::F64, _) => {
+    match precision {
+        Precision::F64 => {
             tensors.push(NamedTensor::new(wname, lin.weight().clone()));
             tensors.push(NamedTensor::new(bname, lin.bias().clone()));
         }
-        (Precision::F32, SnapshotDtype::Native) => {
+        Precision::F32 => {
             let rounded: LinearWeights<f32> = lin.cast();
             tensors.push(NamedTensor::new(wname, rounded.weight().clone()));
             tensors.push(NamedTensor::new(bname, rounded.bias().clone()));
-        }
-        (Precision::F32, SnapshotDtype::Bf16) => {
-            let rounded: LinearWeights<f32> = lin.cast();
-            tensors.push(NamedTensor::new(
-                wname,
-                Bf16Matrix::from_matrix(rounded.weight()),
-            ));
-            tensors.push(NamedTensor::new(
-                bname,
-                Bf16Matrix::from_matrix(rounded.bias()),
-            ));
         }
     }
 }
@@ -57,7 +44,6 @@ pub fn export_lstm_cell(
     prefix: &str,
     cell: &LstmCellWeights<f64>,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
     tensors: &mut Vec<NamedTensor>,
 ) {
     let [input_gate, forget_gate, output_gate, candidate] = cell.gates();
@@ -67,13 +53,7 @@ pub fn export_lstm_cell(
         ("output_gate", output_gate),
         ("candidate", candidate),
     ] {
-        export_linear(
-            &format!("{prefix}.cell.{gate}"),
-            lin,
-            precision,
-            snapshot_dtype,
-            tensors,
-        );
+        export_linear(&format!("{prefix}.cell.{gate}"), lin, precision, tensors);
     }
 }
 
@@ -85,17 +65,10 @@ pub fn export_mlp(
     prefix: &str,
     mlp: &MlpWeights<f64>,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
     tensors: &mut Vec<NamedTensor>,
 ) {
     for (i, lin) in mlp.layers().iter().enumerate() {
-        export_linear(
-            &format!("{prefix}.{i}"),
-            lin,
-            precision,
-            snapshot_dtype,
-            tensors,
-        );
+        export_linear(&format!("{prefix}.{i}"), lin, precision, tensors);
     }
 }
 
@@ -186,19 +159,15 @@ mod tests {
     fn linear_round_trips_bitwise_at_every_dtype() {
         let mut rng = StdRng::seed_from_u64(7);
         let lin = rm_nn::Linear::new(3, 4, &mut rng).snapshot();
-        for (precision, snapshot_dtype) in [
-            (Precision::F64, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Bf16),
-        ] {
+        for precision in [Precision::F64, Precision::F32] {
             let mut tensors = Vec::new();
-            export_linear("m.layer", &lin, precision, snapshot_dtype, &mut tensors);
+            export_linear("m.layer", &lin, precision, &mut tensors);
             assert_eq!(tensors.len(), 2);
             let imported = import_linear(&tensors, "m", "layer").expect("import");
             // Re-exporting the imported weights reproduces the same bits:
             // widening to f64 is lossless and the rounding is deterministic.
             let mut again = Vec::new();
-            export_linear("m.layer", &imported, precision, snapshot_dtype, &mut again);
+            export_linear("m.layer", &imported, precision, &mut again);
             for (a, b) in tensors.iter().zip(again.iter()) {
                 assert!(a.bits_eq(b), "{} drifted through the round trip", a.name);
             }
@@ -210,13 +179,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let cell = LstmCell::new(6, 4, &mut rng).snapshot();
         let mut tensors = Vec::new();
-        export_lstm_cell(
-            "d",
-            &cell,
-            Precision::F64,
-            SnapshotDtype::Native,
-            &mut tensors,
-        );
+        export_lstm_cell("d", &cell, Precision::F64, &mut tensors);
         assert_eq!(tensors.len(), 8);
         let imported = import_lstm_cell(&tensors, "d").expect("import");
         assert_eq!(imported.gates()[0].weight().shape(), (4, 10));
@@ -230,13 +193,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mlp = Mlp::new(&[3, 5, 3], Activation::Relu, Activation::Sigmoid, &mut rng).snapshot();
         let mut tensors = Vec::new();
-        export_mlp(
-            "m.disc",
-            &mlp,
-            Precision::F64,
-            SnapshotDtype::Native,
-            &mut tensors,
-        );
+        export_mlp("m.disc", &mlp, Precision::F64, &mut tensors);
         assert_eq!(tensors.len(), 4);
         let imported =
             import_mlp(&tensors, "m.disc", Activation::Relu, Activation::Sigmoid).expect("import");

@@ -12,11 +12,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{loss, Activation, Adam, GradientBatch, Mlp, MlpWeights, Optimizer};
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
 
 use crate::brits::{
     default_batch_size, default_epochs, export_recurrent, import_recurrent, Brits,
-    RecurrentImputer, RecurrentImputerWeights, RecurrentImputerWeightsBf16,
+    RecurrentImputer, RecurrentImputerWeights,
 };
 use crate::sequence::{build_sequences, Normalization, PathSequence};
 use crate::{snapshot, ImputedRadioMap, Imputer};
@@ -53,10 +53,6 @@ pub struct SsganConfig {
     /// Precision of the inference pass (training always runs at `f64`; see
     /// [`crate::BritsConfig::precision`] for the contract).
     pub precision: Precision,
-    /// Resident storage format of the trained generator snapshot during
-    /// inference (see [`crate::BritsConfig::snapshot_dtype`] for the
-    /// contract; only meaningful with [`Precision::F32`]).
-    pub snapshot_dtype: SnapshotDtype,
 }
 
 impl Default for SsganConfig {
@@ -72,7 +68,6 @@ impl Default for SsganConfig {
             threads: 0,
             batch_size: default_batch_size(),
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 }
@@ -290,22 +285,20 @@ impl Ssgan {
                 "ssgan.generator",
                 generator_weights,
                 self.config.precision,
-                self.config.snapshot_dtype,
                 &mut tensors,
             );
             snapshot::export_mlp(
                 "ssgan.discriminator",
                 discriminator_weights,
                 self.config.precision,
-                self.config.snapshot_dtype,
                 &mut tensors,
             );
             tensors
         } else {
             Vec::new()
         };
-        let imputations = match (self.config.precision, self.config.snapshot_dtype) {
-            (Precision::F64, _) => infer_mar_values(
+        let imputations = match self.config.precision {
+            Precision::F64 => infer_mar_values(
                 generator_weights,
                 sequences,
                 mask,
@@ -313,16 +306,8 @@ impl Ssgan {
                 num_aps,
                 self.config.threads,
             ),
-            (Precision::F32, SnapshotDtype::Native) => infer_mar_values(
+            Precision::F32 => infer_mar_values(
                 &generator_weights.cast::<f32>(),
-                sequences,
-                mask,
-                norm,
-                num_aps,
-                self.config.threads,
-            ),
-            (Precision::F32, SnapshotDtype::Bf16) => infer_mar_values_bf16(
-                &RecurrentImputerWeightsBf16::from_weights(&generator_weights.cast::<f32>()),
                 sequences,
                 mask,
                 norm,
@@ -504,51 +489,16 @@ fn infer_mar_values<T: Scalar>(
     rm_runtime::par_map(threads, sequences, |_, seq| {
         // Per-task scratch backed by the worker's thread-local buffer pool.
         let mut ws = Workspace::new();
-        mar_values_for_sequence(generator, seq, mask, norm, num_aps, &mut ws)
-    })
-}
-
-/// One sequence of the inference fan-out, shared by the native-dtype and
-/// bf16 variants.
-fn mar_values_for_sequence<T: Scalar>(
-    generator: &RecurrentImputerWeights<T>,
-    seq: &PathSequence,
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    ws: &mut Workspace<T>,
-) -> Vec<(usize, usize, f64)> {
-    let complements = generator.run(seq, ws);
-    let mut values: Vec<(usize, usize, f64)> = Vec::new();
-    for (t, &record) in seq.record_indices.iter().enumerate() {
-        for ap in 0..num_aps {
-            if mask.get(record, ap) == EntryKind::Mar {
-                let v = complements[t].get(ap, 0).to_f64();
-                values.push((record, ap, norm.denormalize_rssi(v)));
+        let complements = generator.run(seq, &mut ws);
+        let mut values: Vec<(usize, usize, f64)> = Vec::new();
+        for (t, &record) in seq.record_indices.iter().enumerate() {
+            for ap in 0..num_aps {
+                if mask.get(record, ap) == EntryKind::Mar {
+                    let v = complements[t].get(ap, 0).to_f64();
+                    values.push((record, ap, norm.denormalize_rssi(v)));
+                }
             }
         }
-    }
-    values
-}
-
-/// The bf16-resident variant of [`infer_mar_values`]: each task decodes the
-/// shared bfloat16 generator snapshot into its own pooled f32 scratch, runs
-/// the same f32 inference, and recycles the decoded matrices. Decoding is
-/// pure and per-task, so the fan-out stays bit-identical at any thread
-/// count.
-fn infer_mar_values_bf16(
-    generator: &RecurrentImputerWeightsBf16,
-    sequences: &[PathSequence],
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    threads: usize,
-) -> Vec<Vec<(usize, usize, f64)>> {
-    rm_runtime::par_map(threads, sequences, |_, seq| {
-        let mut ws = Workspace::new();
-        let decoded = generator.decode_ws(&mut ws);
-        let values = mar_values_for_sequence(&decoded, seq, mask, norm, num_aps, &mut ws);
-        decoded.recycle(&mut ws);
         values
     })
 }
@@ -570,7 +520,6 @@ mod tests {
             threads: 0,
             batch_size: 1,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 
@@ -603,31 +552,6 @@ mod tests {
             "f32 imputation {b} drifted from f64 imputation {a}"
         );
         assert_eq!(f32_out.rssi(0, 0).to_bits(), f64_out.rssi(0, 0).to_bits());
-    }
-
-    /// The bf16-resident generator snapshot tracks the native-f32 path to
-    /// within the bfloat16 truncation epsilon.
-    #[test]
-    fn ssgan_bf16_snapshots_track_the_f32_path() {
-        let (map, mask) = smooth_map();
-        let f32_out = Ssgan::new(SsganConfig {
-            precision: Precision::F32,
-            ..quick_config()
-        })
-        .impute(&map, &mask);
-        let bf16_out = Ssgan::new(SsganConfig {
-            precision: Precision::F32,
-            snapshot_dtype: SnapshotDtype::Bf16,
-            ..quick_config()
-        })
-        .impute(&map, &mask);
-        let a = f32_out.rssi(5, 0);
-        let b = bf16_out.rssi(5, 0);
-        assert!(
-            (a - b).abs() < 1.0,
-            "bf16 imputation {b} drifted from f32 imputation {a}"
-        );
-        assert_eq!(bf16_out.rssi(0, 0).to_bits(), f32_out.rssi(0, 0).to_bits());
     }
 
     /// A fixed `batch_size > 1` yields a bitwise-identical SSGAN model at
@@ -730,19 +654,14 @@ mod tests {
     /// SSGAN now round-trips trained weights through named tensors like
     /// BRITS: both players export (generator 12 tensors, discriminator 4),
     /// and a `fine_tune_epochs = 0` warm replay on the unchanged map
-    /// reproduces the exporting run bitwise at every dtype.
+    /// reproduces the exporting run bitwise at either precision.
     #[test]
     fn warm_replay_reproduces_the_exporting_run_bitwise() {
         let (map, mask) = smooth_map();
-        for (precision, snapshot_dtype) in [
-            (Precision::F64, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Bf16),
-        ] {
+        for precision in [Precision::F64, Precision::F32] {
             let ssgan = Ssgan::new(SsganConfig {
                 epochs: 3,
                 precision,
-                snapshot_dtype,
                 ..quick_config()
             });
             let (cold, tensors) = ssgan.impute_with_snapshot(&map, &mask);

@@ -7,7 +7,7 @@
 //! 1. every path gets a centroid — the mean of its (interpolated) reference
 //!    points,
 //! 2. the path centroids are clustered with seeded k-means
-//!    ([`rm_clustering::kmeans`], deterministic given its RNG),
+//!    ([`rm_clustering::kmeans()`], deterministic given its RNG),
 //! 3. cluster labels are **relabelled** into stable shard ids by sorting the
 //!    cluster centroids (x, then y, then lowest member path), so shard `0`
 //!    is always the spatially-least cluster no matter what internal labels

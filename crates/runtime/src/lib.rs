@@ -103,32 +103,25 @@ pub fn default_threads() -> usize {
 const DISPATCH_PROBE_ROUNDS: usize = 16;
 
 /// The pool's dispatch cost on *this* machine, measured **once per process**
-/// and cached: the best-of-[`DISPATCH_PROBE_ROUNDS`] wall-clock time of a
+/// and cached: the best-of-`DISPATCH_PROBE_ROUNDS` wall-clock time of a
 /// small 2-wide [`par_map`] round trip, in microseconds. Consumers (the
 /// minimum-work gates in `rm_imputers::gates`) scale their serial/parallel
 /// thresholds by this reading instead of trusting constants sized on one
 /// reference machine.
 ///
-/// Returns `None` — *use the reference constants* — when probing is
-/// disabled (`RM_GATE_PROBE=0`) or when the process resolves to a single
-/// thread (`RM_THREADS=1`): a serial run never dispatches, so there is
-/// nothing to measure and the reference behaviour is pinned exactly.
+/// Returns `None` — *use the reference constants* — when the process
+/// resolves to a single thread (`RM_THREADS=1`): a serial run never
+/// dispatches, so there is nothing to measure and the reference behaviour
+/// is pinned exactly.
 ///
 /// Determinism: the reading is wall-clock derived and varies across
 /// machines and runs, but it only ever selects *which side of a
 /// serial/parallel fork runs* — and both sides are bit-identical by this
 /// crate's determinism contract — so results never depend on it.
-#[allow(clippy::disallowed_methods)] // audited wall-clock + env reads; see the rm-lint allows inside
+#[allow(clippy::disallowed_methods)] // audited wall-clock read; see the rm-lint allow inside
 pub fn measured_dispatch_micros() -> Option<f64> {
     static PROBE: OnceLock<Option<f64>> = OnceLock::new();
     *PROBE.get_or_init(|| {
-        // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_GATE_PROBE
-        if std::env::var("RM_GATE_PROBE")
-            .map(|v| v == "0")
-            .unwrap_or(false)
-        {
-            return None;
-        }
         if default_threads() <= 1 {
             return None;
         }

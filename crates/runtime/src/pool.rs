@@ -31,7 +31,7 @@
 //!   process that once fanned out 8-wide keeps 7 parked workers (a few KiB of
 //!   stack each).
 //! * **Job lifetime** — a ticket borrows the job from the caller's stack.
-//!   The caller blocks on a heap-allocated [`Latch`] until every ticket has
+//!   The caller blocks on a heap-allocated `Latch` until every ticket has
 //!   finished executing, so the borrow can never dangle; the latch is
 //!   reference-counted precisely so that a finishing worker touches only the
 //!   latch — never the (about-to-be-freed) job — after its final count-down.

@@ -1,11 +1,11 @@
 //! The on-disk venue-model artifact: a stable, checksummed, dependency-free
 //! binary encoding of what a server reads from a [`VenueSnapshot`].
 //!
-//! # Format (version 2, all integers little-endian)
+//! # Format (version 3, all integers little-endian)
 //!
 //! ```text
 //! header   magic        4 B   b"RMVM"
-//!          version      u32   2
+//!          version      u32   3
 //!          payload_len  u64   bytes of payload that follow the header
 //!          checksum     u64   FNV-1a 64 over the payload bytes
 //! payload  venue        string (u32 length + UTF-8 bytes)
@@ -13,7 +13,6 @@
 //!          knn_k        u32
 //!          seed         u64
 //!          precision    u8    0 = f64, 1 = f32
-//!          dtype        u8    0 = native, 1 = bf16
 //!          num_aps      u32
 //!          map          n: u32; n × num_aps f64 bit patterns (fingerprints,
 //!                       row-major); n × 2 f64 bit patterns (locations x, y)
@@ -24,8 +23,10 @@
 //! The snapshot's imputer weights (`tensors`) are not part of the format:
 //! serving ranks from the imputed map alone, and warm start reads the
 //! weights from the live venue's in-memory snapshots. [`decode`] therefore
-//! returns an empty `tensors`. Version 1, which carried them, is rejected
-//! with [`ArtifactError::UnsupportedVersion`].
+//! returns an empty `tensors`, and sets `snapshot_dtype` to its one value,
+//! [`SnapshotDtype::Native`]. Version 1, which carried the weights, and
+//! version 2, which carried a snapshot-dtype byte after `precision`, are
+//! rejected with [`ArtifactError::UnsupportedVersion`].
 //!
 //! Floats are serialized as their IEEE-754 bit patterns (`to_bits`), never
 //! re-parsed through text, so encode → decode is the identity on every
@@ -38,11 +39,11 @@
 
 use std::fmt;
 
-use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
+use radiomap_core::{ShardedVenueSnapshot, SnapshotDtype, VenueSnapshot};
 use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, EntryKind, MaskMatrix, VenueShards};
-use rm_tensor::{Precision, SnapshotDtype};
+use rm_tensor::Precision;
 
 /// The artifact magic: "RMVM" (Radio-Map Venue Model).
 pub const MAGIC: [u8; 4] = *b"RMVM";
@@ -55,7 +56,7 @@ pub const MAGIC: [u8; 4] = *b"RMVM";
 pub const SHARDED_MAGIC: [u8; 4] = *b"RMVS";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of the fixed-size artifact header (magic + version + payload length
 /// + checksum).
@@ -95,8 +96,7 @@ pub enum ArtifactError {
         /// FNV-1a 64 of the payload as read.
         computed: u64,
     },
-    /// An enum tag outside its domain (estimator / precision / dtype / mask
-    /// entry).
+    /// An enum tag outside its domain (estimator / precision / mask entry).
     InvalidTag {
         /// The field holding the tag.
         field: &'static str,
@@ -188,13 +188,6 @@ fn precision_tag(precision: Precision) -> u8 {
     }
 }
 
-fn dtype_tag(dtype: SnapshotDtype) -> u8 {
-    match dtype {
-        SnapshotDtype::Native => 0,
-        SnapshotDtype::Bf16 => 1,
-    }
-}
-
 /// Serializes a snapshot into a self-contained artifact byte buffer. The
 /// snapshot's `tensors` are not written (see the module docs).
 pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
@@ -204,7 +197,6 @@ pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
     payload.extend_from_slice(&(snapshot.knn_k as u32).to_le_bytes());
     payload.extend_from_slice(&snapshot.seed.to_le_bytes());
     payload.push(precision_tag(snapshot.precision));
-    payload.push(dtype_tag(snapshot.snapshot_dtype));
     payload.extend_from_slice(&(snapshot.map.num_aps() as u32).to_le_bytes());
 
     // Dense radio map.
@@ -359,16 +351,6 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
             })
         }
     };
-    let snapshot_dtype = match r.u8("dtype")? {
-        0 => SnapshotDtype::Native,
-        1 => SnapshotDtype::Bf16,
-        value => {
-            return Err(ArtifactError::InvalidTag {
-                field: "dtype",
-                value: i64::from(value),
-            })
-        }
-    };
     let num_aps = r.u32("num_aps")? as usize;
 
     let n = r.u32("map.len")? as usize;
@@ -426,7 +408,7 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
         knn_k,
         seed,
         precision,
-        snapshot_dtype,
+        snapshot_dtype: SnapshotDtype::Native,
         tensors: Vec::new(),
     })
 }
@@ -544,7 +526,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rm_tensor::{Bf16Matrix, Matrix, NamedTensor};
+    use rm_tensor::{Matrix, NamedTensor};
 
     fn tiny_snapshot() -> VenueSnapshot {
         let map = DenseRadioMap::new(
@@ -563,14 +545,10 @@ mod tests {
             knn_k: 3,
             seed: 2023,
             precision: Precision::F32,
-            snapshot_dtype: SnapshotDtype::Bf16,
+            snapshot_dtype: SnapshotDtype::Native,
             tensors: vec![
                 NamedTensor::new("w.f64", Matrix::<f64>::from_vec(1, 2, vec![1.5, f64::NAN])),
                 NamedTensor::new("w.f32", Matrix::<f32>::from_vec(2, 1, vec![-0.0, 7.25])),
-                NamedTensor::new(
-                    "w.bf16",
-                    Bf16Matrix::from_matrix(&Matrix::<f32>::from_vec(1, 3, vec![0.5, -1.0, 3.0])),
-                ),
             ],
         }
     }
@@ -726,18 +704,21 @@ mod tests {
         ));
     }
 
-    /// Version 1 carried the imputer weights; this build rejects it through
-    /// both entry points with the typed error.
+    /// Version 1 carried the imputer weights and version 2 a snapshot-dtype
+    /// byte; this build rejects both through both entry points with the
+    /// typed error.
     #[test]
-    fn version_1_artifacts_are_unsupported() {
-        let mut plain = encode(&tiny_snapshot());
-        let mut sharded = encode_sharded(&tiny_sharded_snapshot());
-        for bytes in [&mut plain, &mut sharded] {
-            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    fn older_artifact_versions_are_unsupported() {
+        for version in [1u32, 2] {
+            let mut plain = encode(&tiny_snapshot());
+            let mut sharded = encode_sharded(&tiny_sharded_snapshot());
+            for bytes in [&mut plain, &mut sharded] {
+                bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            }
+            let unsupported = Some(ArtifactError::UnsupportedVersion(version));
+            assert_eq!(decode(&plain).err(), unsupported);
+            assert_eq!(decode_sharded(&sharded).err(), unsupported);
         }
-        let unsupported = Some(ArtifactError::UnsupportedVersion(1));
-        assert_eq!(decode(&plain).err(), unsupported);
-        assert_eq!(decode_sharded(&sharded).err(), unsupported);
     }
 
     fn tiny_sharded_snapshot() -> ShardedVenueSnapshot {

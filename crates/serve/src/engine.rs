@@ -223,8 +223,8 @@ mod tests {
     use super::*;
     use radiomap_core::prelude::EstimatorKind;
     use radiomap_core::VenueSnapshot;
+    use radiomap_core::{Precision, SnapshotDtype};
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
 
     fn grid() -> VenueSnapshot {
         // 4 reference points on a line; 1-NN is exact on its fingerprints.

@@ -127,9 +127,9 @@ pub fn load_sharded_artifact(path: impl AsRef<Path>) -> Result<ShardedVenueSnaps
 mod tests {
     use super::*;
     use radiomap_core::prelude::EstimatorKind;
+    use radiomap_core::{Precision, SnapshotDtype};
     use rm_geometry::Point;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
 
     fn snapshot() -> VenueSnapshot {
         VenueSnapshot {

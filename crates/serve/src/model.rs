@@ -453,8 +453,8 @@ impl ShardedVenueModel {
 mod tests {
     use super::*;
     use radiomap_core::prelude::EstimatorKind;
+    use radiomap_core::{Precision, SnapshotDtype};
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
 
     fn snapshot() -> VenueSnapshot {
         VenueSnapshot {

@@ -150,9 +150,9 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use radiomap_core::prelude::EstimatorKind;
+    use radiomap_core::{Precision, SnapshotDtype};
     use rm_geometry::Point;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
 
     fn snapshot(venue: &str, x: f64) -> VenueSnapshot {
         VenueSnapshot {

@@ -2,8 +2,7 @@
 //! batched query engine, proving the three rm-serve contracts.
 //!
 //! 1. **Artifact fidelity** — every serialized field of any `VenueSnapshot`,
-//!    including real pipeline exports at every precision × snapshot-dtype
-//!    combination, round-trips through the on-disk format bitwise
+//!    including real pipeline exports at either precision, round-trips through the on-disk format bitwise
 //!    (property-tested over arbitrary bit patterns: NaNs, −0.0,
 //!    infinities); the imputer weights are never serialized.
 //! 2. **Serving ≡ offline** — a persisted artifact published as a 1-shard
@@ -22,7 +21,7 @@ use rm_serve::{
     decode, encode, ModelRegistry, ShardedQueryEngine, ShardedQueryResponse, ShardedVenueModel,
     MAX_MICRO_BATCH,
 };
-use rm_tensor::{Bf16Matrix, Matrix, NamedTensor};
+use rm_tensor::{Matrix, NamedTensor};
 use std::sync::{Arc, Weak};
 
 // ---------------------------------------------------------------------------
@@ -62,7 +61,6 @@ fn pipeline(
     imputer: ImputerKind,
     estimator: EstimatorKind,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
 ) -> ImputationPipeline {
     ImputationPipeline::new(PipelineConfig {
         differentiator: DifferentiatorKind::MarOnly,
@@ -71,7 +69,6 @@ fn pipeline(
         epochs: Some(2),
         threads: 1,
         precision,
-        snapshot_dtype,
         ..PipelineConfig::default()
     })
 }
@@ -87,24 +84,15 @@ fn bits_eq_snapshots(a: &VenueSnapshot, b: &VenueSnapshot) -> bool {
 // 1. Artifact fidelity
 // ---------------------------------------------------------------------------
 
-/// Real pipeline exports round-trip bitwise at every precision ×
-/// snapshot-dtype combination; the trained tensors stay behind.
+/// Real pipeline exports round-trip bitwise at either precision; the
+/// trained tensors stay behind.
 #[test]
 fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
     let map = survey_map(18, 5);
     let topology = MultiPolygon::empty();
-    for (precision, snapshot_dtype) in [
-        (Precision::F64, SnapshotDtype::Native),
-        (Precision::F32, SnapshotDtype::Native),
-        (Precision::F32, SnapshotDtype::Bf16),
-    ] {
-        let snapshot = pipeline(
-            ImputerKind::Brits,
-            EstimatorKind::Knn,
-            precision,
-            snapshot_dtype,
-        )
-        .export_snapshot("e2e", &map, &topology);
+    for precision in [Precision::F64, Precision::F32] {
+        let snapshot = pipeline(ImputerKind::Brits, EstimatorKind::Knn, precision)
+            .export_snapshot("e2e", &map, &topology);
         assert_eq!(
             snapshot.tensors.len(),
             24,
@@ -114,7 +102,7 @@ fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
         let decoded = decode(&bytes).expect("pipeline export decodes");
         assert!(
             bits_eq_snapshots(&snapshot, &decoded),
-            "{precision:?}/{snapshot_dtype:?} export did not round-trip bitwise"
+            "{precision:?} export did not round-trip bitwise"
         );
         assert!(decoded.tensors.is_empty(), "weights were deserialized");
     }
@@ -127,13 +115,8 @@ fn pipeline_exports_encode_without_their_weights() {
     let map = survey_map(18, 5);
     let topology = MultiPolygon::empty();
     for imputer in [ImputerKind::Bisim, ImputerKind::Brits] {
-        let snapshot = pipeline(
-            imputer,
-            EstimatorKind::Knn,
-            Precision::F64,
-            SnapshotDtype::Native,
-        )
-        .export_snapshot("e2e", &map, &topology);
+        let snapshot = pipeline(imputer, EstimatorKind::Knn, Precision::F64)
+            .export_snapshot("e2e", &map, &topology);
         assert!(
             !snapshot.tensors.is_empty(),
             "{imputer:?} exported no weights"
@@ -146,36 +129,26 @@ fn pipeline_exports_encode_without_their_weights() {
     }
 }
 
-/// bf16 snapshots keep their trained weights resident at 2 bytes/element
-/// vs 8 for f64 — the tensor payload is exactly 4× smaller. (The artifact
-/// carries no weights, so its size does not depend on the dtype.)
+/// f32 snapshots keep their trained weights resident at 4 bytes/element
+/// vs 8 for f64 — the tensor payload is exactly 2× smaller. (The artifact
+/// carries no weights, so its size does not depend on the precision.)
 #[test]
-fn bf16_weights_are_four_times_smaller_in_resident_payload() {
+fn f32_weights_are_half_the_resident_payload_of_f64() {
     let map = survey_map(18, 5);
     let topology = MultiPolygon::empty();
-    let f64_snapshot = pipeline(
-        ImputerKind::Brits,
-        EstimatorKind::Knn,
-        Precision::F64,
-        SnapshotDtype::Native,
-    )
-    .export_snapshot("e2e", &map, &topology);
-    let bf16_snapshot = pipeline(
-        ImputerKind::Brits,
-        EstimatorKind::Knn,
-        Precision::F32,
-        SnapshotDtype::Bf16,
-    )
-    .export_snapshot("e2e", &map, &topology);
+    let f64_snapshot = pipeline(ImputerKind::Brits, EstimatorKind::Knn, Precision::F64)
+        .export_snapshot("e2e", &map, &topology);
+    let f32_snapshot = pipeline(ImputerKind::Brits, EstimatorKind::Knn, Precision::F32)
+        .export_snapshot("e2e", &map, &topology);
 
     let payload =
         |s: &VenueSnapshot| -> usize { s.tensors.iter().map(|t| t.payload.payload_bytes()).sum() };
-    let (f64_bytes, bf16_bytes) = (payload(&f64_snapshot), payload(&bf16_snapshot));
+    let (f64_bytes, f32_bytes) = (payload(&f64_snapshot), payload(&f32_snapshot));
     assert!(f64_bytes > 0);
     assert_eq!(
         f64_bytes,
-        4 * bf16_bytes,
-        "same shapes at 8 vs 2 bytes per element"
+        2 * f32_bytes,
+        "same shapes at 8 vs 4 bytes per element"
     );
 }
 
@@ -211,7 +184,7 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
         .map(|i| {
             let (t_rows, t_cols) = (1 + (draw() % 3) as usize, 1 + (draw() % 3) as usize);
             let len = t_rows * t_cols;
-            match draw() % 3 {
+            match draw() % 2 {
                 0 => NamedTensor::new(
                     format!("t{i}.f64"),
                     Matrix::from_vec(
@@ -220,20 +193,12 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
                         (0..len).map(|_| f64::from_bits(draw())).collect(),
                     ),
                 ),
-                1 => NamedTensor::new(
+                _ => NamedTensor::new(
                     format!("t{i}.f32"),
                     Matrix::from_vec(
                         t_rows,
                         t_cols,
                         (0..len).map(|_| f32::from_bits(draw() as u32)).collect(),
-                    ),
-                ),
-                _ => NamedTensor::new(
-                    format!("t{i}.bf16"),
-                    Bf16Matrix::from_bits(
-                        t_rows,
-                        t_cols,
-                        (0..len).map(|_| draw() as u16).collect(),
                     ),
                 ),
             }
@@ -255,11 +220,7 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
         } else {
             Precision::F32
         },
-        snapshot_dtype: if draw() % 2 == 0 {
-            SnapshotDtype::Native
-        } else {
-            SnapshotDtype::Bf16
-        },
+        snapshot_dtype: SnapshotDtype::Native,
         tensors,
     }
 }
@@ -271,8 +232,8 @@ fn arb_snapshot() -> impl Strategy<Value = VenueSnapshot> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any snapshot — arbitrary float bits, any estimator/precision/dtype
-    /// tag, any mask, any weights — survives encode → decode → encode with
+    /// Any snapshot — arbitrary float bits, any estimator/precision tag,
+    /// any mask, any weights — survives encode → decode → encode with
     /// identical bytes, and decodes without its weights.
     #[test]
     fn any_snapshot_round_trips_bitwise(snapshot in arb_snapshot()) {
@@ -347,13 +308,11 @@ fn serving_matches_the_offline_estimator_query_for_query() {
         EstimatorKind::Wknn,
         EstimatorKind::RandomForest,
     ] {
-        let snapshot = pipeline(
-            ImputerKind::Mice,
-            estimator_kind,
-            Precision::F64,
-            SnapshotDtype::Native,
-        )
-        .export_snapshot("offline-parity", &map, &topology);
+        let snapshot = pipeline(ImputerKind::Mice, estimator_kind, Precision::F64).export_snapshot(
+            "offline-parity",
+            &map,
+            &topology,
+        );
         let queries = query_log(&snapshot);
 
         // Offline path: estimator built directly from the in-memory snapshot.
@@ -407,7 +366,6 @@ fn a_fixed_query_log_is_bit_identical_at_any_thread_count() {
         ImputerKind::LinearInterpolation,
         EstimatorKind::Wknn,
         Precision::F64,
-        SnapshotDtype::Native,
     )
     .export_snapshot("det", &map, &topology);
     let log: Vec<Vec<f64>> = query_log(&snapshot)

@@ -27,13 +27,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use radiomap_core::prelude::*;
 use radiomap_core::{LiveVenue, PipelineConfig, ShardedVenueSnapshot, VenueSnapshot};
+use radiomap_core::{Precision, SnapshotDtype};
 use rm_positioning::{knn_estimate, merge_candidates, wknn_estimate};
 use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards, MNAR_FILL_VALUE};
 use rm_serve::{
     decode_sharded, encode, encode_sharded, load_sharded_artifact, save_sharded_artifact,
     ModelRegistry, QueryError, ShardedQueryEngine, ShardedVenueModel,
 };
-use rm_tensor::{Precision, SnapshotDtype};
 
 // ---------------------------------------------------------------------------
 // Fixtures

@@ -1343,14 +1343,10 @@ mod tests {
             });
             want = &want + &g.matmul_naive(&x.transpose());
         }
-        if crate::simd::fma_enabled() {
-            assert!(w.grad().approx_eq(&want, 1e-12));
-        } else {
-            assert!(
-                w.grad().bits_eq(&want),
-                "in-place dW drifted from the old route"
-            );
-        }
+        assert!(
+            w.grad().bits_eq(&want),
+            "in-place dW drifted from the old route"
+        );
         for x in &consts {
             assert!(x.grad().bits_eq(&Matrix::zeros(19, 1)));
         }
@@ -1468,17 +1464,6 @@ mod tests {
             for (got, want) in run(true).iter().zip(&run(false)) {
                 assert_bits(got, want, &format!("select({i})"));
             }
-        }
-    }
-
-    /// Bitwise equality, or (under the opt-in `RM_FMA=1`, whose fused
-    /// kernels may round a block of columns differently) closeness.
-    #[track_caller]
-    fn assert_bits_unless_fma(got: &Matrix, want: &Matrix, what: &str) {
-        if crate::simd::fma_enabled() {
-            assert!(got.approx_eq(want, 1e-9), "{what}: {got:?} vs {want:?}");
-        } else {
-            assert_bits(got, want, what);
         }
     }
 
@@ -1611,7 +1596,7 @@ mod tests {
             assert_eq!(got.len(), want.len());
             for (i, (got, want)) in got.iter().zip(&want).enumerate() {
                 let what = format!("{shape:?} decayed={decayed} derived={derived} output {i}");
-                assert_bits_unless_fma(got, want, &what);
+                assert_bits(got, want, &what);
             }
         }
     }
@@ -1720,7 +1705,7 @@ mod tests {
             assert_eq!(got.len(), want.len());
             for (i, (got, want)) in got.iter().zip(&want).enumerate() {
                 let what = format!("T={t} H={hidden} derived={derived} output {i}");
-                assert_bits_unless_fma(got, want, &what);
+                assert_bits(got, want, &what);
             }
         }
     }

@@ -4,13 +4,11 @@
 //! Imputers export trained models as a flat list of [`NamedTensor`]s — one
 //! dense matrix per parameter, tagged with a name and a storage dtype — so
 //! the pipeline's snapshots never have to know the shape of any particular
-//! model, and warm start rebuilds a model from them. The dtype axis mirrors
-//! the resident snapshot axis ([`SnapshotDtype`] × [`Precision`](crate::Precision)):
-//! a snapshot trained at f64, rounded to f32, or truncated to bfloat16
-//! exports exactly the bits it keeps resident, so an imported model
-//! reproduces the exported one bit for bit.
+//! model, and warm start rebuilds a model from them. The dtype is the
+//! snapshot's [`Precision`](crate::Precision): a snapshot trained at f64 or
+//! rounded to f32 exports exactly the bits it keeps resident, so an imported
+//! model reproduces the exported one bit for bit.
 
-use crate::half::Bf16Matrix;
 use crate::matrix::Matrix;
 
 /// The payload of one exported tensor, at its resident storage dtype.
@@ -20,8 +18,6 @@ pub enum TensorPayload {
     F64(Matrix<f64>),
     /// Single-precision payload (4 bytes per element).
     F32(Matrix<f32>),
-    /// Truncated-bfloat16 payload (2 bytes per element).
-    Bf16(Bf16Matrix),
 }
 
 impl TensorPayload {
@@ -30,7 +26,6 @@ impl TensorPayload {
         match self {
             TensorPayload::F64(m) => m.rows(),
             TensorPayload::F32(m) => m.rows(),
-            TensorPayload::Bf16(m) => m.rows(),
         }
     }
 
@@ -39,16 +34,14 @@ impl TensorPayload {
         match self {
             TensorPayload::F64(m) => m.cols(),
             TensorPayload::F32(m) => m.cols(),
-            TensorPayload::Bf16(m) => m.cols(),
         }
     }
 
-    /// Lowercase dtype name (`"f64"` / `"f32"` / `"bf16"`), for reports.
+    /// Lowercase dtype name (`"f64"` / `"f32"`), for reports.
     pub fn dtype_name(&self) -> &'static str {
         match self {
             TensorPayload::F64(_) => "f64",
             TensorPayload::F32(_) => "f32",
-            TensorPayload::Bf16(_) => "bf16",
         }
     }
 
@@ -58,23 +51,19 @@ impl TensorPayload {
         match self {
             TensorPayload::F64(_) => elements * 8,
             TensorPayload::F32(_) => elements * 4,
-            TensorPayload::Bf16(_) => elements * 2,
         }
     }
 
     /// Widens the payload to a double-precision matrix — the import
     /// direction of the export axis, used to warm-start training from a
-    /// persisted snapshot. Training always runs at f64, so an f32 or bf16
-    /// payload widens losslessly (every f32/bf16 value is exactly
-    /// representable in f64); the round trip back through a same-dtype
+    /// persisted snapshot. Training always runs at f64, so an f32 payload
+    /// widens losslessly (every f32 value is exactly representable in
+    /// f64); the round trip back through a same-dtype
     /// export reproduces the original bits.
     pub fn to_f64_matrix(&self) -> Matrix<f64> {
         match self {
             TensorPayload::F64(m) => m.clone(),
             TensorPayload::F32(m) => {
-                Matrix::from_fn(m.rows(), m.cols(), |r, c| f64::from(m.get(r, c)))
-            }
-            TensorPayload::Bf16(m) => {
                 Matrix::from_fn(m.rows(), m.cols(), |r, c| f64::from(m.get(r, c)))
             }
         }
@@ -99,9 +88,6 @@ impl TensorPayload {
                         .zip(b.data())
                         .all(|(x, y)| x.to_bits() == y.to_bits())
             }
-            (TensorPayload::Bf16(a), TensorPayload::Bf16(b)) => {
-                a.rows() == b.rows() && a.cols() == b.cols() && a.bits() == b.bits()
-            }
             _ => false,
         }
     }
@@ -124,12 +110,6 @@ impl IntoTensorPayload for Matrix<f64> {
 impl IntoTensorPayload for Matrix<f32> {
     fn into_payload(self) -> TensorPayload {
         TensorPayload::F32(self)
-    }
-}
-
-impl IntoTensorPayload for Bf16Matrix {
-    fn into_payload(self) -> TensorPayload {
-        TensorPayload::Bf16(self)
     }
 }
 
@@ -166,19 +146,13 @@ mod tests {
     fn payload_reports_shape_dtype_and_bytes() {
         let t64 = NamedTensor::new("a", Matrix::<f64>::filled(2, 3, 1.5));
         let t32 = NamedTensor::new("a", Matrix::<f32>::filled(2, 3, 1.5));
-        let tbf = NamedTensor::new(
-            "a",
-            Bf16Matrix::from_matrix(&Matrix::<f32>::filled(2, 3, 1.5)),
-        );
         assert_eq!(t64.payload.rows(), 2);
         assert_eq!(t64.payload.cols(), 3);
         assert_eq!(t64.payload.dtype_name(), "f64");
         assert_eq!(t32.payload.dtype_name(), "f32");
-        assert_eq!(tbf.payload.dtype_name(), "bf16");
-        // The 4× resident-bytes axis: 8 → 4 → 2 bytes per element.
+        // The resident-bytes axis: 8 → 4 bytes per element.
         assert_eq!(t64.payload.payload_bytes(), 48);
         assert_eq!(t32.payload.payload_bytes(), 24);
-        assert_eq!(tbf.payload.payload_bytes(), 12);
     }
 
     #[test]

@@ -11,11 +11,7 @@
 //!   usual linear-algebra and element-wise operations; the blocked kernels
 //!   dispatch to explicit-width AVX2 intrinsics ([`simd`]) when the CPU has
 //!   them and fall back to the bitwise-identical scalar reference otherwise
-//!   (`RM_SIMD=0` forces the reference; `RM_FMA=1` opts into the
-//!   epsilon-only fused variants),
-//! * [`SnapshotDtype`] and the [`half`] module — software bf16 (`u16`
-//!   truncation of f32) for storing inference snapshots at half the f32
-//!   footprint, decoded back to f32 before any arithmetic,
+//!   (`RM_SIMD=0` forces the reference),
 //! * [`Var`] — a node in a dynamically-built reverse-mode autodiff graph
 //!   (default `Var<f64>`), supporting matrix products, the fused affine map
 //!   of a linear layer, element-wise arithmetic, activations, masking,
@@ -47,7 +43,6 @@
 
 pub mod autodiff;
 pub mod export;
-pub mod half;
 pub mod matrix;
 pub mod recurrent;
 pub mod scalar;
@@ -56,8 +51,7 @@ pub mod workspace;
 
 pub use autodiff::{InputPart, Var};
 pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
-pub use half::{bf16_to_f32, f32_to_bf16, Bf16Matrix, SnapshotDtype};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use scalar::{Precision, Scalar};
-pub use simd::{adam_kernel_name, fma_enabled, simd_enabled, simd_kernel_name, AdamStep};
+pub use simd::{adam_kernel_name, simd_enabled, simd_kernel_name, AdamStep};
 pub use workspace::{arena_enabled, buffer_pool_stats, BufferPoolStats, Workspace};

@@ -34,9 +34,7 @@ pub const MATMUL_BLOCK: usize = 64;
 /// Because the update is element-wise independent and both paths perform one
 /// multiply and one add per element in index order, the SIMD path is
 /// **bit-identical** to this function at either precision — the parity
-/// proptests below and `crate::simd`'s own tests check exactly that. (The
-/// opt-in `RM_FMA=1` variant is the one exception: fused rounding,
-/// epsilon-checked only.)
+/// proptests below and `crate::simd`'s own tests check exactly that.
 ///
 /// The loop is manually unrolled
 /// 4-wide so the backend reliably auto-vectorises it at both precisions.
@@ -79,10 +77,6 @@ pub(crate) fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
         // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
         // detection succeeded on this CPU.
         crate::simd::Kernel::Avx2 => unsafe { T::axpy_row_avx2(alpha, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-        // detection succeeded on this CPU.
-        crate::simd::Kernel::Fma => unsafe { T::axpy_row_fma(alpha, x, y) },
         _ => axpy_row_scalar(alpha, x, y),
     }
 }
@@ -148,7 +142,7 @@ fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], ld: usize, x: &[T], acc: &
 /// A dense row-major matrix of [`Scalar`] values (`f64` by default).
 ///
 /// Backing buffers are checked out of this thread's
-/// [`workspace`](crate::workspace) buffer pool and returned to it on drop
+/// [`workspace`] buffer pool and returned to it on drop
 /// (capacity-only reuse — every constructor initialises all entries, so
 /// values are bitwise independent of where the buffer came from).
 /// `RM_ARENA=0` bypasses the pool entirely.
@@ -436,7 +430,7 @@ impl<T: Scalar> Matrix<T> {
     ///   panel stays cache-hot while the kernel streams over the rows of
     ///   `self` and `out`; the inner loop is the [`crate::simd`]-dispatched
     ///   row kernel (scalar reference under `RM_SIMD=0`, and for rows
-    ///   narrower than [`crate::simd::SIMD_MIN_COLS`]), contiguous over both
+    ///   narrower than `SIMD_MIN_COLS`), contiguous over both
     ///   `rhs` and `out`.
     ///
     /// Either way every output entry starts at `+0.0` and accumulates one
@@ -449,8 +443,7 @@ impl<T: Scalar> Matrix<T> {
     /// never `-0.0` (round-to-nearest turns an exact-zero sum into `+0.0`),
     /// so adding `±0.0` leaves it unchanged. (With NaN or ±∞ in `rhs` against
     /// a zero in `self`, the naive and dot kernels propagate the NaN while
-    /// the blocked one does not. The opt-in `RM_FMA=1` kernels degrade
-    /// bit-identity to epsilon-closeness on the blocked path only.)
+    /// the blocked one does not.)
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match or `out` has the wrong
@@ -484,17 +477,13 @@ impl<T: Scalar> Matrix<T> {
             // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
             // detection succeeded on this CPU.
             crate::simd::Kernel::Avx2 => unsafe { self.matmul_into_avx2(rhs, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Fma => unsafe { self.matmul_into_fma(rhs, out) },
             _ => self.matmul_into_body(rhs, out, axpy_row_scalar::<T>),
         }
     }
 
     /// The blocked i-k-j loop of [`Matrix::matmul_into`], generic over the
-    /// row kernel so one definition serves the scalar reference and both
-    /// `#[target_feature]` instantiations (where the closure inherits the
+    /// row kernel so one definition serves the scalar reference and the
+    /// `#[target_feature]` instantiation (where the closure inherits the
     /// caller's features and the intrinsics inline).
     #[inline(always)]
     fn matmul_into_body(
@@ -592,24 +581,6 @@ impl<T: Scalar> Matrix<T> {
         );
     }
 
-    /// [`Matrix::matmul_into_body_x4`] compiled in an AVX2+FMA context
-    /// (`RM_FMA=1` opt-in; epsilon contract).
-    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
-    // by the `Kernel::Fma` dispatch arm; the row kernels stay within the
-    // equal-length row slices they are handed.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn matmul_into_fma(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
-        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernels.
-        self.matmul_into_body_x4(
-            rhs,
-            out,
-            |a, x, y| unsafe { T::axpy_row_fma(a, x, y) },
-            |a, x, y| unsafe { T::axpy_row4_fma(a, x, y) },
-        );
-    }
-
     /// Continues each row's dot product with a column block of `self`:
     /// `acc[r] += self[r, start + k] · x[k]`, one multiply and one add per
     /// term, in increasing `k`, from the accumulator's current value. The
@@ -618,8 +589,7 @@ impl<T: Scalar> Matrix<T> {
     /// continued block by block is bitwise the whole one — which lets a
     /// caller compute a shared prefix (`W[:, ..h] · s`) once and continue
     /// it against several suffixes. On AVX2 hosts the rows run one per
-    /// vector lane ([`crate::simd`]), bit-identical to the scalar blocks;
-    /// the kernel never fuses, so the `RM_FMA=1` dispatch runs it too.
+    /// vector lane ([`crate::simd`]), bit-identical to the scalar blocks.
     ///
     /// # Panics
     /// Panics if `acc` does not have one entry per row or the block runs
@@ -643,12 +613,10 @@ impl<T: Scalar> Matrix<T> {
         let w = &self.data[start..];
         match crate::simd::kernel() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2`/`Kernel::Fma` are only resolved after
-            // runtime AVX2 detection succeeded on this CPU, and the shapes
-            // were checked above.
-            crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
-                T::matvec_avx2(w, self.cols, x, acc)
-            },
+            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
+            // detection succeeded on this CPU, and the shapes were checked
+            // above.
+            crate::simd::Kernel::Avx2 => unsafe { T::matvec_avx2(w, self.cols, x, acc) },
             _ => matvec_acc_into(w, self.cols, x, acc),
         }
     }
@@ -720,10 +688,6 @@ impl<T: Scalar> Matrix<T> {
             // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
             // detection succeeded on this CPU.
             crate::simd::Kernel::Avx2 => unsafe { self.matmul_at_b_avx2(rhs, &mut out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Fma => unsafe { self.matmul_at_b_fma(rhs, &mut out) },
             _ => self.matmul_at_b_body(rhs, &mut out, axpy_row_scalar::<T>),
         }
         out
@@ -779,10 +743,6 @@ impl<T: Scalar> Matrix<T> {
             // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
             // detection succeeded on this CPU.
             crate::simd::Kernel::Avx2 => unsafe { self.at_col_avx2(g, cols, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Fma => unsafe { self.at_col_fma(g, cols, out) },
             _ => self.at_col_body(g, cols, out, axpy_row_scalar::<T>),
         }
     }
@@ -817,19 +777,6 @@ impl<T: Scalar> Matrix<T> {
         self.at_col_body(g, cols, out, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
     }
 
-    /// [`Matrix::at_col_body`] compiled in an AVX2+FMA context (`RM_FMA=1`
-    /// opt-in; epsilon contract).
-    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
-    // by the `Kernel::Fma` dispatch arm; the row kernel stays within the
-    // equal-length row slices it is handed.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn at_col_fma(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
-        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
-        self.at_col_body(g, cols, out, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
-    }
-
     /// [`Matrix::matmul_at_b_body`] compiled in an AVX2 context.
     // SAFETY: `unsafe fn` contract is runtime AVX2 availability, upheld by
     // the `Kernel::Avx2` dispatch arm; the row kernel stays within the
@@ -840,19 +787,6 @@ impl<T: Scalar> Matrix<T> {
     unsafe fn matmul_at_b_avx2(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
         // SAFETY: forwards this fn's own AVX2 contract to the row kernel.
         self.matmul_at_b_body(rhs, out, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
-    }
-
-    /// [`Matrix::matmul_at_b_body`] compiled in an AVX2+FMA context
-    /// (`RM_FMA=1` opt-in; epsilon contract).
-    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
-    // by the `Kernel::Fma` dispatch arm; the row kernel stays within the
-    // equal-length row slices it is handed.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn matmul_at_b_fma(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) {
-        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
-        self.matmul_at_b_body(rhs, out, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
     }
 
     /// In-place rank-1 update `self += u · vᵀ` (`u.len() == rows`,
@@ -869,8 +803,7 @@ impl<T: Scalar> Matrix<T> {
     /// product entry is a single term, so the temporary held `+0.0 + u[i]·v[j]`,
     /// which differs from `u[i]·v[j]` only when the product is `-0.0`; and
     /// adding `±0.0` to an entry that is not `-0.0` leaves it unchanged
-    /// either way. A skipped row is the same `±0.0` argument. (The opt-in
-    /// `RM_FMA=1` kernels fuse the update, epsilon contract.)
+    /// either way. A skipped row is the same `±0.0` argument.
     ///
     /// # Panics
     /// Panics if the lengths do not match the shape.
@@ -894,10 +827,6 @@ impl<T: Scalar> Matrix<T> {
             // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
             // detection succeeded on this CPU.
             crate::simd::Kernel::Avx2 => unsafe { self.add_outer_avx2(u, v) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Fma` is only resolved after runtime AVX2+FMA
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Fma => unsafe { self.add_outer_fma(u, v) },
             _ => self.add_outer_body(u, v, axpy_row_scalar::<T>),
         }
     }
@@ -923,19 +852,6 @@ impl<T: Scalar> Matrix<T> {
     unsafe fn add_outer_avx2(&mut self, u: &[T], v: &[T]) {
         // SAFETY: forwards this fn's own AVX2 contract to the row kernel.
         self.add_outer_body(u, v, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
-    }
-
-    /// [`Matrix::add_outer_body`] compiled in an AVX2+FMA context
-    /// (`RM_FMA=1` opt-in; epsilon contract).
-    // SAFETY: `unsafe fn` contract is runtime AVX2+FMA availability, upheld
-    // by the `Kernel::Fma` dispatch arm; the row kernel stays within the
-    // equal-length row slices it is handed.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn add_outer_fma(&mut self, u: &[T], v: &[T]) {
-        // SAFETY: forwards this fn's own AVX2+FMA contract to the row kernel.
-        self.add_outer_body(u, v, |a, x, y| unsafe { T::axpy_row_fma(a, x, y) });
     }
 
     /// Adds the column vector `col` (shape `(rows, 1)`) to every column of
@@ -1007,8 +923,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// In-place `self += alpha * rhs`, through the [`crate::simd`]-dispatched
-    /// row kernel ([`axpy_row_scalar`] under `RM_SIMD=0`; bit-identical
-    /// either way, except under the opt-in `RM_FMA=1`).
+    /// row kernel (`axpy_row_scalar` under `RM_SIMD=0`; bit-identical
+    /// either way).
     pub fn axpy(&mut self, alpha: T, rhs: &Matrix<T>) {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
         axpy_slice(alpha, &rhs.data, &mut self.data);
@@ -1215,19 +1131,9 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// Bitwise parity at the default configuration; under the opt-in
-    /// `RM_FMA=1` the kernels trade bit-compat for fused rounding, so the
-    /// same assertion degrades to the documented epsilon contract.
     #[track_caller]
-    fn assert_kernel_parity<T: Scalar>(got: &Matrix<T>, want: &Matrix<T>, fma_tol: f64) {
-        if crate::simd::fma_enabled() {
-            assert!(
-                got.approx_eq(want, T::from_f64(fma_tol)),
-                "fma drift over tolerance"
-            );
-        } else {
-            assert!(got.bits_eq(want), "kernel not bit-identical to reference");
-        }
+    fn assert_kernel_parity<T: Scalar>(got: &Matrix<T>, want: &Matrix<T>) {
+        assert!(got.bits_eq(want), "kernel not bit-identical to reference");
     }
 
     #[test]
@@ -1237,7 +1143,7 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (3, 64, 5), (7, 65, 9), (20, 130, 17)] {
             let a = Matrix::<f64>::random_uniform(m, k, 1.0, &mut rng);
             let b = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng);
-            assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b), 1e-10);
+            assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b));
         }
     }
 
@@ -1247,7 +1153,7 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (3, 64, 5), (7, 65, 9), (20, 130, 17)] {
             let a = Matrix::<f32>::random_uniform(m, k, 1.0, &mut rng);
             let b = Matrix::<f32>::random_uniform(k, n, 1.0, &mut rng);
-            assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b), 1e-4);
+            assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b));
         }
     }
 
@@ -1375,7 +1281,7 @@ mod tests {
                 .map(|(&y, &xv)| y + 0.75 * xv)
                 .collect(),
         );
-        assert_kernel_parity(&unrolled, &rolled, 1e-12);
+        assert_kernel_parity(&unrolled, &rolled);
     }
 
     #[test]
@@ -1465,13 +1371,7 @@ mod tests {
     /// pre-dirtied through the pool so capacity reuse cannot mask a stale
     /// read. The CI `test-no-simd` leg runs this same property against the
     /// forced scalar path, closing the parity check from both sides.
-    fn axpy_consumers_match_reference<T: Scalar>(
-        m: usize,
-        k: usize,
-        n: usize,
-        seed: u64,
-        fma_tol: f64,
-    ) {
+    fn axpy_consumers_match_reference<T: Scalar>(m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Matrix<T> = Matrix::<f64>::random_uniform(m, k, 1.0, &mut rng).cast();
         let b: Matrix<T> = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng).cast();
@@ -1480,10 +1380,10 @@ mod tests {
         // Dirty the output through the pool: fill with NaN, then overwrite.
         let mut out = Matrix::<T>::filled(m, n, T::from_f64(f64::NAN));
         a.matmul_into(&b, &mut out);
-        assert_kernel_parity(&out, &a.matmul_naive(&b), fma_tol);
+        assert_kernel_parity(&out, &a.matmul_naive(&b));
 
         let at_b = a.matmul_at_b(&grad);
-        assert_kernel_parity(&at_b, &a.transpose().matmul_naive(&grad), fma_tol);
+        assert_kernel_parity(&at_b, &a.transpose().matmul_naive(&grad));
 
         let alpha = T::from_f64(0.375);
         let x: Matrix<T> = Matrix::<f64>::random_uniform(m, n, 1.0, &mut rng).cast();
@@ -1498,7 +1398,7 @@ mod tests {
                 .map(|(&y, &xv)| y + alpha * xv)
                 .collect(),
         );
-        assert_kernel_parity(&acc, &rolled, fma_tol);
+        assert_kernel_parity(&acc, &rolled);
     }
 
     /// Entries uniform in `[-1, 1]` with exact `+0.0` and `-0.0` mixed in
@@ -1520,33 +1420,32 @@ mod tests {
     /// replaced — the outer product materialised from `+0.0` and added with
     /// a rolled loop. The gradient buffer gets `+0.0` but never `-0.0`
     /// entries, the invariant `add_outer` documents.
-    fn narrow_kernels_match_reference<T: Scalar>(m: usize, k: usize, seed: u64, fma_tol: f64) {
+    fn narrow_kernels_match_reference<T: Scalar>(m: usize, k: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = signed_zero_matrix::<T>(m, k, &mut rng);
         let x = signed_zero_matrix::<T>(k, 1, &mut rng);
         let g = signed_zero_matrix::<T>(m, 1, &mut rng);
 
-        // The dot kernel never fuses, so it is bitwise even under RM_FMA=1.
         let mut out = Matrix::<T>::filled(m, 1, T::from_f64(f64::NAN));
         w.matmul_into(&x, &mut out);
         assert!(out.bits_eq(&w.matmul_naive(&x)), "W·x not bit-identical");
 
-        assert_kernel_parity(&w.matmul_at_b(&g), &w.transpose().matmul_naive(&g), fma_tol);
+        assert_kernel_parity(&w.matmul_at_b(&g), &w.transpose().matmul_naive(&g));
 
         let grad = signed_zero_matrix::<T>(m, k, &mut rng).map(|v| v + T::ZERO);
         let outer = g.matmul_naive(&x.transpose());
         let old_route = &grad + &outer;
         let mut in_place = grad;
         in_place.add_outer(g.data(), x.data());
-        assert_kernel_parity(&in_place, &old_route, fma_tol);
+        assert_kernel_parity(&in_place, &old_route);
     }
 
     #[test]
     fn narrow_kernels_cover_empty_and_unit_inner_dimensions() {
         for m in [0, 1, 3, 7, 8, 9, 17] {
             for k in [0, 1, 2, 16, 17] {
-                narrow_kernels_match_reference::<f64>(m, k, (m * 31 + k) as u64, 1e-10);
-                narrow_kernels_match_reference::<f32>(m, k, (m * 37 + k) as u64, 1e-4);
+                narrow_kernels_match_reference::<f64>(m, k, (m * 31 + k) as u64);
+                narrow_kernels_match_reference::<f32>(m, k, (m * 37 + k) as u64);
             }
         }
     }
@@ -1568,8 +1467,8 @@ mod tests {
                 n in 1usize..20,
                 seed in any::<u64>(),
             ) {
-                axpy_consumers_match_reference::<f64>(m, k, n, seed, 1e-10);
-                axpy_consumers_match_reference::<f32>(m, k, n, seed, 1e-4);
+                axpy_consumers_match_reference::<f64>(m, k, n, seed);
+                axpy_consumers_match_reference::<f32>(m, k, n, seed);
             }
 
             /// The column-vector kernels ≡ their references, bit for bit, at
@@ -1581,8 +1480,8 @@ mod tests {
                 k in 0usize..150,
                 seed in any::<u64>(),
             ) {
-                narrow_kernels_match_reference::<f64>(m, k, seed, 1e-10);
-                narrow_kernels_match_reference::<f32>(m, k, seed, 1e-4);
+                narrow_kernels_match_reference::<f64>(m, k, seed);
+                narrow_kernels_match_reference::<f32>(m, k, seed);
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! [`Scalar`] is the sealed element trait of [`Matrix`](crate::Matrix) and
 //! [`Var`](crate::Var): exactly `f64` and `f32` implement it. It provides the
-//! arithmetic, `mul_add` and transcendental hooks (`exp`/`tanh`/`sqrt`/`ln`)
+//! arithmetic and transcendental hooks (`exp`/`tanh`/`sqrt`/`ln`)
 //! that the dense kernels and the `rm-nn` activations need, so every kernel
 //! is written once and monomorphised per precision:
 //!
@@ -67,15 +67,6 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Widens (losslessly for both implementors) to `f64`.
     fn to_f64(self) -> f64;
-    /// Fused multiply-add `self * a + b` (single rounding).
-    ///
-    /// **Never use this inside the ordered kernels** (`matmul_into`,
-    /// `matmul_at_b`, `axpy`): fusing changes rounding and would silently
-    /// break their documented bit-identity with the naive reference — the
-    /// property the determinism suite rests on. The hook exists for the
-    /// ROADMAP'd explicit-width SIMD/FMA kernel variants, which will opt out
-    /// of bit-compat explicitly.
-    fn mul_add(self, a: Self, b: Self) -> Self;
     /// `e^self`.
     fn exp(self) -> Self;
     /// Natural logarithm.
@@ -132,16 +123,6 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn axpy_row_avx2(a: Self, x: &[Self], y: &mut [Self]);
 
-    /// AVX2+FMA variant of [`Scalar::axpy_row_avx2`] (`RM_FMA=1` opt-in;
-    /// fused rounding, epsilon-checked only, **not** bit-compatible).
-    ///
-    /// # Safety
-    /// Only call after runtime AVX2+FMA detection succeeded.
-    // SAFETY: declaration only — the contract above binds the implementors.
-    #[doc(hidden)]
-    #[allow(unsafe_code)]
-    unsafe fn axpy_row_fma(a: Self, x: &[Self], y: &mut [Self]);
-
     /// Fused four-row AVX2 update `y[j] += Σ_r a[r] * x[r][j]` — the
     /// k-unrolled panel kernel of `matmul_into`, bit-identical to four
     /// sequential [`Scalar::axpy_row_avx2`] calls.
@@ -153,22 +134,11 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn axpy_row4_avx2(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]);
 
-    /// AVX2+FMA variant of [`Scalar::axpy_row4_avx2`] (`RM_FMA=1` opt-in;
-    /// epsilon contract).
-    ///
-    /// # Safety
-    /// Same contract as [`Scalar::axpy_row_fma`].
-    // SAFETY: declaration only — the contract above binds the implementors.
-    #[doc(hidden)]
-    #[allow(unsafe_code)]
-    unsafe fn axpy_row4_fma(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]);
-
     /// Explicit-width AVX2 batch-1 product `out += W · x` (row-major `W` of
     /// `out.len()` rows `ld` entries apart, `x.len()` columns from the start
     /// of `w`) — the column-vector kernel of `matmul_into` and
     /// `Matrix::matvec_acc`, bit-identical to the scalar dot products
-    /// continued from `out`. It never fuses, so the `RM_FMA=1` dispatch runs
-    /// it too.
+    /// continued from `out`.
     ///
     /// # Safety
     /// Same contract as [`Scalar::axpy_row_avx2`].
@@ -210,7 +180,7 @@ pub trait Scalar:
 
 macro_rules! impl_scalar {
     (
-        $t:ty, $name:literal, $axpy_avx2:path, $axpy_fma:path, $axpy4_avx2:path, $axpy4_fma:path,
+        $t:ty, $name:literal, $axpy_avx2:path, $axpy4_avx2:path,
         $matvec_avx2:path, $adam_update:path
     ) => {
         impl Scalar for $t {
@@ -225,10 +195,6 @@ macro_rules! impl_scalar {
             #[inline]
             fn to_f64(self) -> f64 {
                 self as f64
-            }
-            #[inline]
-            fn mul_add(self, a: Self, b: Self) -> Self {
-                <$t>::mul_add(self, a, b)
             }
             #[inline]
             fn exp(self) -> Self {
@@ -290,29 +256,9 @@ macro_rules! impl_scalar {
             // stays within the slice bounds.
             #[inline(always)]
             #[allow(unsafe_code)]
-            unsafe fn axpy_row_fma(a: Self, x: &[Self], y: &mut [Self]) {
-                // SAFETY: forwarded contract, argued at the declaration.
-                unsafe { $axpy_fma(a, x, y) }
-            }
-
-            // SAFETY: thin forwarder — the caller upholds the CPU-feature
-            // contract of the trait declaration; the arch kernel itself
-            // stays within the slice bounds.
-            #[inline(always)]
-            #[allow(unsafe_code)]
             unsafe fn axpy_row4_avx2(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]) {
                 // SAFETY: forwarded contract, argued at the declaration.
                 unsafe { $axpy4_avx2(a, x, y) }
-            }
-
-            // SAFETY: thin forwarder — the caller upholds the CPU-feature
-            // contract of the trait declaration; the arch kernel itself
-            // stays within the slice bounds.
-            #[inline(always)]
-            #[allow(unsafe_code)]
-            unsafe fn axpy_row4_fma(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]) {
-                // SAFETY: forwarded contract, argued at the declaration.
-                unsafe { $axpy4_fma(a, x, y) }
             }
 
             // SAFETY: thin forwarder — the caller upholds the CPU-feature
@@ -361,9 +307,7 @@ impl_scalar!(
     f64,
     "f64",
     crate::simd::axpy_row_f64_avx2,
-    crate::simd::axpy_row_f64_fma,
     crate::simd::axpy_row4_f64_avx2,
-    crate::simd::axpy_row4_f64_fma,
     crate::simd::matvec_f64_avx2,
     crate::simd::adam_update_f64
 );
@@ -371,9 +315,7 @@ impl_scalar!(
     f32,
     "f32",
     crate::simd::axpy_row_f32_avx2,
-    crate::simd::axpy_row_f32_fma,
     crate::simd::axpy_row4_f32_avx2,
-    crate::simd::axpy_row4_f32_fma,
     crate::simd::matvec_f32_avx2,
     crate::simd::AdamStep::update_reference
 );

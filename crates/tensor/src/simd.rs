@@ -10,10 +10,10 @@
 //! optimiser's mood.
 //!
 //! Dispatch is hoisted out of the row loop: each consumer
-//! (`matmul_into`/`matmul_at_b`/`axpy`) reads the process-wide [`kernel()`]
+//! (`matmul_into`/`matmul_at_b`/`axpy`) reads the process-wide `kernel()`
 //! choice **once per call** and then runs its entire blocked loop inside a
 //! `#[target_feature]` context, so the row kernel inlines and no per-row
-//! call or detection cost remains. Rows narrower than [`SIMD_MIN_COLS`]
+//! call or detection cost remains. Rows narrower than `SIMD_MIN_COLS`
 //! keep the inlined scalar reference outright — bit-identical anyway, and
 //! faster when there is no vector body to amortise the dispatch.
 //!
@@ -36,22 +36,14 @@
 //!   one dispatched axpy per gradient row.
 //!
 //! All three keep one multiply and one add per term in the reference order,
-//! so the contracts below cover them unchanged; the dot kernel never fuses,
-//! so it is bit-identical even under `RM_FMA=1`.
+//! so the contract below covers them unchanged.
 //!
-//! Two contracts, one per kernel family:
-//!
-//! * **Bit-compat (default)** — the AVX2 kernels perform exactly one
-//!   multiply and one add per element, in index order, on independent
-//!   elements. IEEE-754 arithmetic is deterministic per element, so the SIMD
-//!   result is **bit-identical** to the scalar reference at both precisions
-//!   (`RM_SIMD=0` forces that reference; parity proptests in this module and
-//!   the determinism suite check the equivalence).
-//! * **Epsilon (opt-in)** — `RM_FMA=1` swaps in fused-multiply-add variants
-//!   for the serving path. Fusing drops the intermediate rounding, so FMA
-//!   results are *not* bit-compatible with the reference — only
-//!   epsilon-close (proptest-bounded below). Never enable it where the
-//!   cross-PR bitwise contract matters.
+//! One contract for every kernel: **bit-compat**. The AVX2 kernels perform
+//! exactly one multiply and one add per element, in index order, on
+//! independent elements. IEEE-754 arithmetic is deterministic per element, so
+//! the SIMD result is **bit-identical** to the scalar reference at both
+//! precisions (`RM_SIMD=0` forces that reference; parity proptests in this
+//! module and the determinism suite check the equivalence).
 //!
 //! The `f64` Adam update (`adam_f64_avx512`, 8 lanes, or `adam_f64_avx2`, 4
 //! lanes with FMA; dispatched through `Scalar::adam_update` from
@@ -60,12 +52,12 @@
 //! operations compute the bias-correction quotients `m/b₁` and `v/b₂` from
 //! one reciprocal per call, and two FMA corrections make each quotient
 //! exactly `a / b` (Markstein's theorem; the argument and the fallback rule
-//! are at `corrected_f64x4`). So `RM_FMA` does not apply to it, and
-//! [`adam_kernel_name`] reports the leg: AVX-512F if the host has it, else
-//! AVX2+FMA, else (and under `RM_SIMD=0`, and at `f32`) the reference.
+//! are at `corrected_f64x4`). [`adam_kernel_name`] reports the leg: AVX-512F
+//! if the host has it, else AVX2+FMA, else (and under `RM_SIMD=0`, and at
+//! `f32`) the reference.
 //!
-//! `RM_SIMD` / `RM_FMA` are resolved once per process through cached
-//! accessors, the same pattern as `RM_POOL`/`RM_ARENA`.
+//! `RM_SIMD` is resolved once per process through a cached accessor, the
+//! same pattern as `RM_POOL`/`RM_ARENA`.
 
 // rm-lint: hot-path
 
@@ -86,25 +78,6 @@ pub fn simd_enabled() -> bool {
             // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_SIMD
             std::env::var("RM_SIMD").as_deref(),
             Ok("0") | Ok("off")
-        )
-    })
-}
-
-static FMA_ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Whether the fused-multiply-add kernel variants are active (`RM_FMA=1` or
-/// `on`; **default off**). FMA fuses the multiply and add into one rounding,
-/// so it is faster but *not* bit-compatible with the scalar reference — only
-/// epsilon-close. Reserve it for the serving path, where the determinism
-/// contract is per-process, not cross-configuration. Resolved once per
-/// process.
-#[allow(clippy::disallowed_methods)] // audited env read; see the rm-lint allow inside
-pub fn fma_enabled() -> bool {
-    *FMA_ENABLED.get_or_init(|| {
-        matches!(
-            // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_FMA
-            std::env::var("RM_FMA").as_deref(),
-            Ok("1") | Ok("on")
         )
     })
 }
@@ -133,9 +106,9 @@ fn fma_available() -> bool {
 pub(crate) const SIMD_MIN_COLS: usize = 16;
 
 /// The row-kernel family the process resolved to, read once per consumer
-/// call (not once per row). `Avx2`/`Fma` are only ever produced after the
-/// matching runtime CPU detection succeeded, which is what makes the
-/// `unsafe` dispatch into the `#[target_feature]` consumers sound.
+/// call (not once per row). `Avx2` is only ever produced after the runtime
+/// CPU detection succeeded, which is what makes the `unsafe` dispatch into
+/// the `#[target_feature]` consumers sound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kernel {
     /// The 4-wide unrolled scalar reference (`RM_SIMD=0`, non-x86_64, or no
@@ -143,8 +116,6 @@ pub(crate) enum Kernel {
     Scalar,
     /// Explicit-width AVX2, bit-identical to `Scalar`.
     Avx2,
-    /// AVX2 + fused multiply-add (`RM_FMA=1` opt-in), epsilon-checked only.
-    Fma,
 }
 
 /// The process-wide kernel choice: knobs and CPU detection folded into one
@@ -156,9 +127,6 @@ pub(crate) fn kernel() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         {
             if simd_enabled() && avx2_available() {
-                if fma_enabled() && fma_available() {
-                    return Kernel::Fma;
-                }
                 return Kernel::Avx2;
             }
         }
@@ -167,10 +135,9 @@ pub(crate) fn kernel() -> Kernel {
 }
 
 /// Name of the `axpy_row` kernel the current process dispatches to:
-/// `"avx2+fma"`, `"avx2"` or `"scalar"`. For bench labels and reports.
+/// `"avx2"` or `"scalar"`. For bench labels and reports.
 pub fn simd_kernel_name() -> &'static str {
     match kernel() {
-        Kernel::Fma => "avx2+fma",
         Kernel::Avx2 => "avx2",
         Kernel::Scalar => "scalar",
     }
@@ -228,50 +195,6 @@ pub(crate) unsafe fn axpy_row_f64_avx2(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// AVX2+FMA `y[j] = fma(a, x[j], y[j])` over `f64` slices. One fused
-/// rounding per element — **not** bit-compatible with the scalar reference;
-/// epsilon-checked only (`RM_FMA=1` opt-in).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-#[inline]
-// SAFETY: the `unsafe fn` contract is AVX2+FMA availability (checked by the
-// dispatcher); every pointer below is derived from the equal-length input
-// slices and offset strictly within their bounds.
-pub(crate) unsafe fn axpy_row_f64_fma(a: f64, x: &[f64], y: &mut [f64]) {
-    use std::arch::x86_64::{_mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd};
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    // SAFETY: all offsets are < n ≤ both slice lengths; unaligned
-    // loads/stores are used throughout, so no alignment precondition.
-    unsafe {
-        let av = _mm256_set1_pd(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let y0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-            let y1 = _mm256_fmadd_pd(
-                av,
-                _mm256_loadu_pd(xp.add(i + 4)),
-                _mm256_loadu_pd(yp.add(i + 4)),
-            );
-            _mm256_storeu_pd(yp.add(i), y0);
-            _mm256_storeu_pd(yp.add(i + 4), y1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let y0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-            _mm256_storeu_pd(yp.add(i), y0);
-            i += 4;
-        }
-        while i < n {
-            *yp.add(i) = a.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-}
-
 /// AVX2 `y[j] += a * x[j]` over `f32` slices, 8 lanes per vector, two
 /// vectors per main-loop iteration. Same bit-compat argument as the `f64`
 /// kernel: one multiply, one add, index order, independent elements.
@@ -323,63 +246,19 @@ pub(crate) unsafe fn axpy_row_f32_avx2(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// AVX2+FMA `y[j] = fma(a, x[j], y[j])` over `f32` slices. Epsilon-checked
-/// only, like the `f64` FMA variant.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-#[inline]
-// SAFETY: the `unsafe fn` contract is AVX2+FMA availability (checked by the
-// dispatcher); every pointer below is derived from the equal-length input
-// slices and offset strictly within their bounds.
-pub(crate) unsafe fn axpy_row_f32_fma(a: f32, x: &[f32], y: &mut [f32]) {
-    use std::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    // SAFETY: all offsets are < n ≤ both slice lengths; unaligned
-    // loads/stores are used throughout, so no alignment precondition.
-    unsafe {
-        let av = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let y0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            let y1 = _mm256_fmadd_ps(
-                av,
-                _mm256_loadu_ps(xp.add(i + 8)),
-                _mm256_loadu_ps(yp.add(i + 8)),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + 8), y1);
-            i += 16;
-        }
-        if i + 8 <= n {
-            let y0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-            _mm256_storeu_ps(yp.add(i), y0);
-            i += 8;
-        }
-        while i < n {
-            *yp.add(i) = a.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
-        }
-    }
-}
-
 /// Generates the fused four-row rank-1 update kernels
 /// `y[j] += Σ_r a[r] * x[r][j]`: the k-unrolled panel primitive of
 /// `matmul_into`. Each element is evaluated as four sequential multiply-adds
 /// in `r` order — exactly the arithmetic of four consecutive single-row
 /// updates — so the AVX2 instances stay bit-identical to the scalar
 /// reference; the win is that each `y` vector is loaded and stored once per
-/// four reduction steps instead of once per step. The FMA instances fuse
-/// each step's rounding (`RM_FMA=1` opt-in, epsilon contract).
+/// four reduction steps instead of once per step.
 #[cfg(target_arch = "x86_64")]
 macro_rules! axpy_row4_kernels {
     (
         $t:ty, $lanes:expr,
-        $set1:ident, $loadu:ident, $storeu:ident, $mul:ident, $add:ident, $fmadd:ident,
-        $avx2_name:ident, $fma_name:ident
+        $set1:ident, $loadu:ident, $storeu:ident, $mul:ident, $add:ident,
+        $avx2_name:ident
     ) => {
         /// Fused four-row AVX2 update; bit-identical to four sequential
         /// single-row updates (see the macro doc).
@@ -439,65 +318,6 @@ macro_rules! axpy_row4_kernels {
                 }
             }
         }
-
-        /// Fused four-row AVX2+FMA update (`RM_FMA=1` opt-in; one rounding
-        /// per step, epsilon contract).
-        // SAFETY: the `unsafe fn` contract is AVX2+FMA availability (upheld
-        // by the `Kernel::Fma` dispatch); same in-bounds pointer argument as
-        // the AVX2 instance.
-        #[target_feature(enable = "avx2,fma")]
-        #[allow(unsafe_code)]
-        #[inline]
-        pub(crate) unsafe fn $fma_name(a: [$t; 4], x: [&[$t]; 4], y: &mut [$t]) {
-            use std::arch::x86_64::{$fmadd, $loadu, $set1, $storeu};
-            let n = y
-                .len()
-                .min(x[0].len())
-                .min(x[1].len())
-                .min(x[2].len())
-                .min(x[3].len());
-            let yp = y.as_mut_ptr();
-            let xp = [x[0].as_ptr(), x[1].as_ptr(), x[2].as_ptr(), x[3].as_ptr()];
-            // SAFETY: all offsets are < n ≤ every slice length; unaligned
-            // loads/stores are used throughout, so no alignment precondition.
-            unsafe {
-                let av = [$set1(a[0]), $set1(a[1]), $set1(a[2]), $set1(a[3])];
-                let mut i = 0usize;
-                while i + 2 * $lanes <= n {
-                    let mut y0 = $loadu(yp.add(i));
-                    let mut y1 = $loadu(yp.add(i + $lanes));
-                    y0 = $fmadd(av[0], $loadu(xp[0].add(i)), y0);
-                    y1 = $fmadd(av[0], $loadu(xp[0].add(i + $lanes)), y1);
-                    y0 = $fmadd(av[1], $loadu(xp[1].add(i)), y0);
-                    y1 = $fmadd(av[1], $loadu(xp[1].add(i + $lanes)), y1);
-                    y0 = $fmadd(av[2], $loadu(xp[2].add(i)), y0);
-                    y1 = $fmadd(av[2], $loadu(xp[2].add(i + $lanes)), y1);
-                    y0 = $fmadd(av[3], $loadu(xp[3].add(i)), y0);
-                    y1 = $fmadd(av[3], $loadu(xp[3].add(i + $lanes)), y1);
-                    $storeu(yp.add(i), y0);
-                    $storeu(yp.add(i + $lanes), y1);
-                    i += 2 * $lanes;
-                }
-                if i + $lanes <= n {
-                    let mut y0 = $loadu(yp.add(i));
-                    y0 = $fmadd(av[0], $loadu(xp[0].add(i)), y0);
-                    y0 = $fmadd(av[1], $loadu(xp[1].add(i)), y0);
-                    y0 = $fmadd(av[2], $loadu(xp[2].add(i)), y0);
-                    y0 = $fmadd(av[3], $loadu(xp[3].add(i)), y0);
-                    $storeu(yp.add(i), y0);
-                    i += $lanes;
-                }
-                while i < n {
-                    let mut v = *yp.add(i);
-                    v = a[0].mul_add(*xp[0].add(i), v);
-                    v = a[1].mul_add(*xp[1].add(i), v);
-                    v = a[2].mul_add(*xp[2].add(i), v);
-                    v = a[3].mul_add(*xp[3].add(i), v);
-                    *yp.add(i) = v;
-                    i += 1;
-                }
-            }
-        }
     };
 }
 
@@ -510,9 +330,7 @@ axpy_row4_kernels!(
     _mm256_storeu_pd,
     _mm256_mul_pd,
     _mm256_add_pd,
-    _mm256_fmadd_pd,
-    axpy_row4_f64_avx2,
-    axpy_row4_f64_fma
+    axpy_row4_f64_avx2
 );
 #[cfg(target_arch = "x86_64")]
 axpy_row4_kernels!(
@@ -523,9 +341,7 @@ axpy_row4_kernels!(
     _mm256_storeu_ps,
     _mm256_mul_ps,
     _mm256_add_ps,
-    _mm256_fmadd_ps,
-    axpy_row4_f32_avx2,
-    axpy_row4_f32_fma
+    axpy_row4_f32_avx2
 );
 
 /// Generates the AVX2 batch-1 product `out[r] += W[r, ..] · x` for a
@@ -554,7 +370,7 @@ macro_rules! matvec_kernel {
         /// AVX2 `out += W · x`, bit-identical to the scalar reference (see
         /// the macro doc).
         // SAFETY: the `unsafe fn` contract is AVX2 availability (upheld by
-        // the `Kernel::Avx2`/`Kernel::Fma` dispatch); the length checks below
+        // the `Kernel::Avx2` dispatch); the length checks below
         // keep every pointer offset inside `w`, `x` and `out`.
         #[target_feature(enable = "avx2")]
         #[allow(unsafe_code)]
@@ -750,11 +566,7 @@ macro_rules! scalar_fallback {
 #[cfg(not(target_arch = "x86_64"))]
 scalar_fallback!(axpy_row_f64_avx2, f64);
 #[cfg(not(target_arch = "x86_64"))]
-scalar_fallback!(axpy_row_f64_fma, f64);
-#[cfg(not(target_arch = "x86_64"))]
 scalar_fallback!(axpy_row_f32_avx2, f32);
-#[cfg(not(target_arch = "x86_64"))]
-scalar_fallback!(axpy_row_f32_fma, f32);
 
 /// Four-row counterpart of [`scalar_fallback!`]: four sequential scalar row
 /// updates, the definitionally bit-identical expansion of the fused kernel.
@@ -775,11 +587,7 @@ macro_rules! scalar_fallback4 {
 #[cfg(not(target_arch = "x86_64"))]
 scalar_fallback4!(axpy_row4_f64_avx2, f64);
 #[cfg(not(target_arch = "x86_64"))]
-scalar_fallback4!(axpy_row4_f64_fma, f64);
-#[cfg(not(target_arch = "x86_64"))]
 scalar_fallback4!(axpy_row4_f32_avx2, f32);
-#[cfg(not(target_arch = "x86_64"))]
-scalar_fallback4!(axpy_row4_f32_fma, f32);
 
 /// Batch-1 product counterpart of [`scalar_fallback!`]: the scalar
 /// `matvec_acc_into` blocks the AVX2 kernel is bit-identical to.
@@ -925,8 +733,8 @@ fn avx512f_available() -> bool {
     *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
 }
 
-/// The widest Adam leg the host runs, unless `RM_SIMD=0`. `RM_FMA` does not
-/// enter: the kernel's fused operations leave every result bit unchanged.
+/// The widest Adam leg the host runs, unless `RM_SIMD=0`. The kernel's fused
+/// operations leave every result bit unchanged.
 pub(crate) fn adam_leg() -> AdamLeg {
     static LEG: OnceLock<AdamLeg> = OnceLock::new();
     *LEG.get_or_init(|| {
@@ -1205,10 +1013,8 @@ mod tests {
         if !simd_enabled() {
             assert_eq!(name, "scalar");
         } else {
-            assert!(["scalar", "avx2", "avx2+fma"].contains(&name));
+            assert!(["scalar", "avx2"].contains(&name));
         }
-        // fma_enabled is cached; calling it twice must agree.
-        assert_eq!(fma_enabled(), fma_enabled());
         let adam = adam_kernel_name();
         if !simd_enabled() {
             assert_eq!(adam, "scalar");
@@ -1538,42 +1344,6 @@ mod tests {
                     prop_assert!(same_bits(&got_m, &want_m), "{leg:?} m, len {len}, t {t}");
                     prop_assert!(same_bits(&got_v, &want_v), "{leg:?} v, len {len}, t {t}");
                 }
-            }
-        }
-    }
-
-    /// The FMA variants are epsilon-close to (but, in general, not bitwise
-    /// equal to) the non-FMA kernels: fusing removes one rounding per
-    /// element, so the difference is bounded by an ulp-scale epsilon.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn fma_kernels_are_epsilon_close_to_the_non_fma_reference() {
-        if !avx2_available() || !fma_available() {
-            return;
-        }
-        for n in [1usize, 3, 4, 7, 8, 16, 33, 64, 129] {
-            let a64 = val(5_000 + n as u64);
-            let x64: Vec<f64> = (0..n).map(|j| val(100 + j as u64)).collect();
-            let base64: Vec<f64> = (0..n).map(|j| val(2_000 + j as u64)).collect();
-            let mut fma_y = base64.clone();
-            let mut ref_y = base64.clone();
-            // SAFETY: fma_available() was checked at the top of the test.
-            unsafe { axpy_row_f64_fma(a64, &x64, &mut fma_y) };
-            axpy_row_scalar(a64, &x64, &mut ref_y);
-            for (f, r) in fma_y.iter().zip(&ref_y) {
-                assert!((f - r).abs() <= 1e-15, "f64 fma drifted: {f} vs {r}");
-            }
-
-            let a32 = a64 as f32;
-            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-            let base32: Vec<f32> = base64.iter().map(|&v| v as f32).collect();
-            let mut fma_y = base32.clone();
-            let mut ref_y = base32;
-            // SAFETY: fma_available() was checked at the top of the test.
-            unsafe { axpy_row_f32_fma(a32, &x32, &mut fma_y) };
-            axpy_row_scalar(a32, &x32, &mut ref_y);
-            for (f, r) in fma_y.iter().zip(&ref_y) {
-                assert!((f - r).abs() <= 1e-6, "f32 fma drifted: {f} vs {r}");
             }
         }
     }

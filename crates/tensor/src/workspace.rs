@@ -7,8 +7,8 @@
 //!
 //! * [`BufferPool`] — a size-classed free list of raw `Vec<T>` buffers, one
 //!   per thread per precision (reached through the sealed
-//!   [`Scalar`](crate::Scalar) trait, so each pool worker owns its arena and
-//!   no synchronisation is ever needed). Every [`Matrix`](crate::Matrix)
+//!   [`Scalar`] trait, so each pool worker owns its arena and
+//!   no synchronisation is ever needed). Every [`Matrix`]
 //!   constructor checks buffers out of it and every dropped matrix returns
 //!   its buffer to it.
 //! * [`Workspace`] — a caller-owned free list of whole scratch matrices for

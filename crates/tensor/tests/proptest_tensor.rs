@@ -30,14 +30,8 @@ proptest! {
         let blocked = a.matmul(&b);
         let naive = a.matmul_naive(&b);
         prop_assert_eq!(blocked.shape(), naive.shape());
-        if rm_tensor::fma_enabled() {
-            // The opt-in RM_FMA=1 kernels fuse the rounding and explicitly
-            // opt out of bit-compat; the contract degrades to epsilon.
-            prop_assert!(blocked.approx_eq(&naive, 1e-9));
-        } else {
-            for (x, y) in blocked.data().iter().zip(naive.data().iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
+        for (x, y) in blocked.data().iter().zip(naive.data().iter()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

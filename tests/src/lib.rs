@@ -39,7 +39,7 @@ pub fn straight_path_map(num_records: usize, num_aps: usize) -> RadioMap {
 }
 
 /// A venue surveyed along several spatially separated paths — enough spatial
-/// structure for [`VenueShards`](radiomap_core::prelude::VenueShards) to
+/// structure for [`VenueShards`] to
 /// produce a real multi-shard partition. Path `p` runs along `x = 40 p`,
 /// hears its own pair of APs strongly and the rest sporadically, and has an
 /// RP on every other record.

@@ -196,43 +196,6 @@ fn f32_pipeline_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// bf16-resident snapshots keep the contract too: every inference task
-/// decodes the shared bf16 snapshot into its own pooled f32 scratch, so the
-/// decode is pure and per-task and the fan-out stays bit-identical at any
-/// thread count (the values differ from f32/native — bf16 truncation is an
-/// accuracy knob, like precision — but never across schedules).
-#[test]
-fn bf16_snapshot_pipeline_is_bit_identical_across_thread_counts() {
-    let map = straight_path_map(24, 8);
-    let topology = MultiPolygon::empty();
-    let thread_counts = [1, 2, rm_runtime::default_threads()];
-    for imputer in [ImputerKind::Brits, ImputerKind::Ssgan, ImputerKind::Bisim] {
-        let runs: Vec<ImputedRadioMap> = thread_counts
-            .iter()
-            .map(|&threads| {
-                ImputationPipeline::new(PipelineConfig {
-                    differentiator: DifferentiatorKind::MarOnly,
-                    imputer,
-                    epochs: Some(2),
-                    threads,
-                    precision: Precision::F32,
-                    snapshot_dtype: SnapshotDtype::Bf16,
-                    ..PipelineConfig::default()
-                })
-                .impute(&map, &topology)
-                .0
-            })
-            .collect();
-        for run in &runs[1..] {
-            assert!(
-                bitwise_eq_maps(&runs[0], run),
-                "{} bf16-snapshot imputation differs across thread counts",
-                imputer.name()
-            );
-        }
-    }
-}
-
 /// The full evaluation protocol (split → differentiate → impute → position)
 /// yields bit-identical APE metrics across thread counts.
 #[test]
@@ -634,7 +597,6 @@ fn snapshot_bits_hash(snapshot: &VenueSnapshot) -> u64 {
         match payload {
             TensorPayload::F64(m) => m.data().iter().for_each(|v| word(v.to_bits())),
             TensorPayload::F32(m) => m.data().iter().for_each(|v| word(u64::from(v.to_bits()))),
-            TensorPayload::Bf16(m) => m.bits().iter().for_each(|&v| word(u64::from(v))),
         }
     }
     for row in snapshot.map.fingerprints() {
@@ -654,18 +616,12 @@ fn snapshot_bits_hash(snapshot: &VenueSnapshot) -> u64 {
 /// tensors and the imputed map. The thread-count cases above only prove
 /// self-consistency; these hashes pin the trajectory itself, so a kernel
 /// rewrite (matmul, autodiff, optimizer) that is meant to be bitwise
-/// invisible is checked, not asserted. Precision, storage dtype and batch
-/// size are pinned so the env-knob CI legs (`RM_PRECISION`, `RM_BATCH`,
-/// `RM_SNAPSHOT_DTYPE`, `RM_SHARDS`) leave the hashes unchanged, while the
-/// `RM_SIMD=0`, `RM_ARENA=0` and `RM_THREADS` legs must reproduce them
-/// exactly.
+/// invisible is checked, not asserted. Precision and batch size are pinned
+/// so the env-knob CI legs (`RM_PRECISION`, `RM_BATCH`, `RM_SHARDS`) leave
+/// the hashes unchanged, while the `RM_SIMD=0`, `RM_ARENA=0` and
+/// `RM_THREADS` legs must reproduce them exactly.
 #[test]
 fn neural_imputer_snapshots_match_golden_bits() {
-    if rm_tensor::fma_enabled() {
-        // RM_FMA=1 opts the training kernels into fused rounding: the
-        // documented epsilon contract, so there are no bits to pin.
-        return;
-    }
     let map = multi_path_map(5, 8, 8);
     let topology = MultiPolygon::empty();
     let mut hashes = Vec::new();
@@ -677,7 +633,6 @@ fn neural_imputer_snapshots_match_golden_bits() {
                 epochs: Some(2),
                 batch_size: Some(batch_size),
                 precision: Precision::F64,
-                snapshot_dtype: SnapshotDtype::Native,
                 ..PipelineConfig::default()
             })
             .export_snapshot("golden", &map, &topology);
