@@ -3,6 +3,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rm_bisim::{AttentionMode, BisimDirection, DirectionGrads, PairTape, TimeLagMode};
+use rm_imputers::PathSequence;
 use rm_nn::{Adam, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_tensor::{InputPart, Matrix, Var};
 
@@ -165,6 +167,84 @@ fn bench_attention_step(c: &mut Criterion) {
     });
 }
 
+/// A deterministic BiSIM sequence of `len` steps over `aps` APs, with
+/// masked entries and a missing RP.
+fn path_sequence(len: usize, aps: usize, salt: usize) -> PathSequence {
+    let value = |k: usize| ((k * 37 + salt * 11) as f64 * 0.173).sin();
+    PathSequence {
+        record_indices: (0..len).collect(),
+        times: (0..len).map(|t| (2 * t) as f64).collect(),
+        fingerprints: (0..len)
+            .map(|t| (0..aps).map(|e| value(t * aps + e)).collect())
+            .collect(),
+        fingerprint_masks: (0..len)
+            .map(|t| {
+                (0..aps)
+                    .map(|e| f64::from(!(t + e + salt).is_multiple_of(3)))
+                    .collect()
+            })
+            .collect(),
+        time_lags: (0..len)
+            .map(|t| (0..aps).map(|e| (t * (1 + e % 2)) as f64 * 0.1).collect())
+            .collect(),
+        rps: (0..len).map(|t| (value(t), value(t + 9))).collect(),
+        rp_masks: (0..len).map(|t| f64::from(t != 2)).collect(),
+    }
+}
+
+/// One BiSIM sequence pair's training step without the optimizer, at the
+/// `e2ebench` shape (`T = 5` steps of 53 APs, hidden size 32, the default
+/// ablation): both directions' forward, the Section IV-D loss and its
+/// backward into zeroed gradients — on the autodiff graph (the oracle,
+/// `rm_bisim::sequence_loss` over `BisimDirection::run`) and on the
+/// training tape.
+fn bench_bisim_pair_step(c: &mut Criterion) {
+    let (len, aps, hidden) = (5, 53, 32);
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut direction = || {
+        BisimDirection::new(
+            aps,
+            hidden,
+            AttentionMode::SparsityFriendly,
+            TimeLagMode::Encoder,
+            &mut rng,
+        )
+    };
+    let (forward, backward) = (direction(), direction());
+    let (seq, rev) = (path_sequence(len, aps, 1), path_sequence(len, aps, 2));
+    let params: Vec<Var> = forward
+        .parameters()
+        .into_iter()
+        .chain(backward.parameters())
+        .collect();
+    c.bench_function("bisim_pair_graph_step_t5_h32_a53", |bencher| {
+        bencher.iter(|| {
+            params.iter().for_each(Var::zero_grad);
+            let (fwd, bwd) = (forward.run(&seq), backward.run(&rev));
+            let loss = rm_bisim::sequence_loss(&seq, &rev, &fwd, &bwd);
+            loss.backward();
+            let value = loss.scalar_value();
+            Var::recycle_all(
+                fwd.into_vars()
+                    .chain(bwd.into_vars())
+                    .chain(std::iter::once(loss)),
+            );
+            std::hint::black_box(value)
+        })
+    });
+    let weights = [forward.snapshot(), backward.snapshot()];
+    let mut grads = weights.each_ref().map(DirectionGrads::zeros_like);
+    let mut tape = PairTape::new();
+    c.bench_function("bisim_pair_tape_step_t5_h32_a53", |bencher| {
+        bencher.iter(|| {
+            grads.iter_mut().for_each(DirectionGrads::clear);
+            let [f, b] = &mut grads;
+            let shared = [&weights[0], &weights[1]];
+            std::hint::black_box(tape.differentiate(shared, &seq, &rev, [f, b]))
+        })
+    });
+}
+
 fn bench_backward(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let w: Var = Var::parameter(Matrix::random_uniform(64, 64, 0.1, &mut rng));
@@ -188,6 +268,7 @@ criterion_group!(
     bench_lstm_snapshot_step,
     bench_lstm_step,
     bench_attention_step,
+    bench_bisim_pair_step,
     bench_backward
 );
 criterion_main!(kernels);

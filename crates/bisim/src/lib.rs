@@ -10,23 +10,30 @@
 //! reconstruction error on observed values plus a forward/backward
 //! cross-consistency term (Section IV-D).
 //!
+//! Training runs on a tape ([`tape`]): each direction's forward records
+//! what the backward reads, and a hand-written backward adds the loss's
+//! gradient into plain buffers that the Adam kernel updates from — no
+//! autodiff graph is built. The graph form ([`BisimDirection`],
+//! [`sequence_loss`]) stays as the tape's oracle, which the tape matches bit
+//! for bit.
+//!
 //! The [`Bisim`] type implements the same [`Imputer`] trait as the baselines
 //! in `rm-imputers`, so the experiment harness can swap imputers freely.
 
 pub mod model;
+pub mod tape;
 
-pub use model::{
-    AttentionMode, BisimDirection, BisimDirectionWeights, BisimMatrixPass, BisimPass, TimeLagMode,
-};
+pub use model::{AttentionMode, BisimDirection, BisimDirectionWeights, BisimPass, TimeLagMode};
+pub use tape::{DirectionGrads, DirectionTape, PairTape};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_geometry::Point;
 use rm_imputers::brits::{default_batch_size, default_epochs};
 use rm_imputers::{build_sequences, ImputedRadioMap, Imputer, Normalization, PathSequence};
-use rm_nn::{loss, Adam};
+use rm_nn::loss;
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
+use rm_tensor::{AdamStep, Matrix, NamedTensor, Precision, Scalar, Var};
 
 /// Configuration of the BiSIM imputer.
 #[derive(Debug, Clone)]
@@ -93,110 +100,140 @@ impl Bisim {
     pub fn new(config: BisimConfig) -> Self {
         Self { config }
     }
-
-    /// The overall loss of Section IV-D for one sequence pair:
-    /// `L_forward + L_backward + L_cross`, each a masked MSE over observed
-    /// fingerprints and RPs.
-    fn sequence_loss(
-        seq: &PathSequence,
-        rev: &PathSequence,
-        forward: &BisimPass,
-        backward: &BisimPass,
-    ) -> Var {
-        let len = seq.len();
-        let mut total = Var::scalar(0.0);
-        for t in 0..len {
-            let rt = len - 1 - t;
-            let fp_target = Matrix::column(&seq.fingerprints[t]);
-            let fp_mask = Matrix::column(&seq.fingerprint_masks[t]);
-            let rp_target = Matrix::column(&[seq.rps[t].0, seq.rps[t].1]);
-            let rp_mask = Matrix::column(&[seq.rp_masks[t], seq.rp_masks[t]]);
-
-            // Forward reconstruction.
-            total = total.add(&loss::masked_mse(
-                &forward.fingerprint_estimates[t],
-                &fp_target,
-                &fp_mask,
-            ));
-            total = total.add(&loss::masked_mse(
-                &forward.rp_estimates[t],
-                &rp_target,
-                &rp_mask,
-            ));
-            // Backward reconstruction (the reversed sequence's step rt is record t).
-            let fp_target_b = Matrix::column(&rev.fingerprints[rt]);
-            let fp_mask_b = Matrix::column(&rev.fingerprint_masks[rt]);
-            let rp_target_b = Matrix::column(&[rev.rps[rt].0, rev.rps[rt].1]);
-            let rp_mask_b = Matrix::column(&[rev.rp_masks[rt], rev.rp_masks[rt]]);
-            total = total.add(&loss::masked_mse(
-                &backward.fingerprint_estimates[rt],
-                &fp_target_b,
-                &fp_mask_b,
-            ));
-            total = total.add(&loss::masked_mse(
-                &backward.rp_estimates[rt],
-                &rp_target_b,
-                &rp_mask_b,
-            ));
-            // Cross consistency between the two directions at the same record.
-            total = total.add(&loss::masked_mse_between(
-                &forward.fingerprint_estimates[t],
-                &backward.fingerprint_estimates[rt],
-                &fp_mask,
-            ));
-            total = total.add(&loss::masked_mse_between(
-                &forward.rp_estimates[t],
-                &backward.rp_estimates[rt],
-                &rp_mask,
-            ));
-        }
-        total.scale(1.0 / len.max(1) as f64)
-    }
 }
 
-/// Differentiates the Section IV-D loss of one `(sequence, reversed)` pair,
-/// accumulating into the models' parameter gradients, then returns the
-/// pair's graph to the per-worker node arena. The gradient buffers must be
-/// zero on entry: freshly rebuilt replicas
-/// ([`BisimDirectionWeights::to_model`]) start zeroed, and the live-graph
-/// path of `train_in_batches` zeroes through its optimizer.
-fn pair_backward(
+/// The overall loss of Section IV-D for one sequence pair as an autodiff
+/// graph: `L_forward + L_backward + L_cross`, each a masked MSE over
+/// observed fingerprints and RPs. The oracle of the training tape
+/// ([`PairTape::differentiate`]), which evaluates the same loss and its
+/// gradient without a graph.
+pub fn sequence_loss(
+    seq: &PathSequence,
+    rev: &PathSequence,
+    forward: &BisimPass,
+    backward: &BisimPass,
+) -> Var {
+    let len = seq.len();
+    let mut total = Var::scalar(0.0);
+    for t in 0..len {
+        let rt = len - 1 - t;
+        let fp_target = Matrix::column(&seq.fingerprints[t]);
+        let fp_mask = Matrix::column(&seq.fingerprint_masks[t]);
+        let rp_target = Matrix::column(&[seq.rps[t].0, seq.rps[t].1]);
+        let rp_mask = Matrix::column(&[seq.rp_masks[t], seq.rp_masks[t]]);
+
+        // Forward reconstruction.
+        total = total.add(&loss::masked_mse(
+            &forward.fingerprint_estimates[t],
+            &fp_target,
+            &fp_mask,
+        ));
+        total = total.add(&loss::masked_mse(
+            &forward.rp_estimates[t],
+            &rp_target,
+            &rp_mask,
+        ));
+        // Backward reconstruction (the reversed sequence's step rt is record t).
+        let fp_target_b = Matrix::column(&rev.fingerprints[rt]);
+        let fp_mask_b = Matrix::column(&rev.fingerprint_masks[rt]);
+        let rp_target_b = Matrix::column(&[rev.rps[rt].0, rev.rps[rt].1]);
+        let rp_mask_b = Matrix::column(&[rev.rp_masks[rt], rev.rp_masks[rt]]);
+        total = total.add(&loss::masked_mse(
+            &backward.fingerprint_estimates[rt],
+            &fp_target_b,
+            &fp_mask_b,
+        ));
+        total = total.add(&loss::masked_mse(
+            &backward.rp_estimates[rt],
+            &rp_target_b,
+            &rp_mask_b,
+        ));
+        // Cross consistency between the two directions at the same record.
+        total = total.add(&loss::masked_mse_between(
+            &forward.fingerprint_estimates[t],
+            &backward.fingerprint_estimates[rt],
+            &fp_mask,
+        ));
+        total = total.add(&loss::masked_mse_between(
+            &forward.rp_estimates[t],
+            &backward.rp_estimates[rt],
+            &rp_mask,
+        ));
+    }
+    total.scale(1.0 / len.max(1) as f64)
+}
+
+/// The graph oracle of one training step: differentiates the Section IV-D
+/// loss of one `(sequence, reversed)` pair through the autodiff graph,
+/// accumulating into the models' parameter gradients, returns the graph to
+/// the per-worker node arena and returns the loss. Training runs the tape
+/// ([`PairTape::differentiate`]), which the tests hold to this bit for bit.
+#[cfg(test)]
+pub(crate) fn pair_backward(
     forward: &BisimDirection,
     backward: &BisimDirection,
     seq: &PathSequence,
     rev: &PathSequence,
-) {
+) -> f64 {
     let fwd = forward.run(seq);
     let bwd = backward.run(rev);
-    let loss = Bisim::sequence_loss(seq, rev, &fwd, &bwd);
+    let loss = sequence_loss(seq, rev, &fwd, &bwd);
     loss.backward();
+    let value = loss.scalar_value();
     // Return the pair's graph — both passes, the loss chain and every
-    // intermediate — to the per-worker node arena so the next pair rebuilds
-    // on recycled storage. The parameter leaves, and the gradients they
-    // hold, stay with the models and are skipped by the recycler.
+    // intermediate — to the per-worker node arena. The parameter leaves,
+    // and the gradients they hold, stay with the models.
     Var::recycle_all(
         fwd.into_vars()
             .chain(bwd.into_vars())
             .chain(std::iter::once(loss)),
     );
+    value
 }
 
-/// [`pair_backward`], then the per-parameter gradients read out in optimizer
-/// order (forward-direction parameters, then backward-direction) — one
-/// pair's share of a multi-sequence batch.
-fn pair_gradients(
-    forward: &BisimDirection,
-    backward: &BisimDirection,
-    seq: &PathSequence,
-    rev: &PathSequence,
-) -> Vec<Matrix<f64>> {
-    pair_backward(forward, backward, seq, rev);
-    forward
-        .parameters()
-        .iter()
-        .chain(&backward.parameters())
-        .map(|p| p.grad())
-        .collect()
+/// Adam over both directions' tensors (learning rate from the config,
+/// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 10⁻⁸`, gradients clipped to `±5`), one
+/// [`AdamStep::update`] per tensor: the update `rm_nn::Adam` applies to
+/// graph parameters, on the weights' own matrices.
+struct DirectionsAdam {
+    learning_rate: f64,
+    steps: u64,
+    /// Per direction, each tensor's first and second moments.
+    moments: [Vec<(Matrix, Matrix)>; 2],
+}
+
+impl DirectionsAdam {
+    fn new(weights: &[BisimDirectionWeights; 2], learning_rate: f64) -> Self {
+        let zeros = |w: &BisimDirectionWeights| {
+            w.tensors()
+                .into_iter()
+                .map(|m| {
+                    (
+                        Matrix::zeros(m.rows(), m.cols()),
+                        Matrix::zeros(m.rows(), m.cols()),
+                    )
+                })
+                .collect()
+        };
+        Self {
+            learning_rate,
+            steps: 0,
+            moments: [zeros(&weights[0]), zeros(&weights[1])],
+        }
+    }
+
+    /// One update of both directions from their gradients.
+    fn step(&mut self, weights: &mut [BisimDirectionWeights; 2], grads: &[DirectionGrads; 2]) {
+        self.steps += 1;
+        let step = AdamStep::new(0.9, 0.999, 1e-8, self.learning_rate, Some(5.0), self.steps);
+        for ((w, g), moments) in weights.iter_mut().zip(grads).zip(&mut self.moments) {
+            let mut tensors = g.tensors().iter().zip(moments.iter_mut());
+            w.for_each_tensor_mut(|value| {
+                let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
+                step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
+            });
+        }
+    }
 }
 
 /// The per-record updates one `(sequence, reversed)` pair contributes to the
@@ -204,13 +241,12 @@ fn pair_gradients(
 /// `(record, point)` pairs for initially-missing reference points.
 type PairUpdates = (Vec<(usize, usize, f64)>, Vec<(usize, Point)>);
 
-/// Runs every `(sequence, reversed)` pair through the shared graph-free
-/// snapshots on the pool and averages the two directions (Eq. 13) at MAR
+/// Runs every `(sequence, reversed)` pair through the shared weights'
+/// forward ([`BisimDirectionWeights::forward`], the one training records
+/// too) on the pool and averages the two directions (Eq. 13) at MAR
 /// fingerprints and missing RPs. Denormalisation happens after widening back
-/// to `f64`; at `T = f64` the arithmetic is bitwise identical to the classic
-/// serial live-graph loop. Each task only reads the shared snapshots, so the
-/// fan-out is order-preserving and bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
+/// to `f64`. Each task only reads the shared weights, so the fan-out is
+/// order-preserving and bit-identical at any thread count.
 fn infer_pairs<T: Scalar>(
     forward: &BisimDirectionWeights<T>,
     backward: &BisimDirectionWeights<T>,
@@ -222,29 +258,27 @@ fn infer_pairs<T: Scalar>(
     threads: usize,
 ) -> Vec<PairUpdates> {
     rm_runtime::par_map(threads, pairs, |_, &(seq, rev)| {
-        // Per-task scratch: the matrix buffers come from the worker's
-        // thread-local pool, so steady-state inference allocates nothing.
-        let mut ws = Workspace::new();
-        let fwd = forward.run(seq, &mut ws);
-        let bwd = backward.run(rev, &mut ws);
+        let (mut fwd, mut bwd) = (DirectionTape::new(), DirectionTape::new());
+        forward.forward(seq, &mut fwd);
+        backward.forward(rev, &mut bwd);
         let two = T::from_f64(2.0);
         let mut rssi_updates: Vec<(usize, usize, f64)> = Vec::new();
         let mut rp_updates: Vec<(usize, Point)> = Vec::new();
         for (t, &record) in seq.record_indices.iter().enumerate() {
             let rt = seq.len() - 1 - t;
-            let f = &fwd.fingerprint_complements[t];
-            let b = &bwd.fingerprint_complements[rt];
+            let f = fwd.fingerprint_complement(t);
+            let b = bwd.fingerprint_complement(rt);
             for ap in 0..num_aps {
                 if mask.get(record, ap) == EntryKind::Mar {
-                    let avg = (f.get(ap, 0) + b.get(ap, 0)) / two;
+                    let avg = (f[ap] + b[ap]) / two;
                     rssi_updates.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
                 }
             }
             if missing_rp[record] {
-                let lf = &fwd.rp_complements[t];
-                let lb = &bwd.rp_complements[rt];
-                let x = ((lf.get(0, 0) + lb.get(0, 0)) / two).to_f64();
-                let y = ((lf.get(1, 0) + lb.get(1, 0)) / two).to_f64();
+                let lf = fwd.rp_complement(t);
+                let lb = bwd.rp_complement(rt);
+                let x = ((lf[0] + lb[0]) / two).to_f64();
+                let y = ((lf[1] + lb[1]) / two).to_f64();
                 rp_updates.push((record, norm.denormalize_point(x, y)));
             }
         }
@@ -266,67 +300,80 @@ impl Bisim {
         )
     }
 
-    /// Draws one freshly initialised direction from `rng`.
-    fn new_direction(&self, num_aps: usize, rng: &mut StdRng) -> BisimDirection {
-        BisimDirection::new(
-            num_aps,
-            self.config.hidden_size,
-            self.config.attention,
-            self.config.time_lag,
-            rng,
-        )
+    /// Draws both freshly initialised directions from `rng`, forward first.
+    fn new_directions(&self, num_aps: usize, rng: &mut StdRng) -> [BisimDirectionWeights; 2] {
+        let mut direction = || {
+            BisimDirectionWeights::new(
+                num_aps,
+                self.config.hidden_size,
+                self.config.attention,
+                self.config.time_lag,
+                rng,
+            )
+        };
+        [direction(), direction()]
     }
 
-    /// Trains the two live directions jointly for `epochs` epochs (Section
-    /// IV-D), in deterministic mini-batches. Fixed-boundary chunks of
-    /// sequence pairs; within a chunk each pair differentiates its own graph
-    /// replica (rebuilt from a `Send + Sync` snapshot) on the worker pool,
-    /// and the gradients reduce in sequence-index order — bitwise
-    /// thread-count independent. Single-pair chunks (the `batch_size = 1`
-    /// default) differentiate the live graphs directly, reproducing the
-    /// classic serial trajectory bitwise.
-    fn train_pair(
+    /// Trains both directions jointly for `epochs` epochs (Section IV-D) on
+    /// the training tape, in deterministic mini-batches of sequence pairs
+    /// with fixed boundaries. A one-pair chunk (the `batch_size = 1`
+    /// default) differentiates straight into the step's gradients; a larger
+    /// chunk differentiates each pair on the worker pool into its own
+    /// zeroed gradients from the shared read-only weights, and reduces them
+    /// in pair order — bitwise thread-count independent. Both are bitwise
+    /// the graph trajectory (`zero_grad → backward → step` per chunk).
+    fn train(
         &self,
-        forward_model: &BisimDirection,
-        backward_model: &BisimDirection,
+        weights: &mut [BisimDirectionWeights; 2],
         sequences: &[PathSequence],
         reversed: &[PathSequence],
         epochs: usize,
     ) {
-        let mut params = forward_model.parameters();
-        params.extend(backward_model.parameters());
-        let mut optimizer = Adam::new(params, self.config.learning_rate).with_clip(5.0);
+        let mut adam = DirectionsAdam::new(weights, self.config.learning_rate);
+        let zeros = |w: &[BisimDirectionWeights; 2]| w.each_ref().map(DirectionGrads::zeros_like);
+        let mut grads = zeros(weights);
+        let mut tape = PairTape::new();
         let threads = self.config.threads;
-        rm_imputers::brits::train_in_batches(
-            &mut optimizer,
-            epochs,
-            sequences.len(),
-            self.config.batch_size,
-            |i| pair_backward(forward_model, backward_model, &sequences[i], &reversed[i]),
-            |chunk| {
-                let fw = forward_model.snapshot();
-                let bw = backward_model.snapshot();
-                rm_runtime::par_map(threads, chunk, |_, &i| {
-                    pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
-                })
-            },
-        );
+        let indices: Vec<usize> = (0..sequences.len()).collect();
+        for _ in 0..epochs {
+            for chunk in indices.chunks(self.config.batch_size.max(1)) {
+                grads.iter_mut().for_each(DirectionGrads::clear);
+                if let [i] = *chunk {
+                    let [f, b] = &mut grads;
+                    let shared = [&weights[0], &weights[1]];
+                    tape.differentiate(shared, &sequences[i], &reversed[i], [f, b]);
+                } else {
+                    let shared = &*weights;
+                    let per_pair = rm_runtime::par_map(threads, chunk, |_, &i| {
+                        let mut pair = zeros(shared);
+                        let [f, b] = &mut pair;
+                        let shared = [&shared[0], &shared[1]];
+                        PairTape::new().differentiate(shared, &sequences[i], &reversed[i], [f, b]);
+                        pair
+                    });
+                    for pair in &per_pair {
+                        grads[0].accumulate(&pair[0]);
+                        grads[1].accumulate(&pair[1]);
+                    }
+                }
+                adam.step(weights, &grads);
+            }
+        }
     }
 
     /// The imputation tail (Eq. 13): average the two directions at MARs and
-    /// missing RPs, optionally exporting the trained snapshot as named
+    /// missing RPs, optionally exporting the trained weights as named
     /// tensors first. The weights are rounded once to f32 when the config
-    /// asks — the export happens at that same resident precision — and every `(sequence, reversed)` pair fans out
-    /// over the pool. The f64 snapshot pass mirrors the graph pass operation
-    /// for operation, so this is bit-identical to the old serial live-graph
-    /// inference (pinned by the serial-trajectory test below). Each task
-    /// writes values for its own records; RP updates are merged in pair
-    /// order, first writer wins, matching the serial `is_none` check.
-    #[allow(clippy::too_many_arguments)]
+    /// asks — the export happens at that same resident precision — and
+    /// every `(sequence, reversed)` pair fans out over the pool. The f64
+    /// forward performs the graph pass's operations in order, so this is
+    /// bit-identical to serial live-graph inference (pinned by the
+    /// serial-trajectory test below). Each task writes values for its own
+    /// records; RP updates are merged in pair order, first writer wins,
+    /// matching the serial `is_none` check.
     fn infer_and_export(
         &self,
-        forward_weights: &BisimDirectionWeights,
-        backward_weights: &BisimDirectionWeights,
+        [forward_weights, backward_weights]: &[BisimDirectionWeights; 2],
         sequences: &[PathSequence],
         reversed: &[PathSequence],
         map: &RadioMap,
@@ -412,19 +459,11 @@ impl Bisim {
             );
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let forward_model = self.new_direction(num_aps, &mut rng);
-        let backward_model = self.new_direction(num_aps, &mut rng);
+        let mut weights = self.new_directions(num_aps, &mut rng);
         let reversed: Vec<PathSequence> = sequences.iter().map(|s| s.reversed(&norm)).collect();
-        self.train_pair(
-            &forward_model,
-            &backward_model,
-            &sequences,
-            &reversed,
-            self.config.epochs,
-        );
+        self.train(&mut weights, &sequences, &reversed, self.config.epochs);
         self.infer_and_export(
-            &forward_model.snapshot(),
-            &backward_model.snapshot(),
+            &weights,
             &sequences,
             &reversed,
             map,
@@ -440,7 +479,7 @@ impl Bisim {
         &self,
         warm: &[NamedTensor],
         num_aps: usize,
-    ) -> Option<(BisimDirectionWeights, BisimDirectionWeights)> {
+    ) -> Option<[BisimDirectionWeights; 2]> {
         let forward = BisimDirectionWeights::import(
             "bisim.forward",
             warm,
@@ -455,15 +494,15 @@ impl Bisim {
             self.config.attention,
             self.config.time_lag,
         )?;
-        Some((forward, backward))
+        Some([forward, backward])
     }
 
     /// Warm path: `None` sends the caller back to cold training. With
     /// `fine_tune_epochs = 0` the imported weights impute directly —
     /// bit-identical to the exporting run on an unchanged map (the import
     /// widens losslessly and inference re-applies the identical one-time
-    /// rounding). Otherwise the weights resume mini-batch training with a
-    /// fresh optimizer before imputing.
+    /// rounding). Otherwise the imported weights resume mini-batch training
+    /// with a fresh optimizer before imputing.
     fn impute_warm_inner(
         &self,
         map: &RadioMap,
@@ -477,39 +516,12 @@ impl Bisim {
         if sequences.is_empty() || num_aps == 0 {
             return None;
         }
-        let (forward_weights, backward_weights) = self.import_directions(warm, num_aps)?;
+        let mut weights = self.import_directions(warm, num_aps)?;
         let reversed: Vec<PathSequence> = sequences.iter().map(|s| s.reversed(&norm)).collect();
-        if fine_tune_epochs == 0 {
-            return Some(self.infer_and_export(
-                &forward_weights,
-                &backward_weights,
-                &sequences,
-                &reversed,
-                map,
-                mask,
-                &norm,
-                true,
-            ));
+        if fine_tune_epochs > 0 {
+            self.train(&mut weights, &sequences, &reversed, fine_tune_epochs);
         }
-        let forward_model = forward_weights.to_model();
-        let backward_model = backward_weights.to_model();
-        self.train_pair(
-            &forward_model,
-            &backward_model,
-            &sequences,
-            &reversed,
-            fine_tune_epochs,
-        );
-        Some(self.infer_and_export(
-            &forward_model.snapshot(),
-            &backward_model.snapshot(),
-            &sequences,
-            &reversed,
-            map,
-            mask,
-            &norm,
-            true,
-        ))
+        Some(self.infer_and_export(&weights, &sequences, &reversed, map, mask, &norm, true))
     }
 }
 
@@ -548,7 +560,7 @@ impl Imputer for Bisim {
 mod tests {
     use super::*;
     use rm_geometry::Point;
-    use rm_nn::Optimizer;
+    use rm_nn::{Adam, Optimizer};
     use rm_radiomap::{Fingerprint, RadioMapRecord};
 
     /// A survey path with smooth RSSIs and RPs; one MAR RSSI and one missing RP.
@@ -645,7 +657,7 @@ mod tests {
         let (forward_model, backward_model) = (direction(), direction());
         let fwd = forward_model.run(&seq);
         let bwd = backward_model.run(&rev);
-        let loss = Bisim::sequence_loss(&seq, &rev, &fwd, &bwd);
+        let loss = sequence_loss(&seq, &rev, &fwd, &bwd);
         assert_eq!(loss.graph_size(), NODES_PER_PAIR);
     }
 
@@ -690,7 +702,7 @@ mod tests {
                 optimizer.zero_grad();
                 let fwd = forward_model.run(seq);
                 let bwd = backward_model.run(rev);
-                Bisim::sequence_loss(seq, rev, &fwd, &bwd).backward();
+                sequence_loss(seq, rev, &fwd, &bwd).backward();
                 optimizer.step();
             }
         }
@@ -890,6 +902,66 @@ mod tests {
                 .zip(out.fingerprints.iter().flatten())
             {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// Training carries no state from one run into the next — no tape,
+    /// scratch, pool or optimizer state leaks through a thread: on one
+    /// thread, train and export map A, then an unrelated map B of another
+    /// shape, then A again, at batch sizes 1 and 4. A's tensors and imputed
+    /// map are bitwise equal both times (`e2ebench`'s rebuild check in
+    /// miniature).
+    #[test]
+    fn training_carries_no_state_between_runs() {
+        let (map_a, mask_a) = smooth_map();
+        let records = (0..9)
+            .map(|i| {
+                let rssi = |ap: usize| (i + ap) % 4 != 1;
+                let values = (0..3)
+                    .map(|ap| rssi(ap).then(|| -60.0 - (i * 3 + ap) as f64))
+                    .collect();
+                let rp = (i % 3 != 2).then(|| Point::new(i as f64, (i as f64 * 0.7).sin()));
+                RadioMapRecord::new(Fingerprint::new(values), rp, i as f64 * 1.5, 0)
+            })
+            .collect();
+        let map_b = RadioMap::new(records, 3);
+        let mut mask_b = MaskMatrix::all_observed(9, 3);
+        for i in 0..9 {
+            for ap in 0..3 {
+                if (i + ap) % 4 == 1 {
+                    mask_b.set(i, ap, EntryKind::Mar);
+                }
+            }
+        }
+        for batch_size in [1, 4] {
+            let imputer = Bisim::new(BisimConfig {
+                epochs: 3,
+                batch_size,
+                threads: 1,
+                ..quick_config()
+            });
+            let (first, first_tensors) = imputer.impute_with_snapshot(&map_a, &mask_a);
+            let _ = imputer.impute_with_snapshot(&map_b, &mask_b);
+            let (again, again_tensors) = imputer.impute_with_snapshot(&map_a, &mask_a);
+            let bits = |out: &ImputedRadioMap| -> Vec<u64> {
+                let points = out.locations.iter().flatten().flat_map(|p| [p.x, p.y]);
+                out.fingerprints
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .chain(points)
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(
+                bits(&first),
+                bits(&again),
+                "batch {batch_size}: map drifted"
+            );
+            assert_eq!(first_tensors.len(), again_tensors.len());
+            for (a, b) in first_tensors.iter().zip(&again_tensors) {
+                assert!(a.bits_eq(b), "batch {batch_size}: {} drifted", a.name);
             }
         }
     }

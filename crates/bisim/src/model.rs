@@ -1,15 +1,15 @@
 //! The internals of BiSIM (Section IV-C): encoder units, decoder units and the
 //! sparsity-friendly attention unit, assembled into one directional
-//! sequence-to-sequence pass.
+//! sequence-to-sequence pass — as plain weights with the forward training
+//! and inference share ([`BisimDirectionWeights`]), and as the autodiff
+//! graph that is the training tape's oracle ([`BisimDirection`]).
 
 use rand::rngs::StdRng;
 use rm_imputers::PathSequence;
 use rm_nn::{
-    Activation, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState, LstmStateMatrix, Mlp,
-    MlpWeights,
+    Activation, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState, Mlp, MlpWeights,
 };
-use rm_tensor::recurrent::attention_forward;
-use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
+use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var};
 
 /// Which attention mechanism the decoder uses (the Fig. 17 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +61,11 @@ impl BisimPass {
     }
 }
 
-/// One directional BiSIM model: an encoder stack over the fingerprint
-/// sequence, a decoder stack over the RP sequence, and an attention unit
-/// connecting them.
+/// One directional BiSIM model as an autodiff graph: an encoder stack over
+/// the fingerprint sequence, a decoder stack over the RP sequence, and an
+/// attention unit connecting them. Production trains
+/// [`BisimDirectionWeights`] on the tape; this graph form is the tape's
+/// oracle ([`crate::sequence_loss`]) for tests and benches.
 pub struct BisimDirection {
     // Encoder unit parameters (Eq. 2–5).
     encoder_estimate: Linear,
@@ -247,9 +249,8 @@ impl BisimDirection {
         )
     }
 
-    /// Copies the current parameters into a graph-free, `Send + Sync`
-    /// [`BisimDirectionWeights`] snapshot, for worker-side graph rebuilds
-    /// during batched training.
+    /// Copies the current parameters into graph-free, `Send + Sync`
+    /// [`BisimDirectionWeights`].
     pub fn snapshot(&self) -> BisimDirectionWeights {
         BisimDirectionWeights {
             encoder_estimate: self.encoder_estimate.snapshot(),
@@ -269,70 +270,90 @@ impl BisimDirection {
 }
 
 /// Time-lag vectors for the RP sequence (2-dimensional, driven by the RP
-/// masks), used only by the decoder-side ablations. Shared by the graph pass
-/// ([`BisimDirection::run`]) and the snapshot pass
-/// ([`BisimDirectionWeights::run`]) so the two stay in lockstep.
-fn rp_time_lags(seq: &PathSequence) -> Vec<Vec<f64>> {
-    let len = seq.len();
-    let mut lags = Vec::with_capacity(len);
-    for j in 0..len {
-        if j == 0 {
-            lags.push(vec![0.0, 0.0]);
-        } else {
-            let dt = (seq.times[j] - seq.times[j - 1]).abs() / 10.0;
-            let previous: &Vec<f64> = &lags[j - 1];
-            let lag = if seq.rp_masks[j - 1] > 0.5 {
-                vec![dt, dt]
-            } else {
-                vec![previous[0] + dt, previous[1] + dt]
-            };
-            lags.push(lag);
-        }
+/// masks), used only by the decoder-side ablations: the graph pass's list
+/// ([`BisimDirection::run`]) of [`rp_time_lag`]'s steps.
+fn rp_time_lags(seq: &PathSequence) -> Vec<[f64; 2]> {
+    let mut lags: Vec<[f64; 2]> = Vec::with_capacity(seq.len());
+    for j in 0..seq.len() {
+        lags.push(rp_time_lag(
+            seq,
+            j,
+            lags.last().copied().unwrap_or([0.0; 2]),
+        ));
     }
     lags
 }
 
-/// A graph-free snapshot of one [`BisimDirection`]: plain matrices plus the
-/// ablation settings, so it is `Send + Sync` and can be shipped to worker
-/// threads (unlike [`Var`], whose nodes are `Rc`-shared). Generic over the
-/// [`Scalar`] precision: the `f64` snapshot serves batched training and the
-/// bit-identical inference fan-out; [`BisimDirectionWeights::cast`] rounds
-/// it once for the f32 inference path.
-///
-/// [`BisimDirectionWeights::to_model`] rebuilds a trainable direction whose
-/// forward and backward passes are bit-identical to the original's — the
-/// property that lets batched training differentiate per-sequence replicas
-/// on the pool and ship only plain gradient matrices back.
-/// [`BisimDirectionWeights::run`] mirrors [`BisimDirection::run`] operation
-/// for operation, so snapshot inference is bit-identical to the graph
-/// forward at the same precision (pinned by the serial-trajectory test in
-/// the crate root).
-#[derive(Clone)]
-pub struct BisimDirectionWeights<T: Scalar = f64> {
-    encoder_estimate: LinearWeights<T>,
-    encoder_decay: LinearWeights<T>,
-    encoder_cell: LstmCellWeights<T>,
-    decoder_estimate: LinearWeights<T>,
-    decoder_decay: LinearWeights<T>,
-    decoder_cell: LstmCellWeights<T>,
-    attention_transform: LinearWeights<T>,
-    attention_align: MlpWeights<T>,
-    hidden_size: usize,
-    num_aps: usize,
-    attention: AttentionMode,
-    time_lag: TimeLagMode,
+/// The RP time-lag vector of step `j` given step `j − 1`'s (ignored at
+/// `j = 0`): the one definition the graph pass and the tape forward share.
+pub(crate) fn rp_time_lag(seq: &PathSequence, j: usize, previous: [f64; 2]) -> [f64; 2] {
+    if j == 0 {
+        return [0.0, 0.0];
+    }
+    let dt = (seq.times[j] - seq.times[j - 1]).abs() / 10.0;
+    if seq.rp_masks[j - 1] > 0.5 {
+        [dt, dt]
+    } else {
+        [previous[0] + dt, previous[1] + dt]
+    }
 }
 
-/// The per-step outputs of one matrix-level (graph-free) directional pass:
-/// only the complements, which are all inference consumes.
-pub struct BisimMatrixPass<T: Scalar = f64> {
-    /// Complemented fingerprints `f^c_i`, one `(num_aps, 1)` column per step.
-    pub fingerprint_complements: Vec<Matrix<T>>,
-    /// Complemented RP vectors `l^c_j`, one `(2, 1)` column per step.
-    pub rp_complements: Vec<Matrix<T>>,
+/// One BiSIM direction's weights: plain matrices plus the ablation
+/// settings, so they are `Send + Sync` and can be shared with worker threads
+/// (unlike [`Var`], whose nodes are `Rc`-shared). Training updates them in
+/// place on the training tape ([`crate::tape`]); their
+/// [`BisimDirectionWeights::forward`] is the one forward of training and
+/// inference, performing [`BisimDirection::run`]'s operations in order, so
+/// it is bit-identical to the graph forward at the same precision. Generic
+/// over the [`Scalar`] precision: [`BisimDirectionWeights::cast`] rounds the
+/// `f64` weights once for the f32 inference path.
+#[derive(Clone)]
+pub struct BisimDirectionWeights<T: Scalar = f64> {
+    pub(crate) encoder_estimate: LinearWeights<T>,
+    pub(crate) encoder_decay: LinearWeights<T>,
+    pub(crate) encoder_cell: LstmCellWeights<T>,
+    pub(crate) decoder_estimate: LinearWeights<T>,
+    pub(crate) decoder_decay: LinearWeights<T>,
+    pub(crate) decoder_cell: LstmCellWeights<T>,
+    pub(crate) attention_transform: LinearWeights<T>,
+    pub(crate) attention_align: MlpWeights<T>,
+    pub(crate) hidden_size: usize,
+    pub(crate) num_aps: usize,
+    pub(crate) attention: AttentionMode,
+    pub(crate) time_lag: TimeLagMode,
 }
 
 impl BisimDirectionWeights {
+    /// One freshly initialised direction, drawn from `rng` exactly as
+    /// [`BisimDirection::new`] draws its parameters.
+    pub fn new(
+        num_aps: usize,
+        hidden_size: usize,
+        attention: AttentionMode,
+        time_lag: TimeLagMode,
+        rng: &mut StdRng,
+    ) -> Self {
+        Self {
+            encoder_estimate: LinearWeights::new(hidden_size, num_aps, rng),
+            encoder_decay: LinearWeights::new(num_aps, hidden_size, rng),
+            encoder_cell: LstmCellWeights::new(num_aps * 2, hidden_size, rng),
+            decoder_estimate: LinearWeights::new(hidden_size, 2, rng),
+            decoder_decay: LinearWeights::new(2, hidden_size, rng),
+            decoder_cell: LstmCellWeights::new(2 + num_aps, hidden_size, rng),
+            attention_transform: LinearWeights::new(hidden_size, num_aps, rng),
+            attention_align: MlpWeights::new(
+                &[hidden_size + num_aps, hidden_size, 1],
+                Activation::Tanh,
+                Activation::Identity,
+                rng,
+            ),
+            hidden_size,
+            num_aps,
+            attention,
+            time_lag,
+        }
+    }
+
     /// Exports this direction's weights as `{prefix}.*` named tensors at the
     /// precision the inference path keeps resident (the shared
     /// [`rm_imputers::snapshot::export_linear`] contract: exported bits
@@ -455,10 +476,12 @@ impl BisimDirectionWeights {
         })
     }
 
-    /// Rebuilds a trainable [`BisimDirection`] from this snapshot (fresh
+    /// Rebuilds a graph [`BisimDirection`] from this snapshot (fresh
     /// parameter leaves holding copies of the snapshotted matrices; the
-    /// inverse of [`BisimDirection::snapshot`]).
-    pub fn to_model(&self) -> BisimDirection {
+    /// inverse of [`BisimDirection::snapshot`]): the oracle side of the
+    /// tape tests.
+    #[cfg(test)]
+    pub(crate) fn to_model(&self) -> BisimDirection {
         BisimDirection {
             encoder_estimate: self.encoder_estimate.to_linear(),
             encoder_decay: self.encoder_decay.to_linear(),
@@ -496,174 +519,50 @@ impl<T: Scalar> BisimDirectionWeights<T> {
         }
     }
 
-    /// Runs the encoder–decoder over one prepared sequence on plain matrices
-    /// — the graph-free mirror of [`BisimDirection::run`], performing the
-    /// same operations in the same order (same complements, same decay
-    /// chain, same attention softmax and accumulation order), so at the same
-    /// precision the complements are bit-identical to the graph pass's.
-    /// Sequence data is stored in `f64` and rounded per step, so the kernels
-    /// run entirely in `T`; intermediates cycle through the caller-owned
-    /// workspace `ws`.
-    pub fn run(&self, seq: &PathSequence, ws: &mut Workspace<T>) -> BisimMatrixPass<T> {
-        let len = seq.len();
-        let mut fingerprint_complements = Vec::with_capacity(len);
-        let mut encoder_latents: Vec<Matrix<T>> = Vec::with_capacity(len);
-        let mut encoder_masks = Vec::with_capacity(len);
-
-        // ---------------- Encoder stack (Eq. 2–5) ----------------
-        // Seed the state from the workspace (bitwise zeros).
-        let mut state = LstmStateMatrix {
-            h: ws.take(self.hidden_size, 1),
-            c: ws.take(self.hidden_size, 1),
-        };
-        // Scratch reused across steps.
-        let mut estimate_pre = Matrix::zeros(0, 0);
-        let mut decay_pre = Matrix::zeros(0, 0);
-        for t in 0..len {
-            let fingerprint = Matrix::<T>::column_from_f64(&seq.fingerprints[t]);
-            let mask = Matrix::<T>::column_from_f64(&seq.fingerprint_masks[t]);
-            let inverse_mask = mask.map(|m| T::ONE - m);
-
-            // Eq. 2–3: estimate, then complement observed values with it.
-            self.encoder_estimate
-                .forward_into(&state.h, &mut estimate_pre);
-            let complement = &fingerprint.hadamard(&mask) + &estimate_pre.hadamard(&inverse_mask);
-            // Eq. 4: γ = exp(-relu(W_γ δ + b_γ)), matching relu → scale(-1) → exp.
-            let decayed_h = if matches!(self.time_lag, TimeLagMode::Encoder | TimeLagMode::Both) {
-                let lag = Matrix::<T>::column_from_f64(&seq.time_lags[t]);
-                self.encoder_decay.forward_into(&lag, &mut decay_pre);
-                let gamma = decay_pre.map(Scalar::relu).scale(-T::ONE).map(Scalar::exp);
-                state.h.hadamard(&gamma)
-            } else {
-                state.h.clone()
-            };
-            // Eq. 5: LSTM over the complemented fingerprint + mask.
-            let input = complement.vstack(&mask);
-            let decayed = LstmStateMatrix {
-                h: decayed_h,
-                c: state.c.clone(),
-            };
-            let next = self.encoder_cell.step_ws(&input, &decayed, ws);
-            ws.give(state.h);
-            ws.give(state.c);
-            ws.give(decayed.h);
-            ws.give(decayed.c);
-            ws.give(input);
-            state = next;
-
-            fingerprint_complements.push(complement);
-            encoder_latents.push(state.h.clone());
-            encoder_masks.push(mask);
+    /// The 30 parameter tensors in [`BisimDirection::parameters`] order:
+    /// the encoder's estimate, decay and cell (`(W, b)` per gate, in step
+    /// order), the decoder's, then the attention transform and alignment.
+    pub fn tensors(&self) -> Vec<&Matrix<T>> {
+        fn linear<T: Scalar>(l: &LinearWeights<T>) -> [&Matrix<T>; 2] {
+            [l.weight(), l.bias()]
         }
-        ws.give(state.h);
-        ws.give(state.c);
-
-        // Pre-compute the (possibly masked) transformed latents h''_i (Eq. 9).
-        let transformed: Vec<Matrix<T>> = encoder_latents
-            .iter()
-            .zip(encoder_masks.iter())
-            .map(|(h, m)| {
-                let h_prime = self.attention_transform.forward(h);
-                match self.attention {
-                    AttentionMode::SparsityFriendly => h_prime.hadamard(m),
-                    _ => h_prime,
-                }
-            })
-            .collect();
-
-        // -------- Decoder stack with attention (Eq. 6–12) --------
-        // s_0 = h_T, with a zero cell state (mirrors `LstmState::from_hidden`).
-        let mut decoder_state = LstmStateMatrix {
-            h: encoder_latents
-                .last()
-                .cloned()
-                .unwrap_or_else(|| Matrix::zeros(self.hidden_size, 1)),
-            c: Matrix::zeros(self.hidden_size, 1),
-        };
-        let rp_lags = rp_time_lags(seq);
-        let mut rp_complements = Vec::with_capacity(len);
-        for j in 0..len {
-            let rp = Matrix::<T>::column_from_f64(&[seq.rps[j].0, seq.rps[j].1]);
-            let rp_mask = Matrix::<T>::column_from_f64(&[seq.rp_masks[j], seq.rp_masks[j]]);
-            let inverse_mask = rp_mask.map(|m| T::ONE - m);
-
-            // Eq. 6–7: estimate the RP, then complement.
-            self.decoder_estimate
-                .forward_into(&decoder_state.h, &mut estimate_pre);
-            let complement = &rp.hadamard(&rp_mask) + &estimate_pre.hadamard(&inverse_mask);
-            // Attention (Eq. 10–12).
-            let context = self.context_vector_matrix(&decoder_state.h, &transformed, ws);
-            // Optional decoder-side time decay (ablation only).
-            let decoder_h = if matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both) {
-                let lag = Matrix::<T>::column_from_f64(&rp_lags[j]);
-                self.decoder_decay.forward_into(&lag, &mut decay_pre);
-                let gamma = decay_pre.map(Scalar::relu).scale(-T::ONE).map(Scalar::exp);
-                decoder_state.h.hadamard(&gamma)
-            } else {
-                decoder_state.h.clone()
-            };
-            // Eq. 8: LSTM over the complemented RP + context.
-            let input = complement.vstack(&context);
-            ws.give(context);
-            let decayed = LstmStateMatrix {
-                h: decoder_h,
-                c: decoder_state.c.clone(),
-            };
-            let next = self.decoder_cell.step_ws(&input, &decayed, ws);
-            ws.give(decoder_state.h);
-            ws.give(decoder_state.c);
-            ws.give(decayed.h);
-            ws.give(decayed.c);
-            ws.give(input);
-            decoder_state = next;
-
-            rp_complements.push(complement);
-        }
-        ws.give(decoder_state.h);
-        ws.give(decoder_state.c);
-
-        BisimMatrixPass {
-            fingerprint_complements,
-            rp_complements,
-        }
+        let mut out = Vec::with_capacity(30);
+        out.extend(linear(&self.encoder_estimate));
+        out.extend(linear(&self.encoder_decay));
+        out.extend(self.encoder_cell.gates().into_iter().flat_map(linear));
+        out.extend(linear(&self.decoder_estimate));
+        out.extend(linear(&self.decoder_decay));
+        out.extend(self.decoder_cell.gates().into_iter().flat_map(linear));
+        out.extend(linear(&self.attention_transform));
+        out.extend(self.attention_align.layers().iter().flat_map(linear));
+        out
     }
 
-    /// The attention context vector c_j on plain matrices, drawn from `ws`:
-    /// [`rm_tensor::recurrent::attention_forward`], the forward of the
-    /// [`Var::attention`] node [`BisimDirection::context_vector`] builds, so
-    /// the result is bit-identical at the same precision by construction.
-    fn context_vector_matrix(
-        &self,
-        decoder_hidden: &Matrix<T>,
-        transformed: &[Matrix<T>],
-        ws: &mut Workspace<T>,
-    ) -> Matrix<T> {
-        let mut context = ws.take(self.num_aps, 1);
-        if matches!(self.attention, AttentionMode::None) || transformed.is_empty() {
-            return context;
-        }
-        let [hidden, energy] = self.attention_align.layers() else {
-            unreachable!("the alignment MLP has one hidden layer");
+    /// Visits [`BisimDirectionWeights::tensors`] mutably, in order: the
+    /// trainer's Adam update walks it.
+    pub fn for_each_tensor_mut(&mut self, mut f: impl FnMut(&mut Matrix<T>)) {
+        let mut linear = |l: &mut LinearWeights<T>| {
+            let (w, b) = l.parts_mut();
+            f(w);
+            f(b);
         };
-        let align = [
-            hidden.weight(),
-            hidden.bias(),
-            energy.weight(),
-            energy.bias(),
-        ];
-        let mut activations = ws.take(transformed.len(), self.hidden_size);
-        let mut weights = ws.take(transformed.len(), 1);
-        attention_forward(
-            &align,
-            decoder_hidden.data(),
-            |i| transformed[i].data(),
-            activations.data_mut(),
-            weights.data_mut(),
-            context.data_mut(),
-        );
-        ws.give(activations);
-        ws.give(weights);
-        context
+        linear(&mut self.encoder_estimate);
+        linear(&mut self.encoder_decay);
+        self.encoder_cell
+            .gates_mut()
+            .into_iter()
+            .for_each(&mut linear);
+        linear(&mut self.decoder_estimate);
+        linear(&mut self.decoder_decay);
+        self.decoder_cell
+            .gates_mut()
+            .into_iter()
+            .for_each(&mut linear);
+        linear(&mut self.attention_transform);
+        self.attention_align
+            .layers_mut()
+            .iter_mut()
+            .for_each(linear);
     }
 }
 
@@ -796,13 +695,13 @@ mod tests {
         );
     }
 
-    /// The graph-free snapshot pass must reproduce the graph pass bit for
-    /// bit at f64, across every attention/time-lag ablation — the property
-    /// that lets `Bisim::impute` fan inference out over the pool without
-    /// perturbing the pre-snapshot pipeline.
+    /// The weights' forward ([`BisimDirectionWeights::forward`], which
+    /// inference and the training tape share) must reproduce the graph pass
+    /// bit for bit at f64, across every attention/time-lag ablation.
     #[test]
     fn snapshot_run_matches_graph_run_bitwise_across_ablations() {
         let seq = sequence();
+        let mut tape = crate::DirectionTape::new();
         for attention in [
             AttentionMode::SparsityFriendly,
             AttentionMode::Standard,
@@ -816,26 +715,43 @@ mod tests {
             ] {
                 let model = direction(attention, time_lag);
                 let graph = model.run(&seq);
-                let mut ws = Workspace::new();
-                // Poison the pool so checkouts must reinitialise.
-                ws.give(Matrix::filled(8, 1, f64::NAN));
-                let snap = model.snapshot().run(&seq, &mut ws);
-                for (g, s) in graph
-                    .fingerprint_complements
-                    .iter()
-                    .zip(snap.fingerprint_complements.iter())
-                {
+                model.snapshot().forward(&seq, &mut tape);
+                let bits = |m: &Matrix, s: &[f64]| {
+                    m.data().len() == s.len()
+                        && m.data()
+                            .iter()
+                            .zip(s)
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                };
+                for (t, g) in graph.fingerprint_complements.iter().enumerate() {
                     assert!(
-                        g.value().bits_eq(s),
+                        bits(&g.value(), tape.fingerprint_complement(t)),
                         "{attention:?}/{time_lag:?}: fingerprint complement drifted"
                     );
                 }
-                for (g, s) in graph.rp_complements.iter().zip(snap.rp_complements.iter()) {
+                for (j, g) in graph.rp_complements.iter().enumerate() {
                     assert!(
-                        g.value().bits_eq(s),
+                        bits(&g.value(), tape.rp_complement(j)),
                         "{attention:?}/{time_lag:?}: RP complement drifted"
                     );
                 }
+            }
+        }
+    }
+
+    /// [`BisimDirectionWeights::new`] draws the same parameters as
+    /// [`BisimDirection::new`] from the same stream.
+    #[test]
+    fn weights_draw_what_the_graph_model_draws() {
+        for attention in [AttentionMode::SparsityFriendly, AttentionMode::None] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let graph = BisimDirection::new(3, 8, attention, TimeLagMode::Both, &mut rng);
+            let mut rng = StdRng::seed_from_u64(4);
+            let weights = BisimDirectionWeights::new(3, 8, attention, TimeLagMode::Both, &mut rng);
+            let params = graph.parameters();
+            assert_eq!(params.len(), weights.tensors().len());
+            for (p, w) in params.iter().zip(weights.tensors()) {
+                assert!(p.value().bits_eq(w));
             }
         }
     }

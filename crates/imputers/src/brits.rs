@@ -326,10 +326,16 @@ pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, us
     (w64.resident_bytes(), w64.cast::<f32>().resident_bytes())
 }
 
-/// Differentiates the combined BRITS loss of one `(sequence, reversed)` pair
-/// — forward/backward reconstruction plus the cross-direction consistency
-/// term — accumulating into the models' parameter gradients, then returns
-/// the pair's graph to the per-worker node arena.
+/// Differentiates the BRITS loss of one `(sequence, reversed)` pair — the
+/// forward and backward reconstruction errors at observed entries —
+/// accumulating into the models' parameter gradients, then returns the
+/// pair's graph to the per-worker node arena.
+///
+/// There is no cross-direction consistency term. Compared under the
+/// observed mask, as it once was, the two directions' complements both equal
+/// the observation, so the term was identically zero. Cao et al.'s
+/// consistency loss compares the two imputations at every entry; adopting
+/// it changes the trained bits and is left to a fidelity change.
 ///
 /// The caller must ensure the models' gradient buffers are zero on entry:
 /// freshly rebuilt replicas ([`RecurrentImputerWeights::to_model`]) start
@@ -352,10 +358,6 @@ fn pair_backward(
         let target_b = Matrix::column(&rev.fingerprints[rt]);
         let m_b = Matrix::column(&rev.fingerprint_masks[rt]);
         total = total.add(&loss::masked_mse(&bwd.estimates[rt], &target_b, &m_b));
-        // Consistency between the two directions at the same record.
-        total = total.add(
-            &loss::masked_mse_between(&fwd.complements[t], &bwd.complements[rt], &m).scale(0.1),
-        );
     }
     let loss = total.scale(1.0 / seq.len() as f64);
     loss.backward();
@@ -1141,6 +1143,9 @@ pub(crate) mod tests {
                     let target_b = Matrix::column(&rev.fingerprints[rt]);
                     let m_b = Matrix::column(&rev.fingerprint_masks[rt]);
                     total = total.add(&loss::masked_mse(&bwd.estimates[rt], &target_b, &m_b));
+                    // The old consistency term, kept here only: it is
+                    // identically zero, so training without it must match
+                    // this reference bit for bit.
                     total = total.add(
                         &loss::masked_mse_between(&fwd.complements[t], &bwd.complements[rt], &m)
                             .scale(0.1),

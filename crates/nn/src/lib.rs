@@ -4,7 +4,7 @@
 //! imputation models in the workspace:
 //!
 //! * [`Linear`] — fully-connected layer,
-//! * [`LstmCell`] / [`SimpleRecurrentCell`] — recurrent cells,
+//! * [`LstmCell`] — the recurrent cell,
 //! * [`Mlp`] — feed-forward network (used by BiSIM's attention alignment),
 //! * [`Adam`] / [`Sgd`] — optimizers,
 //! * masked losses in [`loss`] for reconstruction-based training on sparse
@@ -42,6 +42,6 @@ pub mod mlp;
 pub mod optim;
 
 pub use linear::{Linear, LinearWeights};
-pub use lstm::{LstmCell, LstmCellWeights, LstmState, LstmStateMatrix, SimpleRecurrentCell};
+pub use lstm::{LstmCell, LstmCellWeights, LstmState, LstmStateMatrix};
 pub use mlp::{Activation, Mlp, MlpWeights};
 pub use optim::{Adam, GradientBatch, Optimizer, Sgd};

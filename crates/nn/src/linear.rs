@@ -26,12 +26,7 @@ impl<T: Scalar> Linear<T> {
     /// [`Matrix::random_uniform`]), so an `f32` layer is the rounding of the
     /// `f64` layer initialised from the same seed.
     pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
-        Self {
-            weight: Var::parameter(Matrix::xavier(out_features, in_features, rng)),
-            bias: Var::parameter(Matrix::zeros(out_features, 1)),
-            in_features,
-            out_features,
-        }
+        LinearWeights::new(in_features, out_features, rng).to_linear()
     }
 
     /// Builds a layer from explicit weight and bias matrices (useful in tests).
@@ -115,6 +110,21 @@ pub struct LinearWeights<T: Scalar = f64> {
 }
 
 impl<T: Scalar> LinearWeights<T> {
+    /// Xavier-initialised weights and a zero bias drawn from `rng` (the
+    /// weights of [`Linear::new`]).
+    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+        Self {
+            weight: Matrix::xavier(out_features, in_features, rng),
+            bias: Matrix::zeros(out_features, 1),
+        }
+    }
+
+    /// The weight and bias, mutably: a graph-free trainer updates them in
+    /// place and keeps its gradients in a layer of the same shape.
+    pub fn parts_mut(&mut self) -> (&mut Matrix<T>, &mut Matrix<T>) {
+        (&mut self.weight, &mut self.bias)
+    }
+
     /// Rounds the snapshot to another precision — the one-time weight
     /// rounding of the f32 inference path.
     pub fn cast<U: Scalar>(&self) -> LinearWeights<U> {

@@ -1,5 +1,4 @@
-//! Recurrent cells: a full LSTM cell and a simple gated recurrent cell,
-//! generic over the [`Scalar`] precision.
+//! The LSTM cell, generic over the [`Scalar`] precision.
 //!
 //! One LSTM step is one graph node ([`Var::lstm_cell`]): the four gate
 //! affine maps, their activations and the state update run inside it, and
@@ -84,15 +83,7 @@ impl<T: Scalar> LstmCell<T> {
     /// Creates an LSTM cell for inputs of size `input_size` and hidden state
     /// of size `hidden_size`.
     pub fn new(input_size: usize, hidden_size: usize, rng: &mut impl Rng) -> Self {
-        let concat = input_size + hidden_size;
-        Self {
-            input_gate: Linear::new(concat, hidden_size, rng),
-            forget_gate: Linear::new(concat, hidden_size, rng),
-            output_gate: Linear::new(concat, hidden_size, rng),
-            candidate: Linear::new(concat, hidden_size, rng),
-            input_size,
-            hidden_size,
-        }
+        LstmCellWeights::new(input_size, hidden_size, rng).to_cell()
     }
 
     /// Input feature size.
@@ -194,6 +185,31 @@ pub struct LstmCellWeights<T: Scalar = f64> {
 }
 
 impl<T: Scalar> LstmCellWeights<T> {
+    /// Freshly initialised gates in step order, each drawn from `rng` by
+    /// [`crate::LinearWeights::new`] (the weights of [`LstmCell::new`]).
+    pub fn new(input_size: usize, hidden_size: usize, rng: &mut impl Rng) -> Self {
+        let concat = input_size + hidden_size;
+        Self {
+            input_gate: crate::LinearWeights::new(concat, hidden_size, rng),
+            forget_gate: crate::LinearWeights::new(concat, hidden_size, rng),
+            output_gate: crate::LinearWeights::new(concat, hidden_size, rng),
+            candidate: crate::LinearWeights::new(concat, hidden_size, rng),
+            input_size,
+            hidden_size,
+        }
+    }
+
+    /// The four gate layers in step order, mutably (see
+    /// [`crate::LinearWeights::parts_mut`]).
+    pub fn gates_mut(&mut self) -> [&mut crate::linear::LinearWeights<T>; 4] {
+        [
+            &mut self.input_gate,
+            &mut self.forget_gate,
+            &mut self.output_gate,
+            &mut self.candidate,
+        ]
+    }
+
     /// Input feature size.
     pub fn input_size(&self) -> usize {
         self.input_size
@@ -334,57 +350,6 @@ impl<T: Scalar> LstmCellWeights<T> {
     }
 }
 
-/// A lightweight sigmoid-gated recurrent cell:
-/// `h' = tanh(W_h h + U_x x + b)` followed by a sigmoid update gate.
-///
-/// BRITS-style baselines use this cheaper cell; BiSIM uses [`LstmCell`].
-#[derive(Clone)]
-pub struct SimpleRecurrentCell<T: Scalar = f64> {
-    hidden_map: Linear<T>,
-    input_map: Linear<T>,
-    input_size: usize,
-    hidden_size: usize,
-}
-
-impl<T: Scalar> SimpleRecurrentCell<T> {
-    /// Creates a simple recurrent cell.
-    pub fn new(input_size: usize, hidden_size: usize, rng: &mut impl Rng) -> Self {
-        Self {
-            hidden_map: Linear::new(hidden_size, hidden_size, rng),
-            input_map: Linear::new(input_size, hidden_size, rng),
-            input_size,
-            hidden_size,
-        }
-    }
-
-    /// Input feature size.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
-    /// Hidden state size.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden_size
-    }
-
-    /// One recurrent step: `h' = tanh(W_h h + W_x x + b)`.
-    pub fn step(&self, input: &Var<T>, hidden: &Var<T>) -> Var<T> {
-        debug_assert_eq!(input.shape().0, self.input_size);
-        debug_assert_eq!(hidden.shape().0, self.hidden_size);
-        self.hidden_map
-            .forward(hidden)
-            .add(&self.input_map.forward(input))
-            .tanh()
-    }
-
-    /// All trainable parameters of the cell.
-    pub fn parameters(&self) -> Vec<Var<T>> {
-        let mut params = self.hidden_map.parameters();
-        params.extend(self.input_map.parameters());
-        params
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,18 +412,6 @@ mod tests {
         let s = LstmState::from_hidden(h);
         assert!(s.cell.is_none(), "a zero cell state takes no node");
         assert_eq!(s.h.shape(), (2, 1));
-    }
-
-    #[test]
-    fn simple_cell_step_and_params() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let cell: SimpleRecurrentCell = SimpleRecurrentCell::new(4, 6, &mut rng);
-        let h0 = Var::constant(Matrix::zeros(6, 1));
-        let x = Var::constant(Matrix::column(&[1.0, 2.0, 3.0, 4.0]));
-        let h1 = cell.step(&x, &h0);
-        assert_eq!(h1.shape(), (6, 1));
-        assert!(h1.value().data().iter().all(|v| v.abs() <= 1.0));
-        assert_eq!(cell.parameters().len(), 4);
     }
 
     #[test]

@@ -84,19 +84,7 @@ impl<T: Scalar> Mlp<T> {
         output_activation: Activation,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(
-            sizes.len() >= 2,
-            "an MLP needs at least input and output sizes"
-        );
-        let layers = sizes
-            .windows(2)
-            .map(|w| Linear::new(w[0], w[1], rng))
-            .collect();
-        Self {
-            layers,
-            hidden_activation,
-            output_activation,
-        }
+        MlpWeights::new(sizes, hidden_activation, output_activation, rng).to_mlp()
     }
 
     /// Input feature size.
@@ -156,6 +144,36 @@ pub struct MlpWeights<T: Scalar = f64> {
 }
 
 impl<T: Scalar> MlpWeights<T> {
+    /// Freshly initialised layers, input to output, each drawn from `rng` by
+    /// [`LinearWeights::new`] (the weights of [`Mlp::new`]).
+    ///
+    /// # Panics
+    /// Panics if fewer than two sizes are given.
+    pub fn new(
+        sizes: &[usize],
+        hidden_activation: Activation,
+        output_activation: Activation,
+        rng: &mut impl Rng,
+    ) -> Self {
+        assert!(
+            sizes.len() >= 2,
+            "an MLP needs at least input and output sizes"
+        );
+        Self {
+            layers: sizes
+                .windows(2)
+                .map(|w| LinearWeights::new(w[0], w[1], rng))
+                .collect(),
+            hidden_activation,
+            output_activation,
+        }
+    }
+
+    /// The per-layer weights, mutably (see [`LinearWeights::parts_mut`]).
+    pub fn layers_mut(&mut self) -> &mut [LinearWeights<T>] {
+        &mut self.layers
+    }
+
     /// Assembles a snapshot from per-layer weights — the import constructor
     /// for weights rebuilt from exported tensors (the inverse of
     /// [`MlpWeights::layers`], as [`LinearWeights::from_parts`]

@@ -10,14 +10,17 @@
 //! operation set monomorphises for single precision too.
 //!
 //! The operation set is the minimum needed by the sequence models in this
-//! workspace (BiSIM, BRITS, SSGAN): matrix products (and the fused affine
-//! map `W·x + b` of every linear layer), element-wise arithmetic,
-//! sigmoid/tanh/ReLU/exp activations, masking by constant matrices, column
-//! softmax, row concatenation, entry selection, scalar reductions, and two
+//! workspace (BRITS and SSGAN train on it; BiSIM's training tape is held to
+//! it as the oracle): matrix products (and the fused affine map `W·x + b`
+//! of every linear layer), element-wise arithmetic, sigmoid/tanh/ReLU/exp
+//! activations, masking by constant matrices, scalar reductions, and two
 //! fused recurrent layers: one LSTM step ([`Var::lstm_cell`]) and one
 //! decoder step of Bahdanau attention ([`Var::attention`]), whose forward
-//! math lives in [`crate::recurrent`] and is shared with the graph-free
-//! snapshot paths.
+//! and backward math lives in [`crate::recurrent`] and is shared with the
+//! graph-free paths. The primitive ops the fused layers replaced (column
+//! softmax, row concatenation, entry selection, products with a 1×1
+//! variable) exist only in this crate's tests, as the fused layers'
+//! oracles.
 //!
 //! Two rules keep the backward pass bitwise stable as it gets cheaper:
 //!
@@ -88,7 +91,6 @@
 // `matmul_into` into pooled buffers.
 
 use std::cell::{Ref, RefCell};
-use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -140,7 +142,7 @@ pub struct NodePool<T: Scalar> {
     frames: Vec<Frame<T>>,
     /// Worklist scratch for `recycle_all`.
     recycle_stack: Vec<Var<T>>,
-    /// Recycled `ConcatRows` row-count vectors.
+    /// Recycled LSTM-step span vectors (and `ConcatRows` row counts).
     counts: Vec<Vec<usize>>,
 }
 
@@ -192,15 +194,19 @@ enum Op<T: Scalar> {
     /// Mean of all entries, producing a 1×1 matrix.
     Mean,
     /// Vertical concatenation of several matrices with the given row counts.
+    #[cfg(test)]
     ConcatRows(Vec<usize>),
     /// Softmax over a column vector.
+    #[cfg(test)]
     SoftmaxCol,
     /// Element-wise product with a broadcast 1×1 variable (second parent).
+    #[cfg(test)]
     MulScalarVar,
     /// `W·x + b` with parents `[W, x, b]`: [`Var::matmul`] then
     /// [`Var::add_broadcast_col`] as one node.
     Affine,
     /// Entry `i` (row-major) of the parent as a 1×1 value.
+    #[cfg(test)]
     Select(usize),
     /// One LSTM step ([`Var::lstm_cell`]); the node's value is `h`.
     LstmCell {
@@ -300,7 +306,7 @@ impl<T: Scalar> Var<T> {
     }
 
     /// [`Var::from_node`] over any re-iterable listing of parents, so callers
-    /// holding owned slices (e.g. [`Var::concat_rows`]) need not collect a
+    /// holding owned slices (e.g. the LSTM step's parents) need not collect a
     /// reference vector first.
     fn from_node_with<'a, I>(value: Matrix<T>, parents: I, op: Op<T>) -> Var<T>
     where
@@ -391,6 +397,7 @@ impl<T: Scalar> Var<T> {
     }
 
     /// Whether this variable participates in gradient accumulation.
+    #[cfg(test)]
     pub fn requires_grad(&self) -> bool {
         self.node.borrow().requires_grad
     }
@@ -421,6 +428,7 @@ impl<T: Scalar> Var<T> {
     ///
     /// # Panics
     /// Panics if the new value has a different shape.
+    #[cfg(test)]
     pub fn set_value(&self, value: Matrix<T>) {
         let mut n = self.node.borrow_mut();
         assert_eq!(n.value.shape(), value.shape(), "set_value shape mismatch");
@@ -498,6 +506,7 @@ impl<T: Scalar> Var<T> {
     ///
     /// # Panics
     /// Panics if `index` is out of range.
+    #[cfg(test)]
     pub fn select(&self, index: usize) -> Var<T> {
         let v = Matrix::filled(1, 1, T::ZERO + self.value_ref().data()[index]);
         Var::from_node(v, &[self], Op::Select(index))
@@ -571,6 +580,7 @@ impl<T: Scalar> Var<T> {
     ///
     /// # Panics
     /// Panics on an empty input or mismatching column counts.
+    #[cfg(test)]
     pub fn concat_rows(vars: &[Var<T>]) -> Var<T> {
         assert!(!vars.is_empty(), "concat_rows needs at least one variable");
         let cols = vars[0].shape().1;
@@ -594,6 +604,7 @@ impl<T: Scalar> Var<T> {
     ///
     /// # Panics
     /// Panics if the variable is not a column vector.
+    #[cfg(test)]
     pub fn softmax_col(&self) -> Var<T> {
         let v = self.value_ref();
         assert_eq!(v.cols(), 1, "softmax_col expects a column vector");
@@ -606,6 +617,7 @@ impl<T: Scalar> Var<T> {
     }
 
     /// Multiplies every entry of `self` by the 1×1 variable `s` (broadcast).
+    #[cfg(test)]
     pub fn mul_scalar_var(&self, s: &Var<T>) -> Var<T> {
         assert_eq!(s.shape(), (1, 1), "mul_scalar_var expects a 1x1 scalar Var");
         let sv = s.scalar_value();
@@ -901,7 +913,9 @@ impl<T: Scalar> Var<T> {
                 let gi = g[0] / T::from_f64(d.len() as f64);
                 d.iter_mut().for_each(|e| *e += gi);
             }),
+            #[cfg(test)]
             Op::Select(i) => parents[0].add_into(|d| d[*i] += g[0]),
+            #[cfg(test)]
             Op::ConcatRows(counts) => {
                 let cols = node.grad.cols();
                 let mut start = 0;
@@ -911,6 +925,7 @@ impl<T: Scalar> Var<T> {
                     start += count;
                 }
             }
+            #[cfg(test)]
             Op::SoftmaxCol => {
                 // dX_i = y_i * (dY_i - sum_j dY_j y_j)
                 let y = node.value.data();
@@ -920,6 +935,7 @@ impl<T: Scalar> Var<T> {
                     .fold(T::ZERO, |acc, (&yi, &gi)| acc + yi * gi);
                 parents[0].add_into(|d| add_zip(d, y, g, |yi, gi| yi * (gi - dot)));
             }
+            #[cfg(test)]
             Op::MulScalarVar => {
                 let s = parents[1].value_ref().get(0, 0);
                 let ds = {
@@ -974,6 +990,15 @@ impl<T: Scalar> Var<T> {
         self.add_into(|d| crate::matrix::axpy_slice(T::ONE, delta.data(), d));
     }
 
+    /// Adds a fused backward's term into this node's gradient, unless it
+    /// keeps none.
+    fn add_term(&self, term: crate::recurrent::GradTerm<'_, T>) {
+        let mut n = self.node.borrow_mut();
+        if n.keeps_grad() {
+            term.add_to(&mut n.grad);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Node recycling
     // ------------------------------------------------------------------
@@ -1015,17 +1040,20 @@ impl<T: Scalar> Var<T> {
                 }
                 n.parents.reserve(MIN_PARENT_CAPACITY);
                 // Strip the node: matrix buffers return to the buffer pool
-                // now; the parents Vec — and a ConcatRows op's row-count
-                // vector, parked below — keep their capacity for the next
-                // graph.
+                // now; the parents Vec — and an LSTM step's span vector,
+                // parked below — keep their capacity for the next graph.
                 n.value = Matrix::zeros(0, 0);
                 n.grad = Matrix::zeros(0, 0);
                 n.requires_grad = false;
                 match std::mem::replace(&mut n.op, Op::Leaf) {
-                    Op::ConcatRows(mut counts)
-                    | Op::LstmCell {
+                    Op::LstmCell {
                         spans: mut counts, ..
                     } => {
+                        counts.clear();
+                        Some(counts)
+                    }
+                    #[cfg(test)]
+                    Op::ConcatRows(mut counts) => {
                         counts.clear();
                         Some(counts)
                     }
@@ -1097,30 +1125,9 @@ fn matmul_backward<T: Scalar>(a: &Var<T>, b: &Var<T>, grad: &Matrix<T>) {
     }
 }
 
-/// `d[r] += +0.0 + g[r]`: the row sums of a single-column gradient, the
-/// bias term of an affine node.
-fn add_bias_column<T: Scalar>(d: &mut [T], g: &[T]) {
-    for (e, &gi) in d.iter_mut().zip(g) {
-        *e += T::ZERO + gi;
-    }
-}
-
-/// `dW += u·vᵀ` into `w`'s gradient through [`Matrix::add_outer`], unless it
-/// keeps none.
-fn add_outer_into<T: Scalar>(w: &Var<T>, u: &[T], v: &[T]) {
-    let mut n = w.node.borrow_mut();
-    if n.keeps_grad() {
-        n.grad.add_outer(u, v);
-    }
-}
-
 /// The backward pass of [`Var::lstm_cell`] for the output gradient `g`
-/// (`∂h`), in the order of the chain it replaces: `h = o ⊙ tanh(c)`, the
-/// output gate's affine map, `tanh(c)`, `c = f ⊙ c_prev + i ⊙ g`, then the
-/// forget, input and candidate gates' affine maps, and last the input
-/// column `x`, whose gradient is `+0 + t_o + t_f + t_i + t_g` (`t_q =
-/// W_qᵀδ_q`). Each intermediate gradient is the chain node's: `+0.0` plus
-/// the term it received.
+/// (`∂h`): [`crate::recurrent::lstm_cell_backward`], each term added into
+/// the parent it names (see there for the order).
 fn lstm_cell_backward<T: Scalar>(
     parents: &[Var<T>],
     g: &[T],
@@ -1128,181 +1135,82 @@ fn lstm_cell_backward<T: Scalar>(
     spans: &[usize],
     carried: bool,
 ) {
+    use crate::recurrent::LstmInput;
     let hidden = g.len();
-    let (acts, state) = cache.data().split_at(4 * hidden);
-    let (i, rest) = acts.split_at(hidden);
-    let (f, rest) = rest.split_at(hidden);
-    let (o, gc) = rest.split_at(hidden);
-    // Past the cell state itself, which only the forward needed.
-    let (tanh_c, state) = state[hidden..].split_at(hidden);
-    let (c_prev, state) = state.split_at(hidden);
-    let (dc, x) = state.split_at(hidden);
-    let n = x.len();
-    let one = T::ONE;
-
-    // Gate pre-activation gradients in the chain's order o, f, i, g, then
-    // the gradient of c, the input column's and one product scratch.
-    let mut scratch = Matrix::zeros(5 * hidden + 2 * n, 1);
-    let (deltas, rest) = scratch.data_mut().split_at_mut(4 * hidden);
-    let (dcell, rest) = rest.split_at_mut(hidden);
-    let (xg, product) = rest.split_at_mut(n);
-    {
-        let (d_o, rest) = deltas.split_at_mut(hidden);
-        let (d_f, rest) = rest.split_at_mut(hidden);
-        let (d_i, d_g) = rest.split_at_mut(hidden);
-        for j in 0..hidden {
-            let go = T::ZERO + g[j] * tanh_c[j];
-            let gtc = T::ZERO + g[j] * o[j];
-            d_o[j] = T::ZERO + go * (o[j] * (one - o[j]));
-            // The next step's `∂c` arrived first, then `tanh(c)`'s.
-            dcell[j] = dc[j] + gtc * (one - tanh_c[j] * tanh_c[j]);
-            let gfc = T::ZERO + dcell[j];
-            let gig = T::ZERO + dcell[j];
-            let gf = T::ZERO + gfc * c_prev[j];
-            d_f[j] = T::ZERO + gf * (f[j] * (one - f[j]));
-            let gi = T::ZERO + gig * gc[j];
-            let gg = T::ZERO + gig * i[j];
-            d_i[j] = T::ZERO + gi * (i[j] * (one - i[j]));
-            d_g[j] = T::ZERO + gg * (one - gc[j] * gc[j]);
-        }
-    }
+    let n = cache.len() - 8 * hidden;
     let base = if carried { 5 } else { 4 };
-    if carried {
-        // `c_prev`'s term, before the previous step runs.
-        let mut prev = parents[4].node.borrow_mut();
-        let prev = &mut *prev;
-        let Op::LstmCell {
-            cache: prev_cache, ..
-        } = &mut prev.op
-        else {
-            unreachable!("the carried state comes from an lstm_cell node");
-        };
-        let prev_dc = &mut prev_cache.data_mut()[7 * hidden..8 * hidden];
-        for j in 0..hidden {
-            prev_dc[j] += (T::ZERO + dcell[j]) * f[j];
-        }
-    }
-    // (W, b) of each gate in the chain's order o, f, i, g.
-    let gate_parents = [
-        (&parents[0], &parents[1]),
-        (&parents[2], &parents[3]),
-        (&parents[base], &parents[base + 1]),
-        (&parents[base + 2], &parents[base + 4 + spans.len() / 2]),
-    ];
-    for ((w, b), delta) in gate_parents.iter().zip(deltas.chunks_exact(hidden)) {
-        b.add_into(|d| add_bias_column(d, delta));
-        add_outer_into(w, delta, x);
-    }
-    // `x`'s gradient, only over the columns whose parent keeps one, each
-    // run of adjacent columns through the four gates in order.
-    let part_parents = &parents[base + 3..base + 3 + spans.len() / 2];
-    let h_prev = &parents[base + 3 + spans.len() / 2];
-    let segments = spans
-        .chunks_exact(2)
-        .zip(part_parents)
-        .map(|(span, p)| (span[0]..span[0] + span[1], p))
-        .chain(std::iter::once((n - hidden..n, h_prev)))
-        .filter(|(_, p)| p.needs_grad())
-        .map(|(cols, _)| cols);
-    let mut flush = |cols: Range<usize>| {
-        for ((w, _), delta) in gate_parents.iter().zip(deltas.chunks_exact(hidden)) {
-            let t = &mut product[..cols.len()];
-            w.value_ref().matmul_at_b_col_into(delta, cols.clone(), t);
-            crate::matrix::axpy_slice(T::ONE, t, &mut xg[cols.clone()]);
-        }
+    let parts = spans.len() / 2;
+    let parent = move |input: LstmInput| match input {
+        LstmInput::Weight(2) => &parents[0],
+        LstmInput::Bias(2) => &parents[1],
+        LstmInput::Weight(1) => &parents[2],
+        LstmInput::Bias(1) => &parents[3],
+        LstmInput::Carried => &parents[4],
+        LstmInput::Weight(0) => &parents[base],
+        LstmInput::Bias(0) => &parents[base + 1],
+        LstmInput::Weight(_) => &parents[base + 2],
+        LstmInput::Part(k) => &parents[base + 3 + k],
+        LstmInput::Hidden => &parents[base + 3 + parts],
+        LstmInput::Bias(_) => &parents[base + 4 + parts],
     };
-    let mut run: Option<Range<usize>> = None;
-    for cols in segments {
-        match &mut run {
-            Some(r) if r.end == cols.start => r.end = cols.end,
-            _ => {
-                if let Some(r) = run.replace(cols) {
-                    flush(r);
-                }
+    let mut scratch = Matrix::zeros(crate::recurrent::lstm_backward_scratch_len(hidden, n), 1);
+    crate::recurrent::lstm_cell_backward(
+        |q| parent(LstmInput::Weight(q)).value_ref(),
+        g,
+        cache.data(),
+        spans,
+        |input| match input {
+            LstmInput::Carried => carried,
+            _ => parent(input).needs_grad(),
+        },
+        scratch.data_mut(),
+        |input, term| match input {
+            LstmInput::Carried => {
+                let mut prev = parents[4].node.borrow_mut();
+                let Op::LstmCell { cache, .. } = &mut prev.op else {
+                    unreachable!("the carried state comes from an lstm_cell node");
+                };
+                term.add_to_slice(&mut cache.data_mut()[7 * hidden..8 * hidden]);
             }
-        }
-    }
-    if let Some(r) = run {
-        flush(r);
-    }
-    // The concatenation's split: `h_prev`, then the node parts.
-    h_prev.add_into(|d| crate::matrix::axpy_slice(T::ONE, &xg[n - hidden..], d));
-    for (span, part) in spans.chunks_exact(2).zip(part_parents) {
-        let cols = span[0]..span[0] + span[1];
-        part.add_into(|d| crate::matrix::axpy_slice(T::ONE, &xg[cols], d));
-    }
+            _ => parent(input).add_term(term),
+        },
+    );
 }
 
 /// The backward pass of [`Var::attention`] for the output gradient `g`
-/// (`∂ctx`), in the order of the chain it replaces:
-///
-/// 1. for each key `i`: `h''_i += g·w_i` and `∂w_i = Σ_j g_j·h''_i[j]`
-///    (the `mul_scalar_var` nodes; every product node's gradient is `g`);
-/// 2. the softmax backward into the energies;
-/// 3. for each key `i`: `b2`, `W2` and the hidden activation's gradient,
-///    `tanh`, then `b1`, `W1 += δ_i·[s; h''_i]ᵀ` and `W1ᵀδ_i` split between
-///    `s` and `h''_i`.
+/// (`∂ctx`): [`crate::recurrent::attention_backward`], each term added into
+/// the parent it names (see there for the order).
 fn attention_backward<T: Scalar>(
     parents: &[Var<T>],
     g: &[T],
     hidden: &Matrix<T>,
     weights: &Matrix<T>,
 ) {
+    use crate::recurrent::AttentionInput;
     let (t, h) = hidden.shape();
-    let a_len = g.len();
-    let y = weights.data();
-    let [w2, w1, s, b1, b2] = [t - 1, t, t + 1, t + 3, t + 4].map(|i| &parents[i]);
-    let key = |i: usize| &parents[attention_key(t, i)];
-
-    let mut scratch = Matrix::zeros(2 * t + 2 * h + 2 * (h + a_len), 1);
-    let (gw, rest) = scratch.data_mut().split_at_mut(t);
-    let (ge, rest) = rest.split_at_mut(t);
-    let (ga, rest) = rest.split_at_mut(h);
-    let (delta, rest) = rest.split_at_mut(h);
-    let (joint, jt) = rest.split_at_mut(h + a_len);
-
-    // 1. The weighted sum.
-    for (i, gwi) in gw.iter_mut().enumerate() {
-        let k = key(i);
-        let wi = T::ZERO + y[i];
-        let ds = {
-            let kv = k.value_ref();
-            g.iter()
-                .zip(kv.data())
-                .fold(T::ZERO, |acc, (&gj, &kj)| acc + gj * kj)
-        };
-        k.add_into(|d| add_map(d, g, |gj| gj * wi));
-        *gwi = T::ZERO + (T::ZERO + ds);
-    }
-    // 2. The softmax: `∂e_i = y_i·(∂w_i − Σ_j y_j·∂w_j)`.
-    let dot = y
-        .iter()
-        .zip(gw.iter())
-        .fold(T::ZERO, |acc, (&yi, &gi)| acc + yi * gi);
-    for ((gei, &yi), &gi) in ge.iter_mut().zip(y).zip(gw.iter()) {
-        *gei = T::ZERO + yi * (gi - dot);
-    }
-    // 3. The alignment MLP, key by key.
-    joint[..h].copy_from_slice(s.value_ref().data());
-    let s_grad = s.needs_grad();
-    for (i, &gei) in ge.iter().enumerate() {
-        let a = hidden.row(i);
-        let k = key(i);
-        b2.add_into(|d| d[0] += T::ZERO + gei);
-        add_outer_into(w2, &[gei], a);
-        w2.value_ref().matmul_at_b_col_into(&[gei], 0..h, ga);
-        for ((dj, &gaj), &aj) in delta.iter_mut().zip(ga.iter()).zip(a) {
-            *dj = T::ZERO + (T::ZERO + gaj) * (T::ONE - aj * aj);
-        }
-        b1.add_into(|d| add_bias_column(d, delta));
-        joint[h..].copy_from_slice(k.value_ref().data());
-        add_outer_into(w1, delta, joint);
-        if s_grad || k.needs_grad() {
-            w1.value_ref().matmul_at_b_col_into(delta, 0..h + a_len, jt);
-            s.add_into(|d| crate::matrix::axpy_slice(T::ONE, &jt[..h], d));
-            k.add_into(|d| crate::matrix::axpy_slice(T::ONE, &jt[h..], d));
-        }
-    }
+    let parent = move |input: AttentionInput| match input {
+        AttentionInput::Key(i) => &parents[attention_key(t, i)],
+        AttentionInput::W2 => &parents[t - 1],
+        AttentionInput::W1 => &parents[t],
+        AttentionInput::State => &parents[t + 1],
+        AttentionInput::B1 => &parents[t + 3],
+        AttentionInput::B2 => &parents[t + 4],
+    };
+    let mut scratch = Matrix::zeros(
+        crate::recurrent::attention_backward_scratch_len(t, h, g.len()),
+        1,
+    );
+    crate::recurrent::attention_backward(
+        |input| parent(input).value_ref(),
+        Ref::map(parent(AttentionInput::State).value_ref(), Matrix::data),
+        |i| Ref::map(parent(AttentionInput::Key(i)).value_ref(), Matrix::data),
+        hidden.data(),
+        weights.data(),
+        g,
+        |input| parent(input).needs_grad(),
+        scratch.data_mut(),
+        |input, term| parent(input).add_term(term),
+    );
 }
 
 #[cfg(test)]
@@ -1819,6 +1727,18 @@ mod tests {
                 analytic.get(r, 0),
                 numeric
             );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn softmax_is_a_probability_vector(
+            data in proptest::collection::vec(-20.0f64..20.0, 1..16),
+        ) {
+            let x = Var::constant(Matrix::column(&data));
+            let y = x.softmax_col().value();
+            proptest::prop_assert!((y.sum() - 1.0).abs() < 1e-9);
+            proptest::prop_assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
     }
 

@@ -15,9 +15,8 @@
 //! * [`Var`] — a node in a dynamically-built reverse-mode autodiff graph
 //!   (default `Var<f64>`), supporting matrix products, the fused affine map
 //!   of a linear layer, element-wise arithmetic, activations, masking,
-//!   concatenation, column softmax, entry selection, scalar reductions, and
-//!   one-node LSTM and attention steps whose forward ([`recurrent`]) the
-//!   graph-free snapshot paths share,
+//!   scalar reductions, and one-node LSTM and attention steps whose forward
+//!   and backward math ([`recurrent`]) the graph-free paths share,
 //! * [`Workspace`] and the per-thread buffer pools behind every [`Matrix`]
 //!   constructor — the arena layer ([`workspace`]) that keeps the hot loops
 //!   allocation-free; `RM_ARENA=0` restores the fresh-allocation reference

@@ -724,7 +724,7 @@ impl<T: Scalar> Matrix<T> {
     /// product: a fused backward computes only the columns whose parent
     /// keeps a gradient.
     #[allow(unsafe_code)] // audited dispatch into the target_feature loops below
-    pub(crate) fn matmul_at_b_col_into(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
+    pub fn matmul_at_b_col_into(&self, g: &[T], cols: Range<usize>, out: &mut [T]) {
         assert_eq!(g.len(), self.rows, "matmul_at_b gradient length mismatch");
         assert!(
             cols.end <= self.cols,

@@ -1,13 +1,21 @@
-//! Forward math of the fused recurrent nodes ([`Var::lstm_cell`] and
-//! [`Var::attention`]), shared with the graph-free snapshot paths.
+//! Forward and backward math of the fused recurrent nodes
+//! ([`Var::lstm_cell`] and [`Var::attention`]), shared with the graph-free
+//! paths.
 //!
-//! Each function is the one definition of its layer's forward pass: the
-//! autodiff node calls it on its parents' values, and the snapshot
-//! inference of the recurrent imputers calls it on plain weights, so the
-//! two agree bit for bit by construction. Both reproduce, operation for
-//! operation, the chain of primitive graph nodes the fused nodes replace
-//! (affine maps through [`Matrix::matvec_acc`], the shared
+//! Each forward function is the one definition of its layer's forward
+//! pass: the autodiff node calls it on its parents' values, and the
+//! snapshot inference of the recurrent imputers calls it on plain weights,
+//! so the two agree bit for bit by construction. Both reproduce, operation
+//! for operation, the chain of primitive graph nodes the fused nodes
+//! replace (affine maps through [`Matrix::matvec_acc`], the shared
 //! [`Scalar::sigmoid`]/[`Scalar::tanh`], the stabilised column softmax).
+//!
+//! Each backward function is likewise the one definition of its layer's
+//! gradient: it computes every term and hands it, in the order the
+//! replaced chain delivered it, to a caller's sink as a [`GradTerm`] for one
+//! named input. The autodiff node's sink adds each term into a parent's
+//! gradient; BiSIM's training tape adds it into plain gradient buffers. So a
+//! tape that calls these steps in the graph's order is bitwise the graph.
 //!
 //! [`Var::lstm_cell`]: crate::Var::lstm_cell
 //! [`Var::attention`]: crate::Var::attention
@@ -16,7 +24,54 @@
 // Every BiSIM/BRITS/SSGAN training step and every snapshot inference step
 // runs these loops; every buffer is caller-owned.
 
+use std::ops::{Deref, Range};
+
 use crate::{Matrix, Scalar};
+
+/// One gradient term a fused backward hands to one of its inputs.
+#[derive(Clone, Copy, Debug)]
+pub enum GradTerm<'a, T: Scalar> {
+    /// `d[j] += +0.0 + v[j]`: the row sums of a one-column gradient, the
+    /// term of a bias.
+    Bias(&'a [T]),
+    /// `d += u·vᵀ` through [`Matrix::add_outer`]: the term of a weight
+    /// against a column input.
+    Outer(&'a [T], &'a [T]),
+    /// `d[j] += v[j]`, through `axpy` with `α = 1`: a materialised term.
+    Add(&'a [T]),
+    /// `d[j] += v[j]·s`.
+    Scaled(&'a [T], T),
+    /// `d[j] += (+0.0 + a[j])·b[j]`.
+    Gated(&'a [T], &'a [T]),
+}
+
+impl<T: Scalar> GradTerm<'_, T> {
+    /// Adds the term into the gradient buffer `d`.
+    pub fn add_to(self, d: &mut Matrix<T>) {
+        match self {
+            GradTerm::Outer(u, v) => d.add_outer(u, v),
+            term => term.add_to_slice(d.data_mut()),
+        }
+    }
+
+    /// Adds the term into the gradient entries `d`.
+    ///
+    /// # Panics
+    /// Panics on [`GradTerm::Outer`], which needs the matrix shape
+    /// ([`GradTerm::add_to`]).
+    pub fn add_to_slice(self, d: &mut [T]) {
+        match self {
+            GradTerm::Bias(v) => d.iter_mut().zip(v).for_each(|(e, &x)| *e += T::ZERO + x),
+            GradTerm::Add(v) => crate::matrix::axpy_slice(T::ONE, v, d),
+            GradTerm::Scaled(v, s) => d.iter_mut().zip(v).for_each(|(e, &x)| *e += x * s),
+            GradTerm::Gated(a, b) => d
+                .iter_mut()
+                .zip(a.iter().zip(b))
+                .for_each(|(e, (&x, &y))| *e += (T::ZERO + x) * y),
+            GradTerm::Outer(..) => panic!("a weight term needs its matrix"),
+        }
+    }
+}
 
 /// The four gate layers of an LSTM cell, `(W, b)` per gate, in step order:
 /// input, forget, output, candidate. Each `W` maps the concatenated
@@ -69,6 +124,148 @@ pub fn lstm_cell_forward<T: Scalar>(
         c[j] = f[j] * c_prev[j] + i[j] * g[j];
         tanh_c[j] = c[j].tanh();
         h[j] = o[j] * tanh_c[j];
+    }
+}
+
+/// An input of one LSTM step that [`lstm_cell_backward`] hands terms to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LstmInput {
+    /// The weight of gate `q` (step order: input, forget, output,
+    /// candidate).
+    Weight(usize),
+    /// The bias of gate `q`.
+    Bias(usize),
+    /// The gradient of the previous step's cell state `c_prev`.
+    Carried,
+    /// The previous hidden state `h_prev`.
+    Hidden,
+    /// Node part `k` of the input column.
+    Part(usize),
+}
+
+/// The gates in the order the replaced chain's backward reached them:
+/// output, forget, input, candidate (as step-order indices).
+const CHAIN_ORDER: [usize; 4] = [2, 1, 0, 3];
+
+/// Scratch entries [`lstm_cell_backward`] needs for hidden size `hidden`
+/// and an input column of `n` rows (`[input; h_prev]`).
+pub fn lstm_backward_scratch_len(hidden: usize, n: usize) -> usize {
+    5 * hidden + 2 * n
+}
+
+/// The backward pass of one LSTM step for the output gradient `g` (`∂h`),
+/// in the order of the 14-node chain [`Var::lstm_cell`](crate::Var::lstm_cell) replaced: `h = o ⊙
+/// tanh(c)`, the output gate's affine map, `tanh(c)`, `c = f ⊙ c_prev + i ⊙
+/// g`, then the forget, input and candidate gates' affine maps, and last
+/// the input column `x`, whose gradient is `+0 + t_o + t_f + t_i + t_g`
+/// (`t_q = W_qᵀδ_q`). Each intermediate gradient is the chain node's:
+/// `+0.0` plus the term it received.
+///
+/// `cache` is `[i f o g | c | tanh c | c_prev | dc | x]` as the forward
+/// left it (`dc` holding what the next step handed back into `c`), `spans`
+/// the `(row offset, row count)` pairs of the node parts within `x`, and
+/// `weight(q)` gate `q`'s weight. Terms go to `add`: the carried-state term
+/// first (when `wants(Carried)`), each gate's bias then weight, then
+/// `h_prev` and the parts — whose columns of `Wᵀδ` are computed only when
+/// `wants` them.
+///
+/// # Panics
+/// Panics if `scratch` is shorter than [`lstm_backward_scratch_len`] or a
+/// length disagrees with the gate shapes.
+pub fn lstm_cell_backward<T: Scalar, W: Deref<Target = Matrix<T>>>(
+    weight: impl Fn(usize) -> W,
+    g: &[T],
+    cache: &[T],
+    spans: &[usize],
+    wants: impl Fn(LstmInput) -> bool,
+    scratch: &mut [T],
+    mut add: impl FnMut(LstmInput, GradTerm<'_, T>),
+) {
+    let hidden = g.len();
+    let (acts, state) = cache.split_at(4 * hidden);
+    let (i, rest) = acts.split_at(hidden);
+    let (f, rest) = rest.split_at(hidden);
+    let (o, gc) = rest.split_at(hidden);
+    // Past the cell state itself, which only the forward needed.
+    let (tanh_c, state) = state[hidden..].split_at(hidden);
+    let (c_prev, state) = state.split_at(hidden);
+    let (dc, x) = state.split_at(hidden);
+    let n = x.len();
+    let one = T::ONE;
+
+    // Gate pre-activation gradients in the chain's order o, f, i, g, then
+    // the gradient of c, the input column's and one product scratch.
+    let (deltas, rest) = scratch.split_at_mut(4 * hidden);
+    let (dcell, rest) = rest.split_at_mut(hidden);
+    let (xg, rest) = rest.split_at_mut(n);
+    let product = &mut rest[..n];
+    {
+        let (d_o, rest) = deltas.split_at_mut(hidden);
+        let (d_f, rest) = rest.split_at_mut(hidden);
+        let (d_i, d_g) = rest.split_at_mut(hidden);
+        for j in 0..hidden {
+            let go = T::ZERO + g[j] * tanh_c[j];
+            let gtc = T::ZERO + g[j] * o[j];
+            d_o[j] = T::ZERO + go * (o[j] * (one - o[j]));
+            // The next step's `∂c` arrived first, then `tanh(c)`'s.
+            dcell[j] = dc[j] + gtc * (one - tanh_c[j] * tanh_c[j]);
+            let gfc = T::ZERO + dcell[j];
+            let gig = T::ZERO + dcell[j];
+            let gf = T::ZERO + gfc * c_prev[j];
+            d_f[j] = T::ZERO + gf * (f[j] * (one - f[j]));
+            let gi = T::ZERO + gig * gc[j];
+            let gg = T::ZERO + gig * i[j];
+            d_i[j] = T::ZERO + gi * (i[j] * (one - i[j]));
+            d_g[j] = T::ZERO + gg * (one - gc[j] * gc[j]);
+        }
+    }
+    if wants(LstmInput::Carried) {
+        // `c_prev`'s term, before the previous step runs.
+        add(LstmInput::Carried, GradTerm::Gated(dcell, f));
+    }
+    let deltas = &*deltas;
+    for (&q, delta) in CHAIN_ORDER.iter().zip(deltas.chunks_exact(hidden)) {
+        add(LstmInput::Bias(q), GradTerm::Bias(delta));
+        add(LstmInput::Weight(q), GradTerm::Outer(delta, x));
+    }
+    // `x`'s gradient, only over the columns a wanted input owns, each run
+    // of adjacent columns through the four gates in order.
+    xg.fill(T::ZERO);
+    let part_cols = |k: usize| spans[2 * k]..spans[2 * k] + spans[2 * k + 1];
+    let segments = (0..spans.len() / 2)
+        .map(|k| (part_cols(k), LstmInput::Part(k)))
+        .chain(std::iter::once((n - hidden..n, LstmInput::Hidden)))
+        .filter(|&(_, input)| wants(input))
+        .map(|(cols, _)| cols);
+    let mut flush = |cols: Range<usize>| {
+        for (&q, delta) in CHAIN_ORDER.iter().zip(deltas.chunks_exact(hidden)) {
+            let t = &mut product[..cols.len()];
+            weight(q).matmul_at_b_col_into(delta, cols.clone(), t);
+            crate::matrix::axpy_slice(T::ONE, t, &mut xg[cols.clone()]);
+        }
+    };
+    let mut run: Option<Range<usize>> = None;
+    for cols in segments {
+        match &mut run {
+            Some(r) if r.end == cols.start => r.end = cols.end,
+            _ => {
+                if let Some(r) = run.replace(cols) {
+                    flush(r);
+                }
+            }
+        }
+    }
+    if let Some(r) = run {
+        flush(r);
+    }
+    // The concatenation's split: `h_prev`, then the node parts.
+    if wants(LstmInput::Hidden) {
+        add(LstmInput::Hidden, GradTerm::Add(&xg[n - hidden..]));
+    }
+    for k in 0..spans.len() / 2 {
+        if wants(LstmInput::Part(k)) {
+            add(LstmInput::Part(k), GradTerm::Add(&xg[part_cols(k)]));
+        }
     }
 }
 
@@ -152,6 +349,115 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
         let wi = T::ZERO + w;
         for (c, &k) in context.iter_mut().zip(key(i).iter()) {
             *c += k * wi;
+        }
+    }
+}
+
+/// An input of one attention step that [`attention_backward`] hands terms
+/// to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AttentionInput {
+    /// Key `i`.
+    Key(usize),
+    /// The decoder state `s`.
+    State,
+    /// The alignment MLP's first weight.
+    W1,
+    /// Its first bias.
+    B1,
+    /// Its one-row second weight.
+    W2,
+    /// Its second bias.
+    B2,
+}
+
+/// Scratch entries [`attention_backward`] needs for `t` keys of `a`
+/// entries and a state of `h` entries.
+pub fn attention_backward_scratch_len(t: usize, h: usize, a: usize) -> usize {
+    2 * t + 2 * h + 2 * (h + a)
+}
+
+/// The backward pass of one attention step for the output gradient `g`
+/// (`∂ctx`), in the order of the chain [`Var::attention`](crate::Var::attention) replaced:
+///
+/// 1. for each key `i`: `k_i += g·w_i` and `∂w_i = Σ_j g_j·k_i[j]` (the
+///    `mul_scalar_var` nodes; every product node's gradient is `g`);
+/// 2. the softmax backward into the energies;
+/// 3. for each key `i`: `b2`, `W2` and the hidden activation's gradient,
+///    `tanh`, then `b1`, `W1 += δ_i·[s; k_i]ᵀ` and `W1ᵀδ_i` split between
+///    `s` and `k_i` (computed only when either is wanted).
+///
+/// `hidden` and `weights` are what [`attention_forward`] wrote; `weight`
+/// gives the values of [`AttentionInput::W1`] and [`AttentionInput::W2`].
+/// `state` is released before the first term is handed out, and each
+/// `key(i)` before the next term.
+///
+/// # Panics
+/// Panics if `scratch` is shorter than [`attention_backward_scratch_len`]
+/// or a length disagrees with the weight shapes.
+pub fn attention_backward<T, S, K, W>(
+    weight: impl Fn(AttentionInput) -> W,
+    state: S,
+    key: impl Fn(usize) -> K,
+    hidden: &[T],
+    weights: &[T],
+    g: &[T],
+    wants: impl Fn(AttentionInput) -> bool,
+    scratch: &mut [T],
+    mut add: impl FnMut(AttentionInput, GradTerm<'_, T>),
+) where
+    T: Scalar,
+    S: Deref<Target = [T]>,
+    K: Deref<Target = [T]>,
+    W: Deref<Target = Matrix<T>>,
+{
+    let (t, h, a_len) = (weights.len(), state.len(), g.len());
+    assert_eq!(hidden.len(), t * h, "attention hidden length mismatch");
+    let y = weights;
+    let (gw, rest) = scratch.split_at_mut(t);
+    let (ge, rest) = rest.split_at_mut(t);
+    let (ga, rest) = rest.split_at_mut(h);
+    let (delta, rest) = rest.split_at_mut(h);
+    let (joint, rest) = rest.split_at_mut(h + a_len);
+    let jt = &mut rest[..h + a_len];
+    joint[..h].copy_from_slice(&state);
+    drop(state);
+
+    // 1. The weighted sum.
+    for (i, gwi) in gw.iter_mut().enumerate() {
+        let wi = T::ZERO + y[i];
+        let ds = key(i)
+            .iter()
+            .zip(g)
+            .fold(T::ZERO, |acc, (&kj, &gj)| acc + gj * kj);
+        add(AttentionInput::Key(i), GradTerm::Scaled(g, wi));
+        *gwi = T::ZERO + (T::ZERO + ds);
+    }
+    // 2. The softmax: `∂e_i = y_i·(∂w_i − Σ_j y_j·∂w_j)`.
+    let dot = y
+        .iter()
+        .zip(gw.iter())
+        .fold(T::ZERO, |acc, (&yi, &gi)| acc + yi * gi);
+    for ((gei, &yi), &gi) in ge.iter_mut().zip(y).zip(gw.iter()) {
+        *gei = T::ZERO + yi * (gi - dot);
+    }
+    // 3. The alignment MLP, key by key.
+    let state_wanted = wants(AttentionInput::State);
+    for (i, &gei) in ge.iter().enumerate() {
+        let a = &hidden[i * h..(i + 1) * h];
+        add(AttentionInput::B2, GradTerm::Bias(&[gei]));
+        add(AttentionInput::W2, GradTerm::Outer(&[gei], a));
+        weight(AttentionInput::W2).matmul_at_b_col_into(&[gei], 0..h, ga);
+        for ((dj, &gaj), &aj) in delta.iter_mut().zip(ga.iter()).zip(a) {
+            *dj = T::ZERO + (T::ZERO + gaj) * (T::ONE - aj * aj);
+        }
+        add(AttentionInput::B1, GradTerm::Bias(delta));
+        joint[h..].copy_from_slice(&key(i));
+        add(AttentionInput::W1, GradTerm::Outer(delta, joint));
+        if state_wanted || wants(AttentionInput::Key(i)) {
+            weight(AttentionInput::W1).matmul_at_b_col_into(delta, 0..h + a_len, jt);
+            add(AttentionInput::State, GradTerm::Add(&jt[..h]));
+            add(AttentionInput::Key(i), GradTerm::Add(&jt[h..]));
         }
     }
 }

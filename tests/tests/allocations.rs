@@ -1,15 +1,16 @@
 //! Allocator-budget harness for the arena-backed workspaces (PR 7).
 //!
-//! This binary installs a counting `#[global_allocator]` and drives the two
-//! hot loops the arena layer exists for — a recurrent training step
-//! (graph build → backward → gradient extraction → Adam batch step →
-//! recycle) and a graph-free snapshot-inference sweep — asserting that,
-//! once warm, they
-//! allocate (near-)nothing: matrix buffers cycle through the per-worker
-//! buffer pool, autodiff nodes through the node arena, and snapshot scratch
-//! through a caller-owned [`Workspace`]. Under the arena it also pins the
-//! exact number of pool checkouts one warm training step makes, which the
-//! allocator cannot see.
+//! This binary installs a counting `#[global_allocator]` and drives the
+//! hot loops the arena layer exists for — a recurrent training step on the
+//! autodiff graph (graph build → backward → gradient extraction → Adam
+//! batch step → recycle), as BRITS and SSGAN train, and a graph-free
+//! snapshot-inference sweep — plus BiSIM's training step on its tape,
+//! asserting that, once warm, they allocate (near-)nothing: matrix buffers
+//! cycle through the per-worker buffer pool, autodiff nodes through the
+//! node arena, snapshot scratch through a caller-owned [`Workspace`], and
+//! the tape's records and scratch through the tape itself. Under the arena
+//! it also pins the exact number of pool checkouts one warm training step
+//! makes, which the allocator cannot see.
 //!
 //! With `RM_ARENA=0` the pools are disabled and every buffer and node is a
 //! fresh heap allocation; the harness then only reports the numbers (they
@@ -23,9 +24,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rm_bisim::{AttentionMode, BisimDirectionWeights, DirectionGrads, PairTape, TimeLagMode};
+use rm_imputers::PathSequence;
 use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, LstmStateMatrix, Optimizer};
 use rm_runtime::alloc_counter::CountingAlloc;
-use rm_tensor::{arena_enabled, buffer_pool_stats, InputPart, Matrix, Var, Workspace};
+use rm_tensor::{arena_enabled, buffer_pool_stats, AdamStep, InputPart, Matrix, Var, Workspace};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -41,6 +44,14 @@ const MEASURED: usize = 50;
 /// temporaries: a change that adds a node or a temporary per step shows
 /// here even when the arena hides it from the allocator.
 const TAKES_PER_TRAINING_STEP: u64 = 106;
+/// Buffers one warm [`tape_step`] checks out of the pool: none, since the
+/// tape owns its records and scratch and the gradients and moments live in
+/// plain matrices. A change that routes a BiSIM training step through the
+/// pool (or the graph) shows here.
+const TAKES_PER_TAPE_STEP: u64 = 0;
+/// The `e2ebench` shape of a BiSIM pair: `T = 5` steps of 53 APs, hidden
+/// size 32.
+const TAPE_SHAPE: (usize, usize, usize) = (5, 53, 32);
 
 /// Deterministic per-step input vectors.
 fn inputs() -> Vec<Vec<f64>> {
@@ -98,6 +109,66 @@ fn training_step(
     trainer.adam.zero_grad();
     Var::recycle_all([loss, total].into_iter().chain(state.into_vars()));
     value
+}
+
+/// A deterministic BiSIM sequence of `len` steps over `aps` APs, with
+/// masked entries and a missing RP.
+fn path_sequence(len: usize, aps: usize, salt: usize) -> PathSequence {
+    let value = |k: usize| ((k * 37 + salt * 11) as f64 * 0.173).sin();
+    PathSequence {
+        record_indices: (0..len).collect(),
+        times: (0..len).map(|t| (2 * t) as f64).collect(),
+        fingerprints: (0..len)
+            .map(|t| (0..aps).map(|e| value(t * aps + e)).collect())
+            .collect(),
+        fingerprint_masks: (0..len)
+            .map(|t| {
+                (0..aps)
+                    .map(|e| f64::from(!(t + e + salt).is_multiple_of(3)))
+                    .collect()
+            })
+            .collect(),
+        time_lags: (0..len)
+            .map(|t| (0..aps).map(|e| (t * (1 + e % 2)) as f64 * 0.1).collect())
+            .collect(),
+        rps: (0..len).map(|t| (value(t), value(t + 9))).collect(),
+        rp_masks: (0..len).map(|t| f64::from(t != 2)).collect(),
+    }
+}
+
+/// BiSIM's training state for [`tape_step`]: both directions' weights,
+/// gradients and Adam moments, and the pair tape.
+struct TapeTrainer {
+    weights: [BisimDirectionWeights; 2],
+    grads: [DirectionGrads; 2],
+    moments: [Vec<(Matrix, Matrix)>; 2],
+    tape: PairTape,
+    steps: u64,
+}
+
+/// One BiSIM training step on the tape, as `Bisim` trains a one-pair
+/// chunk: zero the gradients, differentiate the pair (both recorded
+/// forwards, the loss and the backward), one Adam update per tensor.
+fn tape_step(trainer: &mut TapeTrainer, seq: &PathSequence, rev: &PathSequence) -> f64 {
+    trainer.grads.iter_mut().for_each(DirectionGrads::clear);
+    let [f, b] = &mut trainer.grads;
+    let [fw, bw] = &trainer.weights;
+    let loss = trainer.tape.differentiate([fw, bw], seq, rev, [f, b]);
+    trainer.steps += 1;
+    let step = AdamStep::new(0.9, 0.999, 1e-8, 0.01, Some(5.0), trainer.steps);
+    for ((w, g), moments) in trainer
+        .weights
+        .iter_mut()
+        .zip(&trainer.grads)
+        .zip(&mut trainer.moments)
+    {
+        let mut tensors = g.tensors().iter().zip(moments.iter_mut());
+        w.for_each_tensor_mut(|value| {
+            let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
+            step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
+        });
+    }
+    loss
 }
 
 /// One snapshot-inference sweep: the graph-free kernels with every
@@ -183,10 +254,56 @@ fn steady_state_hot_loops_allocate_near_zero() {
     let infer_bytes = ALLOC.allocated_bytes() - bytes_before;
     assert!(infer_sink.is_finite());
 
+    // ---- BiSIM tape training loop ----
+    let (len, aps, hidden) = TAPE_SHAPE;
+    let mut direction = || {
+        BisimDirectionWeights::new(
+            aps,
+            hidden,
+            AttentionMode::SparsityFriendly,
+            TimeLagMode::Encoder,
+            &mut rng,
+        )
+    };
+    let weights = [direction(), direction()];
+    let zeros = |w: &BisimDirectionWeights| -> Vec<(Matrix, Matrix)> {
+        w.tensors()
+            .into_iter()
+            .map(|m| {
+                (
+                    Matrix::zeros(m.rows(), m.cols()),
+                    Matrix::zeros(m.rows(), m.cols()),
+                )
+            })
+            .collect()
+    };
+    let mut tape_trainer = TapeTrainer {
+        grads: weights.each_ref().map(DirectionGrads::zeros_like),
+        moments: weights.each_ref().map(zeros),
+        weights,
+        tape: PairTape::new(),
+        steps: 0,
+    };
+    let (seq, rev) = (path_sequence(len, aps, 1), path_sequence(len, aps, 2));
+    let mut tape_sink = 0.0;
+    for _ in 0..WARMUP {
+        tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
+    }
+    let before = ALLOC.allocations();
+    for _ in 0..MEASURED {
+        tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
+    }
+    let tape_allocs = ALLOC.allocations() - before;
+    let takes_before = buffer_pool_stats::<f64>().takes;
+    tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
+    let tape_takes = buffer_pool_stats::<f64>().takes - takes_before;
+    assert!(tape_sink.is_finite());
+
     eprintln!(
         "[alloc-harness] arena={} training: {} allocs / {} bytes over {} steps \
          ({:.1} allocs/step, {} pool takes/step); inference: {} allocs / {} bytes \
-         over {} sweeps ({:.1} allocs/sweep)",
+         over {} sweeps ({:.1} allocs/sweep); BiSIM tape: {} allocs over {} steps \
+         ({} pool takes/step)",
         if arena_enabled() { "on" } else { "off" },
         train_allocs,
         train_bytes,
@@ -197,6 +314,20 @@ fn steady_state_hot_loops_allocate_near_zero() {
         infer_bytes,
         MEASURED,
         infer_allocs as f64 / MEASURED as f64,
+        tape_allocs,
+        MEASURED,
+        tape_takes,
+    );
+
+    // The tape owns every buffer it touches, so it allocates nothing once
+    // warm, with or without the arena.
+    assert_eq!(
+        tape_allocs, 0,
+        "a warm BiSIM tape step allocated {tape_allocs} times in {MEASURED} steps"
+    );
+    assert_eq!(
+        tape_takes, TAKES_PER_TAPE_STEP,
+        "a warm BiSIM tape step's pool traffic changed"
     );
 
     if arena_enabled() {
