@@ -4,9 +4,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_bisim::{AttentionMode, BisimDirection, DirectionGrads, PairTape, TimeLagMode};
-use rm_imputers::PathSequence;
-use rm_nn::{Adam, LstmCell, LstmState, LstmStateMatrix, Optimizer};
-use rm_tensor::{InputPart, Matrix, Var};
+use rm_imputers::{BritsTape, Gradients, PathSequence, RecurrentImputerWeights};
+use rm_nn::{loss, Adam, Linear, LstmCell, LstmCellWeights, LstmState, Optimizer};
+use rm_tensor::recurrent::lstm_cell_forward;
+use rm_tensor::{InputPart, Matrix, Scalar, Var};
 
 fn bench_matmul(c: &mut Criterion) {
     // Stamp recorded runs with the axpy_row kernel this process resolved to
@@ -105,24 +106,49 @@ fn bench_matmul_f32(c: &mut Criterion) {
     });
 }
 
+/// One graph-free LSTM step of `weights` over the column `x` (`[input;
+/// h]`) from a zero cell state, as [`lstm_cell_forward`] runs it for every
+/// RITS and BiSIM step.
+fn bench_snapshot_step<T: Scalar>(
+    c: &mut Criterion,
+    name: &str,
+    weights: &LstmCellWeights<T>,
+    x: &[T],
+) {
+    let hidden = weights.hidden_size();
+    let c_prev = vec![T::ZERO; hidden];
+    let mut gates = vec![T::ZERO; 4 * hidden];
+    let (mut cell, mut tanh_c, mut h) = (c_prev.clone(), c_prev.clone(), c_prev.clone());
+    let gate_weights = weights.gate_weights();
+    c.bench_function(name, |bencher| {
+        bencher.iter(|| {
+            lstm_cell_forward(
+                &gate_weights,
+                x,
+                &c_prev,
+                &mut gates,
+                &mut cell,
+                &mut tanh_c,
+                &mut h,
+            );
+            std::hint::black_box(h[0])
+        })
+    });
+}
+
 /// The imputer inference hot path at both precisions: one graph-free LSTM
-/// snapshot step (the kernel the BRITS/SSGAN f32 inference mode actually
-/// runs, via `LstmCellWeights<T>::step`).
+/// step (the kernel the BRITS/SSGAN/BiSIM inference runs each step).
 fn bench_lstm_snapshot_step(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let cell: LstmCell = LstmCell::new(96, 64, &mut rng);
     let weights = cell.snapshot();
-    let weights32 = weights.cast::<f32>();
     let input = Matrix::<f64>::random_uniform(96, 1, 1.0, &mut rng);
-    let input32: Matrix<f32> = input.cast();
-    let state = LstmStateMatrix::zeros(64);
-    let state32: LstmStateMatrix<f32> = LstmStateMatrix::zeros(64);
-    c.bench_function("lstm_snapshot_step_f64_96_to_64", |bencher| {
-        bencher.iter(|| std::hint::black_box(weights.step(&input, &state).h.get(0, 0)))
-    });
-    c.bench_function("lstm_snapshot_step_f32_96_to_64", |bencher| {
-        bencher.iter(|| std::hint::black_box(weights32.step(&input32, &state32).h.get(0, 0)))
-    });
+    let mut x = input.data().to_vec();
+    x.resize(96 + 64, 0.0);
+    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+    bench_snapshot_step(c, "lstm_snapshot_step_f64_96_to_64", &weights, &x);
+    let weights32 = weights.cast::<f32>();
+    bench_snapshot_step(c, "lstm_snapshot_step_f32_96_to_64", &weights32, &x32);
 }
 
 fn bench_lstm_step(c: &mut Criterion) {
@@ -245,6 +271,84 @@ fn bench_bisim_pair_step(c: &mut Criterion) {
     });
 }
 
+/// One BRITS direction as graph nodes — the operations of BRITS's graph
+/// oracle, one RITS step per record — returning the estimates and
+/// complements.
+fn brits_graph_run(
+    (estimate, decay, cell): &(Linear, Linear, LstmCell),
+    seq: &PathSequence,
+) -> (Vec<Var>, Vec<Var>) {
+    let mut state = LstmState::zeros(cell.hidden_size());
+    let (mut estimates, mut complements) = (Vec::new(), Vec::new());
+    for t in 0..seq.len() {
+        let x = Var::constant(Matrix::column(&seq.fingerprints[t]));
+        let mask = Matrix::column(&seq.fingerprint_masks[t]);
+        let lag = Var::constant(Matrix::column(&seq.time_lags[t]));
+        let x_hat = estimate.forward(&state.h);
+        let x_c = x.mask(&mask).add(&x_hat.mask(&mask.map(|m| 1.0 - m)));
+        let gamma = decay.forward(&lag).relu().scale(-1.0).exp();
+        let decayed = state.with_hidden(state.h.hadamard(&gamma));
+        state = cell.step(&[InputPart::Node(&x_c), InputPart::Const(&mask)], &decayed);
+        estimates.push(x_hat);
+        complements.push(x_c);
+    }
+    (estimates, complements)
+}
+
+/// One BRITS sequence pair's training step without the optimizer, at the
+/// `e2ebench` shape (`T = 5` steps of 53 APs, hidden size 32): both
+/// directions' forward, the reconstruction loss and its backward into
+/// zeroed gradients — on the autodiff graph (the oracle's operations) and
+/// on the training tape.
+fn bench_brits_pair_step(c: &mut Criterion) {
+    let (len, aps, hidden) = (5, 53, 32);
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut direction = || RecurrentImputerWeights::new(aps, hidden, &mut rng);
+    let weights = [direction(), direction()];
+    let (seq, rev) = (path_sequence(len, aps, 1), path_sequence(len, aps, 2));
+    let layers = weights.each_ref().map(|w| {
+        let (estimate, decay, cell) = w.parts();
+        (estimate.to_linear(), decay.to_linear(), cell.to_cell())
+    });
+    let params: Vec<Var> = layers
+        .iter()
+        .flat_map(|(e, d, c)| [e.parameters(), d.parameters(), c.parameters()])
+        .flatten()
+        .collect();
+    c.bench_function("brits_pair_graph_step_t5_h32_a53", |bencher| {
+        bencher.iter(|| {
+            params.iter().for_each(Var::zero_grad);
+            let (fwd, fwd_c) = brits_graph_run(&layers[0], &seq);
+            let (bwd, bwd_c) = brits_graph_run(&layers[1], &rev);
+            let mut total = Var::scalar(0.0);
+            for t in 0..len {
+                let rt = len - 1 - t;
+                for (est, s, k) in [(&fwd, &seq, t), (&bwd, &rev, rt)] {
+                    let target = Matrix::column(&s.fingerprints[k]);
+                    let mask = Matrix::column(&s.fingerprint_masks[k]);
+                    total = total.add(&loss::masked_mse(&est[k], &target, &mask));
+                }
+            }
+            let loss = total.scale(1.0 / len as f64);
+            loss.backward();
+            let value = loss.scalar_value();
+            let roots = [fwd, fwd_c, bwd, bwd_c].into_iter().flatten();
+            Var::recycle_all(roots.chain([total, loss]));
+            std::hint::black_box(value)
+        })
+    });
+    let mut grads = weights.each_ref().map(Gradients::zeros_like);
+    let mut tape = BritsTape::new();
+    c.bench_function("brits_pair_tape_step_t5_h32_a53", |bencher| {
+        bencher.iter(|| {
+            grads.iter_mut().for_each(Gradients::clear);
+            let [f, b] = &mut grads;
+            let shared = [&weights[0], &weights[1]];
+            std::hint::black_box(tape.differentiate(shared, &seq, &rev, [f, b]))
+        })
+    });
+}
+
 fn bench_backward(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let w: Var = Var::parameter(Matrix::random_uniform(64, 64, 0.1, &mut rng));
@@ -269,6 +373,7 @@ criterion_group!(
     bench_lstm_step,
     bench_attention_step,
     bench_bisim_pair_step,
+    bench_brits_pair_step,
     bench_backward
 );
 criterion_main!(kernels);

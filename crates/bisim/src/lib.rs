@@ -13,7 +13,9 @@
 //! Training runs on a tape ([`tape`]): each direction's forward records
 //! what the backward reads, and a hand-written backward adds the loss's
 //! gradient into plain buffers that the Adam kernel updates from — no
-//! autodiff graph is built. The graph form ([`BisimDirection`],
+//! autodiff graph is built. The encoder unit is the RITS step BRITS runs
+//! ([`rm_imputers::rits`]), and the trainer is the one BRITS trains with
+//! ([`rm_imputers::train`]). The graph form ([`BisimDirection`],
 //! [`sequence_loss`]) stays as the tape's oracle, which the tape matches bit
 //! for bit.
 //!
@@ -30,10 +32,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_geometry::Point;
 use rm_imputers::brits::{default_batch_size, default_epochs};
-use rm_imputers::{build_sequences, ImputedRadioMap, Imputer, Normalization, PathSequence};
+use rm_imputers::{
+    build_sequences, train_pairs, ImputedRadioMap, Imputer, Normalization, PathSequence, Training,
+};
 use rm_nn::loss;
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{AdamStep, Matrix, NamedTensor, Precision, Scalar, Var};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var};
 
 /// Configuration of the BiSIM imputer.
 #[derive(Debug, Clone)]
@@ -191,51 +195,6 @@ pub(crate) fn pair_backward(
     value
 }
 
-/// Adam over both directions' tensors (learning rate from the config,
-/// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 10⁻⁸`, gradients clipped to `±5`), one
-/// [`AdamStep::update`] per tensor: the update `rm_nn::Adam` applies to
-/// graph parameters, on the weights' own matrices.
-struct DirectionsAdam {
-    learning_rate: f64,
-    steps: u64,
-    /// Per direction, each tensor's first and second moments.
-    moments: [Vec<(Matrix, Matrix)>; 2],
-}
-
-impl DirectionsAdam {
-    fn new(weights: &[BisimDirectionWeights; 2], learning_rate: f64) -> Self {
-        let zeros = |w: &BisimDirectionWeights| {
-            w.tensors()
-                .into_iter()
-                .map(|m| {
-                    (
-                        Matrix::zeros(m.rows(), m.cols()),
-                        Matrix::zeros(m.rows(), m.cols()),
-                    )
-                })
-                .collect()
-        };
-        Self {
-            learning_rate,
-            steps: 0,
-            moments: [zeros(&weights[0]), zeros(&weights[1])],
-        }
-    }
-
-    /// One update of both directions from their gradients.
-    fn step(&mut self, weights: &mut [BisimDirectionWeights; 2], grads: &[DirectionGrads; 2]) {
-        self.steps += 1;
-        let step = AdamStep::new(0.9, 0.999, 1e-8, self.learning_rate, Some(5.0), self.steps);
-        for ((w, g), moments) in weights.iter_mut().zip(grads).zip(&mut self.moments) {
-            let mut tensors = g.tensors().iter().zip(moments.iter_mut());
-            w.for_each_tensor_mut(|value| {
-                let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
-                step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
-            });
-        }
-    }
-}
-
 /// The per-record updates one `(sequence, reversed)` pair contributes to the
 /// imputed radio map: `(record, ap, rssi)` triples for MAR fingerprints and
 /// `(record, point)` pairs for initially-missing reference points.
@@ -315,13 +274,8 @@ impl Bisim {
     }
 
     /// Trains both directions jointly for `epochs` epochs (Section IV-D) on
-    /// the training tape, in deterministic mini-batches of sequence pairs
-    /// with fixed boundaries. A one-pair chunk (the `batch_size = 1`
-    /// default) differentiates straight into the step's gradients; a larger
-    /// chunk differentiates each pair on the worker pool into its own
-    /// zeroed gradients from the shared read-only weights, and reduces them
-    /// in pair order — bitwise thread-count independent. Both are bitwise
-    /// the graph trajectory (`zero_grad → backward → step` per chunk).
+    /// the training tape, through the trainer BRITS shares
+    /// ([`rm_imputers::train_pairs`]).
     fn train(
         &self,
         weights: &mut [BisimDirectionWeights; 2],
@@ -329,36 +283,20 @@ impl Bisim {
         reversed: &[PathSequence],
         epochs: usize,
     ) {
-        let mut adam = DirectionsAdam::new(weights, self.config.learning_rate);
-        let zeros = |w: &[BisimDirectionWeights; 2]| w.each_ref().map(DirectionGrads::zeros_like);
-        let mut grads = zeros(weights);
-        let mut tape = PairTape::new();
-        let threads = self.config.threads;
-        let indices: Vec<usize> = (0..sequences.len()).collect();
-        for _ in 0..epochs {
-            for chunk in indices.chunks(self.config.batch_size.max(1)) {
-                grads.iter_mut().for_each(DirectionGrads::clear);
-                if let [i] = *chunk {
-                    let [f, b] = &mut grads;
-                    let shared = [&weights[0], &weights[1]];
-                    tape.differentiate(shared, &sequences[i], &reversed[i], [f, b]);
-                } else {
-                    let shared = &*weights;
-                    let per_pair = rm_runtime::par_map(threads, chunk, |_, &i| {
-                        let mut pair = zeros(shared);
-                        let [f, b] = &mut pair;
-                        let shared = [&shared[0], &shared[1]];
-                        PairTape::new().differentiate(shared, &sequences[i], &reversed[i], [f, b]);
-                        pair
-                    });
-                    for pair in &per_pair {
-                        grads[0].accumulate(&pair[0]);
-                        grads[1].accumulate(&pair[1]);
-                    }
-                }
-                adam.step(weights, &grads);
-            }
-        }
+        let training = Training {
+            learning_rate: self.config.learning_rate,
+            epochs,
+            batch_size: self.config.batch_size,
+            threads: self.config.threads,
+        };
+        train_pairs(
+            weights,
+            sequences.len(),
+            training,
+            |tape: &mut PairTape, w, i, grads| {
+                tape.differentiate(w, &sequences[i], &reversed[i], grads);
+            },
+        );
     }
 
     /// The imputation tail (Eq. 13): average the two directions at MARs and
@@ -879,7 +817,10 @@ mod tests {
     }
 
     /// An empty, foreign, or wrongly-shaped snapshot falls back to cold
-    /// training — bit-identical to `impute_with_snapshot` from scratch.
+    /// training — bit-identical to `impute_with_snapshot` from scratch. That
+    /// includes alignment MLPs whose layers chain but which the attention
+    /// step cannot run: a third layer, or a hidden layer narrower than the
+    /// decoder state.
     #[test]
     fn warm_with_unusable_snapshot_falls_back_to_cold_training() {
         let (map, mask) = smooth_map();
@@ -887,12 +828,35 @@ mod tests {
             epochs: 3,
             ..quick_config()
         });
-        let (cold, _) = imputer.impute_with_snapshot(&map, &mask);
-        let foreign = vec![rm_tensor::NamedTensor::new(
+        let (cold, tensors) = imputer.impute_with_snapshot(&map, &mask);
+        let foreign = vec![NamedTensor::new(
             "bisim.forward.encoder.estimate.weight",
             Matrix::<f64>::filled(3, 7, 0.5),
         )];
-        for warm in [&Vec::new(), &foreign] {
+        let align = |layer: &str| format!("bisim.forward.attention.align.{layer}");
+        let mut deeper = tensors.clone();
+        deeper.push(NamedTensor::new(
+            align("2.weight"),
+            Matrix::<f64>::filled(1, 1, 0.5),
+        ));
+        deeper.push(NamedTensor::new(
+            align("2.bias"),
+            Matrix::<f64>::zeros(1, 1),
+        ));
+        // Three hidden units against H = 16.
+        let narrow: Vec<NamedTensor> = tensors
+            .iter()
+            .map(|t| {
+                let shape = match t.name.strip_prefix(&align("")) {
+                    Some("0.weight") => (3, t.payload.cols()),
+                    Some("0.bias") => (3, 1),
+                    Some("1.weight") => (1, 3),
+                    _ => return t.clone(),
+                };
+                NamedTensor::new(t.name.clone(), Matrix::<f64>::filled(shape.0, shape.1, 0.1))
+            })
+            .collect();
+        for warm in [&Vec::new(), &foreign, &deeper, &narrow] {
             let (out, tensors) = imputer.impute_warm(&map, &mask, warm, 0);
             assert_eq!(tensors.len(), 60);
             for (a, b) in cold

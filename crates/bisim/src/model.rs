@@ -5,7 +5,8 @@
 //! graph that is the training tape's oracle ([`BisimDirection`]).
 
 use rand::rngs::StdRng;
-use rm_imputers::PathSequence;
+use rm_imputers::rits::{export_recurrent, import_recurrent};
+use rm_imputers::{Parameters, PathSequence, RecurrentImputerWeights};
 use rm_nn::{
     Activation, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState, Mlp, MlpWeights,
 };
@@ -253,9 +254,11 @@ impl BisimDirection {
     /// [`BisimDirectionWeights`].
     pub fn snapshot(&self) -> BisimDirectionWeights {
         BisimDirectionWeights {
-            encoder_estimate: self.encoder_estimate.snapshot(),
-            encoder_decay: self.encoder_decay.snapshot(),
-            encoder_cell: self.encoder_cell.snapshot(),
+            encoder: RecurrentImputerWeights::from_parts(
+                self.encoder_estimate.snapshot(),
+                self.encoder_decay.snapshot(),
+                self.encoder_cell.snapshot(),
+            ),
             decoder_estimate: self.decoder_estimate.snapshot(),
             decoder_decay: self.decoder_decay.snapshot(),
             decoder_cell: self.decoder_cell.snapshot(),
@@ -300,8 +303,9 @@ pub(crate) fn rp_time_lag(seq: &PathSequence, j: usize, previous: [f64; 2]) -> [
 
 /// One BiSIM direction's weights: plain matrices plus the ablation
 /// settings, so they are `Send + Sync` and can be shared with worker threads
-/// (unlike [`Var`], whose nodes are `Rc`-shared). Training updates them in
-/// place on the training tape ([`crate::tape`]); their
+/// (unlike [`Var`], whose nodes are `Rc`-shared). The encoder unit is one
+/// RITS step ([`RecurrentImputerWeights`], BRITS's recurrent unit). Training
+/// updates them in place on the training tape ([`crate::tape`]); their
 /// [`BisimDirectionWeights::forward`] is the one forward of training and
 /// inference, performing [`BisimDirection::run`]'s operations in order, so
 /// it is bit-identical to the graph forward at the same precision. Generic
@@ -309,9 +313,7 @@ pub(crate) fn rp_time_lag(seq: &PathSequence, j: usize, previous: [f64; 2]) -> [
 /// `f64` weights once for the f32 inference path.
 #[derive(Clone)]
 pub struct BisimDirectionWeights<T: Scalar = f64> {
-    pub(crate) encoder_estimate: LinearWeights<T>,
-    pub(crate) encoder_decay: LinearWeights<T>,
-    pub(crate) encoder_cell: LstmCellWeights<T>,
+    pub(crate) encoder: RecurrentImputerWeights<T>,
     pub(crate) decoder_estimate: LinearWeights<T>,
     pub(crate) decoder_decay: LinearWeights<T>,
     pub(crate) decoder_cell: LstmCellWeights<T>,
@@ -334,9 +336,7 @@ impl BisimDirectionWeights {
         rng: &mut StdRng,
     ) -> Self {
         Self {
-            encoder_estimate: LinearWeights::new(hidden_size, num_aps, rng),
-            encoder_decay: LinearWeights::new(num_aps, hidden_size, rng),
-            encoder_cell: LstmCellWeights::new(num_aps * 2, hidden_size, rng),
+            encoder: RecurrentImputerWeights::new(num_aps, hidden_size, rng),
             decoder_estimate: LinearWeights::new(hidden_size, 2, rng),
             decoder_decay: LinearWeights::new(2, hidden_size, rng),
             decoder_cell: LstmCellWeights::new(2 + num_aps, hidden_size, rng),
@@ -362,21 +362,9 @@ impl BisimDirectionWeights {
     /// cell.*}`, `attention.{transform, align.N}`.
     pub fn export(&self, prefix: &str, precision: Precision, tensors: &mut Vec<NamedTensor>) {
         use rm_imputers::snapshot::{export_linear, export_lstm_cell, export_mlp};
-        export_linear(
-            &format!("{prefix}.encoder.estimate"),
-            &self.encoder_estimate,
-            precision,
-            tensors,
-        );
-        export_linear(
-            &format!("{prefix}.encoder.decay"),
-            &self.encoder_decay,
-            precision,
-            tensors,
-        );
-        export_lstm_cell(
+        export_recurrent(
             &format!("{prefix}.encoder"),
-            &self.encoder_cell,
+            &self.encoder,
             precision,
             tensors,
         );
@@ -427,11 +415,8 @@ impl BisimDirectionWeights {
         time_lag: TimeLagMode,
     ) -> Option<Self> {
         use rm_imputers::snapshot::{import_linear, import_lstm_cell, import_mlp};
-        let encoder = format!("{prefix}.encoder");
+        let encoder = import_recurrent(&format!("{prefix}.encoder"), tensors, num_aps)?;
         let decoder = format!("{prefix}.decoder");
-        let encoder_estimate = import_linear(tensors, &encoder, "estimate")?;
-        let encoder_decay = import_linear(tensors, &encoder, "decay")?;
-        let encoder_cell = import_lstm_cell(tensors, &encoder)?;
         let decoder_estimate = import_linear(tensors, &decoder, "estimate")?;
         let decoder_decay = import_linear(tensors, &decoder, "decay")?;
         let decoder_cell = import_lstm_cell(tensors, &decoder)?;
@@ -444,26 +429,25 @@ impl BisimDirectionWeights {
         )?;
 
         // Validate every unit against the architecture of
-        // [`BisimDirection::new`] before anything can panic downstream.
-        let hidden_size = encoder_estimate.weight().cols();
-        let align = attention_align.layers();
-        if hidden_size == 0
-            || encoder_estimate.weight().shape() != (num_aps, hidden_size)
-            || encoder_decay.weight().shape() != (hidden_size, num_aps)
-            || encoder_cell.gates()[0].weight().shape() != (hidden_size, num_aps * 2 + hidden_size)
-            || decoder_estimate.weight().shape() != (2, hidden_size)
+        // [`BisimDirection::new`] before anything can panic downstream
+        // ([`import_recurrent`] has checked the encoder): the alignment MLP
+        // is exactly one hidden layer of H units over `[s; h'']` and a
+        // scalar energy, the shapes the attention step runs.
+        let hidden_size = encoder.hidden_size();
+        let [align_hidden, align_energy] = attention_align.layers() else {
+            return None;
+        };
+        if decoder_estimate.weight().shape() != (2, hidden_size)
             || decoder_decay.weight().shape() != (hidden_size, 2)
             || decoder_cell.gates()[0].weight().shape() != (hidden_size, 2 + num_aps + hidden_size)
             || attention_transform.weight().shape() != (num_aps, hidden_size)
-            || align.first()?.weight().cols() != hidden_size + num_aps
-            || align.last()?.weight().rows() != 1
+            || align_hidden.weight().shape() != (hidden_size, hidden_size + num_aps)
+            || align_energy.weight().shape() != (1, hidden_size)
         {
             return None;
         }
         Some(Self {
-            encoder_estimate,
-            encoder_decay,
-            encoder_cell,
+            encoder,
             decoder_estimate,
             decoder_decay,
             decoder_cell,
@@ -482,10 +466,11 @@ impl BisimDirectionWeights {
     /// tape tests.
     #[cfg(test)]
     pub(crate) fn to_model(&self) -> BisimDirection {
+        let (estimate, decay, cell) = self.encoder.parts();
         BisimDirection {
-            encoder_estimate: self.encoder_estimate.to_linear(),
-            encoder_decay: self.encoder_decay.to_linear(),
-            encoder_cell: self.encoder_cell.to_cell(),
+            encoder_estimate: estimate.to_linear(),
+            encoder_decay: decay.to_linear(),
+            encoder_cell: cell.to_cell(),
             decoder_estimate: self.decoder_estimate.to_linear(),
             decoder_decay: self.decoder_decay.to_linear(),
             decoder_cell: self.decoder_cell.to_cell(),
@@ -504,9 +489,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
     /// weight rounding of the f32 inference path).
     pub fn cast<U: Scalar>(&self) -> BisimDirectionWeights<U> {
         BisimDirectionWeights {
-            encoder_estimate: self.encoder_estimate.cast(),
-            encoder_decay: self.encoder_decay.cast(),
-            encoder_cell: self.encoder_cell.cast(),
+            encoder: self.encoder.cast(),
             decoder_estimate: self.decoder_estimate.cast(),
             decoder_decay: self.decoder_decay.cast(),
             decoder_cell: self.decoder_cell.cast(),
@@ -518,51 +501,44 @@ impl<T: Scalar> BisimDirectionWeights<T> {
             time_lag: self.time_lag,
         }
     }
+}
 
+impl<T: Scalar> Parameters<T> for BisimDirectionWeights<T> {
     /// The 30 parameter tensors in [`BisimDirection::parameters`] order:
     /// the encoder's estimate, decay and cell (`(W, b)` per gate, in step
     /// order), the decoder's, then the attention transform and alignment.
-    pub fn tensors(&self) -> Vec<&Matrix<T>> {
-        fn linear<T: Scalar>(l: &LinearWeights<T>) -> [&Matrix<T>; 2] {
-            [l.weight(), l.bias()]
+    fn tensors(&self) -> Vec<&Matrix<T>> {
+        let mut out = self.encoder.tensors();
+        let decoder = [&self.decoder_estimate, &self.decoder_decay]
+            .into_iter()
+            .chain(self.decoder_cell.gates())
+            .chain([&self.attention_transform])
+            .chain(self.attention_align.layers());
+        for layer in decoder {
+            out.extend([layer.weight(), layer.bias()]);
         }
-        let mut out = Vec::with_capacity(30);
-        out.extend(linear(&self.encoder_estimate));
-        out.extend(linear(&self.encoder_decay));
-        out.extend(self.encoder_cell.gates().into_iter().flat_map(linear));
-        out.extend(linear(&self.decoder_estimate));
-        out.extend(linear(&self.decoder_decay));
-        out.extend(self.decoder_cell.gates().into_iter().flat_map(linear));
-        out.extend(linear(&self.attention_transform));
-        out.extend(self.attention_align.layers().iter().flat_map(linear));
         out
     }
 
-    /// Visits [`BisimDirectionWeights::tensors`] mutably, in order: the
-    /// trainer's Adam update walks it.
-    pub fn for_each_tensor_mut(&mut self, mut f: impl FnMut(&mut Matrix<T>)) {
-        let mut linear = |l: &mut LinearWeights<T>| {
-            let (w, b) = l.parts_mut();
+    fn for_each_tensor_mut(&mut self, mut f: impl FnMut(&mut Matrix<T>)) {
+        self.encoder.for_each_tensor_mut(&mut f);
+        let [i, fg, o, g] = self.decoder_cell.gates_mut();
+        let decoder = [
+            &mut self.decoder_estimate,
+            &mut self.decoder_decay,
+            i,
+            fg,
+            o,
+            g,
+        ]
+        .into_iter()
+        .chain([&mut self.attention_transform])
+        .chain(self.attention_align.layers_mut());
+        for layer in decoder {
+            let (w, b) = layer.parts_mut();
             f(w);
             f(b);
-        };
-        linear(&mut self.encoder_estimate);
-        linear(&mut self.encoder_decay);
-        self.encoder_cell
-            .gates_mut()
-            .into_iter()
-            .for_each(&mut linear);
-        linear(&mut self.decoder_estimate);
-        linear(&mut self.decoder_decay);
-        self.decoder_cell
-            .gates_mut()
-            .into_iter()
-            .for_each(&mut linear);
-        linear(&mut self.attention_transform);
-        self.attention_align
-            .layers_mut()
-            .iter_mut()
-            .for_each(linear);
+        }
     }
 }
 

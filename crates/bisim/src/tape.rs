@@ -4,18 +4,22 @@
 //!
 //! The forward is the snapshot forward ([`BisimDirectionWeights::forward`],
 //! which inference runs too), recording what the backward reads into a
-//! [`DirectionTape`]: the estimates and complements, the decay inputs and
-//! `γ`, each LSTM step's `[i f o g | c | tanh c | c_prev | dc | x]`, the
-//! transformed keys `h''` and each attention step's hidden activations and
-//! softmax weights. [`PairTape::differentiate`] then evaluates the pair's
-//! loss and adds its gradient into plain [`DirectionGrads`] buffers.
+//! [`DirectionTape`]: the encoder's RITS record ([`RitsTape`]: estimates,
+//! complements, decay inputs and `γ`, each LSTM step's cache and the
+//! latents), the transformed keys `h''` and the decoder's RP estimates,
+//! complements, decay inputs, LSTM caches, states, and each attention step's
+//! hidden activations and softmax weights. [`PairTape::differentiate`] then
+//! evaluates the pair's loss and adds its gradient into plain
+//! [`DirectionGrads`] buffers.
 //!
 //! The result is bitwise the gradient of the graph oracle
 //! ([`crate::sequence_loss`]). Every fused step's backward is the one
-//! [`rm_tensor::recurrent`] definition the graph nodes call, and every shared
-//! gradient — each parameter, each `h_t`, each decoder state `s_j` and each
-//! key `h''_i` — receives its terms in the order the graph's backward, a
-//! reverse post-order of the DFS from the loss, delivers them:
+//! [`rm_tensor::recurrent`] definition the graph nodes call, the encoder's
+//! is the one RITS backward
+//! ([`rm_imputers::RecurrentImputerWeights::backward`]), and
+//! every shared gradient — each parameter, each `h_t`, each decoder state
+//! `s_j` and each key `h''_i` — receives its terms in the order the graph's
+//! backward, a reverse post-order of the DFS from the loss, delivers them:
 //!
 //! - the decoder runs first, step `j = T − 1` down to `0`; only `DE_{T−1}`
 //!   (the last RP estimate) at `j = T − 1`, since the last decoder step and
@@ -27,8 +31,9 @@
 //!   terms;
 //! - the keys' transform, key by key in forward order, runs right after
 //!   the first decoder step's attention;
-//! - the encoder runs step `t = T − 1` down to `0`: the LSTM step, the
-//!   fingerprint estimate, the decay;
+//! - the encoder runs step `t = T − 1` down to `0` in
+//!   [`Schedule::Encoder`]'s order: the LSTM step, the fingerprint
+//!   estimate, the decay;
 //! - the decay parameters receive their terms last, in forward order
 //!   (the forward direction's decoder decay after the encoder's; the
 //!   backward direction's decoder decay instead at each of its steps).
@@ -41,72 +46,41 @@
 // Every BiSIM training step runs through these loops; every buffer is owned
 // by the tape and reused from pair to pair.
 
-use rm_imputers::PathSequence;
-use rm_nn::LinearWeights;
+use rm_imputers::rits::{column, decay_backward, decay_forward, masked_mse, set_term, zeroed};
+use rm_imputers::{PathSequence, RitsTape, Schedule};
 use rm_tensor::recurrent::{
     attention_backward, attention_backward_scratch_len, attention_forward,
     lstm_backward_scratch_len, lstm_cell_backward, lstm_cell_forward, AttentionInput, GradTerm,
-    LstmGates, LstmInput,
+    LstmInput,
 };
-use rm_tensor::{Matrix, Scalar};
+use rm_tensor::Scalar;
+// The oracle tests perturb weights through the trainer's view of them.
+#[cfg(test)]
+use rm_imputers::Parameters;
 
 use crate::model::{rp_time_lag, AttentionMode, BisimDirectionWeights, TimeLagMode};
 
-// Indices into [`BisimDirectionWeights::tensors`].
-const ENCODER_ESTIMATE: usize = 0;
-const ENCODER_DECAY: usize = 2;
-const ENCODER_CELL: usize = 4;
+/// One direction's gradient buffers: the shared trainer's [`rm_imputers::Gradients`].
+pub use rm_imputers::Gradients as DirectionGrads;
+
+// Indices into [`rm_imputers::Parameters::tensors`] of a direction: the
+// encoder's 12 tensors come first.
 const DECODER_ESTIMATE: usize = 12;
 const DECODER_DECAY: usize = 14;
 const DECODER_CELL: usize = 16;
 const TRANSFORM: usize = 24;
 const ALIGN: usize = 26;
 
-/// `out = W·x + b` on slices: [`LinearWeights::forward_into`] for a column.
-fn affine<T: Scalar>(layer: &LinearWeights<T>, x: &[T], out: &mut [T]) {
-    out.fill(T::ZERO);
-    layer.weight().matvec_acc(0, x, out);
-    for (v, &b) in out.iter_mut().zip(layer.bias().data()) {
-        *v += b;
-    }
-}
-
-/// `γ = exp(−relu(pre))`, as `relu → scale(−1) → exp`.
-fn decay<T: Scalar>(pre: &[T], gamma: &mut [T]) {
-    for (g, &p) in gamma.iter_mut().zip(pre) {
-        *g = (p.relu() * -T::ONE).exp();
-    }
-}
-
-/// The `(W, b)` pairs of an LSTM cell's gates in step order.
-fn gates<T: Scalar>(cell: &rm_nn::LstmCellWeights<T>) -> LstmGates<'_, T> {
-    cell.gates().map(|layer| (layer.weight(), layer.bias()))
-}
-
-/// Resizes `v` to `n` zeros.
-fn zeroed<T: Scalar>(v: &mut Vec<T>, n: usize) {
-    v.clear();
-    v.resize(n, T::ZERO);
-}
-
-/// What one directional forward recorded: every intermediate the backward
-/// reads, in flat step-major buffers that the next forward reuses.
+/// What one directional forward recorded: the encoder's RITS record and
+/// every decoder intermediate the backward reads, in flat step-major
+/// buffers that the next forward reuses.
 #[derive(Default)]
 pub struct DirectionTape<T: Scalar = f64> {
     len: usize,
     hidden: usize,
     aps: usize,
-    /// `len × aps`: the fingerprint estimates `f′_t` and complements.
-    fp_estimates: Vec<T>,
-    fp_complements: Vec<T>,
-    /// `len × hidden`: the encoder decay's pre-activation and `γ_t`.
-    enc_decay: Vec<T>,
-    enc_gamma: Vec<T>,
-    /// `len ×` [`DirectionTape::encoder_stride`]: each encoder LSTM step's
-    /// cache.
-    enc_cache: Vec<T>,
-    /// `len × hidden`: the encoder latents `h_t`.
-    latents: Vec<T>,
+    /// The encoder's record (Eq. 2–5).
+    encoder: RitsTape<T>,
     /// `len × aps`: the transformed (masked) latents `h''_t`.
     keys: Vec<T>,
     /// `len × 2`: the RP estimates `l′_j`, complements and time lags.
@@ -125,9 +99,6 @@ pub struct DirectionTape<T: Scalar = f64> {
     /// activations and softmax weights.
     attn_hidden: Vec<T>,
     attn_weights: Vec<T>,
-    /// `max(hidden, aps)` zeros (the initial state) and one lag column.
-    zeros: Vec<T>,
-    lag: Vec<T>,
 }
 
 impl<T: Scalar> DirectionTape<T> {
@@ -138,18 +109,12 @@ impl<T: Scalar> DirectionTape<T> {
 
     /// The complemented fingerprint `f^c_t`.
     pub fn fingerprint_complement(&self, t: usize) -> &[T] {
-        &self.fp_complements[t * self.aps..(t + 1) * self.aps]
+        self.encoder.complement(t)
     }
 
     /// The complemented RP `l^c_j`.
     pub fn rp_complement(&self, j: usize) -> &[T] {
         &self.rp_complements[2 * j..2 * j + 2]
-    }
-
-    /// Entries per encoder LSTM cache: `8·H` state plus the input `[f^c;
-    /// m; h]`.
-    fn encoder_stride(&self) -> usize {
-        8 * self.hidden + 2 * self.aps + self.hidden
     }
 
     /// Entries per decoder LSTM cache: `8·H` state plus the input `[l^c;
@@ -158,18 +123,12 @@ impl<T: Scalar> DirectionTape<T> {
         8 * self.hidden + 2 + self.aps + self.hidden
     }
 
-    /// Sizes every buffer for `len` steps and zeroes it, so nothing of an
-    /// earlier sequence survives into this one.
+    /// Sizes every decoder buffer for `len` steps and zeroes it, so nothing
+    /// of an earlier sequence survives into this one.
     fn reset(&mut self, len: usize, hidden: usize, aps: usize) {
         (self.len, self.hidden, self.aps) = (len, hidden, aps);
-        let (enc, dec) = (self.encoder_stride(), self.decoder_stride());
+        let dec = self.decoder_stride();
         for (buffer, n) in [
-            (&mut self.fp_estimates, len * aps),
-            (&mut self.fp_complements, len * aps),
-            (&mut self.enc_decay, len * hidden),
-            (&mut self.enc_gamma, len * hidden),
-            (&mut self.enc_cache, len * enc),
-            (&mut self.latents, len * hidden),
             (&mut self.keys, len * aps),
             (&mut self.rp_estimates, 2 * len),
             (&mut self.rp_complements, 2 * len),
@@ -180,8 +139,6 @@ impl<T: Scalar> DirectionTape<T> {
             (&mut self.states, len * hidden),
             (&mut self.attn_hidden, len * len * hidden),
             (&mut self.attn_weights, len * len),
-            (&mut self.zeros, hidden.max(aps)),
-            (&mut self.lag, aps),
         ] {
             zeroed(buffer, n);
         }
@@ -200,71 +157,21 @@ impl<T: Scalar> BisimDirectionWeights<T> {
     /// `T`.
     pub fn forward(&self, seq: &PathSequence, tape: &mut DirectionTape<T>) {
         let (len, h, a) = (seq.len(), self.hidden_size, self.num_aps);
-        tape.reset(len, h, a);
-        let (es, ds) = (tape.encoder_stride(), tape.decoder_stride());
+        // ---------------- Encoder stack (Eq. 2–5) ----------------
         let encoder_lag = matches!(self.time_lag, TimeLagMode::Encoder | TimeLagMode::Both);
+        self.encoder.forward(seq, encoder_lag, &mut tape.encoder);
+        tape.reset(len, h, a);
+        let ds = tape.decoder_stride();
         let decoder_lag = matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both);
         let tp = tape;
-
-        // ---------------- Encoder stack (Eq. 2–5) ----------------
-        let cell = gates(&self.encoder_cell);
-        for t in 0..len {
-            let (done, latents) = tp.latents.split_at_mut(t * h);
-            let h_prev = if t == 0 {
-                &tp.zeros[..h]
-            } else {
-                &done[(t - 1) * h..]
-            };
-            // Eq. 2–3: estimate, then complement observed values with it.
-            let estimate = &mut tp.fp_estimates[t * a..(t + 1) * a];
-            affine(&self.encoder_estimate, h_prev, estimate);
-            let (earlier, cache) = tp.enc_cache.split_at_mut(t * es);
-            let (state, x) = cache[..es].split_at_mut(8 * h);
-            let (complement, rest) = x.split_at_mut(a);
-            let (mask, x_h) = rest.split_at_mut(a);
-            for e in 0..a {
-                let m = T::from_f64(seq.fingerprint_masks[t][e]);
-                let v = T::from_f64(seq.fingerprints[t][e]);
-                complement[e] = v * m + estimate[e] * (T::ONE - m);
-                mask[e] = m;
-            }
-            tp.fp_complements[t * a..(t + 1) * a].copy_from_slice(complement);
-            // Eq. 4: γ = exp(-relu(W_γ δ + b_γ)), then h ⊙ γ.
-            if encoder_lag {
-                for (l, &v) in tp.lag.iter_mut().zip(&seq.time_lags[t]) {
-                    *l = T::from_f64(v);
-                }
-                let pre = &mut tp.enc_decay[t * h..(t + 1) * h];
-                affine(&self.encoder_decay, &tp.lag, pre);
-                let gamma = &mut tp.enc_gamma[t * h..(t + 1) * h];
-                decay(pre, gamma);
-                for ((x, &hv), &g) in x_h.iter_mut().zip(h_prev).zip(gamma.iter()) {
-                    *x = hv * g;
-                }
-            } else {
-                x_h.copy_from_slice(h_prev);
-            }
-            // Eq. 5: one LSTM step over [complement; mask; h].
-            let (acts, rest) = state.split_at_mut(4 * h);
-            let (c, rest) = rest.split_at_mut(h);
-            let (tanh_c, rest) = rest.split_at_mut(h);
-            let c_prev = &mut rest[..h];
-            if t > 0 {
-                let prev = &earlier[(t - 1) * es..];
-                c_prev.copy_from_slice(&prev[4 * h..5 * h]);
-            }
-            lstm_cell_forward(&cell, x, c_prev, acts, c, tanh_c, &mut latents[..h]);
-        }
+        let latents = tp.encoder.latents();
 
         // The (possibly masked) transformed latents h''_t (Eq. 9).
         if self.attention != AttentionMode::None {
             for t in 0..len {
                 let key = &mut tp.keys[t * a..(t + 1) * a];
-                affine(
-                    &self.attention_transform,
-                    &tp.latents[t * h..(t + 1) * h],
-                    key,
-                );
+                self.attention_transform
+                    .affine(&latents[t * h..(t + 1) * h], key);
                 if self.attention == AttentionMode::SparsityFriendly {
                     for (k, &m) in key.iter_mut().zip(&seq.fingerprint_masks[t]) {
                         *k *= T::from_f64(m);
@@ -275,7 +182,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
 
         // -------- Decoder stack with attention (Eq. 6–12) --------
         // s_0 = h_T, with a zero cell state.
-        let cell = gates(&self.decoder_cell);
+        let cell = self.decoder_cell.gate_weights();
         let [hidden_layer, energy] = self.attention_align.layers() else {
             unreachable!("the alignment MLP has one hidden layer");
         };
@@ -289,13 +196,13 @@ impl<T: Scalar> BisimDirectionWeights<T> {
         for j in 0..len {
             let (done, states) = tp.states.split_at_mut(j * h);
             let s_prev = if j == 0 {
-                &tp.latents[(len - 1) * h..]
+                &latents[(len - 1) * h..]
             } else {
                 &done[(j - 1) * h..]
             };
             // Eq. 6–7: estimate the RP, then complement.
             let estimate = &mut tp.rp_estimates[2 * j..2 * j + 2];
-            affine(&self.decoder_estimate, s_prev, estimate);
+            self.decoder_estimate.affine(s_prev, estimate);
             let (earlier, cache) = tp.dec_cache.split_at_mut(j * ds);
             let (state, x) = cache[..ds].split_at_mut(8 * h);
             let (complement, rest) = x.split_at_mut(2);
@@ -324,9 +231,9 @@ impl<T: Scalar> BisimDirectionWeights<T> {
                 column[0] = T::from_f64(lag[0]);
                 column[1] = T::from_f64(lag[1]);
                 let pre = &mut tp.dec_decay[j * h..(j + 1) * h];
-                affine(&self.decoder_decay, column, pre);
+                self.decoder_decay.affine(column, pre);
                 let gamma = &mut tp.dec_gamma[j * h..(j + 1) * h];
-                decay(pre, gamma);
+                decay_forward(pre, gamma);
                 for ((x, &sv), &g) in x_s.iter_mut().zip(s_prev).zip(gamma.iter()) {
                     *x = sv * g;
                 }
@@ -344,49 +251,6 @@ impl<T: Scalar> BisimDirectionWeights<T> {
             }
             lstm_cell_forward(&cell, x, c_prev, acts, c, tanh_c, &mut states[..h]);
         }
-    }
-}
-
-/// Gradient buffers shaped like one direction's parameter tensors, in
-/// [`BisimDirectionWeights::tensors`] order.
-pub struct DirectionGrads<T: Scalar = f64> {
-    tensors: Vec<Matrix<T>>,
-}
-
-impl<T: Scalar> DirectionGrads<T> {
-    /// Zeroed buffers shaped like `weights`' tensors.
-    pub fn zeros_like(weights: &BisimDirectionWeights<T>) -> Self {
-        Self {
-            tensors: weights
-                .tensors()
-                .into_iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect(),
-        }
-    }
-
-    /// Zeroes every buffer in place.
-    pub fn clear(&mut self) {
-        for m in &mut self.tensors {
-            m.data_mut().fill(T::ZERO);
-        }
-    }
-
-    /// The gradient tensors.
-    pub fn tensors(&self) -> &[Matrix<T>] {
-        &self.tensors
-    }
-
-    /// Adds `other`'s gradients into these (`axpy` with `α = 1`): one
-    /// pair's share of a multi-pair batch.
-    pub fn accumulate(&mut self, other: &Self) {
-        for (sum, g) in self.tensors.iter_mut().zip(&other.tensors) {
-            sum.axpy(T::ONE, g);
-        }
-    }
-
-    fn add(&mut self, index: usize, term: GradTerm<'_, T>) {
-        term.add_to(&mut self.tensors[index]);
     }
 }
 
@@ -421,23 +285,15 @@ struct Scratch<T> {
     d_rp: Vec<T>,
     /// `len × aps`: the keys' gradients.
     d_keys: Vec<T>,
-    /// `len × hidden`: each decay's pre-activation gradient.
-    d_enc_decay: Vec<T>,
+    /// `len × hidden`: each decoder decay's pre-activation gradient.
     d_dec_decay: Vec<T>,
-    /// One step's input-part gradients: the complement, the context, the
-    /// decayed state.
-    d_complement: Vec<T>,
+    /// One decoder step's input-part gradients: the context, the decayed
+    /// state.
     d_context: Vec<T>,
     d_decayed: Vec<T>,
     /// `Wᵀ·g` products and the fused backwards' scratch.
     product: Vec<T>,
     fused: Vec<T>,
-}
-
-/// `d = +0.0 + term`: a single-consumer gradient.
-fn set_term<T: Scalar>(d: &mut [T], term: GradTerm<'_, T>) {
-    d.fill(T::ZERO);
-    term.add_to_slice(d);
 }
 
 /// One sequence pair's training tape: both directions' records, the loss
@@ -511,21 +367,8 @@ impl<T: Scalar> PairTape<T> {
             zeroed(&mut terms.rp_cross, 2 * len);
         }
         let scale = T::from_f64(1.0 / len.max(1) as f64);
-        let two = T::from_f64(2.0);
-        let mse = |p: &[T], q: &[T], mask: &[T], dp: &mut [T], mut dq: Option<&mut [T]>| -> T {
-            let n = T::from_f64(p.len() as f64);
-            let g = scale / n;
-            let mut sum = T::ZERO;
-            for e in 0..p.len() {
-                let v = p[e] * mask[e] - q[e] * mask[e];
-                sum += v * v;
-                let dv = g * (v * two);
-                dp[e] = dv * mask[e];
-                if let Some(dq) = dq.as_deref_mut() {
-                    dq[e] = (dv * -T::ONE) * mask[e];
-                }
-            }
-            sum / n
+        let mse = |p: &[T], q: &[T], mask: &[T], dp: &mut [T], dq: Option<&mut [T]>| {
+            masked_mse(p, q, mask, scale, dp, dq)
         };
         let (fwd, bwd) = (&self.forward, &self.backward);
         let [f, b] = &mut self.terms;
@@ -535,16 +378,16 @@ impl<T: Scalar> PairTape<T> {
             let rt = len - 1 - t;
             let (fp, rp) = (t * a..(t + 1) * a, 2 * t..2 * t + 2);
             let (fp_b, rp_b) = (rt * a..(rt + 1) * a, 2 * rt..2 * rt + 2);
-            let fp_mask = fwd.fingerprint_mask(t);
+            let fp_mask = fwd.encoder.mask(t);
             let rp_mask = [T::from_f64(seq.rp_masks[t]); 2];
             let rp_target = [T::from_f64(seq.rps[t].0), T::from_f64(seq.rps[t].1)];
-            let fp_mask_b = bwd.fingerprint_mask(rt);
+            let fp_mask_b = bwd.encoder.mask(rt);
             let rp_mask_b = [T::from_f64(rev.rp_masks[rt]); 2];
             let rp_target_b = [T::from_f64(rev.rps[rt].0), T::from_f64(rev.rps[rt].1)];
 
             // Forward reconstruction.
             column(&seq.fingerprints[t], target);
-            let fp_est = &fwd.fp_estimates[fp.clone()];
+            let fp_est = fwd.encoder.estimate(t);
             total += mse(fp_est, target, fp_mask, &mut f.fp_mse[fp.clone()], None);
             let rp_est = &fwd.rp_estimates[rp.clone()];
             total += mse(
@@ -557,7 +400,7 @@ impl<T: Scalar> PairTape<T> {
             // Backward reconstruction (the reversed sequence's step rt is
             // record t).
             column(&rev.fingerprints[rt], target);
-            let fp_est_b = &bwd.fp_estimates[fp_b.clone()];
+            let fp_est_b = bwd.encoder.estimate(rt);
             let dp = &mut b.fp_mse[fp_b.clone()];
             total += mse(fp_est_b, target, fp_mask_b, dp, None);
             let rp_est_b = &bwd.rp_estimates[rp_b.clone()];
@@ -570,20 +413,6 @@ impl<T: Scalar> PairTape<T> {
             total += mse(rp_est, rp_est_b, &rp_mask, dp, Some(dq));
         }
         total * scale
-    }
-}
-
-/// Rounds an `f64` column to `T` into `out`.
-fn column<T: Scalar>(values: &[f64], out: &mut Vec<T>) {
-    out.clear();
-    out.extend(values.iter().map(|&v| T::from_f64(v)));
-}
-
-impl<T: Scalar> DirectionTape<T> {
-    /// The fingerprint mask `m_t` as the encoder step recorded it.
-    fn fingerprint_mask(&self, t: usize) -> &[T] {
-        let start = t * self.encoder_stride() + 8 * self.hidden + self.aps;
-        &self.enc_cache[start..start + self.aps]
     }
 }
 
@@ -605,9 +434,8 @@ impl<T: Scalar> Scratch<T> {
         if len == 0 {
             return;
         }
-        let (es, ds) = (tp.encoder_stride(), tp.decoder_stride());
+        let ds = tp.decoder_stride();
         let attention = w.attention != AttentionMode::None;
-        let encoder_lag = matches!(w.time_lag, TimeLagMode::Encoder | TimeLagMode::Both);
         let decoder_lag = matches!(w.time_lag, TimeLagMode::Decoder | TimeLagMode::Both);
         let Scratch {
             d_latents,
@@ -615,9 +443,7 @@ impl<T: Scalar> Scratch<T> {
             d_fp,
             d_rp,
             d_keys,
-            d_enc_decay,
             d_dec_decay,
-            d_complement,
             d_context,
             d_decayed,
             product,
@@ -629,16 +455,13 @@ impl<T: Scalar> Scratch<T> {
             (&mut *d_fp, len * a),
             (&mut *d_rp, 2 * len),
             (&mut *d_keys, len * a),
-            (&mut *d_enc_decay, len * h),
             (&mut *d_dec_decay, len * h),
-            (&mut *d_complement, a),
             (&mut *d_context, a),
             (&mut *d_decayed, h),
             (&mut *product, h),
             (
                 &mut *fused,
-                lstm_backward_scratch_len(h, 2 * a + h)
-                    .max(lstm_backward_scratch_len(h, 2 + a + h))
+                lstm_backward_scratch_len(h, 2 + a + h)
                     .max(attention_backward_scratch_len(len, h, a)),
             ),
         ] {
@@ -659,10 +482,11 @@ impl<T: Scalar> Scratch<T> {
             unreachable!("the alignment MLP has one hidden layer");
         };
         let last = len - 1;
+        let latents = tp.encoder.latents();
         // `s_{j−1}`, with `s_{−1} = h_{T−1}`.
         let state = |j: usize| {
             if j == 0 {
-                &tp.latents[last * h..]
+                &latents[last * h..]
             } else {
                 &tp.states[(j - 1) * h..j * h]
             }
@@ -767,12 +591,12 @@ impl<T: Scalar> Scratch<T> {
                         for i in 0..len {
                             let d_key = &mut d_keys[i * a..(i + 1) * a];
                             if w.attention == AttentionMode::SparsityFriendly {
-                                for (d, &m) in d_key.iter_mut().zip(tp.fingerprint_mask(i)) {
+                                for (d, &m) in d_key.iter_mut().zip(tp.encoder.mask(i)) {
                                     *d *= m;
                                 }
                             }
                             grads.add(TRANSFORM + 1, GradTerm::Bias(d_key));
-                            let h_i = &tp.latents[i * h..(i + 1) * h];
+                            let h_i = &latents[i * h..(i + 1) * h];
                             grads.add(TRANSFORM, GradTerm::Outer(d_key, h_i));
                             let weight = w.attention_transform.weight();
                             weight.matmul_at_b_col_into(d_key, 0..h, product);
@@ -802,77 +626,13 @@ impl<T: Scalar> Scratch<T> {
             }
         }
 
-        // ---------------- Encoder, t = T − 1 down to 0 ----------------
-        for t in (0..len).rev() {
-            let (earlier, cache) = tp.enc_cache.split_at_mut(t * es);
-            let (lower, upper) = d_latents.split_at_mut(t * h);
-            let cell = w.encoder_cell.gates();
-            lstm_cell_backward(
-                |q| cell[q].weight(),
-                &upper[..h],
-                &cache[..es],
-                &[0, a],
-                // The first step's `h_prev` is the zero state (decayed or
-                // not), whose terms vanish.
-                |input| match input {
-                    LstmInput::Carried | LstmInput::Hidden => t > 0,
-                    _ => true,
-                },
-                fused,
-                |input, term| match input {
-                    LstmInput::Weight(q) => grads.add(ENCODER_CELL + 2 * q, term),
-                    LstmInput::Bias(q) => grads.add(ENCODER_CELL + 2 * q + 1, term),
-                    LstmInput::Carried => {
-                        let prev = (t - 1) * es;
-                        term.add_to_slice(&mut earlier[prev + 7 * h..prev + 8 * h]);
-                    }
-                    LstmInput::Hidden if encoder_lag => set_term(d_decayed, term),
-                    LstmInput::Hidden => term.add_to_slice(&mut lower[(t - 1) * h..]),
-                    LstmInput::Part(_) => set_term(d_complement, term),
-                },
-            );
-            // The complement's estimate part, then the estimate `f′_t =
-            // W·h_{t−1} + b`.
-            let d = &mut d_fp[t * a..(t + 1) * a];
-            for ((d, &g), &m) in d
-                .iter_mut()
-                .zip(d_complement.iter())
-                .zip(tp.fingerprint_mask(t))
-            {
-                *d += g * (T::ONE - m);
-            }
-            grads.add(ENCODER_ESTIMATE + 1, GradTerm::Bias(d));
-            if t == 0 {
-                continue;
-            }
-            let h_prev = &tp.latents[(t - 1) * h..t * h];
-            let h_grad = &mut lower[(t - 1) * h..];
-            grads.add(ENCODER_ESTIMATE, GradTerm::Outer(d, h_prev));
-            w.encoder_estimate
-                .weight()
-                .matmul_at_b_col_into(d, 0..h, product);
-            GradTerm::Add(product).add_to_slice(h_grad);
-            if encoder_lag {
-                decay_backward(
-                    d_decayed,
-                    h_prev,
-                    &tp.enc_gamma[t * h..(t + 1) * h],
-                    &tp.enc_decay[t * h..(t + 1) * h],
-                    h_grad,
-                    &mut d_enc_decay[t * h..(t + 1) * h],
-                );
-            }
-        }
+        // ---- The encoder, t = T − 1 down to 0, then its decay parameters ----
+        let encoder = &mut grads.tensors_mut()[..DECODER_ESTIMATE];
+        let schedule = Schedule::Encoder;
+        w.encoder
+            .backward(&mut tp.encoder, seq, schedule, d_fp, d_latents, encoder);
 
-        // ---------------- The decay parameters, in forward order ----------------
-        if encoder_lag {
-            for t in 1..len {
-                let d = &d_enc_decay[t * h..(t + 1) * h];
-                grads.add(ENCODER_DECAY + 1, GradTerm::Bias(d));
-                column(&seq.time_lags[t], &mut tp.lag);
-                grads.add(ENCODER_DECAY, GradTerm::Outer(d, &tp.lag));
-            }
-        }
+        // ---------------- The decoder decay parameters, in forward order ----------------
         if decoder_lag && role == Role::Forward {
             for j in 0..last {
                 let d = &d_dec_decay[j * h..(j + 1) * h];
@@ -893,25 +653,6 @@ enum Phase {
     Estimate,
     Attention,
     Decay,
-}
-
-/// The backward of a decayed state `x ⊙ γ` with `γ = exp(−relu(pre))`, for
-/// the gradient `g` of the product: `x`'s term `g ⊙ γ` into `x_grad`, and
-/// the pre-activation's gradient through `exp`, `scale(−1)` and `relu` into
-/// `d_pre`.
-fn decay_backward<T: Scalar>(
-    g: &[T],
-    x: &[T],
-    gamma: &[T],
-    pre: &[T],
-    x_grad: &mut [T],
-    d_pre: &mut [T],
-) {
-    for e in 0..g.len() {
-        x_grad[e] += g[e] * gamma[e];
-        let step = if pre[e] > T::ZERO { T::ONE } else { T::ZERO };
-        d_pre[e] = (((g[e] * x[e]) * gamma[e]) * -T::ONE) * step;
-    }
 }
 
 #[cfg(test)]

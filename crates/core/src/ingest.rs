@@ -36,9 +36,6 @@ pub struct LiveVenue {
     topology: MultiPolygon,
     map: RadioMap,
     shards: VenueShards,
-    /// Per-shard seed, fixed at build so incremental recomputes replay the
-    /// exact stream a full rebuild would use.
-    seeds: Vec<u64>,
     snapshots: Vec<VenueSnapshot>,
     /// Venue update counter: bumped once per ingest that dirties anything.
     generation: u64,
@@ -60,18 +57,14 @@ impl LiveVenue {
         let pipeline = ImputationPipeline::new(config);
         let shards = pipeline.shard(&map);
         let n = shards.num_shards();
-        let seeds: Vec<u64> = (0..n).map(|s| pipeline.shard_seed(n, s)).collect();
         let shard_ids: Vec<usize> = (0..n).collect();
-        let snapshots = rm_runtime::par_map(pipeline.config.threads, &shard_ids, |_, &s| {
-            pipeline.compute_shard(&venue, &shards.submap(&map, s), &topology, seeds[s], None)
-        });
+        let snapshots = pipeline.compute_shards(&venue, &map, &shards, &topology, &shard_ids, None);
         Self {
             pipeline,
             venue,
             topology,
             map,
             shards,
-            seeds,
             snapshots,
             generation: 1,
             shard_generations: vec![1; n],
@@ -111,16 +104,15 @@ impl LiveVenue {
         if dirty.is_empty() {
             return dirty;
         }
-        let fresh = rm_runtime::par_map(self.pipeline.config.threads, &dirty, |_, &shard| {
-            let warm = fine_tune_epochs.map(|epochs| (&self.snapshots[shard].tensors[..], epochs));
-            self.pipeline.compute_shard(
-                &self.venue,
-                &self.shards.submap(&self.map, shard),
-                &self.topology,
-                self.seeds[shard],
-                warm,
-            )
-        });
+        let warm = fine_tune_epochs.map(|epochs| (&self.snapshots[..], epochs));
+        let fresh = self.pipeline.compute_shards(
+            &self.venue,
+            &self.map,
+            &self.shards,
+            &self.topology,
+            &dirty,
+            warm,
+        );
         self.generation += 1;
         for (&shard, snapshot) in dirty.iter().zip(fresh) {
             self.snapshots[shard] = snapshot;
@@ -164,15 +156,14 @@ impl LiveVenue {
     /// shards; clean shards are bitwise untouched by construction).
     pub fn recompute_all(&self) -> Vec<VenueSnapshot> {
         let shard_ids: Vec<usize> = (0..self.shards.num_shards()).collect();
-        rm_runtime::par_map(self.pipeline.config.threads, &shard_ids, |_, &s| {
-            self.pipeline.compute_shard(
-                &self.venue,
-                &self.shards.submap(&self.map, s),
-                &self.topology,
-                self.seeds[s],
-                None,
-            )
-        })
+        self.pipeline.compute_shards(
+            &self.venue,
+            &self.map,
+            &self.shards,
+            &self.topology,
+            &shard_ids,
+            None,
+        )
     }
 
     /// The venue identifier.
@@ -190,9 +181,12 @@ impl LiveVenue {
         &self.shards
     }
 
-    /// The per-shard seeds fixed at build.
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
+    /// The per-shard seeds, derived from the pipeline seed at the build's
+    /// shard count, which ingest never changes, so every recompute replays
+    /// the stream the build used.
+    pub fn seeds(&self) -> Vec<u64> {
+        let n = self.shards.num_shards();
+        (0..n).map(|s| self.pipeline.shard_seed(n, s)).collect()
     }
 
     /// The current per-shard snapshots, in shard-id order.

@@ -632,6 +632,31 @@ impl ImputationPipeline {
         }
     }
 
+    /// Computes the snapshots of the shards `ids` of `map`'s partition
+    /// `shards`, fanned over the deterministic pool in id order: each is
+    /// [`ImputationPipeline::compute_shard`] over the shard's sub-map with
+    /// the shard's seed ([`ImputationPipeline::shard_seed`]), warm from its
+    /// previous snapshot's tensors with `epochs` of fine-tuning when `warm`
+    /// is `Some((previous, epochs))`. The one fan-out behind the sharded
+    /// export, [`LiveVenue::build`](crate::LiveVenue::build) and both of the
+    /// live venue's recompute paths.
+    pub(crate) fn compute_shards(
+        &self,
+        venue: &str,
+        map: &RadioMap,
+        shards: &VenueShards,
+        topology: &MultiPolygon,
+        ids: &[usize],
+        warm: Option<(&[VenueSnapshot], usize)>,
+    ) -> Vec<VenueSnapshot> {
+        let n = shards.num_shards();
+        rm_runtime::par_map(self.config.threads, ids, |_, &s| {
+            let part = shards.submap(map, s);
+            let warm = warm.map(|(previous, epochs)| (&previous[s].tensors[..], epochs));
+            self.compute_shard(venue, &part, topology, self.shard_seed(n, s), warm)
+        })
+    }
+
     /// Runs differentiation + imputation and packages the result as a
     /// [`VenueSnapshot`] — the in-memory serving artifact for `venue`.
     ///
@@ -668,17 +693,8 @@ impl ImputationPipeline {
     ) -> ShardedVenueSnapshot {
         let venue = venue.into();
         let shards = self.shard(map);
-        let parts = shards.split(map);
         let shard_ids: Vec<usize> = (0..shards.num_shards()).collect();
-        let snapshots = rm_runtime::par_map(self.config.threads, &shard_ids, |_, &shard| {
-            self.compute_shard(
-                &venue,
-                &parts[shard],
-                topology,
-                self.shard_seed(shards.num_shards(), shard),
-                None,
-            )
-        });
+        let snapshots = self.compute_shards(&venue, map, &shards, topology, &shard_ids, None);
         ShardedVenueSnapshot {
             venue,
             snapshots,

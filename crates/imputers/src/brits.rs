@@ -7,15 +7,17 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_nn::{
-    loss, Adam, GradientBatch, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState,
-    LstmStateMatrix, Optimizer,
-};
+use rm_nn::{Linear, LstmCell, LstmState};
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
+use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var};
 
+use crate::rits::{
+    column, export_recurrent, import_recurrent, masked_mse, zeroed, RecurrentImputerWeights,
+    RitsTape, Schedule,
+};
 use crate::sequence::{build_sequences, Normalization, PathSequence};
-use crate::{gates, snapshot, ImputedRadioMap, Imputer};
+use crate::train::{train_pairs, Gradients, Training};
+use crate::{gates, ImputedRadioMap, Imputer};
 
 /// Configuration shared by the recurrent imputers.
 #[derive(Debug, Clone)]
@@ -39,12 +41,14 @@ pub struct BritsConfig {
     /// Mini-batch size of the training loop. Batch boundaries are fixed by
     /// this value alone (never by the thread count), the per-sequence
     /// gradients inside a batch are computed against the batch-start
-    /// weights, and their sum is reduced in sequence-index order — so a
-    /// fixed `batch_size` yields a bitwise-identical model at any thread
-    /// count. The default of `1` reproduces the classic per-sequence SGD
-    /// trajectory bitwise; larger batches take fewer, **summed-gradient**
-    /// steps (a *different* — though equally deterministic — trajectory),
-    /// letting training fan out across the worker pool. The sum is applied
+    /// weights, each pair on its own training tape ([`BritsTape`]) into its
+    /// own zeroed buffers, and their sum is reduced in sequence-index order
+    /// ([`crate::train_pairs`]) — so a fixed `batch_size` yields a
+    /// bitwise-identical model at any thread count. The default of `1`
+    /// reproduces the classic per-sequence SGD trajectory bitwise; larger
+    /// batches take fewer, **summed-gradient** steps (a *different* — though
+    /// equally deterministic — trajectory), letting training fan out across
+    /// the worker pool. The sum is applied
     /// raw — no division by the batch size — so a `k`-sequence batch's
     /// gradient norm is roughly `k×` a per-sequence gradient's and the
     /// optimizer's fixed element-wise clip engages correspondingly more
@@ -135,14 +139,16 @@ pub fn default_batch_size() -> usize {
     })
 }
 
-/// One direction of the recurrent imputer: estimates each step's fingerprint
-/// from the decayed hidden state, complements the observation, and feeds the
-/// complemented vector (concatenated with its mask) to an LSTM cell.
+/// One RITS step as an autodiff graph: estimates each step's fingerprint
+/// from the hidden state, complements the observation, decays the hidden
+/// state and feeds `[x^c; m]` to an LSTM cell. SSGAN's generator trains on
+/// it; for BRITS it is the oracle of the training tape ([`BritsTape`]),
+/// whose forward ([`RecurrentImputerWeights::forward`]) records the same
+/// values bit for bit.
 pub(crate) struct RecurrentImputer {
     estimate: Linear,
     decay: Linear,
     cell: LstmCell,
-    hidden_size: usize,
 }
 
 /// The per-step outputs of one directional pass.
@@ -155,12 +161,7 @@ pub(crate) struct DirectionalPass {
 
 impl RecurrentImputer {
     pub(crate) fn new(num_aps: usize, hidden_size: usize, rng: &mut StdRng) -> Self {
-        Self {
-            estimate: Linear::new(hidden_size, num_aps, rng),
-            decay: Linear::new(num_aps, hidden_size, rng),
-            cell: LstmCell::new(num_aps * 2, hidden_size, rng),
-            hidden_size,
-        }
+        RecurrentImputerWeights::new(num_aps, hidden_size, rng).to_model()
     }
 
     pub(crate) fn parameters(&self) -> Vec<Var> {
@@ -172,7 +173,7 @@ impl RecurrentImputer {
 
     /// Runs the imputer over one (already ordered) sequence.
     pub(crate) fn run(&self, seq: &PathSequence) -> DirectionalPass {
-        let mut state = LstmState::zeros(self.hidden_size);
+        let mut state = LstmState::zeros(self.cell.hidden_size());
         let mut estimates = Vec::with_capacity(seq.len());
         let mut complements = Vec::with_capacity(seq.len());
         for t in 0..seq.len() {
@@ -201,355 +202,197 @@ impl RecurrentImputer {
         }
     }
 
-    /// Copies the trained parameters into a graph-free, `Send + Sync`
-    /// snapshot for the parallel inference pass. The snapshot is taken at
-    /// the training precision (`f64`); round it with
-    /// [`RecurrentImputerWeights::cast`] for the f32 inference path.
+    /// Copies the trained parameters into graph-free, `Send + Sync` weights.
     pub(crate) fn snapshot(&self) -> RecurrentImputerWeights {
-        RecurrentImputerWeights {
-            estimate: self.estimate.snapshot(),
-            decay: self.decay.snapshot(),
-            cell: self.cell.snapshot(),
-            hidden_size: self.hidden_size,
-        }
+        RecurrentImputerWeights::from_parts(
+            self.estimate.snapshot(),
+            self.decay.snapshot(),
+            self.cell.snapshot(),
+        )
     }
-}
-
-/// A graph-free snapshot of a trained [`RecurrentImputer`]. Unlike the
-/// `Var`-based model (whose nodes are `Rc`-shared and thus thread-bound),
-/// the snapshot holds plain matrices and can be shared by every worker of
-/// the inference fan-out. [`RecurrentImputerWeights::run`] mirrors
-/// [`RecurrentImputer::run`] operation for operation, so at `T = f64` the
-/// imputations are bit-identical to running the autodiff graph forward; at
-/// `T = f32` the same code runs through the single-precision kernels.
-pub(crate) struct RecurrentImputerWeights<T: Scalar = f64> {
-    estimate: LinearWeights<T>,
-    decay: LinearWeights<T>,
-    cell: LstmCellWeights<T>,
-    hidden_size: usize,
 }
 
 impl RecurrentImputerWeights {
-    /// Rebuilds a trainable [`RecurrentImputer`] from this snapshot: fresh
-    /// parameter leaves holding copies of the snapshotted matrices, at the
-    /// training precision (`f64`). This is the worker-side half of batched
-    /// training — each sequence in a batch differentiates its own rebuilt
-    /// replica, and only plain gradient matrices cross threads. The replica
-    /// performs the same operations on the same values as the original, so
-    /// its gradients are bit-identical to gradients computed on the live
-    /// graph (see the parity tests below).
+    /// Rebuilds a trainable graph [`RecurrentImputer`] from these weights:
+    /// fresh parameter leaves holding copies of the matrices (the inverse of
+    /// [`RecurrentImputer::snapshot`]).
     pub(crate) fn to_model(&self) -> RecurrentImputer {
+        let (estimate, decay, cell) = self.parts();
         RecurrentImputer {
-            estimate: self.estimate.to_linear(),
-            decay: self.decay.to_linear(),
-            cell: self.cell.to_cell(),
-            hidden_size: self.hidden_size,
+            estimate: estimate.to_linear(),
+            decay: decay.to_linear(),
+            cell: cell.to_cell(),
         }
-    }
-}
-
-impl<T: Scalar> RecurrentImputerWeights<T> {
-    /// Rounds the snapshot to another precision (the one-time `f64 → f32`
-    /// weight rounding of the f32 inference path).
-    pub(crate) fn cast<U: Scalar>(&self) -> RecurrentImputerWeights<U> {
-        RecurrentImputerWeights {
-            estimate: self.estimate.cast(),
-            decay: self.decay.cast(),
-            cell: self.cell.cast(),
-            hidden_size: self.hidden_size,
-        }
-    }
-
-    /// Runs the imputer over one sequence, returning the complemented vector
-    /// `x_c` of every step (the imputations; the reconstruction estimates are
-    /// only needed for training). Sequence data is stored in `f64` and
-    /// rounded per step, so the kernels — the hot path — run entirely in `T`.
-    /// Every intermediate cycles through the caller-owned workspace `ws`
-    /// (reuse is capacity-only — values are bit-identical to fresh buffers),
-    /// so a steady-state inference step allocates nothing.
-    pub(crate) fn run(&self, seq: &PathSequence, ws: &mut Workspace<T>) -> Vec<Matrix<T>> {
-        // Seed the state from the workspace (bitwise zeros), so the buffers
-        // retired at the end of one sequence serve the next.
-        let mut state = LstmStateMatrix {
-            h: ws.take(self.hidden_size, 1),
-            c: ws.take(self.hidden_size, 1),
-        };
-        let mut complements = Vec::with_capacity(seq.len());
-        // Scratch buffers reused across all steps of the sequence.
-        let mut x_hat = Matrix::zeros(0, 0);
-        let mut decay_pre = Matrix::zeros(0, 0);
-        for t in 0..seq.len() {
-            let x = Matrix::column_from_f64(&seq.fingerprints[t]);
-            let mask = Matrix::<T>::column_from_f64(&seq.fingerprint_masks[t]);
-            let lag = Matrix::column_from_f64(&seq.time_lags[t]);
-
-            self.estimate.forward_into(&state.h, &mut x_hat);
-            let inverse_mask = mask.map(|m| T::ONE - m);
-            let x_c = &x.hadamard(&mask) + &x_hat.hadamard(&inverse_mask);
-            // γ = exp(-relu(W_γ δ + b_γ)), matching relu → scale(-1) → exp.
-            self.decay.forward_into(&lag, &mut decay_pre);
-            let gamma = decay_pre.map(Scalar::relu).scale(-T::ONE).map(Scalar::exp);
-            let decayed = LstmStateMatrix {
-                h: state.h.hadamard(&gamma),
-                c: state.c.clone(),
-            };
-            let input = x_c.vstack(&mask);
-            let next = self.cell.step_ws(&input, &decayed, ws);
-            ws.give(state.h);
-            ws.give(state.c);
-            ws.give(decayed.h);
-            ws.give(decayed.c);
-            ws.give(input);
-            state = next;
-            complements.push(x_c);
-        }
-        ws.give(state.h);
-        ws.give(state.c);
-        complements
-    }
-
-    /// Bytes the snapshot keeps resident at precision `T`.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.estimate.resident_bytes() + self.decay.resident_bytes() + self.cell.resident_bytes()
     }
 }
 
 /// Resident snapshot bytes of one recurrent-imputer direction with the
 /// given shape, at each precision: `(f64, f32)`. The reporting hook behind
 /// the `exp_snapshot_storage` experiment — it measures the actual
-/// inference-path snapshot types, so the `f32 = f64 / 2` ratio it returns is
+/// inference-path weight types, so the `f32 = f64 / 2` ratio it returns is
 /// the ratio the serving path pays.
 pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, usize) {
     let mut rng = StdRng::seed_from_u64(0);
-    let model = RecurrentImputer::new(num_aps, hidden_size, &mut rng);
-    let w64 = model.snapshot();
+    let w64 = RecurrentImputerWeights::new(num_aps, hidden_size, &mut rng);
     (w64.resident_bytes(), w64.cast::<f32>().resident_bytes())
 }
 
-/// Differentiates the BRITS loss of one `(sequence, reversed)` pair — the
-/// forward and backward reconstruction errors at observed entries —
-/// accumulating into the models' parameter gradients, then returns the
-/// pair's graph to the per-worker node arena.
-///
-/// There is no cross-direction consistency term. Compared under the
-/// observed mask, as it once was, the two directions' complements both equal
-/// the observation, so the term was identically zero. Cao et al.'s
-/// consistency loss compares the two imputations at every entry; adopting
-/// it changes the trained bits and is left to a fidelity change.
-///
-/// The caller must ensure the models' gradient buffers are zero on entry:
-/// freshly rebuilt replicas ([`RecurrentImputerWeights::to_model`]) start
-/// zeroed, and the live-graph path of [`train_in_batches`] zeroes through
-/// its optimizer.
-fn pair_backward(
-    forward: &RecurrentImputer,
-    backward: &RecurrentImputer,
-    seq: &PathSequence,
-    rev: &PathSequence,
-) {
-    let fwd = forward.run(seq);
-    let bwd = backward.run(rev);
-    let mut total = Var::scalar(0.0);
-    for t in 0..seq.len() {
-        let target = Matrix::column(&seq.fingerprints[t]);
-        let m = Matrix::column(&seq.fingerprint_masks[t]);
-        total = total.add(&loss::masked_mse(&fwd.estimates[t], &target, &m));
-        let rt = rev.len() - 1 - t;
-        let target_b = Matrix::column(&rev.fingerprints[rt]);
-        let m_b = Matrix::column(&rev.fingerprint_masks[rt]);
-        total = total.add(&loss::masked_mse(&bwd.estimates[rt], &target_b, &m_b));
+/// One BRITS sequence pair's training tape: both directions' RITS records,
+/// each estimate's and hidden state's gradient and one target column, all
+/// reused from pair to pair, so a warm [`BritsTape::differentiate`]
+/// allocates nothing.
+#[derive(Default)]
+pub struct BritsTape<T: Scalar = f64> {
+    directions: [RitsTape<T>; 2],
+    d_estimates: [Vec<T>; 2],
+    d_latents: [Vec<T>; 2],
+    target: Vec<T>,
+}
+
+impl<T: Scalar> BritsTape<T> {
+    /// An empty tape; the first pair sizes it.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let loss = total.scale(1.0 / seq.len() as f64);
-    loss.backward();
-    // Return the step's graph — both passes, the loss chain and every
-    // intermediate — to the per-worker node arena so the next sequence
-    // rebuilds on recycled storage. The parameter leaves, and the gradients
-    // they hold, stay with the models and are skipped by the recycler.
-    Var::recycle_all(
-        fwd.estimates
+
+    /// Runs both directions over one `(sequence, reversed)` pair, evaluates
+    /// the BRITS loss — each direction's reconstruction error at observed
+    /// entries — and adds its gradient into `grads` (forward direction
+    /// first), returning the loss. Bitwise the value and gradients of the
+    /// graph oracle on zeroed gradients.
+    ///
+    /// There is no cross-direction consistency term. Compared under the
+    /// observed mask, the two directions' complements both equal the
+    /// observation, so such a term is identically zero. Cao et al.'s
+    /// consistency loss compares the two imputations at every entry;
+    /// adopting it changes the trained bits and is left to a fidelity
+    /// change.
+    pub fn differentiate(
+        &mut self,
+        weights: [&RecurrentImputerWeights<T>; 2],
+        seq: &PathSequence,
+        rev: &PathSequence,
+        grads: [&mut Gradients<T>; 2],
+    ) -> T {
+        let [forward, backward] = weights;
+        forward.forward(seq, true, &mut self.directions[0]);
+        backward.forward(rev, true, &mut self.directions[1]);
+        let loss = self.loss(seq, rev);
+        let [ft, bt] = &mut self.directions;
+        let ([fe, be], [fl, bl]) = (&mut self.d_estimates, &mut self.d_latents);
+        let [fg, bg] = grads;
+        forward.backward(ft, seq, Schedule::Forward, fe, fl, fg.tensors_mut());
+        backward.backward(bt, rev, Schedule::Backward, be, bl, bg.tensors_mut());
+        loss
+    }
+
+    /// The graph oracle's loss: per record `t`, the forward direction's
+    /// masked MSE at step `t` and the backward direction's at step
+    /// `rt = T − 1 − t`, added to a running total from `+0.0` that is then
+    /// scaled by `1/T`. Each term's gradient seeds its estimate's.
+    fn loss(&mut self, seq: &PathSequence, rev: &PathSequence) -> T {
+        let Self {
+            directions: [fwd, bwd],
+            d_estimates,
+            d_latents,
+            target,
+        } = self;
+        for (tape, (d_est, d_lat)) in [&*fwd, &*bwd]
             .into_iter()
-            .chain(fwd.complements)
-            .chain(bwd.estimates)
-            .chain(bwd.complements)
-            .chain([total, loss]),
-    );
-}
-
-/// [`pair_backward`], then the per-parameter gradients read out in optimizer
-/// order (forward-direction parameters, then backward-direction) — one
-/// sequence's share of a multi-sequence batch.
-fn pair_gradients(
-    forward: &RecurrentImputer,
-    backward: &RecurrentImputer,
-    seq: &PathSequence,
-    rev: &PathSequence,
-) -> Vec<Matrix<f64>> {
-    pair_backward(forward, backward, seq, rev);
-    forward
-        .parameters()
-        .iter()
-        .chain(&backward.parameters())
-        .map(|p| p.grad())
-        .collect()
-}
-
-/// Runs the deterministic mini-batch training loop shared by the batched
-/// recurrent trainers: the epoch is split into fixed-boundary chunks of
-/// `batch_size` sequence indices, each chunk's per-sequence gradients are
-/// produced by `grads` (fanned out by the caller where profitable), summed
-/// in sequence-index order into a [`GradientBatch`], and applied as one
-/// optimizer step.
-///
-/// A single-sequence chunk — every step at the `batch_size = 1` default —
-/// takes the direct path instead: the optimizer's gradients are zeroed,
-/// `live(i)` back-propagates sequence `i` through the live graph into them,
-/// and the optimizer steps. That is bitwise the batch route: a gradient
-/// buffer never holds `-0.0` (it starts at `+0.0` and only has values added
-/// to it), so summing one gradient into a zeroed batch and loading it into
-/// zeroed parameter gradients would reproduce it exactly.
-///
-/// `grads(chunk)` must return one gradient list per index in `chunk`, in
-/// chunk order — [`rm_runtime::par_map`] over the chunk satisfies this by
-/// construction. Because the boundaries depend only on `batch_size` and the
-/// reduction order only on the sequence index, the resulting trajectory is
-/// bitwise independent of the thread count.
-pub fn train_in_batches<T: Scalar>(
-    optimizer: &mut impl Optimizer<T>,
-    epochs: usize,
-    num_sequences: usize,
-    batch_size: usize,
-    mut live: impl FnMut(usize),
-    mut grads: impl FnMut(&[usize]) -> Vec<Vec<Matrix<T>>>,
-) {
-    let batch_size = batch_size.max(1);
-    let indices: Vec<usize> = (0..num_sequences).collect();
-    // Built at the first multi-sequence chunk: no single-sequence step reads it.
-    let mut batch: Option<GradientBatch<T>> = None;
-    for _ in 0..epochs {
-        for chunk in indices.chunks(batch_size) {
-            if let [i] = *chunk {
-                optimizer.zero_grad();
-                live(i);
-                optimizer.step();
-                continue;
-            }
-            let per_sequence = grads(chunk);
-            debug_assert_eq!(per_sequence.len(), chunk.len());
-            let batch =
-                batch.get_or_insert_with(|| GradientBatch::zeros_like(optimizer.parameters()));
-            batch.clear();
-            for sequence_grads in &per_sequence {
-                batch.accumulate(sequence_grads);
-            }
-            optimizer.apply_batch(batch);
+            .zip(d_estimates.iter_mut().zip(d_latents.iter_mut()))
+        {
+            zeroed(d_est, tape.estimates().len());
+            zeroed(d_lat, tape.latents().len());
         }
+        let [df, db] = d_estimates;
+        let len = seq.len();
+        let scale = T::from_f64(1.0 / len as f64);
+        let mut total = T::ZERO;
+        for t in 0..len {
+            let rt = len - 1 - t;
+            let a = fwd.estimate(t).len();
+            column(&seq.fingerprints[t], target);
+            let d = &mut df[t * a..(t + 1) * a];
+            total += masked_mse(fwd.estimate(t), target, fwd.mask(t), scale, d, None);
+            column(&rev.fingerprints[rt], target);
+            let d = &mut db[rt * a..(rt + 1) * a];
+            total += masked_mse(bwd.estimate(rt), target, bwd.mask(rt), scale, d, None);
+        }
+        total * scale
     }
 }
 
-/// The bidirectional inference fan-out, generic over the kernel precision:
-/// every `(sequence, reversed)` pair runs through the shared weight
-/// snapshots on the pool, and the forward/backward complements are averaged
-/// at MAR positions. Denormalisation happens after widening back to `f64`,
-/// so the returned `(record, ap, rssi)` triples are precision-independent in
-/// type (not in value). Each task only reads the shared snapshots, so the
-/// fan-out is order-preserving and bit-identical at any thread count.
-fn infer_mar_values<T: Scalar>(
-    forward: &RecurrentImputerWeights<T>,
-    backward: &RecurrentImputerWeights<T>,
-    pairs: &[(&PathSequence, &PathSequence)],
+/// The imputed map of a RITS imputer (BRITS, SSGAN): observed entries pass
+/// through, MNARs take the fill floor and RPs interpolate
+/// ([`Brits::passthrough`]); each MAR entry takes the mean of the
+/// `directions`' complements for its record. Each direction runs the RITS
+/// forward ([`RecurrentImputerWeights::forward`], the one training records
+/// too) over its own sequences: the first over the sequences, a second
+/// (BRITS's backward direction) over the reversed ones, whose step
+/// `T − 1 − t` is record `t`. At [`Precision::F32`] the weights are rounded
+/// once and the forwards run in f32; denormalisation happens after widening
+/// back to `f64`. Every sequence fans out over the pool, each task only
+/// reads the shared weights and writes its own records, so the map is
+/// bit-identical at any thread count.
+pub(crate) fn impute_mar(
+    map: &RadioMap,
     mask: &MaskMatrix,
     norm: &Normalization,
-    num_aps: usize,
+    directions: &[(&RecurrentImputerWeights, &[PathSequence])],
+    precision: Precision,
+    threads: usize,
+) -> ImputedRadioMap {
+    let mut imputed = Brits::passthrough(map);
+    let values = match precision {
+        Precision::F64 => mar_values(directions, mask, norm, threads),
+        Precision::F32 => {
+            let rounded: Vec<RecurrentImputerWeights<f32>> =
+                directions.iter().map(|(w, _)| w.cast()).collect();
+            let directions: Vec<_> = rounded
+                .iter()
+                .zip(directions)
+                .map(|(w, d)| (w, d.1))
+                .collect();
+            mar_values(&directions, mask, norm, threads)
+        }
+    };
+    for (record, ap, value) in values.into_iter().flatten() {
+        imputed.fingerprints[record][ap] = value;
+    }
+    imputed
+}
+
+/// [`impute_mar`]'s fan-out at precision `T`: each sequence's
+/// `(record, ap, rssi)` MAR values.
+fn mar_values<T: Scalar>(
+    directions: &[(&RecurrentImputerWeights<T>, &[PathSequence])],
+    mask: &MaskMatrix,
+    norm: &Normalization,
     threads: usize,
 ) -> Vec<Vec<(usize, usize, f64)>> {
-    rm_runtime::par_map(threads, pairs, |_, &(seq, rev)| {
-        // Per-task scratch: the workspace itself is cheap, and the matrix
-        // buffers it hands out come from the worker's thread-local pool, so
-        // steady-state inference tasks allocate nothing.
-        let mut ws = Workspace::new();
-        let fwd = forward.run(seq, &mut ws);
-        let bwd = backward.run(rev, &mut ws);
+    let count = T::from_f64(directions.len() as f64);
+    rm_runtime::par_map(threads, directions[0].1, |i, seq| {
+        let tapes: Vec<RitsTape<T>> = directions
+            .iter()
+            .map(|(w, sequences)| {
+                let mut tape = RitsTape::new();
+                w.forward(&sequences[i], true, &mut tape);
+                tape
+            })
+            .collect();
         let mut values: Vec<(usize, usize, f64)> = Vec::new();
         for (t, &record) in seq.record_indices.iter().enumerate() {
-            let rt = rev.len() - 1 - t;
-            for ap in 0..num_aps {
+            let steps = [t, seq.len() - 1 - t];
+            let complement = |k: usize| tapes[k].complement(steps[k.min(1)]);
+            for ap in 0..complement(0).len() {
                 if mask.get(record, ap) == EntryKind::Mar {
-                    let avg = (fwd[t].get(ap, 0) + bwd[rt].get(ap, 0)) / T::from_f64(2.0);
-                    values.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+                    let sum =
+                        (1..tapes.len()).fold(complement(0)[ap], |s, k| s + complement(k)[ap]);
+                    values.push((record, ap, norm.denormalize_rssi((sum / count).to_f64())));
                 }
             }
         }
         values
-    })
-}
-
-/// Exports one direction's trained snapshot as `brits.{prefix}.*` named
-/// tensors at the precision the inference path keeps resident (see
-/// [`crate::snapshot::export_linear`]: exported bits equal the serving bits
-/// at either precision).
-fn export_direction(
-    prefix: &str,
-    weights: &RecurrentImputerWeights,
-    precision: Precision,
-    tensors: &mut Vec<NamedTensor>,
-) {
-    export_recurrent(&format!("brits.{prefix}"), weights, precision, tensors);
-}
-
-/// Exports one direction's trained weights under `{prefix}.{layer}` names
-/// via the shared [`crate::snapshot`] helpers (see [`export_direction`] for
-/// the BRITS naming; SSGAN reuses this for its generator).
-pub(crate) fn export_recurrent(
-    prefix: &str,
-    weights: &RecurrentImputerWeights,
-    precision: Precision,
-    tensors: &mut Vec<NamedTensor>,
-) {
-    snapshot::export_linear(
-        &format!("{prefix}.estimate"),
-        &weights.estimate,
-        precision,
-        tensors,
-    );
-    snapshot::export_linear(
-        &format!("{prefix}.decay"),
-        &weights.decay,
-        precision,
-        tensors,
-    );
-    snapshot::export_lstm_cell(prefix, &weights.cell, precision, tensors);
-}
-
-/// Rebuilds one direction's weights from the tensors exported by
-/// [`export_recurrent`] under `prefix`, validating every shape against a
-/// `num_aps`-AP map. Returns `None` — the caller then falls back to cold
-/// training — when a tensor is missing or the snapshot was trained for a
-/// different map shape.
-pub(crate) fn import_recurrent(
-    prefix: &str,
-    tensors: &[NamedTensor],
-    num_aps: usize,
-) -> Option<RecurrentImputerWeights> {
-    let estimate = snapshot::import_linear(tensors, prefix, "estimate")?;
-    let decay = snapshot::import_linear(tensors, prefix, "decay")?;
-    let cell = snapshot::import_lstm_cell(tensors, prefix)?;
-
-    // `estimate` maps hidden → APs, `decay` maps APs → hidden, and each gate
-    // maps the concatenated `[x_c; mask]` input plus the hidden state to the
-    // hidden size — reject anything else before it can panic downstream.
-    let hidden_size = estimate.weight().cols();
-    if hidden_size == 0
-        || estimate.weight().shape() != (num_aps, hidden_size)
-        || decay.weight().shape() != (hidden_size, num_aps)
-        || cell.gates()[0].weight().shape() != (hidden_size, num_aps * 2 + hidden_size)
-    {
-        return None;
-    }
-    Some(RecurrentImputerWeights {
-        estimate,
-        decay,
-        cell,
-        hidden_size,
     })
 }
 
@@ -596,60 +439,39 @@ impl Brits {
         rm_runtime::par_map(reversal_threads, sequences, |_, s| s.reversed(norm))
     }
 
-    /// Deterministic mini-batch training of one forward/backward model pair
-    /// for `epochs` epochs: the epoch is chunked into fixed-boundary batches
-    /// of `batch_size` sequences. Within a batch the per-sequence losses are
-    /// independent given the batch-start weights, so each sequence
-    /// differentiates its own detached graph replica (rebuilt from a
-    /// `Send + Sync` weight snapshot) on the worker pool, and only the
-    /// extracted gradient matrices cross threads; the sums reduce in
-    /// sequence-index order, so the model is bitwise thread-count
-    /// independent. Single-sequence batches — the `batch_size = 1` default
-    /// in particular — skip the snapshot/rebuild round-trip and
-    /// differentiate the live graph directly, reproducing the classic serial
-    /// SGD trajectory bitwise (parity-tested below). Shared by cold training
-    /// ([`Brits::impute_inner`]) and warm fine-tuning
-    /// ([`Brits::impute_warm_inner`]), which differ only in where the
-    /// starting weights come from.
-    fn train_pair(
+    /// Trains both directions in place for `epochs` epochs on the training
+    /// tape through the shared trainer ([`train_pairs`]), from fresh
+    /// weights ([`Brits::impute_inner`]) or imported ones
+    /// ([`Brits::impute_warm_inner`]).
+    fn train(
         &self,
-        forward: &RecurrentImputer,
-        backward: &RecurrentImputer,
+        weights: &mut [RecurrentImputerWeights; 2],
         sequences: &[PathSequence],
         reversed: &[PathSequence],
         epochs: usize,
     ) {
-        let mut params = forward.parameters();
-        params.extend(backward.parameters());
-        let mut optimizer = Adam::new(params, self.config.learning_rate).with_clip(5.0);
-        let threads = self.config.threads;
-        train_in_batches(
-            &mut optimizer,
+        let training = Training {
+            learning_rate: self.config.learning_rate,
             epochs,
+            batch_size: self.config.batch_size,
+            threads: self.config.threads,
+        };
+        train_pairs(
+            weights,
             sequences.len(),
-            self.config.batch_size,
-            |i| pair_backward(forward, backward, &sequences[i], &reversed[i]),
-            |chunk| {
-                let fw = forward.snapshot();
-                let bw = backward.snapshot();
-                rm_runtime::par_map(threads, chunk, |_, &i| {
-                    pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
-                })
+            training,
+            |tape: &mut BritsTape, w, i, grads| {
+                tape.differentiate(w, &sequences[i], &reversed[i], grads);
             },
         );
     }
 
-    /// Produces imputations from a trained weight pair — average of forward
-    /// and backward complements at MAR positions — plus the optional tensor
-    /// export. The weights are rounded once to f32 when the config asks for
-    /// single-precision inference, and every sequence's inference fans out
-    /// over the pool; each task only reads the shared snapshot and writes
-    /// values for its own (disjoint) records, so the merge is
-    /// order-independent.
+    /// Produces imputations from a trained weight pair — the average of
+    /// forward and backward complements at MAR positions ([`impute_mar`]) —
+    /// plus the optional tensor export at the inference precision.
     fn infer_and_export(
         &self,
-        forward_weights: &RecurrentImputerWeights,
-        backward_weights: &RecurrentImputerWeights,
+        weights: &[RecurrentImputerWeights; 2],
         sequences: &[PathSequence],
         reversed: &[PathSequence],
         map: &RadioMap,
@@ -657,57 +479,19 @@ impl Brits {
         norm: &Normalization,
         export_snapshot: bool,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
-        let ImputedRadioMap {
-            mut fingerprints,
-            locations,
-        } = Self::passthrough(map);
-        let tensors = if export_snapshot {
-            let mut tensors = Vec::with_capacity(24);
-            for (prefix, weights) in [("forward", forward_weights), ("backward", backward_weights)]
-            {
-                export_direction(prefix, weights, self.config.precision, &mut tensors);
-            }
-            tensors
-        } else {
-            Vec::new()
-        };
-        let pairs: Vec<(&PathSequence, &PathSequence)> =
-            sequences.iter().zip(reversed.iter()).collect();
-        let threads = self.config.threads;
-        let imputations = match self.config.precision {
-            Precision::F64 => infer_mar_values(
-                forward_weights,
-                backward_weights,
-                &pairs,
-                mask,
-                norm,
-                num_aps,
-                threads,
-            ),
-            Precision::F32 => infer_mar_values(
-                &forward_weights.cast::<f32>(),
-                &backward_weights.cast::<f32>(),
-                &pairs,
-                mask,
-                norm,
-                num_aps,
-                threads,
-            ),
-        };
-        for values in imputations {
-            for (record, ap, value) in values {
-                fingerprints[record][ap] = value;
+        let mut tensors = Vec::new();
+        if export_snapshot {
+            for (prefix, w) in [
+                ("brits.forward", &weights[0]),
+                ("brits.backward", &weights[1]),
+            ] {
+                export_recurrent(prefix, w, self.config.precision, &mut tensors);
             }
         }
-
-        (
-            ImputedRadioMap {
-                fingerprints,
-                locations,
-            },
-            tensors,
-        )
+        let directions = [(&weights[0], sequences), (&weights[1], reversed)];
+        let (precision, threads) = (self.config.precision, self.config.threads);
+        let imputed = impute_mar(map, mask, norm, &directions, precision, threads);
+        (imputed, tensors)
     }
 
     /// The shared train-then-infer body behind both [`Imputer`] entry
@@ -727,19 +511,13 @@ impl Brits {
         }
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let forward = RecurrentImputer::new(num_aps, self.config.hidden_size, &mut rng);
-        let backward = RecurrentImputer::new(num_aps, self.config.hidden_size, &mut rng);
+        let mut direction =
+            || RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
+        let mut weights = [direction(), direction()];
         let reversed = self.reverse_sequences(&sequences, &norm);
-        self.train_pair(
-            &forward,
-            &backward,
-            &sequences,
-            &reversed,
-            self.config.epochs,
-        );
+        self.train(&mut weights, &sequences, &reversed, self.config.epochs);
         self.infer_and_export(
-            &forward.snapshot(),
-            &backward.snapshot(),
+            &weights,
             &sequences,
             &reversed,
             map,
@@ -757,8 +535,8 @@ impl Brits {
     /// inference path re-applies the same one-time rounding the exporting
     /// run applied, so on an unchanged map the replay is bit-identical to
     /// the run that exported the snapshot. With `fine_tune_epochs > 0` the
-    /// weights seed a fresh optimizer for that many additional mini-batch
-    /// epochs — a cheap incremental refresh, not a replay.
+    /// weights train under a fresh optimizer for that many additional
+    /// mini-batch epochs — a cheap incremental refresh, not a replay.
     fn impute_warm_inner(
         &self,
         map: &RadioMap,
@@ -770,8 +548,10 @@ impl Brits {
         if num_aps == 0 {
             return None;
         }
-        let forward_weights = import_recurrent("brits.forward", warm, num_aps)?;
-        let backward_weights = import_recurrent("brits.backward", warm, num_aps)?;
+        let mut weights = [
+            import_recurrent("brits.forward", warm, num_aps)?,
+            import_recurrent("brits.backward", warm, num_aps)?,
+        ];
 
         let norm = Normalization::from_map(map);
         let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
@@ -780,24 +560,10 @@ impl Brits {
         }
         let reversed = self.reverse_sequences(&sequences, &norm);
 
-        let (forward_weights, backward_weights) = if fine_tune_epochs == 0 {
-            (forward_weights, backward_weights)
-        } else {
-            let forward = forward_weights.to_model();
-            let backward = backward_weights.to_model();
-            self.train_pair(&forward, &backward, &sequences, &reversed, fine_tune_epochs);
-            (forward.snapshot(), backward.snapshot())
-        };
-        Some(self.infer_and_export(
-            &forward_weights,
-            &backward_weights,
-            &sequences,
-            &reversed,
-            map,
-            mask,
-            &norm,
-            true,
-        ))
+        if fine_tune_epochs > 0 {
+            self.train(&mut weights, &sequences, &reversed, fine_tune_epochs);
+        }
+        Some(self.infer_and_export(&weights, &sequences, &reversed, map, mask, &norm, true))
     }
 }
 
@@ -835,8 +601,65 @@ impl Imputer for Brits {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::train::Parameters;
     use rm_geometry::Point;
+    use rm_nn::{loss, Adam, Optimizer};
     use rm_radiomap::{Fingerprint, RadioMapRecord};
+
+    /// The graph oracle of one BRITS training step: differentiates the
+    /// pair's loss — the forward and backward reconstruction errors at
+    /// observed entries — through the autodiff graph, accumulating into the
+    /// models' parameter gradients, returns the pair's graph to the
+    /// per-worker node arena and returns the loss. The gradient buffers
+    /// must be zero on entry for the result to be one pair's gradient.
+    fn pair_backward(
+        forward: &RecurrentImputer,
+        backward: &RecurrentImputer,
+        seq: &PathSequence,
+        rev: &PathSequence,
+    ) -> f64 {
+        let fwd = forward.run(seq);
+        let bwd = backward.run(rev);
+        let mut total = Var::scalar(0.0);
+        for t in 0..seq.len() {
+            let target = Matrix::column(&seq.fingerprints[t]);
+            let m = Matrix::column(&seq.fingerprint_masks[t]);
+            total = total.add(&loss::masked_mse(&fwd.estimates[t], &target, &m));
+            let rt = rev.len() - 1 - t;
+            let target_b = Matrix::column(&rev.fingerprints[rt]);
+            let m_b = Matrix::column(&rev.fingerprint_masks[rt]);
+            total = total.add(&loss::masked_mse(&bwd.estimates[rt], &target_b, &m_b));
+        }
+        let loss = total.scale(1.0 / seq.len() as f64);
+        loss.backward();
+        let value = loss.scalar_value();
+        Var::recycle_all(
+            fwd.estimates
+                .into_iter()
+                .chain(fwd.complements)
+                .chain(bwd.estimates)
+                .chain(bwd.complements)
+                .chain([total, loss]),
+        );
+        value
+    }
+
+    /// [`pair_backward`], then the per-parameter gradients read out in
+    /// optimizer order (forward-direction parameters, then backward).
+    fn pair_gradients(
+        forward: &RecurrentImputer,
+        backward: &RecurrentImputer,
+        seq: &PathSequence,
+        rev: &PathSequence,
+    ) -> Vec<Matrix<f64>> {
+        pair_backward(forward, backward, seq, rev);
+        forward
+            .parameters()
+            .iter()
+            .chain(&backward.parameters())
+            .map(|p| p.grad())
+            .collect()
+    }
 
     /// A path whose AP0 RSSI varies smoothly in time; one value is MAR.
     pub(crate) fn smooth_map() -> (RadioMap, MaskMatrix) {
@@ -1025,17 +848,27 @@ pub(crate) mod tests {
     }
 
     /// Empty, foreign, or shape-incompatible snapshots fall back to the cold
-    /// path bitwise — warm-starting is always safe to attempt.
+    /// path bitwise — warm-starting is always safe to attempt. That
+    /// includes square LSTM gates, which leave the cell no input columns.
     #[test]
     fn warm_with_unusable_snapshot_falls_back_to_cold_training() {
         let (map, mask) = smooth_map();
         let brits = Brits::new(quick_config());
-        let (cold, _) = brits.impute_with_snapshot(&map, &mask);
+        let (cold, tensors) = brits.impute_with_snapshot(&map, &mask);
         let foreign = vec![NamedTensor::new(
             "brits.forward.estimate.weight",
             Matrix::<f64>::filled(3, 7, 0.5),
         )];
-        for warm in [&Vec::new(), &foreign] {
+        let square: Vec<NamedTensor> = tensors
+            .iter()
+            .map(|t| match t.name.strip_prefix("brits.forward.cell.") {
+                Some(gate) if gate.ends_with(".weight") => {
+                    NamedTensor::new(t.name.clone(), Matrix::<f64>::filled(16, 16, 0.1))
+                }
+                _ => t.clone(),
+            })
+            .collect();
+        for warm in [&Vec::new(), &foreign, &square] {
             let (out, tensors) = brits.impute_warm(&map, &mask, warm, 0);
             assert_eq!(tensors.len(), 24);
             for (a, b) in cold
@@ -1077,12 +910,11 @@ pub(crate) mod tests {
         assert_eq!(b, default_batch_size());
     }
 
-    /// The worker-side graph rebuild must not perturb the trajectory: the
-    /// gradients of a `(sequence, reversed)` pair computed on replicas
-    /// rebuilt from weight snapshots are bit-identical to gradients computed
-    /// on the live graph. This is the property that makes the snapshot
-    /// fan-out of `batch_size > 1` and the live-graph fast path of
-    /// single-sequence batches two schedules of the same computation.
+    /// The graph rebuild must not perturb the trajectory: the gradients of
+    /// a `(sequence, reversed)` pair computed on replicas rebuilt from
+    /// weights ([`RecurrentImputerWeights::to_model`], which SSGAN's batched
+    /// generator phase and the tape's oracle use) are bit-identical to
+    /// gradients computed on the live graph.
     #[test]
     fn rebuilt_replica_gradients_match_live_graph_bitwise() {
         let (map, mask) = smooth_map();
@@ -1107,6 +939,137 @@ pub(crate) mod tests {
             for (a, b) in live.iter().zip(replica.iter()) {
                 assert!(a.bits_eq(b), "replica gradient drifted from live graph");
             }
+        }
+    }
+
+    /// Which fingerprint entries a test sequence observes.
+    #[derive(Clone, Copy, Debug)]
+    enum Masks {
+        AllObserved,
+        Mixed,
+        AllMissing,
+    }
+
+    /// A value in `[-1, 1]` or an exact `±0.0`, from a salt.
+    fn value(salt: usize) -> f64 {
+        match salt % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            k => ((k * 31 + salt * 7) as f64 * 0.61).sin(),
+        }
+    }
+
+    /// A prepared sequence of `len` steps over `aps` APs with `±0.0`
+    /// entries and growing time lags.
+    fn sequence(len: usize, aps: usize, salt: usize, masks: Masks) -> PathSequence {
+        let observed = |t: usize, e: usize| match masks {
+            Masks::AllObserved => 1.0,
+            Masks::Mixed => f64::from(!(t + e * 2 + salt).is_multiple_of(4)),
+            Masks::AllMissing => 0.0,
+        };
+        PathSequence {
+            record_indices: (0..len).collect(),
+            times: (0..len).map(|t| (t * 3) as f64).collect(),
+            fingerprints: (0..len)
+                .map(|t| (0..aps).map(|e| value(t * aps + e + salt)).collect())
+                .collect(),
+            fingerprint_masks: (0..len)
+                .map(|t| (0..aps).map(|e| observed(t, e)).collect())
+                .collect(),
+            time_lags: (0..len)
+                .map(|t| (0..aps).map(|e| (t * (e % 3 + 1)) as f64 * 0.05).collect())
+                .collect(),
+            rps: vec![(0.0, 0.0); len],
+            rp_masks: vec![0.0; len],
+        }
+    }
+
+    /// Freshly drawn weights with every tensor shifted off its initial
+    /// value (the biases start at zero), so no gradient term is trivially
+    /// zero.
+    fn weights(aps: usize, hidden: usize, rng: &mut StdRng) -> RecurrentImputerWeights {
+        let mut w = RecurrentImputerWeights::new(aps, hidden, rng);
+        let mut k = 0;
+        w.for_each_tensor_mut(|m| {
+            for v in m.data_mut() {
+                k += 1;
+                *v += 0.3 * value(k + 2);
+            }
+        });
+        w
+    }
+
+    /// The tape against its oracle, the graph's [`pair_backward`]: the loss
+    /// value and all 24 gradient tensors of both directions, bit for bit,
+    /// for `T ∈ {1, 2, 5}`, masks observing every, some and no entry,
+    /// inputs holding `±0.0`, and two shapes (the wider one runs the vector
+    /// kernels). One tape serves every case, so a record or scratch buffer
+    /// that leaked from one pair into the next would show too.
+    #[test]
+    fn tape_matches_the_graph_oracle_bitwise() {
+        let mut tape = BritsTape::new();
+        let mut cases = 0;
+        for (aps, hidden) in [(5, 8), (19, 17)] {
+            for len in [1, 2, 5] {
+                for masks in [Masks::AllObserved, Masks::Mixed, Masks::AllMissing] {
+                    let salt = cases;
+                    let mut rng = StdRng::seed_from_u64(salt as u64);
+                    let fw = weights(aps, hidden, &mut rng);
+                    let bw = weights(aps, hidden, &mut rng);
+                    let seq = sequence(len, aps, salt, masks);
+                    let rev = sequence(len, aps, salt + 11, masks);
+
+                    let (fm, bm) = (fw.to_model(), bw.to_model());
+                    let want_loss = pair_backward(&fm, &bm, &seq, &rev);
+                    let mut grads = [&fw, &bw].map(Gradients::zeros_like);
+                    let [f, b] = &mut grads;
+                    let loss = tape.differentiate([&fw, &bw], &seq, &rev, [f, b]);
+
+                    let case = format!("T={len} {masks:?} A={aps} H={hidden}");
+                    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{case}: loss");
+                    let want = fm.parameters().into_iter().chain(bm.parameters());
+                    let got = grads.iter().flat_map(|g| g.tensors());
+                    let mut count = 0;
+                    for (k, (p, g)) in want.zip(got).enumerate() {
+                        assert!(p.grad().bits_eq(g), "{case}: gradient tensor {k}");
+                        count += 1;
+                    }
+                    assert_eq!(count, 24, "{case}: tensor count");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 3 * 3);
+    }
+
+    /// Gradients accumulate: differentiating two pairs into the same
+    /// buffers equals the graph's two backward passes into the same
+    /// parameters, as the graph's `zero_grad → backward → backward` does.
+    #[test]
+    fn tape_gradients_accumulate_like_the_graph() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (fw, bw) = (weights(4, 6, &mut rng), weights(4, 6, &mut rng));
+        let pairs = [
+            (
+                sequence(5, 4, 1, Masks::Mixed),
+                sequence(5, 4, 2, Masks::Mixed),
+            ),
+            (
+                sequence(3, 4, 3, Masks::Mixed),
+                sequence(3, 4, 4, Masks::Mixed),
+            ),
+        ];
+        let (fm, bm) = (fw.to_model(), bw.to_model());
+        let mut grads = [&fw, &bw].map(Gradients::zeros_like);
+        let mut tape = BritsTape::new();
+        for (seq, rev) in &pairs {
+            pair_backward(&fm, &bm, seq, rev);
+            let [f, b] = &mut grads;
+            tape.differentiate([&fw, &bw], seq, rev, [f, b]);
+        }
+        let want = fm.parameters().into_iter().chain(bm.parameters());
+        for (p, g) in want.zip(grads.iter().flat_map(|g| g.tensors())) {
+            assert!(p.grad().bits_eq(g));
         }
     }
 
@@ -1155,20 +1118,11 @@ pub(crate) mod tests {
                 optimizer.step();
             }
         }
-        let pairs: Vec<(&PathSequence, &PathSequence)> =
-            sequences.iter().zip(reversed.iter()).collect();
-        infer_mar_values(
-            &forward.snapshot(),
-            &backward.snapshot(),
-            &pairs,
-            mask,
-            &norm,
-            num_aps,
-            1,
-        )
-        .into_iter()
-        .flatten()
-        .collect()
+        let (fw, bw) = (forward.snapshot(), backward.snapshot());
+        mar_values(&[(&fw, &sequences), (&bw, &reversed)], mask, &norm, 1)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// `batch_size = 1` (the default) reproduces the pre-batching serial SGD

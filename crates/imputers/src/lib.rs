@@ -18,10 +18,12 @@
 pub mod brits;
 pub mod mf;
 pub mod mice;
+pub mod rits;
 pub mod sequence;
 pub mod simple;
 pub mod snapshot;
 pub mod ssgan;
+pub mod train;
 
 /// Minimum-work gates below which the imputers' internal fan-outs stay
 /// serial.
@@ -125,12 +127,14 @@ pub mod gates {
     }
 }
 
-pub use brits::{snapshot_resident_bytes, Brits, BritsConfig};
+pub use brits::{snapshot_resident_bytes, Brits, BritsConfig, BritsTape};
 pub use mf::{MatrixFactorization, MatrixFactorizationConfig};
 pub use mice::{Mice, MiceConfig};
+pub use rits::{RecurrentImputerWeights, RitsTape, Schedule};
 pub use sequence::{build_sequences, Normalization, PathSequence};
 pub use simple::{CaseDeletion, LinearInterpolation, SemiSupervised};
 pub use ssgan::{Ssgan, SsganConfig};
+pub use train::{train_pairs, Gradients, Parameters, Training};
 
 use rm_geometry::Point;
 use rm_radiomap::{DenseRadioMap, EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};

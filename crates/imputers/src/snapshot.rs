@@ -99,13 +99,17 @@ pub fn import_linear(
 }
 
 /// Reassembles the four LSTM gate layers exported under `{prefix}.cell.*`;
-/// `None` when any gate is missing or the gate shapes disagree.
+/// `None` when any gate is missing, the gate shapes disagree, or they leave
+/// no input columns beside the hidden state's.
 pub fn import_lstm_cell(tensors: &[NamedTensor], prefix: &str) -> Option<LstmCellWeights<f64>> {
     let input_gate = import_linear(tensors, prefix, "cell.input_gate")?;
     let forget_gate = import_linear(tensors, prefix, "cell.forget_gate")?;
     let output_gate = import_linear(tensors, prefix, "cell.output_gate")?;
     let candidate = import_linear(tensors, prefix, "cell.candidate")?;
     let shape = input_gate.weight().shape();
+    if shape.1 <= shape.0 {
+        return None;
+    }
     for gate in [&forget_gate, &output_gate, &candidate] {
         if gate.weight().shape() != shape {
             return None;

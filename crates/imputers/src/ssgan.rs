@@ -11,13 +11,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{loss, Activation, Adam, GradientBatch, Mlp, MlpWeights, Optimizer};
-use rm_radiomap::{EntryKind, MaskMatrix, RadioMap};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
+use rm_radiomap::{MaskMatrix, RadioMap};
+use rm_tensor::{Matrix, NamedTensor, Precision, Var};
 
-use crate::brits::{
-    default_batch_size, default_epochs, export_recurrent, import_recurrent, Brits,
-    RecurrentImputer, RecurrentImputerWeights,
-};
+use crate::brits::{default_batch_size, default_epochs, impute_mar, Brits, RecurrentImputer};
+use crate::rits::{export_recurrent, import_recurrent, RecurrentImputerWeights, RitsTape};
 use crate::sequence::{build_sequences, Normalization, PathSequence};
 use crate::{snapshot, ImputedRadioMap, Imputer};
 
@@ -75,10 +73,9 @@ impl Default for SsganConfig {
 /// Differentiates the discriminator loss for one sequence — predict the
 /// observation mask from the (detached) complemented vectors — and returns
 /// the discriminator's per-parameter gradients. `complements` are the
-/// generator outputs as plain values: the graph forward's `.value()` on the
-/// live path, or the bit-identical matrix-kernel forward of
-/// [`RecurrentImputerWeights::run`] on the batched path. The discriminator's
-/// gradient buffers must be zero on entry.
+/// generator outputs as plain values, from the RITS forward
+/// ([`RecurrentImputerWeights::forward`], bit-identical to the graph
+/// forward). The discriminator's gradient buffers must be zero on entry.
 fn disc_gradients(
     discriminator: &Mlp,
     seq: &PathSequence,
@@ -192,27 +189,28 @@ impl Ssgan {
         for _ in 0..epochs {
             for chunk in indices.chunks(batch_size) {
                 // ---- Discriminator phase: predict the observation mask. ----
+                // The generator is only sampled here (its output is
+                // detached), so its RITS forward — bit-identical to the graph
+                // forward — serves directly.
+                let gen_weights = generator.snapshot();
+                let sample = |seq: &PathSequence| {
+                    let mut tape = RitsTape::new();
+                    gen_weights.forward(seq, true, &mut tape);
+                    (0..seq.len())
+                        .map(|t| Matrix::column(tape.complement(t)))
+                        .collect::<Vec<Matrix<f64>>>()
+                };
                 let disc_grads: Vec<Vec<Matrix<f64>>> = if let [i] = *chunk {
                     for p in disc_opt.parameters() {
                         p.zero_grad();
                     }
-                    let pass = generator.run(&sequences[i]);
-                    let complements: Vec<Matrix<f64>> =
-                        pass.complements.iter().map(Var::value).collect();
-                    // The pass was only sampled (its values are detached
-                    // above); recycle its graph before differentiating.
-                    Var::recycle_all(pass.estimates.into_iter().chain(pass.complements));
-                    vec![disc_gradients(discriminator, &sequences[i], &complements)]
+                    let seq = &sequences[i];
+                    vec![disc_gradients(discriminator, seq, &sample(seq))]
                 } else {
-                    let gen_weights = generator.snapshot();
                     let disc_weights = discriminator.snapshot();
                     rm_runtime::par_map(threads, chunk, |_, &i| {
-                        // The generator is only sampled here (its output is
-                        // detached), so the graph-free matrix forward — bit-
-                        // identical to the graph forward — serves directly.
-                        let mut ws = Workspace::new();
-                        let complements = gen_weights.run(&sequences[i], &mut ws);
-                        disc_gradients(&disc_weights.to_mlp(), &sequences[i], &complements)
+                        let seq = &sequences[i];
+                        disc_gradients(&disc_weights.to_mlp(), seq, &sample(seq))
                     })
                 };
                 disc_batch.clear();
@@ -256,12 +254,10 @@ impl Ssgan {
         }
     }
 
-    /// Produces imputations from the trained generator — snapshot weights
-    /// rounded once to f32 when the config asks for single-precision
-    /// inference, per-sequence inference fanned out over the pool (each task
-    /// writes values for its own disjoint records) — plus the optional
-    /// tensor export: the generator under `ssgan.generator.*` and the
-    /// discriminator under `ssgan.discriminator.N.*` (the discriminator
+    /// Produces imputations from the trained generator's complements
+    /// ([`impute_mar`], BRITS's inference with one direction) plus the
+    /// optional tensor export: the generator under `ssgan.generator.*` and
+    /// the discriminator under `ssgan.discriminator.N.*` (the discriminator
     /// does not impute, but warm fine-tuning resumes the adversarial game,
     /// so both players persist).
     fn infer_and_export(
@@ -274,60 +270,25 @@ impl Ssgan {
         norm: &Normalization,
         export_snapshot: bool,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
-        let ImputedRadioMap {
-            mut fingerprints,
-            locations,
-        } = Brits::passthrough(map);
-        let tensors = if export_snapshot {
-            let mut tensors = Vec::with_capacity(16);
+        let precision = self.config.precision;
+        let mut tensors = Vec::new();
+        if export_snapshot {
             export_recurrent(
                 "ssgan.generator",
                 generator_weights,
-                self.config.precision,
+                precision,
                 &mut tensors,
             );
             snapshot::export_mlp(
                 "ssgan.discriminator",
                 discriminator_weights,
-                self.config.precision,
+                precision,
                 &mut tensors,
             );
-            tensors
-        } else {
-            Vec::new()
-        };
-        let imputations = match self.config.precision {
-            Precision::F64 => infer_mar_values(
-                generator_weights,
-                sequences,
-                mask,
-                norm,
-                num_aps,
-                self.config.threads,
-            ),
-            Precision::F32 => infer_mar_values(
-                &generator_weights.cast::<f32>(),
-                sequences,
-                mask,
-                norm,
-                num_aps,
-                self.config.threads,
-            ),
-        };
-        for values in imputations {
-            for (record, ap, value) in values {
-                fingerprints[record][ap] = value;
-            }
         }
-
-        (
-            ImputedRadioMap {
-                fingerprints,
-                locations,
-            },
-            tensors,
-        )
+        let directions = [(generator_weights, sequences)];
+        let imputed = impute_mar(map, mask, norm, &directions, precision, self.config.threads);
+        (imputed, tensors)
     }
 
     /// The shared train-then-infer body behind the [`Imputer`] entry points.
@@ -474,35 +435,6 @@ impl Imputer for Ssgan {
     }
 }
 
-/// The single-direction inference fan-out, generic over the kernel
-/// precision: every sequence runs through the shared generator snapshot on
-/// the pool and its MAR complements are denormalised after widening back to
-/// `f64`. Order-preserving and bit-identical at any thread count.
-fn infer_mar_values<T: Scalar>(
-    generator: &RecurrentImputerWeights<T>,
-    sequences: &[PathSequence],
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    threads: usize,
-) -> Vec<Vec<(usize, usize, f64)>> {
-    rm_runtime::par_map(threads, sequences, |_, seq| {
-        // Per-task scratch backed by the worker's thread-local buffer pool.
-        let mut ws = Workspace::new();
-        let complements = generator.run(seq, &mut ws);
-        let mut values: Vec<(usize, usize, f64)> = Vec::new();
-        for (t, &record) in seq.record_indices.iter().enumerate() {
-            for ap in 0..num_aps {
-                if mask.get(record, ap) == EntryKind::Mar {
-                    let v = complements[t].get(ap, 0).to_f64();
-                    values.push((record, ap, norm.denormalize_rssi(v)));
-                }
-            }
-        }
-        values
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,13 +573,28 @@ mod tests {
                 gen_opt.step();
             }
         }
-        let values = infer_mar_values(&generator.snapshot(), &sequences, &mask, &norm, num_aps, 1);
-        for (record, ap, value) in values.into_iter().flatten() {
-            assert_eq!(
-                batched.rssi(record, ap).to_bits(),
-                value.to_bits(),
-                "batch_size = 1 diverged from the alternating reference at ({record}, {ap})"
-            );
+        let generator = generator.snapshot();
+        let reference = impute_mar(
+            &map,
+            &mask,
+            &norm,
+            &[(&generator, &sequences)],
+            Precision::F64,
+            1,
+        );
+        for (record, (a, b)) in batched
+            .fingerprints
+            .iter()
+            .zip(&reference.fingerprints)
+            .enumerate()
+        {
+            for (ap, (a, b)) in a.iter().zip(b).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "batch_size = 1 diverged from the alternating reference at ({record}, {ap})"
+                );
+            }
         }
     }
 

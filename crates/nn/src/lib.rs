@@ -42,6 +42,6 @@ pub mod mlp;
 pub mod optim;
 
 pub use linear::{Linear, LinearWeights};
-pub use lstm::{LstmCell, LstmCellWeights, LstmState, LstmStateMatrix};
+pub use lstm::{LstmCell, LstmCellWeights, LstmState};
 pub use mlp::{Activation, Mlp, MlpWeights};
 pub use optim::{Adam, GradientBatch, Optimizer, Sgd};

@@ -2,12 +2,11 @@
 
 // rm-lint: hot-path
 // Every per-step forward of the recurrent imputers funnels through these
-// layers. Products go through `matmul_into` — into pooled graph-node buffers
-// on the training path, into caller-owned `Workspace` scratch on the
-// snapshot-inference path — so steady state allocates nothing.
+// layers: the graph's products go into pooled node buffers, the weights'
+// into caller-owned slices, so steady state allocates nothing.
 
 use rand::Rng;
-use rm_tensor::{Matrix, Scalar, Var, Workspace};
+use rm_tensor::{Matrix, Scalar, Var};
 
 /// A linear layer computing `y = W x + b` for column-vector (or
 /// column-batched) inputs. `T` defaults to `f64`, the training precision.
@@ -148,41 +147,16 @@ impl<T: Scalar> LinearWeights<T> {
         Linear::from_parts(self.weight.clone(), self.bias.clone())
     }
 
-    /// Applies `W x + b` to a `(in_features, batch)` input, writing the
-    /// result into `out` (resized on shape mismatch) without allocating when
-    /// the shape already matches: the matmul lands in `out` and the bias is
-    /// added in place.
-    pub fn forward_into(&self, x: &Matrix<T>, out: &mut Matrix<T>) {
-        if out.shape() != (self.weight.rows(), x.cols()) {
-            *out = Matrix::zeros(self.weight.rows(), x.cols());
+    /// Applies `W·x + b` to one column `x`, writing into `out`: the
+    /// product from `+0.0` in increasing column order, then the bias — the
+    /// operations of [`Linear::forward`]'s graph node, so the result is
+    /// bit-identical to the graph forward at the same precision.
+    pub fn affine(&self, x: &[T], out: &mut [T]) {
+        out.fill(T::ZERO);
+        self.weight.matvec_acc(0, x, out);
+        for (v, &b) in out.iter_mut().zip(self.bias.data()) {
+            *v += b;
         }
-        self.weight.matmul_into(x, out);
-        let cols = out.cols();
-        for (r, row_chunk) in out.data_mut().chunks_mut(cols).enumerate() {
-            let b = self.bias.get(r, 0);
-            for v in row_chunk {
-                *v += b;
-            }
-        }
-    }
-
-    /// Applies `W x + b` to a `(in_features, batch)` input (bitwise equal to
-    /// [`LinearWeights::forward_into`] on a fresh output, which is what it
-    /// delegates to).
-    pub fn forward(&self, x: &Matrix<T>) -> Matrix<T> {
-        let mut out = Matrix::zeros(self.weight.rows(), x.cols());
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// [`LinearWeights::forward`] into a matrix checked out of `ws` — the
-    /// workspace-backed variant for snapshot-inference loops that return
-    /// their activations to the workspace each step. Bitwise identical to
-    /// `forward` (reuse is capacity-only).
-    pub fn forward_ws(&self, x: &Matrix<T>, ws: &mut Workspace<T>) -> Matrix<T> {
-        let mut out = ws.take(self.weight.rows(), x.cols());
-        self.forward_into(x, &mut out);
-        out
     }
 
     /// Bytes this snapshot keeps resident (weight + bias payloads at the
@@ -279,6 +253,25 @@ mod tests {
         let _ = Linear::from_parts(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2));
     }
 
+    /// [`LinearWeights::affine`] of every column of `x`, as a matrix.
+    fn affine_columns<T: Scalar>(weights: &LinearWeights<T>, x: &Matrix<T>) -> Matrix<T> {
+        let (rows, cols) = (weights.weight().rows(), x.cols());
+        let mut out = Matrix::zeros(rows, cols);
+        let mut column = vec![T::ZERO; x.rows()];
+        // A poisoned output slice: `affine` must overwrite every entry.
+        let mut y = vec![T::from_f64(777.0); rows];
+        for c in 0..cols {
+            for (r, v) in column.iter_mut().enumerate() {
+                *v = x.get(r, c);
+            }
+            weights.affine(&column, &mut y);
+            for (r, &v) in y.iter().enumerate() {
+                out.set(r, c, v);
+            }
+        }
+        out
+    }
+
     #[test]
     fn snapshot_forward_matches_graph_forward_bitwise() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -286,35 +279,7 @@ mod tests {
         let weights = layer.snapshot();
         let x = Matrix::random_uniform(4, 2, 1.0, &mut rng);
         let graph = layer.forward(&Var::constant(x.clone())).value();
-        let snap = weights.forward(&x);
-        // Pre-filled buffer of the right shape: must be overwritten in place.
-        let mut out = Matrix::filled(3, 2, 777.0);
-        weights.forward_into(&x, &mut out);
-        for ((a, b), c) in graph
-            .data()
-            .iter()
-            .zip(snap.data().iter())
-            .zip(out.data().iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(b.to_bits(), c.to_bits());
-        }
-    }
-
-    #[test]
-    fn workspace_forward_matches_plain_forward_bitwise() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let layer: Linear = Linear::new(4, 3, &mut rng);
-        let weights = layer.snapshot();
-        let x = Matrix::random_uniform(4, 2, 1.0, &mut rng);
-        let plain = weights.forward(&x);
-        let mut ws = Workspace::new();
-        // Park a poisoned scratch matrix so the checkout must reinitialise.
-        ws.give(Matrix::filled(3, 2, f64::NAN));
-        let pooled = weights.forward_ws(&x, &mut ws);
-        assert!(plain.bits_eq(&pooled));
-        ws.give(pooled);
-        assert!(plain.bits_eq(&weights.forward_ws(&x, &mut ws)));
+        assert!(graph.bits_eq(&affine_columns(&weights, &x)));
     }
 
     /// The snapshot → rebuild round-trip must preserve the training
@@ -352,7 +317,7 @@ mod tests {
         let x64 = Matrix::<f64>::random_uniform(5, 1, 1.0, &mut rng);
         let x32: Matrix<f32> = x64.cast();
         let graph = layer32.forward(&Var::constant(x32.clone())).value();
-        assert!(graph.bits_eq(&weights32.forward(&x32)));
+        assert!(graph.bits_eq(&affine_columns(&weights32, &x32)));
     }
 
     #[test]
@@ -363,6 +328,6 @@ mod tests {
         let back = w64.cast::<f32>().cast::<f64>();
         let x = Matrix::<f64>::random_uniform(3, 1, 1.0, &mut rng);
         // f64 -> f32 -> f64 weights agree with the originals to f32 epsilon.
-        assert!(back.forward(&x).approx_eq(&w64.forward(&x), 1e-5));
+        assert!(affine_columns(&back, &x).approx_eq(&affine_columns(&w64, &x), 1e-5));
     }
 }

@@ -7,19 +7,15 @@
 //! own: an [`LstmState`] carries the hidden vector and the previous step's
 //! node, which the next step reads `c` from and hands `∂c` back to.
 //!
-//! The graph node and the graph-free snapshot ([`LstmCellWeights::step_ws`])
-//! run the same forward, [`rm_tensor::recurrent::lstm_cell_forward`], so
-//! the two are bit-identical at the same precision by construction (see
-//! the parity tests below).
-
-// rm-lint: hot-path
-// The per-step recurrence of every imputer runs through this cell; the gate
-// products go through `matvec_acc`, and `step_ws` keeps snapshot inference
-// allocation-free with a caller-owned workspace.
+//! The graph node and the graph-free weights
+//! ([`LstmCellWeights::gate_weights`] fed to
+//! [`rm_tensor::recurrent::lstm_cell_forward`]) run the same forward, so the
+//! two are bit-identical at the same precision by construction (see the
+//! parity tests below).
 
 use rand::Rng;
-use rm_tensor::recurrent::{lstm_cell_forward, LstmGates};
-use rm_tensor::{InputPart, Matrix, Scalar, Var, Workspace};
+use rm_tensor::recurrent::LstmGates;
+use rm_tensor::{InputPart, Matrix, Scalar, Var};
 
 use crate::Linear;
 
@@ -149,31 +145,14 @@ impl<T: Scalar> LstmCell<T> {
     }
 }
 
-/// The matrix-valued hidden state used by [`LstmCellWeights`] inference.
-#[derive(Debug, Clone)]
-pub struct LstmStateMatrix<T: Scalar = f64> {
-    /// Hidden vector, shape `(hidden_size, 1)`.
-    pub h: Matrix<T>,
-    /// Cell state, shape `(hidden_size, 1)`.
-    pub c: Matrix<T>,
-}
-
-impl<T: Scalar> LstmStateMatrix<T> {
-    /// A zero-initialised state.
-    pub fn zeros(hidden_size: usize) -> Self {
-        Self {
-            h: Matrix::zeros(hidden_size, 1),
-            c: Matrix::zeros(hidden_size, 1),
-        }
-    }
-}
-
 /// A graph-free snapshot of an [`LstmCell`]: plain matrices, so it is
 /// `Send + Sync` and shareable across the deterministic thread pool.
 ///
-/// [`LstmCellWeights::step`] runs the forward of the node [`LstmCell::step`]
-/// builds, so inference through a snapshot is bit-identical to running the
-/// autodiff graph forward at the same precision.
+/// [`rm_tensor::recurrent::lstm_cell_forward`] over
+/// [`LstmCellWeights::gate_weights`] is the forward of the node
+/// [`LstmCell::step`] builds, so inference through a snapshot is
+/// bit-identical to running the autodiff graph forward at the same
+/// precision.
 #[derive(Debug, Clone)]
 pub struct LstmCellWeights<T: Scalar = f64> {
     input_gate: crate::linear::LinearWeights<T>,
@@ -246,54 +225,10 @@ impl<T: Scalar> LstmCellWeights<T> {
         }
     }
 
-    /// Performs one recurrent step on plain matrices:
-    /// [`LstmCellWeights::step_ws`] on a fresh workspace.
-    pub fn step(&self, input: &Matrix<T>, state: &LstmStateMatrix<T>) -> LstmStateMatrix<T> {
-        self.step_ws(input, state, &mut Workspace::new())
-    }
-
-    /// One recurrent step on a column `input` with every buffer drawn from
-    /// `ws`: [`rm_tensor::recurrent::lstm_cell_forward`], the forward of
-    /// the graph node [`LstmCell::step`] builds, so snapshot inference is
-    /// bit-identical to the graph forward. The caller owns the returned
-    /// state and typically gives the previous step's state back to `ws`.
-    ///
-    /// # Panics
-    /// Panics if `input` is not a column of `input_size` rows.
-    pub fn step_ws(
-        &self,
-        input: &Matrix<T>,
-        state: &LstmStateMatrix<T>,
-        ws: &mut Workspace<T>,
-    ) -> LstmStateMatrix<T> {
-        assert_eq!(
-            input.shape(),
-            (self.input_size, 1),
-            "LSTM input shape mismatch"
-        );
-        let hidden = self.hidden_size;
-        let mut x = ws.take(self.input_size + hidden, 1);
-        let (head, tail) = x.data_mut().split_at_mut(self.input_size);
-        head.copy_from_slice(input.data());
-        tail.copy_from_slice(state.h.data());
-        let mut gates = ws.take(4 * hidden, 1);
-        let mut tanh_c = ws.take(hidden, 1);
-        let mut c = ws.take(hidden, 1);
-        let mut h = ws.take(hidden, 1);
-        let weights: LstmGates<'_, T> = self.gates().map(|layer| (layer.weight(), layer.bias()));
-        lstm_cell_forward(
-            &weights,
-            x.data(),
-            state.c.data(),
-            gates.data_mut(),
-            c.data_mut(),
-            tanh_c.data_mut(),
-            h.data_mut(),
-        );
-        ws.give(x);
-        ws.give(gates);
-        ws.give(tanh_c);
-        LstmStateMatrix { h, c }
+    /// The `(W, b)` pairs of the gates in step order, as
+    /// [`rm_tensor::recurrent::lstm_cell_forward`] takes them.
+    pub fn gate_weights(&self) -> LstmGates<'_, T> {
+        self.gates().map(|layer| (layer.weight(), layer.bias()))
     }
 
     /// Bytes this snapshot keeps resident (the four gate layers at `T`).
@@ -414,18 +349,60 @@ mod tests {
         assert_eq!(s.h.shape(), (2, 1));
     }
 
+    /// Runs `inputs` through the weights with
+    /// [`rm_tensor::recurrent::lstm_cell_forward`] on plain slices, carrying
+    /// `h` and `c`, and returns each step's `h`.
+    fn snapshot_steps<T: Scalar>(
+        weights: &LstmCellWeights<T>,
+        inputs: &[Matrix<T>],
+    ) -> Vec<Vec<T>> {
+        let (n, hidden) = (weights.input_size(), weights.hidden_size());
+        let mut x = vec![T::ZERO; n + hidden];
+        let mut c = vec![T::ZERO; hidden];
+        let (mut gates, mut next_c, mut tanh_c) = (
+            vec![T::ZERO; 4 * hidden],
+            vec![T::ZERO; hidden],
+            vec![T::ZERO; hidden],
+        );
+        let mut out = Vec::new();
+        for input in inputs {
+            x[..n].copy_from_slice(input.data());
+            let mut h = vec![T::ZERO; hidden];
+            rm_tensor::recurrent::lstm_cell_forward(
+                &weights.gate_weights(),
+                &x,
+                &c,
+                &mut gates,
+                &mut next_c,
+                &mut tanh_c,
+                &mut h,
+            );
+            c.copy_from_slice(&next_c);
+            x[n..].copy_from_slice(&h);
+            out.push(h);
+        }
+        out
+    }
+
+    /// Whether a graph value holds exactly the bits of `h`.
+    fn same_bits<T: Scalar>(graph: &Var<T>, h: &[T]) -> bool {
+        graph
+            .value()
+            .bits_eq(&Matrix::from_vec(h.len(), 1, h.to_vec()))
+    }
+
     #[test]
     fn snapshot_inference_is_bit_identical_to_graph_inference() {
         let mut rng = StdRng::seed_from_u64(8);
         let cell: LstmCell = LstmCell::new(3, 5, &mut rng);
         let weights = cell.snapshot();
+        let inputs: Vec<Matrix> = (0..6)
+            .map(|t| Matrix::filled(3, 1, (t as f64 * 0.7).cos()))
+            .collect();
         let mut graph_state = LstmState::zeros(5);
-        let mut matrix_state = LstmStateMatrix::zeros(5);
-        for t in 0..6 {
-            let x = Matrix::filled(3, 1, (t as f64 * 0.7).cos());
+        for (x, h) in inputs.iter().zip(snapshot_steps(&weights, &inputs)) {
             graph_state = cell.step(&[InputPart::Node(&Var::constant(x.clone()))], &graph_state);
-            matrix_state = weights.step(&x, &matrix_state);
-            assert!(graph_state.h.value().bits_eq(&matrix_state.h));
+            assert!(same_bits(&graph_state.h, &h));
         }
         assert_eq!(weights.input_size(), 3);
         assert_eq!(weights.hidden_size(), 5);
@@ -444,35 +421,13 @@ mod tests {
         // and rounds, so re-running the constructor reproduces the cast.
         let mut rng2 = StdRng::seed_from_u64(12);
         let cell32: LstmCell<f32> = LstmCell::new(3, 5, &mut rng2);
+        let inputs: Vec<Matrix<f32>> = (0..6)
+            .map(|t| Matrix::filled(3, 1, ((t as f64 * 0.7).cos()) as f32))
+            .collect();
         let mut graph_state: LstmState<f32> = LstmState::zeros(5);
-        let mut matrix_state: LstmStateMatrix<f32> = LstmStateMatrix::zeros(5);
-        for t in 0..6 {
-            let x: Matrix<f32> = Matrix::filled(3, 1, ((t as f64 * 0.7).cos()) as f32);
+        for (x, h) in inputs.iter().zip(snapshot_steps(&weights32, &inputs)) {
             graph_state = cell32.step(&[InputPart::Node(&Var::constant(x.clone()))], &graph_state);
-            matrix_state = weights32.step(&x, &matrix_state);
-            assert!(graph_state.h.value().bits_eq(&matrix_state.h));
-        }
-    }
-
-    #[test]
-    fn workspace_step_is_bit_identical_to_plain_step() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let cell: LstmCell = LstmCell::new(3, 5, &mut rng);
-        let weights = cell.snapshot();
-        let mut plain_state = LstmStateMatrix::zeros(5);
-        let mut ws_state = LstmStateMatrix::zeros(5);
-        let mut ws = Workspace::new();
-        // Poison the workspace so checkouts must reinitialise their buffers.
-        ws.give(Matrix::filled(8, 1, f64::NAN));
-        for t in 0..6 {
-            let x = Matrix::filled(3, 1, (t as f64 * 0.9).sin());
-            plain_state = weights.step(&x, &plain_state);
-            let next = weights.step_ws(&x, &ws_state, &mut ws);
-            ws.give(ws_state.h);
-            ws.give(ws_state.c);
-            ws_state = next;
-            assert!(plain_state.h.bits_eq(&ws_state.h));
-            assert!(plain_state.c.bits_eq(&ws_state.c));
+            assert!(same_bits(&graph_state.h, &h));
         }
     }
 

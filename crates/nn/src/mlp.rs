@@ -1,12 +1,7 @@
 //! Multilayer perceptrons.
 
-// rm-lint: hot-path
-// BiSIM's attention alignment MLP runs once per (reference point, access
-// point) pair per step; products reach `matmul_into` through the Linear
-// layers, and `forward_ws` keeps snapshot inference allocation-free.
-
 use rand::Rng;
-use rm_tensor::{Matrix, Scalar, Var, Workspace};
+use rm_tensor::{Scalar, Var};
 
 use crate::{Linear, LinearWeights};
 
@@ -31,31 +26,6 @@ impl Activation {
             Activation::Sigmoid => x.sigmoid(),
             Activation::Relu => x.relu(),
             Activation::Identity => x.clone(),
-        }
-    }
-
-    /// Applies the activation to a plain matrix in place — the graph-free
-    /// counterpart of [`Activation::apply`], using the same [`Scalar`]
-    /// definitions element for element, so snapshot inference stays
-    /// bit-identical to the graph forward.
-    pub fn apply_in_place<T: Scalar>(self, m: &mut Matrix<T>) {
-        match self {
-            Activation::Tanh => {
-                for v in m.data_mut() {
-                    *v = v.tanh();
-                }
-            }
-            Activation::Sigmoid => {
-                for v in m.data_mut() {
-                    *v = v.sigmoid();
-                }
-            }
-            Activation::Relu => {
-                for v in m.data_mut() {
-                    *v = v.relu();
-                }
-            }
-            Activation::Identity => {}
         }
     }
 }
@@ -225,47 +195,6 @@ impl<T: Scalar> MlpWeights<T> {
             output_activation: self.output_activation,
         }
     }
-
-    /// Applies the network to a `(in_features, batch)` input on plain
-    /// matrices — the same layers and activations in the same order as
-    /// [`Mlp::forward`], so the output is bit-identical to the graph forward
-    /// at the same precision.
-    pub fn forward(&self, x: &Matrix<T>) -> Matrix<T> {
-        let last = self.layers.len() - 1;
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut out = layer.forward(&h);
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            act.apply_in_place(&mut out);
-            h = out;
-        }
-        h
-    }
-
-    /// [`MlpWeights::forward`] with every intermediate drawn from `ws` — the
-    /// workspace-backed variant for snapshot-inference loops. Bitwise
-    /// identical to `forward` (reuse is capacity-only).
-    pub fn forward_ws(&self, x: &Matrix<T>, ws: &mut Workspace<T>) -> Matrix<T> {
-        let last = self.layers.len() - 1;
-        let mut h: Option<Matrix<T>> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut out = layer.forward_ws(h.as_ref().unwrap_or(x), ws);
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            act.apply_in_place(&mut out);
-            if let Some(prev) = h.replace(out) {
-                ws.give(prev);
-            }
-        }
-        h.expect("an MLP always has at least one layer")
-    }
 }
 
 #[cfg(test)]
@@ -342,24 +271,6 @@ mod tests {
         for (a, b) in grads_a.iter().zip(grads_b.iter()) {
             assert!(a.bits_eq(b), "rebuilt-MLP gradient drifted");
         }
-    }
-
-    #[test]
-    fn snapshot_forward_and_workspace_forward_match_graph_bitwise() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Sigmoid, &mut rng);
-        let weights = mlp.snapshot();
-        let x = Matrix::column(&[0.4, -1.1, 0.9]);
-        let graph = mlp.forward(&Var::constant(x.clone())).value();
-        let snap = weights.forward(&x);
-        assert!(graph.bits_eq(&snap));
-        let mut ws = Workspace::new();
-        // Poison the workspace so checkouts must reinitialise their buffers.
-        ws.give(Matrix::filled(6, 1, f64::NAN));
-        let pooled = weights.forward_ws(&x, &mut ws);
-        assert!(graph.bits_eq(&pooled));
-        ws.give(pooled);
-        assert!(graph.bits_eq(&weights.forward_ws(&x, &mut ws)));
     }
 
     #[test]

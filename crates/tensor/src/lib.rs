@@ -17,8 +17,8 @@
 //!   of a linear layer, element-wise arithmetic, activations, masking,
 //!   scalar reductions, and one-node LSTM and attention steps whose forward
 //!   and backward math ([`recurrent`]) the graph-free paths share,
-//! * [`Workspace`] and the per-thread buffer pools behind every [`Matrix`]
-//!   constructor — the arena layer ([`workspace`]) that keeps the hot loops
+//! * the per-thread buffer pools behind every [`Matrix`] constructor — the
+//!   arena layer ([`workspace`]) that keeps the graph's hot loops
 //!   allocation-free; `RM_ARENA=0` restores the fresh-allocation reference
 //!   path.
 //!
@@ -53,4 +53,4 @@ pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use scalar::{Precision, Scalar};
 pub use simd::{adam_kernel_name, simd_enabled, simd_kernel_name, AdamStep};
-pub use workspace::{arena_enabled, buffer_pool_stats, BufferPoolStats, Workspace};
+pub use workspace::{arena_enabled, buffer_pool_stats, BufferPoolStats};

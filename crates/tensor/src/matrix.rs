@@ -13,7 +13,7 @@ use std::ops::{Add, Mul, Neg, Range, Sub};
 
 use rand::Rng;
 
-use crate::workspace::{self, Workspace};
+use crate::workspace;
 use crate::Scalar;
 
 /// Panel width of the blocked matmul kernel: [`Matrix::matmul_into`]
@@ -209,8 +209,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Reshapes `self` into a zero-filled `rows × cols` matrix in place,
     /// reusing the existing buffer capacity — bitwise identical to assigning
-    /// a fresh [`Matrix::zeros`]. This is the reuse primitive behind
-    /// [`Workspace::take`](crate::Workspace::take).
+    /// a fresh [`Matrix::zeros`].
     pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -399,20 +398,6 @@ impl<T: Scalar> Matrix<T> {
     /// Panics if the inner dimensions do not match.
     pub fn matmul(&self, rhs: &Matrix<T>) -> Matrix<T> {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Matrix product `self * rhs` into a matrix checked out of `ws` — the
-    /// workspace-backed variant of [`Matrix::matmul`] for snapshot-inference
-    /// loops that return the product to the workspace each step. Bitwise
-    /// identical to `matmul` (same [`Matrix::matmul_into`] kernel into a
-    /// zeroed output).
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions do not match.
-    pub fn matmul_ws(&self, rhs: &Matrix<T>, ws: &mut Workspace<T>) -> Matrix<T> {
-        let mut out = ws.take(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
         out
     }
@@ -1324,19 +1309,6 @@ mod tests {
         // Growing past the old capacity also stays exact.
         m.reset_zeros(9, 9);
         assert!(m.bits_eq(&Matrix::zeros(9, 9)));
-    }
-
-    #[test]
-    fn matmul_ws_matches_matmul_bitwise() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut ws = Workspace::new();
-        for (m, k, n) in [(1, 1, 1), (3, 64, 5), (7, 65, 9)] {
-            let a = Matrix::<f64>::random_uniform(m, k, 1.0, &mut rng);
-            let b = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng);
-            let via_ws = a.matmul_ws(&b, &mut ws);
-            assert!(via_ws.bits_eq(&a.matmul(&b)));
-            ws.give(via_ws);
-        }
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Per-thread buffer pools and caller-owned scratch workspaces: the arena
-//! layer that lets the training and inference hot loops reuse allocation
-//! capacity across iterations instead of round-tripping the global
-//! allocator.
+//! Per-thread buffer pools: the arena layer that lets the autodiff graph's
+//! hot loops reuse allocation capacity across iterations instead of
+//! round-tripping the global allocator. (The tape-trained paths own their
+//! buffers outright and do not touch it.)
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`BufferPool`] — a size-classed free list of raw `Vec<T>` buffers, one
 //!   per thread per precision (reached through the sealed
 //!   [`Scalar`] trait, so each pool worker owns its arena and
-//!   no synchronisation is ever needed). Every [`Matrix`]
+//!   no synchronisation is ever needed). Every [`Matrix`](crate::Matrix)
 //!   constructor checks buffers out of it and every dropped matrix returns
 //!   its buffer to it.
-//! * [`Workspace`] — a caller-owned free list of whole scratch matrices for
-//!   the graph-free snapshot forward paths, so a sequence loop reuses its
-//!   per-step activations explicitly.
 //! * The `RM_ARENA` escape hatch — `RM_ARENA=0` (or `off`) disables all
 //!   reuse and restores the fresh-allocation path, the bitwise-checked
 //!   reference baseline (same pattern as `RM_POOL=0`).
@@ -25,7 +22,6 @@
 
 use std::sync::OnceLock;
 
-use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
 /// Element budget per size class: class `c` keeps roughly
@@ -168,63 +164,10 @@ pub(crate) fn give_buffer<T: Scalar>(buf: Vec<T>) {
     }
 }
 
-/// A caller-owned free list of scratch matrices for the graph-free snapshot
-/// forward paths (`LinearWeights`/`LstmCellWeights`/`MlpWeights` and the
-/// BRITS/SSGAN/BiSIM inference loops).
-///
-/// [`Workspace::take`] hands out a zeroed matrix bitwise identical to
-/// `Matrix::zeros(rows, cols)` — reuse is capacity-only. With `RM_ARENA=0`
-/// the free list stays empty and every checkout allocates fresh, keeping the
-/// reference baseline honest.
-pub struct Workspace<T: Scalar = f64> {
-    free: Vec<Matrix<T>>,
-}
-
-impl<T: Scalar> Workspace<T> {
-    /// An empty workspace.
-    pub fn new() -> Self {
-        Self { free: Vec::new() }
-    }
-
-    /// Checks out a zeroed `rows × cols` matrix, reusing a returned matrix's
-    /// capacity when one is available.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix<T> {
-        match self.free.pop() {
-            Some(mut m) => {
-                m.reset_zeros(rows, cols);
-                m
-            }
-            None => Matrix::zeros(rows, cols),
-        }
-    }
-
-    /// Returns a scratch matrix for later reuse (dropped under `RM_ARENA=0`).
-    pub fn give(&mut self, m: Matrix<T>) {
-        if arena_enabled() {
-            self.free.push(m);
-        }
-    }
-
-    /// Number of matrices currently parked in the workspace.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the workspace currently holds no parked matrices.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
-}
-
-impl<T: Scalar> Default for Workspace<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     #[test]
     fn buffer_pool_reuses_capacity() {
@@ -251,36 +194,6 @@ mod tests {
         let z = Matrix::<f64>::zeros(7, 9);
         assert!(z.data().iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
         assert!(z.bits_eq(&Matrix::from_vec(7, 9, vec![0.0; 63])));
-    }
-
-    #[test]
-    fn workspace_checkout_is_bitwise_zeros() {
-        let mut ws = Workspace::<f64>::new();
-        let mut scratch = ws.take(4, 3);
-        for v in scratch.data_mut() {
-            *v = f64::NAN;
-        }
-        ws.give(scratch);
-        let fresh = ws.take(4, 3);
-        assert!(fresh.bits_eq(&Matrix::zeros(4, 3)));
-        // Shape changes through the same slot stay exact.
-        ws.give(fresh);
-        let reshaped = ws.take(2, 5);
-        assert!(reshaped.bits_eq(&Matrix::zeros(2, 5)));
-    }
-
-    #[test]
-    fn workspace_len_tracks_parked_matrices() {
-        let mut ws = Workspace::<f64>::new();
-        assert!(ws.is_empty());
-        ws.give(Matrix::zeros(2, 2));
-        ws.give(Matrix::zeros(3, 3));
-        if arena_enabled() {
-            assert_eq!(ws.len(), 2);
-        } else {
-            assert!(ws.is_empty(), "RM_ARENA=0 must not park scratch matrices");
-        }
-        let _ = ws.take(5, 5);
     }
 
     #[test]

@@ -1,20 +1,25 @@
-//! Allocator-budget harness for the arena-backed workspaces (PR 7).
+//! Allocator-budget harness for the training and inference hot loops.
 //!
-//! This binary installs a counting `#[global_allocator]` and drives the
-//! hot loops the arena layer exists for — a recurrent training step on the
-//! autodiff graph (graph build → backward → gradient extraction → Adam
-//! batch step → recycle), as BRITS and SSGAN train, and a graph-free
-//! snapshot-inference sweep — plus BiSIM's training step on its tape,
-//! asserting that, once warm, they allocate (near-)nothing: matrix buffers
-//! cycle through the per-worker buffer pool, autodiff nodes through the
-//! node arena, snapshot scratch through a caller-owned [`Workspace`], and
-//! the tape's records and scratch through the tape itself. Under the arena
-//! it also pins the exact number of pool checkouts one warm training step
-//! makes, which the allocator cannot see.
+//! This binary installs a counting `#[global_allocator]` and drives, once
+//! warm:
 //!
-//! With `RM_ARENA=0` the pools are disabled and every buffer and node is a
-//! fresh heap allocation; the harness then only reports the numbers (they
-//! are the baseline for the ≥10× reduction recorded in
+//! - a recurrent training step on the autodiff graph (graph build →
+//!   backward → gradient extraction → Adam batch step → recycle), as SSGAN
+//!   trains. Matrix buffers cycle through the per-worker buffer pool and
+//!   autodiff nodes through the node arena, so it allocates (near-)nothing;
+//!   under the arena the harness also pins the exact number of pool
+//!   checkouts one step makes, which the allocator cannot see;
+//! - a sweep of the shared RITS forward (`RecurrentImputerWeights::forward`,
+//!   the inference of BRITS, SSGAN and BiSIM's encoder) over one tape;
+//! - BiSIM's and BRITS's training steps on their tapes.
+//!
+//! The tapes own their records and scratch, and the gradients and Adam
+//! moments are plain matrices, so the last three allocate nothing and take
+//! nothing from the pool, with or without the arena.
+//!
+//! With `RM_ARENA=0` the pools are disabled and every graph buffer and node
+//! is a fresh heap allocation; the harness then only reports the graph
+//! step's numbers (they are the baseline for the ≥10× reduction recorded in
 //! `BENCH_baseline.json`). Run it directly to see both sides:
 //!
 //! ```text
@@ -24,11 +29,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_bisim::{AttentionMode, BisimDirectionWeights, DirectionGrads, PairTape, TimeLagMode};
-use rm_imputers::PathSequence;
-use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, LstmStateMatrix, Optimizer};
+use rm_bisim::{AttentionMode, BisimDirectionWeights, PairTape, TimeLagMode};
+use rm_imputers::{
+    BritsTape, Gradients, Parameters, PathSequence, RecurrentImputerWeights, RitsTape,
+};
+use rm_nn::{Adam, GradientBatch, Linear, LstmCell, LstmState, Optimizer};
 use rm_runtime::alloc_counter::CountingAlloc;
-use rm_tensor::{arena_enabled, buffer_pool_stats, AdamStep, InputPart, Matrix, Var, Workspace};
+use rm_tensor::{arena_enabled, buffer_pool_stats, AdamStep, InputPart, Matrix, Var};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -44,13 +51,14 @@ const MEASURED: usize = 50;
 /// temporaries: a change that adds a node or a temporary per step shows
 /// here even when the arena hides it from the allocator.
 const TAKES_PER_TRAINING_STEP: u64 = 106;
-/// Buffers one warm [`tape_step`] checks out of the pool: none, since the
-/// tape owns its records and scratch and the gradients and moments live in
-/// plain matrices. A change that routes a BiSIM training step through the
-/// pool (or the graph) shows here.
+/// Buffers one warm tape step ([`TapeTrainer::step`]) or RITS sweep checks
+/// out of the pool: none, since the tape owns its records and scratch and
+/// the gradients and moments live in plain matrices. A change that routes a
+/// tape step or the RITS forward through the pool (or the graph) shows
+/// here.
 const TAKES_PER_TAPE_STEP: u64 = 0;
-/// The `e2ebench` shape of a BiSIM pair: `T = 5` steps of 53 APs, hidden
-/// size 32.
+/// The `e2ebench` shape of a sequence pair: `T = 5` steps of 53 APs,
+/// hidden size 32.
 const TAPE_SHAPE: (usize, usize, usize) = (5, 53, 32);
 
 /// Deterministic per-step input vectors.
@@ -65,8 +73,8 @@ fn inputs() -> Vec<Vec<f64>> {
 }
 
 /// The optimizer half of a training step, held across steps the way
-/// `rm_imputers::brits::train_in_batches` holds it: one Adam and one
-/// [`GradientBatch`] for the whole run, plus the reused list the step's
+/// SSGAN's training loop holds it: one Adam and one [`GradientBatch`] for
+/// the whole run, plus the reused list the step's
 /// extracted gradients go into.
 struct Trainer {
     params: Vec<Var>,
@@ -78,8 +86,8 @@ struct Trainer {
 /// One training step over the live graph, shaped like the recurrent
 /// imputers' inner loop: unroll an LSTM, read the states out, differentiate
 /// a scalar loss, pull the gradients, apply them as one Adam batch step
-/// (the multi-sequence branch of `train_in_batches`: clear the batch,
-/// accumulate, `apply_batch`), and recycle the step's graph.
+/// (SSGAN's multi-sequence branch: clear the batch, accumulate,
+/// `apply_batch`), and recycle the step's graph.
 fn training_step(
     cell: &LstmCell,
     readout: &Linear,
@@ -136,72 +144,87 @@ fn path_sequence(len: usize, aps: usize, salt: usize) -> PathSequence {
     }
 }
 
-/// BiSIM's training state for [`tape_step`]: both directions' weights,
+/// A tape-trained imputer's training state: both directions' weights,
 /// gradients and Adam moments, and the pair tape.
-struct TapeTrainer {
-    weights: [BisimDirectionWeights; 2],
-    grads: [DirectionGrads; 2],
+struct TapeTrainer<W, P> {
+    weights: [W; 2],
+    grads: [Gradients; 2],
     moments: [Vec<(Matrix, Matrix)>; 2],
-    tape: PairTape,
+    tape: P,
     steps: u64,
 }
 
-/// One BiSIM training step on the tape, as `Bisim` trains a one-pair
-/// chunk: zero the gradients, differentiate the pair (both recorded
-/// forwards, the loss and the backward), one Adam update per tensor.
-fn tape_step(trainer: &mut TapeTrainer, seq: &PathSequence, rev: &PathSequence) -> f64 {
-    trainer.grads.iter_mut().for_each(DirectionGrads::clear);
-    let [f, b] = &mut trainer.grads;
-    let [fw, bw] = &trainer.weights;
-    let loss = trainer.tape.differentiate([fw, bw], seq, rev, [f, b]);
-    trainer.steps += 1;
-    let step = AdamStep::new(0.9, 0.999, 1e-8, 0.01, Some(5.0), trainer.steps);
-    for ((w, g), moments) in trainer
-        .weights
-        .iter_mut()
-        .zip(&trainer.grads)
-        .zip(&mut trainer.moments)
-    {
-        let mut tensors = g.tensors().iter().zip(moments.iter_mut());
-        w.for_each_tensor_mut(|value| {
-            let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
-            step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
-        });
+impl<W: Parameters, P> TapeTrainer<W, P> {
+    fn new(weights: [W; 2], tape: P) -> Self {
+        let zeros = |w: &W| -> Vec<(Matrix, Matrix)> {
+            w.tensors()
+                .into_iter()
+                .map(|m| {
+                    (
+                        Matrix::zeros(m.rows(), m.cols()),
+                        Matrix::zeros(m.rows(), m.cols()),
+                    )
+                })
+                .collect()
+        };
+        Self {
+            grads: weights.each_ref().map(Gradients::zeros_like),
+            moments: weights.each_ref().map(zeros),
+            weights,
+            tape,
+            steps: 0,
+        }
     }
-    loss
+
+    /// One training step on the tape, as the shared trainer runs a one-pair
+    /// chunk: zero the gradients, differentiate the pair (both recorded
+    /// forwards, the loss and the backward), one Adam update per tensor.
+    fn step(
+        &mut self,
+        differentiate: impl FnOnce(&mut P, [&W; 2], [&mut Gradients; 2]) -> f64,
+    ) -> f64 {
+        self.grads.iter_mut().for_each(Gradients::clear);
+        let [f, b] = &mut self.grads;
+        let [fw, bw] = &self.weights;
+        let loss = differentiate(&mut self.tape, [fw, bw], [f, b]);
+        self.steps += 1;
+        let step = AdamStep::new(0.9, 0.999, 1e-8, 0.01, Some(5.0), self.steps);
+        for ((w, g), moments) in self
+            .weights
+            .iter_mut()
+            .zip(&self.grads)
+            .zip(&mut self.moments)
+        {
+            let mut tensors = g.tensors().iter().zip(moments.iter_mut());
+            w.for_each_tensor_mut(|value| {
+                let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
+                step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
+            });
+        }
+        loss
+    }
 }
 
-/// One snapshot-inference sweep: the graph-free kernels with every
-/// intermediate drawn from a caller-owned workspace.
-fn inference_sweep(
-    cell: &rm_nn::LstmCellWeights,
-    readout: &rm_nn::LinearWeights,
-    xs: &[Vec<f64>],
-    ws: &mut Workspace,
-) -> f64 {
-    // Seed the state from the workspace (bitwise zeros) so the buffers it
-    // retires at the end of the sweep are the ones the next sweep reuses.
-    let mut state = LstmStateMatrix {
-        h: ws.take(HIDDEN, 1),
-        c: ws.take(HIDDEN, 1),
-    };
+/// Allocations over [`MEASURED`] warm calls of `f`, then the pool takes of
+/// one more.
+fn steady_state(mut f: impl FnMut() -> f64) -> (u64, u64) {
     let mut sink = 0.0;
-    for raw in xs {
-        let x = Matrix::column(raw);
-        let next = cell.step_ws(&x, &state, ws);
-        ws.give(state.h);
-        ws.give(state.c);
-        state = next;
-        let out = readout.forward_ws(&state.h, ws);
-        sink += out.sum();
-        ws.give(out);
+    for _ in 0..WARMUP {
+        sink += f();
     }
-    ws.give(state.h);
-    ws.give(state.c);
-    sink
+    let before = ALLOC.allocations();
+    for _ in 0..MEASURED {
+        sink += f();
+    }
+    let allocs = ALLOC.allocations() - before;
+    let takes_before = buffer_pool_stats::<f64>().takes;
+    sink += f();
+    let takes = buffer_pool_stats::<f64>().takes - takes_before;
+    assert!(sink.is_finite());
+    (allocs, takes)
 }
 
-/// Steady-state allocation budget of the two hot loops. Both phases live in
+/// Steady-state allocation budget of the hot loops. Every phase lives in
 /// one `#[test]` so no concurrently running test pollutes the process-wide
 /// counters between the before/after reads.
 #[test]
@@ -237,25 +260,17 @@ fn steady_state_hot_loops_allocate_near_zero() {
     let step_takes = buffer_pool_stats::<f64>().takes - takes_before;
     assert!(loss_sink.is_finite() && grad_sink.is_finite());
 
-    // ---- Snapshot-inference loop ----
-    let cell_w = cell.snapshot();
-    let readout_w = readout.snapshot();
-    let mut ws = Workspace::new();
-    let mut infer_sink = 0.0;
-    for _ in 0..WARMUP {
-        infer_sink += inference_sweep(&cell_w, &readout_w, &xs, &mut ws);
-    }
-    let before = ALLOC.allocations();
-    let bytes_before = ALLOC.allocated_bytes();
-    for _ in 0..MEASURED {
-        infer_sink += inference_sweep(&cell_w, &readout_w, &xs, &mut ws);
-    }
-    let infer_allocs = ALLOC.allocations() - before;
-    let infer_bytes = ALLOC.allocated_bytes() - bytes_before;
-    assert!(infer_sink.is_finite());
-
-    // ---- BiSIM tape training loop ----
+    // ---- The shared RITS forward, and the tape training steps ----
     let (len, aps, hidden) = TAPE_SHAPE;
+    let (seq, rev) = (path_sequence(len, aps, 1), path_sequence(len, aps, 2));
+    let rits = RecurrentImputerWeights::new(aps, hidden, &mut rng);
+    let mut rits_tape = RitsTape::new();
+    let (sweep_allocs, sweep_takes) = steady_state(|| {
+        rits.forward(&seq, true, &mut rits_tape);
+        rits.forward(&rev, true, &mut rits_tape);
+        rits_tape.complement(len - 1).iter().sum()
+    });
+
     let mut direction = || {
         BisimDirectionWeights::new(
             aps,
@@ -265,70 +280,53 @@ fn steady_state_hot_loops_allocate_near_zero() {
             &mut rng,
         )
     };
-    let weights = [direction(), direction()];
-    let zeros = |w: &BisimDirectionWeights| -> Vec<(Matrix, Matrix)> {
-        w.tensors()
-            .into_iter()
-            .map(|m| {
-                (
-                    Matrix::zeros(m.rows(), m.cols()),
-                    Matrix::zeros(m.rows(), m.cols()),
-                )
-            })
-            .collect()
-    };
-    let mut tape_trainer = TapeTrainer {
-        grads: weights.each_ref().map(DirectionGrads::zeros_like),
-        moments: weights.each_ref().map(zeros),
-        weights,
-        tape: PairTape::new(),
-        steps: 0,
-    };
-    let (seq, rev) = (path_sequence(len, aps, 1), path_sequence(len, aps, 2));
-    let mut tape_sink = 0.0;
-    for _ in 0..WARMUP {
-        tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
-    }
-    let before = ALLOC.allocations();
-    for _ in 0..MEASURED {
-        tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
-    }
-    let tape_allocs = ALLOC.allocations() - before;
-    let takes_before = buffer_pool_stats::<f64>().takes;
-    tape_sink += tape_step(&mut tape_trainer, &seq, &rev);
-    let tape_takes = buffer_pool_stats::<f64>().takes - takes_before;
-    assert!(tape_sink.is_finite());
+    let mut bisim = TapeTrainer::new([direction(), direction()], PairTape::new());
+    let (tape_allocs, tape_takes) =
+        steady_state(|| bisim.step(|tape, w, g| tape.differentiate(w, &seq, &rev, g)));
+
+    let mut direction = || RecurrentImputerWeights::new(aps, hidden, &mut rng);
+    let mut brits = TapeTrainer::new([direction(), direction()], BritsTape::new());
+    let (brits_allocs, brits_takes) =
+        steady_state(|| brits.step(|tape, w, g| tape.differentiate(w, &seq, &rev, g)));
 
     eprintln!(
         "[alloc-harness] arena={} training: {} allocs / {} bytes over {} steps \
-         ({:.1} allocs/step, {} pool takes/step); inference: {} allocs / {} bytes \
-         over {} sweeps ({:.1} allocs/sweep); BiSIM tape: {} allocs over {} steps \
-         ({} pool takes/step)",
+         ({:.1} allocs/step, {} pool takes/step); RITS sweep: {} allocs over {} sweeps \
+         ({} pool takes/sweep); BiSIM tape: {} allocs over {} steps ({} pool takes/step); \
+         BRITS tape: {} allocs over {} steps ({} pool takes/step)",
         if arena_enabled() { "on" } else { "off" },
         train_allocs,
         train_bytes,
         MEASURED,
         train_allocs as f64 / MEASURED as f64,
         step_takes,
-        infer_allocs,
-        infer_bytes,
+        sweep_allocs,
         MEASURED,
-        infer_allocs as f64 / MEASURED as f64,
+        sweep_takes,
         tape_allocs,
         MEASURED,
         tape_takes,
+        brits_allocs,
+        MEASURED,
+        brits_takes,
     );
 
-    // The tape owns every buffer it touches, so it allocates nothing once
+    // The tapes own every buffer they touch, so they allocate nothing once
     // warm, with or without the arena.
-    assert_eq!(
-        tape_allocs, 0,
-        "a warm BiSIM tape step allocated {tape_allocs} times in {MEASURED} steps"
-    );
-    assert_eq!(
-        tape_takes, TAKES_PER_TAPE_STEP,
-        "a warm BiSIM tape step's pool traffic changed"
-    );
+    for (name, allocs, takes) in [
+        ("RITS forward sweep", sweep_allocs, sweep_takes),
+        ("BiSIM tape step", tape_allocs, tape_takes),
+        ("BRITS tape step", brits_allocs, brits_takes),
+    ] {
+        assert_eq!(
+            allocs, 0,
+            "a warm {name} allocated {allocs} times in {MEASURED} calls"
+        );
+        assert_eq!(
+            takes, TAKES_PER_TAPE_STEP,
+            "a warm {name}'s pool traffic changed"
+        );
+    }
 
     if arena_enabled() {
         assert_eq!(
@@ -341,21 +339,13 @@ fn steady_state_hot_loops_allocate_near_zero() {
             train_allocs <= 8 * MEASURED as u64 / 10,
             "steady-state training allocated {train_allocs} times in {MEASURED} steps"
         );
-        assert!(
-            infer_allocs <= 8 * MEASURED as u64 / 10,
-            "steady-state inference allocated {infer_allocs} times in {MEASURED} sweeps"
-        );
     } else {
         // RM_ARENA=0 is the fresh-allocation reference: every node and
-        // buffer hits the heap, so the loops must allocate heavily — this
+        // buffer hits the heap, so the loop must allocate heavily — this
         // guards the baseline the ≥10× reduction is measured against.
         assert!(
             train_allocs >= 10 * MEASURED as u64,
             "RM_ARENA=0 training allocated only {train_allocs} times — baseline invalid"
-        );
-        assert!(
-            infer_allocs >= MEASURED as u64,
-            "RM_ARENA=0 inference allocated only {infer_allocs} times — baseline invalid"
         );
     }
 }
