@@ -9,18 +9,18 @@
 //! determinism-contract precision) while `Var<f32>` exists so the whole
 //! operation set monomorphises for single precision too.
 //!
-//! The operation set is the minimum needed by the sequence models in this
-//! workspace (BRITS and SSGAN train on it; BiSIM's training tape is held to
-//! it as the oracle): matrix products (and the fused affine map `W·x + b`
+//! The graph is the test oracle of the workspace's training tapes: BiSIM,
+//! BRITS and SSGAN train on hand-written tapes (no graph), and their tests
+//! hold each tape to this graph bit for bit. The operation set is what
+//! those oracles need: matrix products (and the fused affine map `W·x + b`
 //! of every linear layer), element-wise arithmetic, sigmoid/tanh/ReLU/exp
 //! activations, masking by constant matrices, scalar reductions, and two
 //! fused recurrent layers: one LSTM step ([`Var::lstm_cell`]) and one
 //! decoder step of Bahdanau attention ([`Var::attention`]), whose forward
-//! and backward math lives in [`crate::recurrent`] and is shared with the
-//! graph-free paths. The primitive ops the fused layers replaced (column
-//! softmax, row concatenation, entry selection, products with a 1×1
-//! variable) exist only in this crate's tests, as the fused layers'
-//! oracles.
+//! and backward math lives in [`rm_tensor::recurrent`] and is shared with
+//! the tapes. The primitive ops the fused layers replaced (column softmax,
+//! row concatenation, entry selection, products with a 1×1 variable) exist
+//! only in this crate's tests, as the fused layers' oracles.
 //!
 //! Two rules keep the backward pass bitwise stable as it gets cheaper:
 //!
@@ -76,86 +76,23 @@
 //!   runs, which is before the previous node runs; the previous node then
 //!   adds its own `tanh(c)` term. That is the chain's order: the next
 //!   step's `f ⊙ c_prev` reached `c` before `tanh(c)` did.
-//!
-//! Graph storage is arena-backed: nodes come out of a per-thread [`NodePool`]
-//! and return to it through [`Var::recycle`], every matrix a node holds draws
-//! its buffer from the per-thread pool in [`crate::workspace`], and
-//! [`Var::backward`] parks its traversal scratch between calls. Reuse is
-//! capacity-only — values are bitwise identical to the fresh-allocation
-//! reference path that `RM_ARENA=0` restores.
-
-// rm-lint: hot-path
-// Every training step builds and walks this graph. Node storage, matrix
-// buffers and traversal scratch are recycled through the per-worker arena
-// (`crate::workspace` + the NodePool below); matmul outputs go through
-// `matmul_into` into pooled buffers.
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Matrix, Scalar};
-
-static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
-
-fn fresh_id() -> usize {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
+use rm_tensor::recurrent::{self, GradTerm};
+use rm_tensor::{Matrix, Scalar};
 
 /// Stamp source of the backward passes' visit marks: every pass takes a
 /// fresh, never-reused stamp, so a node's mark from an earlier pass can never
 /// read as "visited" in a later one and no mark ever needs clearing.
 static NEXT_PASS: AtomicU64 = AtomicU64::new(1);
 
-/// Nodes kept on a thread's free list; overflow drops to the allocator so a
-/// one-off huge graph cannot pin memory forever.
-const NODE_POOL_CAP: usize = 1 << 15;
-
-/// Parent capacity of every node parked in the [`NodePool`]. A recycled
-/// node keeps its parent vector and is reused for whatever op comes next,
-/// so parking it with room for a fused op's parents (an LSTM step lists up
-/// to 11, an attention step over `T` keys `T + 5`) keeps a warm training
-/// step free of reallocations.
-const MIN_PARENT_CAPACITY: usize = 16;
-
-/// An explicit DFS frame of the topological sort (module-scoped so the
-/// backward pass can park its stack in the [`NodePool`] between calls).
+/// An explicit DFS frame of the topological sort.
 enum Frame<T: Scalar> {
     Enter(Var<T>),
     Exit(Var<T>),
-}
-
-/// Per-thread recycled autodiff storage: freed graph nodes plus the backward
-/// pass's traversal scratch, reached through the sealed
-/// [`Scalar`](crate::Scalar) trait exactly like the matrix buffer pool in
-/// [`crate::workspace`].
-///
-/// Internal plumbing of the arena layer — public only because the sealed
-/// trait's dispatch method names the type; not part of the stable API.
-#[doc(hidden)]
-pub struct NodePool<T: Scalar> {
-    /// Recycled nodes, ready for `from_node` to reinitialise.
-    free: Vec<Rc<RefCell<Node<T>>>>,
-    // Traversal scratch for `backward`, parked here so steady-state training
-    // steps reuse it instead of reallocating.
-    order: Vec<Var<T>>,
-    frames: Vec<Frame<T>>,
-    /// Worklist scratch for `recycle_all`.
-    recycle_stack: Vec<Var<T>>,
-    /// Recycled LSTM-step span vectors (and `ConcatRows` row counts).
-    counts: Vec<Vec<usize>>,
-}
-
-impl<T: Scalar> Default for NodePool<T> {
-    fn default() -> Self {
-        Self {
-            free: Vec::new(),
-            order: Vec::new(),
-            frames: Vec::new(),
-            recycle_stack: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
 }
 
 /// The operation that produced a graph node.
@@ -261,7 +198,6 @@ fn attention_key(t: usize, i: usize) -> usize {
 }
 
 struct Node<T: Scalar> {
-    id: usize,
     value: Matrix<T>,
     grad: Matrix<T>,
     parents: Vec<Var<T>>,
@@ -292,15 +228,12 @@ pub struct Var<T: Scalar = f64> {
 impl<T: Scalar> std::fmt::Debug for Var<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.node.borrow();
-        write!(f, "Var(id={}, shape={:?})", n.id, n.value.shape())
+        write!(f, "Var(shape={:?})", n.value.shape())
     }
 }
 
 impl<T: Scalar> Var<T> {
-    /// Builds a node over `value` with the given parents, reusing a recycled
-    /// node from this thread's [`NodePool`] when the arena layer is active.
-    /// Reuse is capacity-only: every field is reinitialised, so the graph is
-    /// bitwise identical to the fresh-allocation path (`RM_ARENA=0`).
+    /// Builds a node over `value` with the given parents.
     fn from_node(value: Matrix<T>, parents: &[&Var<T>], op: Op<T>) -> Var<T> {
         Self::from_node_with(value, parents.iter().copied(), op)
     }
@@ -315,25 +248,8 @@ impl<T: Scalar> Var<T> {
     {
         let requires_grad = parents.clone().any(|p| p.node.borrow().requires_grad);
         let (r, c) = value.shape();
-        if crate::workspace::arena_enabled() {
-            if let Some(node) = T::with_node_pool(|pool| pool.free.pop()) {
-                {
-                    let mut n = node.borrow_mut();
-                    debug_assert!(n.parents.is_empty(), "recycled node still has parents");
-                    n.id = fresh_id();
-                    n.grad = Matrix::zeros(r, c);
-                    n.value = value;
-                    n.parents.extend(parents.cloned());
-                    n.op = op;
-                    n.requires_grad = requires_grad;
-                    n.visit = 0;
-                }
-                return Var { node };
-            }
-        }
         Var {
             node: Rc::new(RefCell::new(Node {
-                id: fresh_id(),
                 grad: Matrix::zeros(r, c),
                 value,
                 parents: parents.cloned().collect(),
@@ -359,11 +275,6 @@ impl<T: Scalar> Var<T> {
     /// A 1×1 constant.
     pub fn scalar(value: T) -> Var<T> {
         Var::constant(Matrix::filled(1, 1, value))
-    }
-
-    /// Unique node id (useful in tests and debugging).
-    pub fn id(&self) -> usize {
-        self.node.borrow().id
     }
 
     /// Shape of the value.
@@ -407,14 +318,8 @@ impl<T: Scalar> Var<T> {
         self.node.borrow_mut().grad.data_mut().fill(T::ZERO);
     }
 
-    /// Adds `delta` into this node's gradient buffer.
-    ///
-    /// This is the leaf-side half of mini-batch gradient accumulation: an
-    /// externally computed gradient (e.g. extracted from a worker's detached
-    /// replica of the graph) is summed into the parameter exactly as
-    /// [`Var::backward`] would have, so an optimizer step over the
-    /// accumulated buffer is bitwise-indistinguishable from one computed on
-    /// this graph directly.
+    /// Adds `delta` into this node's gradient buffer, as [`Var::backward`]
+    /// adds a materialised term.
     ///
     /// # Panics
     /// Panics if `delta`'s shape differs from the value's shape.
@@ -472,7 +377,7 @@ impl<T: Scalar> Var<T> {
     }
 
     /// Matrix product `self · rhs`, computed through the blocked kernel into
-    /// a pooled buffer (bitwise identical to [`Matrix::matmul`]).
+    /// a fresh buffer (bitwise identical to [`Matrix::matmul`]).
     pub fn matmul(&self, rhs: &Var<T>) -> Var<T> {
         let mut v = Matrix::zeros(self.value_ref().rows(), rhs.value_ref().cols());
         self.value_ref().matmul_into(&rhs.value_ref(), &mut v);
@@ -585,11 +490,9 @@ impl<T: Scalar> Var<T> {
         assert!(!vars.is_empty(), "concat_rows needs at least one variable");
         let cols = vars[0].shape().1;
         let rows: usize = vars.iter().map(|v| v.shape().0).sum();
-        // The per-parent row counts live in the op for the backward split;
-        // recycled nodes park their vector in the pool for reuse here.
-        let mut counts = T::with_node_pool(|pool| pool.counts.pop()).unwrap_or_default();
-        counts.reserve(vars.len());
-        let mut data = crate::workspace::take_buffer(rows * cols);
+        // The per-parent row counts live in the op for the backward split.
+        let mut counts = Vec::with_capacity(vars.len());
+        let mut data = Vec::with_capacity(rows * cols);
         for v in vars {
             let m = v.value_ref();
             assert_eq!(m.cols(), cols, "concat_rows column mismatch");
@@ -656,7 +559,7 @@ impl<T: Scalar> Var<T> {
         let hidden = h_prev.shape().0;
         let n = parts.iter().map(InputPart::rows).sum::<usize>() + hidden;
         let mut cache = Matrix::zeros(8 * hidden + n, 1);
-        let mut spans = T::with_node_pool(|pool| pool.counts.pop()).unwrap_or_default();
+        let mut spans = Vec::new();
         let mut h = Matrix::zeros(hidden, 1);
         {
             let (state, x) = cache.data_mut().split_at_mut(8 * hidden);
@@ -681,9 +584,9 @@ impl<T: Scalar> Var<T> {
                 c_prev.copy_from_slice(&prev.carried_state());
             }
             let values = gates.map(|(w, b)| (w.value_ref(), b.value_ref()));
-            let weights: crate::recurrent::LstmGates<'_, T> =
+            let weights: recurrent::LstmGates<'_, T> =
                 std::array::from_fn(|q| (&*values[q].0, &*values[q].1));
-            crate::recurrent::lstm_cell_forward(&weights, x, c_prev, acts, c, tanh_c, h.data_mut());
+            recurrent::lstm_cell_forward(&weights, x, c_prev, acts, c, tanh_c, h.data_mut());
         }
         let [(wi, bi), (wf, bf), (wo, bo), (wg, bg)] = gates;
         let nodes = parts.iter().filter_map(|part| match part {
@@ -727,10 +630,10 @@ impl<T: Scalar> Var<T> {
     /// ```
     ///
     /// with `align = [W1, b1, W2, b2]` (a one-row `W2`). The forward is
-    /// [`crate::recurrent::attention_forward`], which the graph-free snapshot
-    /// path calls too. The parents are, in order, `[h''_1, …, h''_{T−1}, W2,
-    /// W1, s, h''_T, b1, b2]`: the reverse of the order in which the chain's
-    /// DFS first enters them (see the module doc).
+    /// [`recurrent::attention_forward`], which the tapes call too. The
+    /// parents are, in order, `[h''_1, …, h''_{T−1}, W2, W1, s, h''_T, b1,
+    /// b2]`: the reverse of the order in which the chain's DFS first enters
+    /// them (see the module doc).
     ///
     /// # Panics
     /// Panics if `keys` is empty or a shape disagrees.
@@ -743,10 +646,9 @@ impl<T: Scalar> Var<T> {
         let mut context = Matrix::zeros(keys[0].shape().0, 1);
         {
             let values = align.map(Var::value_ref);
-            let align_values: crate::recurrent::AlignWeights<'_, T> =
-                std::array::from_fn(|q| &*values[q]);
+            let align_values: recurrent::AlignWeights<'_, T> = std::array::from_fn(|q| &*values[q]);
             let key = |i: usize| Ref::map(keys[i].value_ref(), |m| m.data());
-            crate::recurrent::attention_forward(
+            recurrent::attention_forward(
                 &align_values,
                 self.value_ref().data(),
                 key,
@@ -777,36 +679,16 @@ impl<T: Scalar> Var<T> {
     pub fn backward(&self) {
         assert_eq!(self.shape(), (1, 1), "backward() requires a scalar output");
         self.node.borrow_mut().grad.data_mut().fill(T::ONE);
-        // Park the traversal scratch in the thread's node pool between calls
-        // so steady-state training steps reuse it instead of reallocating.
-        let reuse_scratch = crate::workspace::arena_enabled();
-        let (mut order, mut frames) = if reuse_scratch {
-            T::with_node_pool(|pool| {
-                (
-                    std::mem::take(&mut pool.order),
-                    std::mem::take(&mut pool.frames),
-                )
-            })
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (mut order, mut frames) = (Vec::new(), Vec::new());
         self.topological_order_into(&mut order, &mut frames);
         for var in order.iter().rev() {
             var.propagate();
         }
-        if reuse_scratch {
-            order.clear();
-            frames.clear();
-            T::with_node_pool(|pool| {
-                pool.order = order;
-                pool.frames = frames;
-            });
-        }
     }
 
     /// Collects the non-leaf nodes reachable from `self` in topological
-    /// order (parents before children) into `order`, using caller-owned
-    /// scratch. Nodes are marked visited with this pass's fresh stamp.
+    /// order (parents before children) into `order`, with `frames` as the
+    /// DFS stack. Nodes are marked visited with this pass's fresh stamp.
     /// Leaves are marked but not listed: their `propagate` is a no-op.
     fn topological_order_into(&self, order: &mut Vec<Var<T>>, frames: &mut Vec<Frame<T>>) {
         debug_assert!(order.is_empty() && frames.is_empty());
@@ -869,15 +751,15 @@ impl<T: Scalar> Var<T> {
             Op::Leaf => {}
             Op::Add | Op::AddConst => {
                 for p in parents {
-                    p.add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                    p.add_into(|d| GradTerm::Add(g).add_to_slice(d));
                 }
             }
             Op::AddBroadcastCol => {
-                parents[0].add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                parents[0].add_into(|d| GradTerm::Add(g).add_to_slice(d));
                 parents[1].add_into(|d| add_row_sums(d, &node.grad));
             }
             Op::Sub => {
-                parents[0].add_into(|d| crate::matrix::axpy_slice(T::ONE, g, d));
+                parents[0].add_into(|d| GradTerm::Add(g).add_to_slice(d));
                 parents[1].add_into(|d| add_map(d, g, |gi| gi * -T::ONE));
             }
             Op::Hadamard => {
@@ -921,7 +803,7 @@ impl<T: Scalar> Var<T> {
                 let mut start = 0;
                 for (parent, count) in parents.iter().zip(counts.iter()) {
                     let part = &g[start * cols..(start + count) * cols];
-                    parent.add_into(|d| crate::matrix::axpy_slice(T::ONE, part, d));
+                    parent.add_into(|d| GradTerm::Add(part).add_to_slice(d));
                     start += count;
                 }
             }
@@ -987,91 +869,16 @@ impl<T: Scalar> Var<T> {
 
     /// Adds a materialised gradient term into this node's gradient.
     fn accumulate(&self, delta: &Matrix<T>) {
-        self.add_into(|d| crate::matrix::axpy_slice(T::ONE, delta.data(), d));
+        self.add_into(|d| GradTerm::Add(delta.data()).add_to_slice(d));
     }
 
     /// Adds a fused backward's term into this node's gradient, unless it
     /// keeps none.
-    fn add_term(&self, term: crate::recurrent::GradTerm<'_, T>) {
+    fn add_term(&self, term: GradTerm<'_, T>) {
         let mut n = self.node.borrow_mut();
         if n.keeps_grad() {
             term.add_to(&mut n.grad);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Node recycling
-    // ------------------------------------------------------------------
-
-    /// Returns this graph to the thread's node pool for reuse.
-    ///
-    /// Call this after a training step (or a discarded forward pass) once
-    /// every gradient has been read out: the handle is consumed, every
-    /// reachable node whose only owner was this graph is stripped and parked
-    /// in the per-thread [`NodePool`], and its matrix buffers flow back to
-    /// the buffer pool. Nodes still referenced elsewhere — model parameters,
-    /// outputs the caller kept — are left untouched, so recycling is always
-    /// safe. A no-op under `RM_ARENA=0`.
-    pub fn recycle(self) {
-        Var::recycle_all(std::iter::once(self));
-    }
-
-    /// [`Var::recycle`] over several roots at once (e.g. every output of an
-    /// inference pass).
-    pub fn recycle_all(roots: impl IntoIterator<Item = Var<T>>) {
-        if !crate::workspace::arena_enabled() {
-            return;
-        }
-        let mut stack = T::with_node_pool(|pool| std::mem::take(&mut pool.recycle_stack));
-        stack.extend(roots);
-        while let Some(var) = stack.pop() {
-            let Var { node } = var;
-            if Rc::strong_count(&node) != 1 {
-                // Another handle (a parameter, a kept output) owns this node
-                // too; dropping ours here leaves that graph intact. If the
-                // other handle is itself pending on the stack, the node is
-                // revisited — and then recycled — when it drains.
-                continue;
-            }
-            let recovered_counts = {
-                let mut n = node.borrow_mut();
-                while let Some(parent) = n.parents.pop() {
-                    stack.push(parent);
-                }
-                n.parents.reserve(MIN_PARENT_CAPACITY);
-                // Strip the node: matrix buffers return to the buffer pool
-                // now; the parents Vec — and an LSTM step's span vector,
-                // parked below — keep their capacity for the next graph.
-                n.value = Matrix::zeros(0, 0);
-                n.grad = Matrix::zeros(0, 0);
-                n.requires_grad = false;
-                match std::mem::replace(&mut n.op, Op::Leaf) {
-                    Op::LstmCell {
-                        spans: mut counts, ..
-                    } => {
-                        counts.clear();
-                        Some(counts)
-                    }
-                    #[cfg(test)]
-                    Op::ConcatRows(mut counts) => {
-                        counts.clear();
-                        Some(counts)
-                    }
-                    _ => None,
-                }
-            };
-            T::with_node_pool(|pool| {
-                if let Some(counts) = recovered_counts {
-                    if pool.counts.len() < NODE_POOL_CAP {
-                        pool.counts.push(counts);
-                    }
-                }
-                if pool.free.len() < NODE_POOL_CAP {
-                    pool.free.push(node);
-                }
-            });
-        }
-        T::with_node_pool(|pool| pool.recycle_stack = stack);
     }
 }
 
@@ -1109,7 +916,7 @@ fn matmul_backward<T: Scalar>(a: &Var<T>, b: &Var<T>, grad: &Matrix<T>) {
             let x = b.value_ref();
             a.node.borrow_mut().grad.add_outer(grad.data(), x.data());
         } else {
-            // The blocked kernel into a pooled buffer: a one-off transpose
+            // The blocked kernel into a fresh buffer: a one-off transpose
             // is cheaper than losing the vectorised inner loop.
             let bt = b.value_ref().transpose();
             let mut da = Matrix::zeros(grad.rows(), bt.cols());
@@ -1126,7 +933,7 @@ fn matmul_backward<T: Scalar>(a: &Var<T>, b: &Var<T>, grad: &Matrix<T>) {
 }
 
 /// The backward pass of [`Var::lstm_cell`] for the output gradient `g`
-/// (`∂h`): [`crate::recurrent::lstm_cell_backward`], each term added into
+/// (`∂h`): [`recurrent::lstm_cell_backward`], each term added into
 /// the parent it names (see there for the order).
 fn lstm_cell_backward<T: Scalar>(
     parents: &[Var<T>],
@@ -1135,7 +942,7 @@ fn lstm_cell_backward<T: Scalar>(
     spans: &[usize],
     carried: bool,
 ) {
-    use crate::recurrent::LstmInput;
+    use recurrent::LstmInput;
     let hidden = g.len();
     let n = cache.len() - 8 * hidden;
     let base = if carried { 5 } else { 4 };
@@ -1153,8 +960,8 @@ fn lstm_cell_backward<T: Scalar>(
         LstmInput::Hidden => &parents[base + 3 + parts],
         LstmInput::Bias(_) => &parents[base + 4 + parts],
     };
-    let mut scratch = Matrix::zeros(crate::recurrent::lstm_backward_scratch_len(hidden, n), 1);
-    crate::recurrent::lstm_cell_backward(
+    let mut scratch = Matrix::zeros(recurrent::lstm_backward_scratch_len(hidden, n), 1);
+    recurrent::lstm_cell_backward(
         |q| parent(LstmInput::Weight(q)).value_ref(),
         g,
         cache.data(),
@@ -1178,7 +985,7 @@ fn lstm_cell_backward<T: Scalar>(
 }
 
 /// The backward pass of [`Var::attention`] for the output gradient `g`
-/// (`∂ctx`): [`crate::recurrent::attention_backward`], each term added into
+/// (`∂ctx`): [`recurrent::attention_backward`], each term added into
 /// the parent it names (see there for the order).
 fn attention_backward<T: Scalar>(
     parents: &[Var<T>],
@@ -1186,7 +993,7 @@ fn attention_backward<T: Scalar>(
     hidden: &Matrix<T>,
     weights: &Matrix<T>,
 ) {
-    use crate::recurrent::AttentionInput;
+    use recurrent::AttentionInput;
     let (t, h) = hidden.shape();
     let parent = move |input: AttentionInput| match input {
         AttentionInput::Key(i) => &parents[attention_key(t, i)],
@@ -1196,11 +1003,8 @@ fn attention_backward<T: Scalar>(
         AttentionInput::B1 => &parents[t + 3],
         AttentionInput::B2 => &parents[t + 4],
     };
-    let mut scratch = Matrix::zeros(
-        crate::recurrent::attention_backward_scratch_len(t, h, g.len()),
-        1,
-    );
-    crate::recurrent::attention_backward(
+    let mut scratch = Matrix::zeros(recurrent::attention_backward_scratch_len(t, h, g.len()), 1);
+    recurrent::attention_backward(
         |input| parent(input).value_ref(),
         Ref::map(parent(AttentionInput::State).value_ref(), Matrix::data),
         |i| Ref::map(parent(AttentionInput::Key(i)).value_ref(), Matrix::data),
@@ -1238,7 +1042,6 @@ mod tests {
         let consts: Vec<Var> = xs.iter().map(|x| Var::constant(x.clone())).collect();
         let mut total = Var::scalar(0.0);
         for x in &consts {
-            // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
             total = total.add(&w.matmul(x).tanh().sum());
         }
         total.backward();
@@ -1316,7 +1119,6 @@ mod tests {
                     if fused {
                         w_in[i].affine(&x_in, &b_in[i])
                     } else {
-                        // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
                         w_in[i].matmul(&x_in).add_broadcast_col(&b_in[i])
                     }
                 };
@@ -1669,7 +1471,6 @@ mod tests {
     fn matmul_gradient_matches_numeric() {
         let w = Var::parameter(Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]));
         let x = Var::constant(Matrix::from_vec(3, 1, vec![1.0, 2.0, -1.0]));
-        // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
         let loss_fn = || w.matmul(&x).square().sum();
         let loss = loss_fn();
         loss.backward();
@@ -1855,62 +1656,11 @@ mod tests {
     }
 
     #[test]
-    fn recycled_graphs_rebuild_bitwise_identical() {
-        let w = Var::parameter(Matrix::from_vec(2, 2, vec![0.3, -0.1, 0.7, 0.2]));
-        let x = Var::constant(Matrix::column(&[1.0, -2.0]));
-        let build = || {
-            // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
-            let loss = w.matmul(&x).tanh().square().sum();
-            loss.backward();
-            loss
-        };
-        let loss1 = build();
-        let l1: f64 = loss1.scalar_value();
-        let g1 = w.grad();
-        loss1.recycle();
-        w.zero_grad();
-        // Rebuilding the same graph on recycled nodes must be bit-identical.
-        let loss2 = build();
-        assert_eq!(loss2.scalar_value().to_bits(), l1.to_bits());
-        assert!(w.grad().bits_eq(&g1));
-        loss2.recycle();
-        // The parameter leaf survives both recycles untouched.
-        assert_eq!(w.shape(), (2, 2));
-        assert!(w.value().is_finite());
-    }
-
-    #[test]
-    fn recycle_parks_exclusive_nodes_and_skips_shared_handles() {
-        if !crate::workspace::arena_enabled() {
-            return; // RM_ARENA=0: recycling is a no-op by design.
-        }
-        let p = Var::<f64>::parameter(Matrix::ones(2, 2));
-        let kept = p.square();
-        let loss = kept.sum();
-        loss.backward();
-        let kept_id = kept.id();
-        let before = f64::with_node_pool(|pool| pool.free.len());
-        loss.recycle();
-        let after = f64::with_node_pool(|pool| pool.free.len());
-        // Only the loss node was exclusively owned by the recycled handle;
-        // `kept` (still held here) and the parameter stay intact.
-        assert_eq!(after, before + 1);
-        assert_eq!(kept.id(), kept_id);
-        assert_eq!(kept.shape(), (2, 2));
-        assert_eq!(p.grad().get(0, 0), 2.0);
-        // The next node built on this thread draws from the pool.
-        let next = p.sum();
-        assert_eq!(f64::with_node_pool(|pool| pool.free.len()), after - 1);
-        assert_eq!(next.shape(), (1, 1));
-    }
-
-    #[test]
     fn f32_graph_runs_end_to_end() {
         // The whole op set monomorphises for f32; a small forward/backward
         // sanity check keeps that instantiation exercised.
         let w: Var<f32> = Var::parameter(Matrix::from_vec(1, 2, vec![0.5f32, -0.25]));
         let x: Var<f32> = Var::constant(Matrix::column(&[1.0f32, 2.0]));
-        // rm-lint: allow(prefer-matmul-into): test-only graph, not a hot loop
         let loss = w.matmul(&x).sigmoid().square().sum();
         loss.backward();
         assert!(loss.scalar_value().is_finite());

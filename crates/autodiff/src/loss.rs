@@ -1,4 +1,5 @@
-//! Loss functions, generic over the [`Scalar`] precision.
+//! Loss functions as graph nodes, generic over the [`Scalar`] precision:
+//! the losses the training tapes' oracles build.
 //!
 //! The radio-map imputation models never observe ground truth for the values
 //! they impute; instead they are trained on *reconstruction* error over the
@@ -6,7 +7,9 @@
 //! therefore masked: entries whose mask is 0 contribute nothing to the loss
 //! and receive no gradient.
 
-use rm_tensor::{Matrix, Scalar, Var};
+use rm_tensor::{Matrix, Scalar};
+
+use crate::Var;
 
 /// Masked mean-squared error:
 /// `MSE(mask ⊙ prediction, mask ⊙ target)`.
@@ -30,37 +33,6 @@ pub fn masked_mse_between<T: Scalar>(a: &Var<T>, b: &Var<T>, mask: &Matrix<T>) -
 pub fn mse<T: Scalar>(prediction: &Var<T>, target: &Matrix<T>) -> Var<T> {
     let ones = Matrix::ones(target.rows(), target.cols());
     masked_mse(prediction, target, &ones)
-}
-
-/// Numerically-stable binary cross-entropy between a predicted probability (a
-/// 1×1 variable squashed through a sigmoid upstream) and a 0/1 label. Used by
-/// the SSGAN baseline's discriminator.
-pub fn binary_cross_entropy<T: Scalar>(probability: &Var<T>, label: f64) -> Var<T> {
-    // Clamp through `p*(1-2e)+e` to keep log arguments strictly positive
-    // without breaking differentiation.
-    let eps = 1e-7;
-    let p = probability
-        .scale(T::from_f64(1.0 - 2.0 * eps))
-        .add_const(T::from_f64(eps));
-    // BCE = -(y*ln(p) + (1-y)*ln(1-p)); for labels in {0,1} only one term
-    // survives.
-    if label >= 0.5 {
-        neg_log(&p)
-    } else {
-        neg_log(&p.scale(-T::ONE).add_const(T::ONE))
-    }
-}
-
-/// `-ln(x)` for a 1×1 variable, built from existing ops via the identity
-/// `d(-ln x)/dx = -1/x`. Implemented as a first-order surrogate around the
-/// current value: f(x) ≈ -ln(c) - (x - c)/c has the value and first
-/// derivative of the true function at x = c, and because a fresh graph is
-/// built every training step the surrogate is re-centred continuously, so
-/// gradient descent follows the true BCE landscape.
-fn neg_log<T: Scalar>(x: &Var<T>) -> Var<T> {
-    let current = x.scalar_value().max(T::from_f64(1e-12));
-    let value_term = -current.ln() + T::ONE;
-    x.scale(-T::ONE / current).add_const(value_term)
 }
 
 #[cfg(test)]
@@ -121,37 +93,5 @@ mod tests {
         assert!((loss.scalar_value() - 2.0).abs() < 1e-6);
         loss.backward();
         assert!(pred.grad().is_finite());
-    }
-
-    #[test]
-    fn bce_decreases_towards_correct_label() {
-        // For label 1, higher probability must give lower loss.
-        let lo = Var::constant(Matrix::from_vec(1, 1, vec![0.2]));
-        let hi = Var::constant(Matrix::from_vec(1, 1, vec![0.9]));
-        assert!(
-            binary_cross_entropy(&hi, 1.0).scalar_value()
-                < binary_cross_entropy(&lo, 1.0).scalar_value()
-        );
-        // For label 0, lower probability must give lower loss.
-        assert!(
-            binary_cross_entropy(&lo, 0.0).scalar_value()
-                < binary_cross_entropy(&hi, 0.0).scalar_value()
-        );
-    }
-
-    #[test]
-    fn bce_gradient_pushes_probability_toward_label() {
-        let logit = Var::parameter(Matrix::from_vec(1, 1, vec![0.0]));
-        let p = logit.sigmoid();
-        let loss = binary_cross_entropy(&p, 1.0);
-        loss.backward();
-        // Increasing the logit must decrease the loss, so the gradient is negative.
-        assert!(logit.grad().get(0, 0) < 0.0);
-
-        logit.zero_grad();
-        let p = logit.sigmoid();
-        let loss = binary_cross_entropy(&p, 0.0);
-        loss.backward();
-        assert!(logit.grad().get(0, 0) > 0.0);
     }
 }

@@ -15,17 +15,18 @@
 //! gradient into plain buffers that the Adam kernel updates from — no
 //! autodiff graph is built. The encoder unit is the RITS step BRITS runs
 //! ([`rm_imputers::rits`]), and the trainer is the one BRITS trains with
-//! ([`rm_imputers::train`]). The graph form ([`BisimDirection`],
-//! [`sequence_loss`]) stays as the tape's oracle, which the tape matches bit
-//! for bit.
+//! ([`rm_imputers::train`]). The autodiff graph form of the model stays in
+//! the tests as the tape's oracle, which the tape matches bit for bit.
 //!
 //! The [`Bisim`] type implements the same [`Imputer`] trait as the baselines
 //! in `rm-imputers`, so the experiment harness can swap imputers freely.
 
+#[cfg(test)]
+mod graph;
 pub mod model;
 pub mod tape;
 
-pub use model::{AttentionMode, BisimDirection, BisimDirectionWeights, BisimPass, TimeLagMode};
+pub use model::{AttentionMode, BisimDirectionWeights, TimeLagMode};
 pub use tape::{DirectionGrads, DirectionTape, PairTape};
 
 use rand::rngs::StdRng;
@@ -35,9 +36,8 @@ use rm_imputers::brits::{default_batch_size, default_epochs};
 use rm_imputers::{
     build_sequences, train_pairs, ImputedRadioMap, Imputer, Normalization, PathSequence, Training,
 };
-use rm_nn::loss;
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var};
+use rm_tensor::{NamedTensor, Precision, Scalar};
 
 /// Configuration of the BiSIM imputer.
 #[derive(Debug, Clone)]
@@ -104,95 +104,6 @@ impl Bisim {
     pub fn new(config: BisimConfig) -> Self {
         Self { config }
     }
-}
-
-/// The overall loss of Section IV-D for one sequence pair as an autodiff
-/// graph: `L_forward + L_backward + L_cross`, each a masked MSE over
-/// observed fingerprints and RPs. The oracle of the training tape
-/// ([`PairTape::differentiate`]), which evaluates the same loss and its
-/// gradient without a graph.
-pub fn sequence_loss(
-    seq: &PathSequence,
-    rev: &PathSequence,
-    forward: &BisimPass,
-    backward: &BisimPass,
-) -> Var {
-    let len = seq.len();
-    let mut total = Var::scalar(0.0);
-    for t in 0..len {
-        let rt = len - 1 - t;
-        let fp_target = Matrix::column(&seq.fingerprints[t]);
-        let fp_mask = Matrix::column(&seq.fingerprint_masks[t]);
-        let rp_target = Matrix::column(&[seq.rps[t].0, seq.rps[t].1]);
-        let rp_mask = Matrix::column(&[seq.rp_masks[t], seq.rp_masks[t]]);
-
-        // Forward reconstruction.
-        total = total.add(&loss::masked_mse(
-            &forward.fingerprint_estimates[t],
-            &fp_target,
-            &fp_mask,
-        ));
-        total = total.add(&loss::masked_mse(
-            &forward.rp_estimates[t],
-            &rp_target,
-            &rp_mask,
-        ));
-        // Backward reconstruction (the reversed sequence's step rt is record t).
-        let fp_target_b = Matrix::column(&rev.fingerprints[rt]);
-        let fp_mask_b = Matrix::column(&rev.fingerprint_masks[rt]);
-        let rp_target_b = Matrix::column(&[rev.rps[rt].0, rev.rps[rt].1]);
-        let rp_mask_b = Matrix::column(&[rev.rp_masks[rt], rev.rp_masks[rt]]);
-        total = total.add(&loss::masked_mse(
-            &backward.fingerprint_estimates[rt],
-            &fp_target_b,
-            &fp_mask_b,
-        ));
-        total = total.add(&loss::masked_mse(
-            &backward.rp_estimates[rt],
-            &rp_target_b,
-            &rp_mask_b,
-        ));
-        // Cross consistency between the two directions at the same record.
-        total = total.add(&loss::masked_mse_between(
-            &forward.fingerprint_estimates[t],
-            &backward.fingerprint_estimates[rt],
-            &fp_mask,
-        ));
-        total = total.add(&loss::masked_mse_between(
-            &forward.rp_estimates[t],
-            &backward.rp_estimates[rt],
-            &rp_mask,
-        ));
-    }
-    total.scale(1.0 / len.max(1) as f64)
-}
-
-/// The graph oracle of one training step: differentiates the Section IV-D
-/// loss of one `(sequence, reversed)` pair through the autodiff graph,
-/// accumulating into the models' parameter gradients, returns the graph to
-/// the per-worker node arena and returns the loss. Training runs the tape
-/// ([`PairTape::differentiate`]), which the tests hold to this bit for bit.
-#[cfg(test)]
-pub(crate) fn pair_backward(
-    forward: &BisimDirection,
-    backward: &BisimDirection,
-    seq: &PathSequence,
-    rev: &PathSequence,
-) -> f64 {
-    let fwd = forward.run(seq);
-    let bwd = backward.run(rev);
-    let loss = sequence_loss(seq, rev, &fwd, &bwd);
-    loss.backward();
-    let value = loss.scalar_value();
-    // Return the pair's graph — both passes, the loss chain and every
-    // intermediate — to the per-worker node arena. The parameter leaves,
-    // and the gradients they hold, stay with the models.
-    Var::recycle_all(
-        fwd.into_vars()
-            .chain(bwd.into_vars())
-            .chain(std::iter::once(loss)),
-    );
-    value
 }
 
 /// The per-record updates one `(sequence, reversed)` pair contributes to the
@@ -497,9 +408,11 @@ impl Imputer for Bisim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{sequence_loss, BisimDirection};
+    use rm_autodiff::Adam;
     use rm_geometry::Point;
-    use rm_nn::{Adam, Optimizer};
     use rm_radiomap::{Fingerprint, RadioMapRecord};
+    use rm_tensor::Matrix;
 
     /// A survey path with smooth RSSIs and RPs; one MAR RSSI and one missing RP.
     fn smooth_map() -> (RadioMap, MaskMatrix) {

@@ -1,16 +1,13 @@
 //! The internals of BiSIM (Section IV-C): encoder units, decoder units and the
 //! sparsity-friendly attention unit, assembled into one directional
-//! sequence-to-sequence pass — as plain weights with the forward training
-//! and inference share ([`BisimDirectionWeights`]), and as the autodiff
-//! graph that is the training tape's oracle ([`BisimDirection`]).
+//! sequence-to-sequence pass as plain weights with the forward training and
+//! inference share ([`BisimDirectionWeights`]).
 
 use rand::rngs::StdRng;
 use rm_imputers::rits::{export_recurrent, import_recurrent};
 use rm_imputers::{Parameters, PathSequence, RecurrentImputerWeights};
-use rm_nn::{
-    Activation, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState, Mlp, MlpWeights,
-};
-use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var};
+use rm_nn::{LinearWeights, LstmCellWeights, MlpWeights};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar};
 
 /// Which attention mechanism the decoder uses (the Fig. 17 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,256 +34,6 @@ pub enum TimeLagMode {
     None,
 }
 
-/// The per-step outputs of one directional pass through BiSIM.
-pub struct BisimPass {
-    /// Predicted fingerprints `f′_i` (used by the loss).
-    pub fingerprint_estimates: Vec<Var>,
-    /// Complemented fingerprints `f^c_i` (the imputations).
-    pub fingerprint_complements: Vec<Var>,
-    /// Predicted RP vectors `l′_j` (used by the loss).
-    pub rp_estimates: Vec<Var>,
-    /// Complemented RP vectors `l^c_j` (the imputations).
-    pub rp_complements: Vec<Var>,
-}
-
-impl BisimPass {
-    /// Consumes the pass into its output handles — the roots to hand to
-    /// [`Var::recycle_all`] once the pass's values and gradients are no
-    /// longer needed, returning the graph to the per-worker node arena.
-    pub fn into_vars(self) -> impl Iterator<Item = Var> {
-        self.fingerprint_estimates
-            .into_iter()
-            .chain(self.fingerprint_complements)
-            .chain(self.rp_estimates)
-            .chain(self.rp_complements)
-    }
-}
-
-/// One directional BiSIM model as an autodiff graph: an encoder stack over
-/// the fingerprint sequence, a decoder stack over the RP sequence, and an
-/// attention unit connecting them. Production trains
-/// [`BisimDirectionWeights`] on the tape; this graph form is the tape's
-/// oracle ([`crate::sequence_loss`]) for tests and benches.
-pub struct BisimDirection {
-    // Encoder unit parameters (Eq. 2–5).
-    encoder_estimate: Linear,
-    encoder_decay: Linear,
-    encoder_cell: LstmCell,
-    // Decoder unit parameters (Eq. 6–8).
-    decoder_estimate: Linear,
-    decoder_decay: Linear,
-    decoder_cell: LstmCell,
-    // Attention unit parameters (Eq. 9–12).
-    attention_transform: Linear,
-    attention_align: Mlp,
-    hidden_size: usize,
-    num_aps: usize,
-    attention: AttentionMode,
-    time_lag: TimeLagMode,
-}
-
-impl BisimDirection {
-    /// Creates one directional model.
-    pub fn new(
-        num_aps: usize,
-        hidden_size: usize,
-        attention: AttentionMode,
-        time_lag: TimeLagMode,
-        rng: &mut StdRng,
-    ) -> Self {
-        Self {
-            encoder_estimate: Linear::new(hidden_size, num_aps, rng),
-            encoder_decay: Linear::new(num_aps, hidden_size, rng),
-            encoder_cell: LstmCell::new(num_aps * 2, hidden_size, rng),
-            decoder_estimate: Linear::new(hidden_size, 2, rng),
-            decoder_decay: Linear::new(2, hidden_size, rng),
-            decoder_cell: LstmCell::new(2 + num_aps, hidden_size, rng),
-            attention_transform: Linear::new(hidden_size, num_aps, rng),
-            attention_align: Mlp::new(
-                &[hidden_size + num_aps, hidden_size, 1],
-                Activation::Tanh,
-                Activation::Identity,
-                rng,
-            ),
-            hidden_size,
-            num_aps,
-            attention,
-            time_lag,
-        }
-    }
-
-    /// All trainable parameters of this direction.
-    pub fn parameters(&self) -> Vec<Var> {
-        let mut params = self.encoder_estimate.parameters();
-        params.extend(self.encoder_decay.parameters());
-        params.extend(self.encoder_cell.parameters());
-        params.extend(self.decoder_estimate.parameters());
-        params.extend(self.decoder_decay.parameters());
-        params.extend(self.decoder_cell.parameters());
-        params.extend(self.attention_transform.parameters());
-        params.extend(self.attention_align.parameters());
-        params
-    }
-
-    /// Runs the encoder–decoder over one prepared sequence.
-    pub fn run(&self, seq: &PathSequence) -> BisimPass {
-        let len = seq.len();
-        let mut fingerprint_estimates = Vec::with_capacity(len);
-        let mut fingerprint_complements = Vec::with_capacity(len);
-        let mut encoder_latents = Vec::with_capacity(len);
-        let mut encoder_masks = Vec::with_capacity(len);
-
-        // ---------------- Encoder stack (Eq. 2–5) ----------------
-        let mut state = LstmState::zeros(self.hidden_size);
-        for t in 0..len {
-            let fingerprint = Var::constant(Matrix::column(&seq.fingerprints[t]));
-            let mask = Matrix::column(&seq.fingerprint_masks[t]);
-            let inverse_mask = mask.map(|m| 1.0 - m);
-
-            // Eq. 2: estimate from the previous latent vector.
-            let estimate = self.encoder_estimate.forward(&state.h);
-            // Eq. 3: complement observed values with the estimate.
-            let complement = fingerprint.mask(&mask).add(&estimate.mask(&inverse_mask));
-            // Eq. 4: temporal decay factor from the time-lag vector.
-            let decayed = if matches!(self.time_lag, TimeLagMode::Encoder | TimeLagMode::Both) {
-                let lag = Var::constant(Matrix::column(&seq.time_lags[t]));
-                let gamma = self.encoder_decay.forward(&lag).relu().scale(-1.0).exp();
-                state.with_hidden(state.h.hadamard(&gamma))
-            } else {
-                state.clone()
-            };
-            // Eq. 5: LSTM over the complemented fingerprint concatenated with
-            // the mask (a constant part: no node, no gradient).
-            state = self.encoder_cell.step(
-                &[InputPart::Node(&complement), InputPart::Const(&mask)],
-                &decayed,
-            );
-
-            fingerprint_estimates.push(estimate);
-            fingerprint_complements.push(complement);
-            encoder_latents.push(state.h.clone());
-            encoder_masks.push(mask);
-        }
-
-        // Pre-compute the (possibly masked) transformed latents h''_i (Eq. 9).
-        let transformed: Vec<Var> = encoder_latents
-            .iter()
-            .zip(encoder_masks.iter())
-            .map(|(h, m)| {
-                let h_prime = self.attention_transform.forward(h);
-                match self.attention {
-                    AttentionMode::SparsityFriendly => h_prime.mask(m),
-                    _ => h_prime,
-                }
-            })
-            .collect();
-
-        // ---------------- Decoder stack with attention (Eq. 6–12) ----------------
-        // s_0 = h_T: the decoder starts from the final encoder latent vector.
-        let mut decoder_state = LstmState::from_hidden(
-            encoder_latents
-                .last()
-                .cloned()
-                .unwrap_or_else(|| Var::constant(Matrix::zeros(self.hidden_size, 1))),
-        );
-        let rp_lags = rp_time_lags(seq);
-        let mut rp_estimates = Vec::with_capacity(len);
-        let mut rp_complements = Vec::with_capacity(len);
-        for j in 0..len {
-            let rp = Var::constant(Matrix::column(&[seq.rps[j].0, seq.rps[j].1]));
-            let rp_mask = Matrix::column(&[seq.rp_masks[j], seq.rp_masks[j]]);
-            let inverse_mask = rp_mask.map(|m| 1.0 - m);
-
-            // Eq. 6: estimate the RP from the previous decoder latent vector.
-            let estimate = self.decoder_estimate.forward(&decoder_state.h);
-            // Eq. 7: complement.
-            let complement = rp.mask(&rp_mask).add(&estimate.mask(&inverse_mask));
-            // Attention (Eq. 10–12): context vector from the encoder latents.
-            let context = self.context_vector(&decoder_state.h, &transformed);
-            // Optional decoder-side time decay (ablation only).
-            let decayed = if matches!(self.time_lag, TimeLagMode::Decoder | TimeLagMode::Both) {
-                let lag = Var::constant(Matrix::column(&rp_lags[j]));
-                let gamma = self.decoder_decay.forward(&lag).relu().scale(-1.0).exp();
-                decoder_state.with_hidden(decoder_state.h.hadamard(&gamma))
-            } else {
-                decoder_state.clone()
-            };
-            // Eq. 8: LSTM over the complemented RP concatenated with the context.
-            decoder_state = self.decoder_cell.step(
-                &[InputPart::Node(&complement), InputPart::Node(&context)],
-                &decayed,
-            );
-
-            rp_estimates.push(estimate);
-            rp_complements.push(complement);
-        }
-
-        BisimPass {
-            fingerprint_estimates,
-            fingerprint_complements,
-            rp_estimates,
-            rp_complements,
-        }
-    }
-
-    /// The attention context vector c_j for the current decoder latent
-    /// vector (Eq. 10–12): one [`Var::attention`] node over the alignment
-    /// MLP's two layers.
-    fn context_vector(&self, decoder_hidden: &Var, transformed: &[Var]) -> Var {
-        if matches!(self.attention, AttentionMode::None) || transformed.is_empty() {
-            return Var::constant(Matrix::zeros(self.num_aps, 1));
-        }
-        let [hidden, energy] = self.attention_align.layers() else {
-            unreachable!("the alignment MLP has one hidden layer");
-        };
-        decoder_hidden.attention(
-            transformed,
-            [
-                hidden.weight(),
-                hidden.bias(),
-                energy.weight(),
-                energy.bias(),
-            ],
-        )
-    }
-
-    /// Copies the current parameters into graph-free, `Send + Sync`
-    /// [`BisimDirectionWeights`].
-    pub fn snapshot(&self) -> BisimDirectionWeights {
-        BisimDirectionWeights {
-            encoder: RecurrentImputerWeights::from_parts(
-                self.encoder_estimate.snapshot(),
-                self.encoder_decay.snapshot(),
-                self.encoder_cell.snapshot(),
-            ),
-            decoder_estimate: self.decoder_estimate.snapshot(),
-            decoder_decay: self.decoder_decay.snapshot(),
-            decoder_cell: self.decoder_cell.snapshot(),
-            attention_transform: self.attention_transform.snapshot(),
-            attention_align: self.attention_align.snapshot(),
-            hidden_size: self.hidden_size,
-            num_aps: self.num_aps,
-            attention: self.attention,
-            time_lag: self.time_lag,
-        }
-    }
-}
-
-/// Time-lag vectors for the RP sequence (2-dimensional, driven by the RP
-/// masks), used only by the decoder-side ablations: the graph pass's list
-/// ([`BisimDirection::run`]) of [`rp_time_lag`]'s steps.
-fn rp_time_lags(seq: &PathSequence) -> Vec<[f64; 2]> {
-    let mut lags: Vec<[f64; 2]> = Vec::with_capacity(seq.len());
-    for j in 0..seq.len() {
-        lags.push(rp_time_lag(
-            seq,
-            j,
-            lags.last().copied().unwrap_or([0.0; 2]),
-        ));
-    }
-    lags
-}
-
 /// The RP time-lag vector of step `j` given step `j − 1`'s (ignored at
 /// `j = 0`): the one definition the graph pass and the tape forward share.
 pub(crate) fn rp_time_lag(seq: &PathSequence, j: usize, previous: [f64; 2]) -> [f64; 2] {
@@ -302,13 +49,13 @@ pub(crate) fn rp_time_lag(seq: &PathSequence, j: usize, previous: [f64; 2]) -> [
 }
 
 /// One BiSIM direction's weights: plain matrices plus the ablation
-/// settings, so they are `Send + Sync` and can be shared with worker threads
-/// (unlike [`Var`], whose nodes are `Rc`-shared). The encoder unit is one
-/// RITS step ([`RecurrentImputerWeights`], BRITS's recurrent unit). Training
-/// updates them in place on the training tape ([`crate::tape`]); their
-/// [`BisimDirectionWeights::forward`] is the one forward of training and
-/// inference, performing [`BisimDirection::run`]'s operations in order, so
-/// it is bit-identical to the graph forward at the same precision. Generic
+/// settings, so they are `Send + Sync` and can be shared with worker
+/// threads. The encoder unit is one RITS step ([`RecurrentImputerWeights`],
+/// BRITS's recurrent unit). Training updates them in place on the training
+/// tape ([`crate::tape`]); their [`BisimDirectionWeights::forward`] is the
+/// one forward of training and inference, performing the autodiff graph
+/// oracle's operations in order, so it is bit-identical to the graph
+/// forward at the same precision. Generic
 /// over the [`Scalar`] precision: [`BisimDirectionWeights::cast`] rounds the
 /// `f64` weights once for the f32 inference path.
 #[derive(Clone)]
@@ -326,8 +73,9 @@ pub struct BisimDirectionWeights<T: Scalar = f64> {
 }
 
 impl BisimDirectionWeights {
-    /// One freshly initialised direction, drawn from `rng` exactly as
-    /// [`BisimDirection::new`] draws its parameters.
+    /// One freshly initialised direction, drawn from `rng` in
+    /// [`Parameters::tensors`] order: the encoder, the decoder's estimate,
+    /// decay and cell, then the attention transform and alignment.
     pub fn new(
         num_aps: usize,
         hidden_size: usize,
@@ -341,12 +89,7 @@ impl BisimDirectionWeights {
             decoder_decay: LinearWeights::new(2, hidden_size, rng),
             decoder_cell: LstmCellWeights::new(2 + num_aps, hidden_size, rng),
             attention_transform: LinearWeights::new(hidden_size, num_aps, rng),
-            attention_align: MlpWeights::new(
-                &[hidden_size + num_aps, hidden_size, 1],
-                Activation::Tanh,
-                Activation::Identity,
-                rng,
-            ),
+            attention_align: MlpWeights::new(&[hidden_size + num_aps, hidden_size, 1], rng),
             hidden_size,
             num_aps,
             attention,
@@ -421,15 +164,10 @@ impl BisimDirectionWeights {
         let decoder_decay = import_linear(tensors, &decoder, "decay")?;
         let decoder_cell = import_lstm_cell(tensors, &decoder)?;
         let attention_transform = import_linear(tensors, prefix, "attention.transform")?;
-        let attention_align = import_mlp(
-            tensors,
-            &format!("{prefix}.attention.align"),
-            Activation::Tanh,
-            Activation::Identity,
-        )?;
+        let attention_align = import_mlp(tensors, &format!("{prefix}.attention.align"))?;
 
         // Validate every unit against the architecture of
-        // [`BisimDirection::new`] before anything can panic downstream
+        // [`BisimDirectionWeights::new`] before anything can panic downstream
         // ([`import_recurrent`] has checked the encoder): the alignment MLP
         // is exactly one hidden layer of H units over `[s; h'']` and a
         // scalar energy, the shapes the attention step runs.
@@ -459,29 +197,6 @@ impl BisimDirectionWeights {
             time_lag,
         })
     }
-
-    /// Rebuilds a graph [`BisimDirection`] from this snapshot (fresh
-    /// parameter leaves holding copies of the snapshotted matrices; the
-    /// inverse of [`BisimDirection::snapshot`]): the oracle side of the
-    /// tape tests.
-    #[cfg(test)]
-    pub(crate) fn to_model(&self) -> BisimDirection {
-        let (estimate, decay, cell) = self.encoder.parts();
-        BisimDirection {
-            encoder_estimate: estimate.to_linear(),
-            encoder_decay: decay.to_linear(),
-            encoder_cell: cell.to_cell(),
-            decoder_estimate: self.decoder_estimate.to_linear(),
-            decoder_decay: self.decoder_decay.to_linear(),
-            decoder_cell: self.decoder_cell.to_cell(),
-            attention_transform: self.attention_transform.to_linear(),
-            attention_align: self.attention_align.to_mlp(),
-            hidden_size: self.hidden_size,
-            num_aps: self.num_aps,
-            attention: self.attention,
-            time_lag: self.time_lag,
-        }
-    }
 }
 
 impl<T: Scalar> BisimDirectionWeights<T> {
@@ -504,7 +219,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
 }
 
 impl<T: Scalar> Parameters<T> for BisimDirectionWeights<T> {
-    /// The 30 parameter tensors in [`BisimDirection::parameters`] order:
+    /// The 30 parameter tensors in the graph oracle's parameter order:
     /// the encoder's estimate, decay and cell (`(W, b)` per gate, in step
     /// order), the decoder's, then the attention transform and alignment.
     fn tensors(&self) -> Vec<&Matrix<T>> {
@@ -545,7 +260,9 @@ impl<T: Scalar> Parameters<T> for BisimDirectionWeights<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::BisimDirection;
     use rand::SeedableRng;
+    use rm_autodiff::Var;
     use rm_geometry::Point;
     use rm_imputers::{build_sequences, Normalization};
     use rm_radiomap::{EntryKind, Fingerprint, MaskMatrix, RadioMap, RadioMapRecord};

@@ -13,7 +13,7 @@
 //! [`DirectionGrads`] buffers.
 //!
 //! The result is bitwise the gradient of the graph oracle
-//! ([`crate::sequence_loss`]). Every fused step's backward is the one
+//! (`sequence_loss` in the tests). Every fused step's backward is the one
 //! [`rm_tensor::recurrent`] definition the graph nodes call, the encoder's
 //! is the one RITS backward
 //! ([`rm_imputers::RecurrentImputerWeights::backward`]), and
@@ -149,7 +149,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
     /// Runs the encoder–decoder over one prepared sequence (Eq. 2–12),
     /// recording every intermediate into `tape`: the one forward of both
     /// training and inference. It performs the operations of the graph pass
-    /// ([`crate::BisimDirection::run`]) in the same order — the same
+    /// (`BisimDirection::run` in the tests) in the same order — the same
     /// complements, decay chain and fused steps, whose forwards are
     /// [`rm_tensor::recurrent`]'s — so at the same precision every
     /// recorded value is bit-identical to the graph's. Sequence data is
@@ -280,9 +280,11 @@ struct Scratch<T> {
     /// `len × hidden`: `∂h_t` and `∂s_j`.
     d_latents: Vec<T>,
     d_states: Vec<T>,
-    /// `len × aps` and `len × 2`: the estimates' gradients.
+    /// `len × aps` and `len × 2`: the estimates' gradients, and `len × aps`:
+    /// the fingerprint complements'.
     d_fp: Vec<T>,
     d_rp: Vec<T>,
+    d_fp_complements: Vec<T>,
     /// `len × aps`: the keys' gradients.
     d_keys: Vec<T>,
     /// `len × hidden`: each decoder decay's pre-activation gradient.
@@ -351,7 +353,7 @@ impl<T: Scalar> PairTape<T> {
         loss
     }
 
-    /// The loss of [`crate::sequence_loss`] and the terms its backward hands
+    /// The loss of the graph oracle's `sequence_loss` and the terms its backward hands
     /// each estimate. Per record `t` (step `rt = T − 1 − t` of the reversed
     /// sequence) the graph adds six masked MSEs, each `mean((p⊙m − q⊙m)²)`,
     /// to a running total from `+0.0`, and scales the sum by `s = 1/T`; the
@@ -442,6 +444,7 @@ impl<T: Scalar> Scratch<T> {
             d_states,
             d_fp,
             d_rp,
+            d_fp_complements,
             d_keys,
             d_dec_decay,
             d_context,
@@ -454,6 +457,7 @@ impl<T: Scalar> Scratch<T> {
             (&mut *d_states, len * h),
             (&mut *d_fp, len * a),
             (&mut *d_rp, 2 * len),
+            (&mut *d_fp_complements, len * a),
             (&mut *d_keys, len * a),
             (&mut *d_dec_decay, len * h),
             (&mut *d_context, a),
@@ -629,8 +633,16 @@ impl<T: Scalar> Scratch<T> {
         // ---- The encoder, t = T − 1 down to 0, then its decay parameters ----
         let encoder = &mut grads.tensors_mut()[..DECODER_ESTIMATE];
         let schedule = Schedule::Encoder;
-        w.encoder
-            .backward(&mut tp.encoder, seq, schedule, d_fp, d_latents, encoder);
+        let d_complements = d_fp_complements;
+        w.encoder.backward(
+            &mut tp.encoder,
+            seq,
+            schedule,
+            d_fp,
+            d_complements,
+            d_latents,
+            encoder,
+        );
 
         // ---------------- The decoder decay parameters, in forward order ----------------
         if decoder_lag && role == Role::Forward {
@@ -658,7 +670,7 @@ enum Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair_backward;
+    use crate::graph::pair_backward;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -7,9 +7,8 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_nn::{Linear, LstmCell, LstmState};
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{InputPart, Matrix, NamedTensor, Precision, Scalar, Var};
+use rm_tensor::{NamedTensor, Precision, Scalar};
 
 use crate::rits::{
     column, export_recurrent, import_recurrent, masked_mse, zeroed, RecurrentImputerWeights,
@@ -139,93 +138,6 @@ pub fn default_batch_size() -> usize {
     })
 }
 
-/// One RITS step as an autodiff graph: estimates each step's fingerprint
-/// from the hidden state, complements the observation, decays the hidden
-/// state and feeds `[x^c; m]` to an LSTM cell. SSGAN's generator trains on
-/// it; for BRITS it is the oracle of the training tape ([`BritsTape`]),
-/// whose forward ([`RecurrentImputerWeights::forward`]) records the same
-/// values bit for bit.
-pub(crate) struct RecurrentImputer {
-    estimate: Linear,
-    decay: Linear,
-    cell: LstmCell,
-}
-
-/// The per-step outputs of one directional pass.
-pub(crate) struct DirectionalPass {
-    /// Model estimates `x̂_t` (used by the reconstruction loss).
-    pub estimates: Vec<Var>,
-    /// Complemented vectors `x_c` (the imputations).
-    pub complements: Vec<Var>,
-}
-
-impl RecurrentImputer {
-    pub(crate) fn new(num_aps: usize, hidden_size: usize, rng: &mut StdRng) -> Self {
-        RecurrentImputerWeights::new(num_aps, hidden_size, rng).to_model()
-    }
-
-    pub(crate) fn parameters(&self) -> Vec<Var> {
-        let mut params = self.estimate.parameters();
-        params.extend(self.decay.parameters());
-        params.extend(self.cell.parameters());
-        params
-    }
-
-    /// Runs the imputer over one (already ordered) sequence.
-    pub(crate) fn run(&self, seq: &PathSequence) -> DirectionalPass {
-        let mut state = LstmState::zeros(self.cell.hidden_size());
-        let mut estimates = Vec::with_capacity(seq.len());
-        let mut complements = Vec::with_capacity(seq.len());
-        for t in 0..seq.len() {
-            let x = Var::constant(Matrix::column(&seq.fingerprints[t]));
-            let mask = Matrix::column(&seq.fingerprint_masks[t]);
-            let lag = Var::constant(Matrix::column(&seq.time_lags[t]));
-
-            // Estimate the fingerprint from the previous hidden state.
-            let x_hat = self.estimate.forward(&state.h);
-            // Complement: observed entries pass through, missing use the estimate.
-            let inverse_mask = mask.map(|m| 1.0 - m);
-            let x_c = x.mask(&mask).add(&x_hat.mask(&inverse_mask));
-            // Temporal decay of the hidden state.
-            let gamma = self.decay.forward(&lag).relu().scale(-1.0).exp();
-            let decayed = state.with_hidden(state.h.hadamard(&gamma));
-            state = self
-                .cell
-                .step(&[InputPart::Node(&x_c), InputPart::Const(&mask)], &decayed);
-
-            estimates.push(x_hat);
-            complements.push(x_c);
-        }
-        DirectionalPass {
-            estimates,
-            complements,
-        }
-    }
-
-    /// Copies the trained parameters into graph-free, `Send + Sync` weights.
-    pub(crate) fn snapshot(&self) -> RecurrentImputerWeights {
-        RecurrentImputerWeights::from_parts(
-            self.estimate.snapshot(),
-            self.decay.snapshot(),
-            self.cell.snapshot(),
-        )
-    }
-}
-
-impl RecurrentImputerWeights {
-    /// Rebuilds a trainable graph [`RecurrentImputer`] from these weights:
-    /// fresh parameter leaves holding copies of the matrices (the inverse of
-    /// [`RecurrentImputer::snapshot`]).
-    pub(crate) fn to_model(&self) -> RecurrentImputer {
-        let (estimate, decay, cell) = self.parts();
-        RecurrentImputer {
-            estimate: estimate.to_linear(),
-            decay: decay.to_linear(),
-            cell: cell.to_cell(),
-        }
-    }
-}
-
 /// Resident snapshot bytes of one recurrent-imputer direction with the
 /// given shape, at each precision: `(f64, f32)`. The reporting hook behind
 /// the `exp_snapshot_storage` experiment — it measures the actual
@@ -237,14 +149,113 @@ pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, us
     (w64.resident_bytes(), w64.cast::<f32>().resident_bytes())
 }
 
+/// The graph form of the RITS step, the tapes' test oracle.
+#[cfg(test)]
+pub(crate) mod graph {
+    use rand::rngs::StdRng;
+    use rm_autodiff::{InputPart, Linear, LstmCell, LstmState, Var};
+    use rm_tensor::Matrix;
+
+    use crate::rits::RecurrentImputerWeights;
+    use crate::sequence::PathSequence;
+
+    /// One RITS step as an autodiff graph: estimates each step's fingerprint
+    /// from the hidden state, complements the observation, decays the hidden
+    /// state and feeds `[x^c; m]` to an LSTM cell. It is the oracle of the
+    /// training tapes of BRITS ([`BritsTape`]) and SSGAN's generator, whose
+    /// forward ([`RecurrentImputerWeights::forward`]) records the same values
+    /// bit for bit.
+    pub(crate) struct RecurrentImputer {
+        estimate: Linear,
+        decay: Linear,
+        cell: LstmCell,
+    }
+
+    /// The per-step outputs of one directional pass.
+    pub(crate) struct DirectionalPass {
+        /// Model estimates `x̂_t` (used by the reconstruction loss).
+        pub estimates: Vec<Var>,
+        /// Complemented vectors `x_c` (the imputations).
+        pub complements: Vec<Var>,
+    }
+
+    impl RecurrentImputer {
+        pub(crate) fn new(num_aps: usize, hidden_size: usize, rng: &mut StdRng) -> Self {
+            RecurrentImputerWeights::new(num_aps, hidden_size, rng).to_model()
+        }
+
+        pub(crate) fn parameters(&self) -> Vec<Var> {
+            let mut params = self.estimate.parameters();
+            params.extend(self.decay.parameters());
+            params.extend(self.cell.parameters());
+            params
+        }
+
+        /// Runs the imputer over one (already ordered) sequence.
+        pub(crate) fn run(&self, seq: &PathSequence) -> DirectionalPass {
+            let mut state = LstmState::zeros(self.cell.hidden_size());
+            let mut estimates = Vec::with_capacity(seq.len());
+            let mut complements = Vec::with_capacity(seq.len());
+            for t in 0..seq.len() {
+                let x = Var::constant(Matrix::column(&seq.fingerprints[t]));
+                let mask = Matrix::column(&seq.fingerprint_masks[t]);
+                let lag = Var::constant(Matrix::column(&seq.time_lags[t]));
+
+                // Estimate the fingerprint from the previous hidden state.
+                let x_hat = self.estimate.forward(&state.h);
+                // Complement: observed entries pass through, missing use the estimate.
+                let inverse_mask = mask.map(|m| 1.0 - m);
+                let x_c = x.mask(&mask).add(&x_hat.mask(&inverse_mask));
+                // Temporal decay of the hidden state.
+                let gamma = self.decay.forward(&lag).relu().scale(-1.0).exp();
+                let decayed = state.with_hidden(state.h.hadamard(&gamma));
+                state = self
+                    .cell
+                    .step(&[InputPart::Node(&x_c), InputPart::Const(&mask)], &decayed);
+
+                estimates.push(x_hat);
+                complements.push(x_c);
+            }
+            DirectionalPass {
+                estimates,
+                complements,
+            }
+        }
+
+        /// Copies the trained parameters into graph-free, `Send + Sync` weights.
+        pub(crate) fn snapshot(&self) -> RecurrentImputerWeights {
+            RecurrentImputerWeights::from_parts(
+                self.estimate.snapshot(),
+                self.decay.snapshot(),
+                self.cell.snapshot(),
+            )
+        }
+    }
+
+    impl RecurrentImputerWeights {
+        /// Rebuilds a trainable graph [`RecurrentImputer`] from these weights:
+        /// fresh parameter leaves holding copies of the matrices (the inverse of
+        /// [`RecurrentImputer::snapshot`]).
+        pub(crate) fn to_model(&self) -> RecurrentImputer {
+            let (estimate, decay, cell) = self.parts();
+            RecurrentImputer {
+                estimate: Linear::from_weights(estimate),
+                decay: Linear::from_weights(decay),
+                cell: LstmCell::from_weights(cell),
+            }
+        }
+    }
+}
+
 /// One BRITS sequence pair's training tape: both directions' RITS records,
-/// each estimate's and hidden state's gradient and one target column, all
-/// reused from pair to pair, so a warm [`BritsTape::differentiate`]
-/// allocates nothing.
+/// each estimate's, complement's and hidden state's gradient and one target
+/// column, all reused from pair to pair, so a warm
+/// [`BritsTape::differentiate`] allocates nothing.
 #[derive(Default)]
 pub struct BritsTape<T: Scalar = f64> {
     directions: [RitsTape<T>; 2],
     d_estimates: [Vec<T>; 2],
+    d_complements: [Vec<T>; 2],
     d_latents: [Vec<T>; 2],
     target: Vec<T>,
 }
@@ -279,10 +290,11 @@ impl<T: Scalar> BritsTape<T> {
         backward.forward(rev, true, &mut self.directions[1]);
         let loss = self.loss(seq, rev);
         let [ft, bt] = &mut self.directions;
-        let ([fe, be], [fl, bl]) = (&mut self.d_estimates, &mut self.d_latents);
+        let ([fe, be], [fc, bc]) = (&mut self.d_estimates, &mut self.d_complements);
+        let [fl, bl] = &mut self.d_latents;
         let [fg, bg] = grads;
-        forward.backward(ft, seq, Schedule::Forward, fe, fl, fg.tensors_mut());
-        backward.backward(bt, rev, Schedule::Backward, be, bl, bg.tensors_mut());
+        forward.backward(ft, seq, Schedule::Forward, fe, fc, fl, fg.tensors_mut());
+        backward.backward(bt, rev, Schedule::Backward, be, bc, bl, bg.tensors_mut());
         loss
     }
 
@@ -294,15 +306,14 @@ impl<T: Scalar> BritsTape<T> {
         let Self {
             directions: [fwd, bwd],
             d_estimates,
+            d_complements,
             d_latents,
             target,
         } = self;
-        for (tape, (d_est, d_lat)) in [&*fwd, &*bwd]
-            .into_iter()
-            .zip(d_estimates.iter_mut().zip(d_latents.iter_mut()))
-        {
-            zeroed(d_est, tape.estimates().len());
-            zeroed(d_lat, tape.latents().len());
+        for (k, tape) in [&*fwd, &*bwd].into_iter().enumerate() {
+            zeroed(&mut d_estimates[k], tape.estimates().len());
+            zeroed(&mut d_complements[k], tape.estimates().len());
+            zeroed(&mut d_latents[k], tape.latents().len());
         }
         let [df, db] = d_estimates;
         let len = seq.len();
@@ -600,18 +611,20 @@ impl Imputer for Brits {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::graph::RecurrentImputer;
     use super::*;
     use crate::train::Parameters;
+    use rm_autodiff::{loss, Adam, Var};
     use rm_geometry::Point;
-    use rm_nn::{loss, Adam, Optimizer};
     use rm_radiomap::{Fingerprint, RadioMapRecord};
+    use rm_tensor::Matrix;
 
     /// The graph oracle of one BRITS training step: differentiates the
     /// pair's loss — the forward and backward reconstruction errors at
     /// observed entries — through the autodiff graph, accumulating into the
-    /// models' parameter gradients, returns the pair's graph to the
-    /// per-worker node arena and returns the loss. The gradient buffers
-    /// must be zero on entry for the result to be one pair's gradient.
+    /// models' parameter gradients, and returns the loss. The gradient
+    /// buffers must be zero on entry for the result to be one pair's
+    /// gradient.
     fn pair_backward(
         forward: &RecurrentImputer,
         backward: &RecurrentImputer,
@@ -632,16 +645,7 @@ pub(crate) mod tests {
         }
         let loss = total.scale(1.0 / seq.len() as f64);
         loss.backward();
-        let value = loss.scalar_value();
-        Var::recycle_all(
-            fwd.estimates
-                .into_iter()
-                .chain(fwd.complements)
-                .chain(bwd.estimates)
-                .chain(bwd.complements)
-                .chain([total, loss]),
-        );
-        value
+        loss.scalar_value()
     }
 
     /// [`pair_backward`], then the per-parameter gradients read out in
@@ -912,9 +916,9 @@ pub(crate) mod tests {
 
     /// The graph rebuild must not perturb the trajectory: the gradients of
     /// a `(sequence, reversed)` pair computed on replicas rebuilt from
-    /// weights ([`RecurrentImputerWeights::to_model`], which SSGAN's batched
-    /// generator phase and the tape's oracle use) are bit-identical to
-    /// gradients computed on the live graph.
+    /// weights ([`RecurrentImputerWeights::to_model`], which the tapes'
+    /// oracles use) are bit-identical to gradients computed on the live
+    /// graph.
     #[test]
     fn rebuilt_replica_gradients_match_live_graph_bitwise() {
         let (map, mask) = smooth_map();
@@ -944,7 +948,7 @@ pub(crate) mod tests {
 
     /// Which fingerprint entries a test sequence observes.
     #[derive(Clone, Copy, Debug)]
-    enum Masks {
+    pub(crate) enum Masks {
         AllObserved,
         Mixed,
         AllMissing,
@@ -961,7 +965,7 @@ pub(crate) mod tests {
 
     /// A prepared sequence of `len` steps over `aps` APs with `±0.0`
     /// entries and growing time lags.
-    fn sequence(len: usize, aps: usize, salt: usize, masks: Masks) -> PathSequence {
+    pub(crate) fn sequence(len: usize, aps: usize, salt: usize, masks: Masks) -> PathSequence {
         let observed = |t: usize, e: usize| match masks {
             Masks::AllObserved => 1.0,
             Masks::Mixed => f64::from(!(t + e * 2 + salt).is_multiple_of(4)),
@@ -984,11 +988,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Freshly drawn weights with every tensor shifted off its initial
-    /// value (the biases start at zero), so no gradient term is trivially
-    /// zero.
-    fn weights(aps: usize, hidden: usize, rng: &mut StdRng) -> RecurrentImputerWeights {
-        let mut w = RecurrentImputerWeights::new(aps, hidden, rng);
+    /// `w` with every tensor shifted off its initial value (the biases
+    /// start at zero), so no gradient term is trivially zero.
+    pub(crate) fn shifted<W: Parameters>(mut w: W) -> W {
         let mut k = 0;
         w.for_each_tensor_mut(|m| {
             for v in m.data_mut() {
@@ -997,6 +999,11 @@ pub(crate) mod tests {
             }
         });
         w
+    }
+
+    /// Freshly drawn, [`shifted`] weights.
+    fn weights(aps: usize, hidden: usize, rng: &mut StdRng) -> RecurrentImputerWeights {
+        shifted(RecurrentImputerWeights::new(aps, hidden, rng))
     }
 
     /// The tape against its oracle, the graph's [`pair_backward`]: the loss

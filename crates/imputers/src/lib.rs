@@ -133,8 +133,8 @@ pub use mice::{Mice, MiceConfig};
 pub use rits::{RecurrentImputerWeights, RitsTape, Schedule};
 pub use sequence::{build_sequences, Normalization, PathSequence};
 pub use simple::{CaseDeletion, LinearInterpolation, SemiSupervised};
-pub use ssgan::{Ssgan, SsganConfig};
-pub use train::{train_pairs, Gradients, Parameters, Training};
+pub use ssgan::{Ssgan, SsganConfig, SsganTape};
+pub use train::{train_pairs, Adam, Gradients, Parameters, Training};
 
 use rm_geometry::Point;
 use rm_radiomap::{DenseRadioMap, EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};

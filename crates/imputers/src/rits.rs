@@ -4,11 +4,11 @@
 //! observation with it, decay the hidden state by the time lag, and run one
 //! LSTM step over `[x^c; m]`. It is written once, as plain weights
 //! ([`RecurrentImputerWeights`]) with one forward that records into a
-//! [`RitsTape`] and one hand-written backward; BRITS trains and infers on
-//! it, SSGAN infers on it, and BiSIM runs it as its encoder.
+//! [`RitsTape`] and one hand-written backward; BRITS and SSGAN's generator
+//! train and infer on it, and BiSIM runs it as its encoder.
 //!
-//! The graph form (`RecurrentImputer` in [`crate::brits`], which SSGAN's
-//! generator still trains on) is the tape's oracle: at the same precision
+//! The graph form (`RecurrentImputer` in the tests) is the tape's oracle:
+//! at the same precision
 //! the forward records its values bit for bit, and the backward hands every
 //! gradient its terms in the order the graph's backward — a reverse
 //! post-order of the DFS from the loss — delivers them. Which order that is
@@ -28,19 +28,24 @@
 //! - it enters the backward direction one estimate at a time, from the
 //!   first step up, so each step's decay chain is reached from its LSTM
 //!   step before the estimate is: LSTM step, decay (its parameters' terms
-//!   included), then the estimate ([`Schedule::Backward`]).
+//!   included), then the estimate ([`Schedule::Backward`]);
+//! - SSGAN's generator loss enters the direction through its last
+//!   complement's estimate, as BRITS's does through its last estimate, so
+//!   it runs [`Schedule::Forward`] too.
 //!
 //! A hidden state's gradient takes two terms (from the next estimate and
-//! the next decay) and an estimate's two (its loss term and its complement),
-//! and two terms sum to the same bits in either order, so only the
-//! parameters' orders need the schedule. Terms that are exact zeros in the
-//! graph (the first step's decay and its estimate's weight, both against a
-//! zero state) are skipped: adding `±0.0` to a gradient leaves it
-//! unchanged.
+//! the next decay), an estimate's two (its loss term and its complement)
+//! and a complement's two (its LSTM step and, in SSGAN, the
+//! discriminator's input), and two terms sum to the same bits in either
+//! order, so only the parameters' orders need the schedule. A complement's
+//! `(1 − m)` share reaches its estimate once both of its terms are in, even
+//! at an unreached last step. Terms that are exact zeros in the graph (the
+//! first step's decay and its estimate's weight, both against a zero state)
+//! are skipped: adding `±0.0` to a gradient leaves it unchanged.
 
 // rm-lint: hot-path
-// Every BRITS and BiSIM training step and every BRITS/SSGAN/BiSIM inference
-// step runs these loops; every buffer is owned by the tape and reused.
+// Every BRITS, SSGAN and BiSIM training step and every inference step runs
+// these loops; every buffer is owned by the tape and reused.
 
 use rand::Rng;
 use rm_nn::{LinearWeights, LstmCellWeights};
@@ -183,17 +188,19 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
 
     /// Adds the gradient of one recorded forward into `grads` (shaped like
     /// [`RecurrentImputerWeights::tensors`]), in the graph's order for
-    /// `schedule` (see the module doc). `d_estimates` (`len × APs`) holds
-    /// the loss's terms for each estimate and `d_latents` (`len × hidden`)
-    /// what the caller's other consumers handed each hidden state; the
-    /// backward adds the step's own terms to both as it goes, and writes the
-    /// carried cell-state gradients into the tape's LSTM caches.
+    /// `schedule` (see the module doc). `d_estimates` and `d_complements`
+    /// (`len × APs`) hold the loss's terms for each estimate and complement,
+    /// and `d_latents` (`len × hidden`) what the caller's other consumers
+    /// handed each hidden state; the backward adds the step's own terms to
+    /// all three as it goes, and writes the carried cell-state gradients
+    /// into the tape's LSTM caches.
     pub fn backward(
         &self,
         tape: &mut RitsTape<T>,
         seq: &PathSequence,
         schedule: Schedule,
         d_estimates: &mut [T],
+        d_complements: &mut [T],
         d_latents: &mut [T],
         grads: &mut [Matrix<T>],
     ) {
@@ -210,7 +217,6 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
             gamma,
             lag,
             d_decay,
-            d_complement,
             d_decayed,
             product,
             fused,
@@ -219,7 +225,6 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         let decayed = *decayed;
         for (buffer, n) in [
             (&mut *d_decay, len * h),
-            (&mut *d_complement, a),
             (&mut *d_decayed, h),
             (&mut *product, h),
             (&mut *fused, lstm_backward_scratch_len(h, 2 * a + h)),
@@ -232,8 +237,9 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         let reached = |t: usize| t + 1 < len || schedule == Schedule::Encoder;
         let cell = self.cell.gates();
         for t in (0..len).rev() {
+            let (earlier, step) = cache.split_at_mut(t * stride);
+            let d_complement = &mut d_complements[t * a..(t + 1) * a];
             if reached(t) {
-                let (earlier, step) = cache.split_at_mut(t * stride);
                 let (lower, upper) = d_latents.split_at_mut(t * h);
                 lstm_cell_backward(
                     |q| cell[q].weight(),
@@ -256,15 +262,16 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
                         }
                         LstmInput::Hidden if decayed => set_term(d_decayed, term),
                         LstmInput::Hidden => term.add_to_slice(&mut lower[(t - 1) * h..]),
-                        LstmInput::Part(_) => set_term(d_complement, term),
+                        LstmInput::Part(_) => term.add_to_slice(d_complement),
                     },
                 );
-                // The complement's estimate part: `∂x̂_t += ∂x^c_t ⊙ (1 − m_t)`.
-                let mask = &step[8 * h + a..8 * h + 2 * a];
-                let d = &mut d_estimates[t * a..(t + 1) * a];
-                for ((d, &g), &m) in d.iter_mut().zip(d_complement.iter()).zip(mask) {
-                    *d += g * (T::ONE - m);
-                }
+            }
+            // The complement's estimate part: `∂x̂_t += ∂x^c_t ⊙ (1 − m_t)`,
+            // once every consumer of `x^c_t` has added its term.
+            let mask = &step[8 * h + a..8 * h + 2 * a];
+            let d = &mut d_estimates[t * a..(t + 1) * a];
+            for ((d, &g), &m) in d.iter_mut().zip(d_complement.iter()).zip(mask) {
+                *d += g * (T::ONE - m);
             }
             let phases = match schedule {
                 Schedule::Backward => [Phase::Decay, Phase::Estimate],
@@ -389,10 +396,9 @@ pub struct RitsTape<T: Scalar = f64> {
     zeros: Vec<T>,
     lag: Vec<T>,
     /// The backward's scratch: `len × hidden` decay pre-activation
-    /// gradients, one step's complement and decayed-state gradients, one
-    /// `Wᵀ·g` product and the fused LSTM backward's scratch.
+    /// gradients, one step's decayed-state gradient, one `Wᵀ·g` product and
+    /// the fused LSTM backward's scratch.
     d_decay: Vec<T>,
-    d_complement: Vec<T>,
     d_decayed: Vec<T>,
     product: Vec<T>,
     fused: Vec<T>,

@@ -8,7 +8,7 @@
 //! on a missing or foreign tensor, so warm-starting is always safe to
 //! attempt.
 
-use rm_nn::{Activation, LinearWeights, LstmCellWeights, MlpWeights};
+use rm_nn::{LinearWeights, LstmCellWeights, MlpWeights};
 use rm_tensor::{Matrix, NamedTensor, Precision};
 
 /// Exports one linear layer as `{name}.weight` / `{name}.bias` at the
@@ -59,8 +59,7 @@ pub fn export_lstm_cell(
 
 /// Exports an MLP's layers under `{prefix}.0`, `{prefix}.1`, … (input to
 /// output order). The activations are not serialized — they are part of the
-/// architecture the importing model fixes — so [`import_mlp`] takes them as
-/// arguments.
+/// architecture the importing model fixes.
 pub fn export_mlp(
     prefix: &str,
     mlp: &MlpWeights<f64>,
@@ -124,15 +123,9 @@ pub fn import_lstm_cell(tensors: &[NamedTensor], prefix: &str) -> Option<LstmCel
 }
 
 /// Reassembles an MLP exported by [`export_mlp`]: consecutive numbered
-/// layers starting at `{prefix}.0`, with the caller supplying the
-/// architecture's activations. `None` when no layer is present or the layer
-/// shapes do not chain.
-pub fn import_mlp(
-    tensors: &[NamedTensor],
-    prefix: &str,
-    hidden_activation: Activation,
-    output_activation: Activation,
-) -> Option<MlpWeights<f64>> {
+/// layers starting at `{prefix}.0`. `None` when no layer is present or the
+/// layer shapes do not chain.
+pub fn import_mlp(tensors: &[NamedTensor], prefix: &str) -> Option<MlpWeights<f64>> {
     let mut layers: Vec<LinearWeights<f64>> = Vec::new();
     while let Some(layer) = import_linear(tensors, prefix, &layers.len().to_string()) {
         layers.push(layer);
@@ -145,11 +138,7 @@ pub fn import_mlp(
             return None;
         }
     }
-    Some(MlpWeights::from_layers(
-        layers,
-        hidden_activation,
-        output_activation,
-    ))
+    Some(MlpWeights::from_layers(layers))
 }
 
 #[cfg(test)]
@@ -157,12 +146,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rm_nn::{LstmCell, Mlp};
 
     #[test]
     fn linear_round_trips_bitwise_at_every_dtype() {
         let mut rng = StdRng::seed_from_u64(7);
-        let lin = rm_nn::Linear::new(3, 4, &mut rng).snapshot();
+        let lin = LinearWeights::new(3, 4, &mut rng);
         for precision in [Precision::F64, Precision::F32] {
             let mut tensors = Vec::new();
             export_linear("m.layer", &lin, precision, &mut tensors);
@@ -181,7 +169,7 @@ mod tests {
     #[test]
     fn lstm_cell_round_trips_and_rejects_mismatched_gates() {
         let mut rng = StdRng::seed_from_u64(8);
-        let cell = LstmCell::new(6, 4, &mut rng).snapshot();
+        let cell = LstmCellWeights::new(6, 4, &mut rng);
         let mut tensors = Vec::new();
         export_lstm_cell("d", &cell, Precision::F64, &mut tensors);
         assert_eq!(tensors.len(), 8);
@@ -195,17 +183,16 @@ mod tests {
     #[test]
     fn mlp_round_trips_with_numbered_layers() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mlp = Mlp::new(&[3, 5, 3], Activation::Relu, Activation::Sigmoid, &mut rng).snapshot();
+        let mlp = MlpWeights::new(&[3, 5, 3], &mut rng);
         let mut tensors = Vec::new();
         export_mlp("m.disc", &mlp, Precision::F64, &mut tensors);
         assert_eq!(tensors.len(), 4);
-        let imported =
-            import_mlp(&tensors, "m.disc", Activation::Relu, Activation::Sigmoid).expect("import");
+        let imported = import_mlp(&tensors, "m.disc").expect("import");
         assert_eq!(imported.layers().len(), 2);
         for (a, b) in mlp.layers().iter().zip(imported.layers().iter()) {
             assert!(a.weight().bits_eq(b.weight()));
             assert!(a.bias().bits_eq(b.bias()));
         }
-        assert!(import_mlp(&tensors, "absent", Activation::Relu, Activation::Sigmoid).is_none());
+        assert!(import_mlp(&tensors, "absent").is_none());
     }
 }

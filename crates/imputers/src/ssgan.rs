@@ -1,22 +1,49 @@
 //! SSGAN — semi-supervised GAN-style imputation for multivariate time series
 //! (Miao et al.), adapted to radio maps.
 //!
-//! The generator is a recurrent imputer (the same architecture as one BRITS
-//! direction); a discriminator MLP tries to tell observed entries from imputed
-//! ones given the complemented vector. The generator is trained with a
-//! reconstruction loss plus a least-squares adversarial term that pushes the
-//! discriminator towards believing imputed entries are observed. Missing
-//! reference points fall back to linear interpolation, as in BRITS.
+//! The generator is a recurrent imputer: one RITS direction
+//! ([`RecurrentImputerWeights`], the same unit as one BRITS direction). A
+//! discriminator MLP (ReLU, then sigmoid) tries to tell observed entries
+//! from imputed ones given the complemented vector. The generator is trained
+//! with a reconstruction loss plus a least-squares adversarial term that
+//! pushes the discriminator towards believing imputed entries are observed.
+//! Missing reference points fall back to linear interpolation, as in BRITS.
+//!
+//! Both players train on a tape ([`SsganTape`]) through the shared trainer
+//! ([`crate::train`]): each chunk of sequences runs the discriminator phase,
+//! then the generator phase against the updated discriminator. The
+//! generator's forward and backward are the RITS step's
+//! ([`RecurrentImputerWeights::forward`] and
+//! [`RecurrentImputerWeights::backward`]); the discriminator's are written
+//! here. The tape is bitwise the autodiff graph, its test oracle:
+//!
+//! - the discriminator phase's loss sums one masked MSE per step from
+//!   `+0.0`, so each discriminator parameter receives its terms in step
+//!   order;
+//! - in the generator phase the loss's DFS enters the generator through the
+//!   last step's adversarial term, then through its complement's estimate:
+//!   the same entry as BRITS's forward direction, so the generator runs
+//!   [`Schedule::Forward`] (its last LSTM step feeds no loss term). Every
+//!   discriminator step runs before the generator, so each complement holds
+//!   its adversarial term (the discriminator's input gradient) when the
+//!   RITS backward adds the LSTM's term and hands the sum's `(1 − m)` share
+//!   to the estimate. The discriminator's own gradients of this phase are
+//!   not needed, so they are not computed.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_nn::{loss, Activation, Adam, GradientBatch, Mlp, MlpWeights, Optimizer};
+use rm_nn::{LinearWeights, MlpWeights};
 use rm_radiomap::{MaskMatrix, RadioMap};
-use rm_tensor::{Matrix, NamedTensor, Precision, Var};
+use rm_tensor::recurrent::GradTerm;
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar};
 
-use crate::brits::{default_batch_size, default_epochs, impute_mar, Brits, RecurrentImputer};
-use crate::rits::{export_recurrent, import_recurrent, RecurrentImputerWeights, RitsTape};
+use crate::brits::{default_batch_size, default_epochs, impute_mar, Brits};
+use crate::rits::{
+    column, export_recurrent, import_recurrent, masked_mse, zeroed, RecurrentImputerWeights,
+    RitsTape, Schedule,
+};
 use crate::sequence::{build_sequences, Normalization, PathSequence};
+use crate::train::{chunk_gradients, Adam, Gradients, Parameters};
 use crate::{snapshot, ImputedRadioMap, Imputer};
 
 /// Configuration for [`Ssgan`].
@@ -70,78 +97,229 @@ impl Default for SsganConfig {
     }
 }
 
-/// Differentiates the discriminator loss for one sequence — predict the
-/// observation mask from the (detached) complemented vectors — and returns
-/// the discriminator's per-parameter gradients. `complements` are the
-/// generator outputs as plain values, from the RITS forward
-/// ([`RecurrentImputerWeights::forward`], bit-identical to the graph
-/// forward). The discriminator's gradient buffers must be zero on entry.
-fn disc_gradients(
-    discriminator: &Mlp,
-    seq: &PathSequence,
-    complements: &[Matrix<f64>],
-) -> Vec<Matrix<f64>> {
-    let mut disc_loss = Var::scalar(0.0);
-    for t in 0..seq.len() {
-        let m = Matrix::column(&seq.fingerprint_masks[t]);
-        // Detach the generator output by rebuilding it as a constant.
-        let detached = Var::constant(complements[t].clone());
-        let predicted = discriminator.forward(&detached);
-        disc_loss = disc_loss.add(&loss::mse(&predicted, &m));
+impl<T: Scalar> Parameters<T> for MlpWeights<T> {
+    /// Each layer's `(W, b)`, input to output.
+    fn tensors(&self) -> Vec<&Matrix<T>> {
+        self.layers()
+            .iter()
+            .flat_map(|layer| [layer.weight(), layer.bias()])
+            .collect()
     }
-    let scaled = disc_loss.scale(1.0 / seq.len() as f64);
-    scaled.backward();
-    let grads = discriminator
-        .parameters()
-        .iter()
-        .map(|p| p.grad())
-        .collect();
-    // Return the step's graph to the per-worker node arena (the
-    // discriminator's parameter leaves are skipped by the recycler).
-    Var::recycle_all([disc_loss, scaled]);
-    grads
+
+    fn for_each_tensor_mut(&mut self, mut f: impl FnMut(&mut Matrix<T>)) {
+        for layer in self.layers_mut() {
+            let (w, b) = layer.parts_mut();
+            f(w);
+            f(b);
+        }
+    }
 }
 
-/// Differentiates the generator loss for one sequence — masked
-/// reconstruction plus the least-squares adversarial term — and returns the
-/// generator's per-parameter gradients. The generator's gradient buffers
-/// must be zero on entry (the discriminator's need not be: its parameters
-/// receive gradient here too, but only the generator slice is extracted,
-/// mirroring the classic loop where `gen_opt.step()` ignored them).
-fn gen_gradients(
-    generator: &RecurrentImputer,
-    discriminator: &Mlp,
-    seq: &PathSequence,
-    num_aps: usize,
-    adversarial_weight: f64,
-) -> Vec<Matrix<f64>> {
-    let pass = generator.run(seq);
-    let mut gen_loss = Var::scalar(0.0);
-    for t in 0..seq.len() {
-        let target = Matrix::column(&seq.fingerprints[t]);
-        let m = Matrix::column(&seq.fingerprint_masks[t]);
-        gen_loss = gen_loss.add(&loss::masked_mse(&pass.estimates[t], &target, &m));
-        // Adversarial: imputed entries should look observed (1) to the
-        // discriminator.
-        let inverse_mask = m.map(|v| 1.0 - v);
-        let predicted = discriminator.forward(&pass.complements[t]);
-        let ones = Matrix::ones(num_aps, 1);
-        let adv = loss::masked_mse(&predicted, &ones, &inverse_mask).scale(adversarial_weight);
-        gen_loss = gen_loss.add(&adv);
+/// The discriminator's two layers: hidden (ReLU) and output (sigmoid).
+fn layers<T: Scalar>(discriminator: &MlpWeights<T>) -> [&LinearWeights<T>; 2] {
+    let [hidden, output] = discriminator.layers() else {
+        unreachable!("the discriminator has two layers");
+    };
+    [hidden, output]
+}
+
+/// One SSGAN sequence's training tape: the generator's RITS record, the
+/// discriminator's record of every step (its hidden pre-activations, ReLU
+/// outputs and sigmoid outputs), the gradients the generator's backward
+/// starts from, and one step's scratch, all reused from sequence to
+/// sequence, so a warm tape allocates nothing.
+#[derive(Default)]
+pub struct SsganTape<T: Scalar = f64> {
+    generator: RitsTape<T>,
+    /// `len × D`, `len × D` and `len × APs`.
+    pre: Vec<T>,
+    hidden: Vec<T>,
+    out: Vec<T>,
+    /// `len × APs`, `len × APs` and `len × H`: the loss's terms for each
+    /// estimate and complement, and the hidden states' gradients.
+    d_estimates: Vec<T>,
+    d_complements: Vec<T>,
+    d_latents: Vec<T>,
+    /// One step's output and hidden gradients, target column and ones.
+    d_out: Vec<T>,
+    d_hidden: Vec<T>,
+    target: Vec<T>,
+    ones: Vec<T>,
+}
+
+impl<T: Scalar> SsganTape<T> {
+    /// An empty tape; the first sequence sizes it.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let scaled = gen_loss.scale(1.0 / seq.len() as f64);
-    scaled.backward();
-    let grads = generator.parameters().iter().map(|p| p.grad()).collect();
-    // Return the step's graph — the generator pass, the loss chain and every
-    // intermediate — to the per-worker node arena; the generator and
-    // discriminator parameter leaves are skipped by the recycler.
-    Var::recycle_all(
-        pass.estimates
-            .into_iter()
-            .chain(pass.complements)
-            .chain([gen_loss, scaled]),
-    );
-    grads
+
+    /// The discriminator phase on one sequence: samples the generator's
+    /// complements (its RITS forward), evaluates the discriminator's loss —
+    /// per step the MSE of its prediction against the observation mask,
+    /// summed and scaled by `1/T` — and adds its gradient into `grads`
+    /// (shaped like the discriminator's tensors), returning the loss.
+    pub fn discriminator_gradient(
+        &mut self,
+        generator: &RecurrentImputerWeights<T>,
+        discriminator: &MlpWeights<T>,
+        seq: &PathSequence,
+        grads: &mut Gradients<T>,
+    ) -> T {
+        generator.forward(seq, true, &mut self.generator);
+        self.record(discriminator);
+        let (len, a) = (seq.len(), aps(generator));
+        self.ones.clear();
+        self.ones.resize(a, T::ONE);
+        let scale = T::from_f64(1.0 / len as f64);
+        let mut total = T::ZERO;
+        for t in 0..len {
+            column(&seq.fingerprint_masks[t], &mut self.target);
+            zeroed(&mut self.d_out, a);
+            let out = &self.out[t * a..(t + 1) * a];
+            total += masked_mse(out, &self.target, &self.ones, scale, &mut self.d_out, None);
+            self.discriminator_backward(discriminator, t, Some(grads), false);
+        }
+        total * scale
+    }
+
+    /// The generator phase on one sequence: evaluates the generator's loss
+    /// — per step the masked MSE of its estimate against the observation,
+    /// then `adversarial_weight` times the MSE of the discriminator's
+    /// prediction on its complement against "observed" over the missing
+    /// entries, summed and scaled by `1/T` — and adds its gradient into
+    /// `grads` (shaped like the generator's tensors), returning the loss.
+    pub fn generator_gradient(
+        &mut self,
+        generator: &RecurrentImputerWeights<T>,
+        discriminator: &MlpWeights<T>,
+        seq: &PathSequence,
+        adversarial_weight: T,
+        grads: &mut Gradients<T>,
+    ) -> T {
+        generator.forward(seq, true, &mut self.generator);
+        self.record(discriminator);
+        let (len, a) = (seq.len(), aps(generator));
+        zeroed(&mut self.d_estimates, len * a);
+        zeroed(&mut self.d_complements, len * a);
+        zeroed(&mut self.d_latents, self.generator.latents().len());
+        self.ones.clear();
+        self.ones.resize(a, T::ONE);
+        let scale = T::from_f64(1.0 / len as f64);
+        let adversarial_scale = scale * adversarial_weight;
+        let mut total = T::ZERO;
+        for t in 0..len {
+            let step = t * a..(t + 1) * a;
+            let mask = self.generator.mask(t);
+            column(&seq.fingerprints[t], &mut self.target);
+            let d = &mut self.d_estimates[step.clone()];
+            total += masked_mse(
+                self.generator.estimate(t),
+                &self.target,
+                mask,
+                scale,
+                d,
+                None,
+            );
+            // Imputed entries should look observed (1) to the discriminator.
+            for (inverse, &m) in self.target.iter_mut().zip(mask) {
+                *inverse = T::ONE - m;
+            }
+            zeroed(&mut self.d_out, a);
+            let out = &self.out[step];
+            let adversarial = masked_mse(
+                out,
+                &self.ones,
+                &self.target,
+                adversarial_scale,
+                &mut self.d_out,
+                None,
+            );
+            total += adversarial * adversarial_weight;
+            self.discriminator_backward(discriminator, t, None, true);
+        }
+        generator.backward(
+            &mut self.generator,
+            seq,
+            Schedule::Forward,
+            &mut self.d_estimates,
+            &mut self.d_complements,
+            &mut self.d_latents,
+            grads.tensors_mut(),
+        );
+        total * scale
+    }
+
+    /// Records the discriminator's forward on every recorded complement:
+    /// `σ(W₂·relu(W₁·x^c + b₁) + b₂)`.
+    fn record(&mut self, discriminator: &MlpWeights<T>) {
+        let [hidden_layer, output_layer] = layers(discriminator);
+        let (d, a) = (hidden_layer.weight().rows(), output_layer.weight().rows());
+        let len = self.generator.estimates().len() / a;
+        zeroed(&mut self.pre, len * d);
+        zeroed(&mut self.hidden, len * d);
+        zeroed(&mut self.out, len * a);
+        for t in 0..len {
+            let pre = &mut self.pre[t * d..(t + 1) * d];
+            hidden_layer.affine(self.generator.complement(t), pre);
+            let hidden = &mut self.hidden[t * d..(t + 1) * d];
+            for (h, &p) in hidden.iter_mut().zip(pre.iter()) {
+                *h = p.relu();
+            }
+            let out = &mut self.out[t * a..(t + 1) * a];
+            output_layer.affine(hidden, out);
+            for o in out.iter_mut() {
+                *o = o.sigmoid();
+            }
+        }
+    }
+
+    /// The backward of the discriminator's step `t` for the output gradient
+    /// in `d_out`, in the graph's order: the sigmoid, the output layer
+    /// (`b₂`, `W₂`, then `W₂ᵀδ₂` into the hidden activations), the ReLU, the
+    /// hidden layer (`b₁`, `W₁`). The parameters' terms go into `grads` when
+    /// given; with `input`, the input's `W₁ᵀδ₁` becomes complement `t`'s
+    /// gradient.
+    fn discriminator_backward(
+        &mut self,
+        discriminator: &MlpWeights<T>,
+        t: usize,
+        mut grads: Option<&mut Gradients<T>>,
+        input: bool,
+    ) {
+        let [hidden_layer, output_layer] = layers(discriminator);
+        let (d, a) = (hidden_layer.weight().rows(), output_layer.weight().rows());
+        let out = &self.out[t * a..(t + 1) * a];
+        for (g, &y) in self.d_out.iter_mut().zip(out) {
+            *g = T::ZERO + *g * (y * (T::ONE - y));
+        }
+        let hidden = &self.hidden[t * d..(t + 1) * d];
+        if let Some(grads) = grads.as_deref_mut() {
+            grads.add(3, GradTerm::Bias(&self.d_out));
+            grads.add(2, GradTerm::Outer(&self.d_out, hidden));
+        }
+        zeroed(&mut self.d_hidden, d);
+        let weight = output_layer.weight();
+        weight.matmul_at_b_col_into(&self.d_out, 0..d, &mut self.d_hidden);
+        let pre = &self.pre[t * d..(t + 1) * d];
+        for (g, &p) in self.d_hidden.iter_mut().zip(pre) {
+            *g = T::ZERO + *g * if p > T::ZERO { T::ONE } else { T::ZERO };
+        }
+        if let Some(grads) = grads {
+            grads.add(1, GradTerm::Bias(&self.d_hidden));
+            let x = self.generator.complement(t);
+            grads.add(0, GradTerm::Outer(&self.d_hidden, x));
+        }
+        if input {
+            let d_input = &mut self.d_complements[t * a..(t + 1) * a];
+            let weight = hidden_layer.weight();
+            weight.matmul_at_b_col_into(&self.d_hidden, 0..a, d_input);
+        }
+    }
+}
+
+/// The number of APs a generator imputes.
+fn aps<T: Scalar>(generator: &RecurrentImputerWeights<T>) -> usize {
+    generator.parts().0.weight().rows()
 }
 
 /// The SSGAN imputer.
@@ -157,99 +335,60 @@ impl Ssgan {
         Self { config }
     }
 
-    /// Deterministic mini-batch adversarial training for `epochs` epochs:
-    /// each fixed-boundary chunk of sequences runs two phases —
-    /// discriminator, then generator against the just-updated discriminator
-    /// — with the per-sequence gradients of a phase computed against that
-    /// phase's starting weights, fanned out over the pool, and summed in
-    /// sequence-index order. Single-sequence chunks (the `batch_size = 1`
-    /// default) differentiate the live graphs directly, reproducing the
-    /// classic alternating loop bitwise; larger chunks ship detached
-    /// replicas (rebuilt from `Send + Sync` snapshots) to the workers, so
-    /// only plain gradient matrices cross threads. Shared by cold training
-    /// and warm fine-tuning, which differ only in the starting weights.
+    /// Deterministic mini-batch adversarial training of both players in
+    /// place for `epochs` epochs: each fixed-boundary chunk of sequences
+    /// runs two phases through the shared trainer (`chunk_gradients`) —
+    /// the discriminator's, then the generator's against the just-updated
+    /// discriminator — each phase's gradients computed against the weights
+    /// it started from and summed in sequence-index order, then one Adam
+    /// step of that player. Single-sequence chunks (the `batch_size = 1`
+    /// default) reproduce the classic alternating loop bitwise. Shared by
+    /// cold training and warm fine-tuning, which differ only in the
+    /// starting weights.
     fn train_adversarial(
         &self,
-        generator: &RecurrentImputer,
-        discriminator: &Mlp,
+        generator: &mut RecurrentImputerWeights,
+        discriminator: &mut MlpWeights,
         sequences: &[PathSequence],
-        num_aps: usize,
         epochs: usize,
     ) {
-        let mut gen_opt =
-            Adam::new(generator.parameters(), self.config.learning_rate).with_clip(5.0);
-        let mut disc_opt =
-            Adam::new(discriminator.parameters(), self.config.learning_rate).with_clip(5.0);
-        let batch_size = self.config.batch_size.max(1);
-        let threads = self.config.threads;
-        let adversarial_weight = self.config.adversarial_weight;
+        let learning_rate = self.config.learning_rate;
+        let (mut gen_adam, mut disc_adam) = (
+            Adam::new(generator, learning_rate),
+            Adam::new(discriminator, learning_rate),
+        );
+        let mut gen_grads = [Gradients::zeros_like(generator)];
+        let mut disc_grads = [Gradients::zeros_like(discriminator)];
+        let mut tape = SsganTape::new();
+        let (threads, weight) = (self.config.threads, self.config.adversarial_weight);
         let indices: Vec<usize> = (0..sequences.len()).collect();
-        let mut disc_batch = GradientBatch::zeros_like(disc_opt.parameters());
-        let mut gen_batch = GradientBatch::zeros_like(gen_opt.parameters());
         for _ in 0..epochs {
-            for chunk in indices.chunks(batch_size) {
-                // ---- Discriminator phase: predict the observation mask. ----
-                // The generator is only sampled here (its output is
-                // detached), so its RITS forward — bit-identical to the graph
-                // forward — serves directly.
-                let gen_weights = generator.snapshot();
-                let sample = |seq: &PathSequence| {
-                    let mut tape = RitsTape::new();
-                    gen_weights.forward(seq, true, &mut tape);
-                    (0..seq.len())
-                        .map(|t| Matrix::column(tape.complement(t)))
-                        .collect::<Vec<Matrix<f64>>>()
-                };
-                let disc_grads: Vec<Vec<Matrix<f64>>> = if let [i] = *chunk {
-                    for p in disc_opt.parameters() {
-                        p.zero_grad();
-                    }
-                    let seq = &sequences[i];
-                    vec![disc_gradients(discriminator, seq, &sample(seq))]
-                } else {
-                    let disc_weights = discriminator.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
-                        let seq = &sequences[i];
-                        disc_gradients(&disc_weights.to_mlp(), seq, &sample(seq))
-                    })
-                };
-                disc_batch.clear();
-                for g in &disc_grads {
-                    disc_batch.accumulate(g);
-                }
-                disc_opt.apply_batch(&disc_batch);
+            for chunk in indices.chunks(self.config.batch_size.max(1)) {
+                let (g, d) = (&*generator, &*discriminator);
+                chunk_gradients(
+                    &mut disc_grads,
+                    &mut tape,
+                    chunk,
+                    threads,
+                    || [Gradients::zeros_like(d)],
+                    |tape: &mut SsganTape, i, [grads]| {
+                        tape.discriminator_gradient(g, d, &sequences[i], grads);
+                    },
+                );
+                disc_adam.step(discriminator, &disc_grads[0]);
 
-                // ---- Generator phase: reconstruction + fooling the updated
-                // discriminator. ----
-                let gen_grads: Vec<Vec<Matrix<f64>>> = if let [i] = *chunk {
-                    for p in gen_opt.parameters() {
-                        p.zero_grad();
-                    }
-                    vec![gen_gradients(
-                        generator,
-                        discriminator,
-                        &sequences[i],
-                        num_aps,
-                        adversarial_weight,
-                    )]
-                } else {
-                    let gen_weights = generator.snapshot();
-                    let disc_weights = discriminator.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
-                        gen_gradients(
-                            &gen_weights.to_model(),
-                            &disc_weights.to_mlp(),
-                            &sequences[i],
-                            num_aps,
-                            adversarial_weight,
-                        )
-                    })
-                };
-                gen_batch.clear();
-                for g in &gen_grads {
-                    gen_batch.accumulate(g);
-                }
-                gen_opt.apply_batch(&gen_batch);
+                let (g, d) = (&*generator, &*discriminator);
+                chunk_gradients(
+                    &mut gen_grads,
+                    &mut tape,
+                    chunk,
+                    threads,
+                    || [Gradients::zeros_like(g)],
+                    |tape: &mut SsganTape, i, [grads]| {
+                        tape.generator_gradient(g, d, &sequences[i], weight, grads);
+                    },
+                );
+                gen_adam.step(generator, &gen_grads[0]);
             }
         }
     }
@@ -306,23 +445,15 @@ impl Ssgan {
         }
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let generator = RecurrentImputer::new(num_aps, self.config.hidden_size, &mut rng);
-        let discriminator = Mlp::new(
-            &[num_aps, self.config.discriminator_hidden, num_aps],
-            Activation::Relu,
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        self.train_adversarial(
+        let mut generator =
+            RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
+        let sizes = [num_aps, self.config.discriminator_hidden, num_aps];
+        let mut discriminator = MlpWeights::new(&sizes, &mut rng);
+        let epochs = self.config.epochs;
+        self.train_adversarial(&mut generator, &mut discriminator, &sequences, epochs);
+        self.infer_and_export(
             &generator,
             &discriminator,
-            &sequences,
-            num_aps,
-            self.config.epochs,
-        );
-        self.infer_and_export(
-            &generator.snapshot(),
-            &discriminator.snapshot(),
             &sequences,
             map,
             mask,
@@ -332,21 +463,19 @@ impl Ssgan {
     }
 
     /// Rebuilds both players from a warm snapshot, validating every shape
-    /// against a `num_aps`-AP map; `None` falls back to cold training.
+    /// against a `num_aps`-AP map and the discriminator's two layers;
+    /// `None` falls back to cold training.
     fn import_players(
         &self,
         warm: &[NamedTensor],
         num_aps: usize,
-    ) -> Option<(RecurrentImputerWeights, MlpWeights<f64>)> {
+    ) -> Option<(RecurrentImputerWeights, MlpWeights)> {
         let generator = import_recurrent("ssgan.generator", warm, num_aps)?;
-        let discriminator = snapshot::import_mlp(
-            warm,
-            "ssgan.discriminator",
-            Activation::Relu,
-            Activation::Sigmoid,
-        )?;
-        let layers = discriminator.layers();
-        if layers.first()?.weight().cols() != num_aps || layers.last()?.weight().rows() != num_aps {
+        let discriminator = snapshot::import_mlp(warm, "ssgan.discriminator")?;
+        let [hidden, output] = discriminator.layers() else {
+            return None;
+        };
+        if hidden.weight().cols() != num_aps || output.weight().rows() != num_aps {
             return None;
         }
         Some((generator, discriminator))
@@ -370,7 +499,7 @@ impl Ssgan {
         if num_aps == 0 {
             return None;
         }
-        let (generator_weights, discriminator_weights) = self.import_players(warm, num_aps)?;
+        let (mut generator, mut discriminator) = self.import_players(warm, num_aps)?;
 
         let norm = Normalization::from_map(map);
         let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
@@ -378,23 +507,17 @@ impl Ssgan {
             return None;
         }
 
-        let (generator_weights, discriminator_weights) = if fine_tune_epochs == 0 {
-            (generator_weights, discriminator_weights)
-        } else {
-            let generator = generator_weights.to_model();
-            let discriminator = discriminator_weights.to_mlp();
+        if fine_tune_epochs > 0 {
             self.train_adversarial(
-                &generator,
-                &discriminator,
+                &mut generator,
+                &mut discriminator,
                 &sequences,
-                num_aps,
                 fine_tune_epochs,
             );
-            (generator.snapshot(), discriminator.snapshot())
-        };
+        }
         Some(self.infer_and_export(
-            &generator_weights,
-            &discriminator_weights,
+            &generator,
+            &discriminator,
             &sequences,
             map,
             mask,
@@ -438,7 +561,62 @@ impl Imputer for Ssgan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brits::tests::smooth_map;
+    use crate::brits::graph::RecurrentImputer;
+    use crate::brits::tests::{sequence, shifted, smooth_map, Masks};
+    use rm_autodiff::{loss, Mlp, Var};
+    use rm_nn::Activation;
+
+    /// The graph oracle of the discriminator phase on one sequence: the
+    /// discriminator's loss on the generator's (detached) complements,
+    /// differentiated into the discriminator's parameters. Returns the loss.
+    fn graph_discriminator_phase(
+        generator: &RecurrentImputer,
+        discriminator: &Mlp,
+        seq: &PathSequence,
+    ) -> f64 {
+        let pass = generator.run(seq);
+        let mut disc_loss = Var::scalar(0.0);
+        for t in 0..seq.len() {
+            let m = Matrix::column(&seq.fingerprint_masks[t]);
+            let detached = Var::constant(pass.complements[t].value());
+            let predicted = discriminator.forward(&detached);
+            disc_loss = disc_loss.add(&loss::mse(&predicted, &m));
+        }
+        let scaled = disc_loss.scale(1.0 / seq.len() as f64);
+        scaled.backward();
+        scaled.scalar_value()
+    }
+
+    /// The graph oracle of the generator phase on one sequence: masked
+    /// reconstruction plus the least-squares adversarial term,
+    /// differentiated into both players' parameters. Returns the loss.
+    fn graph_generator_phase(
+        generator: &RecurrentImputer,
+        discriminator: &Mlp,
+        seq: &PathSequence,
+        adversarial_weight: f64,
+    ) -> f64 {
+        let pass = generator.run(seq);
+        let mut gen_loss = Var::scalar(0.0);
+        for t in 0..seq.len() {
+            let target = Matrix::column(&seq.fingerprints[t]);
+            let m = Matrix::column(&seq.fingerprint_masks[t]);
+            gen_loss = gen_loss.add(&loss::masked_mse(&pass.estimates[t], &target, &m));
+            let inverse_mask = m.map(|v| 1.0 - v);
+            let predicted = discriminator.forward(&pass.complements[t]);
+            let ones = Matrix::ones(m.rows(), 1);
+            let adv = loss::masked_mse(&predicted, &ones, &inverse_mask).scale(adversarial_weight);
+            gen_loss = gen_loss.add(&adv);
+        }
+        let scaled = gen_loss.scale(1.0 / seq.len() as f64);
+        scaled.backward();
+        scaled.scalar_value()
+    }
+
+    /// A graph discriminator holding copies of `weights`.
+    fn graph_discriminator(weights: &MlpWeights) -> Mlp {
+        Mlp::from_weights(weights, Activation::Relu, Activation::Sigmoid)
+    }
 
     fn quick_config() -> SsganConfig {
         SsganConfig {
@@ -538,38 +716,17 @@ mod tests {
             Activation::Sigmoid,
             &mut rng,
         );
-        let mut gen_opt = Adam::new(generator.parameters(), config.learning_rate).with_clip(5.0);
-        let mut disc_opt =
-            Adam::new(discriminator.parameters(), config.learning_rate).with_clip(5.0);
+        let adam = |params| rm_autodiff::Adam::new(params, config.learning_rate).with_clip(5.0);
+        let mut gen_opt = adam(generator.parameters());
+        let mut disc_opt = adam(discriminator.parameters());
         for _ in 0..config.epochs {
             for seq in &sequences {
                 disc_opt.zero_grad();
-                let pass = generator.run(seq);
-                let mut disc_loss = Var::scalar(0.0);
-                for t in 0..seq.len() {
-                    let m = Matrix::column(&seq.fingerprint_masks[t]);
-                    let detached = Var::constant(pass.complements[t].value());
-                    let predicted = discriminator.forward(&detached);
-                    disc_loss = disc_loss.add(&loss::mse(&predicted, &m));
-                }
-                disc_loss.scale(1.0 / seq.len() as f64).backward();
+                graph_discriminator_phase(&generator, &discriminator, seq);
                 disc_opt.step();
 
                 gen_opt.zero_grad();
-                let pass = generator.run(seq);
-                let mut gen_loss = Var::scalar(0.0);
-                for t in 0..seq.len() {
-                    let target = Matrix::column(&seq.fingerprints[t]);
-                    let m = Matrix::column(&seq.fingerprint_masks[t]);
-                    gen_loss = gen_loss.add(&loss::masked_mse(&pass.estimates[t], &target, &m));
-                    let inverse_mask = m.map(|v| 1.0 - v);
-                    let predicted = discriminator.forward(&pass.complements[t]);
-                    let ones = Matrix::ones(num_aps, 1);
-                    let adv = loss::masked_mse(&predicted, &ones, &inverse_mask)
-                        .scale(config.adversarial_weight);
-                    gen_loss = gen_loss.add(&adv);
-                }
-                gen_loss.scale(1.0 / seq.len() as f64).backward();
+                graph_generator_phase(&generator, &discriminator, seq, config.adversarial_weight);
                 gen_opt.step();
             }
         }
@@ -664,22 +821,103 @@ mod tests {
         assert!(moved("ssgan.discriminator."), "discriminator never moved");
     }
 
-    /// Empty or foreign snapshots fall back to the cold path bitwise.
+    /// Empty snapshots, and discriminators of another depth than two
+    /// layers (which the tape's discriminator backward cannot run), fall
+    /// back to the cold path bitwise.
     #[test]
     fn warm_with_unusable_snapshot_falls_back_to_cold_training() {
         let (map, mask) = smooth_map();
         let ssgan = Ssgan::new(quick_config());
-        let (cold, _) = ssgan.impute_with_snapshot(&map, &mask);
-        let (out, tensors) = ssgan.impute_warm(&map, &mask, &[], 0);
-        assert_eq!(tensors.len(), 16);
-        for (a, b) in cold
-            .fingerprints
+        let (cold, tensors) = ssgan.impute_with_snapshot(&map, &mask);
+        let generator: Vec<NamedTensor> = tensors
             .iter()
-            .flatten()
-            .zip(out.fingerprints.iter().flatten())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+            .filter(|t| t.name.starts_with("ssgan.generator."))
+            .cloned()
+            .collect();
+        let layer = |i: usize, rows: usize, cols: usize| {
+            let prefix = format!("ssgan.discriminator.{i}");
+            [
+                NamedTensor::new(
+                    format!("{prefix}.weight"),
+                    Matrix::<f64>::filled(rows, cols, 0.1),
+                ),
+                NamedTensor::new(format!("{prefix}.bias"), Matrix::<f64>::zeros(rows, 1)),
+            ]
+        };
+        // One 2 → 2 layer, and three layers 2 → 16 → 16 → 2: each imports
+        // as a chained MLP of the map's width.
+        let one_layer: Vec<NamedTensor> = generator.iter().cloned().chain(layer(0, 2, 2)).collect();
+        let three_layers: Vec<NamedTensor> = generator
+            .iter()
+            .cloned()
+            .chain(layer(0, 16, 2))
+            .chain(layer(1, 16, 16))
+            .chain(layer(2, 2, 16))
+            .collect();
+        for warm in [&Vec::new(), &one_layer, &three_layers] {
+            let (out, tensors) = ssgan.impute_warm(&map, &mask, warm, 2);
+            assert_eq!(tensors.len(), 16);
+            for (a, b) in cold
+                .fingerprints
+                .iter()
+                .flatten()
+                .zip(out.fingerprints.iter().flatten())
+            {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
+    }
+
+    /// The tape against its oracle, the graph's two phases: both losses,
+    /// all 4 discriminator gradient tensors of the discriminator phase and
+    /// all 12 generator gradient tensors of the generator phase, bit for
+    /// bit, for `T ∈ {1, 2, 5}`, masks observing every, some and no entry,
+    /// inputs holding `±0.0`, and two shapes (the wider one runs the vector
+    /// kernels). One tape serves every case, so a record or scratch buffer
+    /// that leaked from one sequence into the next would show too.
+    #[test]
+    fn tape_matches_the_graph_oracle_bitwise() {
+        let mut tape = SsganTape::new();
+        let mut cases = 0;
+        for (aps, hidden, disc_hidden) in [(5, 8, 6), (19, 17, 13)] {
+            for len in [1, 2, 5] {
+                for masks in [Masks::AllObserved, Masks::Mixed, Masks::AllMissing] {
+                    let salt = cases;
+                    let mut rng = StdRng::seed_from_u64(salt as u64);
+                    let generator = shifted(RecurrentImputerWeights::new(aps, hidden, &mut rng));
+                    let discriminator =
+                        shifted(MlpWeights::new(&[aps, disc_hidden, aps], &mut rng));
+                    let seq = sequence(len, aps, salt, masks);
+                    let case = format!("T={len} {masks:?} A={aps} H={hidden}");
+
+                    let (gm, dm) = (generator.to_model(), graph_discriminator(&discriminator));
+                    let want = graph_discriminator_phase(&gm, &dm, &seq);
+                    let mut grads = Gradients::zeros_like(&discriminator);
+                    let loss =
+                        tape.discriminator_gradient(&generator, &discriminator, &seq, &mut grads);
+                    assert_eq!(loss.to_bits(), want.to_bits(), "{case}: discriminator loss");
+                    let params = dm.parameters();
+                    assert_eq!(params.len(), 4);
+                    for (k, (p, g)) in params.iter().zip(grads.tensors()).enumerate() {
+                        assert!(p.grad().bits_eq(g), "{case}: discriminator tensor {k}");
+                    }
+
+                    let (gm, dm) = (generator.to_model(), graph_discriminator(&discriminator));
+                    let want = graph_generator_phase(&gm, &dm, &seq, 0.3);
+                    let mut grads = Gradients::zeros_like(&generator);
+                    let loss =
+                        tape.generator_gradient(&generator, &discriminator, &seq, 0.3, &mut grads);
+                    assert_eq!(loss.to_bits(), want.to_bits(), "{case}: generator loss");
+                    let params = gm.parameters();
+                    assert_eq!(params.len(), 12);
+                    for (k, (p, g)) in params.iter().zip(grads.tensors()).enumerate() {
+                        assert!(p.grad().bits_eq(g), "{case}: generator tensor {k}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 3 * 3);
     }
 
     #[test]

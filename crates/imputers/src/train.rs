@@ -1,19 +1,19 @@
-//! The one trainer of the tape-trained bidirectional imputers (BRITS and
-//! BiSIM): deterministic mini-batches of `(sequence, reversed)` pairs over a
-//! forward and a backward direction's plain weights, with Adam applied
-//! through [`AdamStep::update`].
+//! The trainer of the tape-trained imputers (BRITS, SSGAN and BiSIM):
+//! deterministic mini-batches over plain weights, with Adam applied through
+//! [`AdamStep::update`].
 //!
-//! Each epoch is split into fixed-boundary chunks of `batch_size` pair
-//! indices. A one-pair chunk (every step at the `batch_size = 1` default)
-//! differentiates straight into the step's zeroed gradients; a larger chunk
-//! differentiates each pair on the worker pool into its own zeroed
-//! gradients from the shared read-only weights, and sums them in pair
-//! order. The boundaries depend only on `batch_size` and the reduction
-//! order only on the pair index, so the trained weights are bitwise
-//! independent of the thread count. Both are bitwise the graph trajectory
-//! (`zero_grad → backward → step` per chunk): a gradient buffer never holds
-//! `-0.0`, so summing one pair's gradient into zeroed buffers reproduces it
-//! exactly.
+//! Each epoch is split into fixed-boundary chunks of `batch_size` sequence
+//! indices (`chunk_gradients`). A one-sequence chunk (every step at the
+//! `batch_size = 1` default) differentiates straight into the step's zeroed
+//! gradients; a larger chunk differentiates each sequence on the worker pool
+//! into its own zeroed gradients from the shared read-only weights, and
+//! sums them in index order. The boundaries depend only on `batch_size` and
+//! the reduction order only on the index, so the trained weights are
+//! bitwise independent of the thread count. Both are bitwise the graph
+//! trajectory (`zero_grad → backward → step` per chunk): a gradient buffer
+//! never holds `-0.0`, so summing one sequence's gradient into zeroed
+//! buffers reproduces it exactly. [`train_pairs`] runs this loop for the
+//! bidirectional imputers; SSGAN runs it twice per chunk, once per player.
 
 use rm_tensor::recurrent::GradTerm;
 use rm_tensor::{AdamStep, Matrix, Scalar};
@@ -77,6 +77,73 @@ impl<T: Scalar> Gradients<T> {
     }
 }
 
+/// One chunk's gradient (see the module doc) into `N` sets of weights'
+/// gradients: `grads` is cleared, then a one-index chunk differentiates
+/// into it on `tape`, and a larger chunk differentiates each index on the
+/// pool into fresh `zeros()` on a fresh tape and sums them into `grads` in
+/// index order.
+pub(crate) fn chunk_gradients<const N: usize, P: Default>(
+    grads: &mut [Gradients; N],
+    tape: &mut P,
+    chunk: &[usize],
+    threads: usize,
+    zeros: impl Fn() -> [Gradients; N] + Sync,
+    differentiate: impl Fn(&mut P, usize, [&mut Gradients; N]) + Sync,
+) {
+    grads.iter_mut().for_each(Gradients::clear);
+    if let [i] = *chunk {
+        differentiate(tape, i, grads.each_mut());
+    } else {
+        let per_index = rm_runtime::par_map(threads, chunk, |_, &i| {
+            let mut g = zeros();
+            differentiate(&mut P::default(), i, g.each_mut());
+            g
+        });
+        for g in &per_index {
+            for (sum, g) in grads.iter_mut().zip(g) {
+                sum.accumulate(g);
+            }
+        }
+    }
+}
+
+/// Adam's state for one set of weights: the first and second moments of
+/// every tensor and the step count (`β₁ = 0.9`, `β₂ = 0.999`, `ε = 10⁻⁸`,
+/// gradients clipped to `±5`).
+pub struct Adam {
+    moments: Vec<(Matrix, Matrix)>,
+    learning_rate: f64,
+    steps: u64,
+}
+
+impl Adam {
+    /// Zero moments shaped like `weights`' tensors.
+    pub fn new(weights: &impl Parameters, learning_rate: f64) -> Self {
+        let zeros = |m: &Matrix| {
+            (
+                Matrix::zeros(m.rows(), m.cols()),
+                Matrix::zeros(m.rows(), m.cols()),
+            )
+        };
+        Self {
+            moments: weights.tensors().into_iter().map(zeros).collect(),
+            learning_rate,
+            steps: 0,
+        }
+    }
+
+    /// One Adam step of `weights` from `grads`, tensor by tensor.
+    pub fn step(&mut self, weights: &mut impl Parameters, grads: &Gradients) {
+        self.steps += 1;
+        let step = AdamStep::new(0.9, 0.999, 1e-8, self.learning_rate, Some(5.0), self.steps);
+        let mut tensors = grads.tensors().iter().zip(self.moments.iter_mut());
+        weights.for_each_tensor_mut(|value| {
+            let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
+            step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
+        });
+    }
+}
+
 /// How the trainer runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Training {
@@ -107,47 +174,24 @@ pub fn train_pairs<W, P>(
 {
     let zeros = |w: &[W; 2]| w.each_ref().map(Gradients::zeros_like);
     let mut grads = zeros(weights);
-    let mut moments = weights.each_ref().map(|w| {
-        w.tensors()
-            .into_iter()
-            .map(|m| {
-                (
-                    Matrix::zeros(m.rows(), m.cols()),
-                    Matrix::zeros(m.rows(), m.cols()),
-                )
-            })
-            .collect::<Vec<(Matrix, Matrix)>>()
-    });
+    let mut adam = weights
+        .each_ref()
+        .map(|w| Adam::new(w, training.learning_rate));
     let mut tape = P::default();
     let indices: Vec<usize> = (0..pairs).collect();
-    let mut steps = 0;
     for _ in 0..training.epochs {
         for chunk in indices.chunks(training.batch_size.max(1)) {
-            grads.iter_mut().for_each(Gradients::clear);
-            if let [i] = *chunk {
-                let [f, b] = &mut grads;
-                differentiate(&mut tape, [&weights[0], &weights[1]], i, [f, b]);
-            } else {
-                let shared = &*weights;
-                let per_pair = rm_runtime::par_map(training.threads, chunk, |_, &i| {
-                    let mut pair = zeros(shared);
-                    let [f, b] = &mut pair;
-                    differentiate(&mut P::default(), [&shared[0], &shared[1]], i, [f, b]);
-                    pair
-                });
-                for pair in &per_pair {
-                    grads[0].accumulate(&pair[0]);
-                    grads[1].accumulate(&pair[1]);
-                }
-            }
-            steps += 1;
-            let step = AdamStep::new(0.9, 0.999, 1e-8, training.learning_rate, Some(5.0), steps);
-            for ((w, g), moments) in weights.iter_mut().zip(&grads).zip(&mut moments) {
-                let mut tensors = g.tensors().iter().zip(moments.iter_mut());
-                w.for_each_tensor_mut(|value| {
-                    let (grad, (m, v)) = tensors.next().expect("one gradient per tensor");
-                    step.update(value.data_mut(), grad.data(), m.data_mut(), v.data_mut());
-                });
+            let shared = &*weights;
+            chunk_gradients(
+                &mut grads,
+                &mut tape,
+                chunk,
+                training.threads,
+                || zeros(shared),
+                |tape, i, g| differentiate(tape, [&shared[0], &shared[1]], i, g),
+            );
+            for ((w, g), adam) in weights.iter_mut().zip(&grads).zip(&mut adam) {
+                adam.step(w, g);
             }
         }
     }

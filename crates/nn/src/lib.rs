@@ -1,47 +1,47 @@
-//! Neural-network building blocks on top of [`rm_tensor`].
+//! Neural-network building blocks on top of [`rm_tensor`]: the plain
+//! weights the neural imputation models train and infer with.
 //!
-//! Provides the layers, cells, losses and optimizers shared by the neural
-//! imputation models in the workspace:
+//! * [`LinearWeights`] — a fully-connected layer, whose
+//!   [`LinearWeights::affine`] is its one forward,
+//! * [`LstmCellWeights`] — the recurrent cell, run by
+//!   [`rm_tensor::recurrent::lstm_cell_forward`] and
+//!   [`rm_tensor::recurrent::lstm_cell_backward`],
+//! * [`MlpWeights`] — a feed-forward network's layers (BiSIM's attention
+//!   alignment, SSGAN's discriminator), with [`Activation`] naming the
+//!   activations a model fixes.
 //!
-//! * [`Linear`] — fully-connected layer,
-//! * [`LstmCell`] — the recurrent cell,
-//! * [`Mlp`] — feed-forward network (used by BiSIM's attention alignment),
-//! * [`Adam`] / [`Sgd`] — optimizers,
-//! * masked losses in [`loss`] for reconstruction-based training on sparse
-//!   radio maps.
+//! Every type is plain matrices, generic over the [`rm_tensor::Scalar`]
+//! precision, `Send + Sync`, and rounded once to `f32` by its `cast` for
+//! the f32 inference path. The training tapes in `rm-imputers` and
+//! `rm-bisim` update the matrices in place; the autodiff graph that is
+//! their test oracle lives in the dev-only `rm-autodiff` crate.
 //!
 //! # Example
 //!
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use rm_nn::{loss, Adam, Linear, Optimizer};
-//! use rm_tensor::{Matrix, Var};
+//! use rm_nn::LinearWeights;
 //!
-//! // Learn y = 2x with a single linear unit. `Linear` defaults to
-//! // `Linear<f64>`; every layer is generic over `rm_tensor::Scalar`.
+//! // One Xavier-initialised layer mapping 3 inputs to 2 outputs.
+//! // `LinearWeights` defaults to `LinearWeights<f64>`.
 //! let mut rng = StdRng::seed_from_u64(42);
-//! let layer: Linear = Linear::new(1, 1, &mut rng);
-//! let mut opt = Adam::new(layer.parameters(), 0.05);
-//! for _ in 0..300 {
-//!     opt.zero_grad();
-//!     let x = Var::constant(Matrix::from_vec(1, 1, vec![1.5]));
-//!     let target = Matrix::from_vec(1, 1, vec![3.0]);
-//!     let l = loss::mse(&layer.forward(&x), &target);
-//!     l.backward();
-//!     opt.step();
-//! }
-//! let y = layer.forward(&Var::constant(Matrix::from_vec(1, 1, vec![1.5])));
-//! assert!((y.scalar_value() - 3.0).abs() < 0.05);
+//! let layer: LinearWeights = LinearWeights::new(3, 2, &mut rng);
+//! let mut y = [0.0; 2];
+//! layer.affine(&[1.0, 0.0, -1.0], &mut y);
+//! // The bias starts at zero, so y = W·x: column 0 minus column 2.
+//! let w = layer.weight();
+//! assert!((y[1] - (w.get(1, 0) - w.get(1, 2))).abs() < 1e-12);
+//!
+//! // The f32 inference path rounds the weights once.
+//! let rounded: LinearWeights<f32> = layer.cast();
+//! assert_eq!(rounded.weight().shape(), (2, 3));
 //! ```
 
 pub mod linear;
-pub mod loss;
 pub mod lstm;
 pub mod mlp;
-pub mod optim;
 
-pub use linear::{Linear, LinearWeights};
-pub use lstm::{LstmCell, LstmCellWeights, LstmState};
-pub use mlp::{Activation, Mlp, MlpWeights};
-pub use optim::{Adam, GradientBatch, Optimizer, Sgd};
+pub use linear::LinearWeights;
+pub use lstm::LstmCellWeights;
+pub use mlp::{Activation, MlpWeights};

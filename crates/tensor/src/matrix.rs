@@ -3,8 +3,7 @@
 //! The matrix type is intentionally small and self-contained: the neural
 //! models in this workspace (BiSIM, BRITS, SSGAN) use hidden sizes of at most
 //! a few hundred, so a straightforward row-major `Vec<T>` representation
-//! with cache-friendly inner loops is sufficient and keeps the autodiff layer
-//! easy to reason about. `T` defaults to `f64` (the determinism-contract
+//! with cache-friendly inner loops is sufficient and easy to reason about. `T` defaults to `f64` (the determinism-contract
 //! precision); `Matrix<f32>` shares every kernel through monomorphisation and
 //! gets twice the SIMD lanes out of the 4-wide unrolled inner loops.
 
@@ -13,7 +12,6 @@ use std::ops::{Add, Mul, Neg, Range, Sub};
 
 use rand::Rng;
 
-use crate::workspace;
 use crate::Scalar;
 
 /// Panel width of the blocked matmul kernel: [`Matrix::matmul_into`]
@@ -64,7 +62,8 @@ pub(crate) fn axpy_row_scalar<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
 }
 
 /// `y += alpha * x` over equal-length slices: the body of [`Matrix::axpy`],
-/// also the in-place gradient accumulation of the autodiff backward pass.
+/// also the in-place gradient accumulation of the training tapes
+/// ([`crate::recurrent::GradTerm::Add`]).
 #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
 pub(crate) fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
@@ -140,35 +139,11 @@ fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], ld: usize, x: &[T], acc: &
 }
 
 /// A dense row-major matrix of [`Scalar`] values (`f64` by default).
-///
-/// Backing buffers are checked out of this thread's
-/// [`workspace`] buffer pool and returned to it on drop
-/// (capacity-only reuse — every constructor initialises all entries, so
-/// values are bitwise independent of where the buffer came from).
-/// `RM_ARENA=0` bypasses the pool entirely.
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix<T: Scalar = f64> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
-}
-
-impl<T: Scalar> Clone for Matrix<T> {
-    fn clone(&self) -> Self {
-        let mut data = workspace::take_buffer(self.data.len());
-        data.extend_from_slice(&self.data);
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl<T: Scalar> Drop for Matrix<T> {
-    fn drop(&mut self) {
-        workspace::give_buffer(std::mem::take(&mut self.data));
-    }
 }
 
 impl<T: Scalar> fmt::Debug for Matrix<T> {
@@ -202,28 +177,9 @@ impl<T: Scalar> Matrix<T> {
     /// Creates a matrix filled with a constant value.
     pub fn filled(rows: usize, cols: usize, value: T) -> Self {
         let n = rows * cols;
-        let mut data = workspace::take_buffer(n);
+        let mut data = Vec::with_capacity(n);
         data.resize(n, value);
         Self { rows, cols, data }
-    }
-
-    /// Reshapes `self` into a zero-filled `rows × cols` matrix in place,
-    /// reusing the existing buffer capacity — bitwise identical to assigning
-    /// a fresh [`Matrix::zeros`].
-    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        let len = rows * cols;
-        if self.data.capacity() < len {
-            // Growing would reallocate through the global allocator; swap the
-            // too-small buffer for a pooled one of the right class instead.
-            crate::workspace::give_buffer(std::mem::replace(
-                &mut self.data,
-                crate::workspace::take_buffer(len),
-            ));
-        }
-        self.data.clear();
-        self.data.resize(len, T::ZERO);
     }
 
     /// Creates a matrix from a row-major data vector.
@@ -244,7 +200,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Creates a matrix by evaluating `f(row, col)` for every entry.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = workspace::take_buffer(rows * cols);
+        let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -255,21 +211,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Creates a column vector from a slice.
     pub fn column(values: &[T]) -> Self {
-        let mut data = workspace::take_buffer(values.len());
+        let mut data = Vec::with_capacity(values.len());
         data.extend_from_slice(values);
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data,
-        }
-    }
-
-    /// Creates a column vector from an `f64` slice, rounding each entry to
-    /// `T` — the bridge from the `f64` data-preparation layer into an
-    /// `f32` inference kernel.
-    pub fn column_from_f64(values: &[f64]) -> Self {
-        let mut data = workspace::take_buffer(values.len());
-        data.extend(values.iter().map(|&v| T::from_f64(v)));
         Self {
             rows: values.len(),
             cols: 1,
@@ -279,7 +222,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Creates a row vector from a slice.
     pub fn row_vector(values: &[T]) -> Self {
-        let mut data = workspace::take_buffer(values.len());
+        let mut data = Vec::with_capacity(values.len());
         data.extend_from_slice(values);
         Self {
             rows: 1,
@@ -374,7 +317,7 @@ impl<T: Scalar> Matrix<T> {
     /// one-time weight-snapshot rounding of the f32 inference path;
     /// `f32 → f64` is lossless.
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
-        let mut data = workspace::take_buffer(self.data.len());
+        let mut data = Vec::with_capacity(self.data.len());
         data.extend(self.data.iter().map(|&v| U::from_f64(v.to_f64())));
         Matrix {
             rows: self.rows,
@@ -872,7 +815,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Applies `f` to every entry, producing a new matrix.
     pub fn map(&self, f: impl Fn(T) -> T) -> Matrix<T> {
-        let mut data = workspace::take_buffer(self.data.len());
+        let mut data = Vec::with_capacity(self.data.len());
         data.extend(self.data.iter().map(|&v| f(v)));
         Matrix {
             rows: self.rows,
@@ -893,7 +836,7 @@ impl<T: Scalar> Matrix<T> {
             self.shape(),
             rhs.shape()
         );
-        let mut data = workspace::take_buffer(self.data.len());
+        let mut data = Vec::with_capacity(self.data.len());
         data.extend(
             self.data
                 .iter()
@@ -959,18 +902,6 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
-    /// Vertically stacks `self` above `other`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = workspace::take_buffer(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix::from_vec(self.rows + other.rows, self.cols, data)
-    }
-
     /// Horizontally stacks `self` to the left of `other`.
     ///
     /// # Panics
@@ -989,7 +920,7 @@ impl<T: Scalar> Matrix<T> {
     /// Extracts rows `[start, start + count)` into a new matrix.
     pub fn slice_rows(&self, start: usize, count: usize) -> Matrix<T> {
         assert!(start + count <= self.rows, "slice_rows out of range");
-        let mut data = workspace::take_buffer(count * self.cols);
+        let mut data = Vec::with_capacity(count * self.cols);
         data.extend_from_slice(&self.data[start * self.cols..(start + count) * self.cols]);
         Matrix::from_vec(count, self.cols, data)
     }
@@ -1226,10 +1157,8 @@ mod tests {
 
     #[test]
     fn stacking_and_slicing() {
-        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        let v = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        let v = a.vstack(&b);
-        assert_eq!(v.shape(), (3, 2));
         assert_eq!(v.row(2), &[5.0, 6.0]);
         let sliced = v.slice_rows(1, 2);
         assert!(sliced.approx_eq(&b, 1e-12));
@@ -1302,37 +1231,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeros_is_bitwise_fresh_zeros() {
-        let mut m = Matrix::filled(4, 4, f64::NAN);
-        m.reset_zeros(3, 5);
-        assert!(m.bits_eq(&Matrix::zeros(3, 5)));
-        // Growing past the old capacity also stays exact.
-        m.reset_zeros(9, 9);
-        assert!(m.bits_eq(&Matrix::zeros(9, 9)));
-    }
-
-    #[test]
     fn clone_of_pooled_matrix_is_bitwise_equal() {
         let mut rng = StdRng::seed_from_u64(57);
         let m = Matrix::<f64>::random_uniform(6, 7, 1.0, &mut rng);
         let c = m.clone();
         assert!(c.bits_eq(&m));
         drop(m);
-        // The clone owns its buffer: dropping the original and building new
-        // matrices over the reclaimed capacity must not disturb it.
+        // The clone owns its buffer: dropping the original must not
+        // disturb it.
         let _noise = Matrix::<f64>::filled(6, 7, f64::NAN);
         assert_eq!(c.shape(), (6, 7));
         assert!(c.is_finite());
-    }
-
-    #[test]
-    fn column_from_f64_rounds_per_entry() {
-        let c = Matrix::<f32>::column_from_f64(&[0.1, 0.2]);
-        assert_eq!(c.shape(), (2, 1));
-        assert_eq!(c.get(0, 0), 0.1f64 as f32);
-        assert_eq!(c.get(1, 0), 0.2f64 as f32);
-        let c64 = Matrix::<f64>::column_from_f64(&[0.1]);
-        assert_eq!(c64.get(0, 0), 0.1);
     }
 
     /// Runs every `axpy_row` consumer at one random shape and asserts the
@@ -1340,8 +1249,7 @@ mod tests {
     /// reference under `RM_SIMD=0` or off-x86 hosts) is bit-identical to
     /// formulations that never touch `axpy_row`: `matmul_naive`, explicit
     /// transpose + naive, and the rolled axpy loop. Output buffers are
-    /// pre-dirtied through the pool so capacity reuse cannot mask a stale
-    /// read. The CI `test-no-simd` leg runs this same property against the
+    /// pre-dirtied so a stale read shows. The CI `test-no-simd` leg runs this same property against the
     /// forced scalar path, closing the parity check from both sides.
     fn axpy_consumers_match_reference<T: Scalar>(m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1349,7 +1257,7 @@ mod tests {
         let b: Matrix<T> = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng).cast();
         let grad: Matrix<T> = Matrix::<f64>::random_uniform(m, n, 1.0, &mut rng).cast();
 
-        // Dirty the output through the pool: fill with NaN, then overwrite.
+        // Dirty the output: fill with NaN, then overwrite.
         let mut out = Matrix::<T>::filled(m, n, T::from_f64(f64::NAN));
         a.matmul_into(&b, &mut out);
         assert_kernel_parity(&out, &a.matmul_naive(&b));
@@ -1431,7 +1339,7 @@ mod tests {
 
             /// SIMD ≡ scalar, bit for bit, at random shapes straddling the
             /// vector width and the matmul block, for both dtypes, with
-            /// dirty pooled output buffers.
+            /// dirty output buffers.
             #[test]
             fn dispatched_kernels_are_bit_identical_to_references(
                 m in 1usize..20,

@@ -1,28 +1,27 @@
-//! Forward and backward math of the fused recurrent nodes
-//! ([`Var::lstm_cell`] and [`Var::attention`]), shared with the graph-free
-//! paths.
+//! Forward and backward math of one LSTM step and one attention step on
+//! plain slices: the recurrent layers of the training tapes and of
+//! inference.
 //!
 //! Each forward function is the one definition of its layer's forward
-//! pass: the autodiff node calls it on its parents' values, and the
-//! snapshot inference of the recurrent imputers calls it on plain weights,
-//! so the two agree bit for bit by construction. Both reproduce, operation
-//! for operation, the chain of primitive graph nodes the fused nodes
-//! replace (affine maps through [`Matrix::matvec_acc`], the shared
-//! [`Scalar::sigmoid`]/[`Scalar::tanh`], the stabilised column softmax).
+//! pass: the training tapes and the inference of the recurrent imputers
+//! call it on plain weights, and the fused LSTM and attention nodes of the
+//! autodiff graph (`rm-autodiff`, the tapes' test oracle) call it on their
+//! parents' values, so the two agree bit for bit by
+//! construction. Both reproduce, operation for operation, the chain of
+//! primitive graph nodes the fused nodes replace (affine maps through
+//! [`Matrix::matvec_acc`], the shared [`Scalar::sigmoid`]/[`Scalar::tanh`],
+//! the stabilised column softmax).
 //!
 //! Each backward function is likewise the one definition of its layer's
 //! gradient: it computes every term and hands it, in the order the
 //! replaced chain delivered it, to a caller's sink as a [`GradTerm`] for one
-//! named input. The autodiff node's sink adds each term into a parent's
-//! gradient; BiSIM's training tape adds it into plain gradient buffers. So a
-//! tape that calls these steps in the graph's order is bitwise the graph.
-//!
-//! [`Var::lstm_cell`]: crate::Var::lstm_cell
-//! [`Var::attention`]: crate::Var::attention
+//! named input. A training tape adds each term into plain gradient buffers;
+//! the graph node's sink adds it into a parent's gradient. So a tape that
+//! calls these steps in the graph's order is bitwise the graph.
 
 // rm-lint: hot-path
-// Every BiSIM/BRITS/SSGAN training step and every snapshot inference step
-// runs these loops; every buffer is caller-owned.
+// Every BiSIM/BRITS/SSGAN training step and every inference step runs these
+// loops; every buffer is caller-owned.
 
 use std::ops::{Deref, Range};
 
@@ -154,7 +153,7 @@ pub fn lstm_backward_scratch_len(hidden: usize, n: usize) -> usize {
 }
 
 /// The backward pass of one LSTM step for the output gradient `g` (`∂h`),
-/// in the order of the 14-node chain [`Var::lstm_cell`](crate::Var::lstm_cell) replaced: `h = o ⊙
+/// in the order of the 14-node chain the graph's LSTM node replaced: `h = o ⊙
 /// tanh(c)`, the output gate's affine map, `tanh(c)`, `c = f ⊙ c_prev + i ⊙
 /// g`, then the forget, input and candidate gates' affine maps, and last
 /// the input column `x`, whose gradient is `+0 + t_o + t_f + t_i + t_g`
@@ -331,7 +330,7 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
         w2.matvec_acc(0, a, &mut energy);
         *e = energy[0] + b2.data()[0];
     }
-    // Eq. 11: the softmax of `Var::softmax_col` — max-shift, exp, normalise.
+    // Eq. 11: the graph's column softmax — max-shift, exp, normalise.
     let max = weights.iter().copied().fold(None, |acc: Option<T>, v| {
         Some(match acc {
             None => v,
@@ -378,7 +377,7 @@ pub fn attention_backward_scratch_len(t: usize, h: usize, a: usize) -> usize {
 }
 
 /// The backward pass of one attention step for the output gradient `g`
-/// (`∂ctx`), in the order of the chain [`Var::attention`](crate::Var::attention) replaced:
+/// (`∂ctx`), in the order of the chain the graph's attention node replaced:
 ///
 /// 1. for each key `i`: `k_i += g·w_i` and `∂w_i = Σ_j g_j·k_i[j]` (the
 ///    `mul_scalar_var` nodes; every product node's gradient is `g`);

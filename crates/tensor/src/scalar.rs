@@ -1,7 +1,7 @@
 //! The precision axis of the tensor layer.
 //!
-//! [`Scalar`] is the sealed element trait of [`Matrix`](crate::Matrix) and
-//! [`Var`](crate::Var): exactly `f64` and `f32` implement it. It provides the
+//! [`Scalar`] is the sealed element trait of [`Matrix`](crate::Matrix):
+//! exactly `f64` and `f32` implement it. It provides the
 //! arithmetic and transcendental hooks (`exp`/`tanh`/`sqrt`/`ln`)
 //! that the dense kernels and the `rm-nn` activations need, so every kernel
 //! is written once and monomorphised per precision:
@@ -15,9 +15,9 @@
 //!   reductions), it just rounds differently from f64.
 //!
 //! The activation helpers ([`Scalar::sigmoid`], [`Scalar::relu`]) live here —
-//! as provided trait methods — precisely so the autodiff graph forward pass
-//! and the graph-free snapshot forward pass in `rm-nn` share one definition
-//! and stay bit-identical to each other.
+//! as provided trait methods — precisely so the training tapes, inference
+//! and the autodiff graph that is the tapes' test oracle share one
+//! definition and stay bit-identical to each other.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -94,10 +94,9 @@ pub trait Scalar:
 
     /// Logistic sigmoid `1 / (1 + e^{-x})`.
     ///
-    /// This is the **single** definition shared by the autodiff graph
-    /// ([`Var::sigmoid`](crate::Var::sigmoid)) and the graph-free snapshot
-    /// forward passes in `rm-nn`; keeping one formula is what makes snapshot
-    /// inference bit-identical to graph inference.
+    /// This is the **single** definition shared by every forward pass and
+    /// the autodiff graph oracle; keeping one formula is what makes the
+    /// tapes bit-identical to the graph.
     #[inline]
     fn sigmoid(self) -> Self {
         Self::ONE / (Self::ONE + (-self).exp())
@@ -160,22 +159,6 @@ pub trait Scalar:
         m: &mut [Self],
         v: &mut [Self],
     );
-
-    /// Runs `f` with this thread's raw-buffer pool for `Self` elements.
-    ///
-    /// Internal plumbing of the arena layer (`crate::workspace`): the pools
-    /// are declared per implementor so each thread — in particular each
-    /// `rm-runtime` pool worker — owns a private arena per precision and no
-    /// synchronisation is ever needed. Public only because the sealed trait
-    /// is the dispatch point; not part of the stable API.
-    #[doc(hidden)]
-    fn with_buffer_pool<R, F: FnOnce(&mut crate::workspace::BufferPool<Self>) -> R>(f: F) -> R;
-
-    /// Runs `f` with this thread's autodiff node pool for `Self` graphs.
-    ///
-    /// Same internal-plumbing caveats as [`Scalar::with_buffer_pool`].
-    #[doc(hidden)]
-    fn with_node_pool<R, F: FnOnce(&mut crate::autodiff::NodePool<Self>) -> R>(f: F) -> R;
 }
 
 macro_rules! impl_scalar {
@@ -281,24 +264,6 @@ macro_rules! impl_scalar {
             ) {
                 $adam_update(step, w, g, m, v)
             }
-
-            fn with_buffer_pool<R, F: FnOnce(&mut crate::workspace::BufferPool<Self>) -> R>(
-                f: F,
-            ) -> R {
-                std::thread_local! {
-                    static POOL: std::cell::RefCell<crate::workspace::BufferPool<$t>> =
-                        std::cell::RefCell::new(crate::workspace::BufferPool::default());
-                }
-                POOL.with(|pool| f(&mut pool.borrow_mut()))
-            }
-
-            fn with_node_pool<R, F: FnOnce(&mut crate::autodiff::NodePool<Self>) -> R>(f: F) -> R {
-                std::thread_local! {
-                    static POOL: std::cell::RefCell<crate::autodiff::NodePool<$t>> =
-                        std::cell::RefCell::new(crate::autodiff::NodePool::default());
-                }
-                POOL.with(|pool| f(&mut pool.borrow_mut()))
-            }
         }
     };
 }
@@ -323,8 +288,8 @@ impl_scalar!(
 /// The numeric precision a pipeline stage runs at — the user-facing knob
 /// that selects the [`Scalar`] instantiation of the inference kernels.
 ///
-/// Training always runs at `f64` (the autodiff graph and optimizer state are
-/// `f64`; that is what the cross-PR determinism contract covers). `F32`
+/// Training always runs at `f64` (the tapes' gradients and optimizer state
+/// are `f64`; that is what the cross-PR determinism contract covers). `F32`
 /// switches the *inference* passes of the neural imputers to the f32 kernels:
 /// trained weights are rounded once to f32 and every sequence is evaluated
 /// with twice the SIMD lanes and half the memory traffic. At either setting

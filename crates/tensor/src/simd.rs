@@ -32,7 +32,7 @@
 //!   products in blocks of 16, 4 and 1 rows.
 //! * `matmul_at_b` runs one dispatched axpy per row of the left operand over
 //!   the whole output.
-//! * The autodiff rank-1 gradient `dW += g·xᵀ` (`Matrix::add_outer`) runs
+//! * The rank-1 weight gradient `dW += g·xᵀ` (`Matrix::add_outer`) runs
 //!   one dispatched axpy per gradient row.
 //!
 //! All three keep one multiply and one add per term in the reference order,
@@ -57,7 +57,7 @@
 //! `f32`) the reference.
 //!
 //! `RM_SIMD` is resolved once per process through a cached accessor, the
-//! same pattern as `RM_POOL`/`RM_ARENA`.
+//! same pattern as `RM_POOL`.
 
 // rm-lint: hot-path
 
@@ -70,7 +70,7 @@ static SIMD_ENABLED: OnceLock<bool> = OnceLock::new();
 /// Whether the explicit-width SIMD kernels are active (default) or disabled
 /// via `RM_SIMD=0` (or `off`), which forces the 4-wide unrolled scalar
 /// reference path the SIMD kernels are bitwise-checked against. Resolved
-/// once per process, like `RM_POOL` and `RM_ARENA`.
+/// once per process, like `RM_POOL`.
 #[allow(clippy::disallowed_methods)] // audited env read; see the rm-lint allow inside
 pub fn simd_enabled() -> bool {
     *SIMD_ENABLED.get_or_init(|| {

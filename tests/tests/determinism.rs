@@ -80,76 +80,40 @@ fn imputed_maps_are_bit_identical_across_thread_counts() {
 
 /// Batched training (a fixed `batch_size > 1`) obeys the same contract for
 /// all three recurrent imputers: batch boundaries are fixed by the batch
-/// size alone, per-sequence gradients inside a batch are computed against
-/// the batch-start weights on detached graph replicas, and the gradient sums
-/// reduce in sequence-index order — so training itself is now a parallel
-/// fan-out whose model (and therefore whose imputations) is bit-identical at
-/// `RM_THREADS = 1 / 2 / available_parallelism`.
+/// size alone, per-sequence gradients inside a batch are computed on their
+/// own tapes against the batch-start weights, and the gradient sums reduce
+/// in sequence-index order — so training itself is a parallel fan-out
+/// whose model (and therefore whose imputations) is bit-identical at
+/// `RM_THREADS = 1 / 2 / available_parallelism`, at batch sizes 2 and 4.
 #[test]
 fn batched_training_is_bit_identical_across_thread_counts() {
     let map = straight_path_map(24, 8);
     let topology = MultiPolygon::empty();
     let thread_counts = [1, 2, rm_runtime::default_threads()];
     for imputer in [ImputerKind::Brits, ImputerKind::Ssgan, ImputerKind::Bisim] {
-        let runs: Vec<ImputedRadioMap> = thread_counts
-            .iter()
-            .map(|&threads| {
-                ImputationPipeline::new(PipelineConfig {
-                    differentiator: DifferentiatorKind::MarOnly,
-                    imputer,
-                    epochs: Some(2),
-                    threads,
-                    batch_size: Some(4),
-                    ..PipelineConfig::default()
+        for batch_size in [2, 4] {
+            let runs: Vec<ImputedRadioMap> = thread_counts
+                .iter()
+                .map(|&threads| {
+                    ImputationPipeline::new(PipelineConfig {
+                        differentiator: DifferentiatorKind::MarOnly,
+                        imputer,
+                        epochs: Some(2),
+                        threads,
+                        batch_size: Some(batch_size),
+                        ..PipelineConfig::default()
+                    })
+                    .impute(&map, &topology)
+                    .0
                 })
-                .impute(&map, &topology)
-                .0
-            })
-            .collect();
-        for run in &runs[1..] {
-            assert!(
-                bitwise_eq_maps(&runs[0], run),
-                "{} batched training differs across thread counts",
-                imputer.name()
-            );
-        }
-    }
-}
-
-/// The arena layer (PR 7) must be invisible to the contract: buffer and
-/// node reuse is capacity-only, so with arenas at their default (enabled)
-/// the recurrent imputers — whose training recycles every step's graph into
-/// the per-worker node arena and whose snapshot inference draws all scratch
-/// from caller-owned workspaces — are still bit-identical at any thread
-/// count. (The CI `RM_ARENA=0` leg runs this same suite against the
-/// fresh-allocation reference, closing the loop from the other side.)
-#[test]
-fn arena_backed_training_and_inference_are_bit_identical_across_thread_counts() {
-    let map = straight_path_map(24, 8);
-    let topology = MultiPolygon::empty();
-    let thread_counts = [1, 2, rm_runtime::default_threads()];
-    for imputer in [ImputerKind::Brits, ImputerKind::Ssgan, ImputerKind::Bisim] {
-        let runs: Vec<ImputedRadioMap> = thread_counts
-            .iter()
-            .map(|&threads| {
-                ImputationPipeline::new(PipelineConfig {
-                    differentiator: DifferentiatorKind::MarOnly,
-                    imputer,
-                    epochs: Some(2),
-                    threads,
-                    batch_size: Some(2),
-                    ..PipelineConfig::default()
-                })
-                .impute(&map, &topology)
-                .0
-            })
-            .collect();
-        for run in &runs[1..] {
-            assert!(
-                bitwise_eq_maps(&runs[0], run),
-                "{} arena-backed run differs across thread counts",
-                imputer.name()
-            );
+                .collect();
+            for run in &runs[1..] {
+                assert!(
+                    bitwise_eq_maps(&runs[0], run),
+                    "{} batched training (batch size {batch_size}) differs across thread counts",
+                    imputer.name()
+                );
+            }
         }
     }
 }
@@ -611,15 +575,15 @@ fn snapshot_bits_hash(snapshot: &VenueSnapshot) -> u64 {
 
 /// Golden bits for the neural imputers: a small fixed BiSIM, BRITS and SSGAN
 /// train-and-export (f64, five survey paths, two epochs) at batch size 1 —
-/// the live-graph serial trajectory — and 4 — detached replicas plus the
+/// the serial trajectory — and 4 — per-sequence tapes plus the
 /// single-sequence tail chunk — pinned to FNV-1a hashes of the exported
 /// tensors and the imputed map. The thread-count cases above only prove
 /// self-consistency; these hashes pin the trajectory itself, so a kernel
-/// rewrite (matmul, autodiff, optimizer) that is meant to be bitwise
-/// invisible is checked, not asserted. Precision and batch size are pinned
-/// so the env-knob CI legs (`RM_PRECISION`, `RM_BATCH`, `RM_SHARDS`) leave
-/// the hashes unchanged, while the `RM_SIMD=0`, `RM_ARENA=0` and
-/// `RM_THREADS` legs must reproduce them exactly.
+/// or tape rewrite (matmul, backward, optimizer) that is meant to be
+/// bitwise invisible is checked, not asserted. Precision and batch size are
+/// pinned so the env-knob CI legs (`RM_PRECISION`, `RM_BATCH`, `RM_SHARDS`)
+/// leave the hashes unchanged, while the `RM_SIMD=0` and `RM_THREADS` legs
+/// must reproduce them exactly.
 #[test]
 fn neural_imputer_snapshots_match_golden_bits() {
     let map = multi_path_map(5, 8, 8);
