@@ -7,7 +7,7 @@ use rm_bisim::{AttentionMode, BisimDirectionWeights, DirectionGrads, PairTape, T
 use rm_imputers::{BritsTape, Gradients, PathSequence, RecurrentImputerWeights, SsganTape};
 use rm_nn::{LstmCellWeights, MlpWeights};
 use rm_tensor::recurrent::lstm_cell_forward;
-use rm_tensor::{AdamStep, Matrix, Scalar};
+use rm_tensor::{AdamStep, Matrix, OuterPanel, Scalar};
 
 fn bench_matmul(c: &mut Criterion) {
     // Stamp recorded runs with the axpy_row kernel this process resolved to
@@ -87,6 +87,41 @@ fn bench_adam_step(c: &mut Criterion) {
             std::hint::black_box(tensors[0][0].get(0, 0))
         })
     });
+}
+
+/// The rank-1 weight gradients of one backward at the training tapes'
+/// shapes (`rows × cols × terms`: an LSTM gate of BiSIM's encoder over 5
+/// steps, the attention's `W1` over its 20 terms, a decoder gate over 4
+/// steps, the fingerprint estimate over 5 steps): the terms queued in an
+/// [`OuterPanel`] and applied in one flush, against the same terms applied
+/// one by one with [`Matrix::add_outer`]. Both give the same bits.
+fn bench_outer_panel(c: &mut Criterion) {
+    // Stamp recorded runs with the panel leg (scalar / avx2 / avx512f).
+    eprintln!("panel kernel: {}", rm_tensor::panel_kernel_name());
+    let mut rng = StdRng::seed_from_u64(11);
+    for (rows, cols, terms) in [(32, 138, 5), (32, 85, 20), (32, 87, 4), (53, 32, 5)] {
+        let us: Matrix = Matrix::random_uniform(terms, rows, 1.0, &mut rng);
+        let vs: Matrix = Matrix::random_uniform(terms, cols, 1.0, &mut rng);
+        let mut d = Matrix::zeros(rows, cols);
+        c.bench_function(&format!("add_outer_{rows}x{cols}x{terms}"), |bencher| {
+            bencher.iter(|| {
+                for t in 0..terms {
+                    d.add_outer(us.row(t), vs.row(t));
+                }
+                std::hint::black_box(d.get(0, 0))
+            })
+        });
+        let mut panel = OuterPanel::new();
+        c.bench_function(&format!("outer_panel_{rows}x{cols}x{terms}"), |bencher| {
+            bencher.iter(|| {
+                for t in 0..terms {
+                    panel.push(us.row(t), vs.row(t));
+                }
+                panel.flush(&mut d);
+                std::hint::black_box(d.get(0, 0))
+            })
+        });
+    }
 }
 
 /// The precision axis head-to-head: the same blocked kernel monomorphised
@@ -264,6 +299,7 @@ criterion_group!(
     bench_matmul,
     bench_matvec,
     bench_adam_step,
+    bench_outer_panel,
     bench_matmul_f32,
     bench_lstm_snapshot_step,
     bench_bisim_pair_step,

@@ -106,54 +106,72 @@ impl Bisim {
     }
 }
 
-/// The per-record updates one `(sequence, reversed)` pair contributes to the
-/// imputed radio map: `(record, ap, rssi)` triples for MAR fingerprints and
-/// `(record, point)` pairs for initially-missing reference points.
-type PairUpdates = (Vec<(usize, usize, f64)>, Vec<(usize, Point)>);
+/// One update [`infer_pairs`] makes to the imputed radio map.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Update {
+    /// The RSSI of a MAR fingerprint entry: `(record, ap, rssi)`.
+    Rssi(usize, usize, f64),
+    /// The location of an initially missing reference point.
+    Rp(usize, Point),
+}
 
 /// Runs every `(sequence, reversed)` pair through the shared weights'
 /// forward ([`BisimDirectionWeights::forward`], the one training records
 /// too) on the pool and averages the two directions (Eq. 13) at MAR
-/// fingerprints and missing RPs. Denormalisation happens after widening back
-/// to `f64`. Each task only reads the shared weights, so the fan-out is
-/// order-preserving and bit-identical at any thread count.
-fn infer_pairs<T: Scalar>(
+/// fingerprints and missing RPs, returning the updates of every pair in
+/// pair order, as one list per [`rm_imputers::sweep`] run. Each run reuses
+/// one tape per direction. Denormalisation happens after widening back to
+/// `f64`. Each task only reads the shared weights, so the updates are
+/// bit-identical at any thread count.
+pub fn infer_pairs<T: Scalar>(
     forward: &BisimDirectionWeights<T>,
     backward: &BisimDirectionWeights<T>,
     pairs: &[(&PathSequence, &PathSequence)],
     mask: &MaskMatrix,
     norm: &Normalization,
-    num_aps: usize,
     missing_rp: &[bool],
     threads: usize,
-) -> Vec<PairUpdates> {
-    rm_runtime::par_map(threads, pairs, |_, &(seq, rev)| {
-        let (mut fwd, mut bwd) = (DirectionTape::new(), DirectionTape::new());
-        forward.forward(seq, &mut fwd);
-        backward.forward(rev, &mut bwd);
-        let two = T::from_f64(2.0);
-        let mut rssi_updates: Vec<(usize, usize, f64)> = Vec::new();
-        let mut rp_updates: Vec<(usize, Point)> = Vec::new();
-        for (t, &record) in seq.record_indices.iter().enumerate() {
-            let rt = seq.len() - 1 - t;
-            let f = fwd.fingerprint_complement(t);
-            let b = bwd.fingerprint_complement(rt);
-            for ap in 0..num_aps {
-                if mask.get(record, ap) == EntryKind::Mar {
-                    let avg = (f[ap] + b[ap]) / two;
-                    rssi_updates.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+) -> Vec<Vec<Update>> {
+    let num_aps = forward.num_aps;
+    let per_record = |&record: &usize| {
+        let mars = (0..num_aps).filter(|&ap| mask.get(record, ap) == EntryKind::Mar);
+        mars.count() + usize::from(missing_rp[record])
+    };
+    let updates = |(seq, _): &(&PathSequence, &PathSequence)| -> usize {
+        seq.record_indices.iter().map(per_record).sum()
+    };
+    rm_imputers::sweep(
+        threads,
+        pairs,
+        updates,
+        |[fwd, bwd]: &mut [DirectionTape<T>; 2], _, &(seq, rev), out| {
+            forward.forward(seq, fwd);
+            backward.forward(rev, bwd);
+            let two = T::from_f64(2.0);
+            for (t, &record) in seq.record_indices.iter().enumerate() {
+                let rt = seq.len() - 1 - t;
+                let f = fwd.fingerprint_complement(t);
+                let b = bwd.fingerprint_complement(rt);
+                for ap in 0..num_aps {
+                    if mask.get(record, ap) == EntryKind::Mar {
+                        let avg = (f[ap] + b[ap]) / two;
+                        out.push(Update::Rssi(
+                            record,
+                            ap,
+                            norm.denormalize_rssi(avg.to_f64()),
+                        ));
+                    }
+                }
+                if missing_rp[record] {
+                    let lf = fwd.rp_complement(t);
+                    let lb = bwd.rp_complement(rt);
+                    let x = ((lf[0] + lb[0]) / two).to_f64();
+                    let y = ((lf[1] + lb[1]) / two).to_f64();
+                    out.push(Update::Rp(record, norm.denormalize_point(x, y)));
                 }
             }
-            if missing_rp[record] {
-                let lf = fwd.rp_complement(t);
-                let lb = bwd.rp_complement(rt);
-                let x = ((lf[0] + lb[0]) / two).to_f64();
-                let y = ((lf[1] + lb[1]) / two).to_f64();
-                rp_updates.push((record, norm.denormalize_point(x, y)));
-            }
-        }
-        (rssi_updates, rp_updates)
-    })
+        },
+    )
 }
 
 impl Bisim {
@@ -230,7 +248,6 @@ impl Bisim {
         norm: &Normalization,
         export_snapshot: bool,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
         let (mut fingerprints, mut locations) = Self::passthrough(map);
         let mut tensors = Vec::new();
         if export_snapshot {
@@ -252,7 +269,6 @@ impl Bisim {
                 &pairs,
                 mask,
                 norm,
-                num_aps,
                 &missing_rp,
                 threads,
             ),
@@ -262,18 +278,17 @@ impl Bisim {
                 &pairs,
                 mask,
                 norm,
-                num_aps,
                 &missing_rp,
                 threads,
             ),
         };
-        for (rssi_updates, rp_updates) in results {
-            for (record, ap, value) in rssi_updates {
-                fingerprints[record][ap] = value;
-            }
-            for (record, point) in rp_updates {
-                if locations[record].is_none() {
-                    locations[record] = Some(point);
+        for update in results.into_iter().flatten() {
+            match update {
+                Update::Rssi(record, ap, value) => fingerprints[record][ap] = value,
+                Update::Rp(record, point) => {
+                    if locations[record].is_none() {
+                        locations[record] = Some(point);
+                    }
                 }
             }
         }

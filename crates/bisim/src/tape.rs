@@ -23,7 +23,8 @@
 //!
 //! - the decoder runs first, step `j = T − 1` down to `0`; only `DE_{T−1}`
 //!   (the last RP estimate) at `j = T − 1`, since the last decoder step and
-//!   its attention feed nothing the loss reads;
+//!   its attention feed nothing the loss reads (the forward skips them
+//!   too);
 //! - at each `j < T − 1`: the LSTM step, then — in the direction the loss
 //!   reads first, the forward one — the RP estimate, the attention and the
 //!   decoder decay; in the backward direction the attention, the decay and
@@ -152,7 +153,9 @@ impl<T: Scalar> BisimDirectionWeights<T> {
     /// (`BisimDirection::run` in the tests) in the same order — the same
     /// complements, decay chain and fused steps, whose forwards are
     /// [`rm_tensor::recurrent`]'s — so at the same precision every
-    /// recorded value is bit-identical to the graph's. Sequence data is
+    /// recorded value is bit-identical to the graph's. It stops after the
+    /// last RP complement: the last decoder step's attention and LSTM step
+    /// feed no output, so their records stay zero. Sequence data is
     /// stored in `f64` and rounded per step, so the kernels run entirely in
     /// `T`.
     pub fn forward(&self, seq: &PathSequence, tape: &mut DirectionTape<T>) {
@@ -213,6 +216,11 @@ impl<T: Scalar> BisimDirectionWeights<T> {
                 complement[e] = rp[e] * m + estimate[e] * (T::ONE - m);
             }
             tp.rp_complements[2 * j..2 * j + 2].copy_from_slice(complement);
+            // The last step's attention and LSTM step feed nothing that the
+            // loss, the backward or inference reads.
+            if j + 1 == len {
+                break;
+            }
             // Attention (Eq. 10–12): the context vector from the keys.
             if self.attention != AttentionMode::None {
                 attention_forward(
@@ -631,7 +639,7 @@ impl<T: Scalar> Scratch<T> {
         }
 
         // ---- The encoder, t = T − 1 down to 0, then its decay parameters ----
-        let encoder = &mut grads.tensors_mut()[..DECODER_ESTIMATE];
+        // The encoder's 12 tensors are the direction's first 12.
         let schedule = Schedule::Encoder;
         let d_complements = d_fp_complements;
         w.encoder.backward(
@@ -641,7 +649,7 @@ impl<T: Scalar> Scratch<T> {
             d_fp,
             d_complements,
             d_latents,
-            encoder,
+            grads,
         );
 
         // ---------------- The decoder decay parameters, in forward order ----------------
@@ -655,6 +663,7 @@ impl<T: Scalar> Scratch<T> {
                 );
             }
         }
+        grads.flush();
     }
 }
 

@@ -293,8 +293,8 @@ impl<T: Scalar> BritsTape<T> {
         let ([fe, be], [fc, bc]) = (&mut self.d_estimates, &mut self.d_complements);
         let [fl, bl] = &mut self.d_latents;
         let [fg, bg] = grads;
-        forward.backward(ft, seq, Schedule::Forward, fe, fc, fl, fg.tensors_mut());
-        backward.backward(bt, rev, Schedule::Backward, be, bc, bl, bg.tensors_mut());
+        forward.backward(ft, seq, Schedule::Forward, fe, fc, fl, fg);
+        backward.backward(bt, rev, Schedule::Backward, be, bc, bl, bg);
         loss
     }
 
@@ -373,38 +373,46 @@ pub(crate) fn impute_mar(
     imputed
 }
 
-/// [`impute_mar`]'s fan-out at precision `T`: each sequence's
-/// `(record, ap, rssi)` MAR values.
-fn mar_values<T: Scalar>(
+/// The inference fan-out of BRITS and SSGAN at precision `T`: the
+/// `(record, ap, rssi)` MAR values of every sequence (the mean of the
+/// `directions`' complements, as `impute_mar` applies them), in sequence
+/// order, as one list per [`sweep`](crate::sweep) run. Each run reuses one
+/// tape per direction.
+pub fn mar_values<T: Scalar>(
     directions: &[(&RecurrentImputerWeights<T>, &[PathSequence])],
     mask: &MaskMatrix,
     norm: &Normalization,
     threads: usize,
 ) -> Vec<Vec<(usize, usize, f64)>> {
     let count = T::from_f64(directions.len() as f64);
-    rm_runtime::par_map(threads, directions[0].1, |i, seq| {
-        let tapes: Vec<RitsTape<T>> = directions
-            .iter()
-            .map(|(w, sequences)| {
-                let mut tape = RitsTape::new();
-                w.forward(&sequences[i], true, &mut tape);
-                tape
-            })
-            .collect();
-        let mut values: Vec<(usize, usize, f64)> = Vec::new();
-        for (t, &record) in seq.record_indices.iter().enumerate() {
-            let steps = [t, seq.len() - 1 - t];
-            let complement = |k: usize| tapes[k].complement(steps[k.min(1)]);
-            for ap in 0..complement(0).len() {
-                if mask.get(record, ap) == EntryKind::Mar {
-                    let sum =
-                        (1..tapes.len()).fold(complement(0)[ap], |s, k| s + complement(k)[ap]);
-                    values.push((record, ap, norm.denormalize_rssi((sum / count).to_f64())));
+    let mars = |seq: &PathSequence| -> usize {
+        let is_mar = |record: usize, ap: usize| mask.get(record, ap) == EntryKind::Mar;
+        let per_record =
+            |&record: &usize| (0..mask.cols()).filter(|&ap| is_mar(record, ap)).count();
+        seq.record_indices.iter().map(per_record).sum()
+    };
+    crate::sweep(
+        threads,
+        directions[0].1,
+        mars,
+        |tapes: &mut Vec<RitsTape<T>>, i, seq, values| {
+            tapes.resize_with(directions.len(), RitsTape::new);
+            for ((w, sequences), tape) in directions.iter().zip(tapes.iter_mut()) {
+                w.forward(&sequences[i], true, tape);
+            }
+            for (t, &record) in seq.record_indices.iter().enumerate() {
+                let steps = [t, seq.len() - 1 - t];
+                let complement = |k: usize| tapes[k].complement(steps[k.min(1)]);
+                for ap in 0..complement(0).len() {
+                    if mask.get(record, ap) == EntryKind::Mar {
+                        let sum =
+                            (1..tapes.len()).fold(complement(0)[ap], |s, k| s + complement(k)[ap]);
+                        values.push((record, ap, norm.denormalize_rssi((sum / count).to_f64())));
+                    }
                 }
             }
-        }
-        values
-    })
+        },
+    )
 }
 
 /// The BRITS imputer.

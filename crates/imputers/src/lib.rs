@@ -131,7 +131,7 @@ pub use brits::{snapshot_resident_bytes, Brits, BritsConfig, BritsTape};
 pub use mf::{MatrixFactorization, MatrixFactorizationConfig};
 pub use mice::{Mice, MiceConfig};
 pub use rits::{RecurrentImputerWeights, RitsTape, Schedule};
-pub use sequence::{build_sequences, Normalization, PathSequence};
+pub use sequence::{build_sequences, sweep, Normalization, PathSequence};
 pub use simple::{CaseDeletion, LinearInterpolation, SemiSupervised};
 pub use ssgan::{Ssgan, SsganConfig, SsganTape};
 pub use train::{train_pairs, Adam, Gradients, Parameters, Training};

@@ -56,7 +56,7 @@ use rm_tensor::{Matrix, NamedTensor, Precision, Scalar};
 
 use crate::sequence::PathSequence;
 use crate::snapshot;
-use crate::train::Parameters;
+use crate::train::{Gradients, Parameters};
 
 // Indices into [`RecurrentImputerWeights::tensors`].
 const ESTIMATE: usize = 0;
@@ -186,8 +186,9 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         }
     }
 
-    /// Adds the gradient of one recorded forward into `grads` (shaped like
-    /// [`RecurrentImputerWeights::tensors`]), in the graph's order for
+    /// Adds the gradient of one recorded forward into `grads` (whose first
+    /// 12 tensors are shaped like [`RecurrentImputerWeights::tensors`]) and
+    /// flushes them, in the graph's order for
     /// `schedule` (see the module doc). `d_estimates` and `d_complements`
     /// (`len × APs`) hold the loss's terms for each estimate and complement,
     /// and `d_latents` (`len × hidden`) what the caller's other consumers
@@ -202,7 +203,7 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         d_estimates: &mut [T],
         d_complements: &mut [T],
         d_latents: &mut [T],
-        grads: &mut [Matrix<T>],
+        grads: &mut Gradients<T>,
     ) {
         let (len, h, a) = (tape.len, tape.hidden, tape.aps);
         if len == 0 {
@@ -231,9 +232,6 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         ] {
             zeroed(buffer, n);
         }
-        let add = |grads: &mut [Matrix<T>], index: usize, term: GradTerm<'_, T>| {
-            term.add_to(&mut grads[index]);
-        };
         let reached = |t: usize| t + 1 < len || schedule == Schedule::Encoder;
         let cell = self.cell.gates();
         for t in (0..len).rev() {
@@ -254,8 +252,8 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
                     },
                     fused,
                     |input, term| match input {
-                        LstmInput::Weight(q) => add(grads, CELL + 2 * q, term),
-                        LstmInput::Bias(q) => add(grads, CELL + 2 * q + 1, term),
+                        LstmInput::Weight(q) => grads.add(CELL + 2 * q, term),
+                        LstmInput::Bias(q) => grads.add(CELL + 2 * q + 1, term),
                         LstmInput::Carried => {
                             let prev = (t - 1) * stride;
                             term.add_to_slice(&mut earlier[prev + 7 * h..prev + 8 * h]);
@@ -282,12 +280,12 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
                     Phase::Estimate => {
                         // The estimate `x̂_t = W·h_{t−1} + b`.
                         let d = &d_estimates[t * a..(t + 1) * a];
-                        add(grads, ESTIMATE + 1, GradTerm::Bias(d));
+                        grads.add(ESTIMATE + 1, GradTerm::Bias(d));
                         if t == 0 {
                             continue;
                         }
                         let h_prev = &latents[(t - 1) * h..t * h];
-                        add(grads, ESTIMATE, GradTerm::Outer(d, h_prev));
+                        grads.add(ESTIMATE, GradTerm::Outer(d, h_prev));
                         let weight = self.estimate.weight();
                         weight.matmul_at_b_col_into(d, 0..h, product);
                         GradTerm::Add(product).add_to_slice(&mut d_latents[(t - 1) * h..t * h]);
@@ -305,8 +303,8 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
                         if schedule == Schedule::Backward {
                             let d = &d_decay[step];
                             column(&seq.time_lags[t], lag);
-                            add(grads, DECAY + 1, GradTerm::Bias(d));
-                            add(grads, DECAY, GradTerm::Outer(d, lag));
+                            grads.add(DECAY + 1, GradTerm::Bias(d));
+                            grads.add(DECAY, GradTerm::Outer(d, lag));
                         }
                     }
                     Phase::Decay => {}
@@ -317,11 +315,12 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         if decayed && schedule != Schedule::Backward {
             for t in (1..len).filter(|&t| reached(t)) {
                 let d = &d_decay[t * h..(t + 1) * h];
-                add(grads, DECAY + 1, GradTerm::Bias(d));
+                grads.add(DECAY + 1, GradTerm::Bias(d));
                 column(&seq.time_lags[t], lag);
-                add(grads, DECAY, GradTerm::Outer(d, lag));
+                grads.add(DECAY, GradTerm::Outer(d, lag));
             }
         }
+        grads.flush();
     }
 }
 

@@ -159,6 +159,41 @@ impl PathSequence {
     }
 }
 
+/// One inference sweep over `items` on the pool (`threads`, `0` = auto):
+/// the items are split into one contiguous run per participant (one run
+/// inside a pool worker, where the fan-out is serial), and each run maps
+/// its items in order through `f(tape, index, item, out)` on one reused
+/// tape `P`, pushing into one buffer sized up front to the sum of `count`
+/// over the run. Returns each run's outputs; their concatenation is in
+/// item order whatever the thread count, and the allocations grow with the
+/// number of runs, not of items.
+pub fn sweep<I, P, R>(
+    threads: usize,
+    items: &[I],
+    count: impl Fn(&I) -> usize + Sync,
+    f: impl Fn(&mut P, usize, &I, &mut Vec<R>) + Sync,
+) -> Vec<Vec<R>>
+where
+    I: Sync,
+    P: Default,
+    R: Send,
+{
+    let participants = if rm_runtime::in_worker() {
+        1
+    } else {
+        rm_runtime::resolve_threads(threads)
+    };
+    let run_len = items.len().div_ceil(participants.max(1));
+    rm_runtime::par_chunks(threads, items, run_len, |k, run| {
+        let mut tape = P::default();
+        let mut out = Vec::with_capacity(run.iter().map(&count).sum());
+        for (offset, item) in run.iter().enumerate() {
+            f(&mut tape, k * run_len + offset, item, &mut out);
+        }
+        out
+    })
+}
+
 /// Builds the normalised, MNAR-filled, fixed-length sequences for every survey
 /// path of the radio map. Paths longer than `max_len` are sliced into
 /// consecutive chunks (the paper slices to `T = 5`); single-record chunks are

@@ -145,6 +145,21 @@ pub struct SsganTape<T: Scalar = f64> {
     d_hidden: Vec<T>,
     target: Vec<T>,
     ones: Vec<T>,
+    /// The addresses of the generator and sequence the last discriminator
+    /// phase sampled, until a generator phase reads that sample.
+    sampled: Option<(usize, usize)>,
+}
+
+/// The identity of one generator sample: the weights' and the sequence's
+/// addresses.
+fn sample_key<T: Scalar>(
+    generator: &RecurrentImputerWeights<T>,
+    seq: &PathSequence,
+) -> (usize, usize) {
+    (
+        std::ptr::from_ref(generator) as usize,
+        std::ptr::from_ref(seq) as usize,
+    )
 }
 
 impl<T: Scalar> SsganTape<T> {
@@ -154,7 +169,9 @@ impl<T: Scalar> SsganTape<T> {
     }
 
     /// The discriminator phase on one sequence: samples the generator's
-    /// complements (its RITS forward), evaluates the discriminator's loss —
+    /// complements (its RITS forward, which the next generator phase on the
+    /// same generator and sequence reads too), evaluates the
+    /// discriminator's loss —
     /// per step the MSE of its prediction against the observation mask,
     /// summed and scaled by `1/T` — and adds its gradient into `grads`
     /// (shaped like the discriminator's tensors), returning the loss.
@@ -166,6 +183,7 @@ impl<T: Scalar> SsganTape<T> {
         grads: &mut Gradients<T>,
     ) -> T {
         generator.forward(seq, true, &mut self.generator);
+        self.sampled = Some(sample_key(generator, seq));
         self.record(discriminator);
         let (len, a) = (seq.len(), aps(generator));
         self.ones.clear();
@@ -179,6 +197,7 @@ impl<T: Scalar> SsganTape<T> {
             total += masked_mse(out, &self.target, &self.ones, scale, &mut self.d_out, None);
             self.discriminator_backward(discriminator, t, Some(grads), false);
         }
+        grads.flush();
         total * scale
     }
 
@@ -188,6 +207,13 @@ impl<T: Scalar> SsganTape<T> {
     /// prediction on its complement against "observed" over the missing
     /// entries, summed and scaled by `1/T` — and adds its gradient into
     /// `grads` (shaped like the generator's tensors), returning the loss.
+    ///
+    /// Right after a discriminator phase on this tape for the same
+    /// `generator` and `seq` (the same references), it reads that phase's
+    /// sample instead of running the generator's forward again, so neither
+    /// may change in between. The trainer's alternation keeps that: only
+    /// the generator phase's own Adam step changes the generator. The
+    /// discriminator's record is redone, since its Adam step ran.
     pub fn generator_gradient(
         &mut self,
         generator: &RecurrentImputerWeights<T>,
@@ -196,7 +222,9 @@ impl<T: Scalar> SsganTape<T> {
         adversarial_weight: T,
         grads: &mut Gradients<T>,
     ) -> T {
-        generator.forward(seq, true, &mut self.generator);
+        if self.sampled.take() != Some(sample_key(generator, seq)) {
+            generator.forward(seq, true, &mut self.generator);
+        }
         self.record(discriminator);
         let (len, a) = (seq.len(), aps(generator));
         zeroed(&mut self.d_estimates, len * a);
@@ -244,7 +272,7 @@ impl<T: Scalar> SsganTape<T> {
             &mut self.d_estimates,
             &mut self.d_complements,
             &mut self.d_latents,
-            grads.tensors_mut(),
+            grads,
         );
         total * scale
     }

@@ -16,7 +16,7 @@
 //! bidirectional imputers; SSGAN runs it twice per chunk, once per player.
 
 use rm_tensor::recurrent::GradTerm;
-use rm_tensor::{AdamStep, Matrix, Scalar};
+use rm_tensor::{AdamStep, Matrix, OuterPanel, Scalar};
 
 /// Weights the trainer updates: plain matrices in a fixed order, which
 /// their [`Gradients`] follow.
@@ -30,24 +30,34 @@ pub trait Parameters<T: Scalar = f64> {
 
 /// Gradient buffers shaped like one direction's parameter tensors, in
 /// [`Parameters::tensors`] order.
+///
+/// A weight's rank-1 terms ([`GradTerm::Outer`]) are queued in the
+/// tensor's [`OuterPanel`] and applied together by [`Gradients::flush`],
+/// which a backward calls before it returns. Each weight receives its terms
+/// from one call site, in the order it would have added them, and nothing
+/// reads it before the flush, so every entry sums its terms in the same
+/// order as adding each at once would.
 pub struct Gradients<T: Scalar = f64> {
     tensors: Vec<Matrix<T>>,
+    /// One panel per tensor: the weight terms not yet applied.
+    panels: Vec<OuterPanel<T>>,
 }
 
 impl<T: Scalar> Gradients<T> {
     /// Zeroed buffers shaped like `weights`' tensors.
     pub fn zeros_like(weights: &impl Parameters<T>) -> Self {
-        Self {
-            tensors: weights
-                .tensors()
-                .into_iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect(),
-        }
+        let tensors: Vec<Matrix<T>> = weights
+            .tensors()
+            .into_iter()
+            .map(|m| Matrix::zeros(m.rows(), m.cols()))
+            .collect();
+        let panels = tensors.iter().map(|_| OuterPanel::new()).collect();
+        Self { tensors, panels }
     }
 
     /// Zeroes every buffer in place.
     pub fn clear(&mut self) {
+        self.assert_flushed();
         for m in &mut self.tensors {
             m.data_mut().fill(T::ZERO);
         }
@@ -55,25 +65,46 @@ impl<T: Scalar> Gradients<T> {
 
     /// The gradient tensors.
     pub fn tensors(&self) -> &[Matrix<T>] {
+        self.assert_flushed();
         &self.tensors
     }
 
-    /// The gradient tensors, mutably.
-    pub fn tensors_mut(&mut self) -> &mut [Matrix<T>] {
-        &mut self.tensors
+    /// Adds `term` into tensor `index`; a weight's rank-1 term waits in its
+    /// panel until [`Gradients::flush`].
+    pub fn add(&mut self, index: usize, term: GradTerm<'_, T>) {
+        match term {
+            GradTerm::Outer(u, v) => self.panels[index].push(u, v),
+            term => {
+                assert!(
+                    self.panels[index].is_empty(),
+                    "tensor {index} takes a direct term while rank-1 terms are pending"
+                );
+                term.add_to_slice(self.tensors[index].data_mut());
+            }
+        }
     }
 
-    /// Adds `term` into tensor `index`.
-    pub fn add(&mut self, index: usize, term: GradTerm<'_, T>) {
-        term.add_to(&mut self.tensors[index]);
+    /// Applies every pending rank-1 term, tensor by tensor.
+    pub fn flush(&mut self) {
+        for (panel, m) in self.panels.iter_mut().zip(&mut self.tensors) {
+            panel.flush(m);
+        }
     }
 
     /// Adds `other`'s gradients into these (`axpy` with `α = 1`): one
     /// pair's share of a multi-pair batch.
     pub fn accumulate(&mut self, other: &Self) {
-        for (sum, g) in self.tensors.iter_mut().zip(&other.tensors) {
+        for (sum, g) in self.tensors.iter_mut().zip(other.tensors()) {
             sum.axpy(T::ONE, g);
         }
+    }
+
+    /// Every reader sees applied gradients only.
+    fn assert_flushed(&self) {
+        assert!(
+            self.panels.iter().all(OuterPanel::is_empty),
+            "gradients read with rank-1 terms pending"
+        );
     }
 }
 

@@ -12,6 +12,8 @@
 //!   dispatch to explicit-width AVX2 intrinsics ([`simd`]) when the CPU has
 //!   them and fall back to the bitwise-identical scalar reference otherwise
 //!   (`RM_SIMD=0` forces the reference),
+//! * [`OuterPanel`] — the rank-1 weight-gradient terms one tensor receives
+//!   during a backward, applied in one register-blocked pass ([`panel`]),
 //! * [`recurrent`] — the forward and backward math of one LSTM step and one
 //!   attention step on plain slices, which the training tapes call step by
 //!   step,
@@ -41,11 +43,13 @@
 
 pub mod export;
 pub mod matrix;
+pub mod panel;
 pub mod recurrent;
 pub mod scalar;
 pub mod simd;
 
 pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use matrix::{Matrix, MATMUL_BLOCK};
+pub use panel::{panel_kernel_name, OuterPanel};
 pub use scalar::{Precision, Scalar};
 pub use simd::{adam_kernel_name, simd_enabled, simd_kernel_name, AdamStep};

@@ -22,8 +22,9 @@ use crate::Scalar;
 pub const MATMUL_BLOCK: usize = 64;
 
 /// The scalar reference formulation of the `y[j] += a * x[j]` row kernel
-/// shared by [`Matrix::matmul_into`], [`Matrix::matmul_at_b`],
-/// [`Matrix::add_outer`] and [`Matrix::axpy`].
+/// shared by [`Matrix::matmul_into`], [`Matrix::matmul_at_b`] and
+/// [`Matrix::axpy`], and the row update of the panel pass's reference
+/// ([`crate::panel`]).
 ///
 /// Those consumers resolve [`crate::simd::kernel`] **once per call** and run
 /// their whole loop either against this reference or inside a
@@ -220,17 +221,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Creates a row vector from a slice.
-    pub fn row_vector(values: &[T]) -> Self {
-        let mut data = Vec::with_capacity(values.len());
-        data.extend_from_slice(values);
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data,
-        }
-    }
-
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         Self::from_fn(n, n, |r, c| if r == c { T::ONE } else { T::ZERO })
@@ -306,11 +296,6 @@ impl<T: Scalar> Matrix<T> {
     /// A view of row `r` as a slice.
     pub fn row(&self, r: usize) -> &[T] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> Vec<T> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
     /// Rounds every entry to another [`Scalar`] precision. `f64 → f32` is the
@@ -718,10 +703,12 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// In-place rank-1 update `self += u · vᵀ` (`u.len() == rows`,
-    /// `v.len() == cols`): row `i` gets one [`crate::simd`]-dispatched axpy
-    /// `self[i, :] += u[i] · v`, skipped when `u[i]` is an exact zero. This is
-    /// the left-operand gradient `dW += g · xᵀ` of a matmul against a column
-    /// `x`, written straight into the gradient buffer.
+    /// `v.len() == cols`): the one-term case of an
+    /// [`OuterPanel`](crate::OuterPanel) flush, so row `i` gets
+    /// `self[i, :] += u[i] · v` with one multiply and one add per entry,
+    /// skipped when `u[i]` is an exact zero. This is the left-operand
+    /// gradient `dW += g · xᵀ` of a matmul against a column `x`, written
+    /// straight into the gradient buffer.
     ///
     /// It is bit-identical, on finite inputs, to building the outer product
     /// with [`Matrix::matmul_into`] (`g` as an `m × 1` matrix times `xᵀ`)
@@ -735,7 +722,6 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Panics
     /// Panics if the lengths do not match the shape.
-    #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
     pub fn add_outer(&mut self, u: &[T], v: &[T]) {
         assert_eq!(
             (u.len(), v.len()),
@@ -746,40 +732,7 @@ impl<T: Scalar> Matrix<T> {
             u.len(),
             v.len()
         );
-        if self.cols < crate::simd::SIMD_MIN_COLS {
-            // Same narrow-row reasoning as `matmul_into`.
-            return self.add_outer_body(u, v, axpy_row_scalar::<T>);
-        }
-        match crate::simd::kernel() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
-            // detection succeeded on this CPU.
-            crate::simd::Kernel::Avx2 => unsafe { self.add_outer_avx2(u, v) },
-            _ => self.add_outer_body(u, v, axpy_row_scalar::<T>),
-        }
-    }
-
-    /// The row loop of [`Matrix::add_outer`], generic over the row kernel.
-    #[inline(always)]
-    fn add_outer_body(&mut self, u: &[T], v: &[T], axpy: impl Fn(T, &[T], &mut [T])) {
-        let n = self.cols;
-        for (i, &ui) in u.iter().enumerate() {
-            if ui != T::ZERO {
-                axpy(ui, v, &mut self.data[i * n..(i + 1) * n]);
-            }
-        }
-    }
-
-    /// [`Matrix::add_outer_body`] compiled in an AVX2 context.
-    // SAFETY: `unsafe fn` contract is runtime AVX2 availability, upheld by
-    // the `Kernel::Avx2` dispatch arm; the row kernel stays within the
-    // equal-length row slices it is handed.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    unsafe fn add_outer_avx2(&mut self, u: &[T], v: &[T]) {
-        // SAFETY: forwards this fn's own AVX2 contract to the row kernel.
-        self.add_outer_body(u, v, |a, x, y| unsafe { T::axpy_row_avx2(a, x, y) });
+        crate::panel::add_outer_terms(&mut self.data, self.rows, self.cols, u, v);
     }
 
     /// Adds the column vector `col` (shape `(rows, 1)`) to every column of
@@ -902,29 +855,6 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
-    /// Horizontally stacks `self` to the left of `other`.
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn hstack(&self, other: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        Matrix::from_fn(self.rows, self.cols + other.cols, |r, c| {
-            if c < self.cols {
-                self.get(r, c)
-            } else {
-                other.get(r, c - self.cols)
-            }
-        })
-    }
-
-    /// Extracts rows `[start, start + count)` into a new matrix.
-    pub fn slice_rows(&self, start: usize, count: usize) -> Matrix<T> {
-        assert!(start + count <= self.rows, "slice_rows out of range");
-        let mut data = Vec::with_capacity(count * self.cols);
-        data.extend_from_slice(&self.data[start * self.cols..(start + count) * self.cols]);
-        Matrix::from_vec(count, self.cols, data)
-    }
-
     /// Returns `true` if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -1010,7 +940,6 @@ mod tests {
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
         assert_eq!(m[(0, 2)], 3.0);
     }
 
@@ -1156,21 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn stacking_and_slicing() {
-        let v = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(v.row(2), &[5.0, 6.0]);
-        let sliced = v.slice_rows(1, 2);
-        assert!(sliced.approx_eq(&b, 1e-12));
-
-        let c = Matrix::column(&[1.0, 2.0]);
-        let d = Matrix::column(&[3.0, 4.0]);
-        let h = c.hstack(&d);
-        assert_eq!(h.shape(), (2, 2));
-        assert_eq!(h.get(1, 1), 4.0);
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = Matrix::ones(2, 2);
         let b = Matrix::filled(2, 2, 3.0);
@@ -1211,8 +1125,7 @@ mod tests {
     fn column_and_row_vectors() {
         let c = Matrix::column(&[1.0, 2.0, 3.0]);
         assert_eq!(c.shape(), (3, 1));
-        let r = Matrix::row_vector(&[1.0, 2.0, 3.0]);
-        assert_eq!(r.shape(), (1, 3));
+        let r = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         assert!(c.transpose().approx_eq(&r, 1e-12));
     }
 

@@ -33,8 +33,10 @@ pub enum GradTerm<'a, T: Scalar> {
     /// `d[j] += +0.0 + v[j]`: the row sums of a one-column gradient, the
     /// term of a bias.
     Bias(&'a [T]),
-    /// `d += u·vᵀ` through [`Matrix::add_outer`]: the term of a weight
-    /// against a column input.
+    /// `d += u·vᵀ`: the term of a weight against a column input. A
+    /// training tape queues it in the weight's [`crate::OuterPanel`];
+    /// [`GradTerm::add_to`] applies it at once through
+    /// [`Matrix::add_outer`].
     Outer(&'a [T], &'a [T]),
     /// `d[j] += v[j]`, through `axpy` with `α = 1`: a materialised term.
     Add(&'a [T]),

@@ -146,6 +146,14 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn matvec_avx2(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]);
 
+    /// `d += Σ_t u_t·v_tᵀ` over term-major factors — the dispatch point of
+    /// [`OuterPanel::flush`](crate::panel::OuterPanel::flush) and
+    /// [`Matrix::add_outer`](crate::Matrix::add_outer). `f64` runs the
+    /// panel leg the host supports (bit-identical to the reference); `f32`
+    /// runs the reference. Not part of the stable API.
+    #[doc(hidden)]
+    fn outer_terms(d: &mut [Self], rows: usize, cols: usize, us: &[Self], vs: &[Self]);
+
     /// One Adam update of a parameter tensor's flat slices — the dispatch
     /// point of [`AdamStep::update`](crate::simd::AdamStep::update). `f64`
     /// runs the explicit-width kernel the host supports (bit-identical to
@@ -164,7 +172,7 @@ pub trait Scalar:
 macro_rules! impl_scalar {
     (
         $t:ty, $name:literal, $axpy_avx2:path, $axpy4_avx2:path,
-        $matvec_avx2:path, $adam_update:path
+        $matvec_avx2:path, $outer_terms:path, $adam_update:path
     ) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
@@ -255,6 +263,11 @@ macro_rules! impl_scalar {
             }
 
             #[inline]
+            fn outer_terms(d: &mut [Self], rows: usize, cols: usize, us: &[Self], vs: &[Self]) {
+                $outer_terms(d, rows, cols, us, vs)
+            }
+
+            #[inline]
             fn adam_update(
                 step: &crate::simd::AdamStep<Self>,
                 w: &mut [Self],
@@ -274,6 +287,7 @@ impl_scalar!(
     crate::simd::axpy_row_f64_avx2,
     crate::simd::axpy_row4_f64_avx2,
     crate::simd::matvec_f64_avx2,
+    crate::panel::outer_terms_f64,
     crate::simd::adam_update_f64
 );
 impl_scalar!(
@@ -282,6 +296,7 @@ impl_scalar!(
     crate::simd::axpy_row_f32_avx2,
     crate::simd::axpy_row4_f32_avx2,
     crate::simd::matvec_f32_avx2,
+    crate::panel::outer_terms_reference,
     crate::simd::AdamStep::update_reference
 );
 

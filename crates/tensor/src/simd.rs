@@ -32,11 +32,11 @@
 //!   products in blocks of 16, 4 and 1 rows.
 //! * `matmul_at_b` runs one dispatched axpy per row of the left operand over
 //!   the whole output.
-//! * The rank-1 weight gradient `dW += g·xᵀ` (`Matrix::add_outer`) runs
-//!   one dispatched axpy per gradient row.
 //!
-//! All three keep one multiply and one add per term in the reference order,
-//! so the contract below covers them unchanged.
+//! Both keep one multiply and one add per term in the reference order, so
+//! the contract below covers them unchanged. The rank-1 weight gradients
+//! `dW += Σ_t g_t·x_tᵀ` have their own pass under the same contract
+//! ([`crate::panel`]).
 //!
 //! One contract for every kernel: **bit-compat**. The AVX2 kernels perform
 //! exactly one multiply and one add per element, in index order, on
@@ -84,7 +84,7 @@ pub fn simd_enabled() -> bool {
 
 /// Runtime AVX2 support, detected once per process.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
 }
@@ -728,7 +728,7 @@ impl AdamLeg {
 
 /// Runtime AVX-512F support, detected once per process.
 #[cfg(target_arch = "x86_64")]
-fn avx512f_available() -> bool {
+pub(crate) fn avx512f_available() -> bool {
     static AVX512F: OnceLock<bool> = OnceLock::new();
     *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
 }

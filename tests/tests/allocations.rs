@@ -9,20 +9,26 @@
 //!   its Adam updates (SSGAN's covers both phases: the discriminator's,
 //!   then the generator's).
 //!
-//! The tapes own their records and scratch, and the gradients and Adam
-//! moments are plain matrices, so every one of them allocates nothing. Run
-//! it directly to see the numbers:
+//! The tapes own their records and scratch, and the gradients (with their
+//! rank-1 panels) and Adam moments are plain matrices, so every one of them
+//! allocates nothing. It also drives the inference sweeps of BiSIM
+//! (`infer_pairs`) and of BRITS and SSGAN (`mar_values`) over two numbers
+//! of sequence pairs: each run of a sweep reuses its tapes and sizes its
+//! output once, so a sweep allocates as often over many pairs as over few.
+//! Run it directly to see the numbers:
 //!
 //! ```text
 //! cargo test -p rm-integration-tests --test allocations -- --nocapture
 //! ```
 
+use radiomap_core::prelude::{EntryKind, MaskMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rm_bisim::{AttentionMode, BisimDirectionWeights, PairTape, TimeLagMode};
+use rm_bisim::{infer_pairs, AttentionMode, BisimDirectionWeights, PairTape, TimeLagMode};
+use rm_imputers::brits::mar_values;
 use rm_imputers::{
-    Adam, BritsTape, Gradients, Parameters, PathSequence, RecurrentImputerWeights, RitsTape,
-    SsganTape,
+    Adam, BritsTape, Gradients, Normalization, Parameters, PathSequence, RecurrentImputerWeights,
+    RitsTape, SsganTape,
 };
 use rm_nn::MlpWeights;
 use rm_runtime::alloc_counter::CountingAlloc;
@@ -61,6 +67,45 @@ fn path_sequence(len: usize, aps: usize, salt: usize) -> PathSequence {
         rps: (0..len).map(|t| (value(t), value(t + 9))).collect(),
         rp_masks: (0..len).map(|t| f64::from(t != 2)).collect(),
     }
+}
+
+/// `pairs` forward and reversed sequences of `len` steps over `aps` APs,
+/// pair `k` on records `k·len..(k + 1)·len`, with a mask over those records
+/// that marks every fifth entry MAR and every third record's RP missing.
+fn inference_set(
+    pairs: usize,
+    len: usize,
+    aps: usize,
+) -> (Vec<PathSequence>, Vec<PathSequence>, MaskMatrix, Vec<bool>) {
+    let on_records = |k: usize, mut seq: PathSequence| {
+        seq.record_indices = (k * len..(k + 1) * len).collect();
+        seq
+    };
+    let seqs = (0..pairs)
+        .map(|k| on_records(k, path_sequence(len, aps, 2 * k + 1)))
+        .collect();
+    let revs = (0..pairs)
+        .map(|k| on_records(k, path_sequence(len, aps, 2 * k + 2)))
+        .collect();
+    let mut mask = MaskMatrix::all_observed(pairs * len, aps);
+    for record in 0..pairs * len {
+        for ap in (record % 5..aps).step_by(5) {
+            mask.set(record, ap, EntryKind::Mar);
+        }
+    }
+    let missing_rp = (0..pairs * len).map(|r| r % 3 == 1).collect();
+    (seqs, revs, mask, missing_rp)
+}
+
+/// Allocations of one sweep of `f`, after a first sweep; `f` returns how
+/// many values it produced.
+fn sweep_allocations(mut f: impl FnMut() -> usize) -> u64 {
+    let warm = f();
+    let before = ALLOC.allocations();
+    let values = f();
+    let allocs = ALLOC.allocations() - before;
+    assert!(values > 0 && values == warm);
+    allocs
 }
 
 /// One set of weights in training: the weights, their gradients and their
@@ -172,10 +217,41 @@ fn steady_state_hot_loops_allocate_near_zero() {
         disc_loss + gen_loss
     });
 
+    // ---- The inference sweeps, over 4 and then 16 pairs ----
+    let norm = Normalization {
+        x_offset: 0.0,
+        y_offset: 0.0,
+        location_scale: 10.0,
+        time_scale: 1.0,
+    };
+    let (fw, bw) = (&bisim[0].weights, &bisim[1].weights);
+    let (gf, gb) = (&brits[0].weights, &brits[1].weights);
+    let inference = [4, 16].map(|pairs| {
+        let (seqs, revs, mask, missing_rp) = inference_set(pairs, len, aps);
+        let pair_refs: Vec<_> = seqs.iter().zip(&revs).collect();
+        let bisim = sweep_allocations(|| {
+            let runs = infer_pairs(fw, bw, &pair_refs, &mask, &norm, &missing_rp, 1);
+            runs.iter().map(Vec::len).sum()
+        });
+        let directions = [(gf, &seqs[..]), (gb, &revs[..])];
+        let brits = sweep_allocations(|| {
+            let runs = mar_values(&directions, &mask, &norm, 1);
+            runs.iter().map(Vec::len).sum()
+        });
+        (bisim, brits)
+    });
+
     eprintln!(
         "[alloc-harness] over {MEASURED} warm calls: RITS sweep {sweep_allocs} allocs; \
          BiSIM tape step {bisim_allocs}; BRITS tape step {brits_allocs}; \
-         SSGAN tape step (both phases) {ssgan_allocs}"
+         SSGAN tape step (both phases) {ssgan_allocs}; per inference sweep over 4 / 16 \
+         pairs: BiSIM {} / {}, BRITS {} / {}",
+        inference[0].0, inference[1].0, inference[0].1, inference[1].1
+    );
+    let [few, many] = inference;
+    assert_eq!(
+        few, many,
+        "an inference sweep's allocations grew with its pairs (BiSIM, BRITS)"
     );
 
     // The tapes own every buffer they touch, so they allocate nothing once
