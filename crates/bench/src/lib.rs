@@ -80,10 +80,10 @@ pub fn index_only() -> bool {
 }
 
 /// The training mini-batch size used by the experiment harness: the
-/// process-cached `RM_BATCH` resolution of the recurrent imputers
+/// process-cached `RM_BATCH` resolution of the sequence imputers
 /// (default 1).
 pub fn experiment_batch_size() -> usize {
-    rm_imputers::brits::default_batch_size()
+    rm_imputers::driver::default_batch_size()
 }
 
 /// Builds the dataset for a venue preset at the harness scale.

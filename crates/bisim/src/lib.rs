@@ -32,10 +32,8 @@ pub use tape::{DirectionGrads, DirectionTape, PairTape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_geometry::Point;
-use rm_imputers::brits::{default_batch_size, default_epochs};
-use rm_imputers::{
-    build_sequences, train_pairs, ImputedRadioMap, Imputer, Normalization, PathSequence, Training,
-};
+use rm_imputers::driver::{self, default_batch_size, default_epochs, Inputs, SequenceModel};
+use rm_imputers::{train_pairs, ImputedRadioMap, Imputer, Normalization, PathSequence, Training};
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
 use rm_tensor::{NamedTensor, Precision, Scalar};
 
@@ -174,50 +172,60 @@ pub fn infer_pairs<T: Scalar>(
     )
 }
 
-impl Bisim {
-    /// The pass-through baseline BiSIM starts from: MNAR-filled dense
-    /// fingerprints and the records' own RPs (BiSIM imputes the missing ones
-    /// itself, unlike the interpolating baselines).
-    fn passthrough(map: &RadioMap) -> (Vec<Vec<f64>>, Vec<Option<rm_geometry::Point>>) {
-        (
-            map.records()
-                .iter()
-                .map(|r| r.fingerprint.to_dense(MNAR_FILL_VALUE))
-                .collect(),
-            map.records().iter().map(|r| r.rp).collect(),
-        )
+/// BiSIM in the shared driver: a forward and a backward direction, exported
+/// under `bisim.{forward, backward}.*`.
+impl SequenceModel for Bisim {
+    type Weights = [BisimDirectionWeights; 2];
+
+    fn sequence_length(&self) -> usize {
+        self.config.sequence_length
     }
 
-    /// Draws both freshly initialised directions from `rng`, forward first.
-    fn new_directions(&self, num_aps: usize, rng: &mut StdRng) -> [BisimDirectionWeights; 2] {
-        let mut direction = || {
-            BisimDirectionWeights::new(
-                num_aps,
-                self.config.hidden_size,
-                self.config.attention,
-                self.config.time_lag,
-                rng,
-            )
-        };
+    fn epochs(&self) -> usize {
+        self.config.epochs
+    }
+
+    /// The forward direction, then the backward one.
+    fn fresh(&self, num_aps: usize) -> Self::Weights {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let (hidden, attention, time_lag) = (
+            self.config.hidden_size,
+            self.config.attention,
+            self.config.time_lag,
+        );
+        let mut direction =
+            || BisimDirectionWeights::new(num_aps, hidden, attention, time_lag, &mut rng);
         [direction(), direction()]
     }
 
-    /// Trains both directions jointly for `epochs` epochs (Section IV-D) on
-    /// the training tape, through the trainer BRITS shares
-    /// ([`rm_imputers::train_pairs`]).
-    fn train(
-        &self,
-        weights: &mut [BisimDirectionWeights; 2],
-        sequences: &[PathSequence],
-        reversed: &[PathSequence],
-        epochs: usize,
-    ) {
+    fn import(&self, warm: &[NamedTensor], num_aps: usize) -> Option<Self::Weights> {
+        let (attention, time_lag) = (self.config.attention, self.config.time_lag);
+        let direction =
+            |prefix| BisimDirectionWeights::import(prefix, warm, num_aps, attention, time_lag);
+        Some([direction("bisim.forward")?, direction("bisim.backward")?])
+    }
+
+    fn export(&self, [forward, backward]: &Self::Weights) -> Vec<NamedTensor> {
+        let mut tensors = Vec::new();
+        forward.export("bisim.forward", self.config.precision, &mut tensors);
+        backward.export("bisim.backward", self.config.precision, &mut tensors);
+        tensors
+    }
+
+    fn reverse(&self, sequences: &[PathSequence], norm: &Normalization) -> Vec<PathSequence> {
+        sequences.iter().map(|s| s.reversed(norm)).collect()
+    }
+
+    /// Both directions jointly (Section IV-D) on the training tape, through
+    /// the trainer BRITS shares ([`rm_imputers::train_pairs`]).
+    fn train(&self, weights: &mut Self::Weights, inputs: &Inputs, epochs: usize) {
         let training = Training {
             learning_rate: self.config.learning_rate,
             epochs,
             batch_size: self.config.batch_size,
             threads: self.config.threads,
         };
+        let (sequences, reversed) = (&inputs.sequences, &inputs.reversed);
         train_pairs(
             weights,
             sequences.len(),
@@ -229,52 +237,32 @@ impl Bisim {
     }
 
     /// The imputation tail (Eq. 13): average the two directions at MARs and
-    /// missing RPs, optionally exporting the trained weights as named
-    /// tensors first. The weights are rounded once to f32 when the config
-    /// asks — the export happens at that same resident precision — and
-    /// every `(sequence, reversed)` pair fans out over the pool. The f64
-    /// forward performs the graph pass's operations in order, so this is
-    /// bit-identical to serial live-graph inference (pinned by the
+    /// missing RPs. The weights are rounded once to f32 when the config
+    /// asks, and every `(sequence, reversed)` pair fans out over the pool.
+    /// The f64 forward performs the graph pass's operations in order, so
+    /// this is bit-identical to serial live-graph inference (pinned by the
     /// serial-trajectory test below). Each task writes values for its own
     /// records; RP updates are merged in pair order, first writer wins,
     /// matching the serial `is_none` check.
-    fn infer_and_export(
+    fn infer(
         &self,
-        [forward_weights, backward_weights]: &[BisimDirectionWeights; 2],
-        sequences: &[PathSequence],
-        reversed: &[PathSequence],
+        [forward, backward]: &Self::Weights,
+        inputs: &Inputs,
         map: &RadioMap,
         mask: &MaskMatrix,
-        norm: &Normalization,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let (mut fingerprints, mut locations) = Self::passthrough(map);
-        let mut tensors = Vec::new();
-        if export_snapshot {
-            for (prefix, weights) in [
-                ("bisim.forward", forward_weights),
-                ("bisim.backward", backward_weights),
-            ] {
-                weights.export(prefix, self.config.precision, &mut tensors);
-            }
-        }
+    ) -> ImputedRadioMap {
+        let mut imputed = Self::passthrough(map);
         let pairs: Vec<(&PathSequence, &PathSequence)> =
-            sequences.iter().zip(reversed.iter()).collect();
-        let missing_rp: Vec<bool> = locations.iter().map(Option::is_none).collect();
-        let threads = self.config.threads;
+            inputs.sequences.iter().zip(&inputs.reversed).collect();
+        let missing_rp: Vec<bool> = imputed.locations.iter().map(Option::is_none).collect();
+        let (norm, threads) = (&inputs.norm, self.config.threads);
         let results = match self.config.precision {
-            Precision::F64 => infer_pairs(
-                forward_weights,
-                backward_weights,
-                &pairs,
-                mask,
-                norm,
-                &missing_rp,
-                threads,
-            ),
+            Precision::F64 => {
+                infer_pairs(forward, backward, &pairs, mask, norm, &missing_rp, threads)
+            }
             Precision::F32 => infer_pairs(
-                &forward_weights.cast::<f32>(),
-                &backward_weights.cast::<f32>(),
+                &forward.cast::<f32>(),
+                &backward.cast::<f32>(),
                 &pairs,
                 mask,
                 norm,
@@ -284,114 +272,33 @@ impl Bisim {
         };
         for update in results.into_iter().flatten() {
             match update {
-                Update::Rssi(record, ap, value) => fingerprints[record][ap] = value,
+                Update::Rssi(record, ap, value) => imputed.fingerprints[record][ap] = value,
                 Update::Rp(record, point) => {
-                    if locations[record].is_none() {
-                        locations[record] = Some(point);
-                    }
+                    imputed.locations[record].get_or_insert(point);
                 }
             }
         }
-        (
-            ImputedRadioMap {
-                fingerprints,
-                locations,
-            },
-            tensors,
-        )
+        imputed
     }
 
-    /// Cold path: train both directions from scratch, then impute (and
-    /// optionally export the snapshot).
-    fn impute_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() || num_aps == 0 {
-            let (fingerprints, locations) = Self::passthrough(map);
-            return (
-                ImputedRadioMap {
-                    fingerprints,
-                    locations,
-                },
-                Vec::new(),
-            );
+    /// MNAR-filled dense fingerprints and the records' own RPs (BiSIM
+    /// imputes the missing ones itself, unlike the interpolating
+    /// baselines).
+    fn passthrough(map: &RadioMap) -> ImputedRadioMap {
+        ImputedRadioMap {
+            fingerprints: map
+                .records()
+                .iter()
+                .map(|r| r.fingerprint.to_dense(MNAR_FILL_VALUE))
+                .collect(),
+            locations: map.records().iter().map(|r| r.rp).collect(),
         }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut weights = self.new_directions(num_aps, &mut rng);
-        let reversed: Vec<PathSequence> = sequences.iter().map(|s| s.reversed(&norm)).collect();
-        self.train(&mut weights, &sequences, &reversed, self.config.epochs);
-        self.infer_and_export(
-            &weights,
-            &sequences,
-            &reversed,
-            map,
-            mask,
-            &norm,
-            export_snapshot,
-        )
-    }
-
-    /// Decodes both directions from a `bisim.{forward, backward}.*` snapshot,
-    /// or `None` when either is missing or shaped for a different map.
-    fn import_directions(
-        &self,
-        warm: &[NamedTensor],
-        num_aps: usize,
-    ) -> Option<[BisimDirectionWeights; 2]> {
-        let forward = BisimDirectionWeights::import(
-            "bisim.forward",
-            warm,
-            num_aps,
-            self.config.attention,
-            self.config.time_lag,
-        )?;
-        let backward = BisimDirectionWeights::import(
-            "bisim.backward",
-            warm,
-            num_aps,
-            self.config.attention,
-            self.config.time_lag,
-        )?;
-        Some([forward, backward])
-    }
-
-    /// Warm path: `None` sends the caller back to cold training. With
-    /// `fine_tune_epochs = 0` the imported weights impute directly —
-    /// bit-identical to the exporting run on an unchanged map (the import
-    /// widens losslessly and inference re-applies the identical one-time
-    /// rounding). Otherwise the imported weights resume mini-batch training
-    /// with a fresh optimizer before imputing.
-    fn impute_warm_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        warm: &[NamedTensor],
-        fine_tune_epochs: usize,
-    ) -> Option<(ImputedRadioMap, Vec<NamedTensor>)> {
-        let num_aps = map.num_aps();
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() || num_aps == 0 {
-            return None;
-        }
-        let mut weights = self.import_directions(warm, num_aps)?;
-        let reversed: Vec<PathSequence> = sequences.iter().map(|s| s.reversed(&norm)).collect();
-        if fine_tune_epochs > 0 {
-            self.train(&mut weights, &sequences, &reversed, fine_tune_epochs);
-        }
-        Some(self.infer_and_export(&weights, &sequences, &reversed, map, mask, &norm, true))
     }
 }
 
 impl Imputer for Bisim {
     fn impute(&self, map: &RadioMap, mask: &MaskMatrix) -> ImputedRadioMap {
-        self.impute_inner(map, mask, false).0
+        self.impute_with_snapshot(map, mask).0
     }
 
     fn impute_with_snapshot(
@@ -399,7 +306,7 @@ impl Imputer for Bisim {
         map: &RadioMap,
         mask: &MaskMatrix,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        self.impute_inner(map, mask, true)
+        driver::run(self, map, mask, None)
     }
 
     fn impute_warm(
@@ -409,10 +316,7 @@ impl Imputer for Bisim {
         warm: &[NamedTensor],
         fine_tune_epochs: usize,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        match self.impute_warm_inner(map, mask, warm, fine_tune_epochs) {
-            Some(out) => out,
-            None => self.impute_with_snapshot(map, mask),
-        }
+        driver::run(self, map, mask, Some((warm, fine_tune_epochs)))
     }
 
     fn name(&self) -> &'static str {
@@ -426,6 +330,7 @@ mod tests {
     use crate::graph::{sequence_loss, BisimDirection};
     use rm_autodiff::Adam;
     use rm_geometry::Point;
+    use rm_imputers::build_sequences;
     use rm_radiomap::{Fingerprint, RadioMapRecord};
     use rm_tensor::Matrix;
 
@@ -460,6 +365,61 @@ mod tests {
             learning_rate: 0.02,
             sequence_length: 6,
             ..BisimConfig::default()
+        }
+    }
+
+    /// Every RSSI and location of an imputed map, as bits.
+    fn bits(map: &ImputedRadioMap) -> (Vec<Vec<u64>>, Vec<Option<[u64; 2]>>) {
+        let rows = map.fingerprints.iter();
+        let point = |p: Point| [p.x.to_bits(), p.y.to_bits()];
+        (
+            rows.map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect(),
+            map.locations.iter().map(|l| l.map(point)).collect(),
+        )
+    }
+
+    /// The shared driver's edges for BiSIM, in the paper's variant and an
+    /// ablation: `impute` is `impute_with_snapshot`'s map bit for bit, and
+    /// on a map with nothing to train on (no record; records without an AP,
+    /// one missing its RP) even a usable snapshot yields the cold
+    /// passthrough and no tensors.
+    #[test]
+    fn driver_edges_hold_for_every_bisim_variant() {
+        let (map, mask) = smooth_map();
+        let records = (0..6)
+            .map(|i| {
+                let rp = (i != 2).then(|| Point::new(i as f64, 0.0));
+                RadioMapRecord::new(Fingerprint::new(Vec::new()), rp, i as f64, 0)
+            })
+            .collect();
+        let idle_maps = [
+            (RadioMap::empty(2), MaskMatrix::all_observed(0, 2)),
+            (RadioMap::new(records, 0), MaskMatrix::all_observed(6, 0)),
+        ];
+        let variants = [
+            (AttentionMode::SparsityFriendly, TimeLagMode::Encoder),
+            (AttentionMode::None, TimeLagMode::Both),
+        ];
+        for (attention, time_lag) in variants {
+            let bisim = Bisim::new(BisimConfig {
+                epochs: 2,
+                attention,
+                time_lag,
+                ..quick_config()
+            });
+            let (cold, tensors) = bisim.impute_with_snapshot(&map, &mask);
+            assert!(!tensors.is_empty());
+            assert_eq!(bits(&bisim.impute(&map, &mask)), bits(&cold));
+            for (idle, idle_mask) in &idle_maps {
+                let (out, exported) = bisim.impute_warm(idle, idle_mask, &tensors, 3);
+                assert!(exported.is_empty());
+                assert_eq!(bits(&out), bits(&Bisim::passthrough(idle)));
+                assert_eq!(out.locations.get(2).copied().flatten(), None);
+                let (cold, exported) = bisim.impute_with_snapshot(idle, idle_mask);
+                assert!(exported.is_empty());
+                assert_eq!(bits(&out), bits(&cold));
+            }
         }
     }
 

@@ -553,58 +553,63 @@ impl ImputationPipeline {
     /// Runs differentiation followed by imputation and returns the imputed map
     /// together with the mask.
     ///
-    /// With an effective shard count above 1 (see [`PipelineConfig::shards`])
-    /// the venue is partitioned by [`VenueShards`] and each shard is
-    /// differentiated and imputed independently — fanned over the
-    /// deterministic pool with a per-shard derived seed — then the per-shard
-    /// results are merged back into global record order. Shard count 1
-    /// reproduces the unsharded path bitwise, and any fixed shard count is
-    /// bit-identical across thread counts.
+    /// Each shard of [`ImputationPipeline::shard`] is differentiated and
+    /// imputed with its shard seed on the deterministic pool, then the masks
+    /// and records are merged back into global record order. One shard is
+    /// the whole map in record order with the venue seed, so it is the
+    /// unsharded pipeline bitwise; a fixed shard count is bit-identical
+    /// across thread counts.
     pub fn impute(&self, map: &RadioMap, topology: &MultiPolygon) -> (ImputedRadioMap, MaskMatrix) {
         let shards = self.shard(map);
-        if shards.num_shards() <= 1 {
-            let mask = self.differentiate(map, topology);
-            let imputer = self
-                .config
-                .imputer
-                .build_with(&self.build_options(self.config.seed));
-            return (imputer.impute(map, &mask), mask);
-        }
-        let parts = shards.split(map);
-        let shard_ids: Vec<usize> = (0..shards.num_shards()).collect();
-        let results = rm_runtime::par_map(self.config.threads, &shard_ids, |_, &shard| {
-            let part = &parts[shard];
-            let seed = self.shard_seed(shards.num_shards(), shard);
-            let mask = self.differentiate_with_seed(part, topology, seed);
-            let imputer = self.config.imputer.build_with(&self.build_options(seed));
-            (imputer.impute(part, &mask), mask)
-        });
-        let masks: Vec<MaskMatrix> = results.iter().map(|(_, m)| m.clone()).collect();
-        let mask = shards.merge_masks(&masks, map.num_aps());
-        let mut fingerprints: Vec<Vec<f64>> = vec![Vec::new(); map.len()];
-        let mut locations: Vec<Option<Point>> = vec![None; map.len()];
-        for (shard, (imputed, _)) in results.into_iter().enumerate() {
-            for (local, &record) in shards.members_of(shard).iter().enumerate() {
-                fingerprints[record] = imputed.fingerprints[local].clone();
-                locations[record] = imputed.locations[local];
+        let n = shards.num_shards();
+        let shard_ids: Vec<usize> = (0..n).collect();
+        let (parts, masks): (Vec<ImputedRadioMap>, Vec<MaskMatrix>) =
+            rm_runtime::par_map(self.config.threads, &shard_ids, |_, &s| {
+                let part = shards.submap(map, s);
+                let (imputed, mask, _) =
+                    self.impute_shard(&part, topology, self.shard_seed(n, s), None);
+                (imputed, mask)
+            })
+            .into_iter()
+            .unzip();
+        let mut imputed = ImputedRadioMap {
+            fingerprints: vec![Vec::new(); map.len()],
+            locations: vec![None; map.len()],
+        };
+        for (members, part) in shards.members().iter().zip(parts) {
+            let records = part.fingerprints.into_iter().zip(part.locations);
+            for (&record, (fingerprint, location)) in members.iter().zip(records) {
+                imputed.fingerprints[record] = fingerprint;
+                imputed.locations[record] = location;
             }
         }
-        (
-            ImputedRadioMap {
-                fingerprints,
-                locations,
-            },
-            mask,
-        )
+        (imputed, shards.merge_masks(&masks, map.num_aps()))
     }
 
-    /// Differentiates and imputes one shard's sub-map with an explicit seed
-    /// and packages it as that shard's [`VenueSnapshot`] — the unit the
-    /// incremental ingest path recomputes and the per-shard registry swaps.
-    /// With `warm = Some((tensors, epochs))` the imputer resumes from a
-    /// previous snapshot's tensors through
+    /// Differentiates and imputes one shard's sub-map with `seed`, cold or,
+    /// with `warm = Some((tensors, epochs))`, through
     /// [`Imputer::impute_warm`](rm_imputers::Imputer::impute_warm) with
-    /// `epochs` of fine-tuning; with `None` it trains from scratch.
+    /// `epochs` of fine-tuning: the per-shard body of
+    /// [`ImputationPipeline::impute`] and [`ImputationPipeline::compute_shard`].
+    fn impute_shard(
+        &self,
+        part: &RadioMap,
+        topology: &MultiPolygon,
+        seed: u64,
+        warm: Option<(&[NamedTensor], usize)>,
+    ) -> (ImputedRadioMap, MaskMatrix, Vec<NamedTensor>) {
+        let mask = self.differentiate_with_seed(part, topology, seed);
+        let imputer = self.config.imputer.build_with(&self.build_options(seed));
+        let (imputed, tensors) = match warm {
+            None => imputer.impute_with_snapshot(part, &mask),
+            Some((previous, epochs)) => imputer.impute_warm(part, &mask, previous, epochs),
+        };
+        (imputed, mask, tensors)
+    }
+
+    /// [`ImputationPipeline::impute_shard`] packaged as the shard's
+    /// [`VenueSnapshot`] — the unit the incremental ingest path recomputes
+    /// and the per-shard registry swaps.
     pub(crate) fn compute_shard(
         &self,
         venue: &str,
@@ -613,12 +618,7 @@ impl ImputationPipeline {
         seed: u64,
         warm: Option<(&[NamedTensor], usize)>,
     ) -> VenueSnapshot {
-        let mask = self.differentiate_with_seed(part, topology, seed);
-        let imputer = self.config.imputer.build_with(&self.build_options(seed));
-        let (imputed, tensors) = match warm {
-            None => imputer.impute_with_snapshot(part, &mask),
-            Some((previous, epochs)) => imputer.impute_warm(part, &mask, previous, epochs),
-        };
+        let (imputed, mask, tensors) = self.impute_shard(part, topology, seed, warm);
         VenueSnapshot {
             venue: venue.to_string(),
             map: imputed.to_dense(part.num_aps()),

@@ -3,20 +3,19 @@
 //! each survey path, and falls back to linear interpolation for missing RPs
 //! (BRITS itself cannot impute labels).
 
-use std::sync::OnceLock;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
 use rm_tensor::{NamedTensor, Precision, Scalar};
 
+use crate::driver::{self, default_batch_size, default_epochs, Inputs, SequenceModel};
 use crate::rits::{
     column, export_recurrent, import_recurrent, masked_mse, zeroed, RecurrentImputerWeights,
     RitsTape, Schedule,
 };
-use crate::sequence::{build_sequences, Normalization, PathSequence};
+use crate::sequence::{Normalization, PathSequence};
 use crate::train::{train_pairs, Gradients, Training};
-use crate::{gates, ImputedRadioMap, Imputer};
+use crate::{ImputedRadioMap, Imputer};
 
 /// Configuration shared by the recurrent imputers.
 #[derive(Debug, Clone)]
@@ -31,11 +30,11 @@ pub struct BritsConfig {
     pub sequence_length: usize,
     /// RNG seed for parameter initialisation.
     pub seed: u64,
-    /// Worker threads for the per-sequence fan-outs (`0` = auto): sequence
-    /// preparation, the final inference pass, and — when [`Self::batch_size`]
-    /// is above 1 — the per-sequence forward/backward passes inside each
-    /// training batch. All fan-outs are deterministic: results are
-    /// bit-identical at any thread count.
+    /// Worker threads for the per-sequence fan-outs (`0` = auto): the final
+    /// inference pass and — when [`Self::batch_size`] is above 1 — the
+    /// per-sequence forward/backward passes inside each training batch. All
+    /// fan-outs are deterministic: results are bit-identical at any thread
+    /// count.
     pub threads: usize,
     /// Mini-batch size of the training loop. Batch boundaries are fixed by
     /// this value alone (never by the thread count), the per-sequence
@@ -76,66 +75,6 @@ impl Default for BritsConfig {
             precision: Precision::F64,
         }
     }
-}
-
-/// Default epoch count for the neural imputers; honouring `RM_EPOCHS` lets the
-/// experiment harness trade training time for accuracy, and `RM_QUICK=1`
-/// selects a fast smoke-test setting.
-///
-/// The value is resolved **once per process** and cached (like the
-/// `RM_THREADS` resolution in `rm-runtime`), so repeated calls can never
-/// disagree and concurrent tests can never observe a mid-run environment
-/// change. `RM_EPOCHS` has a floor of 1 — zero epochs would return an
-/// untrained model — and a request of `0` is promoted to 1 with a one-time
-/// warning on stderr.
-#[allow(clippy::disallowed_methods)] // audited env reads; see the rm-lint allows inside
-pub fn default_epochs() -> usize {
-    static EPOCHS: OnceLock<usize> = OnceLock::new();
-    *EPOCHS.get_or_init(|| {
-        // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_EPOCHS
-        if let Ok(v) = std::env::var("RM_EPOCHS") {
-            if let Ok(parsed) = v.parse::<usize>() {
-                if parsed == 0 {
-                    eprintln!(
-                        "[rm-imputers] warning: RM_EPOCHS=0 is below the floor of 1 \
-                         training epoch; running 1 epoch instead"
-                    );
-                }
-                return parsed.max(1);
-            }
-        }
-        // rm-lint: allow(no-raw-env-read): RM_QUICK is folded into the same cached RM_EPOCHS resolution
-        if std::env::var("RM_QUICK").map(|v| v == "1").unwrap_or(false) {
-            8
-        } else {
-            30
-        }
-    })
-}
-
-/// Default training mini-batch size for the recurrent imputers: the
-/// `RM_BATCH` environment variable if set to a positive integer, else `1`
-/// (the classic per-sequence SGD trajectory). Resolved once per process and
-/// cached, like [`default_epochs`]; `RM_BATCH=0` is promoted to 1 with a
-/// one-time warning.
-#[allow(clippy::disallowed_methods)] // audited env read; see the rm-lint allow inside
-pub fn default_batch_size() -> usize {
-    static BATCH: OnceLock<usize> = OnceLock::new();
-    *BATCH.get_or_init(|| {
-        // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_BATCH
-        if let Ok(v) = std::env::var("RM_BATCH") {
-            if let Ok(parsed) = v.parse::<usize>() {
-                if parsed == 0 {
-                    eprintln!(
-                        "[rm-imputers] warning: RM_BATCH=0 is below the floor of a \
-                         1-sequence training batch; using batch_size = 1 instead"
-                    );
-                }
-                return parsed.max(1);
-            }
-        }
-        1
-    })
 }
 
 /// Resident snapshot bytes of one recurrent-imputer direction with the
@@ -335,7 +274,7 @@ impl<T: Scalar> BritsTape<T> {
 
 /// The imputed map of a RITS imputer (BRITS, SSGAN): observed entries pass
 /// through, MNARs take the fill floor and RPs interpolate
-/// ([`Brits::passthrough`]); each MAR entry takes the mean of the
+/// ([`passthrough`]); each MAR entry takes the mean of the
 /// `directions`' complements for its record. Each direction runs the RITS
 /// forward ([`RecurrentImputerWeights::forward`], the one training records
 /// too) over its own sequences: the first over the sequences, a second
@@ -353,7 +292,7 @@ pub(crate) fn impute_mar(
     precision: Precision,
     threads: usize,
 ) -> ImputedRadioMap {
-    let mut imputed = Brits::passthrough(map);
+    let mut imputed = passthrough(map);
     let values = match precision {
         Precision::F64 => mar_values(directions, mask, norm, threads),
         Precision::F32 => {
@@ -427,54 +366,81 @@ impl Brits {
     pub fn new(config: BritsConfig) -> Self {
         Self { config }
     }
+}
 
-    /// The fallback result when there is nothing to train on: observed
-    /// entries pass through, MNARs take the fill floor, RPs interpolate.
-    /// (Shared with SSGAN, whose fallback is identical.)
-    pub(crate) fn passthrough(map: &RadioMap) -> ImputedRadioMap {
-        ImputedRadioMap {
-            fingerprints: map
-                .records()
-                .iter()
-                .map(|r| r.fingerprint.to_dense(MNAR_FILL_VALUE))
-                .collect(),
-            locations: map.interpolate_rps(),
-        }
+/// The result of a RITS imputer (BRITS, SSGAN) when there is nothing to
+/// train on: observed entries pass through, MNARs take the fill floor, RPs
+/// interpolate.
+pub(crate) fn passthrough(map: &RadioMap) -> ImputedRadioMap {
+    ImputedRadioMap {
+        fingerprints: map
+            .records()
+            .iter()
+            .map(|r| r.fingerprint.to_dense(MNAR_FILL_VALUE))
+            .collect(),
+        locations: map.interpolate_rps(),
+    }
+}
+
+/// BRITS in the shared driver: a forward and a backward RITS direction,
+/// exported under `brits.{forward, backward}.*`.
+impl SequenceModel for Brits {
+    type Weights = [RecurrentImputerWeights; 2];
+
+    fn sequence_length(&self) -> usize {
+        self.config.sequence_length
     }
 
-    /// Prepares the backward-direction inputs. Reversing a sequence is pure,
-    /// so they are prepared in parallel (serially below the sequence count
-    /// that amortises the spawn cost — see [`crate::gates`]).
-    fn reverse_sequences(
-        &self,
-        sequences: &[PathSequence],
-        norm: &Normalization,
-    ) -> Vec<PathSequence> {
-        let reversal_threads = if sequences.len() < gates::brits_reversal_min_sequences() {
-            1
-        } else {
-            self.config.threads
-        };
-        rm_runtime::par_map(reversal_threads, sequences, |_, s| s.reversed(norm))
+    fn epochs(&self) -> usize {
+        self.config.epochs
     }
 
-    /// Trains both directions in place for `epochs` epochs on the training
-    /// tape through the shared trainer ([`train_pairs`]), from fresh
-    /// weights ([`Brits::impute_inner`]) or imported ones
-    /// ([`Brits::impute_warm_inner`]).
-    fn train(
-        &self,
-        weights: &mut [RecurrentImputerWeights; 2],
-        sequences: &[PathSequence],
-        reversed: &[PathSequence],
-        epochs: usize,
-    ) {
+    /// The forward direction, then the backward one.
+    fn fresh(&self, num_aps: usize) -> Self::Weights {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut direction =
+            || RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
+        [direction(), direction()]
+    }
+
+    fn import(&self, warm: &[NamedTensor], num_aps: usize) -> Option<Self::Weights> {
+        Some([
+            import_recurrent("brits.forward", warm, num_aps)?,
+            import_recurrent("brits.backward", warm, num_aps)?,
+        ])
+    }
+
+    fn export(&self, [forward, backward]: &Self::Weights) -> Vec<NamedTensor> {
+        let mut tensors = Vec::new();
+        export_recurrent(
+            "brits.forward",
+            forward,
+            self.config.precision,
+            &mut tensors,
+        );
+        export_recurrent(
+            "brits.backward",
+            backward,
+            self.config.precision,
+            &mut tensors,
+        );
+        tensors
+    }
+
+    fn reverse(&self, sequences: &[PathSequence], norm: &Normalization) -> Vec<PathSequence> {
+        sequences.iter().map(|s| s.reversed(norm)).collect()
+    }
+
+    /// Both directions on the training tape through the shared trainer
+    /// ([`train_pairs`]).
+    fn train(&self, weights: &mut Self::Weights, inputs: &Inputs, epochs: usize) {
         let training = Training {
             learning_rate: self.config.learning_rate,
             epochs,
             batch_size: self.config.batch_size,
             threads: self.config.threads,
         };
+        let (sequences, reversed) = (&inputs.sequences, &inputs.reversed);
         train_pairs(
             weights,
             sequences.len(),
@@ -485,110 +451,31 @@ impl Brits {
         );
     }
 
-    /// Produces imputations from a trained weight pair — the average of
-    /// forward and backward complements at MAR positions ([`impute_mar`]) —
-    /// plus the optional tensor export at the inference precision.
-    fn infer_and_export(
+    /// The average of the forward and backward complements at MAR
+    /// positions ([`mar_values`]).
+    fn infer(
         &self,
-        weights: &[RecurrentImputerWeights; 2],
-        sequences: &[PathSequence],
-        reversed: &[PathSequence],
+        [forward, backward]: &Self::Weights,
+        inputs: &Inputs,
         map: &RadioMap,
         mask: &MaskMatrix,
-        norm: &Normalization,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let mut tensors = Vec::new();
-        if export_snapshot {
-            for (prefix, w) in [
-                ("brits.forward", &weights[0]),
-                ("brits.backward", &weights[1]),
-            ] {
-                export_recurrent(prefix, w, self.config.precision, &mut tensors);
-            }
-        }
-        let directions = [(&weights[0], sequences), (&weights[1], reversed)];
-        let (precision, threads) = (self.config.precision, self.config.threads);
-        let imputed = impute_mar(map, mask, norm, &directions, precision, threads);
-        (imputed, tensors)
-    }
-
-    /// The shared train-then-infer body behind both [`Imputer`] entry
-    /// points; `export_snapshot` additionally serializes the trained weights
-    /// as named tensors (training and inference are unaffected by the flag).
-    fn impute_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() || num_aps == 0 {
-            return (Self::passthrough(map), Vec::new());
-        }
-
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut direction =
-            || RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
-        let mut weights = [direction(), direction()];
-        let reversed = self.reverse_sequences(&sequences, &norm);
-        self.train(&mut weights, &sequences, &reversed, self.config.epochs);
-        self.infer_and_export(
-            &weights,
-            &sequences,
-            &reversed,
-            map,
-            mask,
-            &norm,
-            export_snapshot,
-        )
-    }
-
-    /// The warm-start body: `Some` when the snapshot round-trips into this
-    /// map's architecture, `None` to fall back to the cold path.
-    ///
-    /// With `fine_tune_epochs = 0` the imported weights run inference as-is:
-    /// importing widens every storage dtype losslessly to `f64`, and the
-    /// inference path re-applies the same one-time rounding the exporting
-    /// run applied, so on an unchanged map the replay is bit-identical to
-    /// the run that exported the snapshot. With `fine_tune_epochs > 0` the
-    /// weights train under a fresh optimizer for that many additional
-    /// mini-batch epochs — a cheap incremental refresh, not a replay.
-    fn impute_warm_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        warm: &[NamedTensor],
-        fine_tune_epochs: usize,
-    ) -> Option<(ImputedRadioMap, Vec<NamedTensor>)> {
-        let num_aps = map.num_aps();
-        if num_aps == 0 {
-            return None;
-        }
-        let mut weights = [
-            import_recurrent("brits.forward", warm, num_aps)?,
-            import_recurrent("brits.backward", warm, num_aps)?,
+    ) -> ImputedRadioMap {
+        let directions = [
+            (forward, &inputs.sequences[..]),
+            (backward, &inputs.reversed[..]),
         ];
+        let (precision, threads) = (self.config.precision, self.config.threads);
+        impute_mar(map, mask, &inputs.norm, &directions, precision, threads)
+    }
 
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() {
-            return None;
-        }
-        let reversed = self.reverse_sequences(&sequences, &norm);
-
-        if fine_tune_epochs > 0 {
-            self.train(&mut weights, &sequences, &reversed, fine_tune_epochs);
-        }
-        Some(self.infer_and_export(&weights, &sequences, &reversed, map, mask, &norm, true))
+    fn passthrough(map: &RadioMap) -> ImputedRadioMap {
+        passthrough(map)
     }
 }
 
 impl Imputer for Brits {
     fn impute(&self, map: &RadioMap, mask: &MaskMatrix) -> ImputedRadioMap {
-        self.impute_inner(map, mask, false).0
+        self.impute_with_snapshot(map, mask).0
     }
 
     fn impute_with_snapshot(
@@ -596,7 +483,7 @@ impl Imputer for Brits {
         map: &RadioMap,
         mask: &MaskMatrix,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        self.impute_inner(map, mask, true)
+        driver::run(self, map, mask, None)
     }
 
     fn impute_warm(
@@ -606,10 +493,7 @@ impl Imputer for Brits {
         warm: &[NamedTensor],
         fine_tune_epochs: usize,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        match self.impute_warm_inner(map, mask, warm, fine_tune_epochs) {
-            Some(out) => out,
-            None => self.impute_with_snapshot(map, mask),
-        }
+        driver::run(self, map, mask, Some((warm, fine_tune_epochs)))
     }
 
     fn name(&self) -> &'static str {
@@ -621,6 +505,7 @@ impl Imputer for Brits {
 pub(crate) mod tests {
     use super::graph::RecurrentImputer;
     use super::*;
+    use crate::sequence::build_sequences;
     use crate::train::Parameters;
     use rm_autodiff::{loss, Adam, Var};
     use rm_geometry::Point;
@@ -908,18 +793,6 @@ pub(crate) mod tests {
         let out =
             Brits::new(quick_config()).impute(&RadioMap::empty(3), &MaskMatrix::all_observed(0, 3));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn default_epochs_respects_env() {
-        // Just exercise the parsing path; the value depends on the environment.
-        let e = default_epochs();
-        assert!(e >= 1);
-        // The process-level cache makes repeated reads agree by construction.
-        assert_eq!(e, default_epochs());
-        let b = default_batch_size();
-        assert!(b >= 1);
-        assert_eq!(b, default_batch_size());
     }
 
     /// The graph rebuild must not perturb the trajectory: the gradients of

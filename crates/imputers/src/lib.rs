@@ -13,9 +13,11 @@
 //! * [`Brits`] and [`Ssgan`] — neural sequence imputers.
 //!
 //! The paper's own model, BiSIM, lives in the `rm-bisim` crate and implements
-//! the same [`Imputer`] trait.
+//! the same [`Imputer`] trait. BRITS, SSGAN and BiSIM run cold training, warm
+//! start and snapshot export through one driver ([`driver::run`]).
 
 pub mod brits;
+pub mod driver;
 pub mod mf;
 pub mod mice;
 pub mod rits;
@@ -39,15 +41,6 @@ pub mod train;
 /// ~5–10× dispatch cost worth of work behind every fork. Changing a gate never changes results, only
 /// which side of the serial/parallel fork runs: both sides are bit-identical
 /// by the `rm-runtime` determinism contract.
-///
-/// The constants are *reference* values sized on the benchmark machine. The
-/// fork sites consult them through accessor functions
-/// ([`gates::mice_predictor_scan_min_cells`] and friends) that rescale the
-/// reference by the once-per-process measured dispatch cost
-/// ([`rm_runtime::measured_dispatch_micros`]), so a machine with a slower
-/// pool keeps the same work-per-dispatch safety margin instead of forking
-/// too eagerly. Serial processes (`RM_THREADS=1`) skip the probe and use
-/// the reference constants verbatim.
 pub mod gates {
     /// [`Mice`](crate::Mice) predictor selection fans the per-candidate
     /// correlation scans out only when `candidate_columns × observed_rows`
@@ -62,69 +55,6 @@ pub mod gates {
     /// multiply-adds). 128 rows ≈ 13 µs ≈ 3.5× the pool dispatch — the
     /// 2-wide break-even is ~2× — where the scoped-spawn era needed 512.
     pub const MICE_PREDICTION_MIN_ROWS: usize = 128;
-
-    /// The bidirectional sequence imputers ([`Brits`](crate::Brits)) reverse
-    /// their training sequences in parallel only from this many sequences up
-    /// (one reversal is a few µs of cloning). 16 reversals ≈ 50 µs ≈ 13× the
-    /// pool dispatch; the scoped-spawn era value was 64.
-    pub const BRITS_REVERSAL_MIN_SEQUENCES: usize = 16;
-
-    /// The dispatch cost (µs) the reference constants above were sized
-    /// against — the `par_map_*_pool_t2` reading recorded in
-    /// `BENCH_baseline.json` `pr4`.
-    pub const REFERENCE_DISPATCH_MICROS: f64 = 3.7;
-
-    /// How far the measured/reference dispatch ratio may move a gate in
-    /// either direction. A slower pool than the reference machine raises the
-    /// gates (more work required before forking); a faster one lowers them.
-    /// The clamp keeps a wildly noisy probe reading from swinging a gate
-    /// outside the regime its sizing analysis covered.
-    const DISPATCH_RATIO_CLAMP: (f64, f64) = (0.25, 8.0);
-
-    /// Scales a reference gate by a measured dispatch cost: the gate grows
-    /// (or shrinks) linearly with the measured/reference ratio, clamped to
-    /// `DISPATCH_RATIO_CLAMP`, with a floor of 1. Pure — the probe side
-    /// effects live in [`rm_runtime::measured_dispatch_micros`] — so the
-    /// scaling law is unit-testable without touching the environment.
-    pub fn scaled_threshold(base: usize, measured_micros: f64) -> usize {
-        let (lo, hi) = DISPATCH_RATIO_CLAMP;
-        let ratio = if measured_micros.is_finite() && measured_micros > 0.0 {
-            (measured_micros / REFERENCE_DISPATCH_MICROS).clamp(lo, hi)
-        } else {
-            1.0
-        };
-        ((base as f64 * ratio).round() as usize).max(1)
-    }
-
-    /// Resolves a gate against the once-per-process dispatch probe: the
-    /// reference constant scaled by the measured cost, or the constant
-    /// verbatim when the process is serial (`RM_THREADS=1` — pinned to the
-    /// pre-probe behaviour exactly).
-    fn probed(base: usize) -> usize {
-        match rm_runtime::measured_dispatch_micros() {
-            Some(measured) => scaled_threshold(base, measured),
-            None => base,
-        }
-    }
-
-    /// [`MICE_PREDICTOR_SCAN_MIN_CELLS`] adjusted for this machine's
-    /// measured dispatch cost — what the MICE predictor-selection fork
-    /// actually consults.
-    pub fn mice_predictor_scan_min_cells() -> usize {
-        probed(MICE_PREDICTOR_SCAN_MIN_CELLS)
-    }
-
-    /// [`MICE_PREDICTION_MIN_ROWS`] adjusted for this machine's measured
-    /// dispatch cost.
-    pub fn mice_prediction_min_rows() -> usize {
-        probed(MICE_PREDICTION_MIN_ROWS)
-    }
-
-    /// [`BRITS_REVERSAL_MIN_SEQUENCES`] adjusted for this machine's
-    /// measured dispatch cost.
-    pub fn brits_reversal_min_sequences() -> usize {
-        probed(BRITS_REVERSAL_MIN_SEQUENCES)
-    }
 }
 
 pub use brits::{snapshot_resident_bytes, Brits, BritsConfig, BritsTape};
@@ -307,57 +237,6 @@ mod tests {
         let dense = densify(&fill_mnars(&map, &mask), -88.0);
         assert_eq!(dense[0][1], -88.0);
         assert_eq!(dense[1][0], MNAR_FILL_VALUE);
-    }
-
-    #[test]
-    fn scaled_threshold_follows_the_dispatch_ratio() {
-        // At the reference cost the gate is the reference constant.
-        assert_eq!(
-            gates::scaled_threshold(16, gates::REFERENCE_DISPATCH_MICROS),
-            16
-        );
-        // A 2× slower pool doubles the gate; a 2× faster pool halves it.
-        assert_eq!(
-            gates::scaled_threshold(16, gates::REFERENCE_DISPATCH_MICROS * 2.0),
-            32
-        );
-        assert_eq!(
-            gates::scaled_threshold(16, gates::REFERENCE_DISPATCH_MICROS / 2.0),
-            8
-        );
-        // The ratio is clamped: absurd readings cannot push a gate outside
-        // the analysed regime, and degenerate readings fall back to 1×.
-        assert_eq!(gates::scaled_threshold(16, 1e9), 16 * 8);
-        assert_eq!(gates::scaled_threshold(16, 0.0), 16);
-        assert_eq!(gates::scaled_threshold(16, f64::NAN), 16);
-        // A tiny base never scales to zero (a zero gate would always fork).
-        assert_eq!(gates::scaled_threshold(1, 0.001), 1);
-    }
-
-    /// `RM_THREADS=1` pins the pre-probe behaviour exactly: serial processes
-    /// never dispatch, so the probe returns `None` and the gates are the
-    /// reference constants verbatim. (The CI thread matrix runs this test
-    /// with `RM_THREADS=1`; at higher thread counts the probed gates must
-    /// still land inside the clamp band around the reference.)
-    #[test]
-    fn probed_gates_pin_reference_constants_when_serial() {
-        let cells = gates::mice_predictor_scan_min_cells();
-        let rows = gates::mice_prediction_min_rows();
-        let seqs = gates::brits_reversal_min_sequences();
-        if rm_runtime::default_threads() <= 1 {
-            assert_eq!(cells, gates::MICE_PREDICTOR_SCAN_MIN_CELLS);
-            assert_eq!(rows, gates::MICE_PREDICTION_MIN_ROWS);
-            assert_eq!(seqs, gates::BRITS_REVERSAL_MIN_SEQUENCES);
-        } else {
-            let in_band = |probed: usize, reference: usize| {
-                probed >= reference / 4 && probed <= reference * 8
-            };
-            assert!(in_band(cells, gates::MICE_PREDICTOR_SCAN_MIN_CELLS));
-            assert!(in_band(rows, gates::MICE_PREDICTION_MIN_ROWS));
-            assert!(in_band(seqs, gates::BRITS_REVERSAL_MIN_SEQUENCES));
-        }
-        // The probe is cached once per process: repeated reads agree.
-        assert_eq!(cells, gates::mice_predictor_scan_min_cells());
     }
 
     #[test]

@@ -145,9 +145,9 @@ impl Imputer for Mice {
                     // Each missing row's prediction reads only frozen data, so
                     // the fan-out is order-preserving and deterministic; the
                     // writes happen serially afterwards. The fan-out is gated
-                    // on a row count that amortises the thread-spawn cost
-                    // (see [`crate::gates`]).
-                    let threads = if missing_rows.len() < gates::mice_prediction_min_rows() {
+                    // on a row count that amortises the dispatch cost (see
+                    // [`crate::gates`]).
+                    let threads = if missing_rows.len() < gates::MICE_PREDICTION_MIN_ROWS {
                         1
                     } else {
                         self.config.threads
@@ -202,9 +202,8 @@ fn select_predictors(
 ) -> Vec<usize> {
     let candidates: Vec<usize> = (0..num_cols).filter(|&c| c != target).collect();
     // Each correlation is an O(rows) scan; fan out only when the total work
-    // amortises the thread-spawn cost (see [`crate::gates`] — the gate is
-    // deliberately conservative until a persistent pool lands).
-    let threads = if candidates.len() * rows.len() < gates::mice_predictor_scan_min_cells() {
+    // amortises the pool's dispatch cost (see [`crate::gates`]).
+    let threads = if candidates.len() * rows.len() < gates::MICE_PREDICTOR_SCAN_MIN_CELLS {
         1
     } else {
         threads

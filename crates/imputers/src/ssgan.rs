@@ -37,12 +37,13 @@ use rm_radiomap::{MaskMatrix, RadioMap};
 use rm_tensor::recurrent::GradTerm;
 use rm_tensor::{Matrix, NamedTensor, Precision, Scalar};
 
-use crate::brits::{default_batch_size, default_epochs, impute_mar, Brits};
+use crate::brits::{impute_mar, passthrough};
+use crate::driver::{self, default_batch_size, default_epochs, Inputs, SequenceModel};
 use crate::rits::{
     column, export_recurrent, import_recurrent, masked_mse, zeroed, RecurrentImputerWeights,
     RitsTape, Schedule,
 };
-use crate::sequence::{build_sequences, Normalization, PathSequence};
+use crate::sequence::{Normalization, PathSequence};
 use crate::train::{chunk_gradients, Adam, Gradients, Parameters};
 use crate::{snapshot, ImputedRadioMap, Imputer};
 
@@ -362,24 +363,78 @@ impl Ssgan {
     pub fn new(config: SsganConfig) -> Self {
         Self { config }
     }
+}
 
-    /// Deterministic mini-batch adversarial training of both players in
-    /// place for `epochs` epochs: each fixed-boundary chunk of sequences
-    /// runs two phases through the shared trainer (`chunk_gradients`) —
+/// SSGAN in the shared driver: the generator under `ssgan.generator.*` and
+/// the discriminator under `ssgan.discriminator.N.*`. The discriminator does
+/// not impute, but warm fine-tuning resumes the adversarial game, so both
+/// players persist.
+impl SequenceModel for Ssgan {
+    type Weights = (RecurrentImputerWeights, MlpWeights);
+
+    fn sequence_length(&self) -> usize {
+        self.config.sequence_length
+    }
+
+    fn epochs(&self) -> usize {
+        self.config.epochs
+    }
+
+    /// The generator, then the discriminator.
+    fn fresh(&self, num_aps: usize) -> Self::Weights {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let generator = RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
+        let sizes = [num_aps, self.config.discriminator_hidden, num_aps];
+        (generator, MlpWeights::new(&sizes, &mut rng))
+    }
+
+    /// Both players, every shape checked against a `num_aps`-AP map and the
+    /// discriminator's two layers.
+    fn import(&self, warm: &[NamedTensor], num_aps: usize) -> Option<Self::Weights> {
+        let generator = import_recurrent("ssgan.generator", warm, num_aps)?;
+        let discriminator = snapshot::import_mlp(warm, "ssgan.discriminator")?;
+        let [hidden, output] = discriminator.layers() else {
+            return None;
+        };
+        if hidden.weight().cols() != num_aps || output.weight().rows() != num_aps {
+            return None;
+        }
+        Some((generator, discriminator))
+    }
+
+    fn export(&self, (generator, discriminator): &Self::Weights) -> Vec<NamedTensor> {
+        let precision = self.config.precision;
+        let mut tensors = Vec::new();
+        export_recurrent("ssgan.generator", generator, precision, &mut tensors);
+        snapshot::export_mlp(
+            "ssgan.discriminator",
+            discriminator,
+            precision,
+            &mut tensors,
+        );
+        tensors
+    }
+
+    /// None: the generator runs forward only.
+    fn reverse(&self, _: &[PathSequence], _: &Normalization) -> Vec<PathSequence> {
+        Vec::new()
+    }
+
+    /// Deterministic mini-batch adversarial training of both players: each
+    /// fixed-boundary chunk of sequences runs two phases through the shared
+    /// trainer (`chunk_gradients`) —
     /// the discriminator's, then the generator's against the just-updated
     /// discriminator — each phase's gradients computed against the weights
     /// it started from and summed in sequence-index order, then one Adam
     /// step of that player. Single-sequence chunks (the `batch_size = 1`
-    /// default) reproduce the classic alternating loop bitwise. Shared by
-    /// cold training and warm fine-tuning, which differ only in the
-    /// starting weights.
-    fn train_adversarial(
+    /// default) reproduce the classic alternating loop bitwise.
+    fn train(
         &self,
-        generator: &mut RecurrentImputerWeights,
-        discriminator: &mut MlpWeights,
-        sequences: &[PathSequence],
+        (generator, discriminator): &mut Self::Weights,
+        inputs: &Inputs,
         epochs: usize,
     ) {
+        let sequences = &inputs.sequences;
         let learning_rate = self.config.learning_rate;
         let (mut gen_adam, mut disc_adam) = (
             Adam::new(generator, learning_rate),
@@ -421,143 +476,28 @@ impl Ssgan {
         }
     }
 
-    /// Produces imputations from the trained generator's complements
-    /// ([`impute_mar`], BRITS's inference with one direction) plus the
-    /// optional tensor export: the generator under `ssgan.generator.*` and
-    /// the discriminator under `ssgan.discriminator.N.*` (the discriminator
-    /// does not impute, but warm fine-tuning resumes the adversarial game,
-    /// so both players persist).
-    fn infer_and_export(
+    /// The generator's complements at MAR positions ([`crate::brits::mar_values`], BRITS's
+    /// inference with one direction).
+    fn infer(
         &self,
-        generator_weights: &RecurrentImputerWeights,
-        discriminator_weights: &MlpWeights<f64>,
-        sequences: &[PathSequence],
+        (generator, _): &Self::Weights,
+        inputs: &Inputs,
         map: &RadioMap,
         mask: &MaskMatrix,
-        norm: &Normalization,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let precision = self.config.precision;
-        let mut tensors = Vec::new();
-        if export_snapshot {
-            export_recurrent(
-                "ssgan.generator",
-                generator_weights,
-                precision,
-                &mut tensors,
-            );
-            snapshot::export_mlp(
-                "ssgan.discriminator",
-                discriminator_weights,
-                precision,
-                &mut tensors,
-            );
-        }
-        let directions = [(generator_weights, sequences)];
-        let imputed = impute_mar(map, mask, norm, &directions, precision, self.config.threads);
-        (imputed, tensors)
+    ) -> ImputedRadioMap {
+        let directions = [(generator, &inputs.sequences[..])];
+        let (precision, threads) = (self.config.precision, self.config.threads);
+        impute_mar(map, mask, &inputs.norm, &directions, precision, threads)
     }
 
-    /// The shared train-then-infer body behind the [`Imputer`] entry points.
-    fn impute_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        export_snapshot: bool,
-    ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        let num_aps = map.num_aps();
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() || num_aps == 0 {
-            return (Brits::passthrough(map), Vec::new());
-        }
-
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut generator =
-            RecurrentImputerWeights::new(num_aps, self.config.hidden_size, &mut rng);
-        let sizes = [num_aps, self.config.discriminator_hidden, num_aps];
-        let mut discriminator = MlpWeights::new(&sizes, &mut rng);
-        let epochs = self.config.epochs;
-        self.train_adversarial(&mut generator, &mut discriminator, &sequences, epochs);
-        self.infer_and_export(
-            &generator,
-            &discriminator,
-            &sequences,
-            map,
-            mask,
-            &norm,
-            export_snapshot,
-        )
-    }
-
-    /// Rebuilds both players from a warm snapshot, validating every shape
-    /// against a `num_aps`-AP map and the discriminator's two layers;
-    /// `None` falls back to cold training.
-    fn import_players(
-        &self,
-        warm: &[NamedTensor],
-        num_aps: usize,
-    ) -> Option<(RecurrentImputerWeights, MlpWeights)> {
-        let generator = import_recurrent("ssgan.generator", warm, num_aps)?;
-        let discriminator = snapshot::import_mlp(warm, "ssgan.discriminator")?;
-        let [hidden, output] = discriminator.layers() else {
-            return None;
-        };
-        if hidden.weight().cols() != num_aps || output.weight().rows() != num_aps {
-            return None;
-        }
-        Some((generator, discriminator))
-    }
-
-    /// The warm-start body: `Some` when the snapshot round-trips into this
-    /// map's architecture, `None` to fall back to the cold path. Replay and
-    /// fine-tune semantics match BRITS ([`Brits::impute_warm_inner`]): with
-    /// `fine_tune_epochs = 0` the imported generator runs inference as-is —
-    /// bit-identical to the exporting run on an unchanged map — and with
-    /// `fine_tune_epochs > 0` both players resume the adversarial game from
-    /// their imported weights under a fresh optimizer pair.
-    fn impute_warm_inner(
-        &self,
-        map: &RadioMap,
-        mask: &MaskMatrix,
-        warm: &[NamedTensor],
-        fine_tune_epochs: usize,
-    ) -> Option<(ImputedRadioMap, Vec<NamedTensor>)> {
-        let num_aps = map.num_aps();
-        if num_aps == 0 {
-            return None;
-        }
-        let (mut generator, mut discriminator) = self.import_players(warm, num_aps)?;
-
-        let norm = Normalization::from_map(map);
-        let sequences = build_sequences(map, mask, self.config.sequence_length, &norm);
-        if sequences.is_empty() {
-            return None;
-        }
-
-        if fine_tune_epochs > 0 {
-            self.train_adversarial(
-                &mut generator,
-                &mut discriminator,
-                &sequences,
-                fine_tune_epochs,
-            );
-        }
-        Some(self.infer_and_export(
-            &generator,
-            &discriminator,
-            &sequences,
-            map,
-            mask,
-            &norm,
-            true,
-        ))
+    fn passthrough(map: &RadioMap) -> ImputedRadioMap {
+        passthrough(map)
     }
 }
 
 impl Imputer for Ssgan {
     fn impute(&self, map: &RadioMap, mask: &MaskMatrix) -> ImputedRadioMap {
-        self.impute_inner(map, mask, false).0
+        self.impute_with_snapshot(map, mask).0
     }
 
     fn impute_with_snapshot(
@@ -565,7 +505,7 @@ impl Imputer for Ssgan {
         map: &RadioMap,
         mask: &MaskMatrix,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        self.impute_inner(map, mask, true)
+        driver::run(self, map, mask, None)
     }
 
     fn impute_warm(
@@ -575,10 +515,7 @@ impl Imputer for Ssgan {
         warm: &[NamedTensor],
         fine_tune_epochs: usize,
     ) -> (ImputedRadioMap, Vec<NamedTensor>) {
-        match self.impute_warm_inner(map, mask, warm, fine_tune_epochs) {
-            Some(out) => out,
-            None => self.impute_with_snapshot(map, mask),
-        }
+        driver::run(self, map, mask, Some((warm, fine_tune_epochs)))
     }
 
     fn name(&self) -> &'static str {
@@ -591,6 +528,7 @@ mod tests {
     use super::*;
     use crate::brits::graph::RecurrentImputer;
     use crate::brits::tests::{sequence, shifted, smooth_map, Masks};
+    use crate::sequence::build_sequences;
     use rm_autodiff::{loss, Mlp, Var};
     use rm_nn::Activation;
 

@@ -329,7 +329,7 @@ fn run_rule(rule: Rule, lexed: &Lexed, hot_path: bool, out: &mut Vec<Finding>) {
                             token,
                             "raw environment read — route this knob through a once-per-process \
                          cached accessor (see `rm_runtime::resolve_threads` / \
-                         `rm_imputers::brits::default_epochs` for the pattern)"
+                         `rm_imputers::driver::default_epochs` for the pattern)"
                                 .to_string(),
                         )
                     },

@@ -25,7 +25,7 @@ use rm_clustering::{kmeans, KMeansConfig};
 use rm_geometry::Point;
 
 use crate::mask::MaskMatrix;
-use crate::radiomap::{DenseRadioMap, RadioMap};
+use crate::radiomap::RadioMap;
 
 /// A deterministic partition of a radio map's records into spatial shards.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,33 +314,6 @@ impl VenueShards {
         }
     }
 
-    /// Reassembles per-shard imputed outputs into one venue-wide dense map
-    /// in global record order. Each `(fingerprints, locations)` pair must be
-    /// parallel to [`VenueShards::members_of`] for its shard.
-    ///
-    /// # Panics
-    /// Panics on any per-shard length mismatch.
-    pub fn merge_dense(
-        &self,
-        per_shard: &[(Vec<Vec<f64>>, Vec<Point>)],
-        num_aps: usize,
-    ) -> DenseRadioMap {
-        assert_eq!(per_shard.len(), self.num_shards(), "shard count mismatch");
-        let total = self.assignments.len();
-        let mut fingerprints: Vec<Vec<f64>> = vec![Vec::new(); total];
-        let mut locations = vec![Point::origin(); total];
-        for (shard, (fps, locs)) in per_shard.iter().enumerate() {
-            let members = &self.members[shard];
-            assert_eq!(fps.len(), members.len(), "shard {shard} row mismatch");
-            assert_eq!(locs.len(), members.len(), "shard {shard} location mismatch");
-            for ((&record, fp), &loc) in members.iter().zip(fps).zip(locs) {
-                fingerprints[record] = fp.clone();
-                locations[record] = loc;
-            }
-        }
-        DenseRadioMap::new(fingerprints, locations, num_aps)
-    }
-
     /// Reassembles per-shard mask matrices into one venue-wide mask in
     /// global record order.
     ///
@@ -525,21 +498,6 @@ mod tests {
             for (local, &global) in shards.members_of(shard).iter().enumerate() {
                 assert_eq!(part.record(local), map.record(global));
             }
-        }
-        // Merge a synthetic per-shard dense output back into global order.
-        let per_shard: Vec<(Vec<Vec<f64>>, Vec<Point>)> = (0..2)
-            .map(|shard| {
-                let members = shards.members_of(shard);
-                (
-                    members.iter().map(|&i| vec![i as f64, 0.0]).collect(),
-                    members.iter().map(|&i| Point::new(i as f64, 0.0)).collect(),
-                )
-            })
-            .collect();
-        let dense = shards.merge_dense(&per_shard, 2);
-        for i in 0..map.len() {
-            assert_eq!(dense.fingerprints()[i][0], i as f64);
-            assert_eq!(dense.locations()[i].x, i as f64);
         }
         // Mask round-trip through split/merge.
         let masks: Vec<MaskMatrix> = (0..2)

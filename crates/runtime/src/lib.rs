@@ -98,49 +98,6 @@ pub fn default_threads() -> usize {
     resolve_threads(0)
 }
 
-/// Fan-out rounds timed by [`measured_dispatch_micros`]; the minimum over
-/// the rounds filters scheduler noise.
-const DISPATCH_PROBE_ROUNDS: usize = 16;
-
-/// The pool's dispatch cost on *this* machine, measured **once per process**
-/// and cached: the best-of-`DISPATCH_PROBE_ROUNDS` wall-clock time of a
-/// small 2-wide [`par_map`] round trip, in microseconds. Consumers (the
-/// minimum-work gates in `rm_imputers::gates`) scale their serial/parallel
-/// thresholds by this reading instead of trusting constants sized on one
-/// reference machine.
-///
-/// Returns `None` — *use the reference constants* — when the process
-/// resolves to a single thread (`RM_THREADS=1`): a serial run never
-/// dispatches, so there is nothing to measure and the reference behaviour
-/// is pinned exactly.
-///
-/// Determinism: the reading is wall-clock derived and varies across
-/// machines and runs, but it only ever selects *which side of a
-/// serial/parallel fork runs* — and both sides are bit-identical by this
-/// crate's determinism contract — so results never depend on it.
-#[allow(clippy::disallowed_methods)] // audited wall-clock read; see the rm-lint allow inside
-pub fn measured_dispatch_micros() -> Option<f64> {
-    static PROBE: OnceLock<Option<f64>> = OnceLock::new();
-    *PROBE.get_or_init(|| {
-        if default_threads() <= 1 {
-            return None;
-        }
-        let items = [0u64; 8];
-        let work = |i: usize, &v: &u64| derive_seed(v, i as u64);
-        // Warm-up: the first fan-out pays the one-time worker spawn, which
-        // is not the steady-state dispatch cost the gates amortise.
-        std::hint::black_box(par_map(2, &items, work));
-        let mut best = f64::INFINITY;
-        for _ in 0..DISPATCH_PROBE_ROUNDS {
-            // rm-lint: allow(no-wallclock-in-deterministic-path): the probe measures dispatch cost once per process; the reading only picks between bit-identical serial/parallel schedules
-            let start = std::time::Instant::now();
-            std::hint::black_box(par_map(2, &items, work));
-            best = best.min(start.elapsed().as_secs_f64() * 1e6);
-        }
-        Some(best)
-    })
-}
-
 /// Returns `true` when called from inside an `rm-runtime` worker thread
 /// (where nested fan-outs degrade to serial execution).
 pub fn in_worker() -> bool {
