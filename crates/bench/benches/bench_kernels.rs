@@ -6,6 +6,7 @@ use rand::SeedableRng;
 use rm_bisim::{AttentionMode, BisimDirectionWeights, DirectionGrads, PairTape, TimeLagMode};
 use rm_imputers::{BritsTape, Gradients, PathSequence, RecurrentImputerWeights, SsganTape};
 use rm_nn::{LstmCellWeights, MlpWeights};
+use rm_tensor::activation::Function;
 use rm_tensor::recurrent::lstm_cell_forward;
 use rm_tensor::{AdamStep, Matrix, OuterPanel, Scalar};
 
@@ -87,6 +88,45 @@ fn bench_adam_step(c: &mut Criterion) {
             std::hint::black_box(tensors[0][0].get(0, 0))
         })
     });
+}
+
+/// The activations of the recurrent steps as slices (32 values: one LSTM
+/// gate or a decay vector at hidden size 32; 160: the attention MLP's
+/// `T·H` at 5 keys): the dispatched leg (`*_slice`) against the reference
+/// one value at a time (`*_reference`). Both give the same bits. Each
+/// iteration restores the arguments first, so `exp` never runs away.
+fn bench_activations(c: &mut Criterion) {
+    // Stamp recorded runs with the activation leg (scalar / avx2 / avx512f).
+    eprintln!("activation kernel: {}", rm_tensor::activation_kernel_name());
+    let mut rng = StdRng::seed_from_u64(13);
+    for n in [32, 160] {
+        let args: Matrix = Matrix::random_uniform(n, 1, 4.0, &mut rng);
+        let mut xs = vec![0.0; n];
+        for (name, f) in [
+            ("exp", Function::Exp),
+            ("tanh", Function::Tanh),
+            ("sigmoid", Function::Sigmoid),
+        ] {
+            c.bench_function(&format!("{name}_slice_{n}"), |bencher| {
+                bencher.iter(|| {
+                    xs.copy_from_slice(args.data());
+                    match f {
+                        Function::Exp => f64::exp_slice(&mut xs),
+                        Function::Tanh => f64::tanh_slice(&mut xs),
+                        Function::Sigmoid => f64::sigmoid_slice(&mut xs),
+                    }
+                    std::hint::black_box(xs[0])
+                })
+            });
+            c.bench_function(&format!("{name}_reference_{n}"), |bencher| {
+                bencher.iter(|| {
+                    xs.copy_from_slice(args.data());
+                    xs.iter_mut().for_each(|x| *x = f.reference(*x));
+                    std::hint::black_box(xs[0])
+                })
+            });
+        }
+    }
 }
 
 /// The rank-1 weight gradients of one backward at the training tapes'
@@ -299,6 +339,7 @@ criterion_group!(
     bench_matmul,
     bench_matvec,
     bench_adam_step,
+    bench_activations,
     bench_outer_panel,
     bench_matmul_f32,
     bench_lstm_snapshot_step,

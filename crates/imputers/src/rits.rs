@@ -461,11 +461,14 @@ impl<T: Scalar> RitsTape<T> {
     }
 }
 
-/// `γ = exp(−relu(pre))`, as `relu → scale(−1) → exp`.
+/// `γ = exp(−relu(pre))`, as `relu → scale(−1) → exp`, the `exp` as one
+/// slice.
 pub fn decay_forward<T: Scalar>(pre: &[T], gamma: &mut [T]) {
+    assert_eq!(pre.len(), gamma.len(), "decay buffer length mismatch");
     for (g, &p) in gamma.iter_mut().zip(pre) {
-        *g = (p.relu() * -T::ONE).exp();
+        *g = p.relu() * -T::ONE;
     }
+    T::exp_slice(gamma);
 }
 
 /// The backward of a decayed state `x ⊙ γ` with `γ = exp(−relu(pre))`, for

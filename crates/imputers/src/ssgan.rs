@@ -296,9 +296,7 @@ impl<T: Scalar> SsganTape<T> {
             }
             let out = &mut self.out[t * a..(t + 1) * a];
             output_layer.affine(hidden, out);
-            for o in out.iter_mut() {
-                *o = o.sigmoid();
-            }
+            T::sigmoid_slice(out);
         }
     }
 

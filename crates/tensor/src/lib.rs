@@ -7,6 +7,9 @@
 //! * [`Scalar`] — the sealed precision trait (`f64`, `f32`) every kernel is
 //!   generic over, and [`Precision`], the runtime knob that selects between
 //!   them,
+//! * [`activation`] — `exp`, `tanh` and `sigmoid` as this crate's own code
+//!   (IEEE `+ − × ÷` only, no libm), with AVX-512F and AVX2 slice kernels
+//!   bitwise equal to the scalar reference,
 //! * [`Matrix`] — a dense row-major matrix (default `Matrix<f64>`) with the
 //!   usual linear-algebra and element-wise operations; the blocked kernels
 //!   dispatch to explicit-width AVX2 intrinsics ([`simd`]) when the CPU has
@@ -41,6 +44,7 @@
 //! assert_eq!(w.matmul_at_b(&g).data(), &[4.0, 6.0]);
 //! ```
 
+pub mod activation;
 pub mod export;
 pub mod matrix;
 pub mod panel;
@@ -48,6 +52,7 @@ pub mod recurrent;
 pub mod scalar;
 pub mod simd;
 
+pub use activation::activation_kernel_name;
 pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use panel::{panel_kernel_name, OuterPanel};

@@ -10,7 +10,8 @@
 //! construction. Both reproduce, operation for operation, the chain of
 //! primitive graph nodes the fused nodes replace (affine maps through
 //! [`Matrix::matvec_acc`], the shared [`Scalar::sigmoid`]/[`Scalar::tanh`],
-//! the stabilised column softmax).
+//! here through their bitwise-equal slice hooks, the stabilised column
+//! softmax).
 //!
 //! Each backward function is likewise the one definition of its layer's
 //! gradient: it computes every term and hands it, in the order the
@@ -87,7 +88,10 @@ pub type LstmGates<'a, T> = [(&'a Matrix<T>, &'a Matrix<T>); 4];
 /// into `c`, `tanh(c)` into `tanh_c` and the new hidden state
 /// `h = o ⊙ tanh(c)` into `h`. Each gate is `act(W·x + b)`: the product from
 /// `+0.0` in increasing column order, then the bias, as in the graph's
-/// affine node; `c = f ⊙ c_prev + i ⊙ g` multiplies before it adds.
+/// affine node; `c = f ⊙ c_prev + i ⊙ g` multiplies before it adds. The
+/// activations run as slices once every gate's `W·x + b` is in: one
+/// sigmoid over the contiguous `i f o` block, one tanh over `g`, one over
+/// `c`.
 ///
 /// # Panics
 /// Panics if a slice length disagrees with the gate shapes.
@@ -102,28 +106,25 @@ pub fn lstm_cell_forward<T: Scalar>(
 ) {
     let hidden = c_prev.len();
     assert_eq!(gates.len(), 4 * hidden, "LSTM gate buffer length mismatch");
-    for (q, ((w, b), act)) in weights
-        .iter()
-        .zip(gates.chunks_exact_mut(hidden))
-        .enumerate()
-    {
+    for ((w, b), act) in weights.iter().zip(gates.chunks_exact_mut(hidden)) {
         act.fill(T::ZERO);
         w.matvec_acc(0, x, act);
         for (v, &bias) in act.iter_mut().zip(b.data()) {
             *v += bias;
         }
-        if q == 3 {
-            act.iter_mut().for_each(|v| *v = v.tanh());
-        } else {
-            act.iter_mut().for_each(|v| *v = v.sigmoid());
-        }
     }
+    let (ifo, g) = gates.split_at_mut(3 * hidden);
+    T::sigmoid_slice(ifo);
+    T::tanh_slice(g);
     let (i, rest) = gates.split_at(hidden);
     let (f, rest) = rest.split_at(hidden);
     let (o, g) = rest.split_at(hidden);
     for j in 0..hidden {
         c[j] = f[j] * c_prev[j] + i[j] * g[j];
-        tanh_c[j] = c[j].tanh();
+    }
+    tanh_c.copy_from_slice(&c[..hidden]);
+    T::tanh_slice(tanh_c);
+    for j in 0..hidden {
         h[j] = o[j] * tanh_c[j];
     }
 }
@@ -319,15 +320,14 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
     for slot in rest.chunks_exact_mut(h) {
         slot.copy_from_slice(first);
     }
-    for (i, (a, e)) in hidden
-        .chunks_exact_mut(h)
-        .zip(weights.iter_mut())
-        .enumerate()
-    {
+    for (i, a) in hidden.chunks_exact_mut(h).enumerate() {
         w1.matvec_acc(h, &key(i), a);
         for (v, &bias) in a.iter_mut().zip(b1.data()) {
-            *v = (*v + bias).tanh();
+            *v += bias;
         }
+    }
+    T::tanh_slice(hidden);
+    for (a, e) in hidden.chunks_exact(h).zip(weights.iter_mut()) {
         let mut energy = [T::ZERO];
         w2.matvec_acc(0, a, &mut energy);
         *e = energy[0] + b2.data()[0];
@@ -340,7 +340,8 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
         })
     });
     let max = max.unwrap_or(T::ZERO);
-    weights.iter_mut().for_each(|e| *e = (*e - max).exp());
+    weights.iter_mut().for_each(|e| *e -= max);
+    T::exp_slice(weights);
     let total = weights.iter().fold(T::ZERO, |acc, &e| acc + e);
     weights.iter_mut().for_each(|e| *e /= total);
     // Eq. 12: the weighted sum in key order; each weight is read as the

@@ -14,13 +14,22 @@
 //!   pipeline is bit-identical across thread counts too (same ordered
 //!   reductions), it just rounds differently from f64.
 //!
-//! The activation helpers ([`Scalar::sigmoid`], [`Scalar::relu`]) live here —
-//! as provided trait methods — precisely so the training tapes, inference
-//! and the autodiff graph that is the tapes' test oracle share one
-//! definition and stay bit-identical to each other.
+//! The activations ([`Scalar::exp`], [`Scalar::tanh`], [`Scalar::sigmoid`],
+//! [`Scalar::relu`]) live here, as provided trait methods, so the training
+//! tapes, inference and the autodiff graph that is the tapes' test oracle
+//! share one definition and stay bit-identical to each other. `exp`, `tanh`
+//! and `sigmoid` are this crate's own code ([`crate::activation`]), not the
+//! host's libm: IEEE `+ − × ÷` only, so their bits do not depend on the
+//! host's C library. `f32` evaluates the `f64` definition and rounds once.
+//! The slice hooks ([`Scalar::exp_slice`], [`Scalar::tanh_slice`],
+//! [`Scalar::sigmoid_slice`]) run the same functions on the vector leg the
+//! host supports, bit for bit; the recurrent steps call them. `ln` and
+//! `powf` still come from the host's libm.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+
+use crate::activation::{self, Function};
 
 mod private {
     /// Seals [`super::Scalar`]: the kernels are only audited (and the
@@ -67,12 +76,8 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Widens (losslessly for both implementors) to `f64`.
     fn to_f64(self) -> f64;
-    /// `e^self`.
-    fn exp(self) -> Self;
     /// Natural logarithm.
     fn ln(self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
     /// Absolute value.
@@ -92,14 +97,48 @@ pub trait Scalar:
     /// tests use at either precision.
     fn to_bits_u64(self) -> u64;
 
-    /// Logistic sigmoid `1 / (1 + e^{-x})`.
+    /// `e^self`: [`activation::exp`], rounded once at `f32`.
+    #[inline]
+    fn exp(self) -> Self {
+        Self::from_f64(activation::exp(self.to_f64()))
+    }
+
+    /// Hyperbolic tangent: [`activation::tanh`], rounded once at `f32`.
+    #[inline]
+    fn tanh(self) -> Self {
+        Self::from_f64(activation::tanh(self.to_f64()))
+    }
+
+    /// Logistic sigmoid `1 / (1 + e^{-x})`: [`activation::sigmoid`],
+    /// rounded once at `f32`.
     ///
     /// This is the **single** definition shared by every forward pass and
     /// the autodiff graph oracle; keeping one formula is what makes the
     /// tapes bit-identical to the graph.
     #[inline]
     fn sigmoid(self) -> Self {
-        Self::ONE / (Self::ONE + (-self).exp())
+        Self::from_f64(activation::sigmoid(self.to_f64()))
+    }
+
+    /// `x = x.exp()` for every entry, on the host's vector leg; bitwise
+    /// [`Scalar::exp`].
+    #[inline]
+    fn exp_slice(xs: &mut [Self]) {
+        Self::activate(Function::Exp, xs);
+    }
+
+    /// `x = x.tanh()` for every entry, on the host's vector leg; bitwise
+    /// [`Scalar::tanh`].
+    #[inline]
+    fn tanh_slice(xs: &mut [Self]) {
+        Self::activate(Function::Tanh, xs);
+    }
+
+    /// `x = x.sigmoid()` for every entry, on the host's vector leg; bitwise
+    /// [`Scalar::sigmoid`].
+    #[inline]
+    fn sigmoid_slice(xs: &mut [Self]) {
+        Self::activate(Function::Sigmoid, xs);
     }
 
     /// Rectified linear unit `max(x, 0)`, with `f64::max` NaN semantics.
@@ -167,12 +206,18 @@ pub trait Scalar:
         m: &mut [Self],
         v: &mut [Self],
     );
+
+    /// `x = f(x)` for every entry — the dispatch point of the slice hooks.
+    /// `f64` runs the activation leg the host supports; `f32` widens, runs
+    /// it and rounds once. Not part of the stable API.
+    #[doc(hidden)]
+    fn activate(f: Function, xs: &mut [Self]);
 }
 
 macro_rules! impl_scalar {
     (
         $t:ty, $name:literal, $axpy_avx2:path, $axpy4_avx2:path,
-        $matvec_avx2:path, $outer_terms:path, $adam_update:path
+        $matvec_avx2:path, $outer_terms:path, $adam_update:path, $activate:path
     ) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
@@ -188,16 +233,8 @@ macro_rules! impl_scalar {
                 self as f64
             }
             #[inline]
-            fn exp(self) -> Self {
-                <$t>::exp(self)
-            }
-            #[inline]
             fn ln(self) -> Self {
                 <$t>::ln(self)
-            }
-            #[inline]
-            fn tanh(self) -> Self {
-                <$t>::tanh(self)
             }
             #[inline]
             fn sqrt(self) -> Self {
@@ -277,6 +314,11 @@ macro_rules! impl_scalar {
             ) {
                 $adam_update(step, w, g, m, v)
             }
+
+            #[inline]
+            fn activate(f: Function, xs: &mut [Self]) {
+                $activate(f, xs)
+            }
         }
     };
 }
@@ -288,7 +330,8 @@ impl_scalar!(
     crate::simd::axpy_row4_f64_avx2,
     crate::simd::matvec_f64_avx2,
     crate::panel::outer_terms_f64,
-    crate::simd::adam_update_f64
+    crate::simd::adam_update_f64,
+    activation::map_f64
 );
 impl_scalar!(
     f32,
@@ -297,7 +340,8 @@ impl_scalar!(
     crate::simd::axpy_row4_f32_avx2,
     crate::simd::matvec_f32_avx2,
     crate::panel::outer_terms_reference,
-    crate::simd::AdamStep::update_reference
+    crate::simd::AdamStep::update_reference,
+    activation::map_f32
 );
 
 /// The numeric precision a pipeline stage runs at — the user-facing knob
@@ -362,13 +406,15 @@ mod tests {
         assert_eq!(1.0f32.to_bits_u64(), 1.0f32.to_bits() as u64);
     }
 
+    /// The inline formula through the crate's own `exp`; at `f32`, the
+    /// `f64` formula rounded once.
     #[test]
     fn sigmoid_matches_the_inline_formula_at_both_precisions() {
         for x in [-3.0f64, -0.5, 0.0, 0.5, 3.0] {
-            let expected = 1.0 / (1.0 + (-x).exp());
+            let expected = 1.0 / (1.0 + Scalar::exp(-x));
             assert_eq!(Scalar::sigmoid(x).to_bits(), expected.to_bits());
             let x32 = x as f32;
-            let expected32 = 1.0f32 / (1.0 + (-x32).exp());
+            let expected32 = (1.0 / (1.0 + Scalar::exp(-f64::from(x32)))) as f32;
             assert_eq!(Scalar::sigmoid(x32).to_bits(), expected32.to_bits());
         }
         assert_eq!(Scalar::sigmoid(0.0f64), 0.5);
