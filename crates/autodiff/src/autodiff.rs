@@ -644,6 +644,7 @@ impl<T: Scalar> Var<T> {
         let mut hidden = Matrix::zeros(t, hidden_size);
         let mut weights = Matrix::zeros(t, 1);
         let mut context = Matrix::zeros(keys[0].shape().0, 1);
+        let mut joint = vec![T::ZERO; hidden_size + context.rows()];
         {
             let values = align.map(Var::value_ref);
             let align_values: recurrent::AlignWeights<'_, T> = std::array::from_fn(|q| &*values[q]);
@@ -652,6 +653,7 @@ impl<T: Scalar> Var<T> {
                 &align_values,
                 self.value_ref().data(),
                 key,
+                &mut joint,
                 hidden.data_mut(),
                 weights.data_mut(),
                 context.data_mut(),
@@ -1025,7 +1027,8 @@ mod tests {
     /// place; it must equal the route it replaced — the product
     /// materialised from `+0.0` and accumulated — bit for bit, including
     /// over repeated uses of `W` (an unrolled recurrence) and `±0.0` in the
-    /// column. A constant column's gradient is never computed.
+    /// column. The forward value the gradient reads is the single-column
+    /// product. A constant column's gradient is never computed.
     #[test]
     fn matmul_backward_against_a_column_matches_the_materialised_route() {
         let w0 = Matrix::from_fn(5, 19, |r, c| ((r * 19 + c) as f64 * 0.37).sin());
@@ -1048,7 +1051,7 @@ mod tests {
 
         let mut want = Matrix::zeros(5, 19);
         for x in &xs {
-            let g = w0.matmul_naive(x).map(|y| {
+            let g = w0.matmul(x).map(|y| {
                 let t = y.tanh();
                 1.0 - t * t
             });

@@ -167,14 +167,22 @@ mod tests {
         out
     }
 
+    /// The graph forward of each column on its own (a single-column
+    /// product, as every training and inference step runs it) against the
+    /// snapshot's `affine`.
     #[test]
     fn snapshot_forward_matches_graph_forward_bitwise() {
         let mut rng = StdRng::seed_from_u64(9);
         let layer: Linear = Linear::new(4, 3, &mut rng);
         let weights = layer.snapshot();
         let x = Matrix::random_uniform(4, 2, 1.0, &mut rng);
-        let graph = layer.forward(&Var::constant(x.clone())).value();
-        assert!(graph.bits_eq(&affine_columns(&weights, &x)));
+        let columns = affine_columns(&weights, &x);
+        for c in 0..x.cols() {
+            let column = Matrix::from_fn(4, 1, |r, _| x.get(r, c));
+            let graph = layer.forward(&Var::constant(column)).value();
+            let want = Matrix::from_fn(3, 1, |r, _| columns.get(r, c));
+            assert!(graph.bits_eq(&want), "column {c}");
+        }
     }
 
     /// The weights → graph round trip must preserve the training

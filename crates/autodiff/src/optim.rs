@@ -173,9 +173,26 @@ mod tests {
         }
     }
 
-    /// The update `Adam::step` replaced: an indexed loop over the flat
-    /// slices, clip applied per element when set. Kept here as the oracle
-    /// of the slice pass.
+    /// `base^t` by binary powering, lowest bit first.
+    fn power<T: Scalar>(base: T, t: u64) -> T {
+        let mut power = T::ONE;
+        let mut square = base;
+        for bit in 0..64 - t.leading_zeros() {
+            if t >> bit & 1 == 1 {
+                power *= square;
+            }
+            if t >> (bit + 1) != 0 {
+                square *= square;
+            }
+        }
+        power
+    }
+
+    /// Adam's update in Kingma & Ba's efficient form as an indexed loop over
+    /// the flat slices, clip applied per element when set: the step size
+    /// `α_t = (α·√(1 − β₂ᵗ)) / (1 − β₁ᵗ)` and the guard `ε̂ = ε·√(1 − β₂ᵗ)`
+    /// once per step, then `w −= (α_t·m) / (√v + ε̂)`. Kept here as the
+    /// oracle of the slice pass.
     #[allow(clippy::too_many_arguments)]
     fn indexed_adam_reference<T: Scalar>(
         value: &mut [T],
@@ -187,9 +204,9 @@ mod tests {
         clip: Option<T>,
     ) {
         let (beta1, beta2, eps) = (T::from_f64(0.9), T::from_f64(0.999), T::from_f64(1e-8));
-        let t = T::from_f64(step as f64);
-        let bias1 = T::ONE - beta1.powf(t);
-        let bias2 = T::ONE - beta2.powf(t);
+        let root = (T::ONE - power(beta2, step)).sqrt();
+        let alpha = lr * root / (T::ONE - power(beta1, step));
+        let eps_hat = eps * root;
         for idx in 0..value.len() {
             let mut g = grad[idx];
             if let Some(c) = clip {
@@ -199,9 +216,7 @@ mod tests {
             let v_i = beta2 * v[idx] + (T::ONE - beta2) * g * g;
             m[idx] = m_i;
             v[idx] = v_i;
-            let m_hat = m_i / bias1;
-            let v_hat = v_i / bias2;
-            value[idx] -= lr * m_hat / (v_hat.sqrt() + eps);
+            value[idx] -= alpha * m_i / (v_i.sqrt() + eps_hat);
         }
     }
 

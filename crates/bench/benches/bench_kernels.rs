@@ -8,11 +8,12 @@ use rm_imputers::{BritsTape, Gradients, PathSequence, RecurrentImputerWeights, S
 use rm_nn::{LstmCellWeights, MlpWeights};
 use rm_tensor::activation::Function;
 use rm_tensor::recurrent::lstm_cell_forward;
+use rm_tensor::simd::matvec_reference;
 use rm_tensor::{AdamStep, Matrix, OuterPanel, Scalar};
 
 fn bench_matmul(c: &mut Criterion) {
     // Stamp recorded runs with the axpy_row kernel this process resolved to
-    // (scalar / avx2 / avx2+fma), so BENCH_baseline.json entries stay
+    // (scalar / avx2), so BENCH_baseline.json entries stay
     // attributable without renaming the cross-PR bench ids.
     eprintln!("axpy_row kernel: {}", rm_tensor::simd_kernel_name());
     let mut rng = StdRng::seed_from_u64(1);
@@ -44,27 +45,40 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
-/// The batch-1 training product: one LSTM gate block (`4·hidden` = 32 rows)
-/// times the concatenated `[x; h]` column (138 = the KaideLike-scale AP
-/// count plus hidden units), the shape every BiSIM forward step runs.
+/// The single-column products of one BiSIM training step at the
+/// `e2ebench` shape (53 APs, hidden size 32): an encoder LSTM gate over
+/// `[x^c; m; h]` (32×138), a decoder gate over `[l^c; context; s]` (32×87),
+/// the attention MLP's `W1·[s; k_i]` (32×85) and a latent-to-AP layer
+/// (53×32). Each on the dispatched leg (`matvec_f64_*`) and on the scalar
+/// reference (`matvec_reference_f64_*`); both give the same bits.
 fn bench_matvec(c: &mut Criterion) {
+    // Stamp recorded runs with the product's leg (scalar / avx2 / avx512f).
+    eprintln!("matvec kernel: {}", rm_tensor::matvec_kernel_name());
     let mut rng = StdRng::seed_from_u64(4);
-    let w: Matrix = Matrix::random_uniform(32, 138, 1.0, &mut rng);
-    let x: Matrix = Matrix::random_uniform(138, 1, 1.0, &mut rng);
-    let mut out = Matrix::zeros(32, 1);
-    c.bench_function("matvec_f64_32x138", |bencher| {
-        bencher.iter(|| {
-            w.matmul_into(&x, &mut out);
-            std::hint::black_box(out.get(0, 0))
-        })
-    });
+    for (rows, cols) in [(32, 138), (32, 87), (32, 85), (53, 32)] {
+        let w: Matrix = Matrix::random_uniform(rows, cols, 1.0, &mut rng);
+        let x: Matrix = Matrix::random_uniform(cols, 1, 1.0, &mut rng);
+        let mut out = vec![0.0; rows];
+        c.bench_function(&format!("matvec_f64_{rows}x{cols}"), |bencher| {
+            bencher.iter(|| {
+                w.matvec_into(x.data(), &mut out);
+                std::hint::black_box(out[0])
+            })
+        });
+        c.bench_function(&format!("matvec_reference_f64_{rows}x{cols}"), |bencher| {
+            bencher.iter(|| {
+                matvec_reference(w.data(), cols, x.data(), &mut out);
+                std::hint::black_box(out[0])
+            })
+        });
+    }
 }
 
 /// One Adam update over 80 000 parameters (four 100×200 tensors with a
 /// fixed gradient), the optimizer half of every training step: one
 /// [`AdamStep::update`] per tensor on plain slices, as the trainer runs it.
 fn bench_adam_step(c: &mut Criterion) {
-    // Stamp recorded runs with the Adam leg (scalar / avx2+fma / avx512f).
+    // Stamp recorded runs with the Adam leg (scalar / avx2 / avx512f).
     eprintln!("adam kernel: {}", rm_tensor::adam_kernel_name());
     let mut rng = StdRng::seed_from_u64(5);
     let mut tensors: Vec<[Matrix; 4]> = (0..4)

@@ -100,6 +100,8 @@ pub struct DirectionTape<T: Scalar = f64> {
     /// activations and softmax weights.
     attn_hidden: Vec<T>,
     attn_weights: Vec<T>,
+    /// `hidden + aps`: the attention's joint column `[s; h''_i]`, scratch.
+    attn_joint: Vec<T>,
 }
 
 impl<T: Scalar> DirectionTape<T> {
@@ -140,6 +142,7 @@ impl<T: Scalar> DirectionTape<T> {
             (&mut self.states, len * hidden),
             (&mut self.attn_hidden, len * len * hidden),
             (&mut self.attn_weights, len * len),
+            (&mut self.attn_joint, hidden + aps),
         ] {
             zeroed(buffer, n);
         }
@@ -227,6 +230,7 @@ impl<T: Scalar> BisimDirectionWeights<T> {
                     &align,
                     s_prev,
                     |i| &tp.keys[i * a..(i + 1) * a],
+                    &mut tp.attn_joint,
                     &mut tp.attn_hidden[j * len * h..(j + 1) * len * h],
                     &mut tp.attn_weights[j * len..(j + 1) * len],
                     context,

@@ -41,12 +41,11 @@ impl<T: Scalar> LinearWeights<T> {
     }
 
     /// Applies `W·x + b` to one column `x`, writing into `out`: the
-    /// product from `+0.0` in increasing column order, then the bias — the
-    /// operations of the graph's affine node, so the result is
+    /// single-column product ([`Matrix::matvec_into`]), then the bias — the
+    /// operations of the graph's affine node on a column, so the result is
     /// bit-identical to the graph forward at the same precision.
     pub fn affine(&self, x: &[T], out: &mut [T]) {
-        out.fill(T::ZERO);
-        self.weight.matvec_acc(0, x, out);
+        self.weight.matvec_into(x, out);
         for (v, &b) in out.iter_mut().zip(self.bias.data()) {
             *v += b;
         }

@@ -46,7 +46,7 @@
 
 // rm-lint: hot-path
 
-use std::sync::OnceLock;
+use crate::simd::{leg, Leg};
 
 /// Arguments below this give `exp(x) = 0`; the reduction clamps to it.
 const EXP_MIN_ARG: f64 = -746.0;
@@ -195,55 +195,10 @@ impl Function {
     }
 }
 
-/// The leg the slice kernels run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    /// The reference, one value at a time (`RM_SIMD=0`, no AVX2 at
-    /// runtime, non-x86_64).
-    Scalar,
-    /// 4 lanes of AVX2.
-    Avx2,
-    /// 8 lanes of AVX-512F.
-    Avx512,
-}
-
-impl Leg {
-    /// Whether this host can run the leg.
-    fn available(self) -> bool {
-        match self {
-            Leg::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Leg::Avx2 => crate::simd::avx2_available(),
-            #[cfg(target_arch = "x86_64")]
-            Leg::Avx512 => crate::simd::avx512f_available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-}
-
-/// The widest leg the host runs, unless `RM_SIMD=0`.
-fn leg() -> Leg {
-    static LEG: OnceLock<Leg> = OnceLock::new();
-    *LEG.get_or_init(|| {
-        if !crate::simd_enabled() {
-            return Leg::Scalar;
-        }
-        [Leg::Avx512, Leg::Avx2]
-            .into_iter()
-            .find(|leg| leg.available())
-            .unwrap_or(Leg::Scalar)
-    })
-}
-
 /// Name of the activation leg the current process runs: `"avx512f"`,
 /// `"avx2"` or `"scalar"`. For bench labels and reports.
 pub fn activation_kernel_name() -> &'static str {
-    match leg() {
-        Leg::Avx512 => "avx512f",
-        Leg::Avx2 => "avx2",
-        Leg::Scalar => "scalar",
-    }
+    leg().name()
 }
 
 /// The `f64` instance of the `Scalar::activate` hook: `xs[i] = f(xs[i])`.

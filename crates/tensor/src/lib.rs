@@ -57,4 +57,4 @@ pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use panel::{panel_kernel_name, OuterPanel};
 pub use scalar::{Precision, Scalar};
-pub use simd::{adam_kernel_name, simd_enabled, simd_kernel_name, AdamStep};
+pub use simd::{adam_kernel_name, matvec_kernel_name, simd_enabled, simd_kernel_name, AdamStep};

@@ -81,64 +81,6 @@ pub(crate) fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `out[r] += W[r, ..] · x` for a row-major `W` whose rows start `ld`
-/// entries apart and hold `x.len()` columns from the start of `w` on: the
-/// scalar column-vector kernel of [`Matrix::matmul_into`] and
-/// [`Matrix::matvec_acc`] (the `RM_SIMD=0` reference of the AVX2
-/// `Scalar::matvec_avx2`). Each row's accumulator starts at its `out[r]`
-/// and adds `W[r, k] · x[k]` — one multiply, one add — in increasing `k`,
-/// so a dot product split at any column and continued from the first
-/// part's sums is bitwise the unsplit one. Rows go through [`matvec_rows`]
-/// in blocks of 16, then 4, then 1, so up to 16 independent dot-product
-/// chains are in flight: consecutive multiply-adds of one row no longer
-/// wait on each other's latency, and each `x[k]` load is shared by the
-/// whole block. Blocking changes which rows run together, never the
-/// arithmetic of a row.
-#[inline]
-pub(crate) fn matvec_acc_into<T: Scalar>(w: &[T], ld: usize, x: &[T], out: &mut [T]) {
-    debug_assert!(out.is_empty() || w.len() >= (out.len() - 1) * ld + x.len());
-    let done = matvec_blocks::<T, 16>(w, ld, x, out, 0);
-    let done = matvec_blocks::<T, 4>(w, ld, x, out, done);
-    matvec_blocks::<T, 1>(w, ld, x, out, done);
-}
-
-/// Computes as many whole blocks of `R` output rows as fit from row `start`
-/// on; returns the first row left over.
-#[inline(always)]
-fn matvec_blocks<T: Scalar, const R: usize>(
-    w: &[T],
-    ld: usize,
-    x: &[T],
-    out: &mut [T],
-    start: usize,
-) -> usize {
-    let end = start + (out.len() - start) / R * R;
-    for (b, o) in out[start..end].chunks_exact_mut(R).enumerate() {
-        let first = start + b * R;
-        let acc: &mut [T; R] = o.try_into().expect("block of R rows");
-        matvec_rows::<T, R>(&w[first * ld..], ld, x, acc);
-    }
-    end
-}
-
-/// Continues the dot products of `R` rows (`ld` entries apart from the
-/// start of `rows`) with `x` from the accumulators in `acc`. Each adds
-/// `row[k] * x[k]` — one multiply, one add — in increasing `k`, the order of
-/// [`Matrix::matmul_naive`]; the `R` chains are independent, so the block
-/// changes throughput, not arithmetic.
-#[inline(always)]
-fn matvec_rows<T: Scalar, const R: usize>(rows: &[T], ld: usize, x: &[T], acc: &mut [T; R]) {
-    let k = x.len();
-    let rows: [&[T]; R] = std::array::from_fn(|r| &rows[r * ld..r * ld + k]);
-    let mut a = *acc;
-    for (j, &xj) in x.iter().enumerate() {
-        for r in 0..R {
-            a[r] += rows[r][j] * xj;
-        }
-    }
-    *acc = a;
-}
-
 /// A dense row-major matrix of [`Scalar`] values (`f64` by default).
 #[derive(Clone, PartialEq)]
 pub struct Matrix<T: Scalar = f64> {
@@ -334,29 +276,26 @@ impl<T: Scalar> Matrix<T> {
     /// (every entry is overwritten), using a kernel shaped for the operands.
     ///
     /// * **Column vector** (`rhs.cols == 1`, every batch-1 layer of the
-    ///   recurrent imputers): row-blocked dot products, up to sixteen
-    ///   independent accumulators at a time, each summing its row's terms
-    ///   in increasing `k` — on AVX2 hosts in vector lanes, one row per lane
-    ///   ([`crate::simd`]), bit-identical to the scalar blocks.
+    ///   recurrent imputers): [`Matrix::matvec_into`], each row eight
+    ///   interleaved partial sums reduced in a fixed tree — the blocked
+    ///   single-column definition of [`crate::simd`], which differs from
+    ///   [`Matrix::matmul_naive`]'s sequential sum in its rounding.
     /// * **Otherwise**: a cache-blocked i-k-j kernel. The reduction dimension
     ///   is processed in panels of [`MATMUL_BLOCK`] rows of `rhs`, so each
     ///   panel stays cache-hot while the kernel streams over the rows of
     ///   `self` and `out`; the inner loop is the [`crate::simd`]-dispatched
     ///   row kernel (scalar reference under `RM_SIMD=0`, and for rows
     ///   narrower than `SIMD_MIN_COLS`), contiguous over both
-    ///   `rhs` and `out`.
-    ///
-    /// Either way every output entry starts at `+0.0` and accumulates one
-    /// multiply and one add per term in increasing `k` order — exactly the
-    /// order of the naive kernel — so for **finite inputs** the result is
-    /// bit-identical to [`Matrix::matmul_naive`] at either precision. The
-    /// blocked kernel skips exact-zero multiplicands of `self`; the dot
-    /// kernel does not, and on finite inputs the two agree because a skipped
-    /// term is a `±0.0` product and an accumulator that starts at `+0.0` is
-    /// never `-0.0` (round-to-nearest turns an exact-zero sum into `+0.0`),
-    /// so adding `±0.0` leaves it unchanged. (With NaN or ±∞ in `rhs` against
-    /// a zero in `self`, the naive and dot kernels propagate the NaN while
-    /// the blocked one does not.)
+    ///   `rhs` and `out`. Every output entry starts at `+0.0` and
+    ///   accumulates one multiply and one add per term in increasing `k`
+    ///   order — exactly the order of the naive kernel — so for **finite
+    ///   inputs** the result is bit-identical to [`Matrix::matmul_naive`] at
+    ///   either precision. The kernel skips exact-zero multiplicands of
+    ///   `self`; a skipped term is a `±0.0` product and an accumulator that
+    ///   starts at `+0.0` is never `-0.0` (round-to-nearest turns an
+    ///   exact-zero sum into `+0.0`), so adding `±0.0` leaves it unchanged.
+    ///   (With NaN or ±∞ in `rhs` against a zero in `self`, the naive kernel
+    ///   propagates the NaN while the blocked one does not.)
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match or `out` has the wrong
@@ -376,8 +315,7 @@ impl<T: Scalar> Matrix<T> {
             (self.rows, rhs.cols)
         );
         if rhs.cols == 1 {
-            out.data.fill(T::ZERO);
-            return self.matvec_acc(0, &rhs.data, &mut out.data);
+            return self.matvec_into(&rhs.data, &mut out.data);
         }
         out.data.iter_mut().for_each(|v| *v = T::ZERO);
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
@@ -494,44 +432,22 @@ impl<T: Scalar> Matrix<T> {
         );
     }
 
-    /// Continues each row's dot product with a column block of `self`:
-    /// `acc[r] += self[r, start + k] · x[k]`, one multiply and one add per
-    /// term, in increasing `k`, from the accumulator's current value. The
-    /// column-vector product of [`Matrix::matmul_into`] is this from `+0.0`
-    /// over every column, so a product split into column blocks and
-    /// continued block by block is bitwise the whole one — which lets a
-    /// caller compute a shared prefix (`W[:, ..h] · s`) once and continue
-    /// it against several suffixes. On AVX2 hosts the rows run one per
-    /// vector lane ([`crate::simd`]), bit-identical to the scalar blocks.
+    /// The single-column product `out = self · x`, every entry overwritten:
+    /// each row is eight partial sums — lane `l` takes the terms
+    /// `self[r, k]·x[k]` with `k ≡ l (mod 8)` in increasing `k`, from
+    /// `−0.0` — reduced in a fixed tree (the definition at
+    /// [`crate::simd`]). The host's widest leg runs it (AVX-512F, AVX2, or
+    /// the scalar reference under `RM_SIMD=0`), bitwise the same on each.
+    /// The product over a column block is not a part of the whole one, so
+    /// a caller that shares a prefix computes whole products.
     ///
     /// # Panics
-    /// Panics if `acc` does not have one entry per row or the block runs
-    /// past the last column.
-    #[allow(unsafe_code)] // audited dispatch into the detected arch kernel
-    pub fn matvec_acc(&self, start: usize, x: &[T], acc: &mut [T]) {
-        assert_eq!(
-            acc.len(),
-            self.rows,
-            "matvec_acc accumulator length mismatch"
-        );
-        assert!(
-            start + x.len() <= self.cols,
-            "matvec_acc columns {start}..{} out of {}",
-            start + x.len(),
-            self.cols
-        );
-        if self.rows == 0 {
-            return;
-        }
-        let w = &self.data[start..];
-        match crate::simd::kernel() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2` is only resolved after runtime AVX2
-            // detection succeeded on this CPU, and the shapes were checked
-            // above.
-            crate::simd::Kernel::Avx2 => unsafe { T::matvec_avx2(w, self.cols, x, acc) },
-            _ => matvec_acc_into(w, self.cols, x, acc),
-        }
+    /// Panics if `x` does not have one entry per column or `out` one per
+    /// row.
+    pub fn matvec_into(&self, x: &[T], out: &mut [T]) {
+        assert_eq!(x.len(), self.cols, "matvec_into input length mismatch");
+        assert_eq!(out.len(), self.rows, "matvec_into output length mismatch");
+        T::matvec(&self.data, self.cols, x, out);
     }
 
     /// Reference matrix product: the textbook triple loop, kept as the ground
@@ -1157,13 +1073,32 @@ mod tests {
         assert!(c.is_finite());
     }
 
+    /// The single-column product as its definition reads (see
+    /// [`crate::simd`]): lane `k mod 8` of each row adds `W[r, k]·x[k]` from
+    /// `−0.0` in increasing `k`, and the lanes reduce as `(l0+l4, l1+l5,
+    /// l2+l6, l3+l7)`, then `(s0+s2, s1+s3)`, then one value. Written out
+    /// index by index, apart from every kernel.
+    fn column_product<T: Scalar>(w: &Matrix<T>, x: &Matrix<T>) -> Matrix<T> {
+        assert_eq!(x.shape(), (w.cols(), 1));
+        Matrix::from_fn(w.rows(), 1, |r, _| {
+            let mut lanes = [-T::ZERO; 8];
+            for k in 0..w.cols() {
+                lanes[k % 8] += w.get(r, k) * x.get(k, 0);
+            }
+            let s: [T; 4] = std::array::from_fn(|j| lanes[j] + lanes[j + 4]);
+            (s[0] + s[2]) + (s[1] + s[3])
+        })
+    }
+
     /// Runs every `axpy_row` consumer at one random shape and asserts the
     /// dispatched kernel (AVX2 under the default `RM_SIMD=1`, the scalar
     /// reference under `RM_SIMD=0` or off-x86 hosts) is bit-identical to
-    /// formulations that never touch `axpy_row`: `matmul_naive`, explicit
+    /// formulations that never touch `axpy_row`: `matmul_naive` (the
+    /// written-out single-column definition when `n = 1`), explicit
     /// transpose + naive, and the rolled axpy loop. Output buffers are
-    /// pre-dirtied so a stale read shows. The CI `test-no-simd` leg runs this same property against the
-    /// forced scalar path, closing the parity check from both sides.
+    /// pre-dirtied so a stale read shows. The CI `test-no-simd` leg runs
+    /// this same property against the forced scalar path, closing the
+    /// parity check from both sides.
     fn axpy_consumers_match_reference<T: Scalar>(m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a: Matrix<T> = Matrix::<f64>::random_uniform(m, k, 1.0, &mut rng).cast();
@@ -1173,7 +1108,12 @@ mod tests {
         // Dirty the output: fill with NaN, then overwrite.
         let mut out = Matrix::<T>::filled(m, n, T::from_f64(f64::NAN));
         a.matmul_into(&b, &mut out);
-        assert_kernel_parity(&out, &a.matmul_naive(&b));
+        let want = if n == 1 {
+            column_product(&a, &b)
+        } else {
+            a.matmul_naive(&b)
+        };
+        assert_kernel_parity(&out, &want);
 
         let at_b = a.matmul_at_b(&grad);
         assert_kernel_parity(&at_b, &a.transpose().matmul_naive(&grad));
@@ -1208,20 +1148,28 @@ mod tests {
     }
 
     /// The batch-1 training kernels against formulations that never touch
-    /// them: `W·x` and `Wᵀ·g` against `matmul_naive` (on an explicit
-    /// transpose), and the in-place `dW += g·xᵀ` against the route it
-    /// replaced — the outer product materialised from `+0.0` and added with
-    /// a rolled loop. The gradient buffer gets `+0.0` but never `-0.0`
-    /// entries, the invariant `add_outer` documents.
+    /// them: `W·x` (through `matmul_into` and `matvec_into`) against the
+    /// written-out single-column definition, `Wᵀ·g` against `matmul_naive`
+    /// on an explicit transpose, and the in-place `dW += g·xᵀ` against the
+    /// route it replaced — the outer product materialised from `+0.0` and
+    /// added with a rolled loop. The gradient buffer gets `+0.0` but never
+    /// `-0.0` entries, the invariant `add_outer` documents.
     fn narrow_kernels_match_reference<T: Scalar>(m: usize, k: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = signed_zero_matrix::<T>(m, k, &mut rng);
         let x = signed_zero_matrix::<T>(k, 1, &mut rng);
         let g = signed_zero_matrix::<T>(m, 1, &mut rng);
 
+        let want = column_product(&w, &x);
         let mut out = Matrix::<T>::filled(m, 1, T::from_f64(f64::NAN));
         w.matmul_into(&x, &mut out);
-        assert!(out.bits_eq(&w.matmul_naive(&x)), "W·x not bit-identical");
+        assert!(out.bits_eq(&want), "W·x not bit-identical");
+        let mut column = vec![T::from_f64(f64::NAN); m];
+        w.matvec_into(x.data(), &mut column);
+        assert!(
+            Matrix::column(&column).bits_eq(&want),
+            "matvec_into not bit-identical"
+        );
 
         assert_kernel_parity(&w.matmul_at_b(&g), &w.transpose().matmul_naive(&g));
 
@@ -1265,8 +1213,8 @@ mod tests {
             }
 
             /// The column-vector kernels ≡ their references, bit for bit, at
-            /// random heights straddling the eight-row block and inner
-            /// dimensions straddling the vector width, with `±0.0` entries.
+            /// random heights straddling the four-row block and inner
+            /// dimensions straddling the eight lanes, with `±0.0` entries.
             #[test]
             fn narrow_kernels_are_bit_identical_to_references(
                 m in 0usize..40,

@@ -31,9 +31,9 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-use std::sync::OnceLock;
 
 use crate::matrix::axpy_row_scalar;
+use crate::simd::{leg, Leg};
 use crate::{Matrix, Scalar};
 
 /// The rank-1 terms one weight tensor has received and not yet applied
@@ -147,59 +147,15 @@ pub(crate) fn outer_terms_reference<T: Scalar>(
     }
 }
 
-/// The leg the panel pass runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PanelLeg {
-    /// The reference (`RM_SIMD=0`, no AVX2 at runtime, non-x86_64).
-    Scalar,
-    /// 4 lanes of AVX2, one row per pass.
-    Avx2,
-    /// 8 lanes of AVX-512F, two rows per pass.
-    Avx512,
-}
-
-impl PanelLeg {
-    /// Whether this host can run the leg.
-    fn available(self) -> bool {
-        match self {
-            PanelLeg::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            PanelLeg::Avx2 => crate::simd::avx2_available(),
-            #[cfg(target_arch = "x86_64")]
-            PanelLeg::Avx512 => crate::simd::avx512f_available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-}
-
-/// The widest panel leg the host runs, unless `RM_SIMD=0`.
-fn panel_leg() -> PanelLeg {
-    static LEG: OnceLock<PanelLeg> = OnceLock::new();
-    *LEG.get_or_init(|| {
-        if !crate::simd_enabled() {
-            return PanelLeg::Scalar;
-        }
-        [PanelLeg::Avx512, PanelLeg::Avx2]
-            .into_iter()
-            .find(|leg| leg.available())
-            .unwrap_or(PanelLeg::Scalar)
-    })
-}
-
 /// Name of the panel leg the current process runs for `f64`: `"avx512f"`,
 /// `"avx2"` or `"scalar"`. For bench labels and reports.
 pub fn panel_kernel_name() -> &'static str {
-    match panel_leg() {
-        PanelLeg::Avx512 => "avx512f",
-        PanelLeg::Avx2 => "avx2",
-        PanelLeg::Scalar => "scalar",
-    }
+    leg().name()
 }
 
 /// The `f64` instance of the `Scalar::outer_terms` hook.
 pub(crate) fn outer_terms_f64(d: &mut [f64], rows: usize, cols: usize, us: &[f64], vs: &[f64]) {
-    outer_terms_f64_on(panel_leg(), d, rows, cols, us, vs);
+    outer_terms_f64_on(leg(), d, rows, cols, us, vs);
 }
 
 /// The `f64` pass on `leg`.
@@ -208,14 +164,7 @@ pub(crate) fn outer_terms_f64(d: &mut [f64], rows: usize, cols: usize, us: &[f64
 /// Panics if the host cannot run `leg`, or a length disagrees with the
 /// shape.
 #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
-fn outer_terms_f64_on(
-    leg: PanelLeg,
-    d: &mut [f64],
-    rows: usize,
-    cols: usize,
-    us: &[f64],
-    vs: &[f64],
-) {
+fn outer_terms_f64_on(leg: Leg, d: &mut [f64], rows: usize, cols: usize, us: &[f64], vs: &[f64]) {
     assert!(
         leg.available(),
         "panel leg {leg:?} is not available on this host"
@@ -228,10 +177,10 @@ fn outer_terms_f64_on(
         // SAFETY: `leg.available()` asserted the CPU feature above, and
         // `check_lengths` the slice lengths the kernel's offsets rely on.
         #[cfg(target_arch = "x86_64")]
-        PanelLeg::Avx512 => unsafe { outer_terms_avx512(d, rows, cols, us, vs) },
+        Leg::Avx512 => unsafe { outer_terms_avx512(d, rows, cols, us, vs) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        PanelLeg::Avx2 => unsafe { outer_terms_avx2(d, rows, cols, us, vs) },
+        Leg::Avx2 => unsafe { outer_terms_avx2(d, rows, cols, us, vs) },
         _ => outer_terms_reference(d, rows, cols, us, vs),
     }
 }
@@ -419,8 +368,8 @@ mod tests {
     use super::*;
 
     /// The legs this host can run, the reference first.
-    fn host_legs() -> Vec<PanelLeg> {
-        [PanelLeg::Scalar, PanelLeg::Avx2, PanelLeg::Avx512]
+    fn host_legs() -> Vec<Leg> {
+        [Leg::Scalar, Leg::Avx2, Leg::Avx512]
             .into_iter()
             .filter(|leg| leg.available())
             .collect()

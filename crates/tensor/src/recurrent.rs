@@ -9,7 +9,7 @@
 //! parents' values, so the two agree bit for bit by
 //! construction. Both reproduce, operation for operation, the chain of
 //! primitive graph nodes the fused nodes replace (affine maps through
-//! [`Matrix::matvec_acc`], the shared [`Scalar::sigmoid`]/[`Scalar::tanh`],
+//! [`Matrix::matvec_into`], the shared [`Scalar::sigmoid`]/[`Scalar::tanh`],
 //! here through their bitwise-equal slice hooks, the stabilised column
 //! softmax).
 //!
@@ -86,9 +86,9 @@ pub type LstmGates<'a, T> = [(&'a Matrix<T>, &'a Matrix<T>); 4];
 /// carried cell state. Writes the gate activations `i, f, o, g` into
 /// `gates` (`4·H` entries, one gate after the other), the new cell state
 /// into `c`, `tanh(c)` into `tanh_c` and the new hidden state
-/// `h = o ⊙ tanh(c)` into `h`. Each gate is `act(W·x + b)`: the product from
-/// `+0.0` in increasing column order, then the bias, as in the graph's
-/// affine node; `c = f ⊙ c_prev + i ⊙ g` multiplies before it adds. The
+/// `h = o ⊙ tanh(c)` into `h`. Each gate is `act(W·x + b)`: the
+/// single-column product ([`Matrix::matvec_into`]), then the bias, as in the
+/// graph's affine node; `c = f ⊙ c_prev + i ⊙ g` multiplies before it adds. The
 /// activations run as slices once every gate's `W·x + b` is in: one
 /// sigmoid over the contiguous `i f o` block, one tanh over `g`, one over
 /// `c`.
@@ -107,8 +107,7 @@ pub fn lstm_cell_forward<T: Scalar>(
     let hidden = c_prev.len();
     assert_eq!(gates.len(), 4 * hidden, "LSTM gate buffer length mismatch");
     for ((w, b), act) in weights.iter().zip(gates.chunks_exact_mut(hidden)) {
-        act.fill(T::ZERO);
-        w.matvec_acc(0, x, act);
+        w.matvec_into(x, act);
         for (v, &bias) in act.iter_mut().zip(b.data()) {
             *v += bias;
         }
@@ -284,11 +283,9 @@ pub type AlignWeights<'a, T> = [&'a Matrix<T>; 4];
 /// the energies and the context is `Σ_i k_i · w_i`, accumulated in key
 /// order from `+0.0` into `context`. Writes the hidden activations
 /// `tanh(W1·[s; k_i] + b1)` into `hidden[i·H..(i+1)·H]` (`T·H` entries) and
-/// the softmax weights into `weights` (`T` entries).
-///
-/// `W1·s` is computed once and each key's product continues from it
-/// ([`Matrix::matvec_acc`]); a dot product continued from a prefix is
-/// bitwise the whole one, so every energy is the MLP's own.
+/// the softmax weights into `weights` (`T` entries). Each `W1·[s; k_i]` is
+/// one single-column product over the joint column, which the caller's
+/// `joint` buffer (`H + A` entries) holds.
 ///
 /// # Panics
 /// Panics if a slice length disagrees with the weight shapes.
@@ -296,6 +293,7 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
     align: &AlignWeights<'_, T>,
     s: &[T],
     key: impl Fn(usize) -> K,
+    joint: &mut [T],
     hidden: &mut [T],
     weights: &mut [T],
     context: &mut [T],
@@ -312,16 +310,11 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
         context.fill(T::ZERO);
         return;
     }
-    // Eq. 10: the shared prefix W1[:, ..H]·s lands in the first key's slot
-    // and is copied to the others before any of them continues.
-    let (first, rest) = hidden.split_at_mut(h);
-    first.fill(T::ZERO);
-    w1.matvec_acc(0, s, first);
-    for slot in rest.chunks_exact_mut(h) {
-        slot.copy_from_slice(first);
-    }
+    // Eq. 10: the alignment MLP's first layer over each `[s; k_i]`.
+    joint[..h].copy_from_slice(s);
     for (i, a) in hidden.chunks_exact_mut(h).enumerate() {
-        w1.matvec_acc(h, &key(i), a);
+        joint[h..].copy_from_slice(&key(i));
+        w1.matvec_into(joint, a);
         for (v, &bias) in a.iter_mut().zip(b1.data()) {
             *v += bias;
         }
@@ -329,7 +322,7 @@ pub fn attention_forward<T: Scalar, K: std::ops::Deref<Target = [T]>>(
     T::tanh_slice(hidden);
     for (a, e) in hidden.chunks_exact(h).zip(weights.iter_mut()) {
         let mut energy = [T::ZERO];
-        w2.matvec_acc(0, a, &mut energy);
+        w2.matvec_into(a, &mut energy);
         *e = energy[0] + b2.data()[0];
     }
     // Eq. 11: the graph's column softmax — max-shift, exp, normalise.

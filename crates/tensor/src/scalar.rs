@@ -23,8 +23,10 @@
 //! host's C library. `f32` evaluates the `f64` definition and rounds once.
 //! The slice hooks ([`Scalar::exp_slice`], [`Scalar::tanh_slice`],
 //! [`Scalar::sigmoid_slice`]) run the same functions on the vector leg the
-//! host supports, bit for bit; the recurrent steps call them. `ln` and
-//! `powf` still come from the host's libm.
+//! host supports, bit for bit; the recurrent steps call them. Adam's bias
+//! corrections take their powers by exponentiation by squaring
+//! ([`crate::AdamStep::new`]), so no trained bit reads the host's libm;
+//! `ln` still comes from it.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -82,8 +84,6 @@ pub trait Scalar:
     fn sqrt(self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// `self^exponent`.
-    fn powf(self, exponent: Self) -> Self;
     /// IEEE maximum (NaN-ignoring, like `f64::max`).
     fn max(self, other: Self) -> Self;
     /// IEEE minimum (NaN-ignoring, like `f64::min`).
@@ -172,18 +172,13 @@ pub trait Scalar:
     #[allow(unsafe_code)]
     unsafe fn axpy_row4_avx2(a: [Self; 4], x: [&[Self]; 4], y: &mut [Self]);
 
-    /// Explicit-width AVX2 batch-1 product `out += W · x` (row-major `W` of
-    /// `out.len()` rows `ld` entries apart, `x.len()` columns from the start
-    /// of `w`) — the column-vector kernel of `matmul_into` and
-    /// `Matrix::matvec_acc`, bit-identical to the scalar dot products
-    /// continued from `out`.
-    ///
-    /// # Safety
-    /// Same contract as [`Scalar::axpy_row_avx2`].
-    // SAFETY: declaration only — the contract above binds the implementors.
+    /// The single-column product `out = W · x` (row-major `W` of
+    /// `out.len()` rows `ld` entries apart, `x.len()` columns each) — the
+    /// dispatch point of [`Matrix::matvec_into`](crate::Matrix::matvec_into).
+    /// Runs the leg the host supports, bit-identical to the blocked
+    /// definition of [`crate::simd`]. Not part of the stable API.
     #[doc(hidden)]
-    #[allow(unsafe_code)]
-    unsafe fn matvec_avx2(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]);
+    fn matvec(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]);
 
     /// `d += Σ_t u_t·v_tᵀ` over term-major factors — the dispatch point of
     /// [`OuterPanel::flush`](crate::panel::OuterPanel::flush) and
@@ -217,7 +212,7 @@ pub trait Scalar:
 macro_rules! impl_scalar {
     (
         $t:ty, $name:literal, $axpy_avx2:path, $axpy4_avx2:path,
-        $matvec_avx2:path, $outer_terms:path, $adam_update:path, $activate:path
+        $matvec:path, $outer_terms:path, $adam_update:path, $activate:path
     ) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
@@ -243,10 +238,6 @@ macro_rules! impl_scalar {
             #[inline]
             fn abs(self) -> Self {
                 <$t>::abs(self)
-            }
-            #[inline]
-            fn powf(self, exponent: Self) -> Self {
-                <$t>::powf(self, exponent)
             }
             #[inline]
             fn max(self, other: Self) -> Self {
@@ -289,14 +280,9 @@ macro_rules! impl_scalar {
                 unsafe { $axpy4_avx2(a, x, y) }
             }
 
-            // SAFETY: thin forwarder — the caller upholds the CPU-feature
-            // contract of the trait declaration; the arch kernel checks the
-            // slice lengths itself.
-            #[inline(always)]
-            #[allow(unsafe_code)]
-            unsafe fn matvec_avx2(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]) {
-                // SAFETY: forwarded contract, argued at the declaration.
-                unsafe { $matvec_avx2(w, ld, x, out) }
+            #[inline]
+            fn matvec(w: &[Self], ld: usize, x: &[Self], out: &mut [Self]) {
+                $matvec(w, ld, x, out)
             }
 
             #[inline]
@@ -328,7 +314,7 @@ impl_scalar!(
     "f64",
     crate::simd::axpy_row_f64_avx2,
     crate::simd::axpy_row4_f64_avx2,
-    crate::simd::matvec_f64_avx2,
+    crate::simd::matvec_f64,
     crate::panel::outer_terms_f64,
     crate::simd::adam_update_f64,
     activation::map_f64
@@ -338,7 +324,7 @@ impl_scalar!(
     "f32",
     crate::simd::axpy_row_f32_avx2,
     crate::simd::axpy_row4_f32_avx2,
-    crate::simd::matvec_f32_avx2,
+    crate::simd::matvec_f32,
     crate::panel::outer_terms_reference,
     crate::simd::AdamStep::update_reference,
     activation::map_f32

@@ -1,6 +1,6 @@
 //! Explicit-width SIMD kernels: the vector width as a guarantee, not a hope.
 //!
-//! The blocked kernels of [`Matrix`](crate::Matrix) funnel their inner loop
+//! The blocked kernels of [`Matrix`] funnel their inner loop
 //! through one primitive — `axpy_row`, the in-place `y[j] += a * x[j]` rank-1
 //! row update. Until this module existed, that loop was a 4-wide unrolled
 //! scalar loop the backend *usually* auto-vectorises; here it is rewritten
@@ -17,47 +17,54 @@
 //! keep the inlined scalar reference outright — bit-identical anyway, and
 //! faster when there is no vector body to amortise the dispatch.
 //!
-//! Column-vector products (`n = 1`: every batch-1 layer of the recurrent
-//! imputers, in training and in snapshot inference) are shaped for their
-//! operands instead of running a length-1 row kernel per reduction step:
+//! One contract for every kernel: **bit-compat**. Each leg performs exactly
+//! the reference's operations, in the reference's order, each rounded on its
+//! own unless a theorem makes the fused form give the same bits. IEEE-754
+//! arithmetic is deterministic per operation, so every leg is
+//! **bit-identical** to the scalar reference at both precisions (`RM_SIMD=0`
+//! forces that reference; parity tests in this module and the determinism
+//! suite check the equivalence).
 //!
-//! * `matmul_into` computes `W·x` as row dot products, and
-//!   `Matrix::matvec_acc` continues them over a block of columns from
-//!   given accumulators. The AVX2 kernel (`matvec_f64_avx2`/
-//!   `matvec_f32_avx2`, dispatched through `Scalar::matvec_avx2`) loads
-//!   four rows' next four entries, transposes them in registers (4×4) and
-//!   runs one row per vector lane, each lane from its accumulator (`+0.0`
-//!   for `matmul_into`) in increasing `k`; up to sixteen rows share each
-//!   `x[k]` broadcast. The scalar reference (`RM_SIMD=0`) runs the same dot
-//!   products in blocks of 16, 4 and 1 rows.
-//! * `matmul_at_b` runs one dispatched axpy per row of the left operand over
-//!   the whole output.
+//! Single-column products `W·x` — every LSTM gate, affine layer and
+//! attention energy of the recurrent imputers, in training and in snapshot
+//! inference, and the `n = 1` path of `Matrix::matmul_into` — have their own
+//! definition, shaped for row-contiguous loads ([`matvec_reference`]):
 //!
-//! Both keep one multiply and one add per term in the reference order, so
-//! the contract below covers them unchanged. The rank-1 weight gradients
-//! `dW += Σ_t g_t·x_tᵀ` have their own pass under the same contract
+//! * each row is eight interleaved partial sums: lane `l` adds
+//!   `W[r, k]·x[k]` for `k ≡ l (mod 8)`, in increasing `k`, one multiply and
+//!   one add each, from `−0.0` (the exact additive identity, so a lane whose
+//!   products are all `−0` stays `−0`);
+//! * the lanes then reduce in a fixed tree: `(l0+l4, l1+l5, l2+l6, l3+l7)`,
+//!   then `(s0+s2, s1+s3)`, then one value.
+//!
+//! Three legs run it, chosen once per process ([`matvec_kernel_name`]) and
+//! bitwise equal to each other: AVX-512F with one zmm per row, AVX2 with two
+//! ymm per row (`f32` takes one ymm on both vector legs), and the scalar
+//! reference. A masked tail leaves its lanes untouched. A product split into
+//! column blocks rounds differently from the whole one, so every caller
+//! computes whole rows ([`Matrix::matvec_into`]). `matmul_at_b` runs one
+//! dispatched axpy per row of the left operand over the whole output, and the
+//! rank-1 weight gradients `dW += Σ_t g_t·x_tᵀ` have their own pass
 //! ([`crate::panel`]).
 //!
-//! One contract for every kernel: **bit-compat**. The AVX2 kernels perform
-//! exactly one multiply and one add per element, in index order, on
-//! independent elements. IEEE-754 arithmetic is deterministic per element, so
-//! the SIMD result is **bit-identical** to the scalar reference at both
-//! precisions (`RM_SIMD=0` forces that reference; parity proptests in this
-//! module and the determinism suite check the equivalence).
-//!
-//! The `f64` Adam update (`adam_f64_avx512`, 8 lanes, or `adam_f64_avx2`, 4
-//! lanes with FMA; dispatched through `Scalar::adam_update` from
-//! [`AdamStep::update`]) is bit-identical to the reference loop
-//! (`AdamStep::update_reference`) although it fuses: its only fused
-//! operations compute the bias-correction quotients `m/b₁` and `v/b₂` from
-//! one reciprocal per call, and two FMA corrections make each quotient
-//! exactly `a / b` (Markstein's theorem; the argument and the fallback rule
-//! are at `corrected_f64x4`). [`adam_kernel_name`] reports the leg: AVX-512F
-//! if the host has it, else AVX2+FMA, else (and under `RM_SIMD=0`, and at
-//! `f32`) the reference.
+//! The `f64` Adam update ([`AdamStep`]) is Kingma & Ba's efficient form
+//! ("Adam", ICLR 2015, §2): `w −= (α_t·m) / (√v + ε̂)`, with
+//! `α_t = α·√(1−β₂ᵗ)/(1−β₁ᵗ)` and `ε̂ = ε·√(1−β₂ᵗ)` computed once per step.
+//! Its legs (`adam_f64_avx512`, 8 lanes; `adam_f64_avx2`, 4 lanes; chosen
+//! like the products, dispatched through `Scalar::adam_update` from
+//! [`AdamStep::update`]) run the reference's operations in its order. The
+//! AVX-512F leg takes `√v` off the divider: `rsqrt14`, two coupled Newton
+//! steps, then one Markstein correction `g + (v − g²)·h`, which is `RN(√v)`
+//! inside a checked domain (Markstein, IBM J. Res. Dev. 34(1), 1990; the
+//! argument and the fallback rule are at `sqrt_f64x8`). The AVX2 leg keeps
+//! the hardware `sqrt`. [`adam_kernel_name`] reports the leg; `f32` runs the
+//! reference.
 //!
 //! `RM_SIMD` is resolved once per process through a cached accessor, the
 //! same pattern as `RM_POOL`.
+//!
+//! [`Matrix`]: crate::Matrix
+//! [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 
 // rm-lint: hot-path
 
@@ -87,13 +94,6 @@ pub fn simd_enabled() -> bool {
 pub(crate) fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
-}
-
-/// Runtime FMA support, detected once per process.
-#[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| is_x86_feature_detected!("fma"))
 }
 
 /// Minimum row length for which the consumers dispatch to the arch kernels.
@@ -344,207 +344,427 @@ axpy_row4_kernels!(
     axpy_row4_f32_avx2
 );
 
-/// Generates the AVX2 batch-1 product `out[r] += W[r, ..] · x` for a
-/// row-major `W` whose rows start `ld` entries apart (`out.len()` rows of
-/// `x.len()` entries from the start of `w`): the column-vector kernel of
-/// `matmul_into` and `Matrix::matvec_acc`.
+/// The explicit-width leg a kernel family runs on: the single-column
+/// products, the `f64` Adam update, the weight-gradient panels
+/// ([`crate::panel`]) and the activation slices ([`crate::activation`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    /// The reference (`RM_SIMD=0`, no AVX2 at runtime, non-x86_64).
+    Scalar,
+    /// AVX2: 4 `f64` lanes, 8 `f32` lanes.
+    Avx2,
+    /// AVX-512F: 8 `f64` lanes (`f32` products take the AVX2 kernel).
+    Avx512,
+}
+
+impl Leg {
+    /// Whether this host can run the leg.
+    pub(crate) fn available(self) -> bool {
+        match self {
+            Leg::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Leg::Avx2 => avx2_available(),
+            #[cfg(target_arch = "x86_64")]
+            Leg::Avx512 => avx512f_available() && avx2_available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// `"avx512f"`, `"avx2"` or `"scalar"`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Leg::Avx512 => "avx512f",
+            Leg::Avx2 => "avx2",
+            Leg::Scalar => "scalar",
+        }
+    }
+}
+
+/// Runtime AVX-512F support, detected once per process.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx512f_available() -> bool {
+    static AVX512F: OnceLock<bool> = OnceLock::new();
+    *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
+}
+
+/// The widest leg the host runs, unless `RM_SIMD=0`. Resolved once per
+/// process.
+pub(crate) fn leg() -> Leg {
+    static LEG: OnceLock<Leg> = OnceLock::new();
+    *LEG.get_or_init(|| {
+        if !simd_enabled() {
+            return Leg::Scalar;
+        }
+        [Leg::Avx512, Leg::Avx2]
+            .into_iter()
+            .find(|leg| leg.available())
+            .unwrap_or(Leg::Scalar)
+    })
+}
+
+/// Name of the leg the current process runs single-column products on:
+/// `"avx512f"`, `"avx2"` or `"scalar"`. For bench labels and reports.
+pub fn matvec_kernel_name() -> &'static str {
+    leg().name()
+}
+
+/// Name of the Adam update leg the current process runs for `f64`:
+/// `"avx512f"`, `"avx2"` or `"scalar"`. For bench labels and reports.
+pub fn adam_kernel_name() -> &'static str {
+    leg().name()
+}
+
+/// One row's product `Σ_k row[k]·x[k]` under the blocked definition (see
+/// [`matvec_reference`]).
+#[inline]
+fn blocked_dot<T: crate::Scalar>(row: &[T], x: &[T]) -> T {
+    let mut lanes = [-T::ZERO; 8];
+    let mut row_chunks = row.chunks_exact(8);
+    let mut x_chunks = x.chunks_exact(8);
+    for (r, xc) in (&mut row_chunks).zip(&mut x_chunks) {
+        for l in 0..8 {
+            lanes[l] += r[l] * xc[l];
+        }
+    }
+    let tail = row_chunks.remainder().iter().zip(x_chunks.remainder());
+    for (lane, (&a, &b)) in lanes.iter_mut().zip(tail) {
+        *lane += a * b;
+    }
+    let s = [
+        lanes[0] + lanes[4],
+        lanes[1] + lanes[5],
+        lanes[2] + lanes[6],
+        lanes[3] + lanes[7],
+    ];
+    (s[0] + s[2]) + (s[1] + s[3])
+}
+
+/// `out[r] = W[r, ..] · x` for a row-major `W` whose rows start `ld`
+/// entries apart and hold `x.len()` columns: the definition every leg of
+/// the single-column product computes, and the `RM_SIMD=0` leg itself.
 ///
-/// Rows run in groups of four, one row per vector lane: four rows' next
-/// four entries are loaded and transposed in registers (a 4×4 transpose),
-/// so lane `r` of the `k`-th transposed vector holds `W[r, k]`, and the
-/// group's accumulator — loaded from `out` — gets `acc += col_k · x[k]` for
-/// `k` in increasing order. Each lane therefore runs exactly its row's
-/// scalar dot product — start at `out[r]`, one multiply and one add per
-/// term, increasing `k` — and the result is bit-identical to the scalar
-/// blocks of `matvec_acc_into`. Up to four groups (16 rows) share each
-/// broadcast of `x[k]` and keep four independent add chains in flight; the
-/// last `< 4` rows run the scalar dot product, and the last `< 4` entries
-/// of each row a lane-gathered step.
-#[cfg(target_arch = "x86_64")]
-macro_rules! matvec_kernel {
-    (
-        $t:ty, $vec:ty, $name:ident, $group:ident,
-        $setzero:ident, $set1:ident, $set:ident, $loadu:ident, $storeu:ident,
-        $mul:ident, $add:ident, $transpose:path
-    ) => {
-        /// AVX2 `out += W · x`, bit-identical to the scalar reference (see
-        /// the macro doc).
-        // SAFETY: the `unsafe fn` contract is AVX2 availability (upheld by
-        // the `Kernel::Avx2` dispatch); the length checks below
-        // keep every pointer offset inside `w`, `x` and `out`.
-        #[target_feature(enable = "avx2")]
-        #[allow(unsafe_code)]
-        pub(crate) unsafe fn $name(w: &[$t], ld: usize, x: &[$t], out: &mut [$t]) {
-            let (k, rows) = (x.len(), out.len());
-            if rows == 0 {
-                return;
-            }
-            assert!(k <= ld, "matvec row wider than its stride");
-            assert!(w.len() >= (rows - 1) * ld + k, "matvec shape mismatch");
-            let (wp, xp, op) = (w.as_ptr(), x.as_ptr(), out.as_mut_ptr());
-            let mut r = 0;
-            // SAFETY: each call covers rows `r..r + 4·G ≤ rows` of `w` and
-            // `out`, every entry index stays below `k ≤ ld`, and AVX2 is the
-            // caller's contract.
-            unsafe {
-                while r + 16 <= rows {
-                    $group::<4>(wp.add(r * ld), ld, xp, k, op.add(r));
-                    r += 16;
-                }
-                if r + 8 <= rows {
-                    $group::<2>(wp.add(r * ld), ld, xp, k, op.add(r));
-                    r += 8;
-                }
-                if r + 4 <= rows {
-                    $group::<1>(wp.add(r * ld), ld, xp, k, op.add(r));
-                    r += 4;
-                }
-            }
-            for (i, o) in out.iter_mut().enumerate().skip(r) {
-                let row = &w[i * ld..i * ld + k];
-                *o = row.iter().zip(x).fold(*o, |acc, (&a, &b)| acc + a * b);
-            }
-        }
-
-        /// `G` groups of four rows starting at `w` (row stride `ld`, `k`
-        /// entries each) added into `out[..4·G]`.
-        // SAFETY: the contract is AVX2 plus `w` holding `4·G` rows of
-        // `k ≤ ld` entries `ld` apart, `x` `k` entries and `out` `4·G`,
-        // all upheld by the caller above.
-        #[target_feature(enable = "avx2")]
-        #[allow(unsafe_code)]
-        #[inline]
-        unsafe fn $group<const G: usize>(
-            w: *const $t,
-            ld: usize,
-            x: *const $t,
-            k: usize,
-            out: *mut $t,
-        ) {
-            use std::arch::x86_64::{$add, $loadu, $mul, $set, $set1, $setzero, $storeu};
-            // SAFETY: every offset is `< (4·G − 1)·ld + k` into `w`, `< k`
-            // into `x` and `< 4·G` into `out`, inside the caller's contract;
-            // unaligned loads and stores throughout.
-            unsafe {
-                let mut acc: [$vec; G] = [$setzero(); G];
-                for (g, acc) in acc.iter_mut().enumerate() {
-                    *acc = $loadu(out.add(4 * g));
-                }
-                let mut j = 0;
-                while j + 4 <= k {
-                    let xs = [
-                        $set1(*x.add(j)),
-                        $set1(*x.add(j + 1)),
-                        $set1(*x.add(j + 2)),
-                        $set1(*x.add(j + 3)),
-                    ];
-                    for (g, acc) in acc.iter_mut().enumerate() {
-                        let base = w.add(4 * g * ld + j);
-                        let cols = $transpose([
-                            $loadu(base),
-                            $loadu(base.add(ld)),
-                            $loadu(base.add(2 * ld)),
-                            $loadu(base.add(3 * ld)),
-                        ]);
-                        for (col, xv) in cols.iter().zip(&xs) {
-                            *acc = $add(*acc, $mul(*col, *xv));
-                        }
-                    }
-                    j += 4;
-                }
-                while j < k {
-                    let xv = $set1(*x.add(j));
-                    for (g, acc) in acc.iter_mut().enumerate() {
-                        let base = w.add(4 * g * ld + j);
-                        let col = $set(*base.add(3 * ld), *base.add(2 * ld), *base.add(ld), *base);
-                        *acc = $add(*acc, $mul(col, xv));
-                    }
-                    j += 1;
-                }
-                for (g, acc) in acc.iter().enumerate() {
-                    $storeu(out.add(4 * g), *acc);
-                }
-            }
-        }
-    };
+/// Each row is eight partial sums. Lane `l` starts at `−0.0` and adds
+/// `W[r, k]·x[k]` for every `k ≡ l (mod 8)` in increasing `k`, one multiply
+/// and one add per term; `−0.0` is the exact additive identity, so a lane
+/// with no terms, or only `−0` products, stays `−0`. The lanes reduce as
+/// `s_j = l_j + l_{j+4}` (`j < 4`), then `(s_0 + s_2) + (s_1 + s_3)`.
+/// Against one sequential sum the error bound shrinks from `γ_k` to
+/// `γ_{⌈k/8⌉+3}` times `Σ|W[r, k]·x[k]|`.
+///
+/// # Panics
+/// Panics if `x` is wider than `ld` or `w` holds fewer than `out.len()`
+/// such rows.
+pub fn matvec_reference<T: crate::Scalar>(w: &[T], ld: usize, x: &[T], out: &mut [T]) {
+    check_matvec_shape(w.len(), ld, x.len(), out.len());
+    let k = x.len();
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = blocked_dot(&w[r * ld..r * ld + k], x);
+    }
 }
 
-/// In-register transpose of four rows of four `f64` (`__m256d` each):
-/// output `c` holds entry `c` of every row, row 0 in the lowest lane.
-// SAFETY: the `unsafe fn` contract is AVX2 availability; register-only
-// shuffles, no memory access.
+fn check_matvec_shape(w: usize, ld: usize, k: usize, rows: usize) {
+    assert!(
+        k <= ld,
+        "matvec row of {k} entries wider than its stride {ld}"
+    );
+    assert!(
+        rows == 0 || w >= (rows - 1) * ld + k,
+        "matvec needs {rows} rows of {k} entries {ld} apart, got {w} entries"
+    );
+}
+
+/// The `f64` instance of the `Scalar::matvec` hook.
+pub(crate) fn matvec_f64(w: &[f64], ld: usize, x: &[f64], out: &mut [f64]) {
+    matvec_f64_on(leg(), w, ld, x, out);
+}
+
+/// The `f32` instance of the `Scalar::matvec` hook.
+pub(crate) fn matvec_f32(w: &[f32], ld: usize, x: &[f32], out: &mut [f32]) {
+    matvec_f32_on(leg(), w, ld, x, out);
+}
+
+/// One `f64` single-column product on `leg`.
+///
+/// # Panics
+/// Panics if the host cannot run `leg` or the shapes disagree.
+#[allow(unsafe_code)] // audited dispatch into the detected arch kernels
+fn matvec_f64_on(leg: Leg, w: &[f64], ld: usize, x: &[f64], out: &mut [f64]) {
+    assert!(leg.available(), "matvec leg {leg:?} is not available");
+    check_matvec_shape(w.len(), ld, x.len(), out.len());
+    match leg {
+        // SAFETY: `leg.available()` asserted the CPU features above, and the
+        // shapes were checked above.
+        #[cfg(target_arch = "x86_64")]
+        Leg::Avx512 => unsafe { matvec_f64_avx512(w, ld, x, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Leg::Avx2 => unsafe { matvec_f64_avx2(w, ld, x, out) },
+        _ => matvec_reference(w, ld, x, out),
+    }
+}
+
+/// One `f32` single-column product on `leg`: both vector legs run the
+/// one-ymm kernel.
+///
+/// # Panics
+/// Panics if the host cannot run `leg` or the shapes disagree.
+#[allow(unsafe_code)] // audited dispatch into the detected arch kernel
+fn matvec_f32_on(leg: Leg, w: &[f32], ld: usize, x: &[f32], out: &mut [f32]) {
+    assert!(leg.available(), "matvec leg {leg:?} is not available");
+    check_matvec_shape(w.len(), ld, x.len(), out.len());
+    match leg {
+        // SAFETY: `leg.available()` asserted the CPU features above (both
+        // vector legs include AVX2), and the shapes were checked above.
+        #[cfg(target_arch = "x86_64")]
+        Leg::Avx512 | Leg::Avx2 => unsafe { matvec_f32_avx2(w, ld, x, out) },
+        _ => matvec_reference(w, ld, x, out),
+    }
+}
+
+// The explicit-width legs of the single-column product. Each runs rows in
+// blocks of four (four independent add chains per `x` load), then one at a
+// time, and keeps every lane of a row in its own register lane, so lane `l`
+// of a row sees exactly the reference's terms in its order. The callers
+// above checked `k ≤ ld` and `w.len() ≥ (rows − 1)·ld + k`; every pointer
+// offset below stays inside those bounds (a masked tail loads only its
+// first `k mod 8` entries).
+
+/// `(s_0 + s_2) + (s_1 + s_3)` for the four sums `s_j = l_j + l_{j+4}` of a
+/// row's eight `f64` lanes: the rest of the reference's tree.
+// SAFETY: the `unsafe fn` contract is AVX2 availability; register
+// arithmetic only.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
 #[inline]
-unsafe fn transpose4_f64(r: [std::arch::x86_64::__m256d; 4]) -> [std::arch::x86_64::__m256d; 4] {
-    use std::arch::x86_64::{_mm256_permute2f128_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd};
-    // [r0₀ r1₀ r0₂ r1₂], [r0₁ r1₁ r0₃ r1₃], and the same for rows 2 and 3.
-    let t0 = _mm256_unpacklo_pd(r[0], r[1]);
-    let t1 = _mm256_unpackhi_pd(r[0], r[1]);
-    let t2 = _mm256_unpacklo_pd(r[2], r[3]);
-    let t3 = _mm256_unpackhi_pd(r[2], r[3]);
-    [
-        _mm256_permute2f128_pd(t0, t2, 0x20),
-        _mm256_permute2f128_pd(t1, t3, 0x20),
-        _mm256_permute2f128_pd(t0, t2, 0x31),
-        _mm256_permute2f128_pd(t1, t3, 0x31),
-    ]
+unsafe fn reduce_f64x4(s: __m256d) -> f64 {
+    let t = _mm_add_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd::<1>(s));
+    _mm_cvtsd_f64(_mm_add_sd(t, _mm_unpackhi_pd(t, t)))
 }
 
-/// In-register transpose of four rows of four `f32` (`__m128` each), the
-/// `f32` counterpart of [`transpose4_f64`].
-// SAFETY: the `unsafe fn` contract is AVX2 availability; register-only
-// shuffles, no memory access.
+/// The AVX-512F `f64` product: one zmm of eight lanes per row.
+// SAFETY: the `unsafe fn` contract is AVX-512F and AVX2 availability plus
+// the shape checked by `check_matvec_shape`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2")]
+#[allow(unsafe_code)]
+unsafe fn matvec_f64_avx512(w: &[f64], ld: usize, x: &[f64], out: &mut [f64]) {
+    let (k, rows) = (x.len(), out.len());
+    let full = k - k % 8;
+    let tail: __mmask8 = (1u8 << (k % 8)) - 1;
+    let (wp, xp) = (w.as_ptr(), x.as_ptr());
+    let mut r = 0;
+    // SAFETY: each call covers rows `r..r + R ≤ rows`; the CPU features are
+    // this function's own contract.
+    unsafe {
+        while r + 4 <= rows {
+            rows_f64_avx512::<4>(wp.add(r * ld), ld, xp, full, tail, &mut out[r..r + 4]);
+            r += 4;
+        }
+        while r < rows {
+            rows_f64_avx512::<1>(wp.add(r * ld), ld, xp, full, tail, &mut out[r..r + 1]);
+            r += 1;
+        }
+    }
+}
+
+/// `R` rows of the AVX-512F product, starting at `w`.
+// SAFETY: the contract is AVX-512F and AVX2 plus `w` holding `R` rows of
+// `full + popcount(tail)` entries `ld` apart and `x` that many entries.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn rows_f64_avx512<const R: usize>(
+    w: *const f64,
+    ld: usize,
+    x: *const f64,
+    full: usize,
+    tail: __mmask8,
+    out: &mut [f64],
+) {
+    // SAFETY: every full load reads entries `j..j + 8 ≤ full` of a row or
+    // of `x`; the masked loads read only the tail's entries, below `k`.
+    unsafe {
+        let mut acc = [_mm512_set1_pd(-0.0); R];
+        let mut j = 0;
+        while j < full {
+            let xv = _mm512_loadu_pd(x.add(j));
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_add_pd(*a, _mm512_mul_pd(_mm512_loadu_pd(w.add(r * ld + j)), xv));
+            }
+            j += 8;
+        }
+        if tail != 0 {
+            let xv = _mm512_maskz_loadu_pd(tail, x.add(full));
+            for (r, a) in acc.iter_mut().enumerate() {
+                let wv = _mm512_maskz_loadu_pd(tail, w.add(r * ld + full));
+                *a = _mm512_mask_add_pd(*a, tail, *a, _mm512_mul_pd(wv, xv));
+            }
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            let lo = _mm512_castpd512_pd256(a);
+            *o = reduce_f64x4(_mm256_add_pd(lo, _mm512_extractf64x4_pd::<1>(a)));
+        }
+    }
+}
+
+/// The AVX2 `f64` product: two ymm per row, lanes `0..4` and `4..8`.
+// SAFETY: the `unsafe fn` contract is AVX2 availability plus the shape
+// checked by `check_matvec_shape`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+unsafe fn matvec_f64_avx2(w: &[f64], ld: usize, x: &[f64], out: &mut [f64]) {
+    let (k, rows) = (x.len(), out.len());
+    let full = k - k % 8;
+    let lanes = _mm256_set_epi64x(3, 2, 1, 0);
+    let rem = (k % 8) as i64;
+    // Lane `l` of the low (high) half is in the tail if `l < rem`
+    // (`l + 4 < rem`).
+    let masks = [
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem), lanes),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem - 4), lanes),
+    ];
+    let (wp, xp) = (w.as_ptr(), x.as_ptr());
+    let mut r = 0;
+    // SAFETY: each call covers rows `r..r + R ≤ rows`; AVX2 is this
+    // function's own contract.
+    unsafe {
+        while r + 4 <= rows {
+            rows_f64_avx2::<4>(wp.add(r * ld), ld, xp, full, masks, &mut out[r..r + 4]);
+            r += 4;
+        }
+        while r < rows {
+            rows_f64_avx2::<1>(wp.add(r * ld), ld, xp, full, masks, &mut out[r..r + 1]);
+            r += 1;
+        }
+    }
+}
+
+/// `R` rows of the AVX2 `f64` product, starting at `w`; `masks` select
+/// the tail's lanes of each half.
+// SAFETY: the contract is AVX2 plus `w` holding `R` rows of `full + rem`
+// entries `ld` apart and `x` that many entries.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
 #[inline]
-unsafe fn transpose4_f32(r: [std::arch::x86_64::__m128; 4]) -> [std::arch::x86_64::__m128; 4] {
-    use std::arch::x86_64::{_mm_movehl_ps, _mm_movelh_ps, _mm_unpackhi_ps, _mm_unpacklo_ps};
-    // [r0₀ r1₀ r0₁ r1₁], [r2₀ r3₀ r2₁ r3₁], [r0₂ r1₂ r0₃ r1₃], [r2₂ r3₂ r2₃ r3₃].
-    let t0 = _mm_unpacklo_ps(r[0], r[1]);
-    let t1 = _mm_unpacklo_ps(r[2], r[3]);
-    let t2 = _mm_unpackhi_ps(r[0], r[1]);
-    let t3 = _mm_unpackhi_ps(r[2], r[3]);
-    [
-        _mm_movelh_ps(t0, t1),
-        _mm_movehl_ps(t1, t0),
-        _mm_movelh_ps(t2, t3),
-        _mm_movehl_ps(t3, t2),
-    ]
+unsafe fn rows_f64_avx2<const R: usize>(
+    w: *const f64,
+    ld: usize,
+    x: *const f64,
+    full: usize,
+    masks: [__m256i; 2],
+    out: &mut [f64],
+) {
+    // SAFETY: every full load reads entries `j..j + 8 ≤ full` of a row or
+    // of `x`; a masked load reads only tail entries, below `k`, and the high
+    // half is touched only when the tail reaches past its first four.
+    unsafe {
+        let mut lo = [_mm256_set1_pd(-0.0); R];
+        let mut hi = lo;
+        let mut j = 0;
+        while j < full {
+            let (x0, x1) = (_mm256_loadu_pd(x.add(j)), _mm256_loadu_pd(x.add(j + 4)));
+            for r in 0..R {
+                let row = w.add(r * ld + j);
+                lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(_mm256_loadu_pd(row), x0));
+                hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(_mm256_loadu_pd(row.add(4)), x1));
+            }
+            j += 8;
+        }
+        for (half, acc) in [&mut lo, &mut hi].into_iter().enumerate() {
+            let mask = masks[half];
+            if _mm256_movemask_pd(_mm256_castsi256_pd(mask)) == 0 {
+                break;
+            }
+            let xv = _mm256_maskload_pd(x.add(full + 4 * half), mask);
+            for (r, a) in acc.iter_mut().enumerate() {
+                let wv = _mm256_maskload_pd(w.add(r * ld + full + 4 * half), mask);
+                let sum = _mm256_add_pd(*a, _mm256_mul_pd(wv, xv));
+                *a = _mm256_blendv_pd(*a, sum, _mm256_castsi256_pd(mask));
+            }
+        }
+        for (o, (l, h)) in out.iter_mut().zip(lo.into_iter().zip(hi)) {
+            *o = reduce_f64x4(_mm256_add_pd(l, h));
+        }
+    }
 }
 
+/// The AVX2 `f32` product: one ymm of eight lanes per row.
+// SAFETY: the `unsafe fn` contract is AVX2 availability plus the shape
+// checked by `check_matvec_shape`.
 #[cfg(target_arch = "x86_64")]
-matvec_kernel!(
-    f64,
-    std::arch::x86_64::__m256d,
-    matvec_f64_avx2,
-    matvec_group_f64,
-    _mm256_setzero_pd,
-    _mm256_set1_pd,
-    _mm256_set_pd,
-    _mm256_loadu_pd,
-    _mm256_storeu_pd,
-    _mm256_mul_pd,
-    _mm256_add_pd,
-    transpose4_f64
-);
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+unsafe fn matvec_f32_avx2(w: &[f32], ld: usize, x: &[f32], out: &mut [f32]) {
+    let (k, rows) = (x.len(), out.len());
+    let full = k - k % 8;
+    let lanes = _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((k % 8) as i32), lanes);
+    let (wp, xp) = (w.as_ptr(), x.as_ptr());
+    let mut r = 0;
+    // SAFETY: each call covers rows `r..r + R ≤ rows`; AVX2 is this
+    // function's own contract.
+    unsafe {
+        while r + 4 <= rows {
+            rows_f32_avx2::<4>(wp.add(r * ld), ld, xp, full, mask, &mut out[r..r + 4]);
+            r += 4;
+        }
+        while r < rows {
+            rows_f32_avx2::<1>(wp.add(r * ld), ld, xp, full, mask, &mut out[r..r + 1]);
+            r += 1;
+        }
+    }
+}
+
+/// `R` rows of the AVX2 `f32` product, starting at `w`; `mask` selects
+/// the tail's lanes.
+// SAFETY: the contract is AVX2 plus `w` holding `R` rows of `full + rem`
+// entries `ld` apart and `x` that many entries.
 #[cfg(target_arch = "x86_64")]
-matvec_kernel!(
-    f32,
-    std::arch::x86_64::__m128,
-    matvec_f32_avx2,
-    matvec_group_f32,
-    _mm_setzero_ps,
-    _mm_set1_ps,
-    _mm_set_ps,
-    _mm_loadu_ps,
-    _mm_storeu_ps,
-    _mm_mul_ps,
-    _mm_add_ps,
-    transpose4_f32
-);
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn rows_f32_avx2<const R: usize>(
+    w: *const f32,
+    ld: usize,
+    x: *const f32,
+    full: usize,
+    mask: __m256i,
+    out: &mut [f32],
+) {
+    // SAFETY: every full load reads entries `j..j + 8 ≤ full` of a row or
+    // of `x`; the masked loads read only tail entries, below `k`.
+    unsafe {
+        let mut acc = [_mm256_set1_ps(-0.0); R];
+        let mut j = 0;
+        while j < full {
+            let xv = _mm256_loadu_ps(x.add(j));
+            for (r, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_loadu_ps(w.add(r * ld + j)), xv));
+            }
+            j += 8;
+        }
+        if _mm256_movemask_ps(_mm256_castsi256_ps(mask)) != 0 {
+            let xv = _mm256_maskload_ps(x.add(full), mask);
+            for (r, a) in acc.iter_mut().enumerate() {
+                let sum = _mm256_add_ps(
+                    *a,
+                    _mm256_mul_ps(_mm256_maskload_ps(w.add(r * ld + full), mask), xv),
+                );
+                *a = _mm256_blendv_ps(*a, sum, _mm256_castsi256_ps(mask));
+            }
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            let s = _mm_add_ps(_mm256_castps256_ps128(a), _mm256_extractf128_ps::<1>(a));
+            let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
+            *o = _mm_cvtss_f32(_mm_add_ss(t, _mm_shuffle_ps::<0b01>(t, t)));
+        }
+    }
+}
 
 /// Non-x86_64 stand-ins for the arch kernels, so the [`Scalar`]
 /// (`crate::Scalar`) dispatch hooks link on every target. Off x86_64,
@@ -589,27 +809,24 @@ scalar_fallback4!(axpy_row4_f64_avx2, f64);
 #[cfg(not(target_arch = "x86_64"))]
 scalar_fallback4!(axpy_row4_f32_avx2, f32);
 
-/// Batch-1 product counterpart of [`scalar_fallback!`]: the scalar
-/// `matvec_acc_into` blocks the AVX2 kernel is bit-identical to.
-#[cfg(not(target_arch = "x86_64"))]
-macro_rules! scalar_fallback_matvec {
-    ($name:ident, $t:ty) => {
-        // SAFETY: trivially safe body (delegates to the safe scalar
-        // reference); `unsafe fn` only to match the x86_64 kernel signature.
-        #[allow(unsafe_code)]
-        pub(crate) unsafe fn $name(w: &[$t], ld: usize, x: &[$t], out: &mut [$t]) {
-            crate::matrix::matvec_acc_into(w, ld, x, out)
+/// `base^t` by exponentiation by squaring, from the lowest bit of `t` up:
+/// `O(log t)` multiplies, each rounded on its own, and no libm.
+fn powi<T: crate::Scalar>(base: T, mut t: u64) -> T {
+    let (mut power, mut square) = (T::ONE, base);
+    while t > 0 {
+        if t & 1 == 1 {
+            power *= square;
         }
-    };
+        t >>= 1;
+        if t > 0 {
+            square *= square;
+        }
+    }
+    power
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-scalar_fallback_matvec!(matvec_f64_avx2, f64);
-#[cfg(not(target_arch = "x86_64"))]
-scalar_fallback_matvec!(matvec_f32_avx2, f32);
-
-/// The per-step constants of one Adam update (Kingma & Ba): what the
-/// reference loop and the explicit-width kernel both read.
+/// The per-step constants of one Adam update in Kingma & Ba's efficient
+/// form: what the reference loop and the explicit-width kernels both read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamStep<T> {
     /// First-moment decay `β₁`.
@@ -620,31 +837,26 @@ pub struct AdamStep<T> {
     pub(crate) decay1: T,
     /// `1 − β₂`.
     pub(crate) decay2: T,
-    /// First-moment bias correction `b₁ = 1 − β₁ᵗ`.
-    pub(crate) bias1: T,
-    /// Second-moment bias correction `b₂ = 1 − β₂ᵗ`.
-    pub(crate) bias2: T,
-    /// Learning rate.
-    pub(crate) lr: T,
-    /// Denominator guard `ε`.
+    /// Step size `α_t = (α·√(1 − β₂ᵗ)) / (1 − β₁ᵗ)`.
+    pub(crate) alpha: T,
+    /// Denominator guard `ε̂ = ε·√(1 − β₂ᵗ)`.
     pub(crate) eps: T,
     /// Gradient clip bound; `+∞` without a clip.
     pub(crate) clip: T,
 }
 
 impl<T: crate::Scalar> AdamStep<T> {
-    /// The constants of step `t` (1-based).
+    /// The constants of step `t` (1-based), for learning rate `lr` (`α`).
+    /// `β₁ᵗ` and `β₂ᵗ` come from exponentiation by squaring.
     pub fn new(beta1: T, beta2: T, eps: T, lr: T, clip: Option<T>, t: u64) -> Self {
-        let t = T::from_f64(t as f64);
+        let root = (T::ONE - powi(beta2, t)).sqrt();
         Self {
             beta1,
             beta2,
             decay1: T::ONE - beta1,
             decay2: T::ONE - beta2,
-            bias1: T::ONE - beta1.powf(t),
-            bias2: T::ONE - beta2.powf(t),
-            lr,
-            eps,
+            alpha: lr * root / (T::ONE - powi(beta1, t)),
+            eps: eps * root,
             clip: clip.unwrap_or(T::from_f64(f64::INFINITY)),
         }
     }
@@ -661,11 +873,11 @@ impl<T: crate::Scalar> AdamStep<T> {
     }
 
     /// The reference update, one pass over zipped slices. Per element this
-    /// is the textbook update, each operation rounded on its own —
+    /// is the efficient form, each operation rounded on its own —
     /// `m = β₁m + (1−β₁)g`, `v = β₂v + ((1−β₂)g)g`,
-    /// `w −= (lr·m̂) / (√v̂ + ε)` with `m̂ = m/b₁`, `v̂ = v/b₂` — after the
-    /// gradient is clamped to `[−clip, clip]` (a clamp to `[−∞, ∞]` returns
-    /// every value, `-0.0` and NaN included, unchanged).
+    /// `w −= (α_t·m) / (√v + ε̂)` — after the gradient is clamped to
+    /// `[−clip, clip]` (a clamp to `[−∞, ∞]` returns every value, `-0.0` and
+    /// NaN included, unchanged).
     ///
     /// # Panics
     /// Panics if the four slices differ in length.
@@ -676,9 +888,7 @@ impl<T: crate::Scalar> AdamStep<T> {
             beta2,
             decay1,
             decay2,
-            bias1,
-            bias2,
-            lr,
+            alpha,
             eps,
             clip,
         } = *self;
@@ -688,7 +898,7 @@ impl<T: crate::Scalar> AdamStep<T> {
             let g = g.clamp(-clip, clip);
             *m = beta1 * *m + decay1 * g;
             *v = beta2 * *v + decay2 * g * g;
-            *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
+            *w -= (alpha * *m) / (v.sqrt() + eps);
         }
     }
 }
@@ -700,74 +910,6 @@ fn check_adam_lengths(w: usize, g: usize, m: usize, v: usize) {
     );
 }
 
-/// The Adam update leg the process resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdamLeg {
-    /// The reference loop (`RM_SIMD=0`, no AVX2+FMA at runtime, non-x86_64).
-    Scalar,
-    /// 4 lanes of AVX2 with FMA.
-    Avx2Fma,
-    /// 8 lanes of AVX-512F.
-    Avx512,
-}
-
-impl AdamLeg {
-    /// Whether this host can run the leg.
-    fn available(self) -> bool {
-        match self {
-            AdamLeg::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            AdamLeg::Avx2Fma => avx2_available() && fma_available(),
-            #[cfg(target_arch = "x86_64")]
-            AdamLeg::Avx512 => avx512f_available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-}
-
-/// Runtime AVX-512F support, detected once per process.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn avx512f_available() -> bool {
-    static AVX512F: OnceLock<bool> = OnceLock::new();
-    *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
-}
-
-/// The widest Adam leg the host runs, unless `RM_SIMD=0`. The kernel's fused
-/// operations leave every result bit unchanged.
-pub(crate) fn adam_leg() -> AdamLeg {
-    static LEG: OnceLock<AdamLeg> = OnceLock::new();
-    *LEG.get_or_init(|| {
-        if !simd_enabled() {
-            return AdamLeg::Scalar;
-        }
-        [AdamLeg::Avx512, AdamLeg::Avx2Fma]
-            .into_iter()
-            .find(|leg| leg.available())
-            .unwrap_or(AdamLeg::Scalar)
-    })
-}
-
-/// Name of the Adam update leg the current process runs for `f64`:
-/// `"avx512f"`, `"avx2+fma"` or `"scalar"`. For bench labels and reports.
-pub fn adam_kernel_name() -> &'static str {
-    match adam_leg() {
-        AdamLeg::Avx512 => "avx512f",
-        AdamLeg::Avx2Fma => "avx2+fma",
-        AdamLeg::Scalar => "scalar",
-    }
-}
-
-/// Smallest divisor the corrected quotients accept, `2⁻²⁰`.
-const ADAM_MIN_BIAS: f64 = 1.0 / (1u64 << 20) as f64;
-/// Numerator magnitudes the corrected quotients accept (zero aside):
-/// `[2⁻⁹⁰⁰, 2⁹⁰⁰]`, far from underflow and overflow in every step.
-#[cfg(target_arch = "x86_64")]
-const ADAM_NUM_RANGE: (f64, f64) = (
-    f64::from_bits((1023 - 900) << 52),
-    f64::from_bits((1023 + 900) << 52),
-);
-
 /// The `f64` instance of the `Scalar::adam_update` hook.
 pub(crate) fn adam_update_f64(
     step: &AdamStep<f64>,
@@ -776,17 +918,17 @@ pub(crate) fn adam_update_f64(
     m: &mut [f64],
     v: &mut [f64],
 ) {
-    adam_update_f64_on(adam_leg(), step, w, g, m, v);
+    adam_update_f64_on(leg(), step, w, g, m, v);
 }
 
-/// One `f64` Adam update on `leg`. A step whose bias corrections leave
-/// `[2⁻²⁰, 1]`, or whose clip is no valid range, runs the reference.
+/// One `f64` Adam update on `leg`. A step whose clip is no valid range runs
+/// the reference.
 ///
 /// # Panics
 /// Panics if the host cannot run `leg` or the slices differ in length.
 #[allow(unsafe_code)] // audited dispatch into the detected arch kernels
 fn adam_update_f64_on(
-    leg: AdamLeg,
+    leg: Leg,
     step: &AdamStep<f64>,
     w: &mut [f64],
     g: &[f64],
@@ -798,109 +940,83 @@ fn adam_update_f64_on(
         "Adam leg {leg:?} is not available on this host"
     );
     check_adam_lengths(w.len(), g.len(), m.len(), v.len());
-    let divisors = ADAM_MIN_BIAS..=1.0;
     // A clip below zero (or NaN) is no range: the reference's `clamp` panics.
-    let in_domain =
-        divisors.contains(&step.bias1) && divisors.contains(&step.bias2) && step.clip >= 0.0;
-    if !in_domain {
+    if step.clip.is_nan() || step.clip < 0.0 {
         return step.update_reference(w, g, m, v);
     }
     match leg {
         // SAFETY: `leg.available()` asserted the CPU features above, and the
         // four slices have one length.
         #[cfg(target_arch = "x86_64")]
-        AdamLeg::Avx512 => unsafe { adam_f64_avx512(step, w, g, m, v) },
+        Leg::Avx512 => unsafe { adam_f64_avx512(step, w, g, m, v) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        AdamLeg::Avx2Fma => unsafe { adam_f64_avx2(step, w, g, m, v) },
+        Leg::Avx2 => unsafe { adam_f64_avx2(step, w, g, m, v) },
         _ => step.update_reference(w, g, m, v),
     }
 }
 
-// The explicit-width legs of the `f64` Adam update.
+// The AVX-512F leg's square root.
 //
-// The update runs the reference's operations in its order, each rounded on
-// its own, except the bias-correction quotients `m/b₁` and `v/b₂`. Those use
-// one reciprocal `y = RN(1/b)` per call and, per element, `q = a·y` followed
-// by two corrections `q ← q + (a − b·q)·y`, each one fused `fnmadd`/`fmadd`
-// pair. After the first correction `q` is within one ulp of `a/b`, so the
-// second residual `a − b·q` is exact, and Markstein's theorem (P. Markstein,
-// "Computation of elementary functions on the IBM RISC System/6000
-// processor", IBM J. Res. Dev. 34(1), 1990) makes `RN(q + r·y)` equal
-// `RN(a/b)`: the bits of `a / b`. That needs `b` in `[2⁻²⁰, 1]` (checked per
-// call) and `a` far from underflow and overflow: a lane with `a = ±0` takes
-// `a`, which is exact, and a vector holding a non-finite lane or a lane with
-// `|a|` outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` is divided by the hardware instead. The
-// square root and `(lr·m̂)/(√v̂ + ε)` stay on the divider.
+// `y = rsqrt14(v)` approximates `1/√v` to a relative 2⁻¹⁴. From `g = v·y ≈
+// √v` and `h = y/2 ≈ 1/(2√v)`, two coupled Newton steps — `r = ½ − g·h`,
+// `g ← g + g·r`, `h ← h + h·r`, each a fused multiply-add — square the
+// relative error twice, to the order of 2⁻⁵³, so `g` is within an ulp of
+// `√v`. Then the residual `d = v − g²` is exact in one `fnmadd`, and
+// Markstein's theorem (P. Markstein, "Computation of elementary functions on
+// the IBM RISC System/6000 processor", IBM J. Res. Dev. 34(1), 1990) makes
+// `RN(g + d·h)` equal `RN(√v)`: the bits of `v.sqrt()`. That needs `v` far
+// from underflow and overflow: a lane with `v = ±0` takes `v`, its own
+// root, and a vector holding a lane outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` (a negative
+// value, subnormal, ±∞ or NaN among them) takes the hardware `sqrt`
+// instead. The tests check the result against `f64::sqrt` on the squares
+// nearest a rounding midpoint, where a looser `h` would show first.
 
-/// `q = a·y`, then `q ← RN(q + (a − b·q)·y)` twice: the corrected quotient,
-/// 4 lanes.
-// SAFETY: the `unsafe fn` contract is AVX2+FMA availability; register
+/// Values the FMA square root accepts (zero aside): `[2⁻⁹⁰⁰, 2⁹⁰⁰]`.
+#[cfg(target_arch = "x86_64")]
+const SQRT_DOMAIN: (f64, f64) = (
+    f64::from_bits((1023 - 900) << 52),
+    f64::from_bits((1023 + 900) << 52),
+);
+
+/// `RN(√v)` for eight lanes inside [`SQRT_DOMAIN`], through `rsqrt14`, two
+/// coupled Newton steps and one Markstein correction.
+// SAFETY: the `unsafe fn` contract is AVX-512F availability; register
 // arithmetic only.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx512f")]
 #[allow(unsafe_code)]
 #[inline]
-unsafe fn corrected_f64x4(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
-    let q = _mm256_mul_pd(a, y);
-    let q = _mm256_fmadd_pd(_mm256_fnmadd_pd(b, q, a), y, q);
-    _mm256_fmadd_pd(_mm256_fnmadd_pd(b, q, a), y, q)
-}
-
-/// `a / b`, bit for bit, 4 lanes: the corrected quotient, `a` in zero
-/// lanes, the hardware division if any other lane is out of range.
-// SAFETY: the `unsafe fn` contract is AVX2+FMA availability; register
-// arithmetic only.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-#[inline]
-unsafe fn quotient_f64x4(a: __m256d, b: __m256d, y: __m256d) -> __m256d {
-    let (lo, hi) = ADAM_NUM_RANGE;
-    let zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(a, _mm256_setzero_pd());
-    let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
-    let in_range = _mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_GE_OQ>(abs, _mm256_set1_pd(lo)),
-        _mm256_cmp_pd::<_CMP_LE_OQ>(abs, _mm256_set1_pd(hi)),
-    );
-    if _mm256_movemask_pd(_mm256_or_pd(zero, in_range)) != 0b1111 {
-        return _mm256_div_pd(a, b);
+unsafe fn fma_sqrt_f64x8(v: __m512d) -> __m512d {
+    let half = _mm512_set1_pd(0.5);
+    let y = _mm512_rsqrt14_pd(v);
+    let (mut g, mut h) = (_mm512_mul_pd(v, y), _mm512_mul_pd(half, y));
+    for _ in 0..2 {
+        let r = _mm512_fnmadd_pd(g, h, half);
+        g = _mm512_fmadd_pd(g, r, g);
+        h = _mm512_fmadd_pd(h, r, h);
     }
-    // SAFETY: AVX2+FMA is this function's own contract.
-    _mm256_blendv_pd(unsafe { corrected_f64x4(a, b, y) }, a, zero)
+    _mm512_fmadd_pd(_mm512_fnmadd_pd(g, g, v), h, g)
 }
 
-/// [`corrected_f64x4`] at 8 lanes.
+/// `v.sqrt()`, bit for bit, 8 lanes: the FMA root, `v` in zero lanes, the
+/// hardware `sqrt` if any other lane is outside [`SQRT_DOMAIN`].
 // SAFETY: the `unsafe fn` contract is AVX-512F availability; register
 // arithmetic only.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(unsafe_code)]
 #[inline]
-unsafe fn corrected_f64x8(a: __m512d, b: __m512d, y: __m512d) -> __m512d {
-    let q = _mm512_mul_pd(a, y);
-    let q = _mm512_fmadd_pd(_mm512_fnmadd_pd(b, q, a), y, q);
-    _mm512_fmadd_pd(_mm512_fnmadd_pd(b, q, a), y, q)
-}
-
-/// [`quotient_f64x4`] at 8 lanes.
-// SAFETY: the `unsafe fn` contract is AVX-512F availability; register
-// arithmetic only.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(unsafe_code)]
-#[inline]
-unsafe fn quotient_f64x8(a: __m512d, b: __m512d, y: __m512d) -> __m512d {
-    let (lo, hi) = ADAM_NUM_RANGE;
-    let zero = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(a, _mm512_setzero_pd());
-    let abs = _mm512_abs_pd(a);
-    let in_range = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(abs, _mm512_set1_pd(lo))
-        & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(abs, _mm512_set1_pd(hi));
-    if zero | in_range != 0xff {
-        return _mm512_div_pd(a, b);
+unsafe fn sqrt_f64x8(v: __m512d) -> __m512d {
+    let (lo, hi) = SQRT_DOMAIN;
+    let zero = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(v, _mm512_setzero_pd());
+    let in_domain = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_set1_pd(lo))
+        & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(v, _mm512_set1_pd(hi));
+    if zero | in_domain != 0xff {
+        return _mm512_sqrt_pd(v);
     }
     // SAFETY: AVX-512F is this function's own contract.
-    _mm512_mask_blend_pd(zero, unsafe { corrected_f64x8(a, b, y) }, a)
+    _mm512_mask_blend_pd(zero, unsafe { fma_sqrt_f64x8(v) }, v)
 }
 
 /// Generates one leg's `f64` Adam update loop over full vectors; the
@@ -908,12 +1024,12 @@ unsafe fn quotient_f64x8(a: __m512d, b: __m512d, y: __m512d) -> __m512d {
 #[cfg(target_arch = "x86_64")]
 macro_rules! adam_kernel {
     (
-        $features:literal, $lanes:expr, $name:ident, $quotient:ident,
+        $features:literal, $lanes:expr, $name:ident, $sqrt:ident,
         $set1:ident, $loadu:ident, $storeu:ident, $add:ident, $sub:ident, $mul:ident,
-        $div:ident, $sqrt:ident, $min:ident, $max:ident
+        $div:ident, $min:ident, $max:ident
     ) => {
         /// One `f64` Adam update, bit-identical to the reference (see the
-        /// comment above [`corrected_f64x4`]).
+        /// comment above [`SQRT_DOMAIN`]).
         // SAFETY: the `unsafe fn` contract is the target features and four
         // slices of one length (asserted by `adam_update_f64_on`); every
         // pointer offset stays below that length.
@@ -924,9 +1040,7 @@ macro_rules! adam_kernel {
             let (wp, gp, mp, vp) = (w.as_mut_ptr(), g.as_ptr(), m.as_mut_ptr(), v.as_mut_ptr());
             let (beta1, beta2) = ($set1(s.beta1), $set1(s.beta2));
             let (decay1, decay2) = ($set1(s.decay1), $set1(s.decay2));
-            let (bias1, bias2) = ($set1(s.bias1), $set1(s.bias2));
-            let (recip1, recip2) = ($set1(1.0 / s.bias1), $set1(1.0 / s.bias2));
-            let (lr, eps) = ($set1(s.lr), $set1(s.eps));
+            let (alpha, eps) = ($set1(s.alpha), $set1(s.eps));
             let (lo, hi) = ($set1(-s.clip), $set1(s.clip));
             let mut i = 0;
             // SAFETY: `i + $lanes ≤ n`, the length of all four slices;
@@ -941,9 +1055,7 @@ macro_rules! adam_kernel {
                     let v = $add($mul(beta2, $loadu(vp.add(i))), $mul($mul(decay2, g), g));
                     $storeu(mp.add(i), m);
                     $storeu(vp.add(i), v);
-                    let m_hat = $quotient(m, bias1, recip1);
-                    let v_hat = $quotient(v, bias2, recip2);
-                    let delta = $div($mul(lr, m_hat), $add($sqrt(v_hat), eps));
+                    let delta = $div($mul(alpha, m), $add($sqrt(v), eps));
                     $storeu(wp.add(i), $sub($loadu(wp.add(i)), delta));
                     i += $lanes;
                 }
@@ -955,10 +1067,10 @@ macro_rules! adam_kernel {
 
 #[cfg(target_arch = "x86_64")]
 adam_kernel!(
-    "avx2,fma",
+    "avx2",
     4,
     adam_f64_avx2,
-    quotient_f64x4,
+    _mm256_sqrt_pd,
     _mm256_set1_pd,
     _mm256_loadu_pd,
     _mm256_storeu_pd,
@@ -966,7 +1078,6 @@ adam_kernel!(
     _mm256_sub_pd,
     _mm256_mul_pd,
     _mm256_div_pd,
-    _mm256_sqrt_pd,
     _mm256_min_pd,
     _mm256_max_pd
 );
@@ -975,7 +1086,7 @@ adam_kernel!(
     "avx512f",
     8,
     adam_f64_avx512,
-    quotient_f64x8,
+    sqrt_f64x8,
     _mm512_set1_pd,
     _mm512_loadu_pd,
     _mm512_storeu_pd,
@@ -983,7 +1094,6 @@ adam_kernel!(
     _mm512_sub_pd,
     _mm512_mul_pd,
     _mm512_div_pd,
-    _mm512_sqrt_pd,
     _mm512_min_pd,
     _mm512_max_pd
 );
@@ -1015,11 +1125,12 @@ mod tests {
         } else {
             assert!(["scalar", "avx2"].contains(&name));
         }
-        let adam = adam_kernel_name();
-        if !simd_enabled() {
-            assert_eq!(adam, "scalar");
-        } else {
-            assert!(["scalar", "avx2+fma", "avx512f"].contains(&adam));
+        for leg in [matvec_kernel_name(), adam_kernel_name()] {
+            if !simd_enabled() {
+                assert_eq!(leg, "scalar");
+            } else {
+                assert!(["scalar", "avx2", "avx512f"].contains(&leg));
+            }
         }
     }
 
@@ -1060,7 +1171,7 @@ mod tests {
         }
     }
 
-    /// Entry `i` of a matvec operand: smooth values, with `±0.0`,
+    /// Entry `i` of a kernel operand: smooth values, with `±0.0`,
     /// subnormals, `±∞` and NaN mixed in at a rate of about `7 / special`
     /// (none for `special == 0`).
     fn edge_value(i: u64, special: u64) -> f64 {
@@ -1089,211 +1200,339 @@ mod tests {
             })
     }
 
-    mod matvec_parity {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The AVX2 `W·x` ≡ the scalar `matvec_acc_into` reference at both
-            /// precisions, on ragged shapes (rows below 4 and off the 4- and
-            /// 16-row blocks, columns below 4 and off the 4-wide transpose)
-            /// and with `±0.0`, subnormal, `±∞` and NaN entries.
-            #[cfg(target_arch = "x86_64")]
-            #[test]
-            fn avx2_matvec_is_bit_identical_to_the_scalar_reference(
-                rows in 0usize..40,
-                cols in 0usize..40,
-                seed in any::<u64>(),
-                rate in 0usize..4,
-            ) {
-                if !avx2_available() {
-                    return Ok(());
-                }
-                let special = [0, 8, 16, 64][rate];
-                let w: Vec<f64> = (0..rows * cols)
-                    .map(|i| edge_value(seed ^ i as u64, special))
-                    .collect();
-                let x: Vec<f64> = (0..cols)
-                    .map(|i| edge_value(!seed ^ i as u64, special))
-                    .collect();
-                // Continue from signed-zero or smooth accumulators over a
-                // column block `start..start + k` of the rows.
-                let start = if rows == 0 { 0 } else { cols.min(seed as usize % 3) };
-                let k = cols - start;
-                let acc: Vec<f64> = (0..rows)
-                    .map(|i| edge_value(seed.rotate_left(7) ^ i as u64, special.min(4)))
-                    .collect();
-                let mut simd = acc.clone();
-                let mut scalar = acc.clone();
-                // SAFETY: avx2_available() was checked above.
-                unsafe { matvec_f64_avx2(&w[start..], cols, &x[..k], &mut simd) };
-                crate::matrix::matvec_acc_into(&w[start..], cols, &x[..k], &mut scalar);
-                prop_assert!(same_bits(&simd, &scalar), "f64 {rows}x{cols} from {start}");
-
-                let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
-                let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let mut simd: Vec<f32> = acc.iter().map(|&v| v as f32).collect();
-                let mut scalar = simd.clone();
-                // SAFETY: avx2_available() was checked above.
-                unsafe { matvec_f32_avx2(&w32[start..], cols, &x32[..k], &mut simd) };
-                crate::matrix::matvec_acc_into(&w32[start..], cols, &x32[..k], &mut scalar);
-                prop_assert!(same_bits(&simd, &scalar), "f32 {rows}x{cols} from {start}");
-            }
-        }
-    }
-
-    /// The Adam legs this host runs, widest first.
-    fn host_adam_legs() -> Vec<AdamLeg> {
-        [AdamLeg::Avx512, AdamLeg::Avx2Fma]
+    /// Every leg this host runs, the reference included.
+    fn host_legs() -> Vec<Leg> {
+        [Leg::Scalar, Leg::Avx2, Leg::Avx512]
             .into_iter()
             .filter(|leg| leg.available())
             .collect()
     }
 
-    /// `a[i] / b` through `leg`'s guarded quotient, or its bare corrected
-    /// quotient if `raw`, one full vector at a time (a ragged end is padded
-    /// with `1.0`).
-    #[cfg(target_arch = "x86_64")]
-    fn leg_quotients(leg: AdamLeg, a: &[f64], b: f64, raw: bool) -> Vec<f64> {
-        assert!(leg.available());
-        let lanes = if leg == AdamLeg::Avx512 { 8 } else { 4 };
-        let y = 1.0 / b;
-        let mut out = Vec::with_capacity(a.len());
-        for chunk in a.chunks(lanes) {
-            let mut lane = [1.0f64; 8];
-            lane[..chunk.len()].copy_from_slice(chunk);
-            let mut q = [0.0f64; 8];
-            // SAFETY: the leg's CPU features were checked above; both arrays
-            // hold 8 lanes.
-            unsafe {
-                if leg == AdamLeg::Avx512 {
-                    let (a, b, y) = (
-                        _mm512_loadu_pd(lane.as_ptr()),
-                        _mm512_set1_pd(b),
-                        _mm512_set1_pd(y),
-                    );
-                    let r = if raw {
-                        corrected_f64x8(a, b, y)
-                    } else {
-                        quotient_f64x8(a, b, y)
-                    };
-                    _mm512_storeu_pd(q.as_mut_ptr(), r);
-                } else {
-                    let (a, b, y) = (
-                        _mm256_loadu_pd(lane.as_ptr()),
-                        _mm256_set1_pd(b),
-                        _mm256_set1_pd(y),
-                    );
-                    let r = if raw {
-                        corrected_f64x4(a, b, y)
-                    } else {
-                        quotient_f64x4(a, b, y)
-                    };
-                    _mm256_storeu_pd(q.as_mut_ptr(), r);
+    mod matvec_parity {
+        use super::*;
+
+        /// A `rows × ld` operand and a `k`-entry column for one parity
+        /// case. With no specials, row 0 (when `k > 0`) gets only `−0`
+        /// products: `+0` against every negative `x[k]`, `−0` against every
+        /// positive one.
+        fn operands(rows: usize, k: usize, ld: usize, special: u64) -> (Vec<f64>, Vec<f64>) {
+            let salt = (rows * 1_000 + k * 10 + ld) as u64;
+            let x: Vec<f64> = (0..k)
+                .map(|i| edge_value(salt ^ (i as u64) << 20, special))
+                .collect();
+            let mut w: Vec<f64> = (0..rows * ld)
+                .map(|i| edge_value(salt.rotate_left(9) ^ i as u64, special))
+                .collect();
+            if special == 0 && rows > 0 {
+                for (e, &xk) in w.iter_mut().zip(&x) {
+                    *e = if xk < 0.0 { 0.0 } else { -0.0 };
                 }
             }
-            out.extend_from_slice(&q[..chunk.len()]);
+            (w, x)
+        }
+
+        /// Each leg the host runs, forced one by one, ≡ the reference at both
+        /// precisions: rows 0..=19 (below, on and off the four-row block),
+        /// `k` 0..=33 (below and across the eight lanes and the masked
+        /// tail), rows packed (`ld = k`) and strided (`ld > k`), with `±0`,
+        /// subnormal, `±∞` and NaN entries, into a poisoned output. A row of
+        /// `−0` products sums to `−0`.
+        #[test]
+        fn every_matvec_leg_is_bit_identical_to_the_reference() {
+            for rows in 0..=19usize {
+                for k in 0..=33usize {
+                    for ld in [k, k + 3] {
+                        for special in [0, 8, 16] {
+                            let (w, x) = operands(rows, k, ld, special);
+                            let mut want = vec![f64::NAN; rows];
+                            matvec_reference(&w, ld, &x, &mut want);
+                            if special == 0 && rows > 0 {
+                                assert_eq!(want[0].to_bits(), (-0.0f64).to_bits(), "k {k}");
+                            }
+                            let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
+                            let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                            let mut want32 = vec![f32::NAN; rows];
+                            matvec_reference(&w32, ld, &x32, &mut want32);
+                            for leg in host_legs() {
+                                let mut got = vec![f64::NAN; rows];
+                                matvec_f64_on(leg, &w, ld, &x, &mut got);
+                                assert!(same_bits(&got, &want), "{leg:?} f64 {rows}x{k}/{ld}");
+                                let mut got32 = vec![f32::NAN; rows];
+                                matvec_f32_on(leg, &w32, ld, &x32, &mut got32);
+                                assert!(same_bits(&got32, &want32), "{leg:?} f32 {rows}x{k}/{ld}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `a·b` exactly, as `p + e`: Dekker's split into 26-bit halves, no
+    /// FMA and no libm.
+    fn two_product(a: f64, b: f64) -> (f64, f64) {
+        let split = |v: f64| {
+            let c = 134_217_729.0 * v; // 2²⁷ + 1
+            let hi = c - (c - v);
+            (hi, v - hi)
+        };
+        let p = a * b;
+        let ((ah, al), (bh, bl)) = (split(a), split(b));
+        (p, ((ah * bh - p) + ah * bl + al * bh) + al * bl)
+    }
+
+    /// `a + b` exactly, as `s + e` (Knuth's TwoSum).
+    fn two_sum(a: f64, b: f64) -> (f64, f64) {
+        let s = a + b;
+        let bb = s - a;
+        (s, (a - (s - bb)) + (b - bb))
+    }
+
+    /// `Σ a_i·b_i` in double-double arithmetic: within a few `u²` of the
+    /// exact sum, relative to `Σ|a_i·b_i|`.
+    fn dot_double_double(a: &[f64], b: &[f64]) -> f64 {
+        let (mut hi, mut lo) = (0.0, 0.0);
+        for (&x, &y) in a.iter().zip(b) {
+            let (p, e) = two_product(x, y);
+            let (s, f) = two_sum(hi, p);
+            hi = s;
+            lo += e + f;
+        }
+        hi + lo
+    }
+
+    /// The blocked sum's error against a double-double reference stays
+    /// within its bound `γ_m·Σ|W[r, k]·x[k]|`, `m = ⌈k/8⌉ + 3` (one product,
+    /// `⌈k/8⌉ − 1` lane additions, three tree levels; `γ_m = m·u/(1 − m·u)`),
+    /// on smooth rows, rows spanning twelve orders of magnitude and rows
+    /// built to cancel.
+    #[test]
+    fn blocked_sum_error_stays_within_its_bound() {
+        let u = f64::EPSILON / 2.0;
+        let mut worst: f64 = 0.0;
+        for k in 1..=300usize {
+            for kind in 0..3u64 {
+                let salt = (k as u64) << 8 | kind;
+                let x: Vec<f64> = (0..k as u64).map(|i| val(salt ^ i << 32)).collect();
+                let w: Vec<f64> = (0..k as u64)
+                    .map(|i| {
+                        let v = val(salt.rotate_left(17) ^ i);
+                        match kind {
+                            0 => v,
+                            1 => v * 2f64.powi((i % 40) as i32 - 20),
+                            // Pairs that cancel up to a small residue.
+                            _ if i % 2 == 1 => {
+                                -(val(salt.rotate_left(17) ^ (i - 1)) * x[i as usize - 1])
+                                    / x[i as usize]
+                                    * (1.0 + v * 1e-9)
+                            }
+                            _ => v,
+                        }
+                    })
+                    .collect();
+                let mut got = [0.0];
+                matvec_reference(&w, k, &x, &mut got);
+                let exact = dot_double_double(&w, &x);
+                let magnitude: f64 = w.iter().zip(&x).map(|(a, b)| (a * b).abs()).sum();
+                let m = (k.div_ceil(8) + 3) as f64;
+                let bound = m * u / (1.0 - m * u) * magnitude;
+                let error = (got[0] - exact).abs();
+                assert!(
+                    error <= bound + 4.0 * u * u * magnitude,
+                    "k {k} kind {kind}: error {error:e} over bound {bound:e}"
+                );
+                worst = worst.max(error / bound.max(f64::MIN_POSITIVE));
+            }
+        }
+        assert!(worst > 0.0, "the check never saw a rounding error");
+    }
+
+    /// An eight-lane AVX-512F square root.
+    // SAFETY: a function-pointer type only; `map_f64x8` checks AVX-512F
+    // before it calls one.
+    #[cfg(target_arch = "x86_64")]
+    type Lanes = unsafe fn(__m512d) -> __m512d;
+
+    /// `f(v)` eight lanes at a time through `lanes`, a ragged end padded
+    /// with `1.0`.
+    #[cfg(target_arch = "x86_64")]
+    fn map_f64x8(vs: &[f64], lanes: Lanes) -> Vec<f64> {
+        assert!(Leg::Avx512.available());
+        let mut out = Vec::with_capacity(vs.len());
+        for chunk in vs.chunks(8) {
+            let mut lane = [1.0f64; 8];
+            lane[..chunk.len()].copy_from_slice(chunk);
+            // SAFETY: AVX-512F was checked above; both arrays hold 8 lanes.
+            unsafe {
+                let r = lanes(_mm512_loadu_pd(lane.as_ptr()));
+                _mm512_storeu_pd(lane.as_mut_ptr(), r);
+            }
+            out.extend_from_slice(&lane[..chunk.len()]);
         }
         out
     }
 
-    /// Checks `leg_quotients` against `a / b` for every divisor: the bare
-    /// corrected quotient on the numerators inside the kernel's range, the
-    /// guarded one on all of them.
+    /// Checks the bare FMA root on the values inside the domain and the
+    /// guarded one on all of them against `f64::sqrt`.
     #[cfg(target_arch = "x86_64")]
-    fn assert_exact_quotients(leg: AdamLeg, numerators: &[f64], divisors: &[f64]) {
-        let (lo, hi) = ADAM_NUM_RANGE;
-        let in_range: Vec<f64> = numerators
+    fn assert_exact_roots(vs: &[f64]) {
+        let (lo, hi) = SQRT_DOMAIN;
+        let inside: Vec<f64> = vs
             .iter()
             .copied()
-            .filter(|a| (lo..=hi).contains(&a.abs()))
+            .filter(|v| (lo..=hi).contains(v))
             .collect();
-        for &b in divisors {
-            for (set, raw) in [(&in_range[..], true), (numerators, false)] {
-                let want: Vec<f64> = set.iter().map(|&a| a / b).collect();
-                let got = leg_quotients(leg, set, b, raw);
-                for ((a, g), w) in set.iter().zip(&got).zip(&want) {
-                    assert!(
-                        same_bits(&[*g], &[*w]),
-                        "{leg:?} raw={raw}: {a:e} / {b:e} gave {g:e}, want {w:e}"
-                    );
-                }
+        let kernels: [(&[f64], Lanes); 2] = [(&inside, fma_sqrt_f64x8), (vs, sqrt_f64x8)];
+        for (set, kernel) in kernels {
+            let got = map_f64x8(set, kernel);
+            for (v, g) in set.iter().zip(&got) {
+                assert!(
+                    same_bits(&[*g], &[v.sqrt()]),
+                    "√{v:e} ({:#x}) gave {g:e}, want {:e}",
+                    v.to_bits(),
+                    v.sqrt()
+                );
             }
         }
     }
 
-    /// `2^e`, and the largest value of that binade (mantissa all ones).
-    fn binade_ends(e: i32) -> [f64; 2] {
-        let bits = ((e + 1023) as u64) << 52;
-        [f64::from_bits(bits), f64::from_bits(bits | ((1 << 52) - 1))]
+    /// `v` and its neighbours up to `ulps` ulps either side.
+    fn with_neighbours(v: f64, ulps: usize, out: &mut Vec<f64>) {
+        let (mut down, mut up) = (v, v);
+        out.push(v);
+        for _ in 0..ulps {
+            down = down.next_down();
+            up = up.next_up();
+            out.extend([down, up]);
+        }
     }
 
-    /// The corrected quotients equal `a / b` bit for bit on each leg the
-    /// host runs: every bias correction `Adam::step` divides by in its first
-    /// 20 000 steps, random divisors in `[2⁻²⁰, 1]`, numerators at both
-    /// ends of every binade, and zeros, subnormals, the range edges `2^±900`
-    /// one ulp either side, `±∞` and NaN (NaN only has to meet NaN).
+    /// `4^e` as an exact power of two.
+    fn four_to(e: i32) -> f64 {
+        f64::from_bits(((1023 + 2 * e) as u64) << 52)
+    }
+
+    /// The squares nearest a rounding midpoint in `[1, 4)`: `v ≈ m²` for a
+    /// midpoint `m = X·2⁻⁵³` (`X` odd, 54 bits) with `X² ≡ ±r (mod 2⁵⁴)`
+    /// for small `r`, so `√v` lies within about `r·2⁻¹⁰⁸` of `m`. Each `X`
+    /// is a square root of `±r` modulo 2⁵⁴ by Hensel lifting.
+    fn hardest_squares() -> Vec<f64> {
+        let mut out = Vec::new();
+        for r in (1..4_000u128).filter(|r| r % 8 == 1 || r % 8 == 7) {
+            let target = if r % 8 == 1 { r } else { (1u128 << 54) - r };
+            // x² ≡ target (mod 8) at x = 1; lift one bit at a time.
+            let mut x: u128 = 1;
+            for i in 3..54 {
+                if (x * x).wrapping_sub(target) >> i & 1 == 1 {
+                    x += 1 << (i - 1);
+                }
+            }
+            for root in [x, (1u128 << 54) - x] {
+                let root = root % (1u128 << 54);
+                let big = if root < 1 << 53 {
+                    root + (1 << 53)
+                } else {
+                    root
+                };
+                // `big² ∓ r` is a multiple of 2⁵⁴: `v = (big² ∓ r)·2⁻¹⁰⁶`,
+                // rounded once if it needs 54 bits.
+                let square = if r % 8 == 1 {
+                    big * big - r
+                } else {
+                    big * big + r
+                };
+                out.push((square >> 54) as f64 * 2f64.powi(-52));
+            }
+        }
+        out
+    }
+
+    /// The FMA square root equals `f64::sqrt` bit for bit: near-midpoint
+    /// squares `RN((m+½ulp)²)·4ᵉ ± 0..2 ulp` across the domain, the squares
+    /// nearest a midpoint, a random sweep of the domain, and `±0`, both
+    /// domain edges and their neighbours, subnormals, `±∞`, NaN and
+    /// negative values, alone and mixed into in-domain vectors.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn corrected_quotients_equal_the_hardware_division() {
-        let legs = host_adam_legs();
-        if legs.is_empty() {
+    fn fma_sqrt_equals_the_hardware_sqrt() {
+        if !Leg::Avx512.available() {
             return;
         }
-        let mut step_divisors: Vec<f64> = (1..=20_000u64)
-            .flat_map(|t| {
-                let step = AdamStep::new(0.9, 0.999, 1e-8, 1e-3, None, t);
-                [step.bias1, step.bias2]
+        // RN(m²) for midpoints m = X·2⁻⁵³ with random odd 54-bit X; the cast
+        // from u128 rounds to nearest.
+        let mut base = Vec::new();
+        for i in 0..4_000u64 {
+            let x = (1u128 << 53) | u128::from(val(i).to_bits() & ((1 << 52) - 1)) << 1 | 1;
+            with_neighbours((x * x) as f64 * 2f64.powi(-106), 2, &mut base);
+        }
+        let hardest = hardest_squares();
+        let mut near = Vec::new();
+        for &v in &hardest {
+            with_neighbours(v, 2, &mut near);
+        }
+        for e in (-449..449).step_by(7) {
+            let scale = four_to(e);
+            let scaled: Vec<f64> = base.iter().chain(&near).map(|v| v * scale).collect();
+            assert_exact_roots(&scaled);
+        }
+        assert_exact_roots(&near);
+
+        // Random sweep: every exponent of the domain, random mantissas.
+        let sweep: Vec<f64> = (0..400_000u64)
+            .map(|i| {
+                let e = i % 1801 + 1023 - 900;
+                f64::from_bits(
+                    e << 52 | (val(i * 3 + 1).to_bits() ^ val(i).to_bits()) & ((1 << 52) - 1),
+                )
             })
             .collect();
-        step_divisors.sort_by(f64::total_cmp);
-        step_divisors.dedup();
-        assert!((ADAM_MIN_BIAS..=1.0).contains(&step_divisors[0]));
-        // Random divisors, one binade at a time, plus each binade's ends:
-        // `2^e` and the all-ones mantissa.
-        let mut divisors: Vec<f64> = (-20..0).flat_map(binade_ends).collect();
-        divisors.push(1.0);
-        divisors.extend((0..2_000u64).map(|i| {
-            let e = -20 + (i % 20) as i32;
-            let mantissa = (val(31 * i).to_bits() ^ val(i + 7).to_bits()) & ((1 << 52) - 1);
-            f64::from_bits(binade_ends(e)[0].to_bits() | mantissa)
-        }));
-        assert!(divisors.iter().all(|b| (ADAM_MIN_BIAS..=1.0).contains(b)));
+        assert_exact_roots(&sweep);
 
-        // Moment-like numerators: values of magnitude 1e-12..1e2, both signs.
-        let moments: Vec<f64> = (0..32u64)
-            .map(|i| val(i + 40) * 10f64.powi(2 - (i % 15) as i32))
-            .collect();
-        let binades: Vec<f64> = (-1022..=1023)
-            .flat_map(binade_ends)
-            .flat_map(|a| [a, -a])
-            .collect();
-        let two = |e: i32| binade_ends(e)[0];
-        let mut specials = vec![0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310];
-        specials.push(f64::MIN_POSITIVE.next_down());
-        for edge in [two(900), two(-900)] {
+        let (lo, hi) = SQRT_DOMAIN;
+        let mut specials = vec![0.0, -0.0, 5e-324, 2.5e-310, f64::MIN_POSITIVE];
+        for edge in [lo, hi] {
             specials.extend([edge.next_down(), edge, edge.next_up()]);
         }
-        specials.extend([f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
-        let negated: Vec<f64> = specials.iter().map(|a| -a).collect();
-        specials.extend(negated);
-        // Specials alone, and mixed into vectors of in-range values.
+        specials.extend([
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.0,
+            -lo,
+        ]);
         let mixed: Vec<f64> = specials
             .iter()
-            .zip(&moments)
-            .flat_map(|(&s, &m)| [m, s, m])
+            .zip(&sweep)
+            .flat_map(|(&s, &v)| [v, s, v, v])
             .collect();
+        assert_exact_roots(&specials);
+        assert_exact_roots(&mixed);
+    }
 
-        for leg in legs {
-            assert_exact_quotients(leg, &moments, &step_divisors);
-            assert_exact_quotients(leg, &moments, &divisors);
-            assert_exact_quotients(leg, &binades, &step_divisors[..40]);
-            assert_exact_quotients(leg, &binades, &divisors[..60]);
-            for set in [&specials, &mixed] {
-                assert_exact_quotients(leg, set, &step_divisors[..40]);
-                assert_exact_quotients(leg, set, &divisors);
+    /// Exponentiation by squaring is exact where every power is, and
+    /// elsewhere within its error bound of `powf`, the host's libm as a
+    /// loose oracle: each rounding error is raised to at most the power it
+    /// multiplies into, `t − 1` roundings in all, so `γ_{t−1}` — about
+    /// `(t − 1)/2` ulps — plus one ulp for `powf` itself.
+    #[test]
+    fn powers_by_squaring_stay_close_to_powf() {
+        assert_eq!(powi(0.9f64, 0), 1.0);
+        assert_eq!(powi(0.9f64, 1), 0.9);
+        for t in 0..1_074u64 {
+            assert_eq!(powi(0.5f64, t), 0.5f64.powi(t as i32), "2^-{t}");
+        }
+        for beta in [0.9f64, 0.999] {
+            for t in (1..200_000u64).step_by(97) {
+                let (got, want) = (powi(beta, t), beta.powf(t as f64));
+                if want < 1e-300 {
+                    continue;
+                }
+                let ulps = (got - want).abs() / (want * f64::EPSILON);
+                assert!(
+                    ulps <= (t - 1) as f64 / 2.0 + 1.0,
+                    "{beta}^{t}: {ulps} ulps"
+                );
             }
         }
     }
@@ -1307,9 +1546,10 @@ mod tests {
 
             /// Each Adam leg the host runs ≡ the reference loop, bit for bit
             /// on `w`, `m` and `v`: every tail length, with and without a
-            /// clip, gradients holding `±0`, subnormals, `±∞` and NaN, and
-            /// step counts from the first to one where `b₁` and `b₂` are
-            /// exactly `1.0`.
+            /// clip, gradients and moments holding `±0`, subnormals, `±∞`
+            /// and NaN (second moments outside the FMA root's domain among
+            /// them), and step counts from the first to one where both bias
+            /// corrections are exactly `1.0`.
             #[test]
             fn adam_legs_are_bit_identical_to_the_reference(
                 len in 0usize..=40,
@@ -1337,7 +1577,7 @@ mod tests {
                 };
                 let (mut want_w, mut want_m, mut want_v) = (w.clone(), m.clone(), v.clone());
                 step.update_reference(&mut want_w, &g, &mut want_m, &mut want_v);
-                for leg in host_adam_legs() {
+                for leg in host_legs() {
                     let (mut got_w, mut got_m, mut got_v) = (w.clone(), m.clone(), v.clone());
                     adam_update_f64_on(leg, &step, &mut got_w, &g, &mut got_m, &mut got_v);
                     prop_assert!(same_bits(&got_w, &want_w), "{leg:?} w, len {len}, t {t}");

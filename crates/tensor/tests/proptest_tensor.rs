@@ -3,6 +3,21 @@
 use proptest::prelude::*;
 use rm_tensor::Matrix;
 
+/// The single-column product as its definition reads: lane `k mod 8` of
+/// each row adds `W[r, k]·x[k]` from `−0.0` in increasing `k`, and the lanes
+/// reduce as `(l0+l4, l1+l5, l2+l6, l3+l7)`, then `(s0+s2, s1+s3)`, then one
+/// value.
+fn column_product(w: &Matrix, x: &Matrix) -> Matrix {
+    Matrix::from_fn(w.rows(), 1, |r, _| {
+        let mut lanes = [-0.0f64; 8];
+        for k in 0..w.cols() {
+            lanes[k % 8] += w.get(r, k) * x.get(k, 0);
+        }
+        let s: [f64; 4] = std::array::from_fn(|j| lanes[j] + lanes[j + 4]);
+        (s[0] + s[2]) + (s[1] + s[3])
+    })
+}
+
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-5.0f64..5.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
@@ -18,7 +33,9 @@ proptest! {
     ) {
         // `k` crosses the MATMUL_BLOCK panel boundary, exercising both full
         // and ragged panels of the blocked kernel. The two kernels accumulate
-        // in the same order, so equality is bitwise, not approximate.
+        // in the same order, so equality is bitwise, not approximate. A
+        // single column (`n = 1`) is the blocked single-column product, held
+        // to its written-out definition instead.
         let mut data = seed;
         let mut next = || {
             // SplitMix64-ish stream, mapped into [-4, 4).
@@ -28,7 +45,7 @@ proptest! {
         let a = Matrix::from_fn(m, k, |_, _| next());
         let b = Matrix::from_fn(k, n, |_, _| next());
         let blocked = a.matmul(&b);
-        let naive = a.matmul_naive(&b);
+        let naive = if n == 1 { column_product(&a, &b) } else { a.matmul_naive(&b) };
         prop_assert_eq!(blocked.shape(), naive.shape());
         for (x, y) in blocked.data().iter().zip(naive.data().iter()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
